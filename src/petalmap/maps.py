@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import hyp2f1_values
+from .special_functions import Hyp2F1DomainError, hyp2f1_values
 
 CORNER_REJECT = 1e-12        # evaluation radius around corner pre-images
 MODULUS_SLACK = 1e-12        # |w| >= 1 - slack counts as on-sheet
@@ -459,8 +459,8 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None, guess=None)
                     raise InversionError("root lies off the physical sheet", root=w)
                 return w
             deriv = map_derivative(family, w)
-        except MapDomainError as exc:
-            raise InversionError("iteration left the evaluable region: %s" % exc, root=w)
+        except (MapDomainError, Hyp2F1DomainError) as exc:
+            raise InversionError("iteration left the evaluable region: %s" % exc, root=w) from exc
         if deriv == 0.0:
             raise InversionError("stationary point reached", root=w)
         step = (val - target) / deriv

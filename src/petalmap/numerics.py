@@ -8,6 +8,7 @@ accurate for smooth integrands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,20 @@ import numpy as np
 
 WINDING_DISTANCE_TOL = 1e-12   # rejection radius (relative) for points on a segment
 POWER_FIT_MIN_POINTS = 3
+
+
+@functools.lru_cache(maxsize=16)
+def gauss_legendre_unit(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1], cached per node count.
+
+    The arrays are shared between callers, so they are returned read-only.
+    """
+    nodes, wts = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (nodes + 1.0)
+    du = 0.5 * wts
+    u.flags.writeable = False
+    du.flags.writeable = False
+    return u, du
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -68,9 +83,7 @@ def segment_contour(start, end, n=64) -> Contour:
     """Open straight segment carrying Gauss-Legendre nodes on [0, 1]."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * (nodes + 1.0)
-    weights = 0.5 * wts
+    s, weights = gauss_legendre_unit(n)
     span = complex(end) - complex(start)
     if span == 0.0:
         raise ValueError("degenerate segment")
@@ -99,6 +112,9 @@ def singular_endpoint_quadrature(integrand, interval, exponents, n=200) -> compl
     Power substitutions x = a + (m-a) u^q with q = 2/(1+mu) flatten each
     algebraic endpoint, then Gauss-Legendre handles the smooth remainder.
     Exponents must be integrable (mu > -1).
+
+    ``integrand`` is called once per half-interval with a 1-d float array of
+    ``n`` nodes and must return an array of the same shape.
     """
     a, b = float(interval[0]), float(interval[1])
     mu_a, mu_b = float(exponents[0]), float(exponents[1])
@@ -107,21 +123,21 @@ def singular_endpoint_quadrature(integrand, interval, exponents, n=200) -> compl
     if mu_a <= -1.0 or mu_b <= -1.0:
         raise ValueError("endpoint exponent below -1 is not integrable")
     mid = 0.5 * (a + b)
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (nodes + 1.0)
-    du = 0.5 * wts
+    u, du = gauss_legendre_unit(n)
+
+    def piece(x, jac):
+        values = np.asarray(integrand(x))
+        if values.shape != x.shape:
+            raise ValueError("integrand must return an array shaped like its argument")
+        return np.sum(values * jac * du)
 
     total = 0.0 + 0.0j
     # left piece, substitution clustered at a
     q = 2.0 / (1.0 + mu_a)
-    x = a + (mid - a) * u**q
-    jac = (mid - a) * q * u ** (q - 1.0)
-    total += np.sum(np.asarray([integrand(xx) for xx in x]) * jac * du)
+    total += piece(a + (mid - a) * u**q, (mid - a) * q * u ** (q - 1.0))
     # right piece, mirrored
     q = 2.0 / (1.0 + mu_b)
-    x = b - (b - mid) * u**q
-    jac = (b - mid) * q * u ** (q - 1.0)
-    total += np.sum(np.asarray([integrand(xx) for xx in x]) * jac * du)
+    total += piece(b - (b - mid) * u**q, (b - mid) * q * u ** (q - 1.0))
     return complex(total)
 
 

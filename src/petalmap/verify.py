@@ -29,7 +29,12 @@ from .maps import (
     map_derivative,
     potential_V,
 )
-from .numerics import fit_power_law, singular_endpoint_quadrature, winding_number
+from .numerics import (
+    fit_power_law,
+    gauss_legendre_unit,
+    singular_endpoint_quadrature,
+    winding_number,
+)
 
 RING_ODE = 1.5               # sampling ring for the oscillator residual
 RATIO_SPREAD_TOL = 1e-6
@@ -44,6 +49,7 @@ PROBE_RADIUS_FRACTION = 0.02  # origin probe ring radius relative to the trace s
 PROBE_ANGLES = 17             # upper half-ring probes, 10 degrees apart
 INTERIOR_MARGIN = 0.02       # Cauchy samples stay this fraction of diameter off the curve
 ODE_STEPS = 1600             # fixed-step RK4 nodes for the second-solution transport
+TRANSPORT_BLOCK = 100        # RK4 step matrices built at once; bounds the transport's memory
 
 DEFAULT_TOLERANCES = {
     "oddness": 1e-10,
@@ -173,59 +179,67 @@ def ode_residual(family: MapFamily, n: int = 64, radius: float = RING_ODE) -> fl
 # conserved ratio via the Wronskian of the solution basis
 
 
-def _second_solution_one_petal(family: MapFamily, w: complex):
+def _second_solution_one_petal(family: MapFamily, w: np.ndarray):
     """h(w) = f(1/w) from the closed form, with its w-derivative."""
     v = 1.0 / w
-    pts = np.array([v])
     # the closed form is analytic off [-1, 1]; 1/w sits inside the circle
     # but away from the cut for every probe used here
-    h_step = np.minimum(0.04, np.abs(pts.imag) / 12.0)
-    vals, dvals, _ = _arc_derivatives(lambda q: _one_petal_values(family, q), pts, h_step)
-    h = complex(vals[0])
-    h_prime = -complex(dvals[0]) / (w * w)
-    return h, h_prime
+    h_step = np.minimum(0.04, np.abs(v.imag) / 12.0)
+    vals, dvals, _ = _arc_derivatives(lambda q: _one_petal_values(family, q), v, h_step)
+    return vals, -dvals / (w * w)
 
 
-def _second_solution_two_petal(family: MapFamily, theta: float, rho: float):
-    """Transport conj-boundary data outward along a ray with fixed-step RK4.
+def _second_solution_two_petal(family: MapFamily, thetas: np.ndarray, rhos: np.ndarray):
+    """Transport conj-boundary data outward along rays with fixed-step RK4.
 
     On the circle the reflected branch equals the conjugate of the map, which
     seeds the oscillator equation; integrating to rho e^{i theta} stays clear
-    of the potential's poles for theta well inside (0, pi/2).
+    of the potential's poles for theta well inside (0, pi/2).  Returns (h, h')
+    at every rho e^{i theta}, theta-major.
+
+    The equation is linear, so each RK4 step acts on (h, h') as a 2x2
+    matrix, found by taking the step from the identity.  The matrices for a
+    block of steps on every ray are built at once, then applied in step order.
     """
-    w0 = cmath.exp(1j * theta)
-    pts = np.array([w0])
-    f0, fp0, _ = _tangential_derivatives(family, pts)
-    h = np.conj(f0[0])
-    hp = -np.conj(fp0[0]) / (w0 * w0)
+    seeds = np.exp(1j * thetas)
+    f0, fp0, _ = _tangential_derivatives(family, seeds)
+    nrho = len(rhos)
+    h0 = np.conj(f0).repeat(nrho)
+    hp0 = (-np.conj(fp0) / (seeds * seeds)).repeat(nrho)
+    y = np.stack([h0, hp0], axis=-1)[..., None]  # one (h, h') column per ray
+    # per-ray scalars keep a trailing axis so they broadcast against matrix rows
+    w0 = seeds.repeat(nrho)[:, None]
+    span = w0 * (np.tile(rhos, len(seeds))[:, None] - 1.0)
 
     frac_a = family.alpha / math.pi
-    frac_b = family.beta / math.pi if family.beta is not None else None
+    frac_b = family.beta / math.pi
+    ds = 1.0 / ODE_STEPS
+    # rows of the identity; the trailing axis is the matrix column
+    y0, y1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
-    def second_derivative(w, y0, y1):
+    def rhs(r0, r1, w):
         w2 = w * w
         pot = 16.0 * frac_a * (1.0 - frac_a) * w2 / (w2 - 1.0) ** 2
-        if frac_b is not None:
-            pot -= 8.0 * frac_b * (1.0 - 2.0 * frac_b) * w2 / (w2 + 1.0) ** 2
-        return (2.0 / (w * (w2 - 1.0))) * y1 - pot * y0 / w2
+        pot -= 8.0 * frac_b * (1.0 - 2.0 * frac_b) * w2 / (w2 + 1.0) ** 2
+        return span * r1, span * ((2.0 / (w * (w2 - 1.0))) * r1 - pot * r0 / w2)
 
-    span = w0 * (rho - 1.0)
-    ds = 1.0 / ODE_STEPS
-    y0, y1 = h, hp
-    for k in range(ODE_STEPS):
-        s = k * ds
+    for start in range(0, ODE_STEPS, TRANSPORT_BLOCK):
+        s = np.arange(start, min(start + TRANSPORT_BLOCK, ODE_STEPS))[:, None, None] * ds
         w = w0 + span * s
-
-        def rhs(y0_, y1_, w_):
-            return span * y1_, span * second_derivative(w_, y0_, y1_)
-
         k1a, k1b = rhs(y0, y1, w)
         k2a, k2b = rhs(y0 + 0.5 * ds * k1a, y1 + 0.5 * ds * k1b, w + 0.5 * ds * span)
         k3a, k3b = rhs(y0 + 0.5 * ds * k2a, y1 + 0.5 * ds * k2b, w + 0.5 * ds * span)
         k4a, k4b = rhs(y0 + ds * k3a, y1 + ds * k3b, w + ds * span)
-        y0 = y0 + (ds / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        y1 = y1 + (ds / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return y0, y1
+        steps = np.stack(
+            [
+                y0 + (ds / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+                y1 + (ds / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
+            ],
+            axis=-2,
+        )
+        for step in steps:
+            y = step @ y
+    return y[:, 0, 0], y[:, 1, 0]
 
 
 def estimate_A(family: MapFamily, thetas=None, rhos=(1.7, 2.1)) -> RatioEstimate:
@@ -237,19 +251,15 @@ def estimate_A(family: MapFamily, thetas=None, rhos=(1.7, 2.1)) -> RatioEstimate
     """
     if thetas is None:
         thetas = np.linspace(0.35, 1.15, 4)
-    samples = []
-    for theta in thetas:
-        for rho in rhos:
-            w = rho * cmath.exp(1j * theta)
-            pts = np.array([w])
-            f, fp, _ = _tangential_derivatives(family, pts)
-            if family.kind == "one-petal":
-                h, hp = _second_solution_one_petal(family, w)
-            else:
-                h, hp = _second_solution_two_petal(family, theta, rho)
-            wronskian = w * (complex(fp[0]) * h - complex(f[0]) * hp)
-            samples.append(abs(wronskian) / abs(w - 1.0 / w))
-    samples = np.array(samples)
+    thetas = np.asarray(thetas, dtype=float)
+    rhos = np.asarray(rhos, dtype=float)
+    w = (rhos[None, :] * np.exp(1j * thetas)[:, None]).ravel()
+    f, fp, _ = _tangential_derivatives(family, w)
+    if family.kind == "one-petal":
+        h, hp = _second_solution_one_petal(family, w)
+    else:
+        h, hp = _second_solution_two_petal(family, thetas, rhos)
+    samples = np.abs(w * (fp * h - f * hp)) / np.abs(w - 1.0 / w)
     mean = float(np.mean(samples))
     spread = float((np.max(samples) - np.min(samples)) / mean)
     return RatioEstimate(mean, spread, samples)
@@ -393,8 +403,7 @@ def integral_equation_residual(family: MapFamily, probes=None, quad_n: int = 220
             integral = 0.0 + 0.0j  # coefficient kills the correction exactly
         else:
             def integrand(x):
-                prof = complex(_one_petal_profile(family, np.array([1.0 / x]))[0])
-                return prof / (x * x - w * w)
+                return _one_petal_profile(family, 1.0 / x) / (x * x - w * w)
 
             integral = singular_endpoint_quadrature(
                 integrand, (0.0, 1.0), (0.0, g), n=quad_n
@@ -550,9 +559,9 @@ def harmonic_moment_area(trace, k: int, n_theta: int = 512, n_radial: int = 32) 
     if len(theta) < 8:
         raise ValueError("trace is not star-shaped about the origin")
 
-    nodes, wts = np.polynomial.legendre.leggauss(n_theta)
-    th = 0.5 * math.pi * (nodes + 1.0)
-    wth = 0.5 * math.pi * wts
+    u, du = gauss_legendre_unit(n_theta)
+    th = math.pi * u
+    wth = math.pi * du
     rho_th = np.interp(th, theta, rho, left=rho[0], right=rho[-1])
 
     if k == 2:
@@ -560,14 +569,11 @@ def harmonic_moment_area(trace, k: int, n_theta: int = 512, n_radial: int = 32) 
         return complex(np.sum(integrand * wth) / math.pi)
 
     horizon = 4.0 * float(np.max(rho))
-    rn, rw = np.polynomial.legendre.leggauss(n_radial)
-    total = 0.0
-    for t, wt, r0 in zip(th, wth, rho_th):
-        rr = r0 + 0.5 * (horizon - r0) * (rn + 1.0)
-        jac = 0.5 * (horizon - r0)
-        radial = float(np.sum(rr ** (1 - k) * rw) * jac)
-        radial += horizon ** (2 - k) / (k - 2)
-        total += -math.sin(k * t) * radial * wt
+    ru, rdu = gauss_legendre_unit(n_radial)
+    reach = horizon - rho_th
+    rr = rho_th[:, None] + reach[:, None] * ru
+    radial = np.sum(rr ** (1 - k) * rdu, axis=1) * reach + horizon ** (2 - k) / (k - 2)
+    total = np.sum(-np.sin(k * th) * radial * wth)
     return complex(total * 2.0 / (math.pi * k))
 
 
@@ -615,7 +621,8 @@ def sweep(alphas, betas, n_trace: int = 512, epsilon: float = CONFORMAL_RING_EPS
                 degenerate = width < WIDTH_DEGENERATE_FRACTION
                 rows.append(SweepRow(float(alpha), float(beta), winding, ok, degenerate))
             except Exception as exc:  # noqa: BLE001 - sweep must keep going
-                rows.append(SweepRow(float(alpha), float(beta), None, None, None, str(exc)))
+                reason = "%s: %s" % (type(exc).__name__, exc)
+                rows.append(SweepRow(float(alpha), float(beta), None, None, None, reason))
     return SweepResult(alphas, betas, tuple(rows))
 
 

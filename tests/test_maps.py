@@ -231,6 +231,17 @@ def test_invert_off_sheet_rejected():
             invert_map(LEMNISCATE, z)
 
 
+def test_invert_unreachable_hypergeometric_point():
+    # Newton walks into the region no 2F1 transformation reaches; the
+    # internal domain error must surface as the documented InversionError
+    fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
+    z = 1.3158 + 1.5j
+    with pytest.raises(InversionError):
+        invert_map(fam, z)
+    with pytest.raises(InversionError):
+        pressure(fam, TimeState(1.0, 1.0), z)
+
+
 def test_pressure_values():
     state = TimeState(1.0, 1.0)
     assert abs(pressure(LEMNISCATE, state, 2j) - 2.0 / math.sqrt(3.0)) <= 1e-10

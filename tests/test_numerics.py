@@ -80,8 +80,25 @@ def test_singular_both_endpoints():
 
 def test_logarithmic_endpoint():
     # integrable but not algebraic; the plain split still converges
-    val = singular_endpoint_quadrature(lambda x: math.log(x), (0.0, 1.0), (0.0, 0.0), n=400)
+    val = singular_endpoint_quadrature(lambda x: np.log(x), (0.0, 1.0), (0.0, 0.0), n=400)
     assert abs(val - (-1.0)) <= 1e-9
+
+
+def test_singular_quadrature_array_integrand():
+    # one call per half-interval, each on the whole node array
+    calls = []
+
+    def integrand(x):
+        calls.append(x)
+        return x**-0.5
+
+    val = singular_endpoint_quadrature(integrand, (0.0, 1.0), (-0.5, 0.0), n=64)
+    assert abs(val - 2.0) <= SINGULAR_TOL
+    assert len(calls) == 2
+    for x in calls:
+        assert isinstance(x, np.ndarray) and x.shape == (64,) and x.dtype == float
+    with pytest.raises(ValueError):
+        singular_endpoint_quadrature(lambda x: x[:-1], (0.0, 1.0), (0.0, 0.0))
 
 
 def test_singular_quadrature_validation():

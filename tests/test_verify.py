@@ -28,7 +28,8 @@ from petalmap import (
     run_standard_checks,
     sweep,
 )
-from petalmap.verify import VerificationReport
+from petalmap.maps import _tangential_derivatives
+from petalmap.verify import VerificationReport, _second_solution_two_petal
 
 ODE_TOL = 1e-7
 GROWTH_TOL = 1e-7
@@ -38,6 +39,18 @@ MOMENT_EVEN_TOL = 1e-10
 M_PLUS_TOL = 1e-3
 
 LEMNISCATE = MapFamily.one_petal(math.pi / 4.0)
+
+# regrouping RK4 into step matrices moves h, h' by about 1e-14; cutting the
+# step count by a quarter moves them by more than 1e-13
+TRANSPORT_TOL = 1e-13
+RATIO_REFERENCE_TOL = 1e-12
+REFERENCE_STEPS = 1600
+PROBE_THETAS = np.linspace(0.35, 1.15, 4)
+PROBE_RHOS = np.array([1.7, 2.1])
+TRANSPORT_FAMILIES = (
+    MapFamily.two_petal(math.pi / 4, math.pi / 8),
+    MapFamily.two_petal(math.pi / 8, math.pi / 16),
+)
 
 # T3 of the upper half-disk, radial and angular factors done by hand
 HALF_DISK_T3 = -4.0 / (9.0 * math.pi)
@@ -64,6 +77,68 @@ def test_estimate_A_lemniscate():
     assert abs(est.value - 1.0) <= 1e-10
     assert est.spread <= 1e-10
     assert len(est.samples) >= 4
+
+
+def reference_transport(family, theta, rho):
+    """Scalar fixed-step RK4 transport of the reflected solution along one ray."""
+    w0 = cmath.exp(1j * theta)
+    pts = np.array([w0])
+    f0, fp0, _ = _tangential_derivatives(family, pts)
+    h = np.conj(f0[0])
+    hp = -np.conj(fp0[0]) / (w0 * w0)
+
+    frac_a = family.alpha / math.pi
+    frac_b = family.beta / math.pi if family.beta is not None else None
+
+    def second_derivative(w, y0, y1):
+        w2 = w * w
+        pot = 16.0 * frac_a * (1.0 - frac_a) * w2 / (w2 - 1.0) ** 2
+        if frac_b is not None:
+            pot -= 8.0 * frac_b * (1.0 - 2.0 * frac_b) * w2 / (w2 + 1.0) ** 2
+        return (2.0 / (w * (w2 - 1.0))) * y1 - pot * y0 / w2
+
+    span = w0 * (rho - 1.0)
+    ds = 1.0 / REFERENCE_STEPS
+    y0, y1 = h, hp
+    for k in range(REFERENCE_STEPS):
+        s = k * ds
+        w = w0 + span * s
+
+        def rhs(y0_, y1_, w_):
+            return span * y1_, span * second_derivative(w_, y0_, y1_)
+
+        k1a, k1b = rhs(y0, y1, w)
+        k2a, k2b = rhs(y0 + 0.5 * ds * k1a, y1 + 0.5 * ds * k1b, w + 0.5 * ds * span)
+        k3a, k3b = rhs(y0 + 0.5 * ds * k2a, y1 + 0.5 * ds * k2b, w + 0.5 * ds * span)
+        k4a, k4b = rhs(y0 + ds * k3a, y1 + ds * k3b, w + ds * span)
+        y0 = y0 + (ds / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        y1 = y1 + (ds / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    return y0, y1
+
+
+def relative_gap(got, want):
+    return float(np.max(np.abs(np.asarray(got) - np.asarray(want)) / np.abs(want)))
+
+
+@pytest.mark.parametrize("family", TRANSPORT_FAMILIES, ids=("pi4-pi8", "pi8-pi16"))
+def test_batched_transport_matches_scalar_rk4(family):
+    h, hp = _second_solution_two_petal(family, PROBE_THETAS, PROBE_RHOS)
+    probes = [(theta, rho) for theta in PROBE_THETAS for rho in PROBE_RHOS]
+    ref = [reference_transport(family, theta, rho) for theta, rho in probes]
+    assert h.shape == hp.shape == (len(ref),)
+    assert relative_gap(h, [r[0] for r in ref]) <= TRANSPORT_TOL
+    assert relative_gap(hp, [r[1] for r in ref]) <= TRANSPORT_TOL
+
+    # the ratio rebuilt probe by probe from the scalar transport
+    samples = []
+    for (theta, rho), (ref_h, ref_hp) in zip(probes, ref):
+        w = rho * cmath.exp(1j * theta)
+        f, fp, _ = _tangential_derivatives(family, np.array([w]))
+        wronskian = w * (complex(fp[0]) * ref_h - complex(f[0]) * ref_hp)
+        samples.append(abs(wronskian) / abs(w - 1.0 / w))
+    est = estimate_A(family)
+    assert relative_gap(est.samples, samples) <= RATIO_REFERENCE_TOL
+    assert relative_gap(est.value, np.mean(samples)) <= RATIO_REFERENCE_TOL
 
 
 def test_growth_law_lemniscate():
@@ -219,6 +294,13 @@ def test_petal_width_degeneracy():
     assert petal_width(LEMNISCATE) > 0.5
     assert petal_width(MapFamily.two_petal(math.pi / 4, math.pi / 4)) <= 1e-10
     assert petal_width(MapFamily.two_petal(math.pi / 4, math.pi / 8)) > 1e-3
+
+
+def test_sweep_error_keeps_exception_type():
+    # beta = 1.6 lies outside (0, pi/2), so building the family fails
+    (row,) = sweep([0.3], [1.6]).rows
+    assert row.winding is None and row.conformal is None
+    assert row.error.startswith("ValueError: ")
 
 
 def test_sweep_small_grid():
