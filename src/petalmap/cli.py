@@ -216,10 +216,10 @@ def cmd_sweep(args) -> int:
     betas = parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else list(default_grid)
     result = sweep(alphas, betas)
     lines = ["alpha,beta,winding,conformal,degenerate"]
-    failures = 0
+    failures = []
     for row in result.rows:
         if row.error is not None:
-            failures += 1
+            failures.append("%s,%s: %s\n" % (_fmt(row.alpha), _fmt(row.beta), row.error))
             lines.append("%s,%s,,," % (_fmt(row.alpha), _fmt(row.beta)))
             continue
         lines.append(
@@ -234,7 +234,8 @@ def cmd_sweep(args) -> int:
         )
     _write_text(args.out, "\n".join(lines) + "\n")
     if failures:
-        sys.stderr.write("warning: %d sweep nodes failed to evaluate\n" % failures)
+        sys.stderr.write("".join(failures))
+        sys.stderr.write("warning: %d sweep nodes failed to evaluate\n" % len(failures))
     return EXIT_OK
 
 

@@ -150,26 +150,21 @@ class LaurentCoefficients:
 # branch-consistent powers
 
 
-def _bpow(z, mu: float):
-    """Principal power with cheap exact paths for exponents 0, 1, 1/2."""
-    z = np.asarray(z, dtype=complex)
+def _power(z, mu: float):
+    """Principal power z**mu for real mu, real-negative bases taken from above.
+
+    Exponents 0, 1 and 1/2 take exact paths.
+    """
+    # adding +0j turns a -0 imaginary part into +0, so the cut is approached
+    # from above whatever the sign of zero
+    z = np.asarray(z, dtype=complex) + 0.0j
     if mu == 0.0:
         return np.ones(z.shape, dtype=complex)
     if mu == 1.0:
-        return z.copy()
+        return z
     if mu == 0.5:
         return np.sqrt(z)
     return np.exp(mu * np.log(z))
-
-
-def _upper_power(z, mu: float):
-    """Principal power that resolves real-negative bases from above."""
-    z = np.asarray(z, dtype=complex)
-    out = _bpow(z, mu)
-    neg = (z.imag == 0.0) & (z.real < 0.0)
-    if neg.any():
-        out[neg] = _bpow(-z[neg].real, mu) * cmath.exp(1j * math.pi * mu)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +188,19 @@ def _check_sheet(family: MapFamily, pts: np.ndarray):
 # one-petal family
 
 
+def _one_petal_bracket(g: float, a: np.ndarray) -> np.ndarray:
+    """Half-sum of (1-a)^g (1+a)^(1-g) and its mirror a -> -a.
+
+    With a = 1/w this is the one-petal map divided by its trunk.  Exactly 1
+    at g = 0, where the two terms merge.
+    """
+    if g == 0.0:
+        return np.ones(a.shape, dtype=complex)
+    return 0.5 * (
+        _power(1.0 - a, g) * _power(1.0 + a, 1.0 - g) + _power(1.0 + a, g) * _power(1.0 - a, 1.0 - g)
+    )
+
+
 def _one_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     """Closed form, valid on the whole plane cut along [-1, 1].
 
@@ -200,13 +208,8 @@ def _one_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     unit disk and the two bracket terms swap under w -> -w, making the sum
     exactly odd.
     """
-    g = family.gamma
     a = 1.0 / w
-    trunk = w * np.sqrt(1.0 - a * a)
-    bracket = _bpow(1.0 - a, g) * _bpow(1.0 + a, 1.0 - g) + _bpow(1.0 + a, g) * _bpow(
-        1.0 - a, 1.0 - g
-    )
-    return 0.5 * trunk * bracket
+    return w * np.sqrt(1.0 - a * a) * _one_petal_bracket(family.gamma, a)
 
 
 def one_petal_map(family: MapFamily, w):
@@ -223,18 +226,6 @@ def one_petal_map(family: MapFamily, w):
 # two-petal family
 
 
-def _sigma_form(family: MapFamily, w: np.ndarray) -> np.ndarray:
-    """Hypergeometric product form in w, for |w + 1/w| > 2."""
-    mu = 2.0 * family.alpha / math.pi
-    aa = (family.alpha + family.beta) / math.pi - 0.5
-    bb = (family.alpha - family.beta) / math.pi
-    p = w + 1.0 / w
-    t = 4.0 / (p * p)
-    hyp = hyp2f1_values(aa, bb, 0.5, t)
-    inv2 = 1.0 / (w * w)
-    return w * _bpow(1.0 - inv2, mu) * _bpow(1.0 + inv2, 1.0 - mu) * hyp
-
-
 def _elementary_continued(family: MapFamily, p: np.ndarray) -> np.ndarray:
     """Continuation of p (1 - 4/p^2)^(alpha/pi) into Im p >= 0, |p| < 2.
 
@@ -246,7 +237,7 @@ def _elementary_continued(family: MapFamily, p: np.ndarray) -> np.ndarray:
     strict = p.imag > 0.0
     if strict.any():
         ps = p[strict]
-        out[strict] = ps * _bpow(1.0 - 4.0 / (ps * ps), mu)
+        out[strict] = ps * _power(1.0 - 4.0 / (ps * ps), mu)
     flat = ~strict
     if flat.any():
         x = p[flat].real
@@ -284,30 +275,48 @@ def _z_of_p_upper(family: MapFamily, p: np.ndarray) -> np.ndarray:
     first = hyp2f1_values((alpha + beta) / math.pi - 0.5, (alpha + beta) / math.pi, delta + 0.5, t)
     second = hyp2f1_values((alpha - beta) / math.pi + 0.5, (alpha - beta) / math.pi, 1.5 - delta, t)
     half = 0.5 * p
-    prefactor = 2.0 * _bpow(1.0 - t, alpha / math.pi)
-    term_low = 1j * cmath.exp(-1j * beta) * coeff_low * _upper_power(half, delta) * first
-    term_high = cmath.exp(1j * beta) * coeff_high * _upper_power(half, 1.0 - delta) * second
+    prefactor = 2.0 * _power(1.0 - t, alpha / math.pi)
+    term_low = 1j * cmath.exp(-1j * beta) * coeff_low * _power(half, delta) * first
+    term_high = cmath.exp(1j * beta) * coeff_high * _power(half, 1.0 - delta) * second
     return prefactor * (term_low + term_high)
 
 
-def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
-    """Evaluate on the sheet, splitting by |w + 1/w| and reflecting Im w < 0."""
-    lower = w.imag < 0.0
-    wk = np.where(lower, np.conj(w), w)
-    p = wk + 1.0 / wk
-    # |w| rounding on the circle can leave Im p at the noise floor with
-    # either sign; the upper sheet always has Im p >= 0
-    noise = np.abs(p.imag) <= _REAL_P_NOISE * (1.0 + np.abs(p.real))
-    p = np.where(noise, p.real + 0.0j, p)
+def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The two-petal pattern as a function of p = w + 1/w.
 
-    out = np.empty(w.shape, dtype=complex)
+    ``d`` is the branch factor p^2 - 4, passed in factored form by the
+    caller so that it keeps its relative accuracy next to the branch points.
+    Points flagged ``lower`` are reflected into the upper half plane and
+    their values reflected back.  The far branch |p| > 2 is
+    p (d/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2); the band |p| < 2 is the
+    continuation `_z_of_p_upper`.
+    """
+    p = np.where(lower, np.conj(p), p)
+    d = np.where(lower, np.conj(d), d)
+    out = np.empty(p.shape, dtype=complex)
     far = np.abs(p) > 2.0
     if far.any():
-        out[far] = _sigma_form(family, wk[far])
+        pf = p[far]
+        p2 = pf * pf
+        aa = (family.alpha + family.beta) / math.pi - 0.5
+        bb = (family.alpha - family.beta) / math.pi
+        hyp = hyp2f1_values(aa, bb, 0.5, 4.0 / p2)
+        out[far] = pf * _power(d[far] / p2, family.alpha / math.pi) * hyp
     near = ~far
     if near.any():
-        out[near] = _z_of_p_upper(family, p[near])
+        pn = p[near]
+        # |w| rounding on the circle can leave Im p at the noise floor with
+        # either sign; the band's upper sheet has Im p >= 0.  The far branch
+        # keeps its tiny Im p: next to a corner it is the signal.
+        noise = np.abs(pn.imag) <= _REAL_P_NOISE * (1.0 + np.abs(pn.real))
+        out[near] = _z_of_p_upper(family, np.where(noise, pn.real + 0.0j, pn))
     return np.where(lower, np.conj(out), out)
+
+
+def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
+    """Evaluate on the sheet through p = w + 1/w, reflecting Im w < 0."""
+    d = (w - 1.0) * (w + 1.0) / w
+    return _two_petal_in_p(family, w + 1.0 / w, d * d, w.imag < 0.0)
 
 
 def two_petal_map(family: MapFamily, w):
@@ -331,22 +340,7 @@ def z_of_p(family: MapFamily, p):
     pts, shape, scalar = _as_points(p)
     if np.any(np.abs(np.abs(pts) - 2.0) < BRANCH_POINT_REJECT):
         raise MapDomainError("p too close to a branch point at +-2")
-    lower = pts.imag < 0.0
-    pk = np.where(lower, np.conj(pts), pts)
-    out = np.empty(pts.shape, dtype=complex)
-    far = np.abs(pk) > 2.0
-    if far.any():
-        mu = family.alpha / math.pi
-        aa = (family.alpha + family.beta) / math.pi - 0.5
-        bb = (family.alpha - family.beta) / math.pi
-        pf = pk[far]
-        out[far] = pf * _bpow(1.0 - 4.0 / (pf * pf), mu) * hyp2f1_values(
-            aa, bb, 0.5, 4.0 / (pf * pf)
-        )
-    near = ~far
-    if near.any():
-        out[near] = _z_of_p_upper(family, pk[near])
-    out = np.where(lower, np.conj(out), out)
+    out = _two_petal_in_p(family, pts, (pts - 2.0) * (pts + 2.0), pts.imag < 0.0)
     return complex(out[0]) if scalar else out.reshape(shape)
 
 

@@ -1,9 +1,8 @@
-"""Contour quadrature, winding counts, and small fitting utilities.
+"""Quadrature with algebraic endpoint singularities, winding counts, power-law fits.
 
 Nothing in here knows about the map families; everything operates on plain
-arrays of complex points.  Contours carry analytic tangents alongside the
-nodes, which is what makes the closed-loop trapezoid rule spectrally
-accurate for smooth integrands.
+arrays of points.  Every Gauss-Legendre rule comes from one cached rule on
+[0, 1] (`gauss_legendre_unit`).
 """
 
 from __future__ import annotations
@@ -30,80 +29,6 @@ def gauss_legendre_unit(n: int):
     u.flags.writeable = False
     du.flags.writeable = False
     return u, du
-
-
-class NonFiniteIntegrandError(ValueError):
-    """Integrand returned a NaN or infinity at a quadrature node."""
-
-
-@dataclass(frozen=True)
-class Contour:
-    """Discretized parametric curve with analytic tangents at the nodes.
-
-    ``weights`` are parameter-space quadrature weights, ``derivatives`` the
-    dz/dparam values, so any line integral is sum(F(points) * derivatives *
-    weights).
-    """
-
-    kind: str                  # "closed" or "open"
-    params: np.ndarray
-    points: np.ndarray
-    weights: np.ndarray
-    derivatives: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("closed", "open"):
-            raise ValueError("contour kind must be 'closed' or 'open'")
-        n = len(self.params)
-        if not (len(self.points) == len(self.weights) == len(self.derivatives) == n):
-            raise ValueError("contour arrays must share one length")
-        if n < 2:
-            raise ValueError("contour needs at least two nodes")
-        if np.any(np.diff(self.params) <= 0.0):
-            raise ValueError("contour parameters must increase strictly")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("contour weights must be positive")
-
-
-def circle_contour(center=0.0j, radius=1.0, n=256) -> Contour:
-    """Closed circle with half-offset nodes (no node ever sits on an axis)."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if n < 8:
-        raise ValueError("need at least 8 nodes")
-    phis = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    ring = np.exp(1j * phis)
-    points = center + radius * ring
-    derivatives = 1j * radius * ring
-    weights = np.full(n, 2.0 * math.pi / n)
-    return Contour("closed", phis, points, weights, derivatives)
-
-
-def segment_contour(start, end, n=64) -> Contour:
-    """Open straight segment carrying Gauss-Legendre nodes on [0, 1]."""
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    s, weights = gauss_legendre_unit(n)
-    span = complex(end) - complex(start)
-    if span == 0.0:
-        raise ValueError("degenerate segment")
-    points = complex(start) + span * s
-    derivatives = np.full(n, span, dtype=complex)
-    return Contour("open", s, points, weights, derivatives)
-
-
-def contour_quadrature(integrand, contour: Contour) -> complex:
-    """Line integral of ``integrand`` along the contour."""
-    values = np.asarray(integrand(contour.points))
-    if values.shape != contour.points.shape:
-        values = np.array([integrand(z) for z in contour.points], dtype=complex)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFiniteIntegrandError(
-            "integrand not finite at parameter %r (point %r)"
-            % (contour.params[bad], contour.points[bad])
-        )
-    return complex(np.sum(values * contour.derivatives * contour.weights))
 
 
 def singular_endpoint_quadrature(integrand, interval, exponents, n=200) -> complex:
@@ -168,15 +93,6 @@ def winding_number(points, z0) -> int:
     increments = np.angle(nxt / rel)
     total = float(np.sum(increments))
     return int(round(total / (2.0 * math.pi)))
-
-
-def polyline_area(points) -> float:
-    """Signed shoelace area of a closed polyline (positive when CCW)."""
-    pts = np.asarray(points, dtype=complex)
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points")
-    nxt = np.roll(pts, -1)
-    return float(0.5 * np.sum(np.imag(np.conj(pts) * nxt)))
 
 
 @dataclass(frozen=True)

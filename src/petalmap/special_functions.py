@@ -1,22 +1,20 @@
-"""Gauss hypergeometric function, log-gamma, and branch-consistent powers.
+"""Gauss hypergeometric function and log-gamma.
 
-These are the scalar building blocks for the map families: the series
-``gauss_2f1`` with real parameters and complex argument, a Lanczos
-``log_gamma``, and principal-branch real-exponent powers.  A vectorized
-hypergeometric kernel (`hyp2f1_values`) is exposed for the map evaluators,
-which batch thousands of boundary points at once.
+`hyp2f1_values` evaluates F(a, b; c; t) for real parameters on an array of
+complex arguments, routing each point through the direct series, the Pfaff
+transformation or the 1 - t connection; the map evaluators batch thousands
+of boundary points through it at once.  `log_gamma` is a Lanczos log-gamma
+that also feeds the connection coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # ---- knobs ----
-SERIES_RADIUS = 0.7        # direct power series is preferred below this modulus
 TRANSFORM_RADIUS = 0.95    # largest modulus any route is allowed to sum over
 TERM_TOL = 1e-16           # series tail cutoff relative to the running sum
 MAX_TERMS = 10_000
@@ -47,21 +45,6 @@ class Hyp2F1ConvergenceError(RuntimeError):
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
-
-
-@dataclass(frozen=True)
-class Hyp2F1Params:
-    """Real parameter triple (a, b, c) of the Gauss series."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if _is_nonpositive_integer(self.c):
-            raise Hyp2F1DomainError(
-                "lower parameter c = %r is a non-positive integer" % (self.c,)
-            )
 
 
 def log_gamma(x) -> complex:
@@ -99,20 +82,6 @@ def _gamma_quotient(numerators, denominators) -> complex:
     for x in denominators:
         total -= log_gamma(x)
     return cmath.exp(total)
-
-
-def branch_power(base, exponent: float) -> complex:
-    """Principal-branch power exp(exponent * Log base) for real exponents."""
-    zb = complex(base)
-    if zb == 0.0:
-        if exponent > 0.0:
-            return 0.0 + 0.0j
-        raise ValueError("zero base with non-positive exponent %r" % (exponent,))
-    if exponent == 0.0:
-        return 1.0 + 0.0j
-    if exponent == 1.0:
-        return zb
-    return cmath.exp(exponent * cmath.log(zb))
 
 
 def _series_sum(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
@@ -204,8 +173,3 @@ def hyp2f1_values(a: float, b: float, c: float, t) -> np.ndarray:
         out[euler_mask] = _euler_connection(a, b, c, t[euler_mask])
     return out
 
-
-def gauss_2f1(params: Hyp2F1Params, t) -> complex:
-    """Gauss hypergeometric value at a single complex argument."""
-    values = hyp2f1_values(params.a, params.b, params.c, np.array([complex(t)]))
-    return complex(values[0])

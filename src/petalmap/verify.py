@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import (
+    FD_MAX_STEP,
+    FD_STEP_FRACTION,
     BoundaryTrace,
     MapFamily,
     TimeState,
     _arc_derivatives,
-    _bpow,
+    _one_petal_bracket,
     _one_petal_values,
     _tangential_derivatives,
     _values_on_sheet,
@@ -154,12 +156,6 @@ class SweepResult:
     betas: np.ndarray
     rows: tuple
 
-    def row(self, alpha: float, beta: float) -> SweepRow:
-        for r in self.rows:
-            if r.alpha == alpha and r.beta == beta:
-                return r
-        raise KeyError((alpha, beta))
-
 
 # ---------------------------------------------------------------------------
 # oscillator equation
@@ -184,7 +180,7 @@ def _second_solution_one_petal(family: MapFamily, w: np.ndarray):
     v = 1.0 / w
     # the closed form is analytic off [-1, 1]; 1/w sits inside the circle
     # but away from the cut for every probe used here
-    h_step = np.minimum(0.04, np.abs(v.imag) / 12.0)
+    h_step = np.minimum(FD_MAX_STEP, np.abs(v.imag) * FD_STEP_FRACTION)
     vals, dvals, _ = _arc_derivatives(lambda q: _one_petal_values(family, q), v, h_step)
     return vals, -dvals / (w * w)
 
@@ -349,23 +345,6 @@ def corner_exponent(family: MapFamily, corner: complex, n_pts: int = CORNER_FIT_
 # one-petal integral identity
 
 
-def _one_petal_profile(family: MapFamily, v):
-    """Map divided by its trunk: the bracket combination of inverse powers.
-
-    Exactly 1 when the corner offset vanishes (the two terms merge), which
-    keeps the identity bit-exact in that case.
-    """
-    g = family.gamma
-    v = np.asarray(v, dtype=complex)
-    if g == 0.0:
-        return np.ones(v.shape, dtype=complex)
-    a = 1.0 / v
-    return 0.5 * (
-        _bpow(1.0 - a, g) * _bpow(1.0 + a, 1.0 - g)
-        + _bpow(1.0 + a, g) * _bpow(1.0 - a, 1.0 - g)
-    )
-
-
 def integral_equation_residual(family: MapFamily, probes=None, quad_n: int = 220) -> float:
     """Worst defect of the singular integral identity for the petal profile.
 
@@ -398,12 +377,13 @@ def integral_equation_residual(family: MapFamily, probes=None, quad_n: int = 220
         w = complex(w)
         if abs(w) <= 1.0:
             raise ValueError("probes must lie outside the unit circle")
-        value = complex(_one_petal_profile(family, np.array([w]))[0])
+        value = complex(_one_petal_bracket(g, np.array([1.0 / w]))[0])
         if coeff == 0.0:
             integral = 0.0 + 0.0j  # coefficient kills the correction exactly
         else:
             def integrand(x):
-                return _one_petal_profile(family, 1.0 / x) / (x * x - w * w)
+                # the profile at 1/x is the bracket at a = x
+                return _one_petal_bracket(g, x) / (x * x - w * w)
 
             integral = singular_endpoint_quadrature(
                 integrand, (0.0, 1.0), (0.0, g), n=quad_n

@@ -182,6 +182,21 @@ def test_sweep_explicit_grid(tmp_path):
     assert len(lines) == 5
 
 
+def test_sweep_failed_node_reason_on_stderr(tmp_path, capsys):
+    # beta = 1.6 lies past pi/2, so the node fails to build its family
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", "--alpha-grid", "pi/8:pi/8:1", "--beta-grid", "1.6:1.6:1", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    alpha = "%.17g" % (math.pi / 8)
+    assert out.read_text() == "alpha,beta,winding,conformal,degenerate\n%s,1.6000000000000001,,,\n" % alpha
+    assert capsys.readouterr().err == (
+        "%s,1.6000000000000001: ValueError: beta must lie in (0, pi/2)\n"
+        "warning: 1 sweep nodes failed to evaluate\n" % alpha
+    )
+
+
 def test_sweep_empty_grid_rejected(tmp_path):
     code = run_cli("sweep", "--alpha-grid", "pi/8:pi/4:0", "--out", str(tmp_path / "x.csv"))
     assert code == EXIT_USAGE

@@ -2,27 +2,26 @@
 
 Oracles: hand-derived exact values for the alpha = pi/4 one-petal family
 (f(w) = sqrt(w^2 - 1)), a hypergeometric closed form for generic one-petal
-families, and frozen 40-digit mpmath continuation values for the two-petal
-family inside the band |p| < 2.
+families, frozen 40-digit mpmath continuation values for the two-petal
+family inside the band |p| < 2, and live 40-digit mpmath values of its far
+branch next to the base corners.
 """
 
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from petalmap import (
     CornerPreimageError,
-    Hyp2F1Params,
     InversionError,
     MapDomainError,
     MapFamily,
     TimeState,
     boundary_trace,
-    branch_power,
     evaluate_map,
-    gauss_2f1,
     invert_map,
     laurent_coefficients,
     map_derivative,
@@ -33,6 +32,7 @@ from petalmap import (
     two_petal_map,
     z_of_p,
 )
+from petalmap.special_functions import hyp2f1_values
 
 EXACT_TOL = 1e-13
 CROSS_ORACLE_TOL = 1e-12
@@ -69,14 +69,19 @@ BAND_VALUES = [
 ]
 
 
+def principal_power(base, exponent):
+    return cmath.exp(exponent * cmath.log(base))
+
+
 def one_petal_closed_form(family, w):
     # sqrt(2) ((w^2-1)/2)^(1/2) (1 - w^-2)^g F(g, g - 1/2; 1/2; w^-2),
     # valid for Re w > 0 where no branch cut interferes
     g = family.gamma
     w = complex(w)
     t = w**-2
-    head = math.sqrt(2.0) * branch_power((w * w - 1.0) / 2.0, 0.5)
-    return head * branch_power(1.0 - t, g) * gauss_2f1(Hyp2F1Params(g, g - 0.5, 0.5), t)
+    head = math.sqrt(2.0) * principal_power((w * w - 1.0) / 2.0, 0.5)
+    hyp = complex(hyp2f1_values(g, g - 0.5, 0.5, np.array([t]))[0])
+    return head * principal_power(1.0 - t, g) * hyp
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +158,38 @@ def test_z_of_p_consistent_with_map():
         direct = evaluate_map(fam, w)
         via_p = np.array([z_of_p(fam, complex(ww + 1.0 / ww)) for ww in w])
         assert np.max(np.abs(direct - via_p)) <= 1e-10
+
+
+def near_corner_reference(alpha, beta, w):
+    # w (1 - w^-2)^(2 alpha/pi) (1 + w^-2)^(1 - 2 alpha/pi) F(a, b; 1/2; 4/p^2)
+    # at 40 digits, the far-branch formula on the whole of |w + 1/w| > 2
+    with mp.workdps(40):
+        w = mp.mpc(w)
+        mu = 2 * mp.mpf(alpha) / mp.pi
+        a = (mp.mpf(alpha) + mp.mpf(beta)) / mp.pi - mp.mpf(1) / 2
+        b = (mp.mpf(alpha) - mp.mpf(beta)) / mp.pi
+        p = w + 1 / w
+        u = w**-2
+        return complex(w * (1 - u) ** mu * (1 + u) ** (1 - mu) * mp.hyp2f1(a, b, mp.mpf(1) / 2, 4 / p**2))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(math.pi / 5, math.pi / 9), (math.pi / 8, math.pi / 16), (math.pi / 4, math.pi / 8)],
+)
+def test_two_petal_near_corner_against_mpmath(alpha, beta):
+    # the far branch next to the base corners w = +-1, where 1 - 4/p^2 is
+    # of order eps^2 and must not be formed by cancellation
+    fam = MapFamily.two_petal(alpha, beta)
+    worst = 0.0
+    for eps in (1e-4, 1e-5, 1e-6):
+        for theta in (-0.6, -0.2, 0.3, 0.7):
+            for sign in (1.0, -1.0):
+                w = sign * (1.0 + eps * cmath.exp(1j * theta))
+                assert abs(w + 1.0 / w) > 2.0
+                want = near_corner_reference(alpha, beta, w)
+                worst = max(worst, abs(two_petal_map(fam, w) - want) / abs(want))
+    assert worst <= 1e-10
 
 
 def test_z_of_p_lower_half_conjugate():

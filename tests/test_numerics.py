@@ -7,63 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petalmap import (
-    NonFiniteIntegrandError,
-    circle_contour,
-    contour_quadrature,
-    fit_power_law,
-    polyline_area,
-    segment_contour,
-    singular_endpoint_quadrature,
-    winding_number,
-)
+from petalmap import fit_power_law, singular_endpoint_quadrature, winding_number
 
-CAUCHY_TOL = 1e-13
-SMOOTH_TOL = 1e-12
 SINGULAR_TOL = 1e-11
 
 SQUARE = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
 
 # Beta(3/4, 3/4) via the gamma function, the two-sided singular oracle
 BETA_34 = math.gamma(0.75) ** 2 / math.gamma(1.5)
-
-
-def test_cauchy_residue_unit_circle():
-    c = circle_contour(0j, 1.0, 256)
-    val = contour_quadrature(lambda w: 1.0 / w, c)
-    assert abs(val - 2j * math.pi) <= CAUCHY_TOL * 2.0 * math.pi
-
-
-def test_analytic_integrand_vanishes():
-    c = circle_contour(0j, 1.0, 256)
-    assert abs(contour_quadrature(lambda w: w**3, c)) <= 1e-14
-
-
-def test_shifted_pole_residue():
-    c = circle_contour(2.0 + 1.0j, 0.5, 128)
-    val = contour_quadrature(lambda w: 1.0 / (w - (2.0 + 1.0j)), c)
-    assert abs(val - 2j * math.pi) <= CAUCHY_TOL * 2.0 * math.pi
-    # pole outside the contour contributes nothing
-    val = contour_quadrature(lambda w: 1.0 / (w - 5.0), c)
-    assert abs(val) <= 1e-13
-
-
-def test_segment_polynomial_exact():
-    seg = segment_contour(0.0, 1.0, 64)
-    assert abs(contour_quadrature(lambda w: w**2, seg) - 1.0 / 3.0) <= SMOOTH_TOL
-    seg = segment_contour(-1.0 + 1.0j, 2.0 - 0.5j, 48)
-    a, b = -1.0 + 1.0j, 2.0 - 0.5j
-    want = (b**4 - a**4) / 4.0
-    assert abs(contour_quadrature(lambda w: w**3, seg) - want) <= SMOOTH_TOL * abs(want)
-
-
-def test_pole_on_path_rejected():
-    # pole placed exactly on a quadrature node
-    seg = segment_contour(0.0, 2.0, 16)
-    node = seg.points[5]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteIntegrandError):
-            contour_quadrature(lambda w: 1.0 / (w - node), seg)
 
 
 def test_singular_left_endpoint():
@@ -122,13 +73,6 @@ def test_winding_point_on_edge_rejected():
         winding_number(SQUARE, 1j)
     with pytest.raises(ValueError):
         winding_number(SQUARE, 1 + 1j)
-
-
-def test_polyline_area_signed():
-    assert polyline_area(SQUARE) == pytest.approx(4.0, abs=1e-14)
-    assert polyline_area(SQUARE[::-1]) == pytest.approx(-4.0, abs=1e-14)
-    tri = np.array([0j, 1.0 + 0j, 1j])
-    assert polyline_area(tri) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_power_law_recovery():
