@@ -27,6 +27,7 @@ MODULUS_SLACK = 1e-12        # |w| >= 1 - slack counts as on-sheet
 OFF_SHEET_SLACK = 1e-8       # inverted roots below 1 - slack are off the sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
+ARC_BLOCK = 4095             # map points per stencil call (455 centres x 9 rows); bounds derivative memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
 LAURENT_IMAG_TOL = 1e-8      # symmetry budget for coefficient imaginary parts
@@ -374,15 +375,24 @@ def _arc_derivatives(values_fn, pts: np.ndarray, h: np.ndarray):
     Stencil points w e^{is} keep |w| fixed, so a stencil centered on an
     evaluable ring never leaves it.  Three Richardson levels on the 4-point
     (resp. 5-point) central rule leave an O(h^8) truncation error.
+
+    The 8 arc offsets and the centre of ``ARC_BLOCK // 9`` points go to
+    ``values_fn`` as one array of at most ``ARC_BLOCK`` points, so a scalar
+    derivative costs one map call and an n-point ring ceil(9 n / ARC_BLOCK).
+    The centre row is ``pts`` itself: pts e^{0i} could flip the sign of a
+    zero component.
     """
-
-    def arc(scale):
-        return values_fn(pts * np.exp(1j * (scale * h)))
-
-    g_m2, g_m1, g_p1, g_p2 = arc(-2.0), arc(-1.0), arc(1.0), arc(2.0)
-    g_mh, g_ph = arc(-0.5), arc(0.5)
-    g_mq, g_pq = arc(-0.25), arc(0.25)
-    g_0 = values_fn(pts)
+    flat = pts.reshape(-1)
+    steps = np.broadcast_to(h, pts.shape).reshape(-1)
+    scales = (-2.0, -1.0, 1.0, 2.0, -0.5, 0.5, -0.25, 0.25)
+    rows = np.empty((len(scales) + 1, flat.size), dtype=complex)
+    width = ARC_BLOCK // len(rows)
+    for lo in range(0, flat.size, width):
+        centre, hs = flat[lo : lo + width], steps[lo : lo + width]
+        stencil = [centre * np.exp(1j * (scale * hs)) for scale in scales]
+        values = values_fn(np.concatenate(stencil + [centre]))
+        rows[:, lo : lo + width] = values.reshape(len(rows), -1)
+    g_m2, g_m1, g_p1, g_p2, g_mh, g_ph, g_mq, g_pq, g_0 = (row.reshape(pts.shape) for row in rows)
 
     def d1(step, lo2, lo1, hi1, hi2):
         return (lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)

@@ -88,23 +88,35 @@ def _series_sum(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
     """Sum the Gauss series termwise for a batch of arguments.
 
     Callers guarantee every |t| is summable (< 1, or the series terminates
-    because a or b is a non-positive integer).
+    because a or b is a non-positive integer).  Each point stops on its own
+    once |term| <= TERM_TOL |partial sum|: the loop carries index, argument,
+    term and partial-sum arrays for the live points only and writes a
+    point's sum back when it converges, so a batch costs the sum of its
+    series lengths, not its size times the longest one.
     """
     t = np.asarray(t, dtype=complex)
-    total = np.ones(t.shape, dtype=complex)
-    term = np.ones(t.shape, dtype=complex)
-    active = np.ones(t.shape, dtype=bool)
+    out = np.ones(t.size, dtype=complex)
+    index = np.arange(t.size)
+    arg = t.reshape(-1)
+    term = np.ones(t.size, dtype=complex)
+    total = np.ones(t.size, dtype=complex)
     for n in range(1, MAX_TERMS + 1):
+        if not index.size:
+            break
         ratio = (a + n - 1.0) * (b + n - 1.0) / ((c + n - 1.0) * n)
-        term = term * (ratio * t)
-        total = total + np.where(active, term, 0.0)
-        active &= np.abs(term) > TERM_TOL * np.abs(total)
-        if not active.any():
-            return total
-    worst = t.ravel()[int(np.argmax(np.abs(t)))] if t.size else 0.0
-    raise Hyp2F1ConvergenceError(
-        "series did not settle in %d terms (argument near %r)" % (MAX_TERMS, worst)
-    )
+        term = term * (ratio * arg)
+        total = total + term
+        live = np.abs(term) > TERM_TOL * np.abs(total)
+        if not live.all():
+            out[index[~live]] = total[~live]
+            index, arg, term, total = index[live], arg[live], term[live], total[live]
+    if index.size:
+        # name the worst point still summing, not one that settled long ago
+        worst = arg[int(np.argmax(np.abs(arg)))]
+        raise Hyp2F1ConvergenceError(
+            "series did not settle in %d terms (argument near %r)" % (MAX_TERMS, worst)
+        )
+    return out.reshape(t.shape)
 
 
 def _euler_blocked(a: float, b: float, c: float) -> bool:

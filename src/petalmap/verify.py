@@ -372,6 +372,17 @@ def integral_equation_residual(family: MapFamily, probes=None, quad_n: int = 220
             ]
         )
         probes = np.concatenate([reals, rays])
+    # every probe integrates over the same two half-interval node arrays and
+    # only 1/(x^2 - w^2) depends on the probe, so the profile is evaluated
+    # once per node array; at a = x it is the profile at 1/x
+    profile = {}
+
+    def bracket(x):
+        key = x.tobytes()
+        if key not in profile:
+            profile[key] = _one_petal_bracket(g, x)
+        return profile[key]
+
     worst = 0.0
     for w in probes:
         w = complex(w)
@@ -382,8 +393,7 @@ def integral_equation_residual(family: MapFamily, probes=None, quad_n: int = 220
             integral = 0.0 + 0.0j  # coefficient kills the correction exactly
         else:
             def integrand(x):
-                # the profile at 1/x is the bracket at a = x
-                return _one_petal_bracket(g, x) / (x * x - w * w)
+                return bracket(x) / (x * x - w * w)
 
             integral = singular_endpoint_quadrature(
                 integrand, (0.0, 1.0), (0.0, g), n=quad_n

@@ -32,6 +32,7 @@ from petalmap import (
     two_petal_map,
     z_of_p,
 )
+from petalmap import maps
 from petalmap.special_functions import hyp2f1_values
 
 EXACT_TOL = 1e-13
@@ -368,3 +369,94 @@ def test_map_derivative_consistency():
     for w in (1.6 + 0.4j, -1.3 + 1.2j, 2.5j):
         fd = (evaluate_map(fam, w + h) - evaluate_map(fam, w - h)) / (2 * h)
         assert abs(map_derivative(fam, w) - fd) <= 1e-7 * max(1.0, abs(fd))
+
+
+def reference_arc_derivatives(values_fn, pts, h):
+    """The 9-call stencil that `maps._arc_derivatives` replaced, kept verbatim."""
+
+    def arc(scale):
+        return values_fn(pts * np.exp(1j * (scale * h)))
+
+    g_m2, g_m1, g_p1, g_p2 = arc(-2.0), arc(-1.0), arc(1.0), arc(2.0)
+    g_mh, g_ph = arc(-0.5), arc(0.5)
+    g_mq, g_pq = arc(-0.25), arc(0.25)
+    g_0 = values_fn(pts)
+
+    def d1(step, lo2, lo1, hi1, hi2):
+        return (lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)
+
+    def d2(step, lo2, lo1, mid, hi1, hi2):
+        return (-lo2 + 16.0 * lo1 - 30.0 * mid + 16.0 * hi1 - hi2) / (12.0 * step * step)
+
+    first = maps._richardson3(
+        d1(h, g_m2, g_m1, g_p1, g_p2),
+        d1(0.5 * h, g_m1, g_mh, g_ph, g_p1),
+        d1(0.25 * h, g_mh, g_mq, g_pq, g_ph),
+    )
+    second = maps._richardson3(
+        d2(h, g_m2, g_m1, g_0, g_p1, g_p2),
+        d2(0.5 * h, g_m1, g_mh, g_0, g_ph, g_p1),
+        d2(0.25 * h, g_mh, g_mq, g_0, g_pq, g_ph),
+    )
+    iw = 1j * pts
+    f_prime = first / iw
+    f_second = (-second + 1j * first) / (pts * pts)
+    return g_0, f_prime, f_second
+
+
+# 1000 points span three blocks of ARC_BLOCK // 9 centres, the last one short
+STENCIL_RING_SIZES = (1, 7, 2048, 1000)
+STENCIL_FAMILIES = [
+    MapFamily.one_petal(math.pi / 3),
+    MapFamily.one_petal(0.3),
+    MapFamily.two_petal(math.pi / 4, math.pi / 8),
+    MapFamily.two_petal(math.pi / 5, math.pi / 9),
+    # beta = pi/4 is delta = 1/2, where the band averages two shifted families
+    MapFamily.two_petal(math.pi / 3, math.pi / 4),
+]
+
+
+@pytest.mark.parametrize("family", STENCIL_FAMILIES, ids=lambda f: f.label())
+def test_blocked_stencil_matches_nine_calls(family):
+    def values(q):
+        return maps._values_on_sheet(family, q)
+
+    for n in STENCIL_RING_SIZES:
+        ring = 1.07 * np.exp(1j * (np.arange(n) + 0.5) * (2.0 * math.pi / n))
+        h = np.minimum(maps.FD_MAX_STEP, maps._corner_distance(family, ring) * maps.FD_STEP_FRACTION)
+        got = maps._arc_derivatives(values, ring, h)
+        want = reference_arc_derivatives(values, ring, h)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (family.label(), n)
+    if family.kind == "one-petal":
+        # the Wronskian probe differentiates the closed form at 1/w, inside the disk
+        v = 1.0 / (1.7 * np.exp(1j * np.linspace(0.2, 1.3, 8)))
+        h = np.minimum(maps.FD_MAX_STEP, np.abs(v.imag) * maps.FD_STEP_FRACTION)
+
+        def closed_form(q):
+            return maps._one_petal_values(family, q)
+
+        got = maps._arc_derivatives(closed_form, v, h)
+        want = reference_arc_derivatives(closed_form, v, h)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_stencil_map_calls(monkeypatch):
+    fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
+    sizes = []
+    inner = maps._values_on_sheet
+
+    def counting(family, pts):
+        sizes.append(pts.size)
+        return inner(family, pts)
+
+    monkeypatch.setattr(maps, "_values_on_sheet", counting)
+    map_derivative(fam, 1.3 + 0.4j)
+    assert sizes == [9]
+    for n in STENCIL_RING_SIZES:
+        del sizes[:]
+        ring = 1.07 * np.exp(1j * (np.arange(n) + 0.5) * (2.0 * math.pi / n))
+        map_derivative(fam, ring)
+        assert len(sizes) == math.ceil(9 * n / maps.ARC_BLOCK), n
+        assert sum(sizes) == 9 * n and max(sizes) <= maps.ARC_BLOCK

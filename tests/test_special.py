@@ -7,13 +7,15 @@ dependency.
 
 import cmath
 import math
+import re
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from petalmap import Hyp2F1DomainError, log_gamma
-from petalmap.special_functions import hyp2f1_values
+from petalmap import Hyp2F1DomainError, log_gamma, special_functions
+from petalmap.special_functions import Hyp2F1ConvergenceError, hyp2f1_values
 
 SPOT_TOL = 1e-14
 IDENTITY_TOL = 1e-12
@@ -128,6 +130,87 @@ def test_lower_parameter_validation():
         with pytest.raises(Hyp2F1DomainError):
             hyp2f1_values(1.0, 1.0, c, np.array([0.3]))
     assert np.isfinite(f21(1.0, 1.0, -0.5, 0.3))  # non-integer is fine
+
+
+def reference_series_sum(a, b, c, t):
+    """The all-points series loop that `_series_sum` replaced, kept verbatim."""
+    t = np.asarray(t, dtype=complex)
+    total = np.ones(t.shape, dtype=complex)
+    term = np.ones(t.shape, dtype=complex)
+    active = np.ones(t.shape, dtype=bool)
+    for n in range(1, special_functions.MAX_TERMS + 1):
+        ratio = (a + n - 1.0) * (b + n - 1.0) / ((c + n - 1.0) * n)
+        term = term * (ratio * t)
+        total = total + np.where(active, term, 0.0)
+        active &= np.abs(term) > special_functions.TERM_TOL * np.abs(total)
+        if not active.any():
+            return total
+    raise AssertionError("reference loop did not settle")
+
+
+def mixed_moduli(n, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.01, 0.95, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+
+
+def test_series_sum_matches_all_points_loop():
+    # converged points leave the loop early; their sums must not move a bit
+    t = mixed_moduli(3000)
+    for a, b, c in [(0.25, -0.25, 0.5), (0.31, 0.07, 0.5), (1.3, 0.6, 1.7)]:
+        got = special_functions._series_sum(a, b, c, t)
+        assert np.array_equal(got, reference_series_sum(a, b, c, t))
+    # a = -3 terminates: every term past the cubic is exactly zero
+    t = np.concatenate([t, [4.0, -7.5, 2.0 + 3.0j]])
+    got = special_functions._series_sum(-3.0, 0.7, 1.3, t)
+    assert np.array_equal(got, reference_series_sum(-3.0, 0.7, 1.3, t))
+
+
+@pytest.mark.parametrize("a, b, c", [(0.25, -0.25, 0.5), (0.4, 0.15, 0.5), (-3.0, 0.7, 1.3)])
+def test_series_shapes_through_hyp2f1_values(monkeypatch, a, b, c):
+    grid = mixed_moduli(60, seed=11).reshape(6, 10) * 1.4
+    scalar = np.asarray(0.35 - 0.4j)
+    got = [hyp2f1_values(a, b, c, grid), hyp2f1_values(a, b, c, scalar)]
+    # the reference loop on a 0-d argument runs on numpy scalars, whose
+    # complex product rounds differently from the array product; the new
+    # loop sums a 0-d argument as a 1-element array, so compare to that
+    monkeypatch.setattr(
+        special_functions,
+        "_series_sum",
+        lambda a, b, c, t: reference_series_sum(a, b, c, np.reshape(t, -1)).reshape(np.shape(t)),
+    )
+    want = [hyp2f1_values(a, b, c, grid), hyp2f1_values(a, b, c, scalar)]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_convergence_error_names_unsettled_point(monkeypatch):
+    # geometric series (a = b = c = 1): t = 0.9 settles after 328 terms,
+    # t = -0.899 after 353 and t = 0.01 after 8; with a cap of 340 only
+    # -0.899 is still summing, although 0.9 has the larger modulus
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 340)
+    t = np.array([0.01, 0.9, 0.01j, -0.899, -0.01])
+    with pytest.raises(Hyp2F1ConvergenceError, match=r"-0\.899"):
+        special_functions._series_sum(1.0, 1.0, 1.0, t)
+    # a mix of |t| = 0.01 and 0.9 under a 40-term cap names a 0.9 point;
+    # 0.9 e^{i pi/3} is summed directly (|t| < |1 - t| < 1)
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 40)
+    t = np.array([0.01, 0.9 * cmath.exp(1j * math.pi / 3), -0.01, 0.01j])
+    with pytest.raises(Hyp2F1ConvergenceError) as info:
+        hyp2f1_values(0.3, 0.2, 0.5, t)
+    named = complex(re.search(r"([-+]?[0-9.e-]+[-+][0-9.e-]+j)", str(info.value)).group(1))
+    assert named == t[1]
+
+
+def test_empty_argument_returns_at_once(monkeypatch):
+    # an empty batch must not step through the term cap before returning
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 10**5)
+    start = time.perf_counter()
+    for a in (-3.0, 0.3):
+        out = hyp2f1_values(a, 0.7, 1.3, np.array([], dtype=complex))
+        assert out.shape == (0,)
+    assert special_functions._series_sum(0.3, 0.7, 1.3, np.zeros((0, 4))).shape == (0, 4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gamma_spot_values():

@@ -28,6 +28,7 @@ from petalmap import (
     run_standard_checks,
     sweep,
 )
+from petalmap import verify
 from petalmap.maps import _tangential_derivatives
 from petalmap.verify import VerificationReport, _second_solution_two_petal
 
@@ -188,6 +189,21 @@ def test_integral_equation():
     assert integral_equation_residual(MapFamily.one_petal(3 * math.pi / 8)) <= 1e-6
     with pytest.raises(ValueError):
         integral_equation_residual(MapFamily.two_petal(math.pi / 4, math.pi / 8))
+
+
+def test_integral_equation_profile_once_per_node_array(monkeypatch):
+    # only 1/(x^2 - w^2) depends on the probe, so the profile is taken once
+    # per half-interval node array, plus once per probe for the left side
+    sizes = []
+    inner = verify._one_petal_bracket
+
+    def counting(g, a):
+        sizes.append(a.size)
+        return inner(g, a)
+
+    monkeypatch.setattr(verify, "_one_petal_bracket", counting)
+    assert integral_equation_residual(MapFamily.one_petal(math.pi / 8)) <= 1e-6
+    assert sorted(sizes) == [1] * 20 + [220, 220]
 
 
 # ---------------------------------------------------------------------------
