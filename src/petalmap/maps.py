@@ -14,7 +14,6 @@ continuation used by the conserved-ratio estimate lives in `verify`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,16 +23,12 @@ from .special_functions import Hyp2F1DomainError, hyp2f1_values
 
 CORNER_REJECT = 1e-12        # evaluation radius around corner pre-images
 MODULUS_SLACK = 1e-12        # |w| >= 1 - slack counts as on-sheet
-OFF_SHEET_SLACK = 1e-8       # inverted roots below 1 - slack are off the sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
 ARC_BLOCK = 4095             # map points per stencil call (455 centres x 9 rows); bounds derivative memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
-LAURENT_IMAG_TOL = 1e-8      # symmetry budget for coefficient imaginary parts
 BRANCH_POINT_REJECT = 1e-9   # |p| must stay away from the branch points at +-2
-DEGENERATE_DELTA_HALFWIDTH = 1e-4  # right-angle corner window, see _z_of_p_upper
-_REAL_P_NOISE = 1e-13        # circle rounding noise folded onto the real p axis
 
 
 class MapDomainError(ValueError):
@@ -197,9 +192,10 @@ def _one_petal_bracket(g: float, a: np.ndarray) -> np.ndarray:
     """
     if g == 0.0:
         return np.ones(a.shape, dtype=complex)
-    return 0.5 * (
-        _power(1.0 - a, g) * _power(1.0 + a, 1.0 - g) + _power(1.0 + a, g) * _power(1.0 - a, 1.0 - g)
-    )
+    # each term is `_power`'s exp(mu log z), whose exact-path exponents
+    # 0, 1/2 and 1 neither g nor 1 - g can take here: two logs serve all four
+    lo, hi = (np.log(np.asarray(z, dtype=complex) + 0.0j) for z in (1.0 - a, 1.0 + a))
+    return 0.5 * (np.exp(g * lo) * np.exp((1.0 - g) * hi) + np.exp(g * hi) * np.exp((1.0 - g) * lo))
 
 
 def _one_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
@@ -227,91 +223,31 @@ def one_petal_map(family: MapFamily, w):
 # two-petal family
 
 
-def _elementary_continued(family: MapFamily, p: np.ndarray) -> np.ndarray:
-    """Continuation of p (1 - 4/p^2)^(alpha/pi) into Im p >= 0, |p| < 2.
-
-    The principal formula is already analytic for Im p > 0; real p needs the
-    upper-side limit, whose phase is exp(+-i alpha) by the side of the cut.
-    """
-    mu = family.alpha / math.pi
-    out = np.empty(p.shape, dtype=complex)
-    strict = p.imag > 0.0
-    if strict.any():
-        ps = p[strict]
-        out[strict] = ps * _power(1.0 - 4.0 / (ps * ps), mu)
-    flat = ~strict
-    if flat.any():
-        x = p[flat].real
-        mag = np.abs(1.0 - 4.0 / (x * x)) ** mu
-        phase = np.where(x > 0.0, cmath.exp(1j * family.alpha), cmath.exp(-1j * family.alpha))
-        out[flat] = x * mag * phase
-    return out
-
-
-def _z_of_p_upper(family: MapFamily, p: np.ndarray) -> np.ndarray:
-    """Continuation of the p-form through the band |p| < 2, Im p >= 0."""
-    alpha, beta = family.alpha, family.beta
-    aa = (alpha + beta) / math.pi - 0.5
-    bb = (alpha - beta) / math.pi
-    if aa == 0.0 or bb == 0.0:
-        # hypergeometric factor degenerates to 1; the map is the slit map
-        return _elementary_continued(family, p)
-    delta = family.delta
-    if abs(delta - 0.5) < DEGENERATE_DELTA_HALFWIDTH:
-        # the two local exponents at p = 0 collide and the connection
-        # coefficients blow up; average a symmetric parameter offset
-        # (even-order error in the offset) instead of evaluating the
-        # degenerate formula.  The offset is twice the window half-width,
-        # so both shifted evaluations land outside the window.
-        shift = math.pi * DEGENERATE_DELTA_HALFWIDTH
-        lo = MapFamily.two_petal(alpha, beta - shift)
-        hi = MapFamily.two_petal(alpha, beta + shift)
-        return 0.5 * (_z_of_p_upper(lo, p) + _z_of_p_upper(hi, p))
-
-    from .special_functions import _gamma_quotient  # shared scalar helper
-
-    coeff_low = _gamma_quotient((0.5, 0.5 - delta), ((alpha - beta) / math.pi, 1.0 - (alpha + beta) / math.pi))
-    coeff_high = _gamma_quotient((0.5, delta - 0.5), ((alpha + beta) / math.pi - 0.5, 0.5 - (alpha - beta) / math.pi))
-    t = 0.25 * p * p
-    first = hyp2f1_values((alpha + beta) / math.pi - 0.5, (alpha + beta) / math.pi, delta + 0.5, t)
-    second = hyp2f1_values((alpha - beta) / math.pi + 0.5, (alpha - beta) / math.pi, 1.5 - delta, t)
-    half = 0.5 * p
-    prefactor = 2.0 * _power(1.0 - t, alpha / math.pi)
-    term_low = 1j * cmath.exp(-1j * beta) * coeff_low * _power(half, delta) * first
-    term_high = cmath.exp(1j * beta) * coeff_high * _power(half, 1.0 - delta) * second
-    return prefactor * (term_low + term_high)
-
-
 def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """The two-petal pattern as a function of p = w + 1/w.
+    """The two-petal pattern Z(p) = p (d/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2), p = w + 1/w.
 
     ``d`` is the branch factor p^2 - 4, passed in factored form by the
     caller so that it keeps its relative accuracy next to the branch points.
-    Points flagged ``lower`` are reflected into the upper half plane and
-    their values reflected back.  The far branch |p| > 2 is
-    p (d/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2); the band |p| < 2 is the
-    continuation `_z_of_p_upper`.
+    The formula is taken on the closed first quadrant: points flagged
+    ``lower`` are reflected, Z(conj p) = conj Z(p), and points with Re p < 0
+    folded by oddness, Z(-conj p) = -conj Z(p).  The folds change only the
+    sign of Im p^2, and on the first quadrant Im(d/p^2) =
+    8 Re p Im p / |p|^4 >= 0 and Im(4/p^2) <= 0, so both are set exactly.
+    Real p in the band |p| < 2 is the limit from above: there t = 4/p^2
+    takes F's 1/t route with a -0.0 imaginary part.
     """
-    p = np.where(lower, np.conj(p), p)
-    d = np.where(lower, np.conj(d), d)
-    out = np.empty(p.shape, dtype=complex)
-    far = np.abs(p) > 2.0
-    if far.any():
-        pf = p[far]
-        p2 = pf * pf
-        aa = (family.alpha + family.beta) / math.pi - 0.5
-        bb = (family.alpha - family.beta) / math.pi
-        hyp = hyp2f1_values(aa, bb, 0.5, 4.0 / p2)
-        out[far] = pf * _power(d[far] / p2, family.alpha / math.pi) * hyp
-    near = ~far
-    if near.any():
-        pn = p[near]
-        # |w| rounding on the circle can leave Im p at the noise floor with
-        # either sign; the band's upper sheet has Im p >= 0.  The far branch
-        # keeps its tiny Im p: next to a corner it is the signal.
-        noise = np.abs(pn.imag) <= _REAL_P_NOISE * (1.0 + np.abs(pn.real))
-        out[near] = _z_of_p_upper(family, np.where(noise, pn.real + 0.0j, pn))
-    return np.where(lower, np.conj(out), out)
+    left = p.real < 0.0
+    mirror = lower != left
+    p2 = p * p
+    ratio = d / p2
+    t = 4.0 / p2
+    aa = (family.alpha + family.beta) / math.pi - 0.5
+    bb = (family.alpha - family.beta) / math.pi
+    hyp = hyp2f1_values(aa, bb, 0.5, np.conj(t.real + 1j * np.abs(t.imag)))
+    power = _power(ratio.real + 1j * np.abs(ratio.imag), family.alpha / math.pi)
+    out = (np.abs(p.real) + 1j * np.abs(p.imag)) * power * hyp
+    out = np.where(mirror, np.conj(out), out)
+    return np.where(left, -out, out)
 
 
 def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
@@ -339,7 +275,7 @@ def z_of_p(family: MapFamily, p):
     if family.kind != "two-petal":
         raise ValueError("z_of_p is defined for two-petal families")
     pts, shape, scalar = _as_points(p)
-    if np.any(np.abs(np.abs(pts) - 2.0) < BRANCH_POINT_REJECT):
+    if np.any(np.minimum(np.abs(pts - 2.0), np.abs(pts + 2.0)) < BRANCH_POINT_REJECT):
         raise MapDomainError("p too close to a branch point at +-2")
     out = _two_petal_in_p(family, pts, (pts - 2.0) * (pts + 2.0), pts.imag < 0.0)
     return complex(out[0]) if scalar else out.reshape(shape)
@@ -445,8 +381,8 @@ def scaled_map(family: MapFamily, state: TimeState, w):
 def invert_map(family: MapFamily, z, state: TimeState | None = None, guess=None):
     """Newton inversion of the scaled map; returns the pre-image w.
 
-    Converged roots inside the unit circle are reported as off-sheet
-    failures rather than returned.
+    An iterate that steps inside the unit circle is mirrored to 1/conj(w),
+    so every iterate, and the root returned, lies on the sheet |w| >= 1.
     """
     r = state.r if state is not None else 1.0
     target = complex(z) / r
@@ -459,23 +395,18 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None, guess=None)
             val = evaluate_map(family, w)
             err = abs(val * r - complex(z))
             if err <= tol:
-                if abs(w) < 1.0 - OFF_SHEET_SLACK:
-                    raise InversionError("root lies off the physical sheet", root=w)
                 return w
             deriv = map_derivative(family, w)
         except (MapDomainError, Hyp2F1DomainError) as exc:
             raise InversionError("iteration left the evaluable region: %s" % exc, root=w) from exc
         if deriv == 0.0:
             raise InversionError("stationary point reached", root=w)
-        step = (val - target) / deriv
-        w_next = w - step
-        # keep the iterate on the sheet; halve the step rather than project
-        tries = 0
-        while abs(w_next) < 1.0 - MODULUS_SLACK and tries < 60:
-            step *= 0.5
-            w_next = w - step
-            tries += 1
-        w = w_next
+        w = w - (val - target) / deriv
+        if abs(w) < 1.0:
+            # mirror it back onto the sheet; a shortened step could stop
+            # within MODULUS_SLACK inside the circle, where the values are not
+            # the analytic continuation Newton steps along
+            w = 1.0 / w.conjugate()
     raise InversionError("no convergence in %d iterations" % NEWTON_MAX_ITER, root=w)
 
 

@@ -1,10 +1,18 @@
 """Gauss hypergeometric function and log-gamma.
 
 `hyp2f1_values` evaluates F(a, b; c; t) for real parameters on an array of
-complex arguments, routing each point through the direct series, the Pfaff
-transformation or the 1 - t connection; the map evaluators batch thousands
-of boundary points through it at once.  `log_gamma` is a Lanczos log-gamma
-that also feeds the connection coefficients.
+complex arguments; the map evaluators batch thousands of boundary points
+through it at once.  Each point takes one of four routes:
+
+- |t| > 1: the 1/t connection (A&S 15.3.7, DLMF 15.8.2), whose two inner
+  functions of 1/t take one of the three routes below;
+- otherwise whichever of the direct series, the Pfaff transformation
+  t/(t - 1) and the 1 - t connection has the smallest argument.
+
+The cut is [1, inf).  A point on it with a +0 imaginary part is rejected; a
+-0.0 imaginary part means the limit from below, which is mpmath's value on
+the cut and what numpy's signed-zero complex `log` gives.  `log_gamma` is a
+Lanczos log-gamma that also feeds the connection coefficients.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ TRANSFORM_RADIUS = 0.95    # largest modulus any route is allowed to sum over
 TERM_TOL = 1e-16           # series tail cutoff relative to the running sum
 MAX_TERMS = 10_000
 EULER_PARAM_GUARD = 0.02   # keep c-a-b this far from integers before using the 1-t formula
+DEGENERATE_SHIFT = 1e-4    # a-b this close to an integer: average a +- shift, b -+ shift in the 1/t formula
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -136,26 +145,43 @@ def _euler_connection(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray
     return coeff_direct * first + coeff_power * power * second
 
 
-def hyp2f1_values(a: float, b: float, c: float, t) -> np.ndarray:
-    """Vectorized Gauss series with automatic argument transformations.
+def _terminates(a: float, b: float) -> bool:
+    return _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
 
-    Each point is routed to the representation (direct, Pfaff t/(t-1), or
-    the 1-t connection) with the smallest effective argument; moduli up to
-    ``TRANSFORM_RADIUS`` are accepted at the cost of a longer summation.
+
+def _inverse_connection(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
+    """Evaluate |t| > 1 through the argument 1/t; a - b is moved off the integers.
+
+    At integer a - b the two exponents at infinity collide and Gamma(a - b)
+    or Gamma(b - a) has a pole, so a window around them averages the
+    symmetric offsets a +- shift, b -+ shift (even-order error in the
+    shift).  Both offsets move a - b by twice the shift, out of the window.
     """
-    if _is_nonpositive_integer(c):
-        raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
-    t = np.asarray(t, dtype=complex)
-    out = np.empty(t.shape, dtype=complex)
+    amb = a - b
+    if abs(amb - round(amb)) < DEGENERATE_SHIFT:
+        lo = _inverse_connection(a - DEGENERATE_SHIFT, b + DEGENERATE_SHIFT, c, t)
+        hi = _inverse_connection(a + DEGENERATE_SHIFT, b - DEGENERATE_SHIFT, c, t)
+        return 0.5 * (lo + hi)
+    inv = 1.0 / t
+    log_minus = np.log(-t)
+    # the inner functions go through the |t| <= 1 routes only: with |t| = 1
+    # up to rounding, 1/t may again have modulus above 1
+    first = _gamma_quotient((c, -amb), (b, c - a)) * np.exp(-a * log_minus)
+    first = first * _disk_values(a, a - c + 1.0, amb + 1.0, inv)
+    second = _gamma_quotient((c, amb), (a, c - b)) * np.exp(-b * log_minus)
+    second = second * _disk_values(b, b - c + 1.0, 1.0 - amb, inv)
+    return first + second
 
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        # terminating polynomial, valid for every argument
+
+def _disk_values(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
+    """Route each point to the direct series, Pfaff t/(t-1) or the 1-t connection.
+
+    The representation with the smallest effective argument wins; moduli up
+    to ``TRANSFORM_RADIUS`` are accepted at the cost of a longer summation.
+    """
+    if _terminates(a, b):
         return _series_sum(a, b, c, t)
-
-    on_cut = (t.imag == 0.0) & (t.real >= 1.0)
-    if on_cut.any():
-        raise Hyp2F1DomainError("argument on the cut [1, inf)")
-
+    out = np.empty(t.shape, dtype=complex)
     m_direct = np.abs(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         pfaff_arg = t / (t - 1.0)
@@ -185,3 +211,30 @@ def hyp2f1_values(a: float, b: float, c: float, t) -> np.ndarray:
         out[euler_mask] = _euler_connection(a, b, c, t[euler_mask])
     return out
 
+
+def hyp2f1_values(a: float, b: float, c: float, t) -> np.ndarray:
+    """Vectorized Gauss series with automatic argument transformations.
+
+    Points with |t| > 1 take the 1/t connection, the rest `_disk_values`;
+    terminating series (a or b a non-positive integer) are summed directly
+    at every argument.
+    """
+    if _is_nonpositive_integer(c):
+        raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
+    t = np.asarray(t, dtype=complex)
+    if _terminates(a, b):
+        return _series_sum(a, b, c, t)
+
+    # t = 1 is the branch point; the rest of the cut has a side only with -0.0
+    on_cut = (t.imag == 0.0) & ((t.real == 1.0) | ((t.real > 1.0) & ~np.signbit(t.imag)))
+    if on_cut.any():
+        raise Hyp2F1DomainError("argument on the cut [1, inf)")
+
+    outer = np.abs(t) > 1.0
+    if not outer.any():
+        return _disk_values(a, b, c, t)
+    out = np.empty(t.shape, dtype=complex)
+    out[outer] = _inverse_connection(a, b, c, t[outer])
+    if not outer.all():
+        out[~outer] = _disk_values(a, b, c, t[~outer])
+    return out

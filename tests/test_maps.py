@@ -33,7 +33,7 @@ from petalmap import (
     z_of_p,
 )
 from petalmap import maps
-from petalmap.special_functions import hyp2f1_values
+from petalmap.special_functions import _gamma_quotient, hyp2f1_values
 
 EXACT_TOL = 1e-13
 CROSS_ORACLE_TOL = 1e-12
@@ -193,6 +193,75 @@ def test_two_petal_near_corner_against_mpmath(alpha, beta):
     assert worst <= 1e-10
 
 
+def reference_elementary_continued(family, p):
+    """The slit-map special case of `reference_band`, kept verbatim."""
+    mu = family.alpha / math.pi
+    out = np.empty(p.shape, dtype=complex)
+    strict = p.imag > 0.0
+    if strict.any():
+        ps = p[strict]
+        out[strict] = ps * maps._power(1.0 - 4.0 / (ps * ps), mu)
+    flat = ~strict
+    if flat.any():
+        x = p[flat].real
+        mag = np.abs(1.0 - 4.0 / (x * x)) ** mu
+        phase = np.where(x > 0.0, cmath.exp(1j * family.alpha), cmath.exp(-1j * family.alpha))
+        out[flat] = x * mag * phase
+    return out
+
+
+def reference_band(family, p):
+    """The hand-written band form |p| < 2, Im p >= 0 that F's 1/t route replaced.
+
+    Kept as it was, with its 1e-4 window constant written in.
+    """
+    alpha, beta = family.alpha, family.beta
+    aa = (alpha + beta) / math.pi - 0.5
+    bb = (alpha - beta) / math.pi
+    if aa == 0.0 or bb == 0.0:
+        return reference_elementary_continued(family, p)
+    delta = family.delta
+    if abs(delta - 0.5) < 1e-4:
+        shift = math.pi * 1e-4
+        lo = MapFamily.two_petal(alpha, beta - shift)
+        hi = MapFamily.two_petal(alpha, beta + shift)
+        return 0.5 * (reference_band(lo, p) + reference_band(hi, p))
+
+    coeff_low = _gamma_quotient((0.5, 0.5 - delta), ((alpha - beta) / math.pi, 1.0 - (alpha + beta) / math.pi))
+    coeff_high = _gamma_quotient((0.5, delta - 0.5), ((alpha + beta) / math.pi - 0.5, 0.5 - (alpha - beta) / math.pi))
+    t = 0.25 * p * p
+    first = hyp2f1_values((alpha + beta) / math.pi - 0.5, (alpha + beta) / math.pi, delta + 0.5, t)
+    second = hyp2f1_values((alpha - beta) / math.pi + 0.5, (alpha - beta) / math.pi, 1.5 - delta, t)
+    half = 0.5 * p
+    prefactor = 2.0 * maps._power(1.0 - t, alpha / math.pi)
+    term_low = 1j * cmath.exp(-1j * beta) * coeff_low * maps._power(half, delta) * first
+    term_high = cmath.exp(1j * beta) * coeff_high * maps._power(half, 1.0 - delta) * second
+    return prefactor * (term_low + term_high)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, tol",
+    [
+        (math.pi / 8, math.pi / 16, 1e-13),
+        (math.pi / 5, math.pi / 9, 1e-13),
+        (math.pi * 3 / 8, math.pi / 32, 1e-13),
+        (math.pi / 4, math.pi / 4 - math.pi / 8, 1e-13),
+        (0.4 * math.pi, 0.1 * math.pi, 1e-13),  # b = 0.3, a = 0: the slit map
+        (math.pi / 3, math.pi / 4, 1e-10),  # delta = 1/2: both average a window
+    ],
+)
+def test_band_matches_reference(alpha, beta, tol):
+    # the far formula through F's 1/t route against the band form it replaced,
+    # on the upper half of |p| < 2 and on the real segment (limit from above)
+    fam = MapFamily.two_petal(alpha, beta)
+    radii, angles = np.meshgrid(np.linspace(0.05, 1.85, 19), np.linspace(0.0, math.pi, 25))
+    p = (radii * np.exp(1j * angles)).reshape(-1)
+    p = np.where(np.abs(p.imag) < 1e-12, p.real + 0.0j, p)
+    got = z_of_p(fam, p)
+    want = reference_band(fam, p)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= tol
+
+
 def test_z_of_p_lower_half_conjugate():
     fam = MapFamily.two_petal(math.pi / 8, math.pi / 16)
     upper = z_of_p(fam, 0.5 + 0.4j)
@@ -218,6 +287,15 @@ def test_corner_preimages_rejected():
         evaluate_map(fam, 1j)
     assert LEMNISCATE.corner_preimages == (1 + 0j, -1 + 0j)
     assert fam.corner_preimages == (1 + 0j, -1 + 0j, 1j, -1j)
+
+
+def test_z_of_p_on_circle_off_branch_points():
+    # |p| = 2 away from +-2 is an ordinary point: p = 2i is w = i(1 + sqrt 2)
+    fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
+    want = evaluate_map(fam, 1j * (1.0 + math.sqrt(2.0)))
+    assert abs(want - 2.436385657650746j) <= 1e-13
+    assert abs(z_of_p(fam, 2j) - want) <= 1e-13
+    assert abs(z_of_p(fam, -2j) - np.conj(want)) <= 1e-13
 
 
 def test_branch_points_rejected():
@@ -287,6 +365,43 @@ def test_pressure_values():
     assert abs(pressure(LEMNISCATE, state, boundary)) <= 1e-8
     # far field approaches |z| with a capacity correction of order u1/|z|
     assert abs(pressure(LEMNISCATE, state, 50j) / 50.0 - 1.0) <= 1e-3
+
+
+# (family, pre-image, state) items of the seeded inverse benchmark inputs
+# whose Newton iterates step inside the unit circle on the way
+INVERT_RECOVERED = [
+    (MapFamily.one_petal(0.6570944253796531), -0.9272563523612111 - 0.4467156452896528j, TimeState(1.9751132525952313, 0.739041581602009)),
+    (MapFamily.one_petal(0.7706206029091929), -1.0085654260397146 + 0.134838427932595j, TimeState(1.5359246710919057, 1.6009851766451426)),
+    (
+        MapFamily.two_petal(0.44714447975352567, 0.31119462040647805),
+        0.5391135568145281 - 0.8490857542475387j,
+        TimeState(1.7118591709115134, 1.9177631946146667),
+    ),
+    (
+        MapFamily.two_petal(0.7434352650243058, 0.13823675985029005),
+        0.9561868981144797 - 0.3158264143931927j,
+        TimeState(0.6945736431766356, 1.002278653765765),
+    ),
+    (
+        MapFamily.two_petal(0.5729594813031641, 0.4390193037801428),
+        -0.22274792284034914 - 0.9763737884311373j,
+        TimeState(1.4681133219009002, 1.6852544386747845),
+    ),
+    (
+        MapFamily.two_petal(0.6314771434939344, 0.18709676791043472),
+        0.9686430183485993 + 0.33403376855731j,
+        TimeState(1.7042986593153344, 1.6456263592556417),
+    ),
+]
+
+
+def test_invert_recovers_sheet_points():
+    # an iterate inside the circle is mirrored back onto the sheet, and
+    # Newton still converges to the sheet pre-image
+    for family, w0, state in INVERT_RECOVERED:
+        z = scaled_map(family, state, w0)
+        w = invert_map(family, z, state=state)
+        assert abs(w - w0) <= 1e-8 * abs(w0), (family.label(), w0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +517,27 @@ def reference_arc_derivatives(values_fn, pts, h):
     f_prime = first / iw
     f_second = (-second + 1j * first) / (pts * pts)
     return g_0, f_prime, f_second
+
+
+def reference_one_petal_bracket(g, a):
+    """The four-power bracket `maps._one_petal_bracket` replaced, kept verbatim."""
+    if g == 0.0:
+        return np.ones(a.shape, dtype=complex)
+    return 0.5 * (
+        maps._power(1.0 - a, g) * maps._power(1.0 + a, 1.0 - g)
+        + maps._power(1.0 + a, g) * maps._power(1.0 - a, 1.0 - g)
+    )
+
+
+def test_one_petal_bracket_two_logs():
+    # log(1 - a) and log(1 + a) taken once each give the same bits
+    rng = np.random.default_rng(17)
+    for n in (1, 4095, 16384):
+        w = (1.0 + rng.exponential(0.3, n)) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        for g in (-0.4, -0.25, 0.1, 1.0 / 6.0, 0.45):
+            assert np.array_equal(maps._one_petal_bracket(g, 1.0 / w), reference_one_petal_bracket(g, 1.0 / w)), (n, g)
+    x = np.linspace(-0.99, 0.99, 64)
+    assert np.array_equal(maps._one_petal_bracket(0.2, x), reference_one_petal_bracket(0.2, x))
 
 
 # 1000 points span three blocks of ARC_BLOCK // 9 centres, the last one short

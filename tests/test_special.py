@@ -112,9 +112,52 @@ def test_routes_against_mpmath():
         assert abs(got - want) <= MPMATH_TOL * max(1.0, abs(want)), (a, b, c, t)
 
 
+def test_inverse_route_against_mpmath():
+    # |t| > 1 goes through 1/t; the inner functions of 1/t take the direct,
+    # Pfaff and 1 - t routes (0.957 e^{-0.29i} below is one of the latter)
+    cases = [
+        (0.125, -0.375, 0.5, 3.0 + 0.1j),
+        (0.125, -0.375, 0.5, -25.0),
+        (0.125, -0.375, 0.5, 1.5 - 0.7j),
+        (0.125, -0.375, 0.5, 1.0 + 0.3j),
+        (0.31, 0.07, 0.5, -1.02 + 0.4j),
+        (0.4, 0.15, 0.5, 0.2 - 1.9j),
+        (0.625, 0.375, 0.5, 1.0001j),
+        (0.35, 0.8, 1.3, -2.5 - 2.5j),
+    ]
+    mp.mp.dps = 30
+    for a, b, c, t in cases:
+        got = f21(a, b, c, t)
+        want = complex(mp.hyp2f1(a, b, c, t))
+        assert abs(got - want) <= MPMATH_TOL * max(1.0, abs(want)), (a, b, c, t)
+
+
+def test_cut_from_below():
+    # a -0.0 imaginary part is the limit from below, mpmath's value on the cut
+    mp.mp.dps = 30
+    for t in (1.5, 42.0):
+        got = f21(0.25, -0.25, 0.5, complex(t, -0.0))
+        want = complex(mp.hyp2f1(0.25, -0.25, 0.5, t))
+        assert abs(got - want) <= 1e-14 * abs(want), t
+        assert abs(got - f21(0.25, -0.25, 0.5, complex(t, -1e-300))) <= 1e-14 * abs(want)
+
+
+def test_degenerate_window_averages():
+    # a - b = 0 is the pole of the 1/t connection coefficients; the window
+    # averages a +- 1e-4, b -+ 1e-4, an O(1e-8) error by construction
+    a = b = 1.0 / 12.0
+    mp.mp.dps = 30
+    worst = 0.0
+    for t in (1.3 + 2.1j, -3.0 + 1.0j, complex(2.5, -0.0)):
+        want = complex(mp.hyp2f1(a, b, 0.5, t.real if t.imag == 0.0 else t))
+        worst = max(worst, abs(f21(a, b, 0.5, t) - want) / abs(want))
+    assert worst <= 1e-7
+
+
 def test_unreachable_argument_rejected():
-    # no connection formula brings these inside the summation radius
-    for t in (3.0 + 0.1j, -25.0):
+    # |t| = 1 near e^{+-i pi/3}: no route, nor 1/t, brings these inside the
+    # summation radius
+    for t in (cmath.exp(1j * math.pi / 3), 1.02 * cmath.exp(-1j * math.pi / 3)):
         with pytest.raises(Hyp2F1DomainError):
             f21(0.125, -0.375, 0.5, t)
 
