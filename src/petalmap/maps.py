@@ -206,7 +206,10 @@ def _one_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     exactly odd.
     """
     a = 1.0 / w
-    return w * np.sqrt(1.0 - a * a) * _one_petal_bracket(family.gamma, a)
+    # a named factor: numpy would reuse a large temporary right operand in
+    # place, swapping the complex product's operands and so its rounding
+    trunk = np.sqrt(1.0 - a * a)
+    return w * trunk * _one_petal_bracket(family.gamma, a)
 
 
 def one_petal_map(family: MapFamily, w):
@@ -359,11 +362,15 @@ def _richardson3(coarse, mid, fine):
     return (64.0 * level2 - level1) / 63.0
 
 
+def _arc_step(family: MapFamily, pts: np.ndarray) -> np.ndarray:
+    """Corner-aware arc step: a fixed fraction of the corner distance, capped."""
+    return np.minimum(FD_MAX_STEP, _corner_distance(family, pts) * FD_STEP_FRACTION)
+
+
 def _tangential_derivatives(family: MapFamily, pts: np.ndarray):
     """Sheet-checked arc derivatives with corner-aware step control."""
     _check_sheet(family, pts)
-    h = np.minimum(FD_MAX_STEP, _corner_distance(family, pts) * FD_STEP_FRACTION)
-    return _arc_derivatives(lambda q: _values_on_sheet(family, q), pts, h)
+    return _arc_derivatives(lambda q: _values_on_sheet(family, q), pts, _arc_step(family, pts))
 
 
 def map_derivative(family: MapFamily, w):

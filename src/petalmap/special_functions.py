@@ -13,6 +13,12 @@ The cut is [1, inf).  A point on it with a +0 imaginary part is rejected; a
 -0.0 imaginary part means the limit from below, which is mpmath's value on
 the cut and what numpy's signed-zero complex `log` gives.  `log_gamma` is a
 Lanczos log-gamma that also feeds the connection coefficients.
+
+A point's value does not depend on its batch.  numpy computes
+``named * temporary`` as ``temporary *= named`` once the temporary reaches
+256 KiB (16384 complex points), and the swapped complex product rounds
+differently.  So complex products here name both array operands or put the
+temporary on the left.
 """
 
 from __future__ import annotations
@@ -113,7 +119,8 @@ def _series_sum(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
         if not index.size:
             break
         ratio = (a + n - 1.0) * (b + n - 1.0) / ((c + n - 1.0) * n)
-        term = term * (ratio * arg)
+        step = ratio * arg
+        term = term * step
         total = total + term
         live = np.abs(term) > TERM_TOL * np.abs(total)
         if not live.all():
@@ -166,10 +173,12 @@ def _inverse_connection(a: float, b: float, c: float, t: np.ndarray) -> np.ndarr
     log_minus = np.log(-t)
     # the inner functions go through the |t| <= 1 routes only: with |t| = 1
     # up to rounding, 1/t may again have modulus above 1
-    first = _gamma_quotient((c, -amb), (b, c - a)) * np.exp(-a * log_minus)
-    first = first * _disk_values(a, a - c + 1.0, amb + 1.0, inv)
-    second = _gamma_quotient((c, amb), (a, c - b)) * np.exp(-b * log_minus)
-    second = second * _disk_values(b, b - c + 1.0, 1.0 - amb, inv)
+    power = np.exp(-a * log_minus)
+    inner = _disk_values(a, a - c + 1.0, amb + 1.0, inv)
+    first = _gamma_quotient((c, -amb), (b, c - a)) * power * inner
+    power = np.exp(-b * log_minus)
+    inner = _disk_values(b, b - c + 1.0, 1.0 - amb, inv)
+    second = _gamma_quotient((c, amb), (a, c - b)) * power * inner
     return first + second
 
 
@@ -205,7 +214,8 @@ def _disk_values(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
     if pfaff_mask.any():
         u = pfaff_arg[pfaff_mask]
         prefactor = np.exp(-a * np.log(1.0 - t[pfaff_mask]))
-        out[pfaff_mask] = prefactor * _series_sum(a, c - b, c, u)
+        inner = _series_sum(a, c - b, c, u)
+        out[pfaff_mask] = prefactor * inner
     euler_mask = route == 2
     if euler_mask.any():
         out[euler_mask] = _euler_connection(a, b, c, t[euler_mask])

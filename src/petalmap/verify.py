@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import (
-    FD_MAX_STEP,
-    FD_STEP_FRACTION,
     BoundaryTrace,
     MapFamily,
     TimeState,
     _arc_derivatives,
+    _arc_step,
     _one_petal_bracket,
     _one_petal_values,
+    _power,
     _tangential_derivatives,
     _values_on_sheet,
     boundary_trace,
@@ -37,6 +37,7 @@ from .numerics import (
     singular_endpoint_quadrature,
     winding_number,
 )
+from .special_functions import _gamma_quotient, hyp2f1_values
 
 RING_ODE = 1.5               # sampling ring for the oscillator residual
 RATIO_SPREAD_TOL = 1e-6
@@ -50,8 +51,10 @@ MOMENT_MIN_INDEX = 2
 PROBE_RADIUS_FRACTION = 0.02  # origin probe ring radius relative to the trace scale
 PROBE_ANGLES = 17             # upper half-ring probes, 10 degrees apart
 INTERIOR_MARGIN = 0.02       # Cauchy samples stay this fraction of diameter off the curve
-ODE_STEPS = 1600             # fixed-step RK4 nodes for the second-solution transport
-TRANSPORT_BLOCK = 100        # RK4 step matrices built at once; bounds the transport's memory
+# Wronskian probes rho e^{i theta}, theta-major: a first-quadrant wedge clear
+# of the corners, the only region where the partner's branches are checked
+WRONSKIAN_THETAS = np.linspace(0.35, 1.15, 4)
+WRONSKIAN_RHOS = np.array([1.7, 2.1])
 
 DEFAULT_TOLERANCES = {
     "oddness": 1e-10,
@@ -130,7 +133,8 @@ class VerificationReport:
             "all_passed": self.all_passed,
             "checks": {
                 name: {
-                    "residual": c.residual,
+                    # a check that could not run has no residual; JSON has no inf
+                    "residual": c.residual if math.isfinite(c.residual) else None,
                     "tolerance": c.tolerance,
                     "pass": c.passed,
                     "detail": c.detail,
@@ -175,88 +179,53 @@ def ode_residual(family: MapFamily, n: int = 64, radius: float = RING_ODE) -> fl
 # conserved ratio via the Wronskian of the solution basis
 
 
-def _second_solution_one_petal(family: MapFamily, w: np.ndarray):
-    """h(w) = f(1/w) from the closed form, with its w-derivative."""
-    v = 1.0 / w
-    # the closed form is analytic off [-1, 1]; 1/w sits inside the circle
-    # but away from the cut for every probe used here
-    h_step = np.minimum(FD_MAX_STEP, np.abs(v.imag) * FD_STEP_FRACTION)
-    vals, dvals, _ = _arc_derivatives(lambda q: _one_petal_values(family, q), v, h_step)
-    return vals, -dvals / (w * w)
+def _partner_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
+    """A second oscillator solution, for the Wronskian with the map.
 
-
-def _second_solution_two_petal(family: MapFamily, thetas: np.ndarray, rhos: np.ndarray):
-    """Transport conj-boundary data outward along rays with fixed-step RK4.
-
-    On the circle the reflected branch equals the conjugate of the map, which
-    seeds the oscillator equation; integrating to rho e^{i theta} stays clear
-    of the potential's poles for theta well inside (0, pi/2).  Returns (h, h')
-    at every rho e^{i theta}, theta-major.
-
-    The equation is linear, so each RK4 step acts on (h, h') as a 2x2
-    matrix, found by taking the step from the identity.  The matrices for a
-    block of steps on every ray are built at once, then applied in step order.
+    The map continued across the unit circle, h(w) = f(1/w), solves the
+    same equation.  For one-petal families that is the closed form at 1/w.
+    For two-petal families crossing the circle takes t = 4/p^2 across F's
+    cut at t > 1, where (DLMF 15.2.3) the continuation is
+    e^{-2i alpha} (f + 2 pi i K J) with K = Gamma(c) / (Gamma(a) Gamma(b)
+    Gamma(c-a-b+1)) and J = p (1-t)^(alpha/pi) (t-1)^(c-a-b)
+    F(c-a, c-b; c-a-b+1; 1-t).  Adding a multiple of f or a constant phase
+    leaves the Wronskian's modulus unchanged, so only 2 pi |K| J is
+    evaluated.  Its principal branches are analytic on the probe wedge,
+    where t lies in the lower half plane.
     """
-    seeds = np.exp(1j * thetas)
-    f0, fp0, _ = _tangential_derivatives(family, seeds)
-    nrho = len(rhos)
-    h0 = np.conj(f0).repeat(nrho)
-    hp0 = (-np.conj(fp0) / (seeds * seeds)).repeat(nrho)
-    y = np.stack([h0, hp0], axis=-1)[..., None]  # one (h, h') column per ray
-    # per-ray scalars keep a trailing axis so they broadcast against matrix rows
-    w0 = seeds.repeat(nrho)[:, None]
-    span = w0 * (np.tile(rhos, len(seeds))[:, None] - 1.0)
-
-    frac_a = family.alpha / math.pi
-    frac_b = family.beta / math.pi
-    ds = 1.0 / ODE_STEPS
-    # rows of the identity; the trailing axis is the matrix column
-    y0, y1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-
-    def rhs(r0, r1, w):
-        w2 = w * w
-        pot = 16.0 * frac_a * (1.0 - frac_a) * w2 / (w2 - 1.0) ** 2
-        pot -= 8.0 * frac_b * (1.0 - 2.0 * frac_b) * w2 / (w2 + 1.0) ** 2
-        return span * r1, span * ((2.0 / (w * (w2 - 1.0))) * r1 - pot * r0 / w2)
-
-    for start in range(0, ODE_STEPS, TRANSPORT_BLOCK):
-        s = np.arange(start, min(start + TRANSPORT_BLOCK, ODE_STEPS))[:, None, None] * ds
-        w = w0 + span * s
-        k1a, k1b = rhs(y0, y1, w)
-        k2a, k2b = rhs(y0 + 0.5 * ds * k1a, y1 + 0.5 * ds * k1b, w + 0.5 * ds * span)
-        k3a, k3b = rhs(y0 + 0.5 * ds * k2a, y1 + 0.5 * ds * k2b, w + 0.5 * ds * span)
-        k4a, k4b = rhs(y0 + ds * k3a, y1 + ds * k3b, w + ds * span)
-        steps = np.stack(
-            [
-                y0 + (ds / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-                y1 + (ds / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
-            ],
-            axis=-2,
-        )
-        for step in steps:
-            y = step @ y
-    return y[:, 0, 0], y[:, 1, 0]
+    if family.kind == "one-petal":
+        return _one_petal_values(family, 1.0 / w)
+    a = (family.alpha + family.beta) / math.pi - 0.5
+    b = (family.alpha - family.beta) / math.pi
+    cab = 0.5 - a - b  # c - a - b with c = 1/2
+    scale = 2.0 * math.pi * abs(_gamma_quotient((0.5,), (a, b, cab + 1.0)))
+    p = w + 1.0 / w
+    d = (w - 1.0) * (w + 1.0) / w
+    one_minus = d * d / (p * p)  # 1 - t, kept factored like the map's
+    hyp = hyp2f1_values(0.5 - a, 0.5 - b, cab + 1.0, one_minus)
+    return scale * p * _power(one_minus, family.alpha / math.pi) * _power(-one_minus, cab) * hyp
 
 
-def estimate_A(family: MapFamily, thetas=None, rhos=(1.7, 2.1)) -> RatioEstimate:
+def estimate_A(family: MapFamily) -> RatioEstimate:
     """Conserved ratio from the Wronskian of the two oscillator solutions.
 
-    The Wronskian combination w (f' h - f h') of the map with its reflected
-    partner equals the ratio times |w - 1/w| in modulus at every off-axis
-    probe; agreement across probes is the self-consistency measure.
+    The Wronskian combination w (f' h - f h') of the map with its partner
+    equals the ratio times |w - 1/w| in modulus at every off-axis probe;
+    agreement across probes is the self-consistency measure.  A collapsed
+    pattern, whose partner is a multiple of the map, has no ratio and
+    raises `VerificationError`.
     """
-    if thetas is None:
-        thetas = np.linspace(0.35, 1.15, 4)
-    thetas = np.asarray(thetas, dtype=float)
-    rhos = np.asarray(rhos, dtype=float)
-    w = (rhos[None, :] * np.exp(1j * thetas)[:, None]).ravel()
+    w = (WRONSKIAN_RHOS[None, :] * np.exp(1j * WRONSKIAN_THETAS)[:, None]).ravel()
     f, fp, _ = _tangential_derivatives(family, w)
-    if family.kind == "one-petal":
-        h, hp = _second_solution_one_petal(family, w)
-    else:
-        h, hp = _second_solution_two_petal(family, thetas, rhos)
+    h, hp, _ = _arc_derivatives(lambda q: _partner_values(family, q), w, _arc_step(family, w))
     samples = np.abs(w * (fp * h - f * hp)) / np.abs(w - 1.0 / w)
     mean = float(np.mean(samples))
+    if mean == 0.0:
+        raise VerificationError(
+            "%s is a collapsed pattern (beta = alpha or alpha + beta = pi/2): "
+            "the map's continuation across the unit circle is a multiple of the "
+            "map, so the Wronskian ratio is undefined" % family.label()
+        )
     spread = float((np.max(samples) - np.min(samples)) / mean)
     return RatioEstimate(mean, spread, samples)
 

@@ -147,6 +147,25 @@ def test_verify_failure_exit(capsys):
     assert "FAIL" in out and "conformality" in out
 
 
+def test_verify_collapsed_pattern_exit(tmp_path, capsys):
+    # beta = alpha leaves no Wronskian ratio to estimate: a runtime error,
+    # still reported, and with no NaN or Infinity in the JSON
+    rep = tmp_path / "rep.json"
+    code = run_cli(
+        "verify", "--family", "two-petal", "--alpha", "0.5", "--beta", "0.5", "--report", str(rep)
+    )
+    assert code == EXIT_RUNTIME
+
+    def reject(constant):
+        raise ValueError("%s is not JSON" % constant)
+
+    payload = json.loads(rep.read_text(), parse_constant=reject)
+    assert payload["all_passed"] is False
+    ratio = payload["checks"]["ratio_spread"]
+    assert ratio["residual"] is None and ratio["pass"] is False
+    assert "collapsed pattern" in ratio["detail"]
+
+
 def test_verify_tol_override(capsys):
     code = run_cli(
         "verify", "--family", "one-petal", "--alpha", "pi/4",

@@ -32,7 +32,7 @@ from petalmap import (
     two_petal_map,
     z_of_p,
 )
-from petalmap import maps
+from petalmap import maps, verify
 from petalmap.special_functions import _gamma_quotient, hyp2f1_values
 
 EXACT_TOL = 1e-13
@@ -564,18 +564,18 @@ def test_blocked_stencil_matches_nine_calls(family):
         want = reference_arc_derivatives(values, ring, h)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (family.label(), n)
-    if family.kind == "one-petal":
-        # the Wronskian probe differentiates the closed form at 1/w, inside the disk
-        v = 1.0 / (1.7 * np.exp(1j * np.linspace(0.2, 1.3, 8)))
-        h = np.minimum(maps.FD_MAX_STEP, np.abs(v.imag) * maps.FD_STEP_FRACTION)
+    # estimate_A differentiates its Wronskian partner, which is not a map on
+    # the sheet, with the same stencil and step rule
+    probes = 1.7 * np.exp(1j * np.linspace(0.35, 1.15, 8))
+    h = maps._arc_step(family, probes)
 
-        def closed_form(q):
-            return maps._one_petal_values(family, q)
+    def partner(q):
+        return verify._partner_values(family, q)
 
-        got = maps._arc_derivatives(closed_form, v, h)
-        want = reference_arc_derivatives(closed_form, v, h)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+    got = maps._arc_derivatives(partner, probes, h)
+    want = reference_arc_derivatives(partner, probes, h)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_stencil_map_calls(monkeypatch):
@@ -596,3 +596,27 @@ def test_stencil_map_calls(monkeypatch):
         map_derivative(fam, ring)
         assert len(sizes) == math.ceil(9 * n / maps.ARC_BLOCK), n
         assert sum(sizes) == 9 * n and max(sizes) <= maps.ARC_BLOCK
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        MapFamily.one_petal(0.3),
+        MapFamily.one_petal(math.pi / 3),
+        MapFamily.two_petal(math.pi / 4, math.pi / 8),
+        MapFamily.two_petal(math.pi / 3, math.pi / 4),
+    ],
+    ids=lambda f: f.label(),
+)
+def test_values_do_not_depend_on_batch_size(family):
+    # numpy reuses a temporary of 16384 complex points in place, which must
+    # not change a point's bits; on the unit circle every two-petal point
+    # takes the same 1/t route, so each 2F1 array has all 16384 points
+    n = 16384
+    ring = np.exp(1j * (np.arange(n) + 0.5) * (2.0 * math.pi / n))
+    for w in (ring, 1.3 * ring):
+        full = maps._values_on_sheet(family, w)
+        blocks = np.concatenate([maps._values_on_sheet(family, w[lo : lo + 128]) for lo in range(0, n, 128)])
+        assert np.array_equal(full, blocks)
+        alone = [maps._values_on_sheet(family, w[i : i + 1])[0] for i in range(0, n, 97)]
+        assert np.array_equal(full[::97], alone)

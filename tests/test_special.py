@@ -227,6 +227,23 @@ def test_series_shapes_through_hyp2f1_values(monkeypatch, a, b, c):
         assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize(
+    "radius, lo, hi",
+    # each set takes one route at every point: direct, Pfaff, 1/t
+    [(0.3, -1.2, 1.2), (0.5, 2.0, 4.2), (1.5, -math.pi, math.pi)],
+    ids=("direct", "pfaff", "inverse"),
+)
+def test_values_do_not_depend_on_batch_size(radius, lo, hi):
+    # numpy reuses a temporary of 16384 complex points in place, which must
+    # not change a point's bits
+    n = 16384
+    t = radius * np.exp(1j * np.linspace(lo, hi, n))
+    for a, b, c in [(0.3, -0.2, 0.5), (0.45, 0.15, 0.5)]:
+        full = hyp2f1_values(a, b, c, t)
+        blocks = np.concatenate([hyp2f1_values(a, b, c, t[k : k + 128]) for k in range(0, n, 128)])
+        assert np.array_equal(full, blocks)
+
+
 def test_convergence_error_names_unsettled_point(monkeypatch):
     # geometric series (a = b = c = 1): t = 0.9 settles after 328 terms,
     # t = -0.899 after 353 and t = 0.01 after 8; with a cap of 340 only
