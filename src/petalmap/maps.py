@@ -25,7 +25,7 @@ CORNER_REJECT = 1e-12        # evaluation radius around corner pre-images
 MODULUS_SLACK = 1e-12        # |w| >= 1 - slack counts as on-sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
-ARC_BLOCK = 4095             # map points per stencil call (455 centres x 9 rows); bounds derivative memory
+ARC_BLOCK = 2043             # map points per stencil call (227 centres x 9 rows); bounds derivative and series memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
 BRANCH_POINT_REJECT = 1e-9   # |p| must stay away from the branch points at +-2
@@ -390,6 +390,8 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None, guess=None)
 
     An iterate that steps inside the unit circle is mirrored to 1/conj(w),
     so every iterate, and the root returned, lies on the sheet |w| >= 1.
+    Each step makes one arc-stencil call: its centre value serves the
+    convergence test and its f' the step.
     """
     r = state.r if state is not None else 1.0
     target = complex(z) / r
@@ -399,11 +401,17 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None, guess=None)
     tol = NEWTON_TOL * (1.0 + abs(z))
     for _ in range(NEWTON_MAX_ITER):
         try:
-            val = evaluate_map(family, w)
-            err = abs(val * r - complex(z))
-            if err <= tol:
+            try:
+                values, derivs, _ = _tangential_derivatives(family, np.array([w]))
+            except (MapDomainError, Hyp2F1DomainError):
+                # a stencil point can leave the evaluable region while the
+                # centre converges; the centre's own error comes first
+                if abs(evaluate_map(family, w) * r - complex(z)) <= tol:
+                    return w
+                raise
+            val, deriv = complex(values[0]), complex(derivs[0])
+            if abs(val * r - complex(z)) <= tol:
                 return w
-            deriv = map_derivative(family, w)
         except (MapDomainError, Hyp2F1DomainError) as exc:
             raise InversionError("iteration left the evaluable region: %s" % exc, root=w) from exc
         if deriv == 0.0:

@@ -9,10 +9,18 @@ through it at once.  Each point takes one of four routes:
 - otherwise whichever of the direct series, the Pfaff transformation
   t/(t - 1) and the 1 - t connection has the smallest argument.
 
+A route does not sum its series itself: it queues each one as
+(a, b, c, argument) and returns a finisher that assembles its values from
+the sums.  `hyp2f1_values` sums the whole queue in one term loop
+(`_series_sums`) and then applies the finishers, so a call runs as many
+Python iterations as its longest series, however many series its routes
+need.
+
 The cut is [1, inf).  A point on it with a +0 imaginary part is rejected; a
 -0.0 imaginary part means the limit from below, which is mpmath's value on
 the cut and what numpy's signed-zero complex `log` gives.  `log_gamma` is a
-Lanczos log-gamma that also feeds the connection coefficients.
+Lanczos log-gamma that also feeds the connection coefficients, which
+`_gamma_quotient` memoizes per parameter set.
 
 A point's value does not depend on its batch.  numpy computes
 ``named * temporary`` as ``temporary *= named`` once the temporary reaches
@@ -24,7 +32,10 @@ temporary on the left.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
+from typing import Callable
 
 import numpy as np
 
@@ -82,6 +93,7 @@ def log_gamma(x) -> complex:
     return _HALF_LOG_TWO_PI + (z + 0.5) * cmath.log(base) - base + cmath.log(acc)
 
 
+@functools.lru_cache(maxsize=256)
 def _gamma_quotient(numerators, denominators) -> complex:
     """prod Gamma(numerators) / prod Gamma(denominators).
 
@@ -99,40 +111,75 @@ def _gamma_quotient(numerators, denominators) -> complex:
     return cmath.exp(total)
 
 
-def _series_sum(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
-    """Sum the Gauss series termwise for a batch of arguments.
+def _queued(queue: list, a: float, b: float, c: float, t) -> Callable:
+    """Queue one Gauss series for `_series_sums`; the finisher picks out its sum."""
+    queue.append((a, b, c, t))
+    return operator.itemgetter(len(queue) - 1)
+
+
+def _series_sums(queue: list) -> list:
+    """Sum every queued Gauss series (a, b, c, t) termwise in one loop.
 
     Callers guarantee every |t| is summable (< 1, or the series terminates
-    because a or b is a non-positive integer).  Each point stops on its own
-    once |term| <= TERM_TOL |partial sum|: the loop carries index, argument,
-    term and partial-sum arrays for the live points only and writes a
-    point's sum back when it converges, so a batch costs the sum of its
-    series lengths, not its size times the longest one.
+    because a or b is a non-positive integer).  The points of all entries
+    share the loop; a group index picks each point's term ratio from a
+    per-entry table, filled once per term from the same scalar expression a
+    lone series would use.  Each point stops on its own once |term| <=
+    TERM_TOL |partial sum|: the loop carries index, group, argument, term
+    and partial-sum arrays for the live points only and writes a point's sum
+    back when it converges.  So a call runs as many Python iterations as its
+    longest series, and its array work is the sum of the series lengths.
+    Returns one array per entry, shaped like its argument.
     """
-    t = np.asarray(t, dtype=complex)
-    out = np.ones(t.size, dtype=complex)
-    index = np.arange(t.size)
-    arg = t.reshape(-1)
-    term = np.ones(t.size, dtype=complex)
-    total = np.ones(t.size, dtype=complex)
+    if not queue:
+        return []
+    args = [np.asarray(t, dtype=complex) for _, _, _, t in queue]
+    sizes = [t.size for t in args]
+    arg = np.concatenate([t.reshape(-1) for t in args])
+    group = np.repeat(np.arange(len(args)), sizes)
+    index = np.arange(arg.size)
+    out = np.empty(arg.size, dtype=complex)
+    term = np.ones(arg.size, dtype=complex)
+    total = np.ones(arg.size, dtype=complex)
+    params = [(a, b, c) for a, b, c, _ in queue]
+    ratios = np.empty(len(params))
     for n in range(1, MAX_TERMS + 1):
         if not index.size:
             break
-        ratio = (a + n - 1.0) * (b + n - 1.0) / ((c + n - 1.0) * n)
-        step = ratio * arg
+        for k, (a, b, c) in enumerate(params):
+            ratios[k] = (a + n - 1.0) * (b + n - 1.0) / ((c + n - 1.0) * n)
+        step = ratios[group] * arg
         term = term * step
         total = total + term
         live = np.abs(term) > TERM_TOL * np.abs(total)
         if not live.all():
             out[index[~live]] = total[~live]
-            index, arg, term, total = index[live], arg[live], term[live], total[live]
+            # one array at a time, so the old and new copies never all coexist
+            index = index[live]
+            group = group[live]
+            arg = arg[live]
+            term = term[live]
+            total = total[live]
     if index.size:
         # name the worst point still summing, not one that settled long ago
         worst = arg[int(np.argmax(np.abs(arg)))]
         raise Hyp2F1ConvergenceError(
             "series did not settle in %d terms (argument near %r)" % (MAX_TERMS, worst)
         )
-    return out.reshape(t.shape)
+    sums = np.split(out, np.cumsum(sizes)[:-1])
+    return [total.reshape(t.shape) for total, t in zip(sums, args)]
+
+
+def _scatter(shape: tuple, parts: list) -> Callable:
+    """Finisher writing each (mask, finisher) part's values into one array."""
+
+    def finish(sums):
+        out = np.empty(shape, dtype=complex)
+        for mask, part in parts:
+            out[mask] = part(sums)
+        return out
+
+    return finish
 
 
 def _euler_blocked(a: float, b: float, c: float) -> bool:
@@ -140,23 +187,23 @@ def _euler_blocked(a: float, b: float, c: float) -> bool:
     return abs(cab - round(cab)) < EULER_PARAM_GUARD
 
 
-def _euler_connection(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
+def _euler_connection(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Callable:
     """Evaluate through the argument 1 - t; requires c - a - b off the integers."""
     cab = c - a - b
     one_minus = 1.0 - t
     coeff_direct = _gamma_quotient((c, cab), (c - a, c - b))
     coeff_power = _gamma_quotient((c, -cab), (a, b))
-    first = _series_sum(a, b, a + b - c + 1.0, one_minus)
-    second = _series_sum(c - a, c - b, cab + 1.0, one_minus)
+    first = _queued(queue, a, b, a + b - c + 1.0, one_minus)
+    second = _queued(queue, c - a, c - b, cab + 1.0, one_minus)
     power = np.exp(cab * np.log(one_minus))
-    return coeff_direct * first + coeff_power * power * second
+    return lambda sums: coeff_direct * first(sums) + coeff_power * power * second(sums)
 
 
 def _terminates(a: float, b: float) -> bool:
     return _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
 
 
-def _inverse_connection(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
+def _inverse_connection(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Callable:
     """Evaluate |t| > 1 through the argument 1/t; a - b is moved off the integers.
 
     At integer a - b the two exponents at infinity collide and Gamma(a - b)
@@ -166,31 +213,30 @@ def _inverse_connection(a: float, b: float, c: float, t: np.ndarray) -> np.ndarr
     """
     amb = a - b
     if abs(amb - round(amb)) < DEGENERATE_SHIFT:
-        lo = _inverse_connection(a - DEGENERATE_SHIFT, b + DEGENERATE_SHIFT, c, t)
-        hi = _inverse_connection(a + DEGENERATE_SHIFT, b - DEGENERATE_SHIFT, c, t)
-        return 0.5 * (lo + hi)
+        lo = _inverse_connection(a - DEGENERATE_SHIFT, b + DEGENERATE_SHIFT, c, t, queue)
+        hi = _inverse_connection(a + DEGENERATE_SHIFT, b - DEGENERATE_SHIFT, c, t, queue)
+        return lambda sums: 0.5 * (lo(sums) + hi(sums))
     inv = 1.0 / t
     log_minus = np.log(-t)
     # the inner functions go through the |t| <= 1 routes only: with |t| = 1
     # up to rounding, 1/t may again have modulus above 1
-    power = np.exp(-a * log_minus)
-    inner = _disk_values(a, a - c + 1.0, amb + 1.0, inv)
-    first = _gamma_quotient((c, -amb), (b, c - a)) * power * inner
-    power = np.exp(-b * log_minus)
-    inner = _disk_values(b, b - c + 1.0, 1.0 - amb, inv)
-    second = _gamma_quotient((c, amb), (a, c - b)) * power * inner
-    return first + second
+    power_a = np.exp(-a * log_minus)
+    inner_a = _disk_values(a, a - c + 1.0, amb + 1.0, inv, queue)
+    coeff_a = _gamma_quotient((c, -amb), (b, c - a))
+    power_b = np.exp(-b * log_minus)
+    inner_b = _disk_values(b, b - c + 1.0, 1.0 - amb, inv, queue)
+    coeff_b = _gamma_quotient((c, amb), (a, c - b))
+    return lambda sums: coeff_a * power_a * inner_a(sums) + coeff_b * power_b * inner_b(sums)
 
 
-def _disk_values(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
+def _disk_values(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Callable:
     """Route each point to the direct series, Pfaff t/(t-1) or the 1-t connection.
 
     The representation with the smallest effective argument wins; moduli up
     to ``TRANSFORM_RADIUS`` are accepted at the cost of a longer summation.
     """
     if _terminates(a, b):
-        return _series_sum(a, b, c, t)
-    out = np.empty(t.shape, dtype=complex)
+        return _queued(queue, a, b, c, t)
     m_direct = np.abs(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         pfaff_arg = t / (t - 1.0)
@@ -207,19 +253,19 @@ def _disk_values(a: float, b: float, c: float, t: np.ndarray) -> np.ndarray:
             "argument not reachable by any implemented transformation"
         )
 
+    parts = []
     direct_mask = route == 0
     if direct_mask.any():
-        out[direct_mask] = _series_sum(a, b, c, t[direct_mask])
+        parts.append((direct_mask, _queued(queue, a, b, c, t[direct_mask])))
     pfaff_mask = route == 1
     if pfaff_mask.any():
-        u = pfaff_arg[pfaff_mask]
         prefactor = np.exp(-a * np.log(1.0 - t[pfaff_mask]))
-        inner = _series_sum(a, c - b, c, u)
-        out[pfaff_mask] = prefactor * inner
+        inner = _queued(queue, a, c - b, c, pfaff_arg[pfaff_mask])
+        parts.append((pfaff_mask, lambda sums: prefactor * inner(sums)))
     euler_mask = route == 2
     if euler_mask.any():
-        out[euler_mask] = _euler_connection(a, b, c, t[euler_mask])
-    return out
+        parts.append((euler_mask, _euler_connection(a, b, c, t[euler_mask], queue)))
+    return _scatter(t.shape, parts)
 
 
 def hyp2f1_values(a: float, b: float, c: float, t) -> np.ndarray:
@@ -227,24 +273,27 @@ def hyp2f1_values(a: float, b: float, c: float, t) -> np.ndarray:
 
     Points with |t| > 1 take the 1/t connection, the rest `_disk_values`;
     terminating series (a or b a non-positive integer) are summed directly
-    at every argument.
+    at every argument.  The routes queue their series, `_series_sums` sums
+    the queue in one loop, and the routes' finishers assemble the values.
     """
     if _is_nonpositive_integer(c):
         raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
     t = np.asarray(t, dtype=complex)
     if _terminates(a, b):
-        return _series_sum(a, b, c, t)
+        return _series_sums([(a, b, c, t)])[0]
 
     # t = 1 is the branch point; the rest of the cut has a side only with -0.0
     on_cut = (t.imag == 0.0) & ((t.real == 1.0) | ((t.real > 1.0) & ~np.signbit(t.imag)))
     if on_cut.any():
         raise Hyp2F1DomainError("argument on the cut [1, inf)")
 
+    queue: list = []
     outer = np.abs(t) > 1.0
     if not outer.any():
-        return _disk_values(a, b, c, t)
-    out = np.empty(t.shape, dtype=complex)
-    out[outer] = _inverse_connection(a, b, c, t[outer])
-    if not outer.all():
-        out[~outer] = _disk_values(a, b, c, t[~outer])
-    return out
+        finish = _disk_values(a, b, c, t, queue)
+    else:
+        parts = [(outer, _inverse_connection(a, b, c, t[outer], queue))]
+        if not outer.all():
+            parts.append((~outer, _disk_values(a, b, c, t[~outer], queue)))
+        finish = _scatter(t.shape, parts)
+    return finish(_series_sums(queue))

@@ -33,7 +33,7 @@ from petalmap import (
     z_of_p,
 )
 from petalmap import maps, verify
-from petalmap.special_functions import _gamma_quotient, hyp2f1_values
+from petalmap.special_functions import Hyp2F1DomainError, _gamma_quotient, hyp2f1_values
 
 EXACT_TOL = 1e-13
 CROSS_ORACLE_TOL = 1e-12
@@ -404,6 +404,98 @@ def test_invert_recovers_sheet_points():
         assert abs(w - w0) <= 1e-8 * abs(w0), (family.label(), w0)
 
 
+def reference_invert(family, z, state=None, guess=None):
+    """The two-call Newton loop (`evaluate_map`, then `map_derivative`) that
+    `invert_map`'s one-stencil step replaced, kept verbatim."""
+    r = state.r if state is not None else 1.0
+    target = complex(z) / r
+    w = complex(guess) if guess is not None else target
+    if abs(w) < 1.0:
+        w = 1.5 + 0.5j if w == 0.0 else 1.2 * w / abs(w)
+    tol = maps.NEWTON_TOL * (1.0 + abs(z))
+    for _ in range(maps.NEWTON_MAX_ITER):
+        try:
+            val = evaluate_map(family, w)
+            err = abs(val * r - complex(z))
+            if err <= tol:
+                return w
+            deriv = map_derivative(family, w)
+        except (MapDomainError, Hyp2F1DomainError) as exc:
+            raise InversionError("iteration left the evaluable region: %s" % exc, root=w) from exc
+        if deriv == 0.0:
+            raise InversionError("stationary point reached", root=w)
+        w = w - (val - target) / deriv
+        if abs(w) < 1.0:
+            # mirror it back onto the sheet; a shortened step could stop
+            # within MODULUS_SLACK inside the circle, where the values are not
+            # the analytic continuation Newton steps along
+            w = 1.0 / w.conjugate()
+    raise InversionError("no convergence in %d iterations" % maps.NEWTON_MAX_ITER, root=w)
+
+
+def outcome(invert, family, z, state, guess=None):
+    """The root, or the exception type, message and last iterate."""
+    try:
+        return invert(family, z, state=state, guess=guess)
+    except InversionError as exc:
+        return type(exc), str(exc), exc.root
+
+
+# a two-petal item next to w = 1: after a mirroring, Newton walks along the
+# circle until the iteration cap
+INVERT_FAILING = [
+    (
+        MapFamily.two_petal(0.3139480760664852, 0.2063481626061987),
+        1.0089726833452017 - 0.05656545847067075j,
+        TimeState(1.5261641444420433, 1.6764625527767474),
+    ),
+]
+
+
+def test_one_stencil_newton_matches_two_call_loop():
+    # the stencil's centre value and f' are the bits evaluate_map and
+    # map_derivative give, so roots and failures must not move
+    items = [(family, scaled_map(family, state, w0), state) for family, w0, state in INVERT_RECOVERED + INVERT_FAILING]
+    items.append((MapFamily.two_petal(math.pi / 4, math.pi / 8), 1.3158 + 1.5j, None))
+    items.append((LEMNISCATE, 0.3 + 0.4j, None))
+    outcomes = []
+    for family, z, state in items:
+        got, want = outcome(invert_map, family, z, state), outcome(reference_invert, family, z, state)
+        assert got == want, (family.label(), z)
+        outcomes.append(got)
+    assert [isinstance(o, tuple) for o in outcomes] == [False] * len(INVERT_RECOVERED) + [True] * 3
+    assert "no convergence" in outcomes[len(INVERT_RECOVERED)][1]
+    # started on its root next to the region no 2F1 route reaches: the
+    # centre converges although a stencil point is out of reach
+    family, w0 = MapFamily.two_petal(math.pi / 4, math.pi / 8), 1.3525136496613666 + 1.423431662496373j
+    with pytest.raises(Hyp2F1DomainError):
+        map_derivative(family, w0)
+    z = evaluate_map(family, w0)
+    assert outcome(invert_map, family, z, None, w0) == outcome(reference_invert, family, z, None, w0) == w0
+
+
+def test_newton_step_makes_one_stencil_call(monkeypatch):
+    # away from the 2F1 blind spot a step is one 9-point map call, with no
+    # separate value or derivative call
+    family, w0, state = INVERT_RECOVERED[3]
+    z = scaled_map(family, state, w0)
+    sizes = []
+    inner = maps._values_on_sheet
+
+    def counting(family, pts):
+        sizes.append(pts.size)
+        return inner(family, pts)
+
+    def unused(*args):
+        raise AssertionError("separate value or derivative call")
+
+    monkeypatch.setattr(maps, "_values_on_sheet", counting)
+    monkeypatch.setattr(maps, "evaluate_map", unused)
+    monkeypatch.setattr(maps, "map_derivative", unused)
+    assert abs(invert_map(family, z, state=state) - w0) <= 1e-8 * abs(w0)
+    assert sizes and set(sizes) == {9}
+
+
 # ---------------------------------------------------------------------------
 # scaling, traces, Laurent data
 
@@ -540,7 +632,7 @@ def test_one_petal_bracket_two_logs():
     assert np.array_equal(maps._one_petal_bracket(0.2, x), reference_one_petal_bracket(0.2, x))
 
 
-# 1000 points span three blocks of ARC_BLOCK // 9 centres, the last one short
+# 1000 points span five blocks of ARC_BLOCK // 9 centres, the last one short
 STENCIL_RING_SIZES = (1, 7, 2048, 1000)
 STENCIL_FAMILIES = [
     MapFamily.one_petal(math.pi / 3),

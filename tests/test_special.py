@@ -154,6 +154,17 @@ def test_degenerate_window_averages():
     assert worst <= 1e-7
 
 
+def test_degenerate_window_is_mean_of_offsets():
+    # both offset connections share the window's series loop; each summed in
+    # a call of its own gives the same bits, and the window is their mean
+    shift = special_functions.DEGENERATE_SHIFT
+    t = 1.6 * np.exp(1j * np.linspace(-3.0, 3.0, 40))
+    for a, b in [(0.25, 0.25), (1.0 / 12.0, 1.0 / 12.0), (0.4, -0.6)]:
+        lo = hyp2f1_values(a - shift, b + shift, 0.5, t)
+        hi = hyp2f1_values(a + shift, b - shift, 0.5, t)
+        assert np.array_equal(hyp2f1_values(a, b, 0.5, t), 0.5 * (lo + hi)), (a, b)
+
+
 def test_unreachable_argument_rejected():
     # |t| = 1 near e^{+-i pi/3}: no route, nor 1/t, brings these inside the
     # summation radius
@@ -176,7 +187,7 @@ def test_lower_parameter_validation():
 
 
 def reference_series_sum(a, b, c, t):
-    """The all-points series loop that `_series_sum` replaced, kept verbatim."""
+    """The all-points loop of a single series that `_series_sums` replaced, kept verbatim."""
     t = np.asarray(t, dtype=complex)
     total = np.ones(t.shape, dtype=complex)
     term = np.ones(t.shape, dtype=complex)
@@ -191,6 +202,21 @@ def reference_series_sum(a, b, c, t):
     raise AssertionError("reference loop did not settle")
 
 
+def reference_series_sums(queue):
+    """Each queued series summed alone by `reference_series_sum`.
+
+    The reference loop on a 0-d argument runs on numpy scalars, whose
+    complex product rounds differently from the array product; the merged
+    loop sums a 0-d argument as a 1-element array, so compare to that.
+    """
+    return [reference_series_sum(a, b, c, np.reshape(t, -1)).reshape(np.shape(t)) for a, b, c, t in queue]
+
+
+def series_sum(a, b, c, t):
+    """One series through the merged loop."""
+    return special_functions._series_sums([(a, b, c, t)])[0]
+
+
 def mixed_moduli(n, seed=7):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.01, 0.95, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
@@ -200,28 +226,56 @@ def test_series_sum_matches_all_points_loop():
     # converged points leave the loop early; their sums must not move a bit
     t = mixed_moduli(3000)
     for a, b, c in [(0.25, -0.25, 0.5), (0.31, 0.07, 0.5), (1.3, 0.6, 1.7)]:
-        got = special_functions._series_sum(a, b, c, t)
+        got = series_sum(a, b, c, t)
         assert np.array_equal(got, reference_series_sum(a, b, c, t))
     # a = -3 terminates: every term past the cubic is exactly zero
     t = np.concatenate([t, [4.0, -7.5, 2.0 + 3.0j]])
-    got = special_functions._series_sum(-3.0, 0.7, 1.3, t)
+    got = series_sum(-3.0, 0.7, 1.3, t)
     assert np.array_equal(got, reference_series_sum(-3.0, 0.7, 1.3, t))
 
 
-@pytest.mark.parametrize("a, b, c", [(0.25, -0.25, 0.5), (0.4, 0.15, 0.5), (-3.0, 0.7, 1.3)])
+def test_merged_loop_matches_each_entry_alone():
+    # one loop over a mixed queue gives every entry the bits of its own
+    # loop: different (a, b, c), a terminating entry, an empty one, a 0-d
+    # argument, and more than 16384 points in all
+    queue = [
+        (0.25, -0.25, 0.5, mixed_moduli(9000, seed=1)),
+        (1.3, 0.6, 1.7, mixed_moduli(6000, seed=2).reshape(60, 100)),
+        (-3.0, 0.7, 1.3, np.concatenate([mixed_moduli(40, seed=3), [4.0, -7.5, 2.0 + 3.0j]])),
+        (0.31, 0.07, 0.5, np.zeros((0, 4), dtype=complex)),
+        (0.45, 0.15, 0.5, np.asarray(0.35 - 0.4j)),
+        (0.31, 0.07, 0.5, mixed_moduli(2000, seed=4)),
+    ]
+    assert sum(np.size(t) for *_, t in queue) > 16384
+    got = special_functions._series_sums(queue)
+    want = reference_series_sums(queue)
+    assert len(got) == len(queue)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+    # and alone, where a 0-d argument is the loop's only point
+    for entry, w in zip(queue, want):
+        (g,) = special_functions._series_sums([entry])
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+    assert special_functions._series_sums([]) == []
+
+
+@pytest.mark.parametrize("a, b, c", [(0.25, -0.25, 0.5), (0.4, 0.15, 0.5), (0.25, 0.25, 0.5), (-3.0, 0.7, 1.3)])
 def test_series_shapes_through_hyp2f1_values(monkeypatch, a, b, c):
+    # (0.25, 0.25) has a - b = 0 and takes the averaged 1/t route
     grid = mixed_moduli(60, seed=11).reshape(6, 10) * 1.4
     scalar = np.asarray(0.35 - 0.4j)
     got = [hyp2f1_values(a, b, c, grid), hyp2f1_values(a, b, c, scalar)]
-    # the reference loop on a 0-d argument runs on numpy scalars, whose
-    # complex product rounds differently from the array product; the new
-    # loop sums a 0-d argument as a 1-element array, so compare to that
-    monkeypatch.setattr(
-        special_functions,
-        "_series_sum",
-        lambda a, b, c, t: reference_series_sum(a, b, c, np.reshape(t, -1)).reshape(np.shape(t)),
-    )
+    queues = []
+
+    def reference(queue):
+        queues.append(len(queue))
+        return reference_series_sums(queue)
+
+    monkeypatch.setattr(special_functions, "_series_sums", reference)
     want = [hyp2f1_values(a, b, c, grid), hyp2f1_values(a, b, c, scalar)]
+    assert len(queues) == 2 and min(queues) >= 1
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
@@ -251,7 +305,7 @@ def test_convergence_error_names_unsettled_point(monkeypatch):
     monkeypatch.setattr(special_functions, "MAX_TERMS", 340)
     t = np.array([0.01, 0.9, 0.01j, -0.899, -0.01])
     with pytest.raises(Hyp2F1ConvergenceError, match=r"-0\.899"):
-        special_functions._series_sum(1.0, 1.0, 1.0, t)
+        series_sum(1.0, 1.0, 1.0, t)
     # a mix of |t| = 0.01 and 0.9 under a 40-term cap names a 0.9 point;
     # 0.9 e^{i pi/3} is summed directly (|t| < |1 - t| < 1)
     monkeypatch.setattr(special_functions, "MAX_TERMS", 40)
@@ -269,7 +323,7 @@ def test_empty_argument_returns_at_once(monkeypatch):
     for a in (-3.0, 0.3):
         out = hyp2f1_values(a, 0.7, 1.3, np.array([], dtype=complex))
         assert out.shape == (0,)
-    assert special_functions._series_sum(0.3, 0.7, 1.3, np.zeros((0, 4))).shape == (0, 4)
+    assert series_sum(0.3, 0.7, 1.3, np.zeros((0, 4))).shape == (0, 4)
     assert time.perf_counter() - start < 1.0
 
 
