@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_angle(text: str) -> float:
-    """Angles as plain decimals or rational multiples of pi like '3pi/16'."""
+    """Angles as finite plain decimals or rational multiples of pi like '3pi/16'."""
     m = _ANGLE_RE.match(text)
     if m:
         numerator = int(m.group(1)) if m.group(1) else 1
@@ -61,18 +61,24 @@ def parse_angle(text: str) -> float:
             raise UsageError("zero denominator in angle %r" % text)
         return numerator * math.pi / denominator
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise UsageError("cannot parse angle %r" % text) from None
+    if not math.isfinite(value):
+        raise UsageError("angle %r is not finite" % text)
+    return value
 
 
 def parse_complex(text: str) -> complex:
-    """Points like 1+2i or 0.8j; both imaginary-unit spellings are fine."""
+    """Finite points like 1+2i or 0.8j; both imaginary-unit spellings are fine."""
     cleaned = text.replace(" ", "").replace("i", "j").replace("I", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise UsageError("cannot parse complex number %r" % text) from None
+    if not cmath.isfinite(value):
+        raise UsageError("complex number %r is not finite" % text)
+    return value
 
 
 def parse_grid(text: str, flag: str) -> list[float]:
@@ -185,7 +191,7 @@ def cmd_verify(args) -> int:
             value = float(raw)
         except ValueError:
             raise UsageError("bad tolerance value in %r" % item) from None
-        if value <= 0.0:
+        if not value > 0.0:  # nan too; inf disables the check
             raise UsageError("tolerance must be positive in %r" % item)
         overrides[name.strip()] = value
     try:

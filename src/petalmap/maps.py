@@ -109,8 +109,10 @@ class TimeState:
     A: float = 1.0
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.A <= 0.0:
-            raise ValueError("T and A must be positive")
+        # nan fails every comparison; the scale T/A must not overflow or underflow
+        finite = 0.0 < self.T < math.inf and 0.0 < self.A < math.inf
+        if not (finite and 0.0 < self.r < math.inf):
+            raise ValueError("T, A and the scale T/A must be positive and finite")
 
     @property
     def r(self) -> float:
@@ -212,16 +214,6 @@ def _one_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     return w * trunk * _one_petal_bracket(family.gamma, a)
 
 
-def one_petal_map(family: MapFamily, w):
-    """Normalized map of the one-petal family on |w| >= 1."""
-    if family.kind != "one-petal":
-        raise ValueError("family is not one-petal")
-    pts, shape, scalar = _as_points(w)
-    _check_sheet(family, pts)
-    vals = _one_petal_values(family, pts)
-    return complex(vals[0]) if scalar else vals.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # two-petal family
 
@@ -259,16 +251,6 @@ def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     return _two_petal_in_p(family, w + 1.0 / w, d * d, w.imag < 0.0)
 
 
-def two_petal_map(family: MapFamily, w):
-    """Normalized map of the two-petal family on |w| >= 1."""
-    if family.kind != "two-petal":
-        raise ValueError("family is not two-petal")
-    pts, shape, scalar = _as_points(w)
-    _check_sheet(family, pts)
-    vals = _two_petal_values(family, pts)
-    return complex(vals[0]) if scalar else vals.reshape(shape)
-
-
 def z_of_p(family: MapFamily, p):
     """Two-petal pattern in the upper-map variable p = w + 1/w.
 
@@ -289,10 +271,11 @@ def z_of_p(family: MapFamily, p):
 
 
 def evaluate_map(family: MapFamily, w):
-    """Family-dispatched normalized map value."""
-    if family.kind == "one-petal":
-        return one_petal_map(family, w)
-    return two_petal_map(family, w)
+    """Normalized map of the family on the sheet |w| >= 1."""
+    pts, shape, scalar = _as_points(w)
+    _check_sheet(family, pts)
+    vals = _values_on_sheet(family, pts)
+    return complex(vals[0]) if scalar else vals.reshape(shape)
 
 
 def _values_on_sheet(family: MapFamily, pts: np.ndarray) -> np.ndarray:
@@ -466,25 +449,22 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
     return BoundaryTrace(family, state, phis, points)
 
 
-def laurent_coefficients(family: MapFamily, kmax: int = 16, radius: float = 2.5, n: int = 256) -> LaurentCoefficients:
-    """Expansion data at infinity from circle averages at ``radius``.
+def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:
+    """Expansion data at infinity from 256-point circle averages at radius 2.5.
 
     The sampling circle stays well away from the corners, so truncation
-    aliasing is below double rounding for kmax << n.
+    aliasing of the coefficients through 1/w^16 is below double rounding.
     """
-    if kmax < 1 or kmax > n // 4:
-        raise ValueError("kmax must lie in [1, n/4]")
-    if radius <= 1.2:
-        raise ValueError("sampling radius too close to the unit circle")
-    phis = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    radius = 2.5
+    phis = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
     ring = np.exp(1j * phis)
     vals = _values_on_sheet(family, radius * ring)
 
     lead = np.mean(vals * np.exp(-1j * phis)) / radius
     max_imag = abs(lead.imag)
     conformal_radius = float(lead.real)
-    coefficients = np.empty(kmax + 1)
-    for k in range(kmax + 1):
+    coefficients = np.empty(17)
+    for k in range(17):
         raw = np.mean(vals * np.exp(1j * k * phis)) * radius**k
         max_imag = max(max_imag, abs(raw.imag))
         coefficients[k] = raw.real

@@ -31,7 +31,7 @@ def gauss_legendre_unit(n: int):
     return u, du
 
 
-def singular_endpoint_quadrature(integrand, interval, exponents, n=200) -> complex:
+def singular_endpoint_quadrature(integrand, interval, exponents, n=200):
     """Integrate f over [a, b] where f ~ (x-a)^mu_a and ~ (b-x)^mu_b at the ends.
 
     Power substitutions x = a + (m-a) u^q with q = 2/(1+mu) flatten each
@@ -39,7 +39,8 @@ def singular_endpoint_quadrature(integrand, interval, exponents, n=200) -> compl
     Exponents must be integrable (mu > -1).
 
     ``integrand`` is called once per half-interval with a 1-d float array of
-    ``n`` nodes and must return an array of the same shape.
+    ``n`` nodes and must return an array whose last axis runs over them; the
+    sum runs over that axis, so a (k, n) integrand gives k integrals.
     """
     a, b = float(interval[0]), float(interval[1])
     mu_a, mu_b = float(exponents[0]), float(exponents[1])
@@ -52,18 +53,17 @@ def singular_endpoint_quadrature(integrand, interval, exponents, n=200) -> compl
 
     def piece(x, jac):
         values = np.asarray(integrand(x))
-        if values.shape != x.shape:
-            raise ValueError("integrand must return an array shaped like its argument")
-        return np.sum(values * jac * du)
+        if values.shape[-1:] != x.shape:
+            raise ValueError("integrand's last axis must match its argument")
+        return np.sum(values * jac * du, axis=-1)
 
-    total = 0.0 + 0.0j
     # left piece, substitution clustered at a
     q = 2.0 / (1.0 + mu_a)
-    total += piece(a + (mid - a) * u**q, (mid - a) * q * u ** (q - 1.0))
+    left = piece(a + (mid - a) * u**q, (mid - a) * q * u ** (q - 1.0))
     # right piece, mirrored
     q = 2.0 / (1.0 + mu_b)
-    total += piece(b - (b - mid) * u**q, (b - mid) * q * u ** (q - 1.0))
-    return complex(total)
+    right = piece(b - (b - mid) * u**q, (b - mid) * q * u ** (q - 1.0))
+    return left + right
 
 
 def winding_number(points, z0) -> int:

@@ -209,13 +209,21 @@ def _inverse_connection(a: float, b: float, c: float, t: np.ndarray, queue: list
     At integer a - b the two exponents at infinity collide and Gamma(a - b)
     or Gamma(b - a) has a pole, so a window around them averages the
     symmetric offsets a +- shift, b -+ shift (even-order error in the
-    shift).  Both offsets move a - b by twice the shift, out of the window.
+    shift).  Each offset is evaluated directly: from the window's edge one
+    offset lands just inside the window on the other side of the pole,
+    where the plain formula still holds.
     """
     amb = a - b
     if abs(amb - round(amb)) < DEGENERATE_SHIFT:
-        lo = _inverse_connection(a - DEGENERATE_SHIFT, b + DEGENERATE_SHIFT, c, t, queue)
-        hi = _inverse_connection(a + DEGENERATE_SHIFT, b - DEGENERATE_SHIFT, c, t, queue)
+        lo = _inverse_terms(a - DEGENERATE_SHIFT, b + DEGENERATE_SHIFT, c, t, queue)
+        hi = _inverse_terms(a + DEGENERATE_SHIFT, b - DEGENERATE_SHIFT, c, t, queue)
         return lambda sums: 0.5 * (lo(sums) + hi(sums))
+    return _inverse_terms(a, b, c, t, queue)
+
+
+def _inverse_terms(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Callable:
+    """The 1/t connection (A&S 15.3.7) itself; a - b must not be an integer."""
+    amb = a - b
     inv = 1.0 / t
     log_minus = np.log(-t)
     # the inner functions go through the |t| <= 1 routes only: with |t| = 1

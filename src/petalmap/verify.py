@@ -55,6 +55,22 @@ INTERIOR_MARGIN = 0.02       # Cauchy samples stay this fraction of diameter off
 # of the corners, the only region where the partner's branches are checked
 WRONSKIAN_THETAS = np.linspace(0.35, 1.15, 4)
 WRONSKIAN_RHOS = np.array([1.7, 2.1])
+# integral-identity probes: 12 on the real axis, 8 scattered off it
+INTEGRAL_PROBES = np.concatenate(
+    [
+        np.linspace(1.05, 5.0, 12).astype(complex),
+        [
+            1.3 * cmath.exp(0.4j),
+            1.6 * cmath.exp(1.1j),
+            2.2 * cmath.exp(0.8j),
+            3.0 * cmath.exp(2.3j),
+            1.4 * cmath.exp(-0.7j),
+            2.6 * cmath.exp(-1.9j),
+            1.9 * cmath.exp(2.9j),
+            4.1 * cmath.exp(-2.5j),
+        ],
+    ]
+)
 
 DEFAULT_TOLERANCES = {
     "oddness": 1e-10,
@@ -165,10 +181,10 @@ class SweepResult:
 # oscillator equation
 
 
-def ode_residual(family: MapFamily, n: int = 64, radius: float = RING_ODE) -> float:
-    """Worst normalized residual of the self-similar oscillator equation."""
-    phis = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    pts = radius * np.exp(1j * phis)
+def ode_residual(family: MapFamily) -> float:
+    """Worst normalized residual of the self-similar oscillator equation, 64 ring points."""
+    phis = (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
+    pts = RING_ODE * np.exp(1j * phis)
     f, fp, fpp = _tangential_derivatives(family, pts)
     v = potential_V(family, pts)
     lhs = pts * pts * fpp - (2.0 * pts / (pts * pts - 1.0)) * fp + v * f
@@ -234,15 +250,16 @@ def estimate_A(family: MapFamily) -> RatioEstimate:
 # boundary identities
 
 
-def dynamical_residual(family: MapFamily, ratio: float | None = None, n: int = 128) -> float:
+def dynamical_residual(family: MapFamily, ratio: float | None = None) -> float:
     """Worst mismatch of the boundary evolution identity, per unit scale.
 
-    Both sides grow linearly with the scale factor, so the residual is
-    reported for the normalized map; it is invariant under time scaling.
+    It is taken at 128 points of the unit circle.  Both sides grow linearly
+    with the scale factor, so the residual is reported for the normalized
+    map; it is invariant under time scaling.
     """
     if ratio is None:
         ratio = estimate_A(family).value
-    phis = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    phis = (np.arange(128) + 0.5) * (2.0 * math.pi / 128)
     ring = np.exp(1j * phis)
     f, fp, _ = _tangential_derivatives(family, ring)
     lhs = (2.0 / ratio) * np.real(ring * fp * np.conj(f))
@@ -250,11 +267,11 @@ def dynamical_residual(family: MapFamily, ratio: float | None = None, n: int = 1
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def darcy_check(family: MapFamily, ratio: float | None = None, n: int = 256) -> float:
-    """Relative mismatch between kinematic and Darcy normal velocities."""
+def darcy_check(family: MapFamily, ratio: float | None = None) -> float:
+    """Relative mismatch of kinematic and Darcy normal velocities at 256 boundary points."""
     if ratio is None:
         ratio = estimate_A(family).value
-    phis = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    phis = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
     ring = np.exp(1j * phis)
     f, fp, _ = _tangential_derivatives(family, ring)
     speed = np.abs(fp)
@@ -267,7 +284,7 @@ def darcy_check(family: MapFamily, ratio: float | None = None, n: int = 256) -> 
 # conformality
 
 
-def conformality_check(family: MapFamily, epsilon: float = CONFORMAL_RING_EPS, n: int = CONFORMAL_SAMPLES):
+def conformality_check(family: MapFamily, n: int = CONFORMAL_SAMPLES):
     """Count zeros of f' outside the unit circle by its winding on a tight ring.
 
     Returns (winding, ok); the map is locally invertible on the exterior iff
@@ -275,9 +292,7 @@ def conformality_check(family: MapFamily, epsilon: float = CONFORMAL_RING_EPS, n
     pre-images sit exactly on |w| = 1) makes the count unstable, in which case
     the ring is pushed out once before giving up.
     """
-    if not 1e-5 <= epsilon <= 0.2:
-        raise ValueError("epsilon outside [1e-5, 0.2]")
-    for ring_eps in (epsilon, 2.0 * epsilon):
+    for ring_eps in (CONFORMAL_RING_EPS, 2.0 * CONFORMAL_RING_EPS):
         radius = math.exp(ring_eps)
         for samples in (n, 4 * n):
             phis = (np.arange(samples) + 0.5) * (2.0 * math.pi / samples)
@@ -298,13 +313,13 @@ def conformality_check(family: MapFamily, epsilon: float = CONFORMAL_RING_EPS, n
 # corner exponents
 
 
-def corner_exponent(family: MapFamily, corner: complex, n_pts: int = CORNER_FIT_POINTS):
+def corner_exponent(family: MapFamily, corner: complex):
     """Power-law fit of |f| along the circle approaching a corner pre-image."""
     corner = complex(corner)
     if corner not in family.corner_preimages:
         raise ValueError("%r is not a corner pre-image of %s" % (corner, family.label()))
     theta_c = cmath.phase(corner)
-    d = np.geomspace(CORNER_FIT_RANGE[0], CORNER_FIT_RANGE[1], n_pts)
+    d = np.geomspace(CORNER_FIT_RANGE[0], CORNER_FIT_RANGE[1], CORNER_FIT_POINTS)
     pts = np.exp(1j * (theta_c + d))
     vals = np.abs(_values_on_sheet(family, pts))
     return fit_power_law(d, vals)
@@ -314,7 +329,7 @@ def corner_exponent(family: MapFamily, corner: complex, n_pts: int = CORNER_FIT_
 # one-petal integral identity
 
 
-def integral_equation_residual(family: MapFamily, probes=None, quad_n: int = 220) -> float:
+def integral_equation_residual(family: MapFamily) -> float:
     """Worst defect of the singular integral identity for the petal profile.
 
     The profile g satisfies g(w) = 1 + coeff * I(w) with I the inverse-slit
@@ -326,49 +341,15 @@ def integral_equation_residual(family: MapFamily, probes=None, quad_n: int = 220
         raise ValueError("the integral identity applies to one-petal families")
     g = family.gamma
     coeff = -2.0 * math.sin(math.pi * g) / math.pi
-    if probes is None:
-        reals = np.linspace(1.05, 5.0, 12).astype(complex)
-        rays = np.array(
-            [
-                1.3 * cmath.exp(0.4j),
-                1.6 * cmath.exp(1.1j),
-                2.2 * cmath.exp(0.8j),
-                3.0 * cmath.exp(2.3j),
-                1.4 * cmath.exp(-0.7j),
-                2.6 * cmath.exp(-1.9j),
-                1.9 * cmath.exp(2.9j),
-                4.1 * cmath.exp(-2.5j),
-            ]
-        )
-        probes = np.concatenate([reals, rays])
-    # every probe integrates over the same two half-interval node arrays and
-    # only 1/(x^2 - w^2) depends on the probe, so the profile is evaluated
-    # once per node array; at a = x it is the profile at 1/x
-    profile = {}
+    w = INTEGRAL_PROBES[:, None]
 
-    def bracket(x):
-        key = x.tobytes()
-        if key not in profile:
-            profile[key] = _one_petal_bracket(g, x)
-        return profile[key]
+    def integrand(x):
+        # at a = x the bracket is the profile at 1/x, the same for every probe
+        return _one_petal_bracket(g, x) / (x * x - w * w)
 
-    worst = 0.0
-    for w in probes:
-        w = complex(w)
-        if abs(w) <= 1.0:
-            raise ValueError("probes must lie outside the unit circle")
-        value = complex(_one_petal_bracket(g, np.array([1.0 / w]))[0])
-        if coeff == 0.0:
-            integral = 0.0 + 0.0j  # coefficient kills the correction exactly
-        else:
-            def integrand(x):
-                return bracket(x) / (x * x - w * w)
-
-            integral = singular_endpoint_quadrature(
-                integrand, (0.0, 1.0), (0.0, g), n=quad_n
-            )
-        worst = max(worst, abs(value - 1.0 + coeff * integral))
-    return float(worst)
+    values = _one_petal_bracket(g, 1.0 / INTEGRAL_PROBES)
+    integrals = singular_endpoint_quadrature(integrand, (0.0, 1.0), (0.0, g), n=220)
+    return float(np.max(np.abs(values - 1.0 + coeff * integrals)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +365,16 @@ def _trace_with_tangents(family: MapFamily, state: TimeState, n: int):
     return points, dz_dphi
 
 
-def m_plus_samples(family: MapFamily, state: TimeState, zs, n: int = 16384):
-    """Cauchy transform of |Im| over the pattern boundary at interior points."""
-    points, dz_dphi = _trace_with_tangents(family, state, n)
+def m_plus_samples(family: MapFamily, state: TimeState, zs):
+    """Cauchy transform of |Im| over the pattern boundary at interior points.
+
+    The boundary integral is a 16384-node trapezoid sum.
+    """
+    points, dz_dphi = _trace_with_tangents(family, state, 16384)
     width = float(np.max(points.real) - np.min(points.real))
     height = float(np.max(points.imag) - np.min(points.imag))
     diameter = max(width, height)
-    weight = 2.0 * math.pi / n
+    weight = 2.0 * math.pi / len(points)
     out = []
     for z in np.atleast_1d(np.asarray(zs, dtype=complex)):
         z = complex(z)
@@ -406,18 +390,12 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs, n: int = 16384):
     return out
 
 
-def m_plus_cauchy(family: MapFamily, state: TimeState, z, n: int = 16384) -> complex:
-    return m_plus_samples(family, state, [z], n=n)[0].value
-
-
-def m_plus_time_derivative(family: MapFamily, state: TimeState, z, rel_step: float = 1e-3, n: int = 16384) -> complex:
-    """Central difference of the Cauchy transform in the growth time."""
-    h = rel_step * state.T
-    hi = TimeState(state.T + h, state.A)
-    lo = TimeState(state.T - h, state.A)
-    m_hi = m_plus_cauchy(family, hi, z, n=n)
-    m_lo = m_plus_cauchy(family, lo, z, n=n)
-    return (m_hi - m_lo) / (2.0 * h)
+def m_plus_time_derivative(family: MapFamily, state: TimeState, z) -> complex:
+    """Central difference of the Cauchy transform in the growth time, step 1e-3 T."""
+    h = 1e-3 * state.T
+    (m_hi,) = m_plus_samples(family, TimeState(state.T + h, state.A), [z])
+    (m_lo,) = m_plus_samples(family, TimeState(state.T - h, state.A), [z])
+    return (m_hi.value - m_lo.value) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +470,13 @@ def harmonic_moment(trace, k: int) -> complex:
     return complex(np.sum(integrand * steps) / (1j * math.pi * k))
 
 
-def harmonic_moment_area(trace, k: int, n_theta: int = 512, n_radial: int = 32) -> complex:
+def harmonic_moment_area(trace, k: int) -> complex:
     """Same moment from the complementary-region area integral.
 
     The region outside the pattern in the upper half plane is described in
-    polar form r > rho(theta); the radial integral runs numerically to a
-    finite horizon and analytically beyond it.  The logarithmic horizon term
+    polar form r > rho(theta); the radial integral runs numerically (32
+    Gauss nodes) to a finite horizon and analytically beyond it, and the
+    angular one takes 512 Gauss nodes.  The logarithmic horizon term
     of k = 2 integrates to zero over (0, pi) and is dropped.
     """
     if k < MOMENT_MIN_INDEX:
@@ -518,7 +497,7 @@ def harmonic_moment_area(trace, k: int, n_theta: int = 512, n_radial: int = 32) 
     if len(theta) < 8:
         raise ValueError("trace is not star-shaped about the origin")
 
-    u, du = gauss_legendre_unit(n_theta)
+    u, du = gauss_legendre_unit(512)
     th = math.pi * u
     wth = math.pi * du
     rho_th = np.interp(th, theta, rho, left=rho[0], right=rho[-1])
@@ -528,7 +507,7 @@ def harmonic_moment_area(trace, k: int, n_theta: int = 512, n_radial: int = 32) 
         return complex(np.sum(integrand * wth) / math.pi)
 
     horizon = 4.0 * float(np.max(rho))
-    ru, rdu = gauss_legendre_unit(n_radial)
+    ru, rdu = gauss_legendre_unit(32)
     reach = horizon - rho_th
     rr = rho_th[:, None] + reach[:, None] * ru
     radial = np.sum(rr ** (1 - k) * rdu, axis=1) * reach + horizon ** (2 - k) / (k - 2)
@@ -545,13 +524,14 @@ def _ray_distance(z: np.ndarray, angle: float) -> np.ndarray:
     return np.where(rot.real >= 0.0, np.abs(rot.imag), np.abs(z))
 
 
-def petal_width(family: MapFamily, n: int = 512) -> float:
+def petal_width(family: MapFamily) -> float:
     """Largest distance from the first-quadrant boundary arc to its corner rays.
 
-    The two-petal pattern collapses onto the slit through angle alpha when
-    beta reaches alpha, so this width is the degeneracy measure.
+    The arc comes from a 512-point trace.  The two-petal pattern collapses
+    onto the slit through angle alpha when beta reaches alpha, so this width
+    is the degeneracy measure.
     """
-    trace = boundary_trace(family, n=n)
+    trace = boundary_trace(family, n=512)
     quarter = (trace.phis > 0.0) & (trace.phis < 0.5 * math.pi)
     pts = trace.points[quarter]
     d_base = _ray_distance(pts, family.alpha)
@@ -562,8 +542,10 @@ def petal_width(family: MapFamily, n: int = 512) -> float:
     return float(np.max(np.minimum(d_base, d_top)))
 
 
-def sweep(alphas, betas, n_trace: int = 512, epsilon: float = CONFORMAL_RING_EPS, conformal_n: int = 1024) -> SweepResult:
+def sweep(alphas, betas) -> SweepResult:
     """Conformality and degeneracy classification over a parameter grid.
+
+    Each node counts the winding on a 1024-point ring, half the battery's.
 
     Nodes that cannot be evaluated record their failure and the sweep moves
     on; they come back with winding/conformal/degenerate set to None.
@@ -575,8 +557,8 @@ def sweep(alphas, betas, n_trace: int = 512, epsilon: float = CONFORMAL_RING_EPS
         for beta in betas:
             try:
                 family = MapFamily.two_petal(alpha, beta)
-                winding, ok = conformality_check(family, epsilon=epsilon, n=conformal_n)
-                width = petal_width(family, n=n_trace)
+                winding, ok = conformality_check(family, n=1024)
+                width = petal_width(family)
                 degenerate = width < WIDTH_DEGENERATE_FRACTION
                 rows.append(SweepRow(float(alpha), float(beta), winding, ok, degenerate))
             except Exception as exc:  # noqa: BLE001 - sweep must keep going

@@ -34,7 +34,7 @@ def test_parse_angle():
     assert parse_angle("3pi/16") == 3 * math.pi / 16
     assert parse_angle("pi/4") == math.pi / 4
     assert parse_angle("0.5") == 0.5
-    for bad in ("tau", "pi/0", "2 radians"):
+    for bad in ("tau", "pi/0", "2 radians", "nan", "-inf"):
         with pytest.raises(UsageError):
             parse_angle(bad)
 
@@ -43,8 +43,9 @@ def test_parse_complex():
     assert parse_complex("0+0.8i") == 0.8j
     assert parse_complex("1+2j") == 1 + 2j
     assert parse_complex("-1.5") == -1.5
-    with pytest.raises(UsageError):
-        parse_complex("north")
+    for bad in ("north", "nan"):
+        with pytest.raises(UsageError):
+            parse_complex(bad)
 
 
 def test_parse_grid():
@@ -178,6 +179,17 @@ def test_verify_tol_override(capsys):
         ) == EXIT_USAGE
 
 
+def test_verify_tol_override_rejects_nan(capsys):
+    # nan compares false with every bound, so it would fail a passing check;
+    # inf stays available to switch a check off
+    assert run_cli(
+        "verify", "--family", "one-petal", "--alpha", "pi/4", "--tol-override", "ode_residual=nan"
+    ) == EXIT_USAGE
+    assert run_cli(
+        "verify", "--family", "one-petal", "--alpha", "pi/4", "--tol-override", "ode_residual=inf"
+    ) == EXIT_OK
+
+
 def test_verify_needs_beta_for_two_petal(capsys):
     code = run_cli("verify", "--family", "two-petal", "--alpha", "pi/8")
     assert code == EXIT_USAGE
@@ -277,6 +289,9 @@ def test_moments_usage_errors(tmp_path):
         "moments", "--trace", str(circle_csv(tmp_path)), "--z", "0.5i"
     ) == EXIT_USAGE
     assert run_cli("moments") == EXIT_USAGE
+    # a non-finite sample point is a usage error, not a failed conversion
+    for z in ("nan", "nan+1i"):
+        assert run_cli("moments", "--family", "one-petal", "--alpha", "pi/4", "--z", z) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ def test_singular_quadrature_array_integrand():
         assert isinstance(x, np.ndarray) and x.shape == (64,) and x.dtype == float
     with pytest.raises(ValueError):
         singular_endpoint_quadrature(lambda x: x[:-1], (0.0, 1.0), (0.0, 0.0))
+    # a (k, n) integrand gives k integrals, each summed over its own row
+    rows = singular_endpoint_quadrature(lambda x: np.stack([x**-0.5, 3.0 * x**-0.5]), (0.0, 1.0), (-0.5, 0.0), n=64)
+    assert rows.shape == (2,) and np.max(np.abs(rows - [2.0, 6.0])) <= SINGULAR_TOL
 
 
 def test_singular_quadrature_validation():

@@ -13,6 +13,8 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from petalmap import Hyp2F1DomainError, log_gamma, special_functions
 from petalmap.special_functions import Hyp2F1ConvergenceError, hyp2f1_values
@@ -144,14 +146,42 @@ def test_cut_from_below():
 
 def test_degenerate_window_averages():
     # a - b = 0 is the pole of the 1/t connection coefficients; the window
-    # averages a +- 1e-4, b -+ 1e-4, an O(1e-8) error by construction
-    a = b = 1.0 / 12.0
+    # averages a +- 1e-4, b -+ 1e-4, an O(1e-8) error by construction.
+    # (0.2, 0.2001) sits at the window's edge: one offset lands just inside
+    # its other side and must be evaluated, not averaged again
     mp.mp.dps = 30
-    worst = 0.0
-    for t in (1.3 + 2.1j, -3.0 + 1.0j, complex(2.5, -0.0)):
-        want = complex(mp.hyp2f1(a, b, 0.5, t.real if t.imag == 0.0 else t))
-        worst = max(worst, abs(f21(a, b, 0.5, t) - want) / abs(want))
-    assert worst <= 1e-7
+    for a, b in [(1.0 / 12.0, 1.0 / 12.0), (0.2, 0.2001)]:
+        worst = 0.0
+        for t in (1.3 + 2.1j, -3.0 + 1.0j, complex(2.5, -0.0), 1.5 + 1.0j):
+            want = complex(mp.hyp2f1(a, b, 0.5, t.real if t.imag == 0.0 else t))
+            worst = max(worst, abs(f21(a, b, 0.5, t) - want) / abs(want))
+        assert worst <= 1e-7, (a, b)
+
+
+@st.composite
+def window_edge_parameters(draw):
+    """(a, b, k) with c = 1/2 in reach: a - b within twice the shift of the integer k."""
+    shift = special_functions.DEGENERATE_SHIFT
+    a = draw(st.floats(-0.5, 0.7))
+    k = draw(st.sampled_from([0, 1, -1]))
+    return a, a - (k + draw(st.floats(-2.0 * shift, 2.0 * shift))), k
+
+
+@given(window_edge_parameters())
+@example((0.2, 0.2001, 0))
+@settings(max_examples=100, deadline=None)
+def test_window_edges_finite_and_accurate(params):
+    # on both sides of each window edge every value is finite; near 0, the
+    # only integer the two-petal map reaches (a - b = delta - 1/2), it holds
+    # the window's ~5e-8 against mpmath
+    a, b, k = params
+    t = 1.5 * np.exp(1j * np.array([-2.4, 0.6, 2.0]))
+    got = hyp2f1_values(a, b, 0.5, t)
+    assert np.all(np.isfinite(got))
+    if k == 0:
+        with mp.workdps(30):
+            want = np.array([complex(mp.hyp2f1(a, b, 0.5, complex(x))) for x in t])
+        assert np.max(np.abs(got - want)) <= 1e-7
 
 
 def test_degenerate_window_is_mean_of_offsets():
