@@ -246,30 +246,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    # moments default on for raw traces only; a family trace hangs at the
+    # origin, so asking for its moments is an explicit request to fail
+    tk = args.tk
     if args.trace:
         if args.family or args.alpha or args.beta:
             raise UsageError("pass either --trace or a family, not both")
-        source = _read_trace_csv(args.trace)
-        family = None
-        state = None
+        if args.z:
+            raise UsageError("--z samples need a family, not a raw trace")
+        if tk is None:
+            tk = 6
     else:
         if not args.family or not args.alpha:
             raise UsageError("moments needs --trace or --family/--alpha")
         family = _build_family(args)
         state = _build_state(args)
-        source = boundary_trace(family, state=state, n=args.n)
-
-    # moments default on for raw traces only; a family trace hangs at the
-    # origin, so asking for its moments is an explicit request to fail
-    kmax = args.kmax
-    if kmax is None and args.trace:
-        kmax = 6
-    if kmax is None and not args.z:
-        raise UsageError("nothing requested: pass --tk for moments or --z for samples")
+        if tk is None and not args.z:
+            raise UsageError("nothing requested: pass --tk for moments or --z for samples")
     payload: dict = {}
-    if kmax is not None:
+    if tk is not None:
+        source = _read_trace_csv(args.trace) if args.trace else boundary_trace(family, state=state)
         payload["moments"] = {}
-        for k in range(2, kmax + 1):
+        for k in range(2, tk + 1):
             contour_val = harmonic_moment(source, k)
             area_val = harmonic_moment_area(source, k)
             payload["moments"]["T%d" % k] = {
@@ -278,8 +276,6 @@ def cmd_moments(args) -> int:
                 "mismatch": abs(contour_val - area_val),
             }
     if args.z:
-        if family is None:
-            raise UsageError("--z samples need a family, not a raw trace")
         zs = [parse_complex(item) for item in args.z]
         samples = m_plus_samples(family, state, zs)
         payload["m_plus"] = [
@@ -292,8 +288,11 @@ def cmd_moments(args) -> int:
 
 def _add_family_options(sub, required: bool):
     sub.add_argument("--family", choices=["one-petal", "two-petal"], required=required)
-    sub.add_argument("--alpha", help="base corner angle, e.g. pi/4 or 0.7853")
+    sub.add_argument("--alpha", required=required, help="base corner angle, e.g. pi/4 or 0.7853")
     sub.add_argument("--beta", default=None, help="top corner half-angle (two-petal)")
+
+
+def _add_state_options(sub):
     sub.add_argument("--T", dest="T", type=float, default=1.0, help="growth time")
     sub.add_argument("--A", dest="A", type=float, default=1.0, help="conserved ratio T/r")
 
@@ -304,6 +303,7 @@ def build_parser() -> _Parser:
 
     p_trace = subs.add_parser("trace", help="sample a pattern boundary to CSV/SVG")
     _add_family_options(p_trace, required=True)
+    _add_state_options(p_trace)
     p_trace.add_argument("--n", type=int, default=2048)
     p_trace.add_argument("--out", required=True)
     p_trace.add_argument("--svg", default=None)
@@ -323,9 +323,9 @@ def build_parser() -> _Parser:
 
     p_mom = subs.add_parser("moments", help="harmonic moments and Cauchy samples")
     _add_family_options(p_mom, required=False)
+    _add_state_options(p_mom)
     p_mom.add_argument("--trace", default=None, help="existing trace CSV")
-    p_mom.add_argument("--n", type=int, default=4096)
-    p_mom.add_argument("--kmax", "--tk", dest="kmax", type=int, default=None)
+    p_mom.add_argument("--tk", type=int, default=None, help="highest moment index (default 6 for a raw trace)")
     p_mom.add_argument("--z", action="append", default=None, help="interior sample point")
     p_mom.add_argument("--report", default=None, help="JSON output path (stdout otherwise)")
     p_mom.set_defaults(fn=cmd_moments)
@@ -337,8 +337,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command != "sweep" and args.command != "moments" and args.alpha is None:
-            raise UsageError("--alpha is required")
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)

@@ -368,17 +368,19 @@ def scaled_map(family: MapFamily, state: TimeState, w):
     return state.r * evaluate_map(family, w)
 
 
-def invert_map(family: MapFamily, z, state: TimeState | None = None, guess=None):
+def invert_map(family: MapFamily, z, state: TimeState | None = None):
     """Newton inversion of the scaled map; returns the pre-image w.
 
-    An iterate that steps inside the unit circle is mirrored to 1/conj(w),
-    so every iterate, and the root returned, lies on the sheet |w| >= 1.
+    Newton starts from z / r, moved out to radius 1.2 if it lies inside the
+    unit circle.  An iterate that steps inside the unit circle is mirrored
+    to 1/conj(w), so every iterate, and the root returned, lies on the sheet
+    |w| >= 1.
     Each step makes one arc-stencil call: its centre value serves the
     convergence test and its f' the step.
     """
     r = state.r if state is not None else 1.0
     target = complex(z) / r
-    w = complex(guess) if guess is not None else target
+    w = target
     if abs(w) < 1.0:
         w = 1.5 + 0.5j if w == 0.0 else 1.2 * w / abs(w)
     tol = NEWTON_TOL * (1.0 + abs(z))
@@ -433,6 +435,11 @@ def potential_V(family: MapFamily, w):
 # boundary sampling and expansion data
 
 
+def _circle_angles(n: int) -> np.ndarray:
+    """Half-offset grid (k + 1/2) 2 pi/n, k < n: clear of every corner pre-image when 4 | n."""
+    return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+
+
 def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2048) -> BoundaryTrace:
     """Sample the physical boundary on a half-offset circle grid.
 
@@ -443,7 +450,7 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
         raise ValueError("n must be a multiple of 4, at least 16")
     if state is None:
         state = TimeState(1.0, 1.0)
-    phis = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    phis = _circle_angles(n)
     ring = np.exp(1j * phis)
     points = state.r * _values_on_sheet(family, ring)
     return BoundaryTrace(family, state, phis, points)
@@ -456,7 +463,7 @@ def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:
     aliasing of the coefficients through 1/w^16 is below double rounding.
     """
     radius = 2.5
-    phis = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
+    phis = _circle_angles(256)
     ring = np.exp(1j * phis)
     vals = _values_on_sheet(family, radius * ring)
 

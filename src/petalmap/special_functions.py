@@ -1,4 +1,4 @@
-"""Gauss hypergeometric function and log-gamma.
+"""Gauss hypergeometric function.
 
 `hyp2f1_values` evaluates F(a, b; c; t) for real parameters on an array of
 complex arguments; the map evaluators batch thousands of boundary points
@@ -18,9 +18,9 @@ need.
 
 The cut is [1, inf).  A point on it with a +0 imaginary part is rejected; a
 -0.0 imaginary part means the limit from below, which is mpmath's value on
-the cut and what numpy's signed-zero complex `log` gives.  `log_gamma` is a
-Lanczos log-gamma that also feeds the connection coefficients, which
-`_gamma_quotient` memoizes per parameter set.
+the cut and what numpy's signed-zero complex `log` gives.  The connection
+coefficients are real gamma quotients from the standard library's
+`math.lgamma`, memoized per parameter set by `_gamma_quotient`.
 
 A point's value does not depend on its batch.  numpy computes
 ``named * temporary`` as ``temporary *= named`` once the temporary reaches
@@ -31,7 +31,6 @@ temporary on the left.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
@@ -46,20 +45,6 @@ MAX_TERMS = 10_000
 EULER_PARAM_GUARD = 0.02   # keep c-a-b this far from integers before using the 1-t formula
 DEGENERATE_SHIFT = 1e-4    # a-b this close to an integer: average a +- shift, b -+ shift in the 1/t formula
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 class Hyp2F1DomainError(ValueError):
     """Argument not reachable: on the cut [1, inf) or past every transformation."""
@@ -73,42 +58,25 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def log_gamma(x) -> complex:
-    """Principal-branch log of the gamma function, poles rejected.
-
-    Lanczos approximation on Re x >= 0.5, reflection below.  Accurate to
-    about 1e-13 relative over the parameter ranges used here.
-    """
-    z = complex(x)
-    if z.imag == 0.0 and z.real == math.floor(z.real) and z.real <= 0.0:
-        raise ValueError("log_gamma pole at non-positive integer %r" % (x,))
-    if z.real < 0.5:
-        # reflection keeps the recursion in the well-conditioned half plane
-        return cmath.log(math.pi / cmath.sin(math.pi * z)) - log_gamma(1.0 - z)
-    z = z - 1.0
-    acc = complex(_LANCZOS_COEFFS[0])
-    for k, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += coeff / (z + k)
-    base = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * cmath.log(base) - base + cmath.log(acc)
-
-
 @functools.lru_cache(maxsize=256)
-def _gamma_quotient(numerators, denominators) -> complex:
-    """prod Gamma(numerators) / prod Gamma(denominators).
+def _gamma_quotient(numerators, denominators) -> float:
+    """prod Gamma(numerators) / prod Gamma(denominators) for real arguments.
 
     A pole in a denominator kills the quotient (reciprocal gamma is entire),
     so those return exactly 0.  A pole in a numerator is a caller bug.
     """
-    for x in denominators:
-        if _is_nonpositive_integer(x):
-            return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    for x in numerators:
-        total += log_gamma(x)
-    for x in denominators:
-        total -= log_gamma(x)
-    return cmath.exp(total)
+    if any(_is_nonpositive_integer(x) for x in denominators):
+        return 0.0
+    if any(_is_nonpositive_integer(x) for x in numerators):
+        raise ValueError("gamma pole in numerator %r" % (numerators,))
+    sign = 1.0
+    total = 0.0
+    for args, side in ((numerators, 1.0), (denominators, -1.0)):
+        for x in args:
+            total += side * math.lgamma(x)
+            if x < 0.0 and math.floor(x) % 2:  # Gamma < 0 on (-2k-1, -2k)
+                sign = -sign
+    return sign * math.exp(total)
 
 
 def _queued(queue: list, a: float, b: float, c: float, t) -> Callable:

@@ -21,6 +21,7 @@ from .maps import (
     TimeState,
     _arc_derivatives,
     _arc_step,
+    _circle_angles,
     _one_petal_bracket,
     _one_petal_values,
     _power,
@@ -183,7 +184,7 @@ class SweepResult:
 
 def ode_residual(family: MapFamily) -> float:
     """Worst normalized residual of the self-similar oscillator equation, 64 ring points."""
-    phis = (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
+    phis = _circle_angles(64)
     pts = RING_ODE * np.exp(1j * phis)
     f, fp, fpp = _tangential_derivatives(family, pts)
     v = potential_V(family, pts)
@@ -259,7 +260,7 @@ def dynamical_residual(family: MapFamily, ratio: float | None = None) -> float:
     """
     if ratio is None:
         ratio = estimate_A(family).value
-    phis = (np.arange(128) + 0.5) * (2.0 * math.pi / 128)
+    phis = _circle_angles(128)
     ring = np.exp(1j * phis)
     f, fp, _ = _tangential_derivatives(family, ring)
     lhs = (2.0 / ratio) * np.real(ring * fp * np.conj(f))
@@ -271,7 +272,7 @@ def darcy_check(family: MapFamily, ratio: float | None = None) -> float:
     """Relative mismatch of kinematic and Darcy normal velocities at 256 boundary points."""
     if ratio is None:
         ratio = estimate_A(family).value
-    phis = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
+    phis = _circle_angles(256)
     ring = np.exp(1j * phis)
     f, fp, _ = _tangential_derivatives(family, ring)
     speed = np.abs(fp)
@@ -295,7 +296,7 @@ def conformality_check(family: MapFamily, n: int = CONFORMAL_SAMPLES):
     for ring_eps in (CONFORMAL_RING_EPS, 2.0 * CONFORMAL_RING_EPS):
         radius = math.exp(ring_eps)
         for samples in (n, 4 * n):
-            phis = (np.arange(samples) + 0.5) * (2.0 * math.pi / samples)
+            phis = _circle_angles(samples)
             ring = radius * np.exp(1j * phis)
             fp = map_derivative(family, ring)
             scale = float(np.median(np.abs(fp)))
@@ -357,7 +358,7 @@ def integral_equation_residual(family: MapFamily) -> float:
 
 
 def _trace_with_tangents(family: MapFamily, state: TimeState, n: int):
-    phis = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    phis = _circle_angles(n)
     ring = np.exp(1j * phis)
     f, fp, _ = _tangential_derivatives(family, ring)
     points = state.r * f
@@ -378,11 +379,10 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
     out = []
     for z in np.atleast_1d(np.asarray(zs, dtype=complex)):
         z = complex(z)
-        if float(np.min(np.abs(points - z))) < INTERIOR_MARGIN * diameter:
-            raise ValueError("sample point %r too close to the boundary" % (z,))
         rel = points - z
-        turns = int(round(float(np.sum(np.angle(np.roll(rel, -1) / rel))) / (2.0 * math.pi)))
-        if turns != 1:
+        if float(np.min(np.abs(rel))) < INTERIOR_MARGIN * diameter:
+            raise ValueError("sample point %r too close to the boundary" % (z,))
+        if winding_number(points, z) != 1:
             raise ValueError("sample point %r is not inside the pattern" % (z,))
         value = complex(np.sum(np.abs(points.imag) / rel * dz_dphi) * weight / (1j * math.pi))
         side = "upper" if z.imag > 0.0 else "lower"
@@ -591,7 +591,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
                     report.add_error(name, tol[name], str(exc))
 
     def check_symmetry():
-        phis = (np.arange(48) + 0.5) * (2.0 * math.pi / 48)
+        phis = _circle_angles(48)
         ring = 1.31 * np.exp(1j * phis)
         vals = _values_on_sheet(family, ring)
         odd = _values_on_sheet(family, -ring)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from petalmap import cli
 from petalmap.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -190,6 +191,19 @@ def test_verify_tol_override_rejects_nan(capsys):
     ) == EXIT_OK
 
 
+def test_verify_takes_no_growth_state(capsys):
+    # the battery checks the normalized map, so a growth state would be ignored
+    for flag in ("--T", "--A"):
+        assert run_cli("verify", "--family", "one-petal", "--alpha", "pi/4", flag, "2") == EXIT_USAGE
+    assert "unrecognized arguments: --T 2" in capsys.readouterr().err
+
+
+def test_alpha_required_with_family(capsys):
+    for argv in (("trace", "--out", "unused.csv"), ("verify",)):
+        assert run_cli(*argv, "--family", "one-petal") == EXIT_USAGE
+        assert "required: --alpha" in capsys.readouterr().err
+
+
 def test_verify_needs_beta_for_two_petal(capsys):
     code = run_cli("verify", "--family", "two-petal", "--alpha", "pi/8")
     assert code == EXIT_USAGE
@@ -268,6 +282,29 @@ def test_moments_family_samples_only(tmp_path):
     assert "moments" not in payload
     value = complex(*payload["m_plus"][0]["value"])
     assert abs(value - 1.8) <= 1e-3
+
+
+def test_moments_family_samples_build_no_trace(tmp_path, monkeypatch):
+    # the Cauchy samples make their own boundary; a --z-only command has no
+    # use for a moment trace
+    def unused(*args, **kwargs):
+        raise AssertionError("boundary_trace called")
+
+    monkeypatch.setattr(cli, "boundary_trace", unused)
+    code = run_cli(
+        "moments", "--family", "one-petal", "--alpha", "pi/4",
+        "--z", "0+0.8i", "--report", str(tmp_path / "m.json"),
+    )
+    assert code == EXIT_OK
+
+
+def test_moments_removed_options(tmp_path, capsys):
+    # --tk is the one spelling of the moment index, and the trace size is fixed
+    family = ("moments", "--family", "one-petal", "--alpha", "pi/4")
+    assert run_cli(*family, "--z", "0+0.8i", "--n", "64") == EXIT_USAGE
+    assert run_cli("moments", "--trace", str(circle_csv(tmp_path)), "--kmax", "3") == EXIT_USAGE
+    assert run_cli(*family, "--kmax", "3") == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_moments_family_table_is_degenerate(capsys):

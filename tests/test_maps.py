@@ -415,12 +415,12 @@ def test_invert_recovers_sheet_points():
         assert abs(w - w0) <= 1e-8 * abs(w0), (family.label(), w0)
 
 
-def reference_invert(family, z, state=None, guess=None):
+def reference_invert(family, z, state=None):
     """The two-call Newton loop (`evaluate_map`, then `map_derivative`) that
     `invert_map`'s one-stencil step replaced, kept verbatim."""
     r = state.r if state is not None else 1.0
     target = complex(z) / r
-    w = complex(guess) if guess is not None else target
+    w = target
     if abs(w) < 1.0:
         w = 1.5 + 0.5j if w == 0.0 else 1.2 * w / abs(w)
     tol = maps.NEWTON_TOL * (1.0 + abs(z))
@@ -444,10 +444,10 @@ def reference_invert(family, z, state=None, guess=None):
     raise InversionError("no convergence in %d iterations" % maps.NEWTON_MAX_ITER, root=w)
 
 
-def outcome(invert, family, z, state, guess=None):
+def outcome(invert, family, z, state):
     """The root, or the exception type, message and last iterate."""
     try:
-        return invert(family, z, state=state, guess=guess)
+        return invert(family, z, state=state)
     except InversionError as exc:
         return type(exc), str(exc), exc.root
 
@@ -463,7 +463,7 @@ INVERT_FAILING = [
 ]
 
 
-def test_one_stencil_newton_matches_two_call_loop():
+def test_one_stencil_newton_matches_two_call_loop(monkeypatch):
     # the stencil's centre value and f' are the bits evaluate_map and
     # map_derivative give, so roots and failures must not move
     items = [(family, scaled_map(family, state, w0), state) for family, w0, state in INVERT_RECOVERED + INVERT_FAILING]
@@ -476,13 +476,27 @@ def test_one_stencil_newton_matches_two_call_loop():
         outcomes.append(got)
     assert [isinstance(o, tuple) for o in outcomes] == [False] * len(INVERT_RECOVERED) + [True] * 3
     assert "no convergence" in outcomes[len(INVERT_RECOVERED)][1]
-    # started on its root next to the region no 2F1 route reaches: the
-    # centre converges although a stencil point is out of reach
+    # next to the region no 2F1 route reaches a stencil point can be out of
+    # reach while its centre is evaluable ...
     family, w0 = MapFamily.two_petal(math.pi / 4, math.pi / 8), 1.3525136496613666 + 1.423431662496373j
+    evaluate_map(family, w0)
     with pytest.raises(Hyp2F1DomainError):
         map_derivative(family, w0)
-    z = evaluate_map(family, w0)
-    assert outcome(invert_map, family, z, None, w0) == outcome(reference_invert, family, z, None, w0) == w0
+    # ... and when that happens at a converged iterate, the root still returns
+    family, z, state = items[0]
+    root = outcomes[0]
+    inner = maps._tangential_derivatives
+    raised = []
+
+    def out_of_reach_at_root(family, pts):
+        if pts[0] == root:
+            raised.append(root)
+            raise Hyp2F1DomainError("stencil point out of reach")
+        return inner(family, pts)
+
+    monkeypatch.setattr(maps, "_tangential_derivatives", out_of_reach_at_root)
+    assert outcome(invert_map, family, z, state) == outcome(reference_invert, family, z, state) == root
+    assert raised == [root]
 
 
 def test_newton_step_makes_one_stencil_call(monkeypatch):
