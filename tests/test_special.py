@@ -27,6 +27,9 @@ GAMMA_TOL = 1e-14
 # F(1/4, -1/4; 1/2; 1/4) = cos(pi/12), the quadratic-transformation spot value
 SPOT_COS = 0.9659258262890683
 
+# Gamma(1/4), frozen from mpmath at 40 digits
+GAMMA_QUARTER = 3.6256099082219083
+
 
 def f21(a, b, c, t):
     """F(a, b; c; t) at one point, through the vectorized evaluator."""
@@ -352,6 +355,36 @@ def test_empty_argument_returns_at_once(monkeypatch):
         assert out.shape == (0,)
     assert series_sum(0.3, 0.7, 1.3, np.zeros((0, 4))).shape == (0, 4)
     assert time.perf_counter() - start < 1.0
+
+
+def gamma(x):
+    """Gamma at one real point, through the memoized quotient."""
+    return special_functions._gamma_quotient((x,), ())
+
+
+def test_gamma_spot_values():
+    assert abs(gamma(0.25) - GAMMA_QUARTER) <= GAMMA_TOL * GAMMA_QUARTER
+    assert abs(gamma(0.5) - math.sqrt(math.pi)) <= 1e-14
+    assert abs(gamma(1.0) - 1.0) <= 1e-14
+    assert abs(gamma(6.0) - 120.0) <= 120.0 * 1e-14
+
+
+def test_gamma_recurrence():
+    # Gamma(x+1) = x Gamma(x), including negative arguments of both signs of Gamma
+    for x in (0.25, -1.7, -0.6, -2.3, 3.2):
+        lhs = gamma(x + 1.0)
+        rhs = x * gamma(x)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+        assert abs(special_functions._gamma_quotient((x + 1.0,), (x,)) - x) <= 1e-12 * max(1.0, abs(x))
+
+
+def test_gamma_reflection():
+    # Gamma(x) Gamma(1-x) = pi / sin(pi x) away from the poles
+    for x in (0.25, 0.8, -0.35, -1.6, 2.7):
+        lhs = special_functions._gamma_quotient((x, 1.0 - x), ())
+        rhs = math.pi / math.sin(math.pi * x)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+        assert abs(gamma(x) * gamma(1.0 - x) - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_gamma_quotient_against_mpmath():
