@@ -25,6 +25,7 @@ from .maps import (
 from .verify import (
     DegenerateTraceError,
     VerificationError,
+    _screened_points,
     conformality_check,
     harmonic_moment,
     harmonic_moment_area,
@@ -114,7 +115,9 @@ def _build_family(args) -> MapFamily:
 
 
 def _build_state(args) -> TimeState:
-    return TimeState(args.T, args.A)
+    # --T and --A default to None, so that `moments --trace`, which has no
+    # growth state, can tell a given value from an omitted one
+    return TimeState(1.0 if args.T is None else args.T, 1.0 if args.A is None else args.A)
 
 
 def _write_text(path: str, text: str):
@@ -156,10 +159,16 @@ def _trace_svg(points: np.ndarray, width: int = 640) -> str:
 
 
 def _read_trace_csv(path: str) -> np.ndarray:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names is None or not {"x", "y"} <= set(data.dtype.names):
-        raise UsageError("trace file %r lacks x,y columns" % path)
-    return data["x"] + 1j * data["y"]
+    """The x + iy points of a trace CSV whose header names its x and y columns.
+
+    A cell that is not a number is an error, not a nan.
+    """
+    with open(path, encoding="utf-8") as fh:
+        names = [name.strip() for name in fh.readline().split(",")]
+        if not {"x", "y"} <= set(names):
+            raise UsageError("trace file %r lacks x,y columns" % path)
+        data = np.loadtxt(fh, delimiter=",", usecols=(names.index("x"), names.index("y")), ndmin=2)
+    return data[:, 0] + 1j * data[:, 1]
 
 
 def cmd_trace(args) -> int:
@@ -249,11 +258,15 @@ def cmd_moments(args) -> int:
     # moments default on for raw traces only; a family trace hangs at the
     # origin, so asking for its moments is an explicit request to fail
     tk = args.tk
+    if tk is not None and tk < 2:
+        raise UsageError("--tk must be at least 2, got %d" % tk)
     if args.trace:
         if args.family or args.alpha or args.beta:
             raise UsageError("pass either --trace or a family, not both")
         if args.z:
             raise UsageError("--z samples need a family, not a raw trace")
+        if args.T is not None or args.A is not None:
+            raise UsageError("--T and --A scale a family, not a raw trace")
         if tk is None:
             tk = 6
     else:
@@ -266,6 +279,8 @@ def cmd_moments(args) -> int:
     payload: dict = {}
     if tk is not None:
         source = _read_trace_csv(args.trace) if args.trace else boundary_trace(family, state=state)
+        # one admissibility screen serves every moment of both routes
+        source = _screened_points(source)
         payload["moments"] = {}
         for k in range(2, tk + 1):
             contour_val = harmonic_moment(source, k)
@@ -293,8 +308,8 @@ def _add_family_options(sub, required: bool):
 
 
 def _add_state_options(sub):
-    sub.add_argument("--T", dest="T", type=float, default=1.0, help="growth time")
-    sub.add_argument("--A", dest="A", type=float, default=1.0, help="conserved ratio T/r")
+    sub.add_argument("--T", dest="T", type=float, default=None, help="growth time (default 1)")
+    sub.add_argument("--A", dest="A", type=float, default=None, help="conserved ratio T/r (default 1)")
 
 
 def build_parser() -> _Parser:
@@ -341,7 +356,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
-    except (MapDomainError, DegenerateTraceError, VerificationError, ValueError) as exc:
+    except (MapDomainError, DegenerateTraceError, VerificationError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_RUNTIME
 

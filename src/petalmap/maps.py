@@ -186,6 +186,14 @@ def _check_sheet(family: MapFamily, pts: np.ndarray):
 # one-petal family
 
 
+def _one_petal_terms(g: float, minus: np.ndarray, plus: np.ndarray):
+    """The bracket's terms minus^g plus^(1-g) and plus^g minus^(1-g), minus/plus = 1 -/+ a."""
+    # each term is `_power`'s exp(mu log z), whose exact-path exponents
+    # 0, 1/2 and 1 neither g nor 1 - g can take here: two logs serve all four
+    lo, hi = (np.log(np.asarray(z, dtype=complex) + 0.0j) for z in (minus, plus))
+    return np.exp(g * lo) * np.exp((1.0 - g) * hi), np.exp(g * hi) * np.exp((1.0 - g) * lo)
+
+
 def _one_petal_bracket(g: float, a: np.ndarray) -> np.ndarray:
     """Half-sum of (1-a)^g (1+a)^(1-g) and its mirror a -> -a.
 
@@ -194,10 +202,8 @@ def _one_petal_bracket(g: float, a: np.ndarray) -> np.ndarray:
     """
     if g == 0.0:
         return np.ones(a.shape, dtype=complex)
-    # each term is `_power`'s exp(mu log z), whose exact-path exponents
-    # 0, 1/2 and 1 neither g nor 1 - g can take here: two logs serve all four
-    lo, hi = (np.log(np.asarray(z, dtype=complex) + 0.0j) for z in (1.0 - a, 1.0 + a))
-    return 0.5 * (np.exp(g * lo) * np.exp((1.0 - g) * hi) + np.exp(g * hi) * np.exp((1.0 - g) * lo))
+    left, right = _one_petal_terms(g, 1.0 - a, 1.0 + a)
+    return 0.5 * (left + right)
 
 
 def _one_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
@@ -212,6 +218,38 @@ def _one_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     # place, swapping the complex product's operands and so its rounding
     trunk = np.sqrt(1.0 - a * a)
     return w * trunk * _one_petal_bracket(family.gamma, a)
+
+
+def _one_petal_derivatives(family: MapFamily, w: np.ndarray):
+    """(f, f', f'') of the closed form; f is `_one_petal_values`' bits.
+
+    With a = 1/w, T = sqrt(1 - a^2) and B the bracket, f = T B / a, so
+    f' = B/T - a T B' and f'' = -a^2 d/da f' = a^3 (T B'' - 2 a B'/T - B/T^3).
+    A bracket term t has d log t/da = s, with s = (1-g)/(1+a) - g/(1-a) for
+    the first term and g/(1+a) - (1-g)/(1-a) for its mirror, so t' = t s and
+    t'' = t (s^2 + ds/da).  The derivatives take 1 -/+ a as (w -/+ 1)/w: the
+    rounding of 1/w alone would cost ~1e-16/|w -/+ 1| of relative accuracy
+    next to the corners.
+    """
+    a = 1.0 / w
+    minus, plus = (w - 1.0) / w, (w + 1.0) / w
+    trunk = np.sqrt(minus * plus)
+    g = family.gamma
+    if g == 0.0:
+        bracket = np.ones(w.shape, dtype=complex)
+        slope = curve = np.zeros(w.shape, dtype=complex)
+    else:
+        left, right = _one_petal_terms(g, minus, plus)
+        bracket = 0.5 * (left + right)
+        s_left = (1.0 - g) / plus - g / minus
+        s_right = g / plus - (1.0 - g) / minus
+        ds_left = -(g / (minus * minus) + (1.0 - g) / (plus * plus))
+        ds_right = -(g / (plus * plus) + (1.0 - g) / (minus * minus))
+        slope = 0.5 * (left * s_left + right * s_right)
+        curve = 0.5 * (left * (s_left * s_left + ds_left) + right * (s_right * s_right + ds_right))
+    f_prime = bracket / trunk - a * trunk * slope
+    f_second = a * a * a * (trunk * curve - 2.0 * a * slope / trunk - bracket / (trunk * trunk * trunk))
+    return _one_petal_values(family, w), f_prime, f_second
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +389,15 @@ def _arc_step(family: MapFamily, pts: np.ndarray) -> np.ndarray:
 
 
 def _tangential_derivatives(family: MapFamily, pts: np.ndarray):
-    """Sheet-checked arc derivatives with corner-aware step control."""
+    """Sheet-checked (f, f', f''): closed form for one petal, arc stencil for two."""
     _check_sheet(family, pts)
+    if family.kind == "one-petal":
+        return _one_petal_derivatives(family, pts)
     return _arc_derivatives(lambda q: _values_on_sheet(family, q), pts, _arc_step(family, pts))
 
 
 def map_derivative(family: MapFamily, w):
-    """df/dw of the normalized map, finite differences along the arc."""
+    """df/dw of the normalized map: closed form for one petal, arc stencil for two."""
     pts, shape, scalar = _as_points(w)
     _, f_prime, _ = _tangential_derivatives(family, pts)
     return complex(f_prime[0]) if scalar else f_prime.reshape(shape)
@@ -375,8 +415,8 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
     unit circle.  An iterate that steps inside the unit circle is mirrored
     to 1/conj(w), so every iterate, and the root returned, lies on the sheet
     |w| >= 1.
-    Each step makes one arc-stencil call: its centre value serves the
-    convergence test and its f' the step.
+    Each step makes one `_tangential_derivatives` call (one arc stencil for
+    two petals): its value serves the convergence test and its f' the step.
     """
     r = state.r if state is not None else 1.0
     target = complex(z) / r

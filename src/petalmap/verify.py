@@ -408,6 +408,8 @@ def _trace_points(trace) -> np.ndarray:
     pts = np.asarray(trace, dtype=complex)
     if pts.ndim != 1 or len(pts) < 16:
         raise ValueError("trace must be a 1-d array of at least 16 points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("trace points must be finite")
     return pts
 
 
@@ -453,13 +455,32 @@ def _reject_self_similar(trace):
         )
 
 
+@dataclass(frozen=True)
+class _ScreenedTrace:
+    """Trace points that `_screened_points` has already found admissible."""
+
+    points: np.ndarray
+
+
+def _screened_points(trace) -> _ScreenedTrace:
+    """The trace's points as a `_ScreenedTrace`, rejected if their moments are ill-defined.
+
+    A trace screened before passes through as it is, so a caller that takes
+    several moments of one trace screens it once.
+    """
+    if isinstance(trace, _ScreenedTrace):
+        return trace
+    _reject_self_similar(trace)
+    points = _trace_points(trace)
+    _reject_degenerate(points)
+    return _ScreenedTrace(points)
+
+
 def harmonic_moment(trace, k: int) -> complex:
     """Exterior harmonic moment from the boundary line integral."""
     if k < MOMENT_MIN_INDEX:
         raise ValueError("moment index must be >= %d" % MOMENT_MIN_INDEX)
-    _reject_self_similar(trace)
-    points = _trace_points(trace)
-    _reject_degenerate(points)
+    points = _screened_points(trace).points
     nxt = np.roll(points, -1)
     mids = 0.5 * (points + nxt)
     steps = nxt - points
@@ -481,9 +502,7 @@ def harmonic_moment_area(trace, k: int) -> complex:
     """
     if k < MOMENT_MIN_INDEX:
         raise ValueError("moment index must be >= %d" % MOMENT_MIN_INDEX)
-    _reject_self_similar(trace)
-    points = _trace_points(trace)
-    _reject_degenerate(points)
+    points = _screened_points(trace).points
     upper = points[points.imag > 0.0]
     if len(upper) < 8:
         raise ValueError("trace has too few upper-half samples")

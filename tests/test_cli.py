@@ -107,6 +107,37 @@ def test_trace_csv_round_trip(tmp_path):
     assert _trace_csv(Bare) == raw  # bit-exact re-serialization
 
 
+def write_rows(path, header, rows):
+    path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+def test_trace_csv_reads_columns_by_name(tmp_path):
+    from petalmap.cli import _read_trace_csv
+
+    z = np.exp(1j * (np.arange(32) + 0.5) * (2.0 * math.pi / 32)) * (1.3 + 0.1j)
+    cells = [("%.17g" % v.imag, "%d" % k, "%.17g" % v.real) for k, v in enumerate(z)]
+    for header in ("y,phi,x", " y , phi,x "):
+        got = _read_trace_csv(str(write_rows(tmp_path / "t.csv", header, cells)))
+        assert np.array_equal(got, z), header
+    with pytest.raises(UsageError):
+        _read_trace_csv(str(write_rows(tmp_path / "t.csv", "phi,u,v", cells)))
+
+
+def test_trace_csv_rejects_bad_cells(tmp_path, capsys):
+    # a cell that is not a number is an error, not a nan point; nan and inf
+    # parse as numbers, but are no trace points
+    rows = [("%d" % k, "%.17g" % math.cos(k), "%.17g" % math.sin(k)) for k in range(32)]
+    for bad, message in (("", "could not convert"), ("north", "could not convert"), ("nan?", "could not convert"),
+                         ("nan", "must be finite"), ("-inf", "must be finite")):
+        broken = rows[:5] + [("5", bad, "0.5")] + rows[6:]
+        path = write_rows(tmp_path / "t.csv", "phi,x,y", broken)
+        assert run_cli("moments", "--trace", str(path)) == EXIT_RUNTIME, bad
+        assert message in capsys.readouterr().err, bad
+    assert run_cli("moments", "--trace", str(write_rows(tmp_path / "t.csv", "phi,u,v", rows))) == EXIT_USAGE
+    assert run_cli("moments", "--trace", str(tmp_path / "missing.csv")) == EXIT_RUNTIME
+
+
 def test_trace_nonconformal_sidecar(tmp_path, capsys):
     out = tmp_path / "nc.csv"
     code = run_cli(
@@ -305,6 +336,53 @@ def test_moments_removed_options(tmp_path, capsys):
     assert run_cli("moments", "--trace", str(circle_csv(tmp_path)), "--kmax", "3") == EXIT_USAGE
     assert run_cli(*family, "--kmax", "3") == EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_moments_trace_screened_once(tmp_path, monkeypatch):
+    # both routes of T2..T6 share one admissibility screen of the trace:
+    # PROBE_ANGLES winding counts, not one screen per moment and route
+    from petalmap import verify
+    from petalmap.cli import _read_trace_csv
+
+    calls = []
+    inner = verify.winding_number
+
+    def counting(points, z0):
+        calls.append(z0)
+        return inner(points, z0)
+
+    monkeypatch.setattr(verify, "winding_number", counting)
+    csv, rep = circle_csv(tmp_path), tmp_path / "m.json"
+    assert run_cli("moments", "--trace", str(csv), "--tk", "6", "--report", str(rep)) == EXIT_OK
+    assert len(calls) == verify.PROBE_ANGLES == 17
+    # the table holds what the public functions, each screening alone, give
+    points = _read_trace_csv(str(csv))
+    payload = json.loads(rep.read_text())
+    for k in range(2, 7):
+        contour, area = verify.harmonic_moment(points, k), verify.harmonic_moment_area(points, k)
+        assert payload["moments"]["T%d" % k]["contour"] == [contour.real, contour.imag]
+        assert payload["moments"]["T%d" % k]["area"] == [area.real, area.imag]
+
+
+def test_moments_trace_takes_no_growth_state(tmp_path):
+    # a raw trace has no scale to set: --T and --A are usage errors with it,
+    # whatever their value, and still default to 1 for a family
+    csv = str(circle_csv(tmp_path))
+    for extra in (("--T", "nan"), ("--A", "-3"), ("--T", "1"), ("--T", "2", "--A", "1")):
+        assert run_cli("moments", "--trace", csv, *extra) == EXIT_USAGE, extra
+    family = ("moments", "--family", "one-petal", "--alpha", "pi/4", "--z", "0+0.8i")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(*family, "--report", str(a)) == EXIT_OK
+    assert run_cli(*family, "--T", "1", "--A", "1", "--report", str(b)) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_moments_index_below_two_rejected(tmp_path):
+    csv, rep = str(circle_csv(tmp_path)), tmp_path / "m.json"
+    for tk in ("1", "0", "-5"):
+        assert run_cli("moments", "--trace", csv, "--tk", tk, "--report", str(rep)) == EXIT_USAGE, tk
+        assert run_cli("moments", "--family", "one-petal", "--alpha", "pi/4", "--tk", tk) == EXIT_USAGE, tk
+    assert not rep.exists()
 
 
 def test_moments_family_table_is_degenerate(capsys):

@@ -603,6 +603,61 @@ def test_potential_formulas():
     assert abs(potential_V(MapFamily.two_petal(alpha, beta), w) - v2) <= 1e-14
 
 
+def one_petal_mp_derivative(family, w, order):
+    """mp.diff of the one-petal closed form at the exact w, 30 digits."""
+    with mp.workdps(30):
+        g = mp.mpf(family.gamma)
+
+        def f(x):
+            a = 1 / x
+            bracket = (1 - a) ** g * (1 + a) ** (1 - g) + (1 + a) ** g * (1 - a) ** (1 - g)
+            return x * mp.sqrt(1 - a * a) * bracket / 2
+
+        return complex(mp.diff(f, mp.mpc(w), order))
+
+
+def one_petal_probe_points():
+    # a half-offset ring on |w| = 1 whose nodes next to w = +-1 sit
+    # pi/32768 ~ 1e-4 from the corners, the same nodes at |w| = 1.5, and
+    # seeded sheet points
+    n = 32768
+    ring = np.exp(1j * maps._circle_angles(n)[np.r_[0 : n : 2048, 1, n // 2 - 1, n // 2, n - 1]])
+    rng = np.random.default_rng(23)
+    sheet = (1.0 + rng.exponential(0.5, 24)) * np.exp(1j * rng.uniform(-math.pi, math.pi, 24))
+    return np.concatenate([ring, 1.5 * ring, sheet])
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 8, 0.3, math.pi / 4, 1.2])
+def test_one_petal_derivatives_against_mpmath(alpha):
+    family = MapFamily.one_petal(alpha)
+    pts = one_petal_probe_points()
+    f, fp, fpp = maps._tangential_derivatives(family, pts)
+    assert np.array_equal(f, maps._one_petal_values(family, pts))
+    for order, got in ((1, fp), (2, fpp)):
+        want = np.array([one_petal_mp_derivative(family, w, order) for w in pts])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, order
+    # the arc stencil, which two-petal families still use, agrees to its own
+    # truncation error
+    _, fd1, fd2 = maps._arc_derivatives(lambda q: maps._values_on_sheet(family, q), pts, maps._arc_step(family, pts))
+    assert np.max(np.abs(fd1 - fp) / np.abs(fp)) <= 1e-9
+    assert np.max(np.abs(fd2 - fpp) / np.abs(fpp)) <= 1e-7
+
+
+def test_one_petal_derivatives_take_no_stencil(monkeypatch):
+    def unused(*args):
+        raise AssertionError("arc stencil called for a one-petal family")
+
+    monkeypatch.setattr(maps, "_arc_derivatives", unused)
+    w = np.array([1.6 + 0.4j, -1.3 + 1.2j, 2.5j])
+    # the lemniscate f, with f^2 = w^2 - 1, has f' = w / f and f'' = -1 / f^3
+    f = evaluate_map(LEMNISCATE, w)
+    assert np.max(np.abs(map_derivative(LEMNISCATE, w) - w / f)) <= EXACT_TOL
+    _, _, fpp = maps._tangential_derivatives(LEMNISCATE, w)
+    assert np.max(np.abs(fpp + 1.0 / f**3)) <= EXACT_TOL
+    with pytest.raises(CornerPreimageError):
+        map_derivative(LEMNISCATE, -1.0)
+
+
 def test_map_derivative_consistency():
     # central difference against the analytic derivative
     fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)

@@ -76,6 +76,17 @@ def test_ode_residual_families():
     assert ode_residual(MapFamily.two_petal(math.pi / 4, math.pi / 8)) <= ODE_TOL
 
 
+def test_ode_residual_is_a_real_check(monkeypatch):
+    # one-petal f'' is the closed form's own, never taken from the oscillator
+    # equation, so the residual is near rounding and a 1e-6 change of the
+    # potential shows far above it
+    family = MapFamily.one_petal(0.3)
+    assert ode_residual(family) <= 1e-13
+    inner = verify.potential_V
+    monkeypatch.setattr(verify, "potential_V", lambda fam, w: inner(fam, w) * (1.0 + 1e-6))
+    assert ode_residual(family) >= 1e-7
+
+
 def test_estimate_A_lemniscate():
     est = estimate_A(LEMNISCATE)
     assert abs(est.value - 1.0) <= 1e-10
@@ -333,6 +344,30 @@ def test_raw_trace_origin_screening():
     # near-collapse of the whole trace
     with pytest.raises(DegenerateTraceError):
         harmonic_moment(np.zeros(32, dtype=complex), 2)
+    # the area route screens its own input too
+    for trace in (floating, quarter, np.zeros(32, dtype=complex)):
+        with pytest.raises(DegenerateTraceError):
+            harmonic_moment_area(trace, 3)
+
+
+def test_screened_trace_is_screened_once(monkeypatch):
+    trace = unit_circle_trace()
+    want = [(harmonic_moment(trace, k), harmonic_moment_area(trace, k)) for k in range(2, 7)]
+    screens = []
+    inner = verify._reject_degenerate
+
+    def counting(points):
+        screens.append(len(points))
+        return inner(points)
+
+    monkeypatch.setattr(verify, "_reject_degenerate", counting)
+    screened = verify._screened_points(trace)
+    assert verify._screened_points(screened) is screened
+    got = [(harmonic_moment(screened, k), harmonic_moment_area(screened, k)) for k in range(2, 7)]
+    assert got == want
+    assert screens == [len(trace)]
+    harmonic_moment(trace, 3)  # a bare trace is screened again
+    assert screens == [len(trace)] * 2
 
 
 def test_moment_argument_validation():
