@@ -161,12 +161,18 @@ def _trace_svg(points: np.ndarray, width: int = 640) -> str:
 def _read_trace_csv(path: str) -> np.ndarray:
     """The x + iy points of a trace CSV whose header names its x and y columns.
 
-    A cell that is not a number is an error, not a nan.
+    A cell that is not a number is an error, not a nan.  A table without
+    rows gives no points, without asking `np.loadtxt`, which warns on it.
     """
     with open(path, encoding="utf-8") as fh:
         names = [name.strip() for name in fh.readline().split(",")]
         if not {"x", "y"} <= set(names):
             raise UsageError("trace file %r lacks x,y columns" % path)
+        start = fh.tell()
+        # loadtxt skips blank lines and "#" comments; look for one row it would read
+        if not any(line.partition("#")[0].strip() for line in iter(fh.readline, "")):
+            return np.empty(0, dtype=complex)
+        fh.seek(start)
         data = np.loadtxt(fh, delimiter=",", usecols=(names.index("x"), names.index("y")), ndmin=2)
     return data[:, 0] + 1j * data[:, 1]
 

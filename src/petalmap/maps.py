@@ -289,14 +289,14 @@ def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     return _two_petal_in_p(family, w + 1.0 / w, d * d, w.imag < 0.0)
 
 
-def z_of_p(family: MapFamily, p):
+def _z_of_p(family: MapFamily, p):
     """Two-petal pattern in the upper-map variable p = w + 1/w.
 
     Real p between the branch points means the boundary limit from above.
     The branch points p = +-2 themselves are rejected.
     """
     if family.kind != "two-petal":
-        raise ValueError("z_of_p is defined for two-petal families")
+        raise ValueError("_z_of_p is defined for two-petal families")
     pts, shape, scalar = _as_points(p)
     if np.any(np.minimum(np.abs(pts - 2.0), np.abs(pts + 2.0)) < BRANCH_POINT_REJECT):
         raise MapDomainError("p too close to a branch point at +-2")
@@ -478,6 +478,30 @@ def potential_V(family: MapFamily, w):
 def _circle_angles(n: int) -> np.ndarray:
     """Half-offset grid (k + 1/2) 2 pi/n, k < n: clear of every corner pre-image when 4 | n."""
     return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+
+
+def _graded_angles(corners, floor: float) -> np.ndarray:
+    """Sorted angles in [0, 2 pi), graded toward the corner angles ``corners``.
+
+    At angular distance d from the nearest corner the spacing is at most
+    min(max(d, floor)/4, 0.05): uniform within ``floor`` of a corner,
+    geometric with ratio 5/4 out to d = 0.2, uniform beyond.  Each arc
+    between neighbouring corners is filled from both ends, the offsets
+    shrunk to meet at its midpoint, so its points are symmetric about that
+    midpoint.  The corner angles themselves are grid points.
+    """
+    offsets = [0.0]
+    while offsets[-1] < math.pi:
+        offsets.append(offsets[-1] + min(0.25 * max(offsets[-1], floor), 0.05))
+    offsets = np.array(offsets)
+    starts = np.sort(np.mod(np.asarray(corners, dtype=float), 2.0 * math.pi))
+    gaps = np.diff(np.append(starts, starts[0] + 2.0 * math.pi))
+    pieces = []
+    for start, gap in zip(starts, gaps):
+        k = int(np.searchsorted(offsets, 0.5 * gap))
+        side = offsets[: k + 1] * (0.5 * gap / offsets[k])
+        pieces.append(start + np.concatenate([side, gap - side[k - 1 : 0 : -1]]))
+    return np.sort(np.mod(np.concatenate(pieces), 2.0 * math.pi))
 
 
 def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2048) -> BoundaryTrace:

@@ -22,6 +22,7 @@ from .maps import (
     _arc_derivatives,
     _arc_step,
     _circle_angles,
+    _graded_angles,
     _one_petal_bracket,
     _one_petal_values,
     _power,
@@ -43,8 +44,6 @@ from .special_functions import _gamma_quotient, hyp2f1_values
 RING_ODE = 1.5               # sampling ring for the oscillator residual
 RATIO_SPREAD_TOL = 1e-6
 CONFORMAL_RING_EPS = 1e-3
-CONFORMAL_SAMPLES = 2048
-ANGLE_STEP_LIMIT = 2.5       # max argument increment per node before refining
 CORNER_FIT_RANGE = (1e-6, 1e-3)
 CORNER_FIT_POINTS = 12
 WIDTH_DEGENERATE_FRACTION = 1e-3
@@ -285,27 +284,49 @@ def darcy_check(family: MapFamily, ratio: float | None = None) -> float:
 # conformality
 
 
-def conformality_check(family: MapFamily, n: int = CONFORMAL_SAMPLES):
+def _ring_turns(family: MapFamily, radius: float, phis: np.ndarray):
+    """Turns of arg f' between neighbours on the ring radius e^{i phi}, none above pi/4.
+
+    Every arc whose turn exceeds pi/4 is bisected, one `map_derivative` call
+    per round of midpoints, until none does; the last arc closes the circle.
+    Returns None when the ring cannot be resolved: f' nearly vanishes on it,
+    or an arc that still turns too far is too short to split in floating point.
+    """
+    fp = map_derivative(family, radius * np.exp(1j * phis))
+    scale = float(np.median(np.abs(fp)))
+    new = fp
+    while True:
+        if not (scale > 0.0 and float(np.min(np.abs(new))) >= 1e-9 * scale):
+            return None
+        turns = np.angle(np.roll(fp, -1) / fp)
+        wide = np.flatnonzero(np.abs(turns) > 0.25 * math.pi)
+        if wide.size == 0:
+            return turns
+        lo = phis[wide]
+        hi = np.append(phis[1:], phis[0] + 2.0 * math.pi)[wide]
+        mids = 0.5 * (lo + hi)
+        if np.any((mids <= lo) | (mids >= hi)):
+            return None
+        new = map_derivative(family, radius * np.exp(1j * mids))
+        phis = np.insert(phis, wide + 1, mids)
+        fp = np.insert(fp, wide + 1, new)
+
+
+def conformality_check(family: MapFamily):
     """Count zeros of f' outside the unit circle by its winding on a tight ring.
 
     Returns (winding, ok); the map is locally invertible on the exterior iff
-    the winding vanishes.  A derivative value collapsing on the ring (corner
-    pre-images sit exactly on |w| = 1) makes the count unstable, in which case
-    the ring is pushed out once before giving up.
+    the winding vanishes.  The ring |w| = e^eps starts from angles graded
+    toward the corner pre-images and is bisected until arg f' turns by at
+    most pi/4 between neighbours (`_ring_turns`), so the summed turns cannot
+    alias.  The corner pre-images sit exactly on |w| = 1; a ring that cannot
+    be resolved is pushed out once before giving up.
     """
+    corners = np.angle(np.array(family.corner_preimages))
     for ring_eps in (CONFORMAL_RING_EPS, 2.0 * CONFORMAL_RING_EPS):
-        radius = math.exp(ring_eps)
-        for samples in (n, 4 * n):
-            phis = _circle_angles(samples)
-            ring = radius * np.exp(1j * phis)
-            fp = map_derivative(family, ring)
-            scale = float(np.median(np.abs(fp)))
-            if scale == 0.0 or float(np.min(np.abs(fp))) < 1e-9 * scale:
-                break  # derivative vanishes on this ring; push the ring out
-            increments = np.angle(np.roll(fp, -1) / fp)
-            if float(np.max(np.abs(increments))) > ANGLE_STEP_LIMIT:
-                continue  # under-resolved turn; refine the grid
-            winding = int(round(float(np.sum(increments)) / (2.0 * math.pi)))
+        turns = _ring_turns(family, math.exp(ring_eps), _graded_angles(corners, ring_eps))
+        if turns is not None:
+            winding = int(round(float(np.sum(turns)) / (2.0 * math.pi)))
             return winding, winding == 0
     raise VerificationError("derivative winding could not be resolved")
 
@@ -564,7 +585,7 @@ def petal_width(family: MapFamily) -> float:
 def sweep(alphas, betas) -> SweepResult:
     """Conformality and degeneracy classification over a parameter grid.
 
-    Each node counts the winding on a 1024-point ring, half the battery's.
+    Each node counts the winding with `conformality_check`, as the battery does.
 
     Nodes that cannot be evaluated record their failure and the sweep moves
     on; they come back with winding/conformal/degenerate set to None.
@@ -576,7 +597,7 @@ def sweep(alphas, betas) -> SweepResult:
         for beta in betas:
             try:
                 family = MapFamily.two_petal(alpha, beta)
-                winding, ok = conformality_check(family, n=1024)
+                winding, ok = conformality_check(family)
                 width = petal_width(family)
                 degenerate = width < WIDTH_DEGENERATE_FRACTION
                 rows.append(SweepRow(float(alpha), float(beta), winding, ok, degenerate))

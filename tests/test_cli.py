@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -20,6 +21,8 @@ from petalmap.cli import (
     parse_complex,
     parse_grid,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -136,6 +139,19 @@ def test_trace_csv_rejects_bad_cells(tmp_path, capsys):
         assert message in capsys.readouterr().err, bad
     assert run_cli("moments", "--trace", str(write_rows(tmp_path / "t.csv", "phi,u,v", rows))) == EXIT_USAGE
     assert run_cli("moments", "--trace", str(tmp_path / "missing.csv")) == EXIT_RUNTIME
+
+
+def test_trace_csv_without_rows_is_one_error_line(tmp_path):
+    # a header-only table has no points; numpy must not warn on the way
+    path = tmp_path / "t.csv"
+    for body in ("phi,x,y\n", "phi,x,y\n\n# no rows\n"):
+        path.write_text(body)
+        result = subprocess.run(
+            [sys.executable, "-m", "petalmap", "moments", "--trace", str(path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == EXIT_RUNTIME
+        assert result.stderr == "error: trace must be a 1-d array of at least 16 points\n"
 
 
 def test_trace_nonconformal_sidecar(tmp_path, capsys):
@@ -271,6 +287,13 @@ def test_sweep_failed_node_reason_on_stderr(tmp_path, capsys):
         "%s,1.6000000000000001: ValueError: beta must lie in (0, pi/2)\n"
         "warning: 1 sweep nodes failed to evaluate\n" % alpha
     )
+
+
+def test_sweep_default_grid_csv_pinned(tmp_path):
+    # the 17x17 case map; its windings equal a 16384-point count at every node
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == (DATA / "sweep_default.csv").read_bytes()
 
 
 def test_sweep_empty_grid_rejected(tmp_path):

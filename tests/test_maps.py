@@ -28,9 +28,9 @@ from petalmap import (
     potential_V,
     pressure,
     scaled_map,
-    z_of_p,
 )
 from petalmap import maps, verify
+from petalmap.maps import _z_of_p
 from petalmap.special_functions import Hyp2F1DomainError, _gamma_quotient, hyp2f1_values
 
 EXACT_TOL = 1e-13
@@ -143,7 +143,7 @@ def test_two_petal_frozen_spots():
 def test_band_continuation_frozen_values():
     for alpha, beta, p, want in BAND_VALUES:
         fam = MapFamily.two_petal(alpha, beta)
-        got = z_of_p(fam, p)
+        got = _z_of_p(fam, p)
         assert abs(got - want) <= BAND_TOL, (alpha, beta, p)
 
 
@@ -153,7 +153,7 @@ def test_z_of_p_consistent_with_map():
     for rho in (1.05, 1.6):
         w = rho * np.exp(1j * phis)
         direct = evaluate_map(fam, w)
-        via_p = np.array([z_of_p(fam, complex(ww + 1.0 / ww)) for ww in w])
+        via_p = np.array([_z_of_p(fam, complex(ww + 1.0 / ww)) for ww in w])
         assert np.max(np.abs(direct - via_p)) <= 1e-10
 
 
@@ -253,7 +253,7 @@ def test_band_matches_reference(alpha, beta, tol):
     radii, angles = np.meshgrid(np.linspace(0.05, 1.85, 19), np.linspace(0.0, math.pi, 25))
     p = (radii * np.exp(1j * angles)).reshape(-1)
     p = np.where(np.abs(p.imag) < 1e-12, p.real + 0.0j, p)
-    got = z_of_p(fam, p)
+    got = _z_of_p(fam, p)
     want = reference_band(fam, p)
     assert np.max(np.abs(got - want) / np.abs(want)) <= tol
 
@@ -275,8 +275,8 @@ def test_window_edge_family_evaluates():
 
 def test_z_of_p_lower_half_conjugate():
     fam = MapFamily.two_petal(math.pi / 8, math.pi / 16)
-    upper = z_of_p(fam, 0.5 + 0.4j)
-    lower = z_of_p(fam, 0.5 - 0.4j)
+    upper = _z_of_p(fam, 0.5 + 0.4j)
+    lower = _z_of_p(fam, 0.5 - 0.4j)
     assert abs(lower - np.conj(upper)) <= 1e-13
 
 
@@ -305,15 +305,15 @@ def test_z_of_p_on_circle_off_branch_points():
     fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
     want = evaluate_map(fam, 1j * (1.0 + math.sqrt(2.0)))
     assert abs(want - 2.436385657650746j) <= 1e-13
-    assert abs(z_of_p(fam, 2j) - want) <= 1e-13
-    assert abs(z_of_p(fam, -2j) - np.conj(want)) <= 1e-13
+    assert abs(_z_of_p(fam, 2j) - want) <= 1e-13
+    assert abs(_z_of_p(fam, -2j) - np.conj(want)) <= 1e-13
 
 
 def test_branch_points_rejected():
     fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
     for p in (2.0, -2.0, 2.0 + 1e-12j):
         with pytest.raises(MapDomainError):
-            z_of_p(fam, p)
+            _z_of_p(fam, p)
 
 
 def test_family_parameter_validation():
@@ -801,3 +801,20 @@ def test_values_do_not_depend_on_batch_size(family):
         assert np.array_equal(full, blocks)
         alone = [maps._values_on_sheet(family, w[i : i + 1])[0] for i in range(0, n, 97)]
         assert np.array_equal(full[::97], alone)
+
+
+@pytest.mark.parametrize("corners", [(0.0, math.pi), (0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi)])
+def test_graded_angles(corners):
+    floor = 1e-3
+    phis = maps._graded_angles(np.array(corners), floor)
+    assert phis[0] == 0.0 and np.all(np.diff(phis) > 0.0) and phis[-1] < 2.0 * math.pi
+    corner_at = np.mod(corners, 2.0 * math.pi)
+    assert all(np.min(np.abs(phis - c)) <= 1e-15 for c in corner_at)
+    # spacing at most min(max(d, floor)/4, 0.05), d the nearer end's corner distance
+    ends = np.append(phis, 2.0 * math.pi)
+    d = np.min(np.abs(np.angle(np.exp(1j * (ends[:, None] - corner_at[None, :])))), axis=1)
+    bound = np.minimum(0.25 * np.maximum(np.minimum(d[:-1], d[1:]), floor), 0.05)
+    assert np.all(np.diff(ends) <= bound * (1.0 + 1e-9))
+    # the corners' reflections w -> conj(w) and w -> -conj(w) map the grid onto itself
+    for mirrored in (-phis, math.pi - phis):
+        assert np.allclose(np.sort(np.mod(mirrored + 1e-9, 2.0 * math.pi)) - 1e-9, phis, rtol=0.0, atol=1e-12)

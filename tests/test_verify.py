@@ -251,6 +251,83 @@ def test_conformality_check():
     assert winding != 0
 
 
+def test_conformality_counts_the_top_corner_pair():
+    # f' has a critical pair on the imaginary axis at w = +-1.0031i, about
+    # 0.002 outside the ring; a uniform 1024- or 2048-point ring read -4
+    winding, ok = conformality_check(MapFamily.two_petal(4 * math.pi / 36, 6 * math.pi / 36))
+    assert (winding, ok) == (-6, False)
+
+
+def test_battery_conformality_agrees_with_sweep():
+    family = MapFamily.two_petal(4 * math.pi / 36, 5 * math.pi / 36)
+    (row,) = sweep([family.alpha], [family.beta]).rows
+    check = run_standard_checks(family).checks["conformality"]
+    assert row.winding == -6
+    assert check.detail == "winding=-6"
+
+
+def record_ring(monkeypatch):
+    """Log every (points, f') pair the conformality check asks for."""
+    calls = []
+    inner = verify.map_derivative
+
+    def recording(family, w):
+        fp = inner(family, w)
+        calls.append((np.asarray(w), fp))
+        return fp
+
+    monkeypatch.setattr(verify, "map_derivative", recording)
+    return calls
+
+
+def test_conformality_ring_work(monkeypatch):
+    calls = record_ring(monkeypatch)
+    step = math.pi / 36
+    cases = {
+        "collapsed (5,5)": (MapFamily.two_petal(5 * step, 5 * step), None),
+        "top pair (4,6)": (MapFamily.two_petal(4 * step, 6 * step), -6),
+        "conformal (6,3)": (MapFamily.two_petal(6 * step, 3 * step), 0),
+        "one-petal": (MapFamily.one_petal(0.3), 0),
+    }
+    for name, (family, expected) in cases.items():
+        calls.clear()
+        winding, _ = conformality_check(family)
+        assert expected is None or winding == expected, name
+        w = np.concatenate([c[0] for c in calls])
+        fp = np.concatenate([c[1] for c in calls])
+        assert w.size <= 400, (name, w.size)
+        # one ring, no push-out, and no turn of arg f' above pi/4 on it
+        assert np.allclose(np.abs(w), math.exp(verify.CONFORMAL_RING_EPS), rtol=1e-14, atol=0.0), name
+        order = np.argsort(np.mod(np.angle(w), 2.0 * math.pi))
+        turns = np.angle(np.roll(fp[order], -1) / fp[order])
+        assert np.max(np.abs(turns)) <= 0.25 * math.pi, name
+        assert round(float(np.sum(turns)) / (2.0 * math.pi)) == winding, name
+
+
+def test_conformality_unresolved_ring_pushed_out_then_raises(monkeypatch):
+    family = MapFamily.two_petal(math.pi / 8, math.pi / 16)
+    inner = verify.map_derivative
+    first_ring = math.exp(1.5 * verify.CONFORMAL_RING_EPS)
+    radii = []
+
+    def vanishing_near_i(family, w):
+        # f' vanishes next to w = i on the first ring only
+        radii.append(float(np.max(np.abs(w))))
+        return np.where((np.abs(w) < first_ring) & (np.abs(w - 1j) < 0.01), 0.0, inner(family, w))
+
+    monkeypatch.setattr(verify, "map_derivative", vanishing_near_i)
+    assert conformality_check(family) == (0, True)
+    assert radii[0] < first_ring < radii[-1]
+
+    def sign_jump(family, w):
+        # arg f' jumps by pi where arg w crosses 1: no bisection resolves it
+        return np.where(np.angle(w) > 1.0, 1.0 + 0.0j, -1.0 + 0.0j)
+
+    monkeypatch.setattr(verify, "map_derivative", sign_jump)
+    with pytest.raises(VerificationError, match="could not be resolved"):
+        conformality_check(family)
+
+
 def test_corner_exponent_fits():
     fam = MapFamily.one_petal(3 * math.pi / 8)
     target = 2.0 * fam.alpha / math.pi
