@@ -8,8 +8,8 @@ imaginary axis with half-angle ``beta`` and is hypergeometric.  Both maps
 are odd, real on the real axis, and normalized to derivative 1 at infinity
 before time scaling.
 
-Evaluation is restricted to the physical sheet |w| >= 1; the analytic
-continuation used by the conserved-ratio estimate lives in `verify`.
+Evaluation is restricted to the physical sheet |w| >= 1; the continuation
+across it that the conserved-ratio estimate needs is `_partner_derivatives`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import Hyp2F1DomainError, hyp2f1_values
+from .special_functions import Hyp2F1DomainError, _gamma_quotient, hyp2f1_values
 
 CORNER_REJECT = 1e-12        # evaluation radius around corner pre-images
 MODULUS_SLACK = 1e-12        # |w| >= 1 - slack counts as on-sheet
@@ -28,7 +28,6 @@ FD_MAX_STEP = 0.04
 ARC_BLOCK = 2043             # map points per stencil call (227 centres x 9 rows); bounds derivative and series memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
-BRANCH_POINT_REJECT = 1e-9   # |p| must stay away from the branch points at +-2
 
 
 class MapDomainError(ValueError):
@@ -194,15 +193,15 @@ def _one_petal_terms(g: float, minus: np.ndarray, plus: np.ndarray):
     return np.exp(g * lo) * np.exp((1.0 - g) * hi), np.exp(g * hi) * np.exp((1.0 - g) * lo)
 
 
-def _one_petal_bracket(g: float, a: np.ndarray) -> np.ndarray:
-    """Half-sum of (1-a)^g (1+a)^(1-g) and its mirror a -> -a.
+def _one_petal_bracket(g: float, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Half-sum of minus^g plus^(1-g) and its mirror plus^g minus^(1-g).
 
-    With a = 1/w this is the one-petal map divided by its trunk.  Exactly 1
-    at g = 0, where the two terms merge.
+    With minus/plus = 1 -/+ 1/w this is the one-petal map divided by its
+    trunk.  Exactly 1 at g = 0, where the two terms merge.
     """
     if g == 0.0:
-        return np.ones(a.shape, dtype=complex)
-    left, right = _one_petal_terms(g, 1.0 - a, 1.0 + a)
+        return np.ones(minus.shape, dtype=complex)
+    left, right = _one_petal_terms(g, minus, plus)
     return 0.5 * (left + right)
 
 
@@ -211,25 +210,24 @@ def _one_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
 
     All fractional powers act on 1 -/+ 1/w, so every cut stays inside the
     unit disk and the two bracket terms swap under w -> -w, making the sum
-    exactly odd.
+    exactly odd.  1 -/+ 1/w is taken as (w -/+ 1)/w: the rounding of 1/w
+    would cost ~1e-16/|w -/+ 1| of relative accuracy next to the corners.
     """
-    a = 1.0 / w
+    minus, plus = (w - 1.0) / w, (w + 1.0) / w
     # a named factor: numpy would reuse a large temporary right operand in
     # place, swapping the complex product's operands and so its rounding
-    trunk = np.sqrt(1.0 - a * a)
-    return w * trunk * _one_petal_bracket(family.gamma, a)
+    trunk = np.sqrt(minus * plus)
+    return w * trunk * _one_petal_bracket(family.gamma, minus, plus)
 
 
 def _one_petal_derivatives(family: MapFamily, w: np.ndarray):
-    """(f, f', f'') of the closed form; f is `_one_petal_values`' bits.
+    """(f, f', f'') of the closed form; f is `_one_petal_values`' expression, so its bits.
 
     With a = 1/w, T = sqrt(1 - a^2) and B the bracket, f = T B / a, so
     f' = B/T - a T B' and f'' = -a^2 d/da f' = a^3 (T B'' - 2 a B'/T - B/T^3).
     A bracket term t has d log t/da = s, with s = (1-g)/(1+a) - g/(1-a) for
     the first term and g/(1+a) - (1-g)/(1-a) for its mirror, so t' = t s and
-    t'' = t (s^2 + ds/da).  The derivatives take 1 -/+ a as (w -/+ 1)/w: the
-    rounding of 1/w alone would cost ~1e-16/|w -/+ 1| of relative accuracy
-    next to the corners.
+    t'' = t (s^2 + ds/da).  1 -/+ a is (w -/+ 1)/w, as in the value.
     """
     a = 1.0 / w
     minus, plus = (w - 1.0) / w, (w + 1.0) / w
@@ -249,11 +247,16 @@ def _one_petal_derivatives(family: MapFamily, w: np.ndarray):
         curve = 0.5 * (left * (s_left * s_left + ds_left) + right * (s_right * s_right + ds_right))
     f_prime = bracket / trunk - a * trunk * slope
     f_second = a * a * a * (trunk * curve - 2.0 * a * slope / trunk - bracket / (trunk * trunk * trunk))
-    return _one_petal_values(family, w), f_prime, f_second
+    return w * trunk * bracket, f_prime, f_second
 
 
 # ---------------------------------------------------------------------------
 # two-petal family
+
+
+def _two_petal_parameters(family: MapFamily) -> tuple[float, float]:
+    """The upper parameters a, b of the two-petal map's F(a, b; 1/2; 4/p^2)."""
+    return (family.alpha + family.beta) / math.pi - 0.5, (family.alpha - family.beta) / math.pi
 
 
 def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -274,8 +277,7 @@ def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.n
     p2 = p * p
     ratio = d / p2
     t = 4.0 / p2
-    aa = (family.alpha + family.beta) / math.pi - 0.5
-    bb = (family.alpha - family.beta) / math.pi
+    aa, bb = _two_petal_parameters(family)
     hyp = hyp2f1_values(aa, bb, 0.5, np.conj(t.real + 1j * np.abs(t.imag)))
     power = _power(ratio.real + 1j * np.abs(ratio.imag), family.alpha / math.pi)
     out = (np.abs(p.real) + 1j * np.abs(p.imag)) * power * hyp
@@ -289,19 +291,36 @@ def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     return _two_petal_in_p(family, w + 1.0 / w, d * d, w.imag < 0.0)
 
 
-def _z_of_p(family: MapFamily, p):
-    """Two-petal pattern in the upper-map variable p = w + 1/w.
+def _partner_derivatives(family: MapFamily, w: np.ndarray):
+    """(h, h') of the map continued across the unit circle, a second oscillator solution.
 
-    Real p between the branch points means the boundary limit from above.
-    The branch points p = +-2 themselves are rejected.
+    For one petal h(w) = f(1/w), the closed form.  For two petals t = 4/p^2
+    crosses F's cut at t > 1, where (DLMF 15.2.3) the continuation is
+    e^{-2i alpha} (f + 2 pi i K J), K = Gamma(c) / (Gamma(a) Gamma(b)
+    Gamma(c-a-b+1)), J = p X^(alpha/pi) (-X)^(c-a-b) F(c-a, c-b; c-a-b+1; X)
+    and X = 1 - t.  A multiple of f or a constant phase leaves the
+    Wronskian's modulus unchanged, so h = 2 pi |K| J, analytic where t lies
+    in the lower half plane (the first quadrant off the axes).  h' takes
+    d/dX F = ((c-a)(c-b)/(c-a-b+1)) F(c-a+1, c-b+1; c-a-b+2; X) (DLMF 15.5.1)
+    and dX/dw = 8 p'/p^3, p' = 1 - 1/w^2.
     """
-    if family.kind != "two-petal":
-        raise ValueError("_z_of_p is defined for two-petal families")
-    pts, shape, scalar = _as_points(p)
-    if np.any(np.minimum(np.abs(pts - 2.0), np.abs(pts + 2.0)) < BRANCH_POINT_REJECT):
-        raise MapDomainError("p too close to a branch point at +-2")
-    out = _two_petal_in_p(family, pts, (pts - 2.0) * (pts + 2.0), pts.imag < 0.0)
-    return complex(out[0]) if scalar else out.reshape(shape)
+    if family.kind == "one-petal":
+        h, f_prime, _ = _one_petal_derivatives(family, 1.0 / w)
+        return h, -f_prime / (w * w)
+    a, b = _two_petal_parameters(family)
+    cab = 0.5 - a - b  # c - a - b with c = 1/2
+    mu = family.alpha / math.pi
+    scale = 2.0 * math.pi * abs(_gamma_quotient((0.5,), (a, b, cab + 1.0)))
+    p = w + 1.0 / w
+    d = (w - 1.0) * (w + 1.0) / w
+    dp = d / w  # p' = 1 - 1/w^2
+    x = d * d / (p * p)  # 1 - t, kept factored like the map's
+    dx = 8.0 * dp / (p * p * p)
+    hyp = hyp2f1_values(0.5 - a, 0.5 - b, cab + 1.0, x)
+    slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * hyp2f1_values(1.5 - a, 1.5 - b, cab + 2.0, x)
+    outer = scale * p * _power(x, mu) * _power(-x, cab)
+    h = outer * hyp
+    return h, h * (dp / p + (mu + cab) * dx / x) + outer * slope * dx
 
 
 # ---------------------------------------------------------------------------

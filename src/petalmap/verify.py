@@ -19,14 +19,12 @@ from .maps import (
     BoundaryTrace,
     MapFamily,
     TimeState,
-    _arc_derivatives,
-    _arc_step,
     _circle_angles,
     _graded_angles,
     _one_petal_bracket,
-    _one_petal_values,
-    _power,
+    _partner_derivatives,
     _tangential_derivatives,
+    _two_petal_parameters,
     _values_on_sheet,
     boundary_trace,
     laurent_coefficients,
@@ -39,7 +37,6 @@ from .numerics import (
     singular_endpoint_quadrature,
     winding_number,
 )
-from .special_functions import _gamma_quotient, hyp2f1_values
 
 RING_ODE = 1.5               # sampling ring for the oscillator residual
 RATIO_SPREAD_TOL = 1e-6
@@ -195,53 +192,27 @@ def ode_residual(family: MapFamily) -> float:
 # conserved ratio via the Wronskian of the solution basis
 
 
-def _partner_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
-    """A second oscillator solution, for the Wronskian with the map.
-
-    The map continued across the unit circle, h(w) = f(1/w), solves the
-    same equation.  For one-petal families that is the closed form at 1/w.
-    For two-petal families crossing the circle takes t = 4/p^2 across F's
-    cut at t > 1, where (DLMF 15.2.3) the continuation is
-    e^{-2i alpha} (f + 2 pi i K J) with K = Gamma(c) / (Gamma(a) Gamma(b)
-    Gamma(c-a-b+1)) and J = p (1-t)^(alpha/pi) (t-1)^(c-a-b)
-    F(c-a, c-b; c-a-b+1; 1-t).  Adding a multiple of f or a constant phase
-    leaves the Wronskian's modulus unchanged, so only 2 pi |K| J is
-    evaluated.  Its principal branches are analytic on the probe wedge,
-    where t lies in the lower half plane.
-    """
-    if family.kind == "one-petal":
-        return _one_petal_values(family, 1.0 / w)
-    a = (family.alpha + family.beta) / math.pi - 0.5
-    b = (family.alpha - family.beta) / math.pi
-    cab = 0.5 - a - b  # c - a - b with c = 1/2
-    scale = 2.0 * math.pi * abs(_gamma_quotient((0.5,), (a, b, cab + 1.0)))
-    p = w + 1.0 / w
-    d = (w - 1.0) * (w + 1.0) / w
-    one_minus = d * d / (p * p)  # 1 - t, kept factored like the map's
-    hyp = hyp2f1_values(0.5 - a, 0.5 - b, cab + 1.0, one_minus)
-    return scale * p * _power(one_minus, family.alpha / math.pi) * _power(-one_minus, cab) * hyp
-
-
 def estimate_A(family: MapFamily) -> RatioEstimate:
     """Conserved ratio from the Wronskian of the two oscillator solutions.
 
     The Wronskian combination w (f' h - f h') of the map with its partner
     equals the ratio times |w - 1/w| in modulus at every off-axis probe;
     agreement across probes is the self-consistency measure.  A collapsed
-    pattern, whose partner is a multiple of the map, has no ratio and
-    raises `VerificationError`.
+    pattern, F's a or b zero to within the rounding of their computation
+    (a = -5.6e-17 at (3 pi/36, 15 pi/36)), has a partner that is a multiple
+    of the map and no ratio, and raises `VerificationError`.
     """
-    w = (WRONSKIAN_RHOS[None, :] * np.exp(1j * WRONSKIAN_THETAS)[:, None]).ravel()
-    f, fp, _ = _tangential_derivatives(family, w)
-    h, hp, _ = _arc_derivatives(lambda q: _partner_values(family, q), w, _arc_step(family, w))
-    samples = np.abs(w * (fp * h - f * hp)) / np.abs(w - 1.0 / w)
-    mean = float(np.mean(samples))
-    if mean == 0.0:
+    if family.kind == "two-petal" and min(map(abs, _two_petal_parameters(family))) <= 4.0 * math.ulp(1.0):
         raise VerificationError(
             "%s is a collapsed pattern (beta = alpha or alpha + beta = pi/2): "
             "the map's continuation across the unit circle is a multiple of the "
             "map, so the Wronskian ratio is undefined" % family.label()
         )
+    w = (WRONSKIAN_RHOS[None, :] * np.exp(1j * WRONSKIAN_THETAS)[:, None]).ravel()
+    f, fp, _ = _tangential_derivatives(family, w)
+    h, hp = _partner_derivatives(family, w)
+    samples = np.abs(w * (fp * h - f * hp)) / np.abs(w - 1.0 / w)
+    mean = float(np.mean(samples))
     spread = float((np.max(samples) - np.min(samples)) / mean)
     return RatioEstimate(mean, spread, samples)
 
@@ -367,9 +338,9 @@ def integral_equation_residual(family: MapFamily) -> float:
 
     def integrand(x):
         # at a = x the bracket is the profile at 1/x, the same for every probe
-        return _one_petal_bracket(g, x) / (x * x - w * w)
+        return _one_petal_bracket(g, 1.0 - x, 1.0 + x) / (x * x - w * w)
 
-    values = _one_petal_bracket(g, 1.0 / INTEGRAL_PROBES)
+    values = _one_petal_bracket(g, 1.0 - 1.0 / INTEGRAL_PROBES, 1.0 + 1.0 / INTEGRAL_PROBES)
     integrals = singular_endpoint_quadrature(integrand, (0.0, 1.0), (0.0, g), n=220)
     return float(np.max(np.abs(values - 1.0 + coeff * integrals)))
 

@@ -215,6 +215,13 @@ def test_verify_collapsed_pattern_exit(tmp_path, capsys):
     assert "collapsed pattern" in ratio["detail"]
 
 
+@pytest.mark.parametrize("alpha, beta", [("3pi/36", "15pi/36"), ("15pi/36", "3pi/36")])
+def test_verify_rounded_collapse_exit(alpha, beta, capsys):
+    # alpha + beta = pi/2 up to the rounding of F's parameter a (-5.55e-17)
+    assert run_cli("verify", "--family", "two-petal", "--alpha", alpha, "--beta", beta) == EXIT_RUNTIME
+    assert "collapsed pattern" in capsys.readouterr().out
+
+
 def test_verify_tol_override(capsys):
     code = run_cli(
         "verify", "--family", "one-petal", "--alpha", "pi/4",

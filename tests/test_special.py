@@ -107,11 +107,23 @@ def test_routes_against_mpmath():
         (0.125, -0.375, 0.5, 0.9999j),
         (0.4, 0.15, 0.5, -3.0),
     ]
+    # c - a - b = 1 -/+ 0.015 and 0.015: next to t = 1 only the 1 - t
+    # connection reaches, and its two terms nearly cancel
+    for a, b, c in ((0.3425, 0.1425, 1.5), (0.3575, 0.1575, 1.5), (0.3425, 0.1425, 0.5)):
+        cases += [(a, b, c, 0.97), (a, b, c, 0.99 + 0.05j), (a, b, c, 1.04 - 0.02j)]
     mp.mp.dps = 30
     for a, b, c, t in cases:
         got = f21(a, b, c, t)
         want = complex(mp.hyp2f1(a, b, c, t))
         assert abs(got - want) <= MPMATH_TOL * max(1.0, abs(want)), (a, b, c, t)
+
+
+def test_one_minus_t_route_refused_at_a_pole():
+    # c - a - b rounds to 1 - 1.1e-16 here, but the connection's lower
+    # parameter a + b - c + 1 rounds to exactly 0; next to t = 1 no other
+    # route reaches
+    with pytest.raises(Hyp2F1DomainError):
+        f21(0.35, 0.15, 1.5, 0.97)
 
 
 def test_inverse_route_against_mpmath():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -29,7 +30,7 @@ from petalmap import (
     run_standard_checks,
     sweep,
 )
-from petalmap import verify
+from petalmap import maps, verify
 from petalmap.maps import _tangential_derivatives
 from petalmap.verify import VerificationError, VerificationReport
 
@@ -47,6 +48,8 @@ LEMNISCATE = MapFamily.one_petal(math.pi / 4.0)
 # estimate_A, and doubling REFERENCE_STEPS leaves the gap as it is
 RK4_RATIO_TOL = 3e-12
 ORACLE_RATIO_TOL = 1e-12
+# one petal: f' and h' both closed form, 0.4-1.7e-15 off 40-digit mpmath
+ONE_PETAL_RATIO_TOL = 1e-14
 # beta = pi/4 puts a - b on an integer, where hyp2f1_values averages two
 # parameter offsets (DEGENERATE_SHIFT) at an error of about 5e-8
 DEGENERATE_RATIO_TOL = 1e-7
@@ -152,40 +155,46 @@ def test_partner_matches_scalar_rk4(family):
     assert relative_gap(est.value, np.mean(samples)) <= RK4_RATIO_TOL
 
 
+def reference_solutions(family):
+    """The map f and its partner h as mpmath functions of w; call at 40 digits."""
+    alpha = mp.mpf(family.alpha)
+    if family.kind == "one-petal":
+        g = 2 * alpha / mp.pi - mp.mpf(1) / 2
+
+        def f(w):
+            u = 1 / w
+            bracket = (1 - u) ** g * (1 + u) ** (1 - g) + (1 + u) ** g * (1 - u) ** (1 - g)
+            return w * mp.sqrt(1 - u * u) * bracket / 2
+
+        def h(w):
+            return f(1 / w)
+
+        return f, h
+    beta = mp.mpf(family.beta)
+    a = (alpha + beta) / mp.pi - mp.mpf(1) / 2
+    b = (alpha - beta) / mp.pi
+    c = mp.mpf(1) / 2
+    jump = 2 * mp.pi * abs(mp.gamma(c) / (mp.gamma(a) * mp.gamma(b) * mp.gamma(c - a - b + 1)))
+
+    def f(w):
+        p = w + 1 / w
+        t = 4 / p**2
+        return p * (1 - t) ** (alpha / mp.pi) * mp.hyp2f1(a, b, c, t)
+
+    def h(w):
+        # the jump of F across its cut at t > 1 (DLMF 15.2.3)
+        p = w + 1 / w
+        t = 4 / p**2
+        cont = (t - 1) ** (c - a - b) * mp.hyp2f1(c - a, c - b, c - a - b + 1, 1 - t)
+        return jump * p * (1 - t) ** (alpha / mp.pi) * cont
+
+    return f, h
+
+
 def reference_wronskian_samples(family):
     """The Wronskian samples of `estimate_A` at 40 digits, f' and h' by mp.diff."""
     with mp.workdps(40):
-        alpha = mp.mpf(family.alpha)
-        if family.kind == "one-petal":
-            g = 2 * alpha / mp.pi - mp.mpf(1) / 2
-
-            def f(w):
-                u = 1 / w
-                bracket = (1 - u) ** g * (1 + u) ** (1 - g) + (1 + u) ** g * (1 - u) ** (1 - g)
-                return w * mp.sqrt(1 - u * u) * bracket / 2
-
-            def h(w):
-                return f(1 / w)
-
-        else:
-            beta = mp.mpf(family.beta)
-            a = (alpha + beta) / mp.pi - mp.mpf(1) / 2
-            b = (alpha - beta) / mp.pi
-            c = mp.mpf(1) / 2
-            jump = 2 * mp.pi * abs(mp.gamma(c) / (mp.gamma(a) * mp.gamma(b) * mp.gamma(c - a - b + 1)))
-
-            def f(w):
-                p = w + 1 / w
-                t = 4 / p**2
-                return p * (1 - t) ** (alpha / mp.pi) * mp.hyp2f1(a, b, c, t)
-
-            def h(w):
-                # the jump of F across its cut at t > 1 (DLMF 15.2.3)
-                p = w + 1 / w
-                t = 4 / p**2
-                cont = (t - 1) ** (c - a - b) * mp.hyp2f1(c - a, c - b, c - a - b + 1, 1 - t)
-                return jump * p * (1 - t) ** (alpha / mp.pi) * cont
-
+        f, h = reference_solutions(family)
         samples = []
         for theta in verify.WRONSKIAN_THETAS:
             for rho in verify.WRONSKIAN_RHOS:
@@ -195,10 +204,36 @@ def reference_wronskian_samples(family):
     return np.array(samples)
 
 
+# every oracle family off beta = pi/4, where F's parameter window dominates
+PARTNER_FAMILIES = (
+    MapFamily.one_petal(math.pi / 8),
+    MapFamily.two_petal(math.pi / 4, math.pi / 8),
+    MapFamily.two_petal(math.pi / 5, math.pi / 9),
+    MapFamily.two_petal(1.2, 0.2),
+    MapFamily.two_petal(0.3, 1.0),
+)
+
+
+@pytest.mark.parametrize("family", PARTNER_FAMILIES, ids=lambda f: f.label())
+def test_partner_derivative_against_mpmath(family):
+    # h' is closed form: the one-petal f' at 1/w, or F's contiguous function
+    # (DLMF 15.5.1); mp.diff differentiates the 40-digit reference h
+    w = (verify.WRONSKIAN_RHOS[None, :] * np.exp(1j * verify.WRONSKIAN_THETAS)[:, None]).ravel()
+    h, hp = maps._partner_derivatives(family, w)
+    with mp.workdps(40):
+        _, ref_h = reference_solutions(family)
+        want_h = np.array([complex(ref_h(mp.mpc(x))) for x in w])
+        want_hp = np.array([complex(mp.diff(ref_h, mp.mpc(x))) for x in w])
+    assert relative_gap(h, want_h) <= 1e-13
+    assert relative_gap(hp, want_hp) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "family, tol",
     [
         (MapFamily.one_petal(math.pi / 8), ORACLE_RATIO_TOL),
+        (MapFamily.one_petal(0.3), ONE_PETAL_RATIO_TOL),
+        (MapFamily.one_petal(1.2), ONE_PETAL_RATIO_TOL),
         (MapFamily.two_petal(math.pi / 4, math.pi / 8), ORACLE_RATIO_TOL),
         (MapFamily.two_petal(math.pi / 5, math.pi / 9), ORACLE_RATIO_TOL),
         (MapFamily.two_petal(1.2, 0.2), ORACLE_RATIO_TOL),
@@ -214,7 +249,28 @@ def test_estimate_A_against_mpmath(family, tol):
     assert relative_gap(est.value, np.mean(want)) <= tol
 
 
-@pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (math.pi / 3, math.pi / 6)])
+def test_two_petal_estimate_A_takes_one_stencil(monkeypatch):
+    # only the map's own f' comes from the arc stencil; the partner's h' is closed form
+    calls = []
+    stencil = maps._arc_derivatives
+
+    def counting(*args):
+        calls.append(args[1].size)
+        return stencil(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("petalmap") and getattr(module, "_arc_derivatives", None) is stencil:
+            monkeypatch.setattr(module, "_arc_derivatives", counting)
+    estimate_A(MapFamily.two_petal(math.pi / 5, math.pi / 9))
+    assert calls == [verify.WRONSKIAN_THETAS.size * verify.WRONSKIAN_RHOS.size]
+
+
+# the last two grid nodes of the alpha + beta = pi/2 line compute
+# a = (alpha + beta)/pi - 1/2 as -5.55e-17, not 0
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(0.5, 0.5), (math.pi / 3, math.pi / 6), (3 * math.pi / 36, 15 * math.pi / 36), (15 * math.pi / 36, 3 * math.pi / 36)],
+)
 def test_estimate_A_rejects_collapsed_pattern(alpha, beta):
     # beta = alpha or alpha + beta = pi/2 zeroes the connection coefficient:
     # the partner is a multiple of the map and the Wronskian vanishes
@@ -224,6 +280,14 @@ def test_estimate_A_rejects_collapsed_pattern(alpha, beta):
     report = run_standard_checks(family)
     assert report.has_errors
     assert report.checks["ratio_spread"].detail.startswith("error:")
+
+
+@pytest.mark.parametrize("alpha, beta", [(3 * math.pi / 36, 15 * math.pi / 36 - 1e-3), (15 * math.pi / 36 - 1e-3, 3 * math.pi / 36)])
+def test_estimate_A_next_to_collapse(alpha, beta):
+    # 1e-3 off the alpha + beta = pi/2 line the ratio is small but real
+    est = estimate_A(MapFamily.two_petal(alpha, beta))
+    assert math.isfinite(est.value) and est.value > 0.0
+    assert est.spread <= verify.RATIO_SPREAD_TOL
 
 
 def test_growth_law_lemniscate():
@@ -256,6 +320,13 @@ def test_conformality_counts_the_top_corner_pair():
     # 0.002 outside the ring; a uniform 1024- or 2048-point ring read -4
     winding, ok = conformality_check(MapFamily.two_petal(4 * math.pi / 36, 6 * math.pi / 36))
     assert (winding, ok) == (-6, False)
+
+
+@pytest.mark.parametrize("alpha, beta, winding", [(0.023560, 1.503677, -6), (1.542014, 0.624270, -4)])
+def test_conformality_edge_alpha(alpha, beta, winding):
+    # c - a - b = 1 - 2 alpha/pi within 0.02 of an integer: the ring next to
+    # w = +-1 needs F's 1 - t connection; a uniform 32768-point ring agrees
+    assert conformality_check(MapFamily.two_petal(alpha, beta)) == (winding, False)
 
 
 def test_battery_conformality_agrees_with_sweep():
@@ -358,9 +429,9 @@ def test_integral_equation_profile_once_per_node_array(monkeypatch):
     sizes = []
     inner = verify._one_petal_bracket
 
-    def counting(g, a):
-        sizes.append(a.size)
-        return inner(g, a)
+    def counting(g, minus, plus):
+        sizes.append(minus.size)
+        return inner(g, minus, plus)
 
     monkeypatch.setattr(verify, "_one_petal_bracket", counting)
     assert integral_equation_residual(MapFamily.one_petal(math.pi / 8)) <= 1e-6
