@@ -9,7 +9,6 @@ branch next to the base corners.
 
 import cmath
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -210,6 +209,19 @@ def test_two_petal_edge_alpha_against_mpmath(alpha, beta):
             want = near_corner_reference(alpha, beta, w)
             worst = max(worst, abs(evaluate_map(fam, w) - want) / abs(want))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1e-6, math.pi / 2 - 1e-6])
+def test_two_petal_extreme_alpha_off_the_corners_against_mpmath(alpha):
+    # c - a - b = 1 - 2 alpha/pi is within 1e-6 of an integer, where the
+    # 1 - t connection loses ~6e-18/dist^2; at t = 4/p^2 in (0.5, 0.8) it
+    # has the smallest argument but the direct series reaches too
+    fam = MapFamily.two_petal(alpha, 0.6)
+    worst = 0.0
+    for w in (2.1, 1.8, 2.1 * cmath.exp(0.2j), 1.9 * cmath.exp(0.5j)):
+        want = near_corner_reference(alpha, 0.6, w)
+        worst = max(worst, abs(evaluate_map(fam, w) - want) / abs(want))
+    assert worst <= 1e-14
 
 
 def reference_elementary_continued(family, p):
@@ -661,14 +673,11 @@ def test_one_petal_derivatives_against_mpmath(alpha):
     assert np.max(np.abs(fd2 - fpp) / np.abs(fpp)) <= 1e-7
 
 
-def test_one_petal_derivatives_take_no_stencil(monkeypatch):
+def test_one_petal_derivatives_take_no_stencil(patch_stencil):
     def unused(*args):
         raise AssertionError("arc stencil called for a one-petal family")
 
-    stencil = maps._arc_derivatives
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("petalmap") and getattr(module, "_arc_derivatives", None) is stencil:
-            monkeypatch.setattr(module, "_arc_derivatives", unused)
+    patch_stencil(unused)
     w = np.array([1.6 + 0.4j, -1.3 + 1.2j, 2.5j])
     # the lemniscate f, with f^2 = w^2 - 1, has f' = w / f and f'' = -1 / f^3
     f = evaluate_map(LEMNISCATE, w)

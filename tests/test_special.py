@@ -126,6 +126,19 @@ def test_one_minus_t_route_refused_at_a_pole():
         f21(0.35, 0.15, 1.5, 0.97)
 
 
+@pytest.mark.parametrize("dist", [1e-4, 1e-8, 1e-10])
+def test_one_minus_t_route_last_resort_near_integer(dist):
+    # c - a - b = 1 - dist: the 1 - t connection, good to ~6e-18/dist^2,
+    # serves only points no series route reaches; at these t it has the
+    # smallest argument, but the direct or Pfaff series reaches them (for
+    # 1.6 - 0.3i, the inner functions of 1/t)
+    a, b, c = 0.35, 0.15, 1.5 - dist
+    mp.mp.dps = 30
+    for t in (0.6, 0.7 + 0.3j, 0.55 - 0.6j, 0.8, 1.6 - 0.3j):
+        want = complex(mp.hyp2f1(a, b, mp.mpf(c), t))
+        assert abs(f21(a, b, c, t) - want) <= 1e-14 * abs(want), t
+
+
 def test_inverse_route_against_mpmath():
     # |t| > 1 goes through 1/t; the inner functions of 1/t take the direct,
     # Pfaff and 1 - t routes (0.957 e^{-0.29i} below is one of the latter)

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -249,18 +248,15 @@ def test_estimate_A_against_mpmath(family, tol):
     assert relative_gap(est.value, np.mean(want)) <= tol
 
 
-def test_two_petal_estimate_A_takes_one_stencil(monkeypatch):
+def test_two_petal_estimate_A_takes_one_stencil(patch_stencil):
     # only the map's own f' comes from the arc stencil; the partner's h' is closed form
     calls = []
-    stencil = maps._arc_derivatives
 
     def counting(*args):
         calls.append(args[1].size)
         return stencil(*args)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("petalmap") and getattr(module, "_arc_derivatives", None) is stencil:
-            monkeypatch.setattr(module, "_arc_derivatives", counting)
+    stencil = patch_stencil(counting)
     estimate_A(MapFamily.two_petal(math.pi / 5, math.pi / 9))
     assert calls == [verify.WRONSKIAN_THETAS.size * verify.WRONSKIAN_RHOS.size]
 
