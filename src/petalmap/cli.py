@@ -235,6 +235,11 @@ def cmd_sweep(args) -> int:
     default_grid = [k * math.pi / 36.0 for k in range(1, 18)]
     alphas = parse_grid(args.alpha_grid, "--alpha-grid") if args.alpha_grid else default_grid
     betas = parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else list(default_grid)
+    # a grid angle outside (0, pi/2) is a domain error, not a failed node:
+    # MapFamily's ValueError refuses the whole grid before any node runs
+    for alpha in alphas:
+        for beta in betas:
+            MapFamily.two_petal(alpha, beta)
     result = sweep(alphas, betas)
     lines = ["alpha,beta,winding,conformal,degenerate"]
     failures = []

@@ -500,27 +500,28 @@ def _circle_angles(n: int) -> np.ndarray:
 
 
 def _graded_angles(corners, floor: float) -> np.ndarray:
-    """Sorted angles in [0, 2 pi), graded toward the corner angles ``corners``.
+    """Angles from 0 to pi/2, both ends included, graded toward the corner angles ``corners``.
 
-    At angular distance d from the nearest corner the spacing is at most
-    min(max(d, floor)/4, 0.05): uniform within ``floor`` of a corner,
-    geometric with ratio 5/4 out to d = 0.2, uniform beyond.  Each arc
-    between neighbouring corners is filled from both ends, the offsets
-    shrunk to meet at its midpoint, so its points are symmetric about that
-    midpoint.  The corner angles themselves are grid points.
+    ``corners`` holds 0 and is symmetric under w -> -w and w -> conj(w), as
+    every family's corner pre-images are, so the next corner after 0 sits at
+    pi/2 (two petals) or at pi (one petal).  At angular distance d from the
+    nearest corner the spacing is at most min(max(d, floor)/4, 0.05):
+    uniform within ``floor`` of a corner, geometric with ratio 5/4 out to
+    d = 0.2, uniform beyond.  The arc from 0 to the next corner is filled
+    from both ends, the offsets shrunk to meet at its midpoint, so its
+    points are symmetric about that midpoint; with the next corner at pi
+    the quadrant ends at that midpoint.
     """
+    ends = np.mod(np.asarray(corners, dtype=float), 2.0 * math.pi)
+    gap = float(np.min(ends[ends > 0.0]))
     offsets = [0.0]
-    while offsets[-1] < math.pi:
+    while offsets[-1] < 0.5 * gap:
         offsets.append(offsets[-1] + min(0.25 * max(offsets[-1], floor), 0.05))
-    offsets = np.array(offsets)
-    starts = np.sort(np.mod(np.asarray(corners, dtype=float), 2.0 * math.pi))
-    gaps = np.diff(np.append(starts, starts[0] + 2.0 * math.pi))
-    pieces = []
-    for start, gap in zip(starts, gaps):
-        k = int(np.searchsorted(offsets, 0.5 * gap))
-        side = offsets[: k + 1] * (0.5 * gap / offsets[k])
-        pieces.append(start + np.concatenate([side, gap - side[k - 1 : 0 : -1]]))
-    return np.sort(np.mod(np.concatenate(pieces), 2.0 * math.pi))
+    side = np.array(offsets) * (0.5 * gap / offsets[-1])
+    side[-1] = 0.5 * gap
+    if gap > 0.5 * math.pi:
+        return side
+    return np.concatenate([side, gap - side[-2::-1]])
 
 
 def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2048) -> BoundaryTrace:

@@ -26,7 +26,6 @@ from .maps import (
     _tangential_derivatives,
     _two_petal_parameters,
     _values_on_sheet,
-    boundary_trace,
     laurent_coefficients,
     map_derivative,
     potential_V,
@@ -256,12 +255,13 @@ def darcy_check(family: MapFamily, ratio: float | None = None) -> float:
 
 
 def _ring_turns(family: MapFamily, radius: float, phis: np.ndarray):
-    """Turns of arg f' between neighbours on the ring radius e^{i phi}, none above pi/4.
+    """Turns of arg f' between neighbours on the arc radius e^{i phi}, none above pi/4.
 
-    Every arc whose turn exceeds pi/4 is bisected, one `map_derivative` call
-    per round of midpoints, until none does; the last arc closes the circle.
-    Returns None when the ring cannot be resolved: f' nearly vanishes on it,
-    or an arc that still turns too far is too short to split in floating point.
+    ``phis`` increase along an open arc.  Every step whose turn exceeds
+    pi/4 is bisected, one `map_derivative` call per round of midpoints,
+    until none does.  Returns None when the arc cannot be resolved: f'
+    nearly vanishes on it, or a step that still turns too far is too short
+    to split in floating point.
     """
     fp = map_derivative(family, radius * np.exp(1j * phis))
     scale = float(np.median(np.abs(fp)))
@@ -269,12 +269,12 @@ def _ring_turns(family: MapFamily, radius: float, phis: np.ndarray):
     while True:
         if not (scale > 0.0 and float(np.min(np.abs(new))) >= 1e-9 * scale):
             return None
-        turns = np.angle(np.roll(fp, -1) / fp)
+        turns = np.angle(fp[1:] / fp[:-1])
         wide = np.flatnonzero(np.abs(turns) > 0.25 * math.pi)
         if wide.size == 0:
             return turns
         lo = phis[wide]
-        hi = np.append(phis[1:], phis[0] + 2.0 * math.pi)[wide]
+        hi = phis[wide + 1]
         mids = 0.5 * (lo + hi)
         if np.any((mids <= lo) | (mids >= hi)):
             return None
@@ -287,17 +287,23 @@ def conformality_check(family: MapFamily):
     """Count zeros of f' outside the unit circle by its winding on a tight ring.
 
     Returns (winding, ok); the map is locally invertible on the exterior iff
-    the winding vanishes.  The ring |w| = e^eps starts from angles graded
-    toward the corner pre-images and is bisected until arg f' turns by at
-    most pi/4 between neighbours (`_ring_turns`), so the summed turns cannot
-    alias.  The corner pre-images sit exactly on |w| = 1; a ring that cannot
-    be resolved is pushed out once before giving up.
+    the winding vanishes.  Both map families are odd and real on the real
+    axis, so f'(-w) = f'(w) and f'(conj w) = conj f'(w): the ring
+    |w| = e^eps is four mirror images of its quadrant arg w in [0, pi/2],
+    each turning arg f' by the same amount, and f' is real at both ends of
+    the quadrant, where it meets the axes.  The quadrant's turn is thus a
+    whole multiple of pi and a quarter of the ring's, so the winding is
+    2 round(turn / pi).  The arc starts from angles graded toward the
+    corner pre-images and is bisected until arg f' turns by at most pi/4
+    between neighbours (`_ring_turns`), so the summed turns cannot alias.
+    The corner pre-images sit exactly on |w| = 1; an arc that cannot be
+    resolved is pushed out once before giving up.
     """
     corners = np.angle(np.array(family.corner_preimages))
     for ring_eps in (CONFORMAL_RING_EPS, 2.0 * CONFORMAL_RING_EPS):
         turns = _ring_turns(family, math.exp(ring_eps), _graded_angles(corners, ring_eps))
         if turns is not None:
-            winding = int(round(float(np.sum(turns)) / (2.0 * math.pi)))
+            winding = 2 * int(round(float(np.sum(turns)) / math.pi))
             return winding, winding == 0
     raise VerificationError("derivative winding could not be resolved")
 
@@ -538,13 +544,12 @@ def _ray_distance(z: np.ndarray, angle: float) -> np.ndarray:
 def petal_width(family: MapFamily) -> float:
     """Largest distance from the first-quadrant boundary arc to its corner rays.
 
-    The arc comes from a 512-point trace.  The two-petal pattern collapses
-    onto the slit through angle alpha when beta reaches alpha, so this width
-    is the degeneracy measure.
+    The arc is sampled at the 128 first-quadrant angles of the 512-point
+    half-offset grid.  The two-petal pattern collapses onto the slit through
+    angle alpha when beta reaches alpha, so this width is the degeneracy
+    measure.
     """
-    trace = boundary_trace(family, n=512)
-    quarter = (trace.phis > 0.0) & (trace.phis < 0.5 * math.pi)
-    pts = trace.points[quarter]
+    pts = _values_on_sheet(family, np.exp(1j * _circle_angles(512)[:128]))
     d_base = _ray_distance(pts, family.alpha)
     if family.kind == "two-petal":
         d_top = _ray_distance(pts, 0.5 * math.pi - family.beta)
@@ -556,7 +561,9 @@ def petal_width(family: MapFamily) -> float:
 def sweep(alphas, betas) -> SweepResult:
     """Conformality and degeneracy classification over a parameter grid.
 
-    Each node counts the winding with `conformality_check`, as the battery does.
+    Each node counts the winding with `conformality_check`, as the battery
+    does, and is degenerate when its `petal_width` is below
+    WIDTH_DEGENERATE_FRACTION.
 
     Nodes that cannot be evaluated record their failure and the sweep moves
     on; they come back with winding/conformal/degenerate set to None.

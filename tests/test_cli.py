@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from petalmap import cli
+from petalmap import cli, verify
 from petalmap.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -281,19 +281,43 @@ def test_sweep_explicit_grid(tmp_path):
     assert len(lines) == 5
 
 
-def test_sweep_failed_node_reason_on_stderr(tmp_path, capsys):
-    # beta = 1.6 lies past pi/2, so the node fails to build its family
+def test_sweep_failed_node_reason_on_stderr(tmp_path, capsys, monkeypatch):
+    # arg f' jumps by pi at arg w = 1 for beta = pi/8: no bisection resolves
+    # that node's winding, so it keeps a blank row and the sweep goes on
+    inner = verify.map_derivative
+
+    def unresolved_at_beta(family, w):
+        if family.beta == math.pi / 8:
+            return np.where(np.angle(w) > 1.0, 1.0 + 0.0j, -1.0 + 0.0j)
+        return inner(family, w)
+
+    monkeypatch.setattr(verify, "map_derivative", unresolved_at_beta)
     out = tmp_path / "sweep.csv"
     code = run_cli(
-        "sweep", "--alpha-grid", "pi/8:pi/8:1", "--beta-grid", "1.6:1.6:1", "--out", str(out),
+        "sweep", "--alpha-grid", "pi/8:pi/8:1", "--beta-grid", "pi/16:pi/8:2", "--out", str(out),
     )
     assert code == EXIT_OK
-    alpha = "%.17g" % (math.pi / 8)
-    assert out.read_text() == "alpha,beta,winding,conformal,degenerate\n%s,1.6000000000000001,,,\n" % alpha
-    assert capsys.readouterr().err == (
-        "%s,1.6000000000000001: ValueError: beta must lie in (0, pi/2)\n"
-        "warning: 1 sweep nodes failed to evaluate\n" % alpha
+    alpha = beta_bad = "%.17g" % (math.pi / 8)
+    beta_ok = "%.17g" % (math.pi / 16)
+    assert out.read_text() == (
+        "alpha,beta,winding,conformal,degenerate\n%s,%s,0,true,false\n%s,%s,,,\n"
+        % (alpha, beta_ok, alpha, beta_bad)
     )
+    assert capsys.readouterr().err == (
+        "%s,%s: VerificationError: derivative winding could not be resolved\n"
+        "warning: 1 sweep nodes failed to evaluate\n" % (alpha, beta_bad)
+    )
+
+
+@pytest.mark.parametrize("flag, name", [("--alpha-grid", "alpha"), ("--beta-grid", "beta")])
+def test_sweep_grid_outside_domain_rejected(tmp_path, capsys, flag, name):
+    # 0 and pi/2 are no family's angles: a domain error before any node runs
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", flag, "0:pi/2:3", "--out", str(out)) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: %s must lie in (0, pi/2)\n" % name
+    assert not out.exists()
+    assert run_cli("sweep", flag, "pi/4:pi/2:2", "--out", str(out)) == EXIT_RUNTIME
+    assert not out.exists()
 
 
 def test_sweep_default_grid_csv_pinned(tmp_path):

@@ -829,14 +829,19 @@ def test_values_do_not_depend_on_batch_size(family):
 def test_graded_angles(corners):
     floor = 1e-3
     phis = maps._graded_angles(np.array(corners), floor)
-    assert phis[0] == 0.0 and np.all(np.diff(phis) > 0.0) and phis[-1] < 2.0 * math.pi
+    # the first quadrant, both ends exact: f' is real there on the axes
+    assert phis[0] == 0.0 and phis[-1] == 0.5 * math.pi and np.all(np.diff(phis) > 0.0)
     corner_at = np.mod(corners, 2.0 * math.pi)
-    assert all(np.min(np.abs(phis - c)) <= 1e-15 for c in corner_at)
-    # spacing at most min(max(d, floor)/4, 0.05), d the nearer end's corner distance
-    ends = np.append(phis, 2.0 * math.pi)
+    assert all(c in phis for c in corner_at if c <= 0.5 * math.pi)
+    # the quadrant's mirror images under w -> -conj(w) and w -> -w close the
+    # ring, and its spacing is at most min(max(d, floor)/4, 0.05) everywhere,
+    # d the nearer end's corner distance, also where two images meet
+    half = np.concatenate([phis, math.pi - phis[-2::-1]])
+    ends = np.concatenate([half, math.pi + half[1:]])
+    assert ends[-1] == 2.0 * math.pi and np.all(np.diff(ends) > 0.0)
     d = np.min(np.abs(np.angle(np.exp(1j * (ends[:, None] - corner_at[None, :])))), axis=1)
     bound = np.minimum(0.25 * np.maximum(np.minimum(d[:-1], d[1:]), floor), 0.05)
     assert np.all(np.diff(ends) <= bound * (1.0 + 1e-9))
-    # the corners' reflections w -> conj(w) and w -> -conj(w) map the grid onto itself
-    for mirrored in (-phis, math.pi - phis):
-        assert np.allclose(np.sort(np.mod(mirrored + 1e-9, 2.0 * math.pi)) - 1e-9, phis, rtol=0.0, atol=1e-12)
+    if len(corners) == 4:
+        # filled from both corners, symmetric about the arc's midpoint pi/4
+        assert np.allclose(0.5 * math.pi - phis[::-1], phis, rtol=0.0, atol=1e-15)
