@@ -15,15 +15,8 @@ import sys
 
 import numpy as np
 
-from .maps import (
-    MapDomainError,
-    MapFamily,
-    TimeState,
-    boundary_trace,
-    laurent_coefficients,
-)
+from .maps import MapFamily, TimeState, boundary_trace
 from .verify import (
-    DegenerateTraceError,
     VerificationError,
     _screened_points,
     conformality_check,
@@ -367,7 +360,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
-    except (MapDomainError, DegenerateTraceError, VerificationError, ValueError, OSError) as exc:
+    except (VerificationError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_RUNTIME
 

@@ -19,19 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import Hyp2F1DomainError, _gamma_quotient, hyp2f1_values
+from .special_functions import MapDomainError, _gamma_quotient, _power, hyp2f1_values
 
 CORNER_REJECT = 1e-12        # evaluation radius around corner pre-images
 MODULUS_SLACK = 1e-12        # |w| >= 1 - slack counts as on-sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
-ARC_BLOCK = 2043             # map points per stencil call (227 centres x 9 rows); bounds derivative and series memory
+ARC_BLOCK = 2043             # map points per stencil call (227 centres x 9 rows); bounds the Cauchy ring's memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
-
-
-class MapDomainError(ValueError):
-    """Point off the physical sheet, or on a branch locus."""
 
 
 class CornerPreimageError(MapDomainError):
@@ -144,27 +140,6 @@ class LaurentCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# branch-consistent powers
-
-
-def _power(z, mu: float):
-    """Principal power z**mu for real mu, real-negative bases taken from above.
-
-    Exponents 0, 1 and 1/2 take exact paths.
-    """
-    # adding +0j turns a -0 imaginary part into +0, so the cut is approached
-    # from above whatever the sign of zero
-    z = np.asarray(z, dtype=complex) + 0.0j
-    if mu == 0.0:
-        return np.ones(z.shape, dtype=complex)
-    if mu == 1.0:
-        return z
-    if mu == 0.5:
-        return np.sqrt(z)
-    return np.exp(mu * np.log(z))
-
-
-# ---------------------------------------------------------------------------
 # sheet checks
 
 
@@ -187,8 +162,8 @@ def _check_sheet(family: MapFamily, pts: np.ndarray):
 
 def _one_petal_terms(g: float, minus: np.ndarray, plus: np.ndarray):
     """The bracket's terms minus^g plus^(1-g) and plus^g minus^(1-g), minus/plus = 1 -/+ a."""
-    # each term is `_power`'s exp(mu log z), whose exact-path exponents
-    # 0, 1/2 and 1 neither g nor 1 - g can take here: two logs serve all four
+    # each term is `_power`'s exp(mu log z), whose exact-path exponent 1/2
+    # neither g nor 1 - g can take here: two logs serve all four
     lo, hi = (np.log(np.asarray(z, dtype=complex) + 0.0j) for z in (minus, plus))
     return np.exp(g * lo) * np.exp((1.0 - g) * hi), np.exp(g * hi) * np.exp((1.0 - g) * lo)
 
@@ -262,8 +237,8 @@ def _two_petal_parameters(family: MapFamily) -> tuple[float, float]:
 def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """The two-petal pattern Z(p) = p (d/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2), p = w + 1/w.
 
-    ``d`` is the branch factor p^2 - 4, passed in factored form by the
-    caller so that it keeps its relative accuracy next to the branch points.
+    ``d`` is the branch factor p^2 - 4, factored by the caller so that d/p^2,
+    the power's base and F's 1 - t, stays accurate next to the branch points.
     The formula is taken on the closed first quadrant: points flagged
     ``lower`` are reflected, Z(conj p) = conj Z(p), and points with Re p < 0
     folded by oddness, Z(-conj p) = -conj Z(p).  The folds change only the
@@ -277,9 +252,10 @@ def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.n
     p2 = p * p
     ratio = d / p2
     t = 4.0 / p2
+    folded = ratio.real + 1j * np.abs(ratio.imag)
     aa, bb = _two_petal_parameters(family)
-    hyp = hyp2f1_values(aa, bb, 0.5, np.conj(t.real + 1j * np.abs(t.imag)))
-    power = _power(ratio.real + 1j * np.abs(ratio.imag), family.alpha / math.pi)
+    hyp = hyp2f1_values(aa, bb, 0.5, np.conj(t.real + 1j * np.abs(t.imag)), one_minus=folded)
+    power = _power(folded, family.alpha / math.pi)
     out = (np.abs(p.real) + 1j * np.abs(p.imag)) * power * hyp
     out = np.where(mirror, np.conj(out), out)
     return np.where(left, -out, out)
@@ -315,9 +291,10 @@ def _partner_derivatives(family: MapFamily, w: np.ndarray):
     d = (w - 1.0) * (w + 1.0) / w
     dp = d / w  # p' = 1 - 1/w^2
     x = d * d / (p * p)  # 1 - t, kept factored like the map's
+    t = 4.0 / (p * p)  # 1 - x
     dx = 8.0 * dp / (p * p * p)
-    hyp = hyp2f1_values(0.5 - a, 0.5 - b, cab + 1.0, x)
-    slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * hyp2f1_values(1.5 - a, 1.5 - b, cab + 2.0, x)
+    hyp = hyp2f1_values(0.5 - a, 0.5 - b, cab + 1.0, x, one_minus=t)
+    slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * hyp2f1_values(1.5 - a, 1.5 - b, cab + 2.0, x, one_minus=t)
     outer = scale * p * _power(x, mu) * _power(-x, cab)
     h = outer * hyp
     return h, h * (dp / p + (mu + cab) * dx / x) + outer * slope * dx
@@ -447,7 +424,7 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
         try:
             try:
                 values, derivs, _ = _tangential_derivatives(family, np.array([w]))
-            except (MapDomainError, Hyp2F1DomainError):
+            except MapDomainError:
                 # a stencil point can leave the evaluable region while the
                 # centre converges; the centre's own error comes first
                 if abs(evaluate_map(family, w) * r - complex(z)) <= tol:
@@ -456,7 +433,7 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
             val, deriv = complex(values[0]), complex(derivs[0])
             if abs(val * r - complex(z)) <= tol:
                 return w
-        except (MapDomainError, Hyp2F1DomainError) as exc:
+        except MapDomainError as exc:
             raise InversionError("iteration left the evaluable region: %s" % exc, root=w) from exc
         if deriv == 0.0:
             raise InversionError("stationary point reached", root=w)

@@ -1,4 +1,4 @@
-"""Gauss hypergeometric function.
+"""Gauss hypergeometric function, and the branch power and domain error the maps share.
 
 `hyp2f1_values` evaluates F(a, b; c; t) for real parameters on an array of
 complex arguments; the map evaluators batch thousands of boundary points
@@ -10,6 +10,10 @@ through it at once.  Each point takes one of four routes:
   t/(t - 1) and the 1 - t connection has the smallest argument, the last
   only where no series reaches when c - a - b is near an integer.
 
+The last two, and the 1/t route's inner 1 - 1/t = -(1 - t)/t, take their
+arguments from 1 - t, which a caller may pass factored (``one_minus``): the
+two-petal map's d/p^2 keeps it within 2e-15 of mpmath next to the base corners.
+
 A route does not sum its series itself: it queues each one as
 (a, b, c, argument) and returns a finisher that assembles its values from
 the sums.  `hyp2f1_values` sums the whole queue in one term loop
@@ -19,9 +23,11 @@ need.
 
 The cut is [1, inf).  A point on it with a +0 imaginary part is rejected; a
 -0.0 imaginary part means the limit from below, which is mpmath's value on
-the cut and what numpy's signed-zero complex `log` gives.  The connection
-coefficients are real gamma quotients from the standard library's
-`math.lgamma`, memoized per parameter set by `_gamma_quotient`.
+the cut and what numpy's signed-zero complex `log` gives.  Every fractional
+power, here and in the maps, is `_power`'s, under its one cut convention, and
+`Hyp2F1DomainError` is a `MapDomainError`.  The connection coefficients are
+real gamma quotients from the standard library's `math.lgamma`, memoized per
+parameter set by `_gamma_quotient`.
 
 A point's value does not depend on its batch.  numpy computes
 ``named * temporary`` as ``temporary *= named`` once the temporary reaches
@@ -46,12 +52,30 @@ MAX_TERMS = 10_000
 DEGENERATE_SHIFT = 1e-4    # a-b this close to an integer: average a +- shift, b -+ shift in the 1/t formula
 
 
-class Hyp2F1DomainError(ValueError):
+class MapDomainError(ValueError):
+    """Point off the physical sheet, or on a branch locus."""
+
+
+class Hyp2F1DomainError(MapDomainError):
     """Argument not reachable: on the cut [1, inf) or past every transformation."""
 
 
 class Hyp2F1ConvergenceError(RuntimeError):
     """Series failed to settle within the iteration cap."""
+
+
+def _power(z, mu: float):
+    """Principal power z**mu for real mu, real-negative bases taken from above.
+
+    The package's one cut convention: every fractional power of the maps and
+    the connection formulas is taken here.  Exponent 1/2 takes `np.sqrt`.
+    """
+    # adding +0j turns a -0 imaginary part into +0, so the cut is approached
+    # from above whatever the sign of zero
+    z = np.asarray(z, dtype=complex) + 0.0j
+    if mu == 0.5:
+        return np.sqrt(z)
+    return np.exp(mu * np.log(z))
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -150,20 +174,19 @@ def _scatter(shape: tuple, parts: list) -> Callable:
     return finish
 
 
-def _euler_connection(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Callable:
-    """Evaluate through the argument 1 - t; requires c - a - b off the integers.
+def _euler_connection(a: float, b: float, c: float, one_minus: np.ndarray, queue: list) -> Callable:
+    """Evaluate through the argument ``one_minus`` = 1 - t; requires c - a - b off the integers.
 
     At a distance dist from an integer the two terms grow like 1/dist and
     cancel, and the rounding of c - a - b moves them apart: the value is
     good to about 6e-18/dist^2 (1.5e-13 at dist = 0.0064).
     """
     cab = c - a - b
-    one_minus = 1.0 - t
     coeff_direct = _gamma_quotient((c, cab), (c - a, c - b))
     coeff_power = _gamma_quotient((c, -cab), (a, b))
     first = _queued(queue, a, b, a + b - c + 1.0, one_minus)
     second = _queued(queue, c - a, c - b, cab + 1.0, one_minus)
-    power = np.exp(cab * np.log(one_minus))
+    power = _power(one_minus, cab)
     return lambda sums: coeff_direct * first(sums) + coeff_power * power * second(sums)
 
 
@@ -171,7 +194,7 @@ def _terminates(a: float, b: float) -> bool:
     return _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
 
 
-def _inverse_connection(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Callable:
+def _inverse_connection(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Evaluate |t| > 1 through the argument 1/t; a - b is moved off the integers.
 
     At integer a - b the two exponents at infinity collide and Gamma(a - b)
@@ -183,29 +206,30 @@ def _inverse_connection(a: float, b: float, c: float, t: np.ndarray, queue: list
     """
     amb = a - b
     if abs(amb - round(amb)) < DEGENERATE_SHIFT:
-        lo = _inverse_terms(a - DEGENERATE_SHIFT, b + DEGENERATE_SHIFT, c, t, queue)
-        hi = _inverse_terms(a + DEGENERATE_SHIFT, b - DEGENERATE_SHIFT, c, t, queue)
+        lo = _inverse_terms(a - DEGENERATE_SHIFT, b + DEGENERATE_SHIFT, c, t, one_minus, queue)
+        hi = _inverse_terms(a + DEGENERATE_SHIFT, b - DEGENERATE_SHIFT, c, t, one_minus, queue)
         return lambda sums: 0.5 * (lo(sums) + hi(sums))
-    return _inverse_terms(a, b, c, t, queue)
+    return _inverse_terms(a, b, c, t, one_minus, queue)
 
 
-def _inverse_terms(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Callable:
+def _inverse_terms(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """The 1/t connection (A&S 15.3.7) itself; a - b must not be an integer."""
     amb = a - b
     inv = 1.0 / t
-    log_minus = np.log(-t)
+    minus_t = -t
+    inner_minus = one_minus / minus_t  # 1 - 1/t, as accurate as the caller's 1 - t
     # the inner functions go through the |t| <= 1 routes only: with |t| = 1
     # up to rounding, 1/t may again have modulus above 1
-    power_a = np.exp(-a * log_minus)
-    inner_a = _disk_values(a, a - c + 1.0, amb + 1.0, inv, queue)
+    power_a = _power(minus_t, -a)
+    inner_a = _disk_values(a, a - c + 1.0, amb + 1.0, inv, inner_minus, queue)
     coeff_a = _gamma_quotient((c, -amb), (b, c - a))
-    power_b = np.exp(-b * log_minus)
-    inner_b = _disk_values(b, b - c + 1.0, 1.0 - amb, inv, queue)
+    power_b = _power(minus_t, -b)
+    inner_b = _disk_values(b, b - c + 1.0, 1.0 - amb, inv, inner_minus, queue)
     coeff_b = _gamma_quotient((c, amb), (a, c - b))
     return lambda sums: coeff_a * power_a * inner_a(sums) + coeff_b * power_b * inner_b(sums)
 
 
-def _disk_values(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Callable:
+def _disk_values(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Route each point to the direct series, Pfaff t/(t-1) or the 1-t connection.
 
     The representation with the smallest effective argument wins; moduli up
@@ -218,9 +242,9 @@ def _disk_values(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Ca
         return _queued(queue, a, b, c, t)
     m_direct = np.abs(t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pfaff_arg = t / (t - 1.0)
+        pfaff_arg = -t / one_minus
     m_pfaff = np.abs(pfaff_arg)
-    m_euler = np.abs(1.0 - t)
+    m_euler = np.abs(one_minus)
     cab = c - a - b
     n = math.log(TERM_TOL) / math.log(TRANSFORM_RADIUS)
     if any(x == round(x) for x in (cab, a + b - c + 1.0)):
@@ -242,22 +266,24 @@ def _disk_values(a: float, b: float, c: float, t: np.ndarray, queue: list) -> Ca
         parts.append((direct_mask, _queued(queue, a, b, c, t[direct_mask])))
     pfaff_mask = route == 1
     if pfaff_mask.any():
-        prefactor = np.exp(-a * np.log(1.0 - t[pfaff_mask]))
+        prefactor = _power(one_minus[pfaff_mask], -a)
         inner = _queued(queue, a, c - b, c, pfaff_arg[pfaff_mask])
         parts.append((pfaff_mask, lambda sums: prefactor * inner(sums)))
     euler_mask = route == 2
     if euler_mask.any():
-        parts.append((euler_mask, _euler_connection(a, b, c, t[euler_mask], queue)))
+        parts.append((euler_mask, _euler_connection(a, b, c, one_minus[euler_mask], queue)))
     return _scatter(t.shape, parts)
 
 
-def hyp2f1_values(a: float, b: float, c: float, t) -> np.ndarray:
+def hyp2f1_values(a: float, b: float, c: float, t, one_minus=None) -> np.ndarray:
     """Vectorized Gauss series with automatic argument transformations.
 
     Points with |t| > 1 take the 1/t connection, the rest `_disk_values`;
     terminating series (a or b a non-positive integer) are summed directly
     at every argument.  The routes queue their series, `_series_sums` sums
     the queue in one loop, and the routes' finishers assemble the values.
+    ``one_minus`` (shaped like ``t``) is 1 - t in the caller's factored
+    form; ``1.0 - t``, the default, cancels next to t = 1.
     """
     if _is_nonpositive_integer(c):
         raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
@@ -270,13 +296,14 @@ def hyp2f1_values(a: float, b: float, c: float, t) -> np.ndarray:
     if on_cut.any():
         raise Hyp2F1DomainError("argument on the cut [1, inf)")
 
+    one_minus = 1.0 - t if one_minus is None else np.asarray(one_minus, dtype=complex)
     queue: list = []
     outer = np.abs(t) > 1.0
     if not outer.any():
-        finish = _disk_values(a, b, c, t, queue)
+        finish = _disk_values(a, b, c, t, one_minus, queue)
     else:
-        parts = [(outer, _inverse_connection(a, b, c, t[outer], queue))]
+        parts = [(outer, _inverse_connection(a, b, c, t[outer], one_minus[outer], queue))]
         if not outer.all():
-            parts.append((~outer, _disk_values(a, b, c, t[~outer], queue)))
+            parts.append((~outer, _disk_values(a, b, c, t[~outer], one_minus[~outer], queue)))
         finish = _scatter(t.shape, parts)
     return finish(_series_sums(queue))

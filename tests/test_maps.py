@@ -13,6 +13,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from petalmap import (
     CornerPreimageError,
@@ -179,21 +181,27 @@ def near_corner_reference(alpha, beta, w):
 
 @pytest.mark.parametrize(
     "alpha, beta",
-    [(math.pi / 5, math.pi / 9), (math.pi / 8, math.pi / 16), (math.pi / 4, math.pi / 8)],
+    [
+        (math.pi / 5, math.pi / 9),
+        (math.pi / 8, math.pi / 16),
+        (math.pi / 4, math.pi / 8),
+        (3 * math.pi / 8, math.pi / 32),
+    ],
 )
 def test_two_petal_near_corner_against_mpmath(alpha, beta):
     # the far branch next to the base corners w = +-1, where 1 - 4/p^2 is
-    # of order eps^2 and must not be formed by cancellation
+    # of order eps^2 and must not be formed by cancellation: the map hands
+    # its factored d/p^2 to F's 1 - t connection
     fam = MapFamily.two_petal(alpha, beta)
     worst = 0.0
-    for eps in (1e-4, 1e-5, 1e-6):
+    for eps in (1e-4, 1e-5, 1e-6, 1e-7):
         for theta in (-0.6, -0.2, 0.3, 0.7):
             for sign in (1.0, -1.0):
                 w = sign * (1.0 + eps * cmath.exp(1j * theta))
                 assert abs(w + 1.0 / w) > 2.0
                 want = near_corner_reference(alpha, beta, w)
                 worst = max(worst, abs(evaluate_map(fam, w) - want) / abs(want))
-    assert worst <= 1e-10
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.025, 1.2), (0.01, 0.3), (math.pi / 2 - 0.01, 0.6)])
@@ -333,6 +341,39 @@ def test_corner_preimages_rejected():
         evaluate_map(fam, 1j)
     assert LEMNISCATE.corner_preimages == (1 + 0j, -1 + 0j)
     assert fam.corner_preimages == (1 + 0j, -1 + 0j, 1j, -1j)
+
+
+ANGLE_RANGE = (0.01, 0.5 * math.pi - 0.01)
+
+
+@st.composite
+def sheet_points(draw):
+    """(family, w): a one- or two-petal family and a point 1 <= |w| <= 5, 1e-6 off every corner."""
+    alpha = draw(st.floats(*ANGLE_RANGE))
+    if draw(st.booleans()):
+        family = MapFamily.two_petal(alpha, draw(st.floats(*ANGLE_RANGE)))
+    else:
+        family = MapFamily.one_petal(alpha)
+    w = cmath.rect(draw(st.floats(1.0, 5.0)), draw(st.floats(-math.pi, math.pi)))
+    assume(min(abs(w - xi) for xi in family.corner_preimages) >= 1e-6)
+    return family, w
+
+
+@given(sheet_points())
+# no 2F1 route reaches 4/(w + 1/w)^2 at these points
+@example((MapFamily.two_petal(math.pi / 4, math.pi / 8), 1.366 + 1.366j))
+@example((MapFamily.two_petal(1.293062, 1.314267), -1.3521634487139695 - 1.361516210247208j))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sheet_point_finite_or_map_domain_error(item):
+    # every sheet point off the corners evaluates or raises a MapDomainError;
+    # the hypergeometric domain error is one, under its own name
+    family, w = item
+    assert issubclass(Hyp2F1DomainError, MapDomainError)
+    try:
+        value = evaluate_map(family, w)
+    except MapDomainError:
+        return
+    assert cmath.isfinite(value)
 
 
 def test_z_of_p_on_circle_off_branch_points():

@@ -283,7 +283,7 @@ def test_estimate_A_next_to_collapse(alpha, beta):
     # 1e-3 off the alpha + beta = pi/2 line the ratio is small but real
     est = estimate_A(MapFamily.two_petal(alpha, beta))
     assert math.isfinite(est.value) and est.value > 0.0
-    assert est.spread <= verify.RATIO_SPREAD_TOL
+    assert est.spread <= verify.DEFAULT_TOLERANCES["ratio_spread"]
 
 
 def test_growth_law_lemniscate():
