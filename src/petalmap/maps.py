@@ -457,7 +457,7 @@ def potential_V(family: MapFamily, w):
     pts, shape, scalar = _as_points(w)
     for xi in family.corner_preimages:
         if np.any(np.abs(pts - xi) < CORNER_REJECT):
-            raise MapDomainError("potential pole at %r" % (xi,))
+            raise CornerPreimageError("potential pole at corner pre-image %r" % (xi,))
     frac_a = family.alpha / math.pi
     w2 = pts * pts
     vals = 16.0 * frac_a * (1.0 - frac_a) * w2 / (w2 - 1.0) ** 2

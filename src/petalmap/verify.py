@@ -1,10 +1,12 @@
 """Residual checks, conserved quantities, and pattern diagnostics.
 
-Every check here is a cross-examination: values produced by the closed-form
+Most checks here are cross-examinations: values produced by the closed-form
 maps are pushed through an independent route (the governing oscillator
-equation, the boundary dynamical identity, Darcy kinematics, a Cauchy
-integral, a 2-D moment integral) and the mismatch is reported as a residual
-that the caller compares against a pinned tolerance.
+equation, the boundary dynamical identity, a Cauchy integral, a 2-D moment
+integral) and the mismatch is reported as a residual that the caller
+compares against a pinned tolerance.  Three battery checks are not: the
+evaluators build in the symmetries that `oddness` and `reflection` test,
+and `darcy_mismatch` is `dynamical_residual`'s defect over |w - 1/w|.
 """
 
 from __future__ import annotations
@@ -357,21 +359,15 @@ def integral_equation_residual(family: MapFamily) -> float:
 # Cauchy transform of the imaginary part
 
 
-def _trace_with_tangents(family: MapFamily, state: TimeState, n: int):
-    phis = _circle_angles(n)
-    ring = np.exp(1j * phis)
-    f, fp, _ = _tangential_derivatives(family, ring)
-    points = state.r * f
-    dz_dphi = state.r * fp * 1j * ring
-    return points, dz_dphi
-
-
 def m_plus_samples(family: MapFamily, state: TimeState, zs):
     """Cauchy transform of |Im| over the pattern boundary at interior points.
 
     The boundary integral is a 16384-node trapezoid sum.
     """
-    points, dz_dphi = _trace_with_tangents(family, state, 16384)
+    ring = np.exp(1j * _circle_angles(16384))
+    f, fp, _ = _tangential_derivatives(family, ring)
+    points = state.r * f
+    dz_dphi = state.r * fp * 1j * ring
     width = float(np.max(points.real) - np.min(points.real))
     height = float(np.max(points.imag) - np.min(points.imag))
     diameter = max(width, height)
@@ -400,17 +396,6 @@ def m_plus_time_derivative(family: MapFamily, state: TimeState, z) -> complex:
 
 # ---------------------------------------------------------------------------
 # harmonic moments
-
-
-def _trace_points(trace) -> np.ndarray:
-    if isinstance(trace, BoundaryTrace):
-        return np.asarray(trace.points, dtype=complex)
-    pts = np.asarray(trace, dtype=complex)
-    if pts.ndim != 1 or len(pts) < 16:
-        raise ValueError("trace must be a 1-d array of at least 16 points")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("trace points must be finite")
-    return pts
 
 
 def _reject_degenerate(points: np.ndarray):
@@ -446,15 +431,6 @@ def _reject_degenerate(points: np.ndarray):
         raise DegenerateTraceError("trace overruns the origin probe ring")
 
 
-def _reject_self_similar(trace):
-    # every family trace has both slit anchors at the origin
-    if isinstance(trace, BoundaryTrace):
-        raise DegenerateTraceError(
-            "self-similar pattern hangs at the origin (x- = x+ = 0); "
-            "its moments are ill-defined"
-        )
-
-
 @dataclass(frozen=True)
 class _ScreenedTrace:
     """Trace points that `_screened_points` has already found admissible."""
@@ -465,13 +441,25 @@ class _ScreenedTrace:
 def _screened_points(trace) -> _ScreenedTrace:
     """The trace's points as a `_ScreenedTrace`, rejected if their moments are ill-defined.
 
-    A trace screened before passes through as it is, so a caller that takes
-    several moments of one trace screens it once.
+    This is the one gate for moment inputs: a family's `BoundaryTrace`
+    (self-similar, so hanging at the origin), a trace that is not a finite
+    1-d array of at least 16 points, and one whose exterior reaches the
+    origin are refused here.  A trace screened before passes through as it
+    is, so a caller that takes several moments of one trace screens it once.
     """
     if isinstance(trace, _ScreenedTrace):
         return trace
-    _reject_self_similar(trace)
-    points = _trace_points(trace)
+    if isinstance(trace, BoundaryTrace):
+        # every family trace has both slit anchors at the origin
+        raise DegenerateTraceError(
+            "self-similar pattern hangs at the origin (x- = x+ = 0); "
+            "its moments are ill-defined"
+        )
+    points = np.asarray(trace, dtype=complex)
+    if points.ndim != 1 or len(points) < 16:
+        raise ValueError("trace must be a 1-d array of at least 16 points")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("trace points must be finite")
     _reject_degenerate(points)
     return _ScreenedTrace(points)
 
@@ -495,10 +483,12 @@ def harmonic_moment_area(trace, k: int) -> complex:
     """Same moment from the complementary-region area integral.
 
     The region outside the pattern in the upper half plane is described in
-    polar form r > rho(theta); the radial integral runs numerically (32
-    Gauss nodes) to a finite horizon and analytically beyond it, and the
-    angular one takes 512 Gauss nodes.  The logarithmic horizon term
-    of k = 2 integrates to zero over (0, pi) and is dropped.
+    polar form r > rho(theta), so the trace must be star-shaped about the
+    origin: in trace order, the angles of its upper samples turn one way,
+    but for the one step that closes the loop.  The radial integral of
+    r**(1 - k) over r > rho is rho**(2 - k)/(k - 2), or -log rho at k = 2,
+    whose logarithmic horizon term integrates to zero over (0, pi); the
+    angular one takes 512 Gauss nodes.
     """
     if k < MOMENT_MIN_INDEX:
         raise ValueError("moment index must be >= %d" % MOMENT_MIN_INDEX)
@@ -507,31 +497,23 @@ def harmonic_moment_area(trace, k: int) -> complex:
     if len(upper) < 8:
         raise ValueError("trace has too few upper-half samples")
     theta = np.angle(upper)
+    # angle steps in trace order, across the wrap: a fold adds sign changes
+    steps = np.diff(theta, append=theta[0])
+    turns = np.sign(steps[steps != 0.0])
     order = np.argsort(theta)
     theta = theta[order]
     rho = np.abs(upper)[order]
     if np.any(np.diff(theta) <= 0.0):
         keep = np.concatenate([[True], np.diff(theta) > 0.0])
         theta, rho = theta[keep], rho[keep]
-    if len(theta) < 8:
+    if len(theta) < 8 or np.count_nonzero(turns != np.roll(turns, 1)) > 2:
         raise ValueError("trace is not star-shaped about the origin")
 
     u, du = gauss_legendre_unit(512)
     th = math.pi * u
-    wth = math.pi * du
     rho_th = np.interp(th, theta, rho, left=rho[0], right=rho[-1])
-
-    if k == 2:
-        integrand = np.sin(2.0 * th) * np.log(rho_th)
-        return complex(np.sum(integrand * wth) / math.pi)
-
-    horizon = 4.0 * float(np.max(rho))
-    ru, rdu = gauss_legendre_unit(32)
-    reach = horizon - rho_th
-    rr = rho_th[:, None] + reach[:, None] * ru
-    radial = np.sum(rr ** (1 - k) * rdu, axis=1) * reach + horizon ** (2 - k) / (k - 2)
-    total = np.sum(-np.sin(k * th) * radial * wth)
-    return complex(total * 2.0 / (math.pi * k))
+    radial = -np.log(rho_th) if k == 2 else rho_th ** (2 - k) / (k - 2)
+    return complex(-2.0 * np.sum(np.sin(k * th) * radial * du) / k)
 
 
 # ---------------------------------------------------------------------------

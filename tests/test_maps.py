@@ -343,6 +343,15 @@ def test_corner_preimages_rejected():
     assert fam.corner_preimages == (1 + 0j, -1 + 0j, 1j, -1j)
 
 
+def test_potential_pole_is_a_corner_preimage_error():
+    # the potential names the corner the way the map does, and stays a MapDomainError
+    fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
+    for family, xi in ((LEMNISCATE, -1.0), (fam, 1j), (fam, np.array([1.5, -1j]))):
+        with pytest.raises(CornerPreimageError, match="corner pre-image"):
+            potential_V(family, xi)
+    assert issubclass(CornerPreimageError, MapDomainError)
+
+
 ANGLE_RANGE = (0.01, 0.5 * math.pi - 0.01)
 
 

@@ -286,6 +286,29 @@ def test_estimate_A_next_to_collapse(alpha, beta):
     assert est.spread <= verify.DEFAULT_TOLERANCES["ratio_spread"]
 
 
+@pytest.mark.parametrize("alpha", [math.pi / 16, 0.3, math.pi / 4, 1.2])
+def test_two_petal_tends_to_one_petal_as_beta_nears_pi_half(alpha):
+    # at beta = pi/2, F has b = a - 1/2 and DLMF 15.4.11 reduces it to the
+    # one-petal bracket, so two_petal(alpha, pi/2 - eps) tends to
+    # one_petal(alpha) linearly in eps; the Richardson value 2 v(eps) - v(2 eps)
+    # cancels that term and checks both evaluators and both Wronskian partners
+    eps = 1e-6
+    w = np.concatenate(
+        [
+            [1.3 + 0.4j, -2.2 + 1.1j, 0.1 + 1.05j, 4.0 - 3.0j, 1.7j],
+            np.exp(1j * np.array([0.3, 1.2, 2.0, 2.9, -0.8])),
+        ]
+    )
+    near = MapFamily.two_petal(alpha, 0.5 * math.pi - eps)
+    nearer = MapFamily.two_petal(alpha, 0.5 * math.pi - 2.0 * eps)
+    one = MapFamily.one_petal(alpha)
+    values = 2.0 * evaluate_map(near, w) - evaluate_map(nearer, w)
+    want = evaluate_map(one, w)
+    assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-10
+    ratio = 2.0 * estimate_A(near).value - estimate_A(nearer).value
+    assert abs(ratio - estimate_A(one).value) <= 1e-10
+
+
 def test_growth_law_lemniscate():
     assert dynamical_residual(LEMNISCATE) <= 1e-9
     assert darcy_check(LEMNISCATE) <= 1e-8
@@ -530,6 +553,39 @@ def test_half_disk_moment_oracle():
     assert abs(contour_val - HALF_DISK_T3) <= MOMENT_ORACLE_TOL
     assert abs(area_val - HALF_DISK_T3) <= MOMENT_ORACLE_TOL
     assert abs(contour_val - area_val) <= MOMENT_ORACLE_TOL
+    # the radial integral is closed form, so on rho = 1 only the angular
+    # Gauss rule is left: odd T_k = -4/(pi k^2 (k - 2)) to rounding
+    for k in (3, 5, 7):
+        want = -4.0 / (math.pi * k * k * (k - 2))
+        assert abs(harmonic_moment_area(trace, k) - want) <= 1e-12, k
+
+
+def test_moment_routes_agree_on_thin_ellipse():
+    # a 30:1 polar-graph ellipse, semi-axes 3 and 0.1: r**(1 - k) varies too
+    # fast along its short rays for anything but the closed-form radial integral
+    n = 4096
+    theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    rho = 1.0 / np.sqrt((np.cos(theta) / 3.0) ** 2 + (np.sin(theta) / 0.1) ** 2)
+    trace = rho * np.exp(1j * theta)
+    for k in range(2, 7):
+        assert abs(harmonic_moment(trace, k) - harmonic_moment_area(trace, k)) <= MOMENT_ORACLE_TOL, k
+
+
+def test_area_route_refuses_folded_trace():
+    # conjugation-symmetric and origin-covering, but its angle folds back
+    # (d theta/ds = -0.4 at s = pi/2): sorted by angle it would be a
+    # zig-zag rho(theta), not the curve
+    s = (np.arange(2048) + 0.5) * (math.pi / 2048)
+    upper = (1.0 + 0.5 * np.sin(s)) * np.exp(1j * (s + 0.7 * np.sin(2.0 * s) * np.sin(s) ** 2))
+    folded = np.concatenate([upper, np.conj(upper[::-1])])
+    harmonic_moment(folded, 3)  # the contour route takes it
+    with pytest.raises(ValueError, match="not star-shaped"):
+        harmonic_moment_area(folded, 3)
+    # a star-shaped trace passes in either direction from any starting sample
+    circle = unit_circle_trace(256)
+    for start in (0, 1, 64, 100, 128, 200, 255):
+        for trace in (np.roll(circle, start), np.roll(circle[::-1], start)):
+            assert abs(harmonic_moment_area(trace, 3) - HALF_DISK_T3) <= MOMENT_ORACLE_TOL
 
 
 def test_even_moments_vanish():
