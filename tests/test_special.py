@@ -9,6 +9,7 @@ import cmath
 import math
 import re
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -316,6 +317,35 @@ def test_merged_loop_matches_each_entry_alone():
     assert special_functions._series_sums([]) == []
 
 
+def test_blocked_tail_matches_one_term_step():
+    # more than 4 TAIL_BLOCK live points take one term per iteration, fewer
+    # a block of TAIL_BLOCK terms: short series (|t| < 0.3) carry the live
+    # count past the switch, and once they settle the long ones (|t| up to
+    # 0.95, many blocks) and a terminating entry at |t| = 1e6 end in blocks
+    switch = 4 * special_functions.TAIL_BLOCK
+    queue = [
+        (0.25, -0.25, 0.5, 0.3 * mixed_moduli(2 * switch, seed=5)),
+        (0.45, 0.15, 0.5, 0.95 * np.exp(1j * np.linspace(-3.0, 3.0, switch // 2))),
+        (1.3, 0.6, 1.7, mixed_moduli(switch // 4, seed=6)),
+        (-3.0, 0.7, 1.3, 1e6 * np.exp(1j * np.linspace(0.1, 3.0, 5))),
+    ]
+    assert switch // 2 + switch // 4 + 5 <= switch < sum(np.size(t) for *_, t in queue)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = special_functions._series_sums(queue)
+    for g, w in zip(got, reference_series_sums(queue)):
+        assert np.array_equal(g, w)
+    # a point summed alone is blocked from its first term; in 16384 points
+    # it takes one term at a time until few are live
+    a, b, c = 0.45, 0.15, 0.5
+    points = 0.95 * np.exp(1j * np.linspace(-3.0, 3.0, 8))
+    batch = series_sum(a, b, c, np.concatenate([mixed_moduli(16384 - points.size, seed=8), points]))
+    for t, in_batch in zip(points, batch[-points.size :]):
+        alone = series_sum(a, b, c, np.array([t]))
+        assert np.array_equal(alone, reference_series_sum(a, b, c, np.array([t])))
+        assert alone[0] == in_batch
+
+
 @pytest.mark.parametrize("a, b, c", [(0.25, -0.25, 0.5), (0.4, 0.15, 0.5), (0.25, 0.25, 0.5), (-3.0, 0.7, 1.3)])
 def test_series_shapes_through_hyp2f1_values(monkeypatch, a, b, c):
     # (0.25, 0.25) has a - b = 0 and takes the averaged 1/t route
@@ -369,6 +399,19 @@ def test_convergence_error_names_unsettled_point(monkeypatch):
         hyp2f1_values(0.3, 0.2, 0.5, t)
     named = complex(re.search(r"([-+]?[0-9.e-]+[-+][0-9.e-]+j)", str(info.value)).group(1))
     assert named == t[1]
+
+
+def test_term_cap_is_exact_inside_a_block(monkeypatch):
+    # the geometric series at t = 0.9 settles at term 328, not a multiple
+    # of TAIL_BLOCK = 32: a cap of 328 sums it to 10, one term less does not
+    t = np.array([0.9])
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 328)
+    got = series_sum(1.0, 1.0, 1.0, t)
+    assert np.array_equal(got, reference_series_sum(1.0, 1.0, 1.0, t))
+    assert abs(got[0] - 10.0) <= 2e-15
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 327)
+    with pytest.raises(Hyp2F1ConvergenceError, match=r"327 terms .*0\.9"):
+        series_sum(1.0, 1.0, 1.0, t)
 
 
 def test_empty_argument_returns_at_once(monkeypatch):
