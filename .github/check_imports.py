@@ -1,4 +1,4 @@
-"""Fail when a name imported into a petalmap module is never read.
+"""Fail when a name imported into a petalmap module, or a constant, is never read.
 
 Usage: python3 .github/check_imports.py [PACKAGE_DIR]   (default src/petalmap)
 
@@ -6,13 +6,22 @@ A name bound by ``import`` or ``from ... import`` counts as read when the
 module loads it anywhere (a bare name, or the head of an attribute chain).
 In ``__init__.py`` the names listed in ``__all__`` count as read, since
 re-exporting them is the point of importing them.  ``from __future__``
-imports are skipped.  Prints one line per unread name and exits 1 if there
-is any, 0 otherwise.
+imports are skipped.
+
+A module-level UPPER_CASE constant (a private ``_NAME`` too) counts as
+read when some module of the package loads it, as a bare name or as an
+attribute (``module.NAME``); being listed in ``__all__`` does not count.
+A knob no code reads is a setting that changes nothing.
+
+Prints one line per unread name and exits 1 if there is any, 0 otherwise.
 """
 
 import ast
 import pathlib
+import re
 import sys
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
 
 
 def imported_names(tree):
@@ -35,17 +44,56 @@ def read_names(tree):
     return names
 
 
-def unread_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def unread_imports(tree):
     read = read_names(tree)
     return [(name, line) for name, line in imported_names(tree) if name not in read]
 
 
+def constants(tree):
+    """(name, line) for every UPPER_CASE name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and CONSTANT.match(target.id):
+                yield target.id, node.lineno
+
+
+def loaded_names(tree):
+    """Every bare name the module loads and every attribute it reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
 def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src/petalmap")
-    found = [(path, name, line) for path in sorted(root.glob("*.py")) for name, line in unread_imports(path)]
-    for path, name, line in found:
-        print("%s:%d: %r is imported but never read" % (path, line, name))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(root.glob("*.py"))
+    }
+    found = [
+        "%s:%d: %r is imported but never read" % (path, line, name)
+        for path, tree in trees.items()
+        for name, line in unread_imports(tree)
+    ]
+    read = set().union(*(loaded_names(tree) for tree in trees.values()))
+    found += [
+        "%s:%d: constant %r is read by no module of the package" % (path, line, name)
+        for path, tree in trees.items()
+        for name, line in constants(tree)
+        if name not in read
+    ]
+    for line in found:
+        print(line)
     return 1 if found else 0
 
 

@@ -136,7 +136,6 @@ class LaurentCoefficients:
     conformal_radius: float
     coefficients: np.ndarray
     capacity: float
-    max_imag: float
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +148,9 @@ def _as_points(w):
 
 
 def _check_sheet(family: MapFamily, pts: np.ndarray):
+    # nan fails every comparison below, so non-finite points are refused first
+    if not np.all(np.isfinite(pts)):
+        raise MapDomainError("non-finite point is off the sheet")
     if np.any(np.abs(pts) < 1.0 - MODULUS_SLACK):
         raise MapDomainError("point inside the unit circle is off the sheet")
     for xi in family.corner_preimages:
@@ -529,14 +531,11 @@ def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:
     vals = _values_on_sheet(family, radius * ring)
 
     lead = np.mean(vals * np.exp(-1j * phis)) / radius
-    max_imag = abs(lead.imag)
     conformal_radius = float(lead.real)
     coefficients = np.empty(17)
     for k in range(17):
-        raw = np.mean(vals * np.exp(1j * k * phis)) * radius**k
-        max_imag = max(max_imag, abs(raw.imag))
-        coefficients[k] = raw.real
+        coefficients[k] = (np.mean(vals * np.exp(1j * k * phis)) * radius**k).real
     # composing with the inverse of z = r w + r c1 / w + ... gives the
     # half-plane capacity r (r - c1) as the 1/z coefficient
     capacity = conformal_radius * (conformal_radius - coefficients[1])
-    return LaurentCoefficients(conformal_radius, coefficients, capacity, float(max_imag))
+    return LaurentCoefficients(conformal_radius, coefficients, capacity)

@@ -63,7 +63,7 @@ class MapDomainError(ValueError):
 
 
 class Hyp2F1DomainError(MapDomainError):
-    """Argument not reachable: on the cut [1, inf) or past every transformation."""
+    """Argument not reachable: non-finite, on the cut [1, inf) or past every transformation."""
 
 
 class Hyp2F1ConvergenceError(RuntimeError):
@@ -326,6 +326,9 @@ def hyp2f1_values(a: float, b: float, c: float, t, one_minus=None) -> np.ndarray
     if _is_nonpositive_integer(c):
         raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
     t = np.asarray(t, dtype=complex)
+    # nan fails every route's modulus test, so it would pass for reachable
+    if not np.all(np.isfinite(t)):
+        raise Hyp2F1DomainError("non-finite argument")
     if _terminates(a, b):
         return _series_sums([(a, b, c, t)])[0]
 

@@ -4,9 +4,8 @@ Most checks here are cross-examinations: values produced by the closed-form
 maps are pushed through an independent route (the governing oscillator
 equation, the boundary dynamical identity, a Cauchy integral, a 2-D moment
 integral) and the mismatch is reported as a residual that the caller
-compares against a pinned tolerance.  Three battery checks are not: the
-evaluators build in the symmetries that `oddness` and `reflection` test,
-and `darcy_mismatch` is `dynamical_residual`'s defect over |w - 1/w|.
+compares against a pinned tolerance.  One battery check is not:
+`darcy_mismatch` is `dynamical_residual`'s defect over |w - 1/w|.
 """
 
 from __future__ import annotations
@@ -70,8 +69,6 @@ INTEGRAL_PROBES = np.concatenate(
 )
 
 DEFAULT_TOLERANCES = {
-    "oddness": 1e-10,
-    "reflection": 1e-10,
     "ode_residual": 1e-7,
     "ratio_spread": 1e-6,
     "dynamical_residual": 1e-7,
@@ -80,7 +77,6 @@ DEFAULT_TOLERANCES = {
     "corner_exponent_base": 0.02,
     "corner_exponent_top": 0.02,
     "integral_equation": 1e-6,
-    "laurent_imag": 1e-8,
     "capacity_sign": 0.0,
 }
 
@@ -338,7 +334,9 @@ def integral_equation_residual(family: MapFamily) -> float:
     The profile g satisfies g(w) = 1 + coeff * I(w) with I the inverse-slit
     integral and coeff proportional to the sine of pi times the corner
     offset; at the symmetric family the coefficient vanishes identically and
-    the residual is exactly zero.
+    the residual is exactly zero.  The integral over x in (0, 1) is taken in
+    s = 1 - x, so the distance to the singular end x = 1 is exact: in x the
+    quadrature node next to it would round to 1 for g near -1/2.
     """
     if family.kind != "one-petal":
         raise ValueError("the integral identity applies to one-petal families")
@@ -346,12 +344,12 @@ def integral_equation_residual(family: MapFamily) -> float:
     coeff = -2.0 * math.sin(math.pi * g) / math.pi
     w = INTEGRAL_PROBES[:, None]
 
-    def integrand(x):
-        # at a = x the bracket is the profile at 1/x, the same for every probe
-        return _one_petal_bracket(g, 1.0 - x, 1.0 + x) / (x * x - w * w)
+    def integrand(s):
+        # at a = x = 1 - s the bracket is the profile at 1/x, the same for every probe
+        return _one_petal_bracket(g, s, 2.0 - s) / ((1.0 - s) ** 2 - w * w)
 
     values = _one_petal_bracket(g, 1.0 - 1.0 / INTEGRAL_PROBES, 1.0 + 1.0 / INTEGRAL_PROBES)
-    integrals = singular_endpoint_quadrature(integrand, (0.0, 1.0), (0.0, g), n=220)
+    integrals = singular_endpoint_quadrature(integrand, (0.0, 1.0), (g, 0.0), n=220)
     return float(np.max(np.abs(values - 1.0 + coeff * integrals)))
 
 
@@ -592,15 +590,6 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
                 if name not in report.checks:
                     report.add_error(name, tol[name], str(exc))
 
-    def check_symmetry():
-        phis = _circle_angles(48)
-        ring = 1.31 * np.exp(1j * phis)
-        vals = _values_on_sheet(family, ring)
-        odd = _values_on_sheet(family, -ring)
-        refl = _values_on_sheet(family, np.conj(ring))
-        report.add("oddness", float(np.max(np.abs(vals + odd))), tol["oddness"])
-        report.add("reflection", float(np.max(np.abs(np.conj(refl) - vals))), tol["reflection"])
-
     def check_ode():
         report.add("ode_residual", ode_residual(family), tol["ode_residual"])
 
@@ -621,23 +610,18 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         winding, _ok = conformality_check(family)
         report.add("conformality", abs(winding), tol["conformality"], detail="winding=%d" % winding)
 
+    corners = [("corner_exponent_base", 1.0 + 0.0j, 2.0 * family.alpha / math.pi)]
+    if family.kind == "two-petal":
+        corners.append(("corner_exponent_top", 1.0j, family.delta))
+
     def check_corners():
-        base_fit = corner_exponent(family, 1.0 + 0.0j)
-        base_target = 2.0 * family.alpha / math.pi
-        report.add(
-            "corner_exponent_base",
-            abs(base_fit.exponent - base_target) / base_target,
-            tol["corner_exponent_base"],
-            detail="fit=%.6f target=%.6f" % (base_fit.exponent, base_target),
-        )
-        if family.kind == "two-petal":
-            top_fit = corner_exponent(family, 1.0j)
-            top_target = family.delta
+        for name, corner, target in corners:
+            fit = corner_exponent(family, corner)
             report.add(
-                "corner_exponent_top",
-                abs(top_fit.exponent - top_target) / top_target,
-                tol["corner_exponent_top"],
-                detail="fit=%.6f target=%.6f" % (top_fit.exponent, top_target),
+                name,
+                abs(fit.exponent - target) / target,
+                tol[name],
+                detail="fit=%.6f target=%.6f" % (fit.exponent, target),
             )
 
     def check_integral():
@@ -645,7 +629,6 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
 
     def check_laurent():
         coeffs = laurent_coefficients(family)
-        report.add("laurent_imag", coeffs.max_imag, tol["laurent_imag"])
         report.add(
             "capacity_sign",
             max(0.0, -coeffs.capacity),
@@ -653,13 +636,11 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
             detail="capacity=%.12g" % coeffs.capacity,
         )
 
-    stage(("oddness", "reflection"), check_symmetry)
     stage(("ode_residual",), check_ode)
     stage(("ratio_spread", "dynamical_residual", "darcy_mismatch"), check_growth)
     stage(("conformality",), check_conformality)
-    corner_names = ("corner_exponent_base", "corner_exponent_top")
-    stage(corner_names if family.kind == "two-petal" else corner_names[:1], check_corners)
+    stage([name for name, _, _ in corners], check_corners)
     if family.kind == "one-petal":
         stage(("integral_equation",), check_integral)
-    stage(("laurent_imag", "capacity_sign"), check_laurent)
+    stage(("capacity_sign",), check_laurent)
     return report

@@ -228,7 +228,11 @@ def test_verify_tol_override(capsys):
         "--tol-override", "ode_residual=0.5",
     )
     assert code == EXIT_OK
-    for bad in ("bogus=1", "ode_residual=potato", "ode_residual=-1", "odd"):
+    # oddness, reflection and laurent_imag are not battery checks: they could not fail
+    for bad in (
+        "bogus=1", "ode_residual=potato", "ode_residual=-1", "odd",
+        "oddness=1e-3", "reflection=1e-3", "laurent_imag=1e-3",
+    ):
         assert run_cli(
             "verify", "--family", "one-petal", "--alpha", "pi/4", "--tol-override", bad
         ) == EXIT_USAGE

@@ -385,6 +385,40 @@ def test_sheet_point_finite_or_map_domain_error(item):
     assert cmath.isfinite(value)
 
 
+@given(sheet_points())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sheet_symmetries(item):
+    # the evaluators build the symmetries in, so a battery check of them could
+    # not fail; they are pinned here over the whole sheet instead: w, -w and
+    # conj(w) evaluate together or not at all, and f(-w) = -f(w),
+    # f(conj w) = conj f(w)
+    family, w = item
+    points = np.array([w, -w, w.conjugate()])
+    try:
+        value = evaluate_map(family, w)
+    except MapDomainError:
+        for p in points[1:]:
+            with pytest.raises(MapDomainError):
+                evaluate_map(family, p)
+        return
+    odd, refl = evaluate_map(family, points[1:])
+    scale = max(1.0, abs(value))
+    assert abs(odd + value) <= SYMMETRY_TOL * scale
+    assert abs(refl - value.conjugate()) <= SYMMETRY_TOL * scale
+
+
+def test_non_finite_point_is_a_map_domain_error():
+    fam = MapFamily.two_petal(0.5, 0.3)
+    for w in (complex("nan"), complex("inf"), complex(1.0, math.inf)):
+        for fn in (evaluate_map, map_derivative):
+            with pytest.raises(MapDomainError, match="non-finite"):
+                fn(fam, w)
+    # refused at the first step, not after NEWTON_MAX_ITER of them
+    with pytest.raises(InversionError) as info:
+        invert_map(fam, complex("nan"))
+    assert isinstance(info.value.__cause__, MapDomainError)
+
+
 def test_z_of_p_on_circle_off_branch_points():
     # |p| = 2 away from +-2 is an ordinary point: p = 2i is w = i(1 + sqrt 2)
     fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
@@ -653,7 +687,6 @@ def test_laurent_lemniscate():
     assert abs(data.conformal_radius - 1.0) <= 1e-10
     assert abs(data.coefficients[1] + 0.5) <= 1e-10
     assert abs(data.capacity - 1.5) <= 1e-10
-    assert data.max_imag <= 1e-8
     # an odd map has no even-index coefficients; the high-k circle averages
     # amplify roundoff, so the bound is looser than the low-k exacts
     evens = data.coefficients[0::2]

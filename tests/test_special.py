@@ -235,6 +235,15 @@ def test_cut_rejection():
             f21(0.25, -0.25, 0.5, t)
 
 
+def test_non_finite_argument_rejected():
+    # a nan modulus fails the reachability test, so it must be refused first;
+    # the terminating series (a = -2) would otherwise sum it to nan
+    for a in (-2.0, 0.125):
+        for t in (complex("nan"), complex("inf"), complex(0.5, math.inf)):
+            with pytest.raises(Hyp2F1DomainError, match="non-finite"):
+                hyp2f1_values(a, -0.375, 0.5, np.array([0.3, t]))
+
+
 def test_lower_parameter_validation():
     for c in (0.0, -1.0, -2.0, -6.0):
         with pytest.raises(Hyp2F1DomainError):

@@ -523,6 +523,10 @@ def test_integral_equation():
     assert integral_equation_residual(LEMNISCATE) == 0.0
     assert integral_equation_residual(MapFamily.one_petal(math.pi / 8)) <= 1e-6
     assert integral_equation_residual(MapFamily.one_petal(3 * math.pi / 8)) <= 1e-6
+    # g near -1/2: in x the node next to the singular end x = 1 would round
+    # to 1 and make the residual nan; in s = 1 - x its distance is exact
+    for alpha in (1e-4, 0.02, 0.1, 0.2):
+        assert integral_equation_residual(MapFamily.one_petal(alpha)) <= 1e-12, alpha
     with pytest.raises(ValueError):
         integral_equation_residual(MapFamily.two_petal(math.pi / 4, math.pi / 8))
 
@@ -758,6 +762,17 @@ def test_run_standard_checks_two_petal():
     assert report.all_passed
     assert "corner_exponent_top" in report.checks
     assert "integral_equation" not in report.checks
+
+
+def test_run_standard_checks_check_set():
+    one = {
+        "ode_residual", "ratio_spread", "dynamical_residual", "darcy_mismatch",
+        "conformality", "corner_exponent_base", "integral_equation", "capacity_sign",
+    }
+    two = one - {"integral_equation"} | {"corner_exponent_top"}
+    assert set(run_standard_checks(MapFamily.one_petal(0.3)).checks) == one
+    assert set(run_standard_checks(MapFamily.two_petal(math.pi / 4, math.pi / 8)).checks) == two
+    assert one | two == set(verify.DEFAULT_TOLERANCES)
 
 
 def test_run_standard_checks_flags_bad_family():
