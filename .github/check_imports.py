@@ -1,4 +1,4 @@
-"""Fail when a name imported into a petalmap module, or a constant, is never read.
+"""Fail when a name imported into a petalmap module, a constant or a private helper is never read.
 
 Usage: python3 .github/check_imports.py [PACKAGE_DIR]   (default src/petalmap)
 
@@ -12,6 +12,10 @@ A module-level UPPER_CASE constant (a private ``_NAME`` too) counts as
 read when some module of the package loads it, as a bare name or as an
 attribute (``module.NAME``); being listed in ``__all__`` does not count.
 A knob no code reads is a setting that changes nothing.
+
+A module-level private function or class (``_name``, not a dunder) counts
+as read the same way.  Tests and the benchmark do not count: a private
+helper that only they call is dead code of the package.
 
 Prints one line per unread name and exits 1 if there is any, 0 otherwise.
 """
@@ -63,6 +67,14 @@ def constants(tree):
                 yield target.id, node.lineno
 
 
+def private_definitions(tree):
+    """(name, line) for every module-level private function or class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node.name, node.lineno
+
+
 def loaded_names(tree):
     """Every bare name the module loads and every attribute it reads."""
     names = set()
@@ -90,6 +102,12 @@ def main(argv):
         "%s:%d: constant %r is read by no module of the package" % (path, line, name)
         for path, tree in trees.items()
         for name, line in constants(tree)
+        if name not in read
+    ]
+    found += [
+        "%s:%d: private helper %r is read by no module of the package" % (path, line, name)
+        for path, tree in trees.items()
+        for name, line in private_definitions(tree)
         if name not in read
     ]
     for line in found:

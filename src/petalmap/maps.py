@@ -455,8 +455,10 @@ def pressure(family: MapFamily, state: TimeState, z) -> float:
 
 
 def potential_V(family: MapFamily, w):
-    """Rational potential of the self-similar oscillator equation."""
+    """Rational potential of the self-similar oscillator equation, also inside the unit circle."""
     pts, shape, scalar = _as_points(w)
+    if not np.all(np.isfinite(pts)):
+        raise MapDomainError("potential at a non-finite point")
     for xi in family.corner_preimages:
         if np.any(np.abs(pts - xi) < CORNER_REJECT):
             raise CornerPreimageError("potential pole at corner pre-image %r" % (xi,))
@@ -476,6 +478,30 @@ def potential_V(family: MapFamily, w):
 def _circle_angles(n: int) -> np.ndarray:
     """Half-offset grid (k + 1/2) 2 pi/n, k < n: clear of every corner pre-image when 4 | n."""
     return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+
+
+def _unfold_quadrant(n: int, *quarters):
+    """All n values on an n-point half-offset ring from those on its first quadrant.
+
+    ``quarters`` are f, f', f'' (or a leading part of that list) at the
+    first n/4 points of any ring r e^{i phi}, phi from `_circle_angles(n)`.
+    In that order the other points are the quadrant's mirrors pi - phi_k
+    (-conj w, reversed), pi + phi_k (-w) and 2 pi - phi_k (conj w,
+    reversed).  Both families are odd and real on the real axis, so f and
+    f'' are odd and f' is even under w -> -w, and all three commute with
+    conjugation: each value is its quadrant value conjugated, negated or
+    reversed, exactly.  Returns a tuple of full rings, one per quarter.
+    """
+    if n % 4 != 0 or any(len(quarter) != n // 4 for quarter in quarters):
+        raise ValueError("need the first n/4 values of an n-point ring with 4 | n")
+    full = []
+    for order, quarter in enumerate(quarters):
+        back = np.conj(quarter[::-1])
+        if order % 2:  # f' is even
+            full.append(np.concatenate([quarter, back, quarter, back]))
+        else:
+            full.append(np.concatenate([quarter, -back, -quarter, back]))
+    return tuple(full)
 
 
 def _graded_angles(corners, floor: float) -> np.ndarray:
@@ -507,7 +533,9 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
     """Sample the physical boundary on a half-offset circle grid.
 
     ``n`` must be a multiple of 4 so the grid is symmetric under both
-    reflections while never landing on a corner pre-image.
+    reflections while never landing on a corner pre-image.  The map is
+    evaluated at the first n/4 points and unfolded onto the other three
+    quadrants by symmetry (`_unfold_quadrant`); the trace keeps all n.
     """
     if n < 16 or n % 4 != 0:
         raise ValueError("n must be a multiple of 4, at least 16")
@@ -515,8 +543,8 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
         state = TimeState(1.0, 1.0)
     phis = _circle_angles(n)
     ring = np.exp(1j * phis)
-    points = state.r * _values_on_sheet(family, ring)
-    return BoundaryTrace(family, state, phis, points)
+    (values,) = _unfold_quadrant(n, _values_on_sheet(family, ring[: n // 4]))
+    return BoundaryTrace(family, state, phis, state.r * values)
 
 
 def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:
@@ -524,11 +552,13 @@ def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:
 
     The sampling circle stays well away from the corners, so truncation
     aliasing of the coefficients through 1/w^16 is below double rounding.
+    The map is evaluated on the first quadrant, 64 points, and unfolded
+    onto all 256 (`_unfold_quadrant`).
     """
     radius = 2.5
     phis = _circle_angles(256)
     ring = np.exp(1j * phis)
-    vals = _values_on_sheet(family, radius * ring)
+    (vals,) = _unfold_quadrant(256, _values_on_sheet(family, radius * ring[:64]))
 
     lead = np.mean(vals * np.exp(-1j * phis)) / radius
     conformal_radius = float(lead.real)

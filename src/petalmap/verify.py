@@ -26,6 +26,7 @@ from .maps import (
     _partner_derivatives,
     _tangential_derivatives,
     _two_petal_parameters,
+    _unfold_quadrant,
     _values_on_sheet,
     laurent_coefficients,
     map_derivative,
@@ -175,10 +176,13 @@ class SweepResult:
 
 
 def ode_residual(family: MapFamily) -> float:
-    """Worst normalized residual of the self-similar oscillator equation, 64 ring points."""
-    phis = _circle_angles(64)
-    pts = RING_ODE * np.exp(1j * phis)
-    f, fp, fpp = _tangential_derivatives(family, pts)
+    """Worst normalized residual of the self-similar oscillator equation at 64 ring points.
+
+    f, f' and f'' are evaluated at the ring's 16 first-quadrant points and
+    unfolded onto all 64 by symmetry (`_unfold_quadrant`).
+    """
+    pts = RING_ODE * np.exp(1j * _circle_angles(64))
+    f, fp, fpp = _unfold_quadrant(64, *_tangential_derivatives(family, pts[:16]))
     v = potential_V(family, pts)
     lhs = pts * pts * fpp - (2.0 * pts / (pts * pts - 1.0)) * fp + v * f
     return float(np.max(np.abs(lhs) / (1.0 + np.abs(v * f))))
@@ -220,15 +224,16 @@ def estimate_A(family: MapFamily) -> RatioEstimate:
 def dynamical_residual(family: MapFamily, ratio: float | None = None) -> float:
     """Worst mismatch of the boundary evolution identity, per unit scale.
 
-    It is taken at 128 points of the unit circle.  Both sides grow linearly
-    with the scale factor, so the residual is reported for the normalized
-    map; it is invariant under time scaling.
+    It is taken at 128 points of the unit circle, whose f and f' are
+    evaluated at the 32 first-quadrant ones and unfolded by symmetry
+    (`_unfold_quadrant`).  Both sides grow linearly with the scale factor,
+    so the residual is reported for the normalized map; it is invariant
+    under time scaling.
     """
     if ratio is None:
         ratio = estimate_A(family).value
-    phis = _circle_angles(128)
-    ring = np.exp(1j * phis)
-    f, fp, _ = _tangential_derivatives(family, ring)
+    ring = np.exp(1j * _circle_angles(128))
+    f, fp, _ = _unfold_quadrant(128, *_tangential_derivatives(family, ring[:32]))
     lhs = (2.0 / ratio) * np.real(ring * fp * np.conj(f))
     rhs = np.abs(ring - 1.0 / ring)
     return float(np.max(np.abs(lhs - rhs)))
@@ -238,12 +243,13 @@ def darcy_check(family: MapFamily, ratio: float | None = None) -> float:
     """Relative mismatch of kinematic and Darcy normal velocities at 256 boundary points.
 
     Pointwise it is `dynamical_residual`'s defect over |w - 1/w| (5e-14 apart): no new evidence.
+    f and f' are evaluated at the 64 first-quadrant points and unfolded
+    (`_unfold_quadrant`).
     """
     if ratio is None:
         ratio = estimate_A(family).value
-    phis = _circle_angles(256)
-    ring = np.exp(1j * phis)
-    f, fp, _ = _tangential_derivatives(family, ring)
+    ring = np.exp(1j * _circle_angles(256))
+    f, fp, _ = _unfold_quadrant(256, *_tangential_derivatives(family, ring[:64]))
     speed = np.abs(fp)
     v_kinematic = np.imag(np.conj(f) * 1j * ring * fp) / (ratio * speed)
     v_darcy = np.abs(1.0 - 1.0 / (ring * ring)) / (2.0 * speed)
@@ -360,10 +366,12 @@ def integral_equation_residual(family: MapFamily) -> float:
 def m_plus_samples(family: MapFamily, state: TimeState, zs):
     """Cauchy transform of |Im| over the pattern boundary at interior points.
 
-    The boundary integral is a 16384-node trapezoid sum.
+    The boundary integral is a 16384-node trapezoid sum.  f and f' are
+    evaluated at its 4096 first-quadrant nodes and unfolded onto the rest by
+    symmetry (`_unfold_quadrant`); the sum runs over all 16384.
     """
     ring = np.exp(1j * _circle_angles(16384))
-    f, fp, _ = _tangential_derivatives(family, ring)
+    f, fp, _ = _unfold_quadrant(16384, *_tangential_derivatives(family, ring[:4096]))
     points = state.r * f
     dz_dphi = state.r * fp * 1j * ring
     width = float(np.max(points.real) - np.min(points.real))

@@ -352,6 +352,19 @@ def test_potential_pole_is_a_corner_preimage_error():
     assert issubclass(CornerPreimageError, MapDomainError)
 
 
+@pytest.mark.filterwarnings("error")
+def test_potential_non_finite_point_is_a_map_domain_error():
+    fam = MapFamily.two_petal(0.5, 0.3)
+    for w in (complex("nan"), complex("inf"), complex(1.0, math.inf), np.array([1.5, math.nan])):
+        with pytest.raises(MapDomainError, match="non-finite"):
+            potential_V(fam, w)
+    # V is rational: unlike the map it is defined inside the unit circle too
+    w = 0.5 + 0.25j
+    want = 16.0 * (0.5 / math.pi) * (1 - 0.5 / math.pi) * w**2 / (w**2 - 1) ** 2
+    want -= 8.0 * (0.3 / math.pi) * (1 - 0.6 / math.pi) * w**2 / (w**2 + 1) ** 2
+    assert abs(potential_V(fam, w) - want) <= 1e-14
+
+
 ANGLE_RANGE = (0.01, 0.5 * math.pi - 0.01)
 
 
@@ -674,6 +687,40 @@ def test_boundary_trace_shape():
         boundary_trace(LEMNISCATE, n=250)
     with pytest.raises(ValueError):
         boundary_trace(LEMNISCATE, n=8)
+
+
+# the unfolded quadrant against a direct evaluation at the mirrored nodes,
+# relative, point by point: the nodes' own rounding for the closed form
+# (up to 1e-13 for f''), and the arc stencil's error for two petals, whose
+# f'' is 5.9e-11 off mpmath and here up to 4.2e-11 off its mirror
+UNFOLD_TOLS = (1e-13, 1e-12, 1e-10)
+
+
+@pytest.mark.parametrize("family", [MapFamily.one_petal(0.3), MapFamily.two_petal(math.pi / 5, math.pi / 10)])
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("radius", [math.exp(1e-3), 1.0, 1.5])
+def test_unfold_quadrant(family, n, radius):
+    ring = radius * np.exp(1j * maps._circle_angles(n))
+    quarter = maps._tangential_derivatives(family, ring[: n // 4])
+    unfolded = maps._unfold_quadrant(n, *quarter)
+    k = np.arange(n // 4)
+    # f and f'' are odd under w -> -w, f' is even; all three commute with conjugation
+    for got, part, sign in zip(unfolded, quarter, (-1.0, 1.0, -1.0)):
+        assert got.shape == (n,)
+        assert np.array_equal(got[k], part)
+        assert np.array_equal(got[n // 2 - 1 - k], sign * np.conj(part))  # -conj w
+        assert np.array_equal(got[k + n // 2], sign * part)  # -w
+        assert np.array_equal(got[n - 1 - k], np.conj(part))  # conj w
+    direct = maps._tangential_derivatives(family, ring)
+    for got, want, tol in zip(unfolded, direct, UNFOLD_TOLS):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= tol
+
+
+def test_unfold_quadrant_refuses_a_ring_not_in_quadrants():
+    with pytest.raises(ValueError, match="4 | n"):
+        maps._unfold_quadrant(18, np.ones(4, dtype=complex))
+    with pytest.raises(ValueError, match="4 | n"):
+        maps._unfold_quadrant(16, np.ones(4, dtype=complex), np.ones(5, dtype=complex))
 
 
 def test_boundary_trace_scaling():

@@ -694,6 +694,21 @@ def test_m_plus_outside_pattern_rejected():
         m_plus_samples(LEMNISCATE, TimeState(1.0, 1.0), [5.0 + 5.0j])
 
 
+def test_m_plus_two_petal_ring():
+    # the first-quadrant ring, unfolded, and its arc stencil in ARC_BLOCK
+    # blocks against the trapezoid sum over a directly evaluated full ring
+    family = MapFamily.two_petal(math.pi / 5, math.pi / 10)
+    state = TimeState(1.0, 1.0)
+    zs = [0.0, 0.5 + 0.5j, -0.6 - 0.6j]
+    ring = np.exp(1j * maps._circle_angles(16384))
+    f, fp, _ = _tangential_derivatives(family, ring)
+    dz_dphi = fp * 1j * ring
+    for z, s in zip(zs, m_plus_samples(family, state, zs)):
+        want = np.sum(np.abs(f.imag) / (f - z) * dz_dphi) * (2.0 * math.pi / len(ring)) / (1j * math.pi)
+        assert s.point == z
+        assert abs(s.value - want) <= 1e-12
+
+
 def test_m_plus_time_derivative():
     got = m_plus_time_derivative(LEMNISCATE, TimeState(1.0, 1.0), 0.8j)
     assert abs(got - 1.0) <= M_PLUS_TOL
