@@ -1,4 +1,4 @@
-"""Fail when a name imported into a petalmap module, a constant or a private helper is never read.
+"""Fail when a name imported into a petalmap module, a constant or a module-level definition is never read.
 
 Usage: python3 .github/check_imports.py [PACKAGE_DIR]   (default src/petalmap)
 
@@ -16,6 +16,10 @@ A knob no code reads is a setting that changes nothing.
 A module-level private function or class (``_name``, not a dunder) counts
 as read the same way.  Tests and the benchmark do not count: a private
 helper that only they call is dead code of the package.
+
+A module-level public function or class counts as read the same way, or
+when the package root exports it in ``__all__``: a public definition that
+no module reads and the root does not export is an orphan.
 
 Prints one line per unread name and exits 1 if there is any, 0 otherwise.
 """
@@ -39,13 +43,19 @@ def imported_names(tree):
                 yield (alias.asname or alias.name), node.lineno
 
 
-def read_names(tree):
-    """Every name the module loads, plus the strings of a literal ``__all__``."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+def exported_names(tree):
+    """The strings of the module's literal ``__all__``, if it has one."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             names.update(ast.literal_eval(node.value))
     return names
+
+
+def read_names(tree):
+    """Every name the module loads, plus the strings of a literal ``__all__``."""
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return loaded | exported_names(tree)
 
 
 def unread_imports(tree):
@@ -67,11 +77,11 @@ def constants(tree):
                 yield target.id, node.lineno
 
 
-def private_definitions(tree):
-    """(name, line) for every module-level private function or class."""
+def definitions(tree):
+    """(name, line) for every module-level function or class, dunders excluded."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("_") and not node.name.startswith("__"):
+            if not node.name.startswith("__"):
                 yield node.name, node.lineno
 
 
@@ -107,8 +117,15 @@ def main(argv):
     found += [
         "%s:%d: private helper %r is read by no module of the package" % (path, line, name)
         for path, tree in trees.items()
-        for name, line in private_definitions(tree)
-        if name not in read
+        for name, line in definitions(tree)
+        if name.startswith("_") and name not in read
+    ]
+    exported = set().union(*(exported_names(tree) for tree in trees.values()))
+    found += [
+        "%s:%d: public %r is read by no module of the package and not exported" % (path, line, name)
+        for path, tree in trees.items()
+        for name, line in definitions(tree)
+        if not name.startswith("_") and name not in read and name not in exported
     ]
     for line in found:
         print(line)

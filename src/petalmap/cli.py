@@ -17,6 +17,7 @@ import numpy as np
 
 from .maps import MapFamily, TimeState, boundary_trace
 from .verify import (
+    MOMENT_MIN_INDEX,
     VerificationError,
     _screened_points,
     conformality_check,
@@ -233,10 +234,10 @@ def cmd_sweep(args) -> int:
     for alpha in alphas:
         for beta in betas:
             MapFamily.two_petal(alpha, beta)
-    result = sweep(alphas, betas)
+    rows = sweep(alphas, betas)
     lines = ["alpha,beta,winding,conformal,degenerate"]
     failures = []
-    for row in result.rows:
+    for row in rows:
         if row.error is not None:
             failures.append("%s,%s: %s\n" % (_fmt(row.alpha), _fmt(row.beta), row.error))
             lines.append("%s,%s,,," % (_fmt(row.alpha), _fmt(row.beta)))
@@ -262,8 +263,8 @@ def cmd_moments(args) -> int:
     # moments default on for raw traces only; a family trace hangs at the
     # origin, so asking for its moments is an explicit request to fail
     tk = args.tk
-    if tk is not None and tk < 2:
-        raise UsageError("--tk must be at least 2, got %d" % tk)
+    if tk is not None and tk < MOMENT_MIN_INDEX:
+        raise UsageError("--tk must be at least %d, got %d" % (MOMENT_MIN_INDEX, tk))
     if args.trace:
         if args.family or args.alpha or args.beta:
             raise UsageError("pass either --trace or a family, not both")
@@ -286,7 +287,7 @@ def cmd_moments(args) -> int:
         # one admissibility screen serves every moment of both routes
         source = _screened_points(source)
         payload["moments"] = {}
-        for k in range(2, tk + 1):
+        for k in range(MOMENT_MIN_INDEX, tk + 1):
             contour_val = harmonic_moment(source, k)
             area_val = harmonic_moment_area(source, k)
             payload["moments"]["T%d" % k] = {

@@ -118,8 +118,6 @@ class TimeState:
 class BoundaryTrace:
     """Physical boundary samples z_j = r f(e^{i phi_j}) on a half-offset grid."""
 
-    family: MapFamily
-    state: TimeState
     phis: np.ndarray
     points: np.ndarray
 
@@ -544,7 +542,7 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
     phis = _circle_angles(n)
     ring = np.exp(1j * phis)
     (values,) = _unfold_quadrant(n, _values_on_sheet(family, ring[: n // 4]))
-    return BoundaryTrace(family, state, phis, state.r * values)
+    return BoundaryTrace(phis, state.r * values)
 
 
 def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:

@@ -2,7 +2,9 @@
 
 Nothing in here knows about the map families; everything operates on plain
 arrays of points.  Every Gauss-Legendre rule comes from one cached rule on
-[0, 1] (`gauss_legendre_unit`).
+[0, 1] (`gauss_legendre_unit`).  A winding count rejects a query that
+touches its polyline: one on a node, or one where an angle increment is
+within rounding of +-pi, i.e. on a segment.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WINDING_DISTANCE_TOL = 1e-12   # rejection radius (relative) for points on a segment
+WINDING_DISTANCE_TOL = 1e-12   # node radius (relative to scale) and angle margin off +-pi
 POWER_FIT_MIN_POINTS = 3
 
 
@@ -70,29 +72,24 @@ def winding_number(points, z0) -> int:
     """Winding count of a closed polyline around z0.
 
     Accumulates the principal argument increment between consecutive nodes;
-    the closed sum is an exact multiple of 2 pi.  Points sitting on (or
-    nearly on) a segment make the count meaningless and are rejected.
+    the closed sum is an exact multiple of 2 pi.  A query is rejected when
+    it sits on a node (within WINDING_DISTANCE_TOL of the largest node
+    distance) or when an increment lies within WINDING_DISTANCE_TOL of
+    +-pi, which is where z0 sits on (or within rounding of) a segment: only
+    there can rounding flip an increment's sign and so change the count.
     """
     pts = np.asarray(points, dtype=complex)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    z0 = complex(z0)
-    rel = pts - z0
-    scale = float(np.max(np.abs(rel)))
-    if scale == 0.0 or np.any(np.abs(rel) < WINDING_DISTANCE_TOL * scale):
+    rel = pts - complex(z0)
+    dist = np.abs(rel)
+    scale = float(np.max(dist))
+    if scale == 0.0 or np.any(dist < WINDING_DISTANCE_TOL * scale):
         raise ValueError("query point touches the polyline")
-    nxt = np.roll(rel, -1)
-    # distance from z0 to each segment, to reject near-crossings
-    seg = nxt - rel
-    seg_len2 = np.abs(seg) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.clip(-np.real(rel * np.conj(seg)) / np.where(seg_len2 == 0.0, 1.0, seg_len2), 0.0, 1.0)
-    nearest = rel + frac * seg
-    if np.min(np.abs(nearest)) < WINDING_DISTANCE_TOL * scale:
+    increments = np.angle(np.roll(rel, -1) / rel)
+    if np.max(np.abs(increments)) > math.pi - WINDING_DISTANCE_TOL:
         raise ValueError("query point touches the polyline")
-    increments = np.angle(nxt / rel)
-    total = float(np.sum(increments))
-    return int(round(total / (2.0 * math.pi)))
+    return int(round(float(np.sum(increments)) / (2.0 * math.pi)))
 
 
 @dataclass(frozen=True)

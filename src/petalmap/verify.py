@@ -164,13 +164,6 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    alphas: np.ndarray
-    betas: np.ndarray
-    rows: tuple
-
-
 # ---------------------------------------------------------------------------
 # oscillator equation
 
@@ -392,14 +385,6 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
     return out
 
 
-def m_plus_time_derivative(family: MapFamily, state: TimeState, z) -> complex:
-    """Central difference of the Cauchy transform in the growth time, step 1e-3 T."""
-    h = 1e-3 * state.T
-    (m_hi,) = m_plus_samples(family, TimeState(state.T + h, state.A), [z])
-    (m_lo,) = m_plus_samples(family, TimeState(state.T - h, state.A), [z])
-    return (m_hi.value - m_lo.value) / (2.0 * h)
-
-
 # ---------------------------------------------------------------------------
 # harmonic moments
 
@@ -548,18 +533,16 @@ def petal_width(family: MapFamily) -> float:
     return float(np.max(np.minimum(d_base, d_top)))
 
 
-def sweep(alphas, betas) -> SweepResult:
+def sweep(alphas, betas) -> tuple[SweepRow, ...]:
     """Conformality and degeneracy classification over a parameter grid.
 
-    Each node counts the winding with `conformality_check`, as the battery
-    does, and is degenerate when its `petal_width` is below
-    WIDTH_DEGENERATE_FRACTION.
+    One `SweepRow` per node, alpha-major.  Each node counts the winding
+    with `conformality_check`, as the battery does, and is degenerate when
+    its `petal_width` is below WIDTH_DEGENERATE_FRACTION.
 
     Nodes that cannot be evaluated record their failure and the sweep moves
     on; they come back with winding/conformal/degenerate set to None.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
     rows = []
     for alpha in alphas:
         for beta in betas:
@@ -572,7 +555,7 @@ def sweep(alphas, betas) -> SweepResult:
             except Exception as exc:  # noqa: BLE001 - sweep must keep going
                 reason = "%s: %s" % (type(exc).__name__, exc)
                 rows.append(SweepRow(float(alpha), float(beta), None, None, None, reason))
-    return SweepResult(alphas, betas, tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,17 @@ def test_winding_square():
 
 
 def test_winding_point_on_edge_rejected():
-    with pytest.raises(ValueError):
-        winding_number(SQUARE, 1j)
-    with pytest.raises(ValueError):
-        winding_number(SQUARE, 1 + 1j)
+    # edge midpoints, points elsewhere on an edge, and nodes (or points within
+    # 1e-12 scale of one) all touch
+    for z in (1j, -1.0, -1j, 0.3 + 1j, 1 - 0.7j, 1 + 1j, -1 - 1j, (1 + 1j) * (1 + 1e-14)):
+        with pytest.raises(ValueError):
+            winding_number(SQUARE, z)
+    # 1e-9 scale off an edge, on either side, is counted
+    for edge_point, inward in ((1j, -1j), (-1.0, 1.0), (0.3 + 1j, -1j), (1 - 0.7j, -1.0)):
+        scale = float(np.max(np.abs(SQUARE - edge_point)))
+        assert winding_number(SQUARE, edge_point + 1e-9 * scale * inward) == 1
+        assert winding_number(SQUARE, edge_point - 1e-9 * scale * inward) == 0
+        assert winding_number(SQUARE[::-1], edge_point + 1e-9 * scale * inward) == -1
 
 
 def test_power_law_recovery():
@@ -107,3 +114,56 @@ def test_winding_convex_loop_property(n, radius):
     phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     pts = (0.7 + 0.2j) + radius * np.exp(1j * phis)
     assert winding_number(pts, 0.7 + 0.2j) == 1
+
+
+def crossing_number(pts, z):
+    """Reference count of a simple polygon: even-odd ray casting, signed by orientation."""
+    a = pts - z
+    b = np.roll(a, -1)
+    straddle = (a.imag > 0.0) != (b.imag > 0.0)
+    a, b = a[straddle], b[straddle]
+    x_cross = a.real - a.imag * (b.real - a.real) / (b.imag - a.imag)
+    inside = int(np.count_nonzero(x_cross > 0.0)) % 2
+    area = np.sum(pts.real * np.roll(pts.imag, -1) - np.roll(pts.real, -1) * pts.imag)
+    return inside * (1 if area > 0.0 else -1)
+
+
+def polygon_distance(pts, z):
+    """Distance from z to the closed polygon, by clipped projection on each edge."""
+    a = pts - z
+    step = np.roll(pts, -1) - pts
+    t = np.clip(-np.real(a * np.conj(step)) / np.abs(step) ** 2, 0.0, 1.0)
+    return float(np.min(np.abs(a + t * step)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=8, max_value=256),
+    axes=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    amps=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+    reverse=st.booleans(),
+    query=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    edge=st.tuples(st.integers(0, 255), st.floats(0.25, 0.75)),
+    offset=st.sampled_from([1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3]),
+)
+def test_winding_star_polygon_matches_crossing_number(n, axes, amps, reverse, query, edge, offset):
+    # a cos-perturbed ellipse, star-shaped about 0 and, for large amplitudes,
+    # far from convex; queries anywhere, and just off one of its edges
+    theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    rho = 1.0 / np.sqrt((np.cos(theta) / axes[0]) ** 2 + (np.sin(theta) / axes[1]) ** 2)
+    for m, amp in enumerate(amps, start=2):
+        rho *= 1.0 + amp * np.cos(m * theta)
+    pts = rho * np.exp(1j * theta)
+    if reverse:
+        pts = pts[::-1]
+    j, t = edge[0] % n, edge[1]
+    step = pts[(j + 1) % n] - pts[j]
+    near = pts[j] + t * step + offset * float(np.max(np.abs(pts))) * 1j * step / abs(step)
+    for z in (complex(*query), near):
+        try:
+            count = winding_number(pts, z)
+        except ValueError:
+            # only a query on the polygon, to within rounding, may be refused
+            assert polygon_distance(pts, z) <= 1e-10 * float(np.max(np.abs(pts - z)))
+            continue
+        assert count == crossing_number(pts, z)

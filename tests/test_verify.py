@@ -23,7 +23,6 @@ from petalmap import (
     harmonic_moment_area,
     integral_equation_residual,
     m_plus_samples,
-    m_plus_time_derivative,
     ode_residual,
     petal_width,
     run_standard_checks,
@@ -350,7 +349,7 @@ def test_conformality_edge_alpha(alpha, beta, winding):
 
 def test_battery_conformality_agrees_with_sweep():
     family = MapFamily.two_petal(4 * math.pi / 36, 5 * math.pi / 36)
-    (row,) = sweep([family.alpha], [family.beta]).rows
+    (row,) = sweep([family.alpha], [family.beta])
     check = run_standard_checks(family).checks["conformality"]
     assert row.winding == -6
     assert check.detail == "winding=-6"
@@ -709,11 +708,6 @@ def test_m_plus_two_petal_ring():
         assert abs(s.value - want) <= 1e-12
 
 
-def test_m_plus_time_derivative():
-    got = m_plus_time_derivative(LEMNISCATE, TimeState(1.0, 1.0), 0.8j)
-    assert abs(got - 1.0) <= M_PLUS_TOL
-
-
 # ---------------------------------------------------------------------------
 # widths, sweep, bundled report
 
@@ -743,7 +737,7 @@ def test_petal_width_degeneracy():
 
 def test_sweep_error_keeps_exception_type():
     # beta = 1.6 lies outside (0, pi/2), so building the family fails
-    (row,) = sweep([0.3], [1.6]).rows
+    (row,) = sweep([0.3], [1.6])
     assert row.winding is None and row.conformal is None
     assert row.error.startswith("ValueError: ")
 
@@ -751,9 +745,9 @@ def test_sweep_error_keeps_exception_type():
 def test_sweep_small_grid():
     alphas = [math.pi / 8, math.pi / 4]
     betas = [math.pi / 16, math.pi / 6]
-    result = sweep(alphas, betas)
-    assert len(result.rows) == 4
-    by_node = {(row.alpha, row.beta): row for row in result.rows}
+    rows = sweep(alphas, betas)
+    assert len(rows) == 4
+    by_node = {(row.alpha, row.beta): row for row in rows}
     ok_node = by_node[(math.pi / 8, math.pi / 16)]
     assert ok_node.error is None and ok_node.conformal and not ok_node.degenerate
     bad_node = by_node[(math.pi / 8, math.pi / 6)]
