@@ -145,15 +145,20 @@ def _as_points(w):
     return arr.reshape(-1), arr.shape, np.isscalar(w) or arr.shape == ()
 
 
-def _check_sheet(family: MapFamily, pts: np.ndarray):
+def _check_regular(family: MapFamily, pts: np.ndarray):
+    """Refuse non-finite points and the corner pre-images, where neither the map nor V is defined."""
     # nan fails every comparison below, so non-finite points are refused first
     if not np.all(np.isfinite(pts)):
-        raise MapDomainError("non-finite point is off the sheet")
-    if np.any(np.abs(pts) < 1.0 - MODULUS_SLACK):
-        raise MapDomainError("point inside the unit circle is off the sheet")
+        raise MapDomainError("non-finite point")
     for xi in family.corner_preimages:
         if np.any(np.abs(pts - xi) < CORNER_REJECT):
             raise CornerPreimageError("evaluation at corner pre-image %r" % (xi,))
+
+
+def _check_sheet(family: MapFamily, pts: np.ndarray):
+    _check_regular(family, pts)
+    if np.any(np.abs(pts) < 1.0 - MODULUS_SLACK):
+        raise MapDomainError("point inside the unit circle is off the sheet")
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +460,7 @@ def pressure(family: MapFamily, state: TimeState, z) -> float:
 def potential_V(family: MapFamily, w):
     """Rational potential of the self-similar oscillator equation, also inside the unit circle."""
     pts, shape, scalar = _as_points(w)
-    if not np.all(np.isfinite(pts)):
-        raise MapDomainError("potential at a non-finite point")
-    for xi in family.corner_preimages:
-        if np.any(np.abs(pts - xi) < CORNER_REJECT):
-            raise CornerPreimageError("potential pole at corner pre-image %r" % (xi,))
+    _check_regular(family, pts)
     frac_a = family.alpha / math.pi
     w2 = pts * pts
     vals = 16.0 * frac_a * (1.0 - frac_a) * w2 / (w2 - 1.0) ** 2

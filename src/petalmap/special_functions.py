@@ -2,27 +2,30 @@
 
 `hyp2f1_values` evaluates F(a, b; c; t) for real parameters on an array of
 complex arguments; the map evaluators batch thousands of boundary points
-through it at once.  Each point takes one of four routes:
+through it at once.  Each point takes one route of this table:
 
-- |t| > 1: the 1/t connection (A&S 15.3.7, DLMF 15.8.2), whose two inner
-  functions of 1/t take one of the three routes below;
-- otherwise whichever of the direct series, the Pfaff transformation
-  t/(t - 1) and the 1 - t connection has the smallest argument, the last
-  only where no series reaches when c - a - b is near an integer.
+- `_inverse_connection`, the 1/t connection (A&S 15.3.7), where |t| > 1,
+  averaged over a +- shift, b -+ shift within ``DEGENERATE_SHIFT`` of
+  integer a - b.  Its two inner functions of 1/t take the routes below.
+- Elsewhere the route with the smallest modulus, at most ``TRANSFORM_RADIUS``:
+  `_direct`, the series, by |t| (at every t where a or b is a non-positive
+  integer and the series terminates); `_pfaff`, (1 - t)^-a F(a, c - b; c;
+  t/(t - 1)) (A&S 15.3.4), by |t/(t - 1)|; `_euler_connection`, the 1 - t
+  connection (A&S 15.3.6), by |1 - t|, but never at integer c - a - b and
+  within 0.0061 of one only where neither series reaches.
 
-The last two, and the 1/t route's inner 1 - 1/t = -(1 - t)/t, take their
-arguments from 1 - t, which a caller may pass factored (``one_minus``): the
-two-petal map's d/p^2 keeps it within 2e-15 of mpmath next to the base corners.
+Every route takes (a, b, c, t, one_minus, queue): it queues each series it
+needs as (a, b, c, argument) and returns a finisher that assembles its
+values from the sums.  `hyp2f1_values` and `_disk_values` pick a route for
+each point, and `_dispatch` calls each route on its points (on the whole
+arrays when it takes them all) and scatters their values.  `hyp2f1_values`
+sums the whole queue in one term loop (`_series_sums`), however many series
+the routes need, and then applies the finishers.
 
-A route does not sum its series itself: it queues each one as
-(a, b, c, argument) and returns a finisher that assembles its values from
-the sums.  `hyp2f1_values` sums the whole queue in one term loop
-(`_series_sums`), however many series its routes need, and then applies the
-finishers.  The loop adds one term per Python iteration while more than
-4 ``TAIL_BLOCK`` = 128 points are live, and a block of ``TAIL_BLOCK`` = 32
-terms per iteration to the few points of the tail: a lone 0.95-modulus
-series of about 700 terms takes 22 iterations.  32 won a scan of 8, 16, 32
-and 64 on the benchmark's ``inverse`` workload (README).
+The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
+take their arguments from 1 - t, which a caller may pass factored
+(``one_minus``): the two-petal map's d/p^2 keeps it within 2e-15 of mpmath
+next to the base corners.
 
 The cut is [1, inf).  A point on it with a +0 imaginary part is rejected; a
 -0.0 imaginary part means the limit from below, which is mpmath's value on
@@ -115,6 +118,28 @@ def _queued(queue: list, a: float, b: float, c: float, t) -> Callable:
     return operator.itemgetter(len(queue) - 1)
 
 
+def _dispatch(routes: tuple, pick: np.ndarray, a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+    """Call ``routes[k]`` on the points whose ``pick`` is k, or on the whole arrays if they all are.
+
+    Returns that one route's finisher, or one that scatters the routes' values.
+    """
+    parts = []
+    for k, call in enumerate(routes):
+        mask = pick == k
+        if mask.all():
+            return call(a, b, c, t, one_minus, queue)
+        if mask.any():
+            parts.append((mask, call(a, b, c, t[mask], one_minus[mask], queue)))
+
+    def finish(sums):
+        out = np.empty(t.shape, dtype=complex)
+        for mask, part in parts:
+            out[mask] = part(sums)
+        return out
+
+    return finish
+
+
 def _series_sums(queue: list) -> list:
     """Sum every queued Gauss series (a, b, c, t) termwise in one loop.
 
@@ -200,19 +225,19 @@ def _series_sums(queue: list) -> list:
     return [total.reshape(t.shape) for total, t in zip(sums, args)]
 
 
-def _scatter(shape: tuple, parts: list) -> Callable:
-    """Finisher writing each (mask, finisher) part's values into one array."""
-
-    def finish(sums):
-        out = np.empty(shape, dtype=complex)
-        for mask, part in parts:
-            out[mask] = part(sums)
-        return out
-
-    return finish
+def _direct(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+    """Sum the series at t itself."""
+    return _queued(queue, a, b, c, t)
 
 
-def _euler_connection(a: float, b: float, c: float, one_minus: np.ndarray, queue: list) -> Callable:
+def _pfaff(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+    """Evaluate through the Pfaff transformation, (1 - t)^-a F(a, c - b; c; t/(t - 1))."""
+    prefactor = _power(one_minus, -a)
+    inner = _queued(queue, a, c - b, c, -t / one_minus)
+    return lambda sums: prefactor * inner(sums)
+
+
+def _euler_connection(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Evaluate through the argument ``one_minus`` = 1 - t; requires c - a - b off the integers.
 
     At a distance dist from an integer the two terms grow like 1/dist and
@@ -268,66 +293,41 @@ def _inverse_terms(a: float, b: float, c: float, t: np.ndarray, one_minus: np.nd
 
 
 def _disk_values(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
-    """Route each point to the direct series, Pfaff t/(t-1) or the 1-t connection.
+    """Pick the direct, Pfaff or 1 - t route for each point by the smallest modulus.
 
-    The representation with the smallest effective argument wins; moduli up
-    to ``TRANSFORM_RADIUS`` are accepted at the cost of a longer summation.
     Near integer c - a - b the 1-t connection, good to about 6e-18/dist^2,
     is a last resort where that is worse than the rounding bound of a series
     at the radius, one ulp for each of its n terms (1.6e-13, dist < 0.0061).
     """
     if _terminates(a, b):
-        return _queued(queue, a, b, c, t)
-    m_direct = np.abs(t)
+        return _direct(a, b, c, t, one_minus, queue)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pfaff_arg = -t / one_minus
-    m_pfaff = np.abs(pfaff_arg)
-    m_euler = np.abs(one_minus)
+        moduli = np.abs(np.stack([t, -t / one_minus, one_minus]))  # the routes' arguments, in order
     cab = c - a - b
     n = math.log(TERM_TOL) / math.log(TRANSFORM_RADIUS)
     if any(x == round(x) for x in (cab, a + b - c + 1.0)):
-        m_euler = np.full(t.shape, np.inf)  # a pole; a + b - c + 1 can round onto one c - a - b misses
+        moduli[2] = np.inf  # a pole; a + b - c + 1 can round onto one c - a - b misses
     elif 6e-18 / (cab - round(cab)) ** 2 > n * np.finfo(float).eps:
-        m_euler = np.where(np.minimum(m_direct, m_pfaff) <= TRANSFORM_RADIUS, np.inf, m_euler)
-
-    moduli = np.stack([m_direct, m_pfaff, m_euler])
-    route = np.argmin(moduli, axis=0)
-    best = np.min(moduli, axis=0)
-    if np.any(best > TRANSFORM_RADIUS):
+        moduli[2, np.min(moduli[:2], axis=0) <= TRANSFORM_RADIUS] = np.inf
+    if np.any(np.min(moduli, axis=0) > TRANSFORM_RADIUS):
         raise Hyp2F1DomainError(
             "argument not reachable by any implemented transformation"
         )
-
-    parts = []
-    direct_mask = route == 0
-    if direct_mask.any():
-        parts.append((direct_mask, _queued(queue, a, b, c, t[direct_mask])))
-    pfaff_mask = route == 1
-    if pfaff_mask.any():
-        prefactor = _power(one_minus[pfaff_mask], -a)
-        inner = _queued(queue, a, c - b, c, pfaff_arg[pfaff_mask])
-        parts.append((pfaff_mask, lambda sums: prefactor * inner(sums)))
-    euler_mask = route == 2
-    if euler_mask.any():
-        parts.append((euler_mask, _euler_connection(a, b, c, one_minus[euler_mask], queue)))
-    return _scatter(t.shape, parts)
+    return _dispatch((_direct, _pfaff, _euler_connection), np.argmin(moduli, axis=0), a, b, c, t, one_minus, queue)
 
 
 def hyp2f1_values(a: float, b: float, c: float, t, one_minus=None) -> np.ndarray:
-    """Vectorized Gauss series with automatic argument transformations.
+    """Vectorized Gauss series, each point by a route of the module's table.
 
-    Points with |t| > 1 take the 1/t connection, the rest `_disk_values`;
-    terminating series (a or b a non-positive integer) are summed directly
-    at every argument.  The routes queue their series, `_series_sums` sums
-    the queue in one loop, and the routes' finishers assemble the values.
     ``one_minus`` (shaped like ``t``) is 1 - t in the caller's factored
     form; ``1.0 - t``, the default, cancels next to t = 1.
     """
     if _is_nonpositive_integer(c):
         raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
     t = np.asarray(t, dtype=complex)
+    one_minus = 1.0 - t if one_minus is None else np.asarray(one_minus, dtype=complex)
     # nan fails every route's modulus test, so it would pass for reachable
-    if not np.all(np.isfinite(t)):
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(one_minus))):
         raise Hyp2F1DomainError("non-finite argument")
     if _terminates(a, b):
         return _series_sums([(a, b, c, t)])[0]
@@ -337,14 +337,9 @@ def hyp2f1_values(a: float, b: float, c: float, t, one_minus=None) -> np.ndarray
     if on_cut.any():
         raise Hyp2F1DomainError("argument on the cut [1, inf)")
 
-    one_minus = 1.0 - t if one_minus is None else np.asarray(one_minus, dtype=complex)
+    # the routes take 1-d arrays: numpy computes on 0-d arrays with its
+    # scalars, whose complex product rounds differently from the array loop's
+    flat, one_minus = t.reshape(-1), np.reshape(one_minus, -1)
     queue: list = []
-    outer = np.abs(t) > 1.0
-    if not outer.any():
-        finish = _disk_values(a, b, c, t, one_minus, queue)
-    else:
-        parts = [(outer, _inverse_connection(a, b, c, t[outer], one_minus[outer], queue))]
-        if not outer.all():
-            parts.append((~outer, _disk_values(a, b, c, t[~outer], one_minus[~outer], queue)))
-        finish = _scatter(t.shape, parts)
-    return finish(_series_sums(queue))
+    finish = _dispatch((_disk_values, _inverse_connection), np.abs(flat) > 1.0, a, b, c, flat, one_minus, queue)
+    return finish(_series_sums(queue)).reshape(t.shape)

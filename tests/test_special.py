@@ -242,6 +242,9 @@ def test_non_finite_argument_rejected():
         for t in (complex("nan"), complex("inf"), complex(0.5, math.inf)):
             with pytest.raises(Hyp2F1DomainError, match="non-finite"):
                 hyp2f1_values(a, -0.375, 0.5, np.array([0.3, t]))
+            # a caller's factored 1 - t is refused the same way
+            with pytest.raises(Hyp2F1DomainError, match="non-finite"):
+                hyp2f1_values(a, -0.375, 0.5, np.array([0.3, 0.5]), one_minus=np.array([0.7, t]))
 
 
 def test_lower_parameter_validation():
@@ -390,6 +393,30 @@ def test_values_do_not_depend_on_batch_size(radius, lo, hi):
         full = hyp2f1_values(a, b, c, t)
         blocks = np.concatenate([hyp2f1_values(a, b, c, t[k : k + 128]) for k in range(0, n, 128)])
         assert np.array_equal(full, blocks)
+
+
+# two points for each route: direct, Pfaff, 1 - t (where |t| and |t/(t - 1)|
+# are both above the radius, so also the last resort) and 1/t
+MIXED_ROUTES = np.array([0.3 + 0.2j, 0.2 - 0.1j, -0.8 + 0.3j, -0.6 - 0.6j, 0.99 + 0.05j, 0.97 - 0.1j, 1.5 + 1.0j, -3.0 + 0.5j])
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    # (0.25, 0.25) takes the averaged 1/t route; c - a - b = 1.003 makes the
+    # 1 - t connection a last resort
+    [(0.3, -0.2, 0.5), (0.45, 0.15, 0.5), (0.25, 0.25, 0.7), (-0.4, 1.3, 1.7), (0.2, 0.3, 1.503)],
+)
+def test_mixed_routes_match_points_alone(monkeypatch, a, b, c):
+    # one call scatters four routes' values; each point alone takes its
+    # route on the whole array
+    taken = set()
+    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection"):
+        route = getattr(special_functions, name)
+        monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
+    mixed = hyp2f1_values(a, b, c, MIXED_ROUTES)
+    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection"}
+    alone = np.concatenate([hyp2f1_values(a, b, c, MIXED_ROUTES[k : k + 1]) for k in range(MIXED_ROUTES.size)])
+    assert np.array_equal(mixed, alone)
 
 
 def test_convergence_error_names_unsettled_point(monkeypatch):
