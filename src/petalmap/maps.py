@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import MapDomainError, _gamma_quotient, _power, hyp2f1_values
+from .special_functions import MapDomainError, _gamma_quotient, _hyp2f1_batch, _power, hyp2f1_values
 
 CORNER_REJECT = 1e-12        # evaluation radius around corner pre-images
 MODULUS_SLACK = 1e-12        # |w| >= 1 - slack counts as on-sheet
@@ -298,8 +298,9 @@ def _partner_derivatives(family: MapFamily, w: np.ndarray):
     x = d * d / (p * p)  # 1 - t, kept factored like the map's
     t = 4.0 / (p * p)  # 1 - x
     dx = 8.0 * dp / (p * p * p)
-    hyp = hyp2f1_values(0.5 - a, 0.5 - b, cab + 1.0, x, one_minus=t)
-    slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * hyp2f1_values(1.5 - a, 1.5 - b, cab + 2.0, x, one_minus=t)
+    # the two functions' series are summed in one loop
+    hyp, slope = _hyp2f1_batch([(0.5 - a, 0.5 - b, cab + 1.0, x, t), (1.5 - a, 1.5 - b, cab + 2.0, x, t)])
+    slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * slope
     outer = scale * p * _power(x, mu) * _power(-x, cab)
     h = outer * hyp
     return h, h * (dp / p + (mu + cab) * dx / x) + outer * slope * dx

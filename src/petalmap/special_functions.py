@@ -16,11 +16,15 @@ through it at once.  Each point takes one route of this table:
 
 Every route takes (a, b, c, t, one_minus, queue): it queues each series it
 needs as (a, b, c, argument) and returns a finisher that assembles its
-values from the sums.  `hyp2f1_values` and `_disk_values` pick a route for
+values from the sums.  `_hyp2f1_batch` and `_disk_values` pick a route for
 each point, and `_dispatch` calls each route on its points (on the whole
-arrays when it takes them all) and scatters their values.  `hyp2f1_values`
-sums the whole queue in one term loop (`_series_sums`), however many series
-the routes need, and then applies the finishers.
+arrays when it takes them all) and scatters their values.
+
+`_hyp2f1_batch` takes a list of (a, b, c, t, one_minus) requests, queues
+the series of all their routes, sums the whole queue in one term loop
+(`_series_sums`) and applies the finishers: one array per request, with the
+bits of that request alone.  `hyp2f1_values` is its one-request case; the
+partner solution's F and F' share one batch.
 
 The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
 take their arguments from 1 - t, which a caller may pass factored
@@ -322,24 +326,40 @@ def hyp2f1_values(a: float, b: float, c: float, t, one_minus=None) -> np.ndarray
     ``one_minus`` (shaped like ``t``) is 1 - t in the caller's factored
     form; ``1.0 - t``, the default, cancels next to t = 1.
     """
-    if _is_nonpositive_integer(c):
-        raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
-    t = np.asarray(t, dtype=complex)
-    one_minus = 1.0 - t if one_minus is None else np.asarray(one_minus, dtype=complex)
-    # nan fails every route's modulus test, so it would pass for reachable
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(one_minus))):
-        raise Hyp2F1DomainError("non-finite argument")
-    if _terminates(a, b):
-        return _series_sums([(a, b, c, t)])[0]
+    return _hyp2f1_batch([(a, b, c, t, one_minus)])[0]
 
-    # t = 1 is the branch point; the rest of the cut has a side only with -0.0
-    on_cut = (t.imag == 0.0) & ((t.real == 1.0) | ((t.real > 1.0) & ~np.signbit(t.imag)))
-    if on_cut.any():
-        raise Hyp2F1DomainError("argument on the cut [1, inf)")
 
-    # the routes take 1-d arrays: numpy computes on 0-d arrays with its
-    # scalars, whose complex product rounds differently from the array loop's
-    flat, one_minus = t.reshape(-1), np.reshape(one_minus, -1)
+def _hyp2f1_batch(requests) -> list:
+    """`hyp2f1_values` for each (a, b, c, t, one_minus) request, all series summed in one loop.
+
+    Every request is checked as `hyp2f1_values` checks it, and raises the
+    same error, before any series is summed.  Returns one array per request,
+    shaped like its t.
+    """
     queue: list = []
-    finish = _dispatch((_disk_values, _inverse_connection), np.abs(flat) > 1.0, a, b, c, flat, one_minus, queue)
-    return finish(_series_sums(queue)).reshape(t.shape)
+    finishers, shapes = [], []
+    for a, b, c, t, one_minus in requests:
+        if _is_nonpositive_integer(c):
+            raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
+        t = np.asarray(t, dtype=complex)
+        one_minus = 1.0 - t if one_minus is None else np.asarray(one_minus, dtype=complex)
+        # nan fails every route's modulus test, so it would pass for reachable
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(one_minus))):
+            raise Hyp2F1DomainError("non-finite argument")
+        shapes.append(t.shape)
+        if _terminates(a, b):
+            finishers.append(_queued(queue, a, b, c, t))
+            continue
+
+        # t = 1 is the branch point; the rest of the cut has a side only with -0.0
+        on_cut = (t.imag == 0.0) & ((t.real == 1.0) | ((t.real > 1.0) & ~np.signbit(t.imag)))
+        if on_cut.any():
+            raise Hyp2F1DomainError("argument on the cut [1, inf)")
+
+        # the routes take 1-d arrays: numpy computes on 0-d arrays with its
+        # scalars, whose complex product rounds differently from the array loop's
+        flat, one_minus = t.reshape(-1), np.reshape(one_minus, -1)
+        routes = (_disk_values, _inverse_connection)
+        finishers.append(_dispatch(routes, np.abs(flat) > 1.0, a, b, c, flat, one_minus, queue))
+    sums = _series_sums(queue)
+    return [finish(sums).reshape(shape) for finish, shape in zip(finishers, shapes)]

@@ -174,8 +174,17 @@ def ode_residual(family: MapFamily) -> float:
     f, f' and f'' are evaluated at the ring's 16 first-quadrant points and
     unfolded onto all 64 by symmetry (`_unfold_quadrant`).
     """
-    pts = RING_ODE * np.exp(1j * _circle_angles(64))
-    f, fp, fpp = _unfold_quadrant(64, *_tangential_derivatives(family, pts[:16]))
+    return _ode_defect(family, _tangential_derivatives(family, _ode_ring()[:16]))
+
+
+def _ode_ring() -> np.ndarray:
+    return RING_ODE * np.exp(1j * _circle_angles(64))
+
+
+def _ode_defect(family: MapFamily, quarters) -> float:
+    """`ode_residual` from f, f' and f'' at the first 16 points of `_ode_ring`."""
+    pts = _ode_ring()
+    f, fp, fpp = _unfold_quadrant(64, *quarters)
     v = potential_V(family, pts)
     lhs = pts * pts * fpp - (2.0 * pts / (pts * pts - 1.0)) * fp + v * f
     return float(np.max(np.abs(lhs) / (1.0 + np.abs(v * f))))
@@ -195,14 +204,27 @@ def estimate_A(family: MapFamily) -> RatioEstimate:
     (a = -5.6e-17 at (3 pi/36, 15 pi/36)), has a partner that is a multiple
     of the map and no ratio, and raises `VerificationError`.
     """
+    _reject_collapsed(family)
+    return _ratio_estimate(family, _tangential_derivatives(family, _wronskian_probes()))
+
+
+def _reject_collapsed(family: MapFamily):
     if family.kind == "two-petal" and min(map(abs, _two_petal_parameters(family))) <= 4.0 * math.ulp(1.0):
         raise VerificationError(
             "%s is a collapsed pattern (beta = alpha or alpha + beta = pi/2): "
             "the map's continuation across the unit circle is a multiple of the "
             "map, so the Wronskian ratio is undefined" % family.label()
         )
-    w = (WRONSKIAN_RHOS[None, :] * np.exp(1j * WRONSKIAN_THETAS)[:, None]).ravel()
-    f, fp, _ = _tangential_derivatives(family, w)
+
+
+def _wronskian_probes() -> np.ndarray:
+    return (WRONSKIAN_RHOS[None, :] * np.exp(1j * WRONSKIAN_THETAS)[:, None]).ravel()
+
+
+def _ratio_estimate(family: MapFamily, derivatives) -> RatioEstimate:
+    """`estimate_A` of a family that is not collapsed, from f and f' at `_wronskian_probes`."""
+    w = _wronskian_probes()
+    f, fp, _ = derivatives
     h, hp = _partner_derivatives(family, w)
     samples = np.abs(w * (fp * h - f * hp)) / np.abs(w - 1.0 / w)
     mean = float(np.mean(samples))
@@ -225,8 +247,17 @@ def dynamical_residual(family: MapFamily, ratio: float | None = None) -> float:
     """
     if ratio is None:
         ratio = estimate_A(family).value
-    ring = np.exp(1j * _circle_angles(128))
-    f, fp, _ = _unfold_quadrant(128, *_tangential_derivatives(family, ring[:32]))
+    return _dynamical_defect(ratio, _tangential_derivatives(family, _unit_ring(128)[:32]))
+
+
+def _unit_ring(n: int) -> np.ndarray:
+    return np.exp(1j * _circle_angles(n))
+
+
+def _dynamical_defect(ratio: float, quarters) -> float:
+    """`dynamical_residual` from f and f' at the first 32 points of the 128-point unit ring."""
+    ring = _unit_ring(128)
+    f, fp, _ = _unfold_quadrant(128, *quarters)
     lhs = (2.0 / ratio) * np.real(ring * fp * np.conj(f))
     rhs = np.abs(ring - 1.0 / ring)
     return float(np.max(np.abs(lhs - rhs)))
@@ -241,8 +272,13 @@ def darcy_check(family: MapFamily, ratio: float | None = None) -> float:
     """
     if ratio is None:
         ratio = estimate_A(family).value
-    ring = np.exp(1j * _circle_angles(256))
-    f, fp, _ = _unfold_quadrant(256, *_tangential_derivatives(family, ring[:64]))
+    return _darcy_defect(ratio, _tangential_derivatives(family, _unit_ring(256)[:64]))
+
+
+def _darcy_defect(ratio: float, quarters) -> float:
+    """`darcy_check` from f and f' at the first 64 points of the 256-point unit ring."""
+    ring = _unit_ring(256)
+    f, fp, _ = _unfold_quadrant(256, *quarters)
     speed = np.abs(fp)
     v_kinematic = np.imag(np.conj(f) * 1j * ring * fp) / (ratio * speed)
     v_darcy = np.abs(1.0 - 1.0 / (ring * ring)) / (2.0 * speed)
@@ -253,16 +289,15 @@ def darcy_check(family: MapFamily, ratio: float | None = None) -> float:
 # conformality
 
 
-def _ring_turns(family: MapFamily, radius: float, phis: np.ndarray):
+def _ring_turns(family: MapFamily, radius: float, phis: np.ndarray, fp: np.ndarray):
     """Turns of arg f' between neighbours on the arc radius e^{i phi}, none above pi/4.
 
-    ``phis`` increase along an open arc.  Every step whose turn exceeds
-    pi/4 is bisected, one `map_derivative` call per round of midpoints,
-    until none does.  Returns None when the arc cannot be resolved: f'
-    nearly vanishes on it, or a step that still turns too far is too short
-    to split in floating point.
+    ``phis`` increase along an open arc, and ``fp`` is f' at its points.
+    Every step whose turn exceeds pi/4 is bisected, one `map_derivative`
+    call per round of midpoints, until none does.  Returns None when the
+    arc cannot be resolved: f' nearly vanishes on it, or a step that still
+    turns too far is too short to split in floating point.
     """
-    fp = map_derivative(family, radius * np.exp(1j * phis))
     scale = float(np.median(np.abs(fp)))
     new = fp
     while True:
@@ -298,12 +333,25 @@ def conformality_check(family: MapFamily):
     The corner pre-images sit exactly on |w| = 1; an arc that cannot be
     resolved is pushed out once before giving up.
     """
-    corners = np.angle(np.array(family.corner_preimages))
+    return _winding(family, None)
+
+
+def _conformality_arc(family: MapFamily, ring_eps: float):
+    """Radius e^ring_eps, the angles graded toward the corners and the arc's points."""
+    radius = math.exp(ring_eps)
+    phis = _graded_angles(np.angle(np.array(family.corner_preimages)), ring_eps)
+    return radius, phis, radius * np.exp(1j * phis)
+
+
+def _winding(family: MapFamily, fp):
+    """`conformality_check`, given f' at the first arc's points unless ``fp`` is None."""
     for ring_eps in (CONFORMAL_RING_EPS, 2.0 * CONFORMAL_RING_EPS):
-        turns = _ring_turns(family, math.exp(ring_eps), _graded_angles(corners, ring_eps))
+        radius, phis, pts = _conformality_arc(family, ring_eps)
+        turns = _ring_turns(family, radius, phis, map_derivative(family, pts) if fp is None else fp)
         if turns is not None:
             winding = 2 * int(round(float(np.sum(turns)) / math.pi))
             return winding, winding == 0
+        fp = None  # the wider arc is evaluated here
     raise VerificationError("derivative winding could not be resolved")
 
 
@@ -316,11 +364,14 @@ def corner_exponent(family: MapFamily, corner: complex):
     corner = complex(corner)
     if corner not in family.corner_preimages:
         raise ValueError("%r is not a corner pre-image of %s" % (corner, family.label()))
-    theta_c = cmath.phase(corner)
+    d, pts = _corner_arc(corner)
+    return fit_power_law(d, np.abs(_values_on_sheet(family, pts)))
+
+
+def _corner_arc(corner: complex):
+    """Distances d along the unit circle from ``corner`` and the points there."""
     d = np.geomspace(CORNER_FIT_RANGE[0], CORNER_FIT_RANGE[1], CORNER_FIT_POINTS)
-    pts = np.exp(1j * (theta_c + d))
-    vals = np.abs(_values_on_sheet(family, pts))
-    return fit_power_law(d, vals)
+    return d, np.exp(1j * (cmath.phase(corner) + d))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +613,31 @@ def sweep(alphas, betas) -> tuple[SweepRow, ...]:
 # bundled report
 
 
+def _evaluated_once(evaluate, samples: dict):
+    """Lookup of ``evaluate(samples[key])`` by key, from one ``evaluate`` call on all samples.
+
+    ``evaluate`` maps a 1-d point array to a tuple of arrays, point by point
+    and with each point's bits independent of its batch, so a key's slices
+    are the bits of its own call.  If the merged call raises, each key is
+    evaluated alone when it is read, so the error is charged to the check
+    that reads it, as if the checks had run one by one.
+    """
+    try:
+        merged = evaluate(np.concatenate(list(samples.values())))
+    except Exception:  # noqa: BLE001 - each reader raises its own error
+        return lambda key: evaluate(samples[key])
+    ends = dict(zip(samples, np.cumsum([len(points) for points in samples.values()])))
+    return lambda key: tuple(part[ends[key] - len(samples[key]) : ends[key]] for part in merged)
+
+
 def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> VerificationReport:
-    """Run the family-appropriate checks and collect them into a report."""
+    """Run the family-appropriate checks and collect them into a report.
+
+    Each result has the bits of the public check called alone, but the
+    checks' fixed samples are evaluated together (`_evaluated_once`): one
+    derivative call for the rings and the first conformality arc, one value
+    call for the corner fits.
+    """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tol)
@@ -581,11 +655,31 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
                 if name not in report.checks:
                     report.add_error(name, tol[name], str(exc))
 
+    corners = [("corner_exponent_base", 1.0 + 0.0j, 2.0 * family.alpha / math.pi)]
+    if family.kind == "two-petal":
+        corners.append(("corner_exponent_top", 1.0j, family.delta))
+    corner_arcs = {name: _corner_arc(corner) for name, corner, _ in corners}
+    derivatives = _evaluated_once(
+        lambda points: _tangential_derivatives(family, points),
+        {
+            "ode": _ode_ring()[:16],
+            "wronskian": _wronskian_probes(),
+            "dynamical": _unit_ring(128)[:32],
+            "darcy": _unit_ring(256)[:64],
+            "conformality": _conformality_arc(family, CONFORMAL_RING_EPS)[2],
+        },
+    )
+    values = _evaluated_once(
+        lambda points: (_values_on_sheet(family, points),),
+        {name: points for name, (_, points) in corner_arcs.items()},
+    )
+
     def check_ode():
-        report.add("ode_residual", ode_residual(family), tol["ode_residual"])
+        report.add("ode_residual", _ode_defect(family, derivatives("ode")), tol["ode_residual"])
 
     def check_growth():
-        ratio = estimate_A(family)
+        _reject_collapsed(family)
+        ratio = _ratio_estimate(family, derivatives("wronskian"))
         report.add(
             "ratio_spread",
             ratio.spread,
@@ -593,21 +687,21 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
             detail="A=%.12g" % ratio.value,
         )
         report.add(
-            "dynamical_residual", dynamical_residual(family, ratio.value), tol["dynamical_residual"]
+            "dynamical_residual",
+            _dynamical_defect(ratio.value, derivatives("dynamical")),
+            tol["dynamical_residual"],
         )
-        report.add("darcy_mismatch", darcy_check(family, ratio.value), tol["darcy_mismatch"])
+        report.add("darcy_mismatch", _darcy_defect(ratio.value, derivatives("darcy")), tol["darcy_mismatch"])
 
     def check_conformality():
-        winding, _ok = conformality_check(family)
+        _, fp, _ = derivatives("conformality")
+        winding, _ok = _winding(family, fp)
         report.add("conformality", abs(winding), tol["conformality"], detail="winding=%d" % winding)
 
-    corners = [("corner_exponent_base", 1.0 + 0.0j, 2.0 * family.alpha / math.pi)]
-    if family.kind == "two-petal":
-        corners.append(("corner_exponent_top", 1.0j, family.delta))
-
     def check_corners():
-        for name, corner, target in corners:
-            fit = corner_exponent(family, corner)
+        for name, _, target in corners:
+            (vals,) = values(name)
+            fit = fit_power_law(corner_arcs[name][0], np.abs(vals))
             report.add(
                 name,
                 abs(fit.exponent - target) / target,

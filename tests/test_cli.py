@@ -215,6 +215,20 @@ def test_verify_collapsed_pattern_exit(tmp_path, capsys):
     assert "collapsed pattern" in ratio["detail"]
 
 
+def test_verify_output_pinned(tmp_path, capsys):
+    # stdout lines, exit code and --report bytes of six families, each kind
+    # of outcome: one-petal passes, a conformal two-petal pattern, two
+    # nonconformal ones (one with a - b in the DEGENERATE_SHIFT window) and
+    # a collapsed one whose growth checks carry errors
+    cases = json.loads((DATA / "verify_reports.json").read_text(encoding="utf-8"))
+    assert len(cases) == 6
+    for case in cases:
+        rep = tmp_path / "rep.json"
+        assert run_cli(*case["argv"], "--report", str(rep)) == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
+        assert rep.read_bytes() == case["report"].encode("utf-8")
+
+
 @pytest.mark.parametrize("alpha, beta", [("3pi/36", "15pi/36"), ("15pi/36", "3pi/36")])
 def test_verify_rounded_collapse_exit(alpha, beta, capsys):
     # alpha + beta = pi/2 up to the rounding of F's parameter a (-5.55e-17)

@@ -517,3 +517,63 @@ def test_gamma_quotient_against_mpmath():
     for numerators in ((-1.0,), (0.0, 0.5), (0.5, -3.0)):
         with pytest.raises(ValueError, match="pole"):
             special_functions._gamma_quotient(numerators, (0.5,))
+
+
+# one request per route of the table, shapes and a caller's 1 - t included
+BATCH_REQUESTS = [
+    (0.3, -0.2, 0.5, np.array([0.3 + 0.2j, 0.2 - 0.1j]), None),  # direct
+    (0.3, -0.2, 0.5, np.array([-0.8 + 0.3j, -0.6 - 0.6j]), None),  # Pfaff
+    (0.2, 0.3, 1.503, np.array([0.99 + 0.05j, 0.97 - 0.1j]), np.array([0.01 - 0.05j, 0.03 + 0.1j])),  # 1 - t
+    (0.3, -0.2, 0.5, np.array([[1.5 + 1.0j], [-3.0 + 0.5j]]), None),  # 1/t
+    (0.25, 0.25, 0.5, 1.6 * np.exp(1j * np.linspace(-3.0, 3.0, 8)), None),  # integer a - b: the averaged window (delta = 1/2)
+    (-2.0, 0.7, 1.3, np.array([[0.5, 3.0 + 1.0j], [-7.0, 1.5 + 0.0j]]), None),  # terminating
+    (0.3, -0.2, 0.5, np.array([complex(1.5, -0.0), complex(3.0, -0.0), complex(1.0000001, -0.0)]), None),  # on the cut from below
+    (0.45, 0.15, 0.5, np.asarray(0.4 - 0.3j), None),  # 0-d
+    (0.45, 0.15, 0.5, np.array([], dtype=complex), None),
+    (0.2, 0.3, 1.503, MIXED_ROUTES, None),
+]
+
+
+def test_batch_matches_single_calls(monkeypatch):
+    # every request of one batch has the bits and shape of its own call,
+    # and the whole batch is summed in one series loop
+    taken = set()
+    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection"):
+        route = getattr(special_functions, name)
+        monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
+    alone = [hyp2f1_values(a, b, c, t, one_minus=one_minus) for a, b, c, t, one_minus in BATCH_REQUESTS]
+    loops = []
+    sums = special_functions._series_sums
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
+    batch = special_functions._hyp2f1_batch(BATCH_REQUESTS)
+    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection"}
+    assert len(loops) == 1
+    assert len(batch) == len(alone)
+    for got, want in zip(batch, alone):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        # and -0.0 imaginary parts where the single call has them
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (0.3, -0.2, 0.5, np.array([0.3, complex("nan")]), None),
+        (-2.0, -0.375, 0.5, np.array([0.3, complex(0.5, math.inf)]), None),
+        (0.3, -0.2, 0.5, np.array([0.3, 0.5]), np.array([0.7, complex("inf")])),
+        (0.3, -0.2, 0.5, np.array([0.3, 1.5 + 0.0j]), None),
+        (0.3, -0.2, 0.5, np.array([complex(1.0, -0.0)]), None),
+        (1.0, 1.0, -2.0, np.array([0.3]), None),
+    ],
+    ids=("nan", "terminating-inf", "one-minus-inf", "cut", "branch-point", "lower-parameter"),
+)
+def test_batch_raises_as_single_call(monkeypatch, bad):
+    # a bad request anywhere in the batch raises the single call's error
+    # before any series is summed
+    with pytest.raises(Hyp2F1DomainError) as alone:
+        hyp2f1_values(*bad[:4], one_minus=bad[4])
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: pytest.fail("series summed"))
+    with pytest.raises(Hyp2F1DomainError) as batch:
+        special_functions._hyp2f1_batch([BATCH_REQUESTS[0], bad, BATCH_REQUESTS[3]])
+    assert str(batch.value) == str(alone.value)

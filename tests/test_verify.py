@@ -28,7 +28,7 @@ from petalmap import (
     run_standard_checks,
     sweep,
 )
-from petalmap import maps, verify
+from petalmap import maps, special_functions, verify
 from petalmap.maps import _tangential_derivatives
 from petalmap.verify import VerificationError, VerificationReport
 
@@ -805,3 +805,163 @@ def test_report_error_recording():
     assert not report.all_passed
     assert report.checks["broken"].residual == math.inf
     assert report.checks["broken"].detail.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# the battery shares its evaluations, and its results are the checks' own
+
+BATTERY_FAMILIES = (
+    MapFamily.one_petal(math.pi / 5),
+    MapFamily.two_petal(math.pi / 5, math.pi / 9),
+    MapFamily.two_petal(math.pi / 8, math.pi / 6),  # nonconformal
+    MapFamily.two_petal(0.5, 0.5),  # collapsed: estimate_A raises
+    MapFamily.two_petal(math.pi / 6, math.pi / 4),  # a - b inside the DEGENERATE_SHIFT window
+)
+
+
+def checks_alone(family):
+    """The battery's report, each check taken by calling its public function alone."""
+    tol = verify.DEFAULT_TOLERANCES
+    report = VerificationReport(family.label())
+
+    def stage(names, body):
+        try:
+            body()
+        except Exception as exc:  # noqa: BLE001 - recorded as the battery records it
+            for name in names:
+                if name not in report.checks:
+                    report.add_error(name, tol[name], str(exc))
+
+    def growth():
+        ratio = estimate_A(family)
+        report.add("ratio_spread", ratio.spread, tol["ratio_spread"], detail="A=%.12g" % ratio.value)
+        report.add("dynamical_residual", dynamical_residual(family, ratio.value), tol["dynamical_residual"])
+        report.add("darcy_mismatch", darcy_check(family, ratio.value), tol["darcy_mismatch"])
+
+    def conformality():
+        winding, _ = conformality_check(family)
+        report.add("conformality", abs(winding), tol["conformality"], detail="winding=%d" % winding)
+
+    corners = [("corner_exponent_base", 1.0 + 0.0j, 2.0 * family.alpha / math.pi)]
+    if family.kind == "two-petal":
+        corners.append(("corner_exponent_top", 1.0j, family.delta))
+
+    def corner_fits():
+        for name, corner, target in corners:
+            fit = corner_exponent(family, corner)
+            detail = "fit=%.6f target=%.6f" % (fit.exponent, target)
+            report.add(name, abs(fit.exponent - target) / target, tol[name], detail=detail)
+
+    def integral():
+        report.add("integral_equation", integral_equation_residual(family), tol["integral_equation"])
+
+    def capacity():
+        value = maps.laurent_coefficients(family).capacity
+        report.add("capacity_sign", max(0.0, -value), tol["capacity_sign"], detail="capacity=%.12g" % value)
+
+    stage(("ode_residual",), lambda: report.add("ode_residual", ode_residual(family), tol["ode_residual"]))
+    stage(("ratio_spread", "dynamical_residual", "darcy_mismatch"), growth)
+    stage(("conformality",), conformality)
+    stage([name for name, _, _ in corners], corner_fits)
+    if family.kind == "one-petal":
+        stage(("integral_equation",), integral)
+    stage(("capacity_sign",), capacity)
+    return report
+
+
+def bits(check):
+    return (check.residual.hex(), check.tolerance.hex(), check.passed, check.detail)
+
+
+def assert_same_checks(got, want):
+    assert list(got.checks) == list(want.checks)
+    for name in want.checks:
+        assert bits(got.checks[name]) == bits(want.checks[name]), name
+
+
+@pytest.mark.parametrize("family", BATTERY_FAMILIES, ids=lambda f: f.label())
+def test_battery_equals_checks_alone(family):
+    # residual, tolerance and detail bit for bit, errors included
+    assert_same_checks(run_standard_checks(family), checks_alone(family))
+
+
+@pytest.mark.parametrize(
+    "ring, names",
+    [
+        ("_ode_ring", ("ode_residual",)),
+        ("_wronskian_probes", ("ratio_spread", "dynamical_residual", "darcy_mismatch")),
+    ],
+)
+@pytest.mark.parametrize("family", BATTERY_FAMILIES[:2], ids=lambda f: f.label())
+def test_shared_evaluation_error_charged_to_its_check(monkeypatch, family, ring, names):
+    # a ring that leaves the sheet makes the merged evaluation raise; only
+    # the checks that read that ring carry the error, with the message the
+    # public check raises alone, and every other check keeps its bits
+    clean = run_standard_checks(family)
+    inner = getattr(verify, ring)
+    monkeypatch.setattr(verify, ring, lambda: 0.5 * inner())
+    report = run_standard_checks(family)
+    want = checks_alone(family)
+    assert_same_checks(report, want)
+    assert {name for name, c in report.checks.items() if c.detail.startswith("error:")} == set(names)
+    with pytest.raises(maps.MapDomainError) as info:
+        (ode_residual if ring == "_ode_ring" else estimate_A)(family)
+    assert report.checks[names[0]].detail == "error: %s" % info.value
+    for name in set(clean.checks) - set(names):
+        assert bits(report.checks[name]) == bits(clean.checks[name]), name
+
+
+def test_shared_values_error_charged_to_its_corner(monkeypatch):
+    # a top-corner sample that is not finite fails the merged corner values;
+    # the base fit is still made, as when the corners are fitted one by one
+    family = MapFamily.two_petal(math.pi / 5, math.pi / 9)
+    clean = run_standard_checks(family)
+    inner = verify._corner_arc
+
+    def broken(corner):
+        d, pts = inner(corner)
+        return d, (pts + complex("nan") if corner == 1j else pts)
+
+    monkeypatch.setattr(verify, "_corner_arc", broken)
+    report = run_standard_checks(family)
+    assert_same_checks(report, checks_alone(family))
+    assert [name for name, c in report.checks.items() if c.detail.startswith("error:")] == ["corner_exponent_top"]
+    assert bits(report.checks["corner_exponent_base"]) == bits(clean.checks["corner_exponent_base"])
+
+
+@pytest.mark.parametrize(
+    "family",
+    [MapFamily.two_petal(math.pi / 5, math.pi / 9), MapFamily.two_petal(math.pi / 8, math.pi / 6)],
+    ids=lambda f: f.label(),
+)
+def test_battery_merges_its_fixed_evaluations(patch_stencil, monkeypatch, family):
+    # one arc stencil for the fixed rings (ode 16, Wronskian 8, dynamical
+    # 32, darcy 64, first conformality arc 81 points), one per bisection
+    # round; one series loop for each of those, the partner's F and F', the
+    # corner values and the Laurent ring
+    sizes = []
+
+    def counting(*args):
+        sizes.append(args[1].size)
+        return stencil(*args)
+
+    stencil = patch_stencil(counting)
+    rounds = record_ring(monkeypatch)
+    loops = []
+    sums = special_functions._series_sums
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
+    partner_loops = []
+    partner = verify._partner_derivatives
+
+    def counted_partner(*args):
+        before = len(loops)
+        out = partner(*args)
+        partner_loops.append(len(loops) - before)
+        return out
+
+    monkeypatch.setattr(verify, "_partner_derivatives", counted_partner)
+    run_standard_checks(family)
+    assert sizes[0] == 16 + 8 + 32 + 64 + 81
+    assert len(sizes) == 1 + len(rounds)
+    assert partner_loops == [1]
+    assert len(loops) == 4 + len(rounds)
