@@ -21,6 +21,13 @@ A module-level public function or class counts as read the same way, or
 when the package root exports it in ``__all__``: a public definition that
 no module reads and the root does not export is an orphan.
 
+A defaulted parameter of a function or method counts as passed when some
+call in the package passes it by keyword, or by position to a callee of
+that name (a method's positions do not count ``self``); an unpacked
+``*args`` or ``**kwargs`` passes every position or keyword.  A default
+that no call of the package overrides is a knob only tests turn.  Dunder
+methods and the console entry ``cli.main(argv)`` are exempt.
+
 Prints one line per unread name and exits 1 if there is any, 0 otherwise.
 """
 
@@ -96,6 +103,32 @@ def loaded_names(tree):
     return names
 
 
+def defaulted_parameters(tree):
+    """(function, parameter, position or None, line) for every defaulted parameter, dunders excluded."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index in range(first, len(positional)):
+                yield node.name, positional[index].arg, index - (id(node) in methods), node.lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None, node.lineno
+
+
+def passed_arguments(tree):
+    """(callee name, position, keyword, ``*`` or ``**``) for every argument some call passes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            for index, arg in enumerate(node.args):
+                yield callee, "*" if isinstance(arg, ast.Starred) else index
+            for keyword in node.keywords:
+                yield callee, keyword.arg or "**"
+
+
 def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src/petalmap")
     trees = {
@@ -126,6 +159,15 @@ def main(argv):
         for path, tree in trees.items()
         for name, line in definitions(tree)
         if not name.startswith("_") and name not in read and name not in exported
+    ]
+    passed = set().union(*(passed_arguments(tree) for tree in trees.values()))
+    found += [
+        "%s:%d: default of %r in %s() is passed by no call in the package" % (path, line, name, function)
+        for path, tree in trees.items()
+        for function, name, position, line in defaulted_parameters(tree)
+        if (path.name, function) != ("cli.py", "main")
+        and not passed & {(function, name), (function, "**")}
+        and (position is None or not passed & {(function, position), (function, "*")})
     ]
     for line in found:
         print(line)

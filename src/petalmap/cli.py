@@ -134,7 +134,7 @@ def _trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trace_svg(points: np.ndarray, width: int = 640) -> str:
+def _trace_svg(points: np.ndarray) -> str:
     xs = points.real
     ys = -points.imag  # SVG y axis points down
     x0, x1 = float(xs.min()), float(xs.max())
@@ -146,9 +146,9 @@ def _trace_svg(points: np.ndarray, width: int = 640) -> str:
     coords = " ".join("%.7g,%.7g" % (x, y) for x, y in zip(xs, ys))
     first = "%.7g,%.7g" % (xs[0], ys[0])
     return (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" viewBox="%.7g %.7g %.7g %.7g">\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" viewBox="%.7g %.7g %.7g %.7g">\n'
         '  <polyline points="%s %s" fill="none" stroke="black" stroke-width="%.7g"/>\n'
-        "</svg>\n" % (width, *view, coords, first, stroke)
+        "</svg>\n" % (*view, coords, first, stroke)
     )
 
 

@@ -324,26 +324,25 @@ def _values_on_sheet(family: MapFamily, pts: np.ndarray) -> np.ndarray:
     return _two_petal_values(family, pts)
 
 
-def _corner_distance(family: MapFamily, pts: np.ndarray) -> np.ndarray:
-    d = np.full(pts.shape, np.inf)
-    for xi in family.corner_preimages:
-        d = np.minimum(d, np.abs(pts - xi))
-    return d
-
-
-def _arc_derivatives(values_fn, pts: np.ndarray, h: np.ndarray):
+def _arc_derivatives(family: MapFamily, pts: np.ndarray):
     """(f, f', f'') by arc-direction finite differences with extrapolation.
 
     Stencil points w e^{is} keep |w| fixed, so a stencil centered on an
-    evaluable ring never leaves it.  Three Richardson levels on the 4-point
-    (resp. 5-point) central rule leave an O(h^8) truncation error.
+    evaluable ring never leaves it.  The step h is a fixed fraction of the
+    distance to the nearest corner pre-image, capped.  Three Richardson
+    levels on the 4-point (resp. 5-point) central rule leave an O(h^8)
+    truncation error.
 
     The 8 arc offsets and the centre of ``ARC_BLOCK // 9`` points go to
-    ``values_fn`` as one array of at most ``ARC_BLOCK`` points, so a scalar
-    derivative costs one map call and an n-point ring ceil(9 n / ARC_BLOCK).
-    The centre row is ``pts`` itself: pts e^{0i} could flip the sign of a
-    zero component.
+    `_values_on_sheet` as one array of at most ``ARC_BLOCK`` points, so a
+    scalar derivative costs one map call and an n-point ring
+    ceil(9 n / ARC_BLOCK).  The centre row is ``pts`` itself: pts e^{0i}
+    could flip the sign of a zero component.
     """
+    h = np.full(pts.shape, np.inf)
+    for xi in family.corner_preimages:
+        h = np.minimum(h, np.abs(pts - xi))
+    h = np.minimum(FD_MAX_STEP, h * FD_STEP_FRACTION)
     flat = pts.reshape(-1)
     steps = np.broadcast_to(h, pts.shape).reshape(-1)
     scales = (-2.0, -1.0, 1.0, 2.0, -0.5, 0.5, -0.25, 0.25)
@@ -352,7 +351,7 @@ def _arc_derivatives(values_fn, pts: np.ndarray, h: np.ndarray):
     for lo in range(0, flat.size, width):
         centre, hs = flat[lo : lo + width], steps[lo : lo + width]
         stencil = [centre * np.exp(1j * (scale * hs)) for scale in scales]
-        values = values_fn(np.concatenate(stencil + [centre]))
+        values = _values_on_sheet(family, np.concatenate(stencil + [centre]))
         rows[:, lo : lo + width] = values.reshape(len(rows), -1)
     g_m2, g_m1, g_p1, g_p2, g_mh, g_ph, g_mq, g_pq, g_0 = (row.reshape(pts.shape) for row in rows)
 
@@ -385,17 +384,12 @@ def _richardson3(coarse, mid, fine):
     return (64.0 * level2 - level1) / 63.0
 
 
-def _arc_step(family: MapFamily, pts: np.ndarray) -> np.ndarray:
-    """Corner-aware arc step: a fixed fraction of the corner distance, capped."""
-    return np.minimum(FD_MAX_STEP, _corner_distance(family, pts) * FD_STEP_FRACTION)
-
-
 def _tangential_derivatives(family: MapFamily, pts: np.ndarray):
     """Sheet-checked (f, f', f''): closed form for one petal, arc stencil for two."""
     _check_sheet(family, pts)
     if family.kind == "one-petal":
         return _one_petal_derivatives(family, pts)
-    return _arc_derivatives(lambda q: _values_on_sheet(family, q), pts, _arc_step(family, pts))
+    return _arc_derivatives(family, pts)
 
 
 def map_derivative(family: MapFamily, w):

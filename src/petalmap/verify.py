@@ -236,18 +236,16 @@ def _ratio_estimate(family: MapFamily, derivatives) -> RatioEstimate:
 # boundary identities
 
 
-def dynamical_residual(family: MapFamily, ratio: float | None = None) -> float:
+def dynamical_residual(family: MapFamily) -> float:
     """Worst mismatch of the boundary evolution identity, per unit scale.
 
-    It is taken at 128 points of the unit circle, whose f and f' are
-    evaluated at the 32 first-quadrant ones and unfolded by symmetry
-    (`_unfold_quadrant`).  Both sides grow linearly with the scale factor,
-    so the residual is reported for the normalized map; it is invariant
-    under time scaling.
+    The ratio is `estimate_A`'s.  The identity is taken at 128 points of
+    the unit circle, whose f and f' are evaluated at the 32 first-quadrant
+    ones and unfolded by symmetry (`_unfold_quadrant`).  Both sides grow
+    linearly with the scale factor, so the residual is reported for the
+    normalized map; it is invariant under time scaling.
     """
-    if ratio is None:
-        ratio = estimate_A(family).value
-    return _dynamical_defect(ratio, _tangential_derivatives(family, _unit_ring(128)[:32]))
+    return _dynamical_defect(estimate_A(family).value, _tangential_derivatives(family, _unit_ring(128)[:32]))
 
 
 def _unit_ring(n: int) -> np.ndarray:
@@ -263,16 +261,14 @@ def _dynamical_defect(ratio: float, quarters) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def darcy_check(family: MapFamily, ratio: float | None = None) -> float:
+def darcy_check(family: MapFamily) -> float:
     """Relative mismatch of kinematic and Darcy normal velocities at 256 boundary points.
 
     Pointwise it is `dynamical_residual`'s defect over |w - 1/w| (5e-14 apart): no new evidence.
-    f and f' are evaluated at the 64 first-quadrant points and unfolded
-    (`_unfold_quadrant`).
+    The ratio is `estimate_A`'s; f and f' are evaluated at the 64
+    first-quadrant points and unfolded (`_unfold_quadrant`).
     """
-    if ratio is None:
-        ratio = estimate_A(family).value
-    return _darcy_defect(ratio, _tangential_derivatives(family, _unit_ring(256)[:64]))
+    return _darcy_defect(estimate_A(family).value, _tangential_derivatives(family, _unit_ring(256)[:64]))
 
 
 def _darcy_defect(ratio: float, quarters) -> float:
@@ -636,7 +632,9 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
     Each result has the bits of the public check called alone, but the
     checks' fixed samples are evaluated together (`_evaluated_once`): one
     derivative call for the rings and the first conformality arc, one value
-    call for the corner fits.
+    call for the corner fits.  Each stage yields (name, residual, detail)
+    for the names it owes; a stage that raises is recorded against each of
+    its names not yet reported, not raised.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -644,21 +642,11 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         if unknown:
             raise ValueError("unknown tolerance overrides: %s" % sorted(unknown))
         tol.update(tolerances)
-    report = VerificationReport(family.label())
 
-    def stage(names, body):
-        # a crashing check is recorded against every name it owes, not raised
-        try:
-            body()
-        except Exception as exc:  # noqa: BLE001
-            for name in names:
-                if name not in report.checks:
-                    report.add_error(name, tol[name], str(exc))
-
-    corners = [("corner_exponent_base", 1.0 + 0.0j, 2.0 * family.alpha / math.pi)]
+    corners = {"corner_exponent_base": (1.0 + 0.0j, 2.0 * family.alpha / math.pi)}
     if family.kind == "two-petal":
-        corners.append(("corner_exponent_top", 1.0j, family.delta))
-    corner_arcs = {name: _corner_arc(corner) for name, corner, _ in corners}
+        corners["corner_exponent_top"] = (1.0j, family.delta)
+    corner_arcs = {name: _corner_arc(corner) for name, (corner, _) in corners.items()}
     derivatives = _evaluated_once(
         lambda points: _tangential_derivatives(family, points),
         {
@@ -674,58 +662,49 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         {name: points for name, (_, points) in corner_arcs.items()},
     )
 
-    def check_ode():
-        report.add("ode_residual", _ode_defect(family, derivatives("ode")), tol["ode_residual"])
+    def ode():
+        yield "ode_residual", _ode_defect(family, derivatives("ode")), ""
 
-    def check_growth():
+    def growth():
         _reject_collapsed(family)
         ratio = _ratio_estimate(family, derivatives("wronskian"))
-        report.add(
-            "ratio_spread",
-            ratio.spread,
-            tol["ratio_spread"],
-            detail="A=%.12g" % ratio.value,
-        )
-        report.add(
-            "dynamical_residual",
-            _dynamical_defect(ratio.value, derivatives("dynamical")),
-            tol["dynamical_residual"],
-        )
-        report.add("darcy_mismatch", _darcy_defect(ratio.value, derivatives("darcy")), tol["darcy_mismatch"])
+        yield "ratio_spread", ratio.spread, "A=%.12g" % ratio.value
+        yield "dynamical_residual", _dynamical_defect(ratio.value, derivatives("dynamical")), ""
+        yield "darcy_mismatch", _darcy_defect(ratio.value, derivatives("darcy")), ""
 
-    def check_conformality():
-        _, fp, _ = derivatives("conformality")
-        winding, _ok = _winding(family, fp)
-        report.add("conformality", abs(winding), tol["conformality"], detail="winding=%d" % winding)
+    def conformality():
+        winding, _ok = _winding(family, derivatives("conformality")[1])
+        yield "conformality", abs(winding), "winding=%d" % winding
 
-    def check_corners():
-        for name, _, target in corners:
+    def corner_fits():
+        for name, (_, target) in corners.items():
             (vals,) = values(name)
             fit = fit_power_law(corner_arcs[name][0], np.abs(vals))
-            report.add(
-                name,
-                abs(fit.exponent - target) / target,
-                tol[name],
-                detail="fit=%.6f target=%.6f" % (fit.exponent, target),
-            )
+            yield name, abs(fit.exponent - target) / target, "fit=%.6f target=%.6f" % (fit.exponent, target)
 
-    def check_integral():
-        report.add("integral_equation", integral_equation_residual(family), tol["integral_equation"])
+    def integral():
+        yield "integral_equation", integral_equation_residual(family), ""
 
-    def check_laurent():
-        coeffs = laurent_coefficients(family)
-        report.add(
-            "capacity_sign",
-            max(0.0, -coeffs.capacity),
-            tol["capacity_sign"],
-            detail="capacity=%.12g" % coeffs.capacity,
-        )
+    def capacity():
+        value = laurent_coefficients(family).capacity
+        yield "capacity_sign", max(0.0, -value), "capacity=%.12g" % value
 
-    stage(("ode_residual",), check_ode)
-    stage(("ratio_spread", "dynamical_residual", "darcy_mismatch"), check_growth)
-    stage(("conformality",), check_conformality)
-    stage([name for name, _, _ in corners], check_corners)
+    stages = [
+        (("ode_residual",), ode),
+        (("ratio_spread", "dynamical_residual", "darcy_mismatch"), growth),
+        (("conformality",), conformality),
+        (tuple(corners), corner_fits),
+    ]
     if family.kind == "one-petal":
-        stage(("integral_equation",), check_integral)
-    stage(("capacity_sign",), check_laurent)
+        stages.append((("integral_equation",), integral))
+    stages.append((("capacity_sign",), capacity))
+    report = VerificationReport(family.label())
+    for names, results in stages:
+        try:
+            for name, residual, detail in results():
+                report.add(name, residual, tol[name], detail=detail)
+        except Exception as exc:  # noqa: BLE001 - a crashing check is recorded, not raised
+            for name in names:
+                if name not in report.checks:
+                    report.add_error(name, tol[name], str(exc))
     return report

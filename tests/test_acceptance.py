@@ -124,7 +124,7 @@ def test_criterion_04_dynamical_equation():
     for family in sampled_families():
         est = estimate_A(family)
         worst_spread = max(worst_spread, est.spread)
-        worst_dyn = max(worst_dyn, dynamical_residual(family, est.value))
+        worst_dyn = max(worst_dyn, dynamical_residual(family))
     ratio_err = abs(estimate_A(LEMNISCATE).value - 1.0)
     ok = worst_dyn <= DYNAMICAL_TOL and worst_spread <= SPREAD_TOL and ratio_err <= RATIO_TOL
     report(

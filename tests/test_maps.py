@@ -798,7 +798,7 @@ def test_one_petal_derivatives_against_mpmath(alpha):
         assert np.max(np.abs(got - want) / np.abs(want)) <= tol, order
     # the arc stencil, which two-petal families still use, agrees to its own
     # truncation error
-    _, fd1, fd2 = maps._arc_derivatives(lambda q: maps._values_on_sheet(family, q), pts, maps._arc_step(family, pts))
+    _, fd1, fd2 = maps._arc_derivatives(family, pts)
     assert np.max(np.abs(fd1 - fp) / np.abs(fp)) <= 1e-9
     assert np.max(np.abs(fd2 - fpp) / np.abs(fpp)) <= 1e-7
 
@@ -904,8 +904,9 @@ def test_blocked_stencil_matches_nine_calls(family):
 
     for n in STENCIL_RING_SIZES:
         ring = 1.07 * np.exp(1j * (np.arange(n) + 0.5) * (2.0 * math.pi / n))
-        h = np.minimum(maps.FD_MAX_STEP, maps._corner_distance(family, ring) * maps.FD_STEP_FRACTION)
-        got = maps._arc_derivatives(values, ring, h)
+        corner_distance = np.min(np.abs(ring[:, None] - np.array(family.corner_preimages)), axis=1)
+        h = np.minimum(maps.FD_MAX_STEP, corner_distance * maps.FD_STEP_FRACTION)
+        got = maps._arc_derivatives(family, ring)
         want = reference_arc_derivatives(values, ring, h)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (family.label(), n)

@@ -835,8 +835,8 @@ def checks_alone(family):
     def growth():
         ratio = estimate_A(family)
         report.add("ratio_spread", ratio.spread, tol["ratio_spread"], detail="A=%.12g" % ratio.value)
-        report.add("dynamical_residual", dynamical_residual(family, ratio.value), tol["dynamical_residual"])
-        report.add("darcy_mismatch", darcy_check(family, ratio.value), tol["darcy_mismatch"])
+        report.add("dynamical_residual", dynamical_residual(family), tol["dynamical_residual"])
+        report.add("darcy_mismatch", darcy_check(family), tol["darcy_mismatch"])
 
     def conformality():
         winding, _ = conformality_check(family)
@@ -890,23 +890,28 @@ def test_battery_equals_checks_alone(family):
     [
         ("_ode_ring", ("ode_residual",)),
         ("_wronskian_probes", ("ratio_spread", "dynamical_residual", "darcy_mismatch")),
+        # the growth stage breaks after ratio_spread, which keeps its bits
+        ("_unit_ring", ("dynamical_residual", "darcy_mismatch")),
     ],
 )
 @pytest.mark.parametrize("family", BATTERY_FAMILIES[:2], ids=lambda f: f.label())
 def test_shared_evaluation_error_charged_to_its_check(monkeypatch, family, ring, names):
     # a ring that leaves the sheet makes the merged evaluation raise; only
-    # the checks that read that ring carry the error, with the message the
-    # public check raises alone, and every other check keeps its bits
+    # the checks that read that ring, or come after it in their stage, carry
+    # the error, with the message the first public check to read it raises
+    # alone, and every other check keeps its bits
     clean = run_standard_checks(family)
     inner = getattr(verify, ring)
-    monkeypatch.setattr(verify, ring, lambda: 0.5 * inner())
+    monkeypatch.setattr(verify, ring, lambda *args: 0.5 * inner(*args))
     report = run_standard_checks(family)
     want = checks_alone(family)
     assert_same_checks(report, want)
     assert {name for name, c in report.checks.items() if c.detail.startswith("error:")} == set(names)
+    alone = {"_ode_ring": ode_residual, "_wronskian_probes": estimate_A, "_unit_ring": dynamical_residual}[ring]
     with pytest.raises(maps.MapDomainError) as info:
-        (ode_residual if ring == "_ode_ring" else estimate_A)(family)
-    assert report.checks[names[0]].detail == "error: %s" % info.value
+        alone(family)
+    for name in names:
+        assert report.checks[name].detail == "error: %s" % info.value, name
     for name in set(clean.checks) - set(names):
         assert bits(report.checks[name]) == bits(clean.checks[name]), name
 
