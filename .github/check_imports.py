@@ -28,6 +28,14 @@ that name (a method's positions do not count ``self``); an unpacked
 that no call of the package overrides is a knob only tests turn.  Dunder
 methods and the console entry ``cli.main(argv)`` are exempt.
 
+A parameter of a private function or method counts as free when the
+package's calls of it do not all give it the same constant: a literal, an
+UPPER_CASE name, or arithmetic or tuples of those, passed or taken from
+the default.  A parameter every call fixes to one value is a constant
+dressed as an argument.  A function the package also reads other than by
+calling it (a callback) is exempt, and so is a call that unpacks
+``*args`` or ``**kwargs``.
+
 Prints one line per unread name and exits 1 if there is any, 0 otherwise.
 """
 
@@ -129,6 +137,57 @@ def passed_arguments(tree):
                 yield callee, keyword.arg or "**"
 
 
+def is_constant(node):
+    """A literal, an UPPER_CASE name, or arithmetic or tuples of those."""
+    if isinstance(node, ast.Name):
+        return bool(CONSTANT.match(node.id))
+    if isinstance(node, ast.UnaryOp):
+        return is_constant(node.operand)
+    if isinstance(node, ast.BinOp):
+        return is_constant(node.left) and is_constant(node.right)
+    if isinstance(node, ast.Tuple):
+        return all(map(is_constant, node.elts))
+    return isinstance(node, ast.Constant)
+
+
+def fixed_parameters(trees):
+    """(path, function, parameter, line) for every private parameter that all package calls fix to one constant."""
+    calls, references = {}, {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                references[name] = references.get(name, 0) + 1
+    for path, tree in trees.items():
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            sites = calls.get(node.name, [])
+            if not sites or references[node.name] != len(sites):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][id(node) in methods :]
+            defaults = dict(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
+            for index, param in enumerate(positional + [a.arg for a in args.kwonlyargs]):
+                given = set()
+                for call in sites:
+                    keywords = {k.arg: k.value for k in call.keywords}
+                    if any(isinstance(a, ast.Starred) for a in call.args) or None in keywords:
+                        value = None
+                    elif index < len(positional) and index < len(call.args):
+                        value = call.args[index]
+                    else:
+                        value = keywords.get(param, defaults.get(param))
+                    given.add(ast.dump(value) if value is not None and is_constant(value) else None)
+                if len(given) == 1 and None not in given:
+                    yield path, node.name, param, node.lineno
+
+
 def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src/petalmap")
     trees = {
@@ -168,6 +227,10 @@ def main(argv):
         if (path.name, function) != ("cli.py", "main")
         and not passed & {(function, name), (function, "**")}
         and (position is None or not passed & {(function, position), (function, "*")})
+    ]
+    found += [
+        "%s:%d: every package call of %s() passes the same constant as %r" % (path, line, function, name)
+        for path, function, name, line in fixed_parameters(trees)
     ]
     for line in found:
         print(line)

@@ -21,8 +21,7 @@ import numpy as np
 
 from .special_functions import MapDomainError, _gamma_quotient, _hyp2f1_batch, _power, hyp2f1_values
 
-CORNER_REJECT = 1e-12        # evaluation radius around corner pre-images
-MODULUS_SLACK = 1e-12        # |w| >= 1 - slack counts as on-sheet
+SHEET_SLACK = 1e-12          # corner pre-images reject this radius; |w| >= 1 - slack is on-sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
 ARC_BLOCK = 2043             # map points per stencil call (227 centres x 9 rows); bounds the Cauchy ring's memory
@@ -151,13 +150,13 @@ def _check_regular(family: MapFamily, pts: np.ndarray):
     if not np.all(np.isfinite(pts)):
         raise MapDomainError("non-finite point")
     for xi in family.corner_preimages:
-        if np.any(np.abs(pts - xi) < CORNER_REJECT):
+        if np.any(np.abs(pts - xi) < SHEET_SLACK):
             raise CornerPreimageError("evaluation at corner pre-image %r" % (xi,))
 
 
 def _check_sheet(family: MapFamily, pts: np.ndarray):
     _check_regular(family, pts)
-    if np.any(np.abs(pts) < 1.0 - MODULUS_SLACK):
+    if np.any(np.abs(pts) < 1.0 - SHEET_SLACK):
         raise MapDomainError("point inside the unit circle is off the sheet")
 
 
@@ -440,7 +439,7 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
         w = w - (val - target) / deriv
         if abs(w) < 1.0:
             # mirror it back onto the sheet; a shortened step could stop
-            # within MODULUS_SLACK inside the circle, where the values are not
+            # within SHEET_SLACK inside the circle, where the values are not
             # the analytic continuation Newton steps along
             w = 1.0 / w.conjugate()
     raise InversionError("no convergence in %d iterations" % NEWTON_MAX_ITER, root=w)
@@ -474,20 +473,21 @@ def _circle_angles(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
 
 
-def _unfold_quadrant(n: int, *quarters):
+def _unfold_quadrant(*quarters):
     """All n values on an n-point half-offset ring from those on its first quadrant.
 
     ``quarters`` are f, f', f'' (or a leading part of that list) at the
-    first n/4 points of any ring r e^{i phi}, phi from `_circle_angles(n)`.
-    In that order the other points are the quadrant's mirrors pi - phi_k
-    (-conj w, reversed), pi + phi_k (-w) and 2 pi - phi_k (conj w,
-    reversed).  Both families are odd and real on the real axis, so f and
-    f'' are odd and f' is even under w -> -w, and all three commute with
-    conjugation: each value is its quadrant value conjugated, negated or
-    reversed, exactly.  Returns a tuple of full rings, one per quarter.
+    first n/4 points of any ring r e^{i phi}, phi from `_circle_angles(n)`;
+    n is four times their common length.  In that order the other points
+    are the quadrant's mirrors pi - phi_k (-conj w, reversed), pi + phi_k
+    (-w) and 2 pi - phi_k (conj w, reversed).  Both families are odd and
+    real on the real axis, so f and f'' are odd and f' is even under
+    w -> -w, and all three commute with conjugation: each value is its
+    quadrant value conjugated, negated or reversed, exactly.  Returns a
+    tuple of full rings, one per quarter.
     """
-    if n % 4 != 0 or any(len(quarter) != n // 4 for quarter in quarters):
-        raise ValueError("need the first n/4 values of an n-point ring with 4 | n")
+    if len({len(quarter) for quarter in quarters}) != 1:
+        raise ValueError("quarters of one ring must have equal lengths")
     full = []
     for order, quarter in enumerate(quarters):
         back = np.conj(quarter[::-1])
@@ -496,31 +496,6 @@ def _unfold_quadrant(n: int, *quarters):
         else:
             full.append(np.concatenate([quarter, -back, -quarter, back]))
     return tuple(full)
-
-
-def _graded_angles(corners, floor: float) -> np.ndarray:
-    """Angles from 0 to pi/2, both ends included, graded toward the corner angles ``corners``.
-
-    ``corners`` holds 0 and is symmetric under w -> -w and w -> conj(w), as
-    every family's corner pre-images are, so the next corner after 0 sits at
-    pi/2 (two petals) or at pi (one petal).  At angular distance d from the
-    nearest corner the spacing is at most min(max(d, floor)/4, 0.05):
-    uniform within ``floor`` of a corner, geometric with ratio 5/4 out to
-    d = 0.2, uniform beyond.  The arc from 0 to the next corner is filled
-    from both ends, the offsets shrunk to meet at its midpoint, so its
-    points are symmetric about that midpoint; with the next corner at pi
-    the quadrant ends at that midpoint.
-    """
-    ends = np.mod(np.asarray(corners, dtype=float), 2.0 * math.pi)
-    gap = float(np.min(ends[ends > 0.0]))
-    offsets = [0.0]
-    while offsets[-1] < 0.5 * gap:
-        offsets.append(offsets[-1] + min(0.25 * max(offsets[-1], floor), 0.05))
-    side = np.array(offsets) * (0.5 * gap / offsets[-1])
-    side[-1] = 0.5 * gap
-    if gap > 0.5 * math.pi:
-        return side
-    return np.concatenate([side, gap - side[-2::-1]])
 
 
 def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2048) -> BoundaryTrace:
@@ -537,7 +512,7 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
         state = TimeState(1.0, 1.0)
     phis = _circle_angles(n)
     ring = np.exp(1j * phis)
-    (values,) = _unfold_quadrant(n, _values_on_sheet(family, ring[: n // 4]))
+    (values,) = _unfold_quadrant(_values_on_sheet(family, ring[: n // 4]))
     return BoundaryTrace(phis, state.r * values)
 
 
@@ -552,13 +527,12 @@ def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:
     radius = 2.5
     phis = _circle_angles(256)
     ring = np.exp(1j * phis)
-    (vals,) = _unfold_quadrant(256, _values_on_sheet(family, radius * ring[:64]))
+    (vals,) = _unfold_quadrant(_values_on_sheet(family, radius * ring[:64]))
 
     lead = np.mean(vals * np.exp(-1j * phis)) / radius
     conformal_radius = float(lead.real)
-    coefficients = np.empty(17)
-    for k in range(17):
-        coefficients[k] = (np.mean(vals * np.exp(1j * k * phis)) * radius**k).real
+    k = np.arange(17)
+    coefficients = (np.mean(vals * np.exp(1j * k[:, None] * phis), axis=1) * radius**k).real
     # composing with the inverse of z = r w + r c1 / w + ... gives the
     # half-plane capacity r (r - c1) as the 1/z coefficient
     capacity = conformal_radius * (conformal_radius - coefficients[1])

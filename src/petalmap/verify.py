@@ -21,7 +21,6 @@ from .maps import (
     MapFamily,
     TimeState,
     _circle_angles,
-    _graded_angles,
     _one_petal_bracket,
     _partner_derivatives,
     _tangential_derivatives,
@@ -184,7 +183,7 @@ def _ode_ring() -> np.ndarray:
 def _ode_defect(family: MapFamily, quarters) -> float:
     """`ode_residual` from f, f' and f'' at the first 16 points of `_ode_ring`."""
     pts = _ode_ring()
-    f, fp, fpp = _unfold_quadrant(64, *quarters)
+    f, fp, fpp = _unfold_quadrant(*quarters)
     v = potential_V(family, pts)
     lhs = pts * pts * fpp - (2.0 * pts / (pts * pts - 1.0)) * fp + v * f
     return float(np.max(np.abs(lhs) / (1.0 + np.abs(v * f))))
@@ -255,7 +254,7 @@ def _unit_ring(n: int) -> np.ndarray:
 def _dynamical_defect(ratio: float, quarters) -> float:
     """`dynamical_residual` from f and f' at the first 32 points of the 128-point unit ring."""
     ring = _unit_ring(128)
-    f, fp, _ = _unfold_quadrant(128, *quarters)
+    f, fp, _ = _unfold_quadrant(*quarters)
     lhs = (2.0 / ratio) * np.real(ring * fp * np.conj(f))
     rhs = np.abs(ring - 1.0 / ring)
     return float(np.max(np.abs(lhs - rhs)))
@@ -274,7 +273,7 @@ def darcy_check(family: MapFamily) -> float:
 def _darcy_defect(ratio: float, quarters) -> float:
     """`darcy_check` from f and f' at the first 64 points of the 256-point unit ring."""
     ring = _unit_ring(256)
-    f, fp, _ = _unfold_quadrant(256, *quarters)
+    f, fp, _ = _unfold_quadrant(*quarters)
     speed = np.abs(fp)
     v_kinematic = np.imag(np.conj(f) * 1j * ring * fp) / (ratio * speed)
     v_darcy = np.abs(1.0 - 1.0 / (ring * ring)) / (2.0 * speed)
@@ -283,34 +282,6 @@ def _darcy_defect(ratio: float, quarters) -> float:
 
 # ---------------------------------------------------------------------------
 # conformality
-
-
-def _ring_turns(family: MapFamily, radius: float, phis: np.ndarray, fp: np.ndarray):
-    """Turns of arg f' between neighbours on the arc radius e^{i phi}, none above pi/4.
-
-    ``phis`` increase along an open arc, and ``fp`` is f' at its points.
-    Every step whose turn exceeds pi/4 is bisected, one `map_derivative`
-    call per round of midpoints, until none does.  Returns None when the
-    arc cannot be resolved: f' nearly vanishes on it, or a step that still
-    turns too far is too short to split in floating point.
-    """
-    scale = float(np.median(np.abs(fp)))
-    new = fp
-    while True:
-        if not (scale > 0.0 and float(np.min(np.abs(new))) >= 1e-9 * scale):
-            return None
-        turns = np.angle(fp[1:] / fp[:-1])
-        wide = np.flatnonzero(np.abs(turns) > 0.25 * math.pi)
-        if wide.size == 0:
-            return turns
-        lo = phis[wide]
-        hi = phis[wide + 1]
-        mids = 0.5 * (lo + hi)
-        if np.any((mids <= lo) | (mids >= hi)):
-            return None
-        new = map_derivative(family, radius * np.exp(1j * mids))
-        phis = np.insert(phis, wide + 1, mids)
-        fp = np.insert(fp, wide + 1, new)
 
 
 def conformality_check(family: MapFamily):
@@ -324,30 +295,61 @@ def conformality_check(family: MapFamily):
     the quadrant, where it meets the axes.  The quadrant's turn is thus a
     whole multiple of pi and a quarter of the ring's, so the winding is
     2 round(turn / pi).  The arc starts from angles graded toward the
-    corner pre-images and is bisected until arg f' turns by at most pi/4
-    between neighbours (`_ring_turns`), so the summed turns cannot alias.
-    The corner pre-images sit exactly on |w| = 1; an arc that cannot be
-    resolved is pushed out once before giving up.
+    corner pre-images (`_conformality_arc`) and is bisected until arg f'
+    turns by at most pi/4 between neighbours (`_winding`), so the summed
+    turns cannot alias.  An arc that cannot be resolved raises
+    `VerificationError`.
     """
-    return _winding(family, None)
+    return _winding(family, map_derivative(family, _conformality_arc(family)[1]))
 
 
-def _conformality_arc(family: MapFamily, ring_eps: float):
-    """Radius e^ring_eps, the angles graded toward the corners and the arc's points."""
-    radius = math.exp(ring_eps)
-    phis = _graded_angles(np.angle(np.array(family.corner_preimages)), ring_eps)
-    return radius, phis, radius * np.exp(1j * phis)
+def _conformality_arc(family: MapFamily):
+    """Angles in [0, pi/2], ends included, graded toward the corners, and their points on |w| = e^eps.
+
+    The corner pre-images after arg w = 0 sit at pi/2 (two petals) or at pi
+    (one petal).  At angular distance d from the nearest corner the spacing
+    is at most min(max(d, eps)/4, 0.05): uniform within eps of a corner,
+    geometric with ratio 5/4 out to d = 0.2, uniform beyond.  The arc from
+    0 to the next corner is filled from both ends, the offsets shrunk to
+    meet at its midpoint, so its points are symmetric about that midpoint;
+    with the next corner at pi the quadrant ends at that midpoint.
+    """
+    gap = 0.5 * math.pi if family.kind == "two-petal" else math.pi
+    offsets = [0.0]
+    while offsets[-1] < 0.5 * gap:
+        offsets.append(offsets[-1] + min(0.25 * max(offsets[-1], CONFORMAL_RING_EPS), 0.05))
+    phis = np.array(offsets) * (0.5 * gap / offsets[-1])
+    phis[-1] = 0.5 * gap
+    if family.kind == "two-petal":
+        phis = np.concatenate([phis, gap - phis[-2::-1]])
+    return phis, math.exp(CONFORMAL_RING_EPS) * np.exp(1j * phis)
 
 
-def _winding(family: MapFamily, fp):
-    """`conformality_check`, given f' at the first arc's points unless ``fp`` is None."""
-    for ring_eps in (CONFORMAL_RING_EPS, 2.0 * CONFORMAL_RING_EPS):
-        radius, phis, pts = _conformality_arc(family, ring_eps)
-        turns = _ring_turns(family, radius, phis, map_derivative(family, pts) if fp is None else fp)
-        if turns is not None:
+def _winding(family: MapFamily, fp: np.ndarray):
+    """`conformality_check` from f' at the points of `_conformality_arc`.
+
+    Every step whose turn of arg f' exceeds pi/4 is bisected, one
+    `map_derivative` call per round of midpoints, until none does.  Raises
+    `VerificationError` when f' nearly vanishes on the arc, or a step that
+    still turns too far is too short to split in floating point: either way
+    a zero of f' lies within rounding of the ring.
+    """
+    phis, _ = _conformality_arc(family)
+    scale = float(np.median(np.abs(fp)))
+    new = fp
+    while scale > 0.0 and float(np.min(np.abs(new))) >= 1e-9 * scale:
+        turns = np.angle(fp[1:] / fp[:-1])
+        wide = np.flatnonzero(np.abs(turns) > 0.25 * math.pi)
+        if wide.size == 0:
             winding = 2 * int(round(float(np.sum(turns)) / math.pi))
             return winding, winding == 0
-        fp = None  # the wider arc is evaluated here
+        lo, hi = phis[wide], phis[wide + 1]
+        mids = 0.5 * (lo + hi)
+        if np.any((mids <= lo) | (mids >= hi)):
+            break
+        new = map_derivative(family, math.exp(CONFORMAL_RING_EPS) * np.exp(1j * mids))
+        phis = np.insert(phis, wide + 1, mids)
+        fp = np.insert(fp, wide + 1, new)
     raise VerificationError("derivative winding could not be resolved")
 
 
@@ -411,7 +413,7 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
     symmetry (`_unfold_quadrant`); the sum runs over all 16384.
     """
     ring = np.exp(1j * _circle_angles(16384))
-    f, fp, _ = _unfold_quadrant(16384, *_tangential_derivatives(family, ring[:4096]))
+    f, fp, _ = _unfold_quadrant(*_tangential_derivatives(family, ring[:4096]))
     points = state.r * f
     dz_dphi = state.r * fp * 1j * ring
     width = float(np.max(points.real) - np.min(points.real))
@@ -654,7 +656,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
             "wronskian": _wronskian_probes(),
             "dynamical": _unit_ring(128)[:32],
             "darcy": _unit_ring(256)[:64],
-            "conformality": _conformality_arc(family, CONFORMAL_RING_EPS)[2],
+            "conformality": _conformality_arc(family)[1],
         },
     )
     values = _evaluated_once(

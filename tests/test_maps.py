@@ -32,7 +32,7 @@ from petalmap import (
     run_standard_checks,
     scaled_map,
 )
-from petalmap import maps
+from petalmap import maps, verify
 from petalmap.special_functions import Hyp2F1DomainError, _gamma_quotient, hyp2f1_values
 
 EXACT_TOL = 1e-13
@@ -563,7 +563,7 @@ def reference_invert(family, z, state=None):
         w = w - (val - target) / deriv
         if abs(w) < 1.0:
             # mirror it back onto the sheet; a shortened step could stop
-            # within MODULUS_SLACK inside the circle, where the values are not
+            # within SHEET_SLACK inside the circle, where the values are not
             # the analytic continuation Newton steps along
             w = 1.0 / w.conjugate()
     raise InversionError("no convergence in %d iterations" % maps.NEWTON_MAX_ITER, root=w)
@@ -702,7 +702,7 @@ UNFOLD_TOLS = (1e-13, 1e-12, 1e-10)
 def test_unfold_quadrant(family, n, radius):
     ring = radius * np.exp(1j * maps._circle_angles(n))
     quarter = maps._tangential_derivatives(family, ring[: n // 4])
-    unfolded = maps._unfold_quadrant(n, *quarter)
+    unfolded = maps._unfold_quadrant(*quarter)
     k = np.arange(n // 4)
     # f and f'' are odd under w -> -w, f' is even; all three commute with conjugation
     for got, part, sign in zip(unfolded, quarter, (-1.0, 1.0, -1.0)):
@@ -717,10 +717,8 @@ def test_unfold_quadrant(family, n, radius):
 
 
 def test_unfold_quadrant_refuses_a_ring_not_in_quadrants():
-    with pytest.raises(ValueError, match="4 | n"):
-        maps._unfold_quadrant(18, np.ones(4, dtype=complex))
-    with pytest.raises(ValueError, match="4 | n"):
-        maps._unfold_quadrant(16, np.ones(4, dtype=complex), np.ones(5, dtype=complex))
+    with pytest.raises(ValueError, match="equal lengths"):
+        maps._unfold_quadrant(np.ones(4, dtype=complex), np.ones(5, dtype=complex))
 
 
 def test_boundary_trace_scaling():
@@ -740,6 +738,36 @@ def test_laurent_lemniscate():
     assert np.max(np.abs(evens)) <= 1e-8
     assert abs(data.coefficients[3] + 0.125) <= 1e-9
     assert abs(data.coefficients[5] + 0.0625) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "family", [LEMNISCATE, MapFamily.one_petal(0.1), MapFamily.two_petal(0.4, 0.9)], ids=lambda f: f.label()
+)
+def test_laurent_coefficients_equal_the_per_k_loop(family):
+    # the 17 coefficients are one broadcast product over k; the loop over k
+    # it replaced, with the same arithmetic, gives the same bits
+    phis = maps._circle_angles(256)
+    (vals,) = maps._unfold_quadrant(maps._values_on_sheet(family, 2.5 * np.exp(1j * phis[:64])))
+    want = [(np.mean(vals * np.exp(1j * k * phis)) * 2.5**k).real for k in range(17)]
+    assert np.array_equal(laurent_coefficients(family).coefficients, want)
+
+
+def test_laurent_first_coefficient_closed_form():
+    # two petals: Z = w + (1 + 8ab - 4 alpha/pi)/w + O(1/w^3), F's a and b;
+    # measured 1.1e-15 over the grid's non-collapsed nodes
+    grid = [k * math.pi / 36 for k in range(1, 18)]
+    for i, alpha in enumerate(grid, 1):
+        for j, beta in enumerate(grid, 1):
+            if i == j or i + j == 18:
+                continue
+            a, b = (alpha + beta) / math.pi - 0.5, (alpha - beta) / math.pi
+            c1 = laurent_coefficients(MapFamily.two_petal(alpha, beta)).coefficients[1]
+            assert abs(c1 - (1.0 + 8.0 * a * b - 4.0 * alpha / math.pi)) <= 1e-14, (alpha, beta)
+    # one petal: f = w - (1/2 + 2 gamma (1 - gamma))/w + ..., measured 3.3e-16
+    for alpha in np.linspace(0.02, 1.55, 60):
+        family = MapFamily.one_petal(alpha)
+        g = family.gamma
+        assert abs(laurent_coefficients(family).coefficients[1] + 0.5 + 2.0 * g * (1.0 - g)) <= 1e-14, alpha
 
 
 def test_far_field_normalization():
@@ -956,10 +984,11 @@ def test_values_do_not_depend_on_batch_size(family):
         assert np.array_equal(full[::97], alone)
 
 
-@pytest.mark.parametrize("corners", [(0.0, math.pi), (0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi)])
-def test_graded_angles(corners):
-    floor = 1e-3
-    phis = maps._graded_angles(np.array(corners), floor)
+@pytest.mark.parametrize("family", [MapFamily.one_petal(0.3), MapFamily.two_petal(0.4, 0.9)])
+def test_graded_angles(family):
+    floor = verify.CONFORMAL_RING_EPS
+    corners = np.angle(np.array(family.corner_preimages))
+    phis = verify._conformality_arc(family)[0]
     # the first quadrant, both ends exact: f' is real there on the axes
     assert phis[0] == 0.0 and phis[-1] == 0.5 * math.pi and np.all(np.diff(phis) > 0.0)
     corner_at = np.mod(corners, 2.0 * math.pi)
