@@ -26,7 +26,7 @@ from .maps import (
     _tangential_derivatives,
     _two_petal_parameters,
     _unfold_quadrant,
-    _values_on_sheet,
+    evaluate_map,
     laurent_coefficients,
     map_derivative,
     potential_V,
@@ -44,9 +44,8 @@ CORNER_FIT_RANGE = (1e-6, 1e-3)
 CORNER_FIT_POINTS = 12
 WIDTH_DEGENERATE_FRACTION = 1e-3
 MOMENT_MIN_INDEX = 2
-PROBE_RADIUS_FRACTION = 0.02  # origin probe ring radius relative to the trace scale
-PROBE_ANGLES = 17             # upper half-ring probes, 10 degrees apart
 INTERIOR_MARGIN = 0.02       # Cauchy samples stay this fraction of diameter off the curve
+ORIGIN_MARGIN = 0.02         # raw traces keep this fraction of their scale clear of the origin
 # Wronskian probes rho e^{i theta}, theta-major: a first-quadrant wedge clear
 # of the corners, the only region where the partner's branches are checked
 WRONSKIAN_THETAS = np.linspace(0.35, 1.15, 4)
@@ -363,7 +362,7 @@ def corner_exponent(family: MapFamily, corner: complex):
     if corner not in family.corner_preimages:
         raise ValueError("%r is not a corner pre-image of %s" % (corner, family.label()))
     d, pts = _corner_arc(corner)
-    return fit_power_law(d, np.abs(_values_on_sheet(family, pts)))
+    return fit_power_law(d, np.abs(evaluate_map(family, pts)))
 
 
 def _corner_arc(corner: complex):
@@ -445,30 +444,27 @@ def _reject_degenerate(points: np.ndarray):
     pattern in the upper half plane, so they exist only when the pattern
     covers a neighborhood of the origin from above, the way a fat slit with
     anchors x- < 0 < x+ does.  A pattern pinched at the origin leaves
-    exterior wedges there and its moments diverge.  Probe points on a small
-    upper half ring decide between the two by winding number.
+    exterior wedges there and its moments diverge.  No segment of the closed
+    trace may come within R = ORIGIN_MARGIN * scale of the origin (nearest
+    point of each segment by clipped projection; a repeated sample is a
+    segment of length zero, at its point's distance).  The disk |z| <= R
+    then lies in one complementary component, so one winding count about
+    the origin decides for all of it: zero is the exterior.
     """
-    mags = np.abs(points)
-    scale = float(np.max(mags))
+    scale = float(np.max(np.abs(points)))
     if scale <= 0.0:
         raise DegenerateTraceError("trace collapses to the origin")
-    radius = PROBE_RADIUS_FRACTION * scale
-    thetas = np.linspace(math.pi / 18.0, math.pi * 17.0 / 18.0, PROBE_ANGLES)
-    decided = False
-    for theta in thetas:
-        probe = radius * cmath.exp(1j * theta)
-        try:
-            turns = winding_number(points, probe)
-        except ValueError:
-            continue  # probe sits on the trace itself; neighbors decide
-        decided = True
-        if turns == 0:
-            raise DegenerateTraceError(
-                "exterior region reaches the origin (open at angle %.0f deg); "
-                "the moments of such a domain are ill-defined" % math.degrees(theta)
-            )
-    if not decided:
-        raise DegenerateTraceError("trace overruns the origin probe ring")
+    steps = np.roll(points, -1) - points
+    square = np.abs(steps) ** 2
+    # each segment's parameter of the point nearest the origin, unclipped
+    along = np.divide(-np.real(np.conj(steps) * points), square, out=np.zeros(len(points)), where=square > 0.0)
+    nearest = float(np.min(np.abs(points + np.clip(along, 0.0, 1.0) * steps)))
+    # with the disk clear, the origin cannot touch the polyline for winding_number
+    if nearest <= ORIGIN_MARGIN * scale or winding_number(points, 0.0) == 0:
+        raise DegenerateTraceError(
+            "trace must keep %g of its scale clear of the origin and wind around it, "
+            "or its exterior may reach the origin, where the moments are ill-defined" % ORIGIN_MARGIN
+        )
 
 
 @dataclass(frozen=True)
@@ -512,10 +508,8 @@ def harmonic_moment(trace, k: int) -> complex:
     nxt = np.roll(points, -1)
     mids = 0.5 * (points + nxt)
     steps = nxt - points
-    # |Im z| vanishes on the real axis, killing the z**-k blowup there
-    integrand = np.zeros_like(mids)
-    live = mids.imag != 0.0
-    integrand[live] = np.abs(mids[live].imag) * mids[live] ** (-k)
+    # the screen keeps every midpoint off the origin, so z**-k is finite
+    integrand = np.abs(mids.imag) * mids ** (-k)
     return complex(np.sum(integrand * steps) / (1j * math.pi * k))
 
 
@@ -540,12 +534,8 @@ def harmonic_moment_area(trace, k: int) -> complex:
     # angle steps in trace order, across the wrap: a fold adds sign changes
     steps = np.diff(theta, append=theta[0])
     turns = np.sign(steps[steps != 0.0])
-    order = np.argsort(theta)
-    theta = theta[order]
-    rho = np.abs(upper)[order]
-    if np.any(np.diff(theta) <= 0.0):
-        keep = np.concatenate([[True], np.diff(theta) > 0.0])
-        theta, rho = theta[keep], rho[keep]
+    theta, first = np.unique(theta, return_index=True)
+    rho = np.abs(upper)[first]
     if len(theta) < 8 or np.count_nonzero(turns != np.roll(turns, 1)) > 2:
         raise ValueError("trace is not star-shaped about the origin")
 
@@ -573,7 +563,7 @@ def petal_width(family: MapFamily) -> float:
     angle alpha when beta reaches alpha, so this width is the degeneracy
     measure.
     """
-    pts = _values_on_sheet(family, np.exp(1j * _circle_angles(512)[:128]))
+    pts = evaluate_map(family, np.exp(1j * _circle_angles(512)[:128]))
     d_base = _ray_distance(pts, family.alpha)
     if family.kind == "two-petal":
         d_top = _ray_distance(pts, 0.5 * math.pi - family.beta)
@@ -660,7 +650,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         },
     )
     values = _evaluated_once(
-        lambda points: (_values_on_sheet(family, points),),
+        lambda points: (evaluate_map(family, points),),
         {name: points for name, (_, points) in corner_arcs.items()},
     )
 

@@ -61,6 +61,8 @@ def test_parse_grid():
     for bad in ("pi/8:pi/4", "pi/8:pi/4:0", "pi/8:pi/4:-2", "a:b:c"):
         with pytest.raises(UsageError):
             parse_grid(bad, "--x")
+    with pytest.raises(UsageError, match="bad count"):
+        parse_grid("pi/8:pi/4:x", "--x")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +376,24 @@ def test_moments_raw_trace_table(tmp_path):
     assert abs(complex(*t3) - (-4.0 / (9.0 * math.pi))) <= 1e-3
 
 
+def test_moments_raw_trace_json_to_stdout(tmp_path, capsys):
+    # without --report the table goes to stdout
+    assert run_cli("moments", "--trace", str(circle_csv(tmp_path)), "--tk", "3") == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload["moments"]) == ["T2", "T3"]
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.003, 0.015])
+def test_moments_trace_notch_into_origin_disk(tmp_path, capsys, notch_trace, radius):
+    # a notch inside 2% of the trace's scale: refused, as its moments are ill-defined
+    path = tmp_path / "notch.csv"
+    rows = ["%.17g,%.17g" % (z.real, z.imag) for z in notch_trace(radius)]
+    path.write_text("\n".join(["x,y"] + rows) + "\n")
+    assert run_cli("moments", "--trace", str(path), "--report", str(tmp_path / "m.json")) == EXIT_RUNTIME
+    assert "clear of the origin" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_moments_family_samples_only(tmp_path):
     rep = tmp_path / "m.json"
     code = run_cli(
@@ -412,7 +432,7 @@ def test_moments_removed_options(tmp_path, capsys):
 
 def test_moments_trace_screened_once(tmp_path, monkeypatch):
     # both routes of T2..T6 share one admissibility screen of the trace:
-    # PROBE_ANGLES winding counts, not one screen per moment and route
+    # one winding count about the origin, not one per moment and route
     from petalmap import verify
     from petalmap.cli import _read_trace_csv
 
@@ -426,7 +446,7 @@ def test_moments_trace_screened_once(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "winding_number", counting)
     csv, rep = circle_csv(tmp_path), tmp_path / "m.json"
     assert run_cli("moments", "--trace", str(csv), "--tk", "6", "--report", str(rep)) == EXIT_OK
-    assert len(calls) == verify.PROBE_ANGLES == 17
+    assert calls == [0.0]
     # the table holds what the public functions, each screening alone, give
     points = _read_trace_csv(str(csv))
     payload = json.loads(rep.read_text())

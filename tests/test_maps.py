@@ -450,6 +450,12 @@ def test_family_parameter_validation():
     with pytest.raises(ValueError):
         MapFamily.two_petal(math.pi / 8, math.pi / 2)
     assert MapFamily.two_petal(math.pi / 4, math.pi / 8).delta == 0.25
+    with pytest.raises(ValueError, match="unknown family kind"):
+        MapFamily("three-petal", 0.5)
+    with pytest.raises(ValueError, match="takes no beta"):
+        MapFamily("one-petal", 0.5, 0.2)
+    with pytest.raises(ValueError, match="one-petal parameter"):
+        MapFamily.two_petal(math.pi / 4, math.pi / 8).gamma
 
 
 def test_one_petal_takes_no_top_corner():
@@ -481,6 +487,17 @@ def test_invert_off_sheet_rejected():
     for z in (0.7j, 0.3 + 0.4j, -0.7j):
         with pytest.raises(InversionError):
             invert_map(LEMNISCATE, z)
+
+
+def test_invert_stationary_point_raises(monkeypatch):
+    # f' = 0 at the iterate: no Newton step, and the iterate is the root reported
+    def flat(family, pts):
+        return np.full(pts.shape, 5.0 + 0j), np.zeros(pts.shape, complex), np.zeros(pts.shape, complex)
+
+    monkeypatch.setattr(maps, "_tangential_derivatives", flat)
+    with pytest.raises(InversionError, match="stationary point reached") as info:
+        invert_map(LEMNISCATE, 2j)
+    assert info.value.root == 2j
 
 
 def test_invert_unreachable_hypergeometric_point():

@@ -85,6 +85,21 @@ def test_winding_point_on_edge_rejected():
         assert winding_number(SQUARE[::-1], edge_point + 1e-9 * scale * inward) == -1
 
 
+def test_winding_needs_three_points():
+    with pytest.raises(ValueError, match="at least 3 points"):
+        winding_number(SQUARE[:2], 0j)
+
+
+def test_power_law_input_validation():
+    x = np.linspace(1e-4, 1e-2, 12)
+    with pytest.raises(ValueError, match="equal length"):
+        fit_power_law(x, x[:-1])
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        fit_power_law(x[:2], x[:2])
+    with pytest.raises(ValueError, match="positive data"):
+        fit_power_law(x, np.concatenate([[0.0], x[1:]]))
+
+
 def test_power_law_recovery():
     x = np.linspace(1e-4, 1e-2, 12)
     fit = fit_power_law(x, 3.0 * x**0.75)

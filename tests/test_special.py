@@ -160,6 +160,17 @@ def test_inverse_route_against_mpmath():
         assert abs(got - want) <= MPMATH_TOL * max(1.0, abs(want)), (a, b, c, t)
 
 
+@pytest.mark.parametrize("a, b, c", [(0.5, 0.25, 2.5), (0.25, 0.75, 3.25), (1.5, -0.3, 3.5)])
+def test_inverse_route_terminating_inner_function(a, b, c):
+    # a - c + 1 is a non-positive integer, so the 1/t connection's inner
+    # function F(a, a - c + 1; a - b + 1; 1/t) is a polynomial, summed directly
+    mp.mp.dps = 40
+    ts = np.array([3.0 + 1j, -5.0 + 0.2j, 2.0 - 3j, 1.5 + 0.01j, -1.2 - 0.4j, 10j])
+    for got, t in zip(hyp2f1_values(a, b, c, ts), ts):
+        want = complex(mp.hyp2f1(a, b, c, complex(t)))
+        assert abs(got - want) <= 1e-13 * abs(want), t
+
+
 def test_cut_from_below():
     # a -0.0 imaginary part is the limit from below, mpmath's value on the cut
     mp.mp.dps = 30

@@ -667,6 +667,40 @@ def test_raw_trace_origin_screening():
             harmonic_moment_area(trace, 3)
 
 
+@pytest.mark.parametrize("radius", [0.0, 0.003, 0.015])
+def test_notch_into_origin_disk_refused(notch_trace, radius):
+    # 17 winding probes at 10-degree steps on the 2% half ring passed all
+    # three, and the routes then disagreed (T6 0.0397 against 1.2e-18 at
+    # radius 0, 5.4e5 against 1.75e6 at 0.003)
+    trace = notch_trace(radius)
+    for route in (harmonic_moment, harmonic_moment_area):
+        with pytest.raises(DegenerateTraceError, match="clear of the origin"):
+            route(trace, 6)
+
+
+def test_slab_edges_near_origin_refused():
+    # every node is at least 0.5 from the origin, but the two long edges
+    # pass 0.01 from it, inside the 2% disk: the screen measures segments
+    xs = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, -0.5, -0.6, -0.7, -0.8, -0.9, -1.0]
+    upper = np.array(xs) + 0.01j
+    slab = np.concatenate([[1.0], upper, [-1.0], np.conj(upper[::-1])])
+    assert len(slab) == 26 and np.min(np.abs(slab)) >= 0.5
+    for route in (harmonic_moment, harmonic_moment_area):
+        with pytest.raises(DegenerateTraceError):
+            route(slab, 3)
+
+
+def test_repeated_sample_changes_no_moment():
+    # a repeated sample is a zero-length segment for the screen and the
+    # contour route, and a repeated angle for the area route
+    theta = (np.arange(512) + 0.5) * (2.0 * math.pi / 512)
+    trace = (1.0 + 0.2 * np.cos(3.0 * theta)) * np.exp(1j * theta)
+    repeated = np.insert(trace, 40, trace[40])
+    for k in range(2, 7):
+        for route in (harmonic_moment, harmonic_moment_area):
+            assert abs(route(repeated, k) - route(trace, k)) <= 1e-15, (route.__name__, k)
+
+
 def test_screened_trace_is_screened_once(monkeypatch):
     trace = unit_circle_trace()
     want = [(harmonic_moment(trace, k), harmonic_moment_area(trace, k)) for k in range(2, 7)]
@@ -692,7 +726,15 @@ def test_moment_argument_validation():
     with pytest.raises(ValueError):
         harmonic_moment(trace, 1)
     with pytest.raises(ValueError):
+        harmonic_moment_area(trace, 1)
+    with pytest.raises(ValueError):
         harmonic_moment(trace[:4], 2)
+    # a 16-gon with its two axis vertices exactly real keeps 7 upper samples
+    gon = np.exp(1j * np.arange(16) * (math.pi / 8.0))
+    gon[0], gon[8] = 1.0, -1.0
+    harmonic_moment(gon, 3)  # the contour route takes it
+    with pytest.raises(ValueError, match="too few upper-half samples"):
+        harmonic_moment_area(gon, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +762,9 @@ def test_m_plus_lower_mirror():
 def test_m_plus_outside_pattern_rejected():
     with pytest.raises(ValueError):
         m_plus_samples(LEMNISCATE, TimeState(1.0, 1.0), [5.0 + 5.0j])
+    # 0.014 below the petal tip 2 sin(pi/4) i, inside the 2% margin
+    with pytest.raises(ValueError, match="too close to the boundary"):
+        m_plus_samples(LEMNISCATE, TimeState(1.0, 1.0), [1.40j])
 
 
 def test_m_plus_two_petal_ring():
