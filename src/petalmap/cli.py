@@ -89,8 +89,6 @@ def parse_grid(text: str, flag: str) -> list[float]:
         raise UsageError("bad count in %s=%r" % (flag, text)) from None
     if count <= 0:
         raise UsageError("%s needs a positive count" % flag)
-    if count == 1:
-        return [lo]
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 

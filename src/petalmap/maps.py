@@ -145,13 +145,19 @@ def _as_points(w):
 
 
 def _check_regular(family: MapFamily, pts: np.ndarray):
-    """Refuse non-finite points and the corner pre-images, where neither the map nor V is defined."""
+    """Refuse non-finite 1-d points and the corner pre-images, where neither the map nor V is defined."""
     # nan fails every comparison below, so non-finite points are refused first
     if not np.all(np.isfinite(pts)):
         raise MapDomainError("non-finite point")
-    for xi in family.corner_preimages:
-        if np.any(np.abs(pts - xi) < SHEET_SLACK):
-            raise CornerPreimageError("evaluation at corner pre-image %r" % (xi,))
+    touched = np.any(_corner_gaps(family, pts) < SHEET_SLACK, axis=0)
+    if touched.any():
+        xi = family.corner_preimages[np.argmax(touched)]
+        raise CornerPreimageError("evaluation at corner pre-image %r" % (xi,))
+
+
+def _corner_gaps(family: MapFamily, pts: np.ndarray) -> np.ndarray:
+    """|w - xi| for 1-d points w (rows) and the corner pre-images xi (columns, in family order)."""
+    return np.abs(pts[:, None] - np.array(family.corner_preimages))
 
 
 def _check_sheet(family: MapFamily, pts: np.ndarray):
@@ -324,7 +330,7 @@ def _values_on_sheet(family: MapFamily, pts: np.ndarray) -> np.ndarray:
 
 
 def _arc_derivatives(family: MapFamily, pts: np.ndarray):
-    """(f, f', f'') by arc-direction finite differences with extrapolation.
+    """(f, f', f'') at 1-d points by arc-direction finite differences with extrapolation.
 
     Stencil points w e^{is} keep |w| fixed, so a stencil centered on an
     evaluable ring never leaves it.  The step h is a fixed fraction of the
@@ -332,44 +338,26 @@ def _arc_derivatives(family: MapFamily, pts: np.ndarray):
     levels on the 4-point (resp. 5-point) central rule leave an O(h^8)
     truncation error.
 
-    The 8 arc offsets and the centre of ``ARC_BLOCK // 9`` points go to
-    `_values_on_sheet` as one array of at most ``ARC_BLOCK`` points, so a
-    scalar derivative costs one map call and an n-point ring
-    ceil(9 n / ARC_BLOCK).  The centre row is ``pts`` itself: pts e^{0i}
-    could flip the sign of a zero component.
+    The rows are the arc offsets -2, -1, -1/2, -1/4, 1/4, 1/2, 1, 2 (times
+    h) and the centre, so level k (step h / 2^k) reads rows k, k + 1,
+    6 - k and 7 - k, and each rule is one expression over the three levels.
+    The rows of ``ARC_BLOCK // 9`` centres go to `_values_on_sheet` as one
+    array of at most ``ARC_BLOCK`` points, so a scalar derivative costs one
+    map call and an n-point ring ceil(9 n / ARC_BLOCK).  The centre row is
+    ``pts`` itself: pts e^{0i} could flip the sign of a zero component.
     """
-    h = np.full(pts.shape, np.inf)
-    for xi in family.corner_preimages:
-        h = np.minimum(h, np.abs(pts - xi))
-    h = np.minimum(FD_MAX_STEP, h * FD_STEP_FRACTION)
-    flat = pts.reshape(-1)
-    steps = np.broadcast_to(h, pts.shape).reshape(-1)
-    scales = (-2.0, -1.0, 1.0, 2.0, -0.5, 0.5, -0.25, 0.25)
-    rows = np.empty((len(scales) + 1, flat.size), dtype=complex)
+    h = np.minimum(FD_MAX_STEP, FD_STEP_FRACTION * np.min(_corner_gaps(family, pts), axis=1))
+    scales = np.array([[-2.0], [-1.0], [-0.5], [-0.25], [0.25], [0.5], [1.0], [2.0]])
+    rows = np.empty((len(scales) + 1, pts.size), dtype=complex)
     width = ARC_BLOCK // len(rows)
-    for lo in range(0, flat.size, width):
-        centre, hs = flat[lo : lo + width], steps[lo : lo + width]
-        stencil = [centre * np.exp(1j * (scale * hs)) for scale in scales]
-        values = _values_on_sheet(family, np.concatenate(stencil + [centre]))
-        rows[:, lo : lo + width] = values.reshape(len(rows), -1)
-    g_m2, g_m1, g_p1, g_p2, g_mh, g_ph, g_mq, g_pq, g_0 = (row.reshape(pts.shape) for row in rows)
-
-    def d1(step, lo2, lo1, hi1, hi2):
-        return (lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)
-
-    def d2(step, lo2, lo1, mid, hi1, hi2):
-        return (-lo2 + 16.0 * lo1 - 30.0 * mid + 16.0 * hi1 - hi2) / (12.0 * step * step)
-
-    first = _richardson3(
-        d1(h, g_m2, g_m1, g_p1, g_p2),
-        d1(0.5 * h, g_m1, g_mh, g_ph, g_p1),
-        d1(0.25 * h, g_mh, g_mq, g_pq, g_ph),
-    )
-    second = _richardson3(
-        d2(h, g_m2, g_m1, g_0, g_p1, g_p2),
-        d2(0.5 * h, g_m1, g_mh, g_0, g_ph, g_p1),
-        d2(0.25 * h, g_mh, g_mq, g_0, g_pq, g_ph),
-    )
+    for lo in range(0, pts.size, width):
+        centre = pts[lo : lo + width]
+        arcs = centre * np.exp(1j * (scales * h[lo : lo + width]))
+        rows[:, lo : lo + width] = _values_on_sheet(family, np.append(arcs, centre)).reshape(len(rows), -1)
+    lo2, lo1, hi1, hi2, g_0 = rows[0:3], rows[1:4], rows[6:3:-1], rows[7:4:-1], rows[8]
+    step = np.array([[1.0], [0.5], [0.25]]) * h
+    first = _richardson3(*((lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)))
+    second = _richardson3(*((-lo2 + 16.0 * lo1 - 30.0 * g_0 + 16.0 * hi1 - hi2) / (12.0 * step * step)))
     iw = 1j * pts
     f_prime = first / iw
     f_second = (-second + 1j * first) / (pts * pts)
@@ -384,7 +372,7 @@ def _richardson3(coarse, mid, fine):
 
 
 def _tangential_derivatives(family: MapFamily, pts: np.ndarray):
-    """Sheet-checked (f, f', f''): closed form for one petal, arc stencil for two."""
+    """Sheet-checked (f, f', f'') at 1-d points: closed form for one petal, arc stencil for two."""
     _check_sheet(family, pts)
     if family.kind == "one-petal":
         return _one_petal_derivatives(family, pts)

@@ -352,6 +352,24 @@ def test_potential_pole_is_a_corner_preimage_error():
     assert issubclass(CornerPreimageError, MapDomainError)
 
 
+def test_gate_names_first_corner_in_family_order():
+    # the gate names the first corner pre-image, in corner_preimages order,
+    # that any point touches, whatever the points' own order
+    two = MapFamily.two_petal(math.pi / 4, math.pi / 8)
+    cases = ((two, [2.0, -1j, 1.0], "(1+0j)"), (two, [2.0, -1j], "(-0-1j)"), (LEMNISCATE, [-1.0, 1.0], "(1+0j)"))
+    for family, pts, name in cases:
+        for fn in (evaluate_map, map_derivative, potential_V):
+            with pytest.raises(CornerPreimageError) as info:
+                fn(family, np.array(pts, dtype=complex))
+            assert str(info.value) == "evaluation at corner pre-image " + name, (family.label(), pts, fn.__name__)
+    # no points, no values
+    for family in (LEMNISCATE, two):
+        for shape in ((0,), (0, 3)):
+            for fn in (evaluate_map, map_derivative):
+                got = fn(family, np.empty(shape, dtype=complex))
+                assert got.shape == shape and got.dtype == complex, (family.label(), shape, fn.__name__)
+
+
 @pytest.mark.filterwarnings("error")
 def test_potential_non_finite_point_is_a_map_domain_error():
     fam = MapFamily.two_petal(0.5, 0.3)
@@ -930,8 +948,10 @@ def test_one_petal_bracket_two_logs():
     assert np.array_equal(maps._one_petal_bracket(0.2, 1.0 - x, 1.0 + x), reference_one_petal_bracket(0.2, x))
 
 
-# 1000 points span five blocks of ARC_BLOCK // 9 centres, the last one short
-STENCIL_RING_SIZES = (1, 7, 2048, 1000)
+# 1000 points span five blocks of ARC_BLOCK // 9 centres, the last one short;
+# 6000 span 27, and are the first size whose (3, n) level arrays pass numpy's
+# 256 KiB threshold for reusing a temporary in place
+STENCIL_RING_SIZES = (1, 7, 2048, 1000, 6000)
 STENCIL_FAMILIES = [
     MapFamily.one_petal(math.pi / 3),
     MapFamily.one_petal(0.3),
