@@ -83,6 +83,9 @@ def parse_grid(text: str, flag: str) -> list[float]:
         raise UsageError("%s expects lo:hi:count, got %r" % (flag, text))
     lo = parse_angle(parts[0])
     hi = parse_angle(parts[1])
+    # np.linspace would overflow computing the step, with numpy warnings
+    if not math.isfinite(hi - lo):
+        raise UsageError("%s=%r spans more than the float range" % (flag, text))
     try:
         count = int(parts[2])
     except ValueError:

@@ -24,7 +24,7 @@ from .special_functions import MapDomainError, _gamma_quotient, _hyp2f1_batch, _
 SHEET_SLACK = 1e-12          # corner pre-images reject this radius; |w| >= 1 - slack is on-sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
-ARC_BLOCK = 2043             # map points per stencil call (227 centres x 9 rows); bounds the Cauchy ring's memory
+ARC_BLOCK = 2043             # map points per series loop: 227 stencil centres x 9 rows, or a sweep batch; bounds memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
 
@@ -257,6 +257,16 @@ def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.n
     Real p in the band |p| < 2 is the limit from above: there t = 4/p^2
     takes F's 1/t route with a -0.0 imaginary part.
     """
+    request, finish = _two_petal_request(family, p, d, lower)
+    return finish(hyp2f1_values(*request))
+
+
+def _two_petal_request(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray):
+    """`_two_petal_in_p` split around its 2F1 call.
+
+    Returns the (a, b, c, t, one_minus) request for `hyp2f1_values` or
+    `_hyp2f1_batch`, and the step that finishes Z from F's values.
+    """
     left = p.real < 0.0
     mirror = lower != left
     p2 = p * p
@@ -264,17 +274,37 @@ def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.n
     t = 4.0 / p2
     folded = ratio.real + 1j * np.abs(ratio.imag)
     aa, bb = _two_petal_parameters(family)
-    hyp = hyp2f1_values(aa, bb, 0.5, np.conj(t.real + 1j * np.abs(t.imag)), one_minus=folded)
-    power = _power(folded, family.alpha / math.pi)
-    out = (np.abs(p.real) + 1j * np.abs(p.imag)) * power * hyp
-    out = np.where(mirror, np.conj(out), out)
-    return np.where(left, -out, out)
+
+    def finish(hyp):
+        power = _power(folded, family.alpha / math.pi)
+        out = (np.abs(p.real) + 1j * np.abs(p.imag)) * power * hyp
+        out = np.where(mirror, np.conj(out), out)
+        return np.where(left, -out, out)
+
+    return (aa, bb, 0.5, np.conj(t.real + 1j * np.abs(t.imag)), folded), finish
+
+
+def _sheet_p(w: np.ndarray):
+    """`_two_petal_in_p`'s p, d and lower for sheet points w, with d from (w - 1)(w + 1)/w."""
+    d = (w - 1.0) * (w + 1.0) / w
+    return w + 1.0 / w, d * d, w.imag < 0.0
 
 
 def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     """Evaluate on the sheet through p = w + 1/w, reflecting Im w < 0."""
-    d = (w - 1.0) * (w + 1.0) / w
-    return _two_petal_in_p(family, w + 1.0 / w, d * d, w.imag < 0.0)
+    return _two_petal_in_p(family, *_sheet_p(w))
+
+
+def _two_petal_batch(jobs) -> list:
+    """`_two_petal_values` at each (family, w) job, the series of all jobs summed in one loop.
+
+    One `_hyp2f1_batch` call takes every job's request, so each value has
+    the bits of its job evaluated alone.  `_two_petal_values` is the
+    one-job case, through `hyp2f1_values`.
+    """
+    steps = [_two_petal_request(family, *_sheet_p(w)) for family, w in jobs]
+    values = _hyp2f1_batch([request for request, _ in steps])
+    return [finish(hyp) for (_, finish), hyp in zip(steps, values)]
 
 
 def _partner_derivatives(family: MapFamily, w: np.ndarray):
@@ -338,22 +368,41 @@ def _arc_derivatives(family: MapFamily, pts: np.ndarray):
     levels on the 4-point (resp. 5-point) central rule leave an O(h^8)
     truncation error.
 
-    The rows are the arc offsets -2, -1, -1/2, -1/4, 1/4, 1/2, 1, 2 (times
-    h) and the centre, so level k (step h / 2^k) reads rows k, k + 1,
-    6 - k and 7 - k, and each rule is one expression over the three levels.
-    The rows of ``ARC_BLOCK // 9`` centres go to `_values_on_sheet` as one
+    `_arc_stencil` builds the 9 rows of points.  The rows of
+    ``ARC_BLOCK // 9`` centres at a time go to `_values_on_sheet` as one
     array of at most ``ARC_BLOCK`` points, so a scalar derivative costs one
-    map call and an n-point ring ceil(9 n / ARC_BLOCK).  The centre row is
+    map call and an n-point ring ceil(9 n / ARC_BLOCK).  `_arc_reduce`
+    combines the rows.  `_lockstep_derivatives` is the same for several
+    families at once.
+    """
+    h, rows = _arc_stencil(family, pts)
+    values = np.empty(rows.shape, dtype=complex)
+    width = ARC_BLOCK // len(rows)
+    for lo in range(0, pts.size, width):
+        block = rows[:, lo : lo + width]
+        values[:, lo : lo + width] = _values_on_sheet(family, block.ravel()).reshape(block.shape)
+    return _arc_reduce(pts, h, values)
+
+
+def _arc_stencil(family: MapFamily, pts: np.ndarray):
+    """The steps h at 1-d points and their (9, n) stencil rows, for `_arc_reduce`.
+
+    h is ``FD_STEP_FRACTION`` of the distance to the nearest corner
+    pre-image, at most ``FD_MAX_STEP``.  The rows are the arc offsets -2,
+    -1, -1/2, -1/4, 1/4, 1/2, 1, 2 (times h) and the centre, which is
     ``pts`` itself: pts e^{0i} could flip the sign of a zero component.
     """
     h = np.minimum(FD_MAX_STEP, FD_STEP_FRACTION * np.min(_corner_gaps(family, pts), axis=1))
     scales = np.array([[-2.0], [-1.0], [-0.5], [-0.25], [0.25], [0.5], [1.0], [2.0]])
-    rows = np.empty((len(scales) + 1, pts.size), dtype=complex)
-    width = ARC_BLOCK // len(rows)
-    for lo in range(0, pts.size, width):
-        centre = pts[lo : lo + width]
-        arcs = centre * np.exp(1j * (scales * h[lo : lo + width]))
-        rows[:, lo : lo + width] = _values_on_sheet(family, np.append(arcs, centre)).reshape(len(rows), -1)
+    return h, np.append(pts * np.exp(1j * (scales * h)), pts[None], axis=0)
+
+
+def _arc_reduce(pts: np.ndarray, h: np.ndarray, rows: np.ndarray):
+    """(f, f', f'') at 1-d points from the values on their `_arc_stencil` rows.
+
+    Level k (step h / 2^k) reads rows k, k + 1, 6 - k and 7 - k, so each
+    central rule is one expression over the three levels.
+    """
     lo2, lo1, hi1, hi2, g_0 = rows[0:3], rows[1:4], rows[6:3:-1], rows[7:4:-1], rows[8]
     step = np.array([[1.0], [0.5], [0.25]]) * h
     first = _richardson3(*((lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)))
@@ -362,6 +411,32 @@ def _arc_derivatives(family: MapFamily, pts: np.ndarray):
     f_prime = first / iw
     f_second = (-second + 1j * first) / (pts * pts)
     return g_0, f_prime, f_second
+
+
+def _lockstep_derivatives(jobs) -> list:
+    """(f', values) for each (family, centres, points) job of two-petal families, from one series loop.
+
+    Both point arrays are sheet-checked, and each job's `_arc_stencil` rows
+    and ``points`` are evaluated in one `_two_petal_batch`.  Every value
+    keeps the bits of its own evaluation, so f' at the centres (reduced by
+    `_arc_reduce`) has the bits of `map_derivative` there and the values
+    those of `evaluate_map` at ``points``.  Unlike `_arc_derivatives` it
+    does not split the work into blocks: `verify.sweep`, its caller, packs
+    its batches by ``ARC_BLOCK``.
+    """
+    stencils = []
+    for family, centres, points in jobs:
+        _check_sheet(family, centres)
+        _check_sheet(family, points)
+        stencils.append(_arc_stencil(family, centres))
+    values = _two_petal_batch(
+        [(family, np.append(rows, points)) for (family, _, points), (_, rows) in zip(jobs, stencils)]
+    )
+    out = []
+    for (_, centres, _), (h, rows), merged in zip(jobs, stencils, values):
+        _, f_prime, _ = _arc_reduce(centres, h, merged[: rows.size].reshape(rows.shape))
+        out.append((f_prime, merged[rows.size :]))
+    return out
 
 
 def _richardson3(coarse, mid, fine):

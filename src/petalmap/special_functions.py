@@ -23,19 +23,24 @@ arrays when it takes them all) and scatters their values.
 `_hyp2f1_batch` takes a list of (a, b, c, t, one_minus) requests, queues
 the series of all their routes, sums the whole queue in one term loop
 (`_series_sums`) and applies the finishers: one array per request, with the
-bits of that request alone.  `hyp2f1_values` is its one-request case; the
-partner solution's F and F' share one batch.
+bits of that request alone.  `hyp2f1_values` is its one-request case.  The
+partner solution's F and F' share one batch, and `maps._two_petal_batch`
+puts the map requests of several families in one, so that a sweep batch's
+nodes share one series loop per round.
 
 The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
 take their arguments from 1 - t, which a caller may pass factored
 (``one_minus``): the two-petal map's d/p^2 keeps it within 2e-15 of mpmath
 next to the base corners.
 
-The cut is [1, inf).  A point on it with a +0 imaginary part is rejected; a
--0.0 imaginary part means the limit from below, which is mpmath's value on
-the cut and what numpy's signed-zero complex `log` gives.  Every fractional
-power, here and in the maps, is `_power`'s, under its one cut convention, and
-`Hyp2F1DomainError` is a `MapDomainError`.  The connection coefficients are
+The cut is [1, inf), and the branch point t = 1 is where 1 - t is 0, so a
+caller's factored 1 - t decides it: on the unit circle within 1.5e-8 rad of
+w = +-1 the two-petal map's t = 4/p^2 rounds to 1, while its d/p^2 does not
+vanish.  A point on the rest of the cut with a +0 imaginary part is
+rejected; a -0.0 imaginary part means the limit from below, which is
+mpmath's value on the cut and what numpy's signed-zero complex `log` gives.
+Every fractional power, here and in the maps, is `_power`'s, under its one
+cut convention, and `Hyp2F1DomainError` is a `MapDomainError`.  The connection coefficients are
 real gamma quotients from the standard library's `math.lgamma`, memoized per
 parameter set by `_gamma_quotient`.
 
@@ -351,8 +356,9 @@ def _hyp2f1_batch(requests) -> list:
             finishers.append(_queued(queue, a, b, c, t))
             continue
 
-        # t = 1 is the branch point; the rest of the cut has a side only with -0.0
-        on_cut = (t.imag == 0.0) & ((t.real == 1.0) | ((t.real > 1.0) & ~np.signbit(t.imag)))
+        # the branch point is where 1 - t is 0: a caller's factored 1 - t can
+        # be nonzero where t rounds to 1; the rest of the cut has a side only with -0.0
+        on_cut = (one_minus == 0.0) | ((t.imag == 0.0) & (t.real > 1.0) & ~np.signbit(t.imag))
         if on_cut.any():
             raise Hyp2F1DomainError("argument on the cut [1, inf)")
 

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import (
+    ARC_BLOCK,
     BoundaryTrace,
     MapFamily,
     TimeState,
     _circle_angles,
+    _lockstep_derivatives,
     _one_petal_bracket,
     _partner_derivatives,
     _tangential_derivatives,
@@ -299,7 +301,20 @@ def conformality_check(family: MapFamily):
     turns cannot alias.  An arc that cannot be resolved raises
     `VerificationError`.
     """
-    return _winding(family, map_derivative(family, _conformality_arc(family)[1]))
+    phis, points = _conformality_arc(family)
+    ((winding, ok),) = _winding([(family, phis, map_derivative(family, points))], _one_by_one)
+    return winding, ok
+
+
+def _one_by_one(jobs) -> list:
+    """f' at each (family, points) job by its own `map_derivative` call."""
+    return [map_derivative(family, w) for family, w in jobs]
+
+
+def _in_lockstep(jobs) -> list:
+    """f' at each two-petal (family, points) job, all from one series loop (`_lockstep_derivatives`)."""
+    # w[:0]: no points to take values at
+    return [f_prime for f_prime, _ in _lockstep_derivatives([(family, w, w[:0]) for family, w in jobs])]
 
 
 def _conformality_arc(family: MapFamily):
@@ -324,32 +339,44 @@ def _conformality_arc(family: MapFamily):
     return phis, math.exp(CONFORMAL_RING_EPS) * np.exp(1j * phis)
 
 
-def _winding(family: MapFamily, fp: np.ndarray):
-    """`conformality_check` from f' at the points of `_conformality_arc`.
+def _winding(nodes, derivatives) -> list:
+    """`conformality_check` for each (family, `_conformality_arc` angles, f' at their points), in lockstep.
 
-    Every step whose turn of arg f' exceeds pi/4 is bisected, one
-    `map_derivative` call per round of midpoints, until none does.  Raises
-    `VerificationError` when f' nearly vanishes on the arc, or a step that
-    still turns too far is too short to split in floating point: either way
-    a zero of f' lies within rounding of the ring.
+    Every step whose turn of arg f' exceeds pi/4 is bisected until none
+    does.  A round takes the midpoints of all nodes still refining in one
+    ``derivatives`` call, which maps a list of (family, points) to f' at
+    them.  Raises `VerificationError` when f' nearly vanishes on an arc, or
+    a step that still turns too far is too short to split in floating
+    point: either way a zero of f' lies within rounding of the ring.
     """
-    phis, _ = _conformality_arc(family)
-    scale = float(np.median(np.abs(fp)))
-    new = fp
-    while scale > 0.0 and float(np.min(np.abs(new))) >= 1e-9 * scale:
-        turns = np.angle(fp[1:] / fp[:-1])
-        wide = np.flatnonzero(np.abs(turns) > 0.25 * math.pi)
-        if wide.size == 0:
-            winding = 2 * int(round(float(np.sum(turns)) / math.pi))
-            return winding, winding == 0
-        lo, hi = phis[wide], phis[wide + 1]
-        mids = 0.5 * (lo + hi)
-        if np.any((mids <= lo) | (mids >= hi)):
-            break
-        new = map_derivative(family, math.exp(CONFORMAL_RING_EPS) * np.exp(1j * mids))
-        phis = np.insert(phis, wide + 1, mids)
-        fp = np.insert(fp, wide + 1, new)
-    raise VerificationError("derivative winding could not be resolved")
+    arcs = [[family, phis, fp, fp] for family, phis, fp in nodes]
+    scales = [float(np.median(np.abs(fp))) for _, _, fp in nodes]
+    ring = math.exp(CONFORMAL_RING_EPS)
+    out = [None] * len(nodes)
+    while True:
+        asks = []
+        for k, (family, phis, fp, new) in enumerate(arcs):
+            if out[k] is not None:
+                continue
+            if not (scales[k] > 0.0 and float(np.min(np.abs(new))) >= 1e-9 * scales[k]):
+                raise VerificationError("derivative winding could not be resolved")
+            turns = np.angle(fp[1:] / fp[:-1])
+            wide = np.flatnonzero(np.abs(turns) > 0.25 * math.pi)
+            if wide.size == 0:
+                winding = 2 * int(round(float(np.sum(turns)) / math.pi))
+                out[k] = (winding, winding == 0)
+                continue
+            lo, hi = phis[wide], phis[wide + 1]
+            mids = 0.5 * (lo + hi)
+            if np.any((mids <= lo) | (mids >= hi)):
+                raise VerificationError("derivative winding could not be resolved")
+            asks.append((k, wide, mids))
+        if not asks:
+            return out
+        news = derivatives([(arcs[k][0], ring * np.exp(1j * mids)) for k, _, mids in asks])
+        for (k, wide, mids), new in zip(asks, news):
+            family, phis, fp, _ = arcs[k]
+            arcs[k] = [family, np.insert(phis, wide + 1, mids), np.insert(fp, wide + 1, new), new]
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +590,15 @@ def petal_width(family: MapFamily) -> float:
     angle alpha when beta reaches alpha, so this width is the degeneracy
     measure.
     """
-    pts = evaluate_map(family, np.exp(1j * _circle_angles(512)[:128]))
+    return _width(family, evaluate_map(family, _width_arc()))
+
+
+def _width_arc() -> np.ndarray:
+    return np.exp(1j * _circle_angles(512)[:128])
+
+
+def _width(family: MapFamily, pts: np.ndarray) -> float:
+    """`petal_width` from the map's values at the points of `_width_arc`."""
     d_base = _ray_distance(pts, family.alpha)
     if family.kind == "two-petal":
         d_top = _ray_distance(pts, 0.5 * math.pi - family.beta)
@@ -575,26 +610,72 @@ def petal_width(family: MapFamily) -> float:
 def sweep(alphas, betas) -> tuple[SweepRow, ...]:
     """Conformality and degeneracy classification over a parameter grid.
 
-    One `SweepRow` per node, alpha-major.  Each node counts the winding
-    with `conformality_check`, as the battery does, and is degenerate when
-    its `petal_width` is below WIDTH_DEGENERATE_FRACTION.
+    One `SweepRow` per node, alpha-major.  A node counts its winding as
+    `conformality_check` does and is degenerate when its `petal_width` is
+    below WIDTH_DEGENERATE_FRACTION, with the bits of those calls, but the
+    nodes run in lockstep.  Consecutive nodes are packed into batches whose
+    first rounds (each node's first arc stencil and its width arc) total at
+    most ``ARC_BLOCK`` map points: two nodes on the default grid.  A batch
+    makes one series loop per round (`_sweep_rows`), the first round and
+    then each round of bisection midpoints, so a default-grid node costs
+    1.62 loops against 3.67 for the calls one by one.
 
-    Nodes that cannot be evaluated record their failure and the sweep moves
-    on; they come back with winding/conformal/degenerate set to None.
+    A node that cannot be evaluated records its failure and the sweep moves
+    on; it comes back with winding/conformal/degenerate set to None and the
+    error as "Type: message".  If a batch raises, each of its nodes is run
+    alone, so the error is the node's own and the other rows are unchanged.
     """
     rows = []
-    for alpha in alphas:
-        for beta in betas:
-            try:
-                family = MapFamily.two_petal(alpha, beta)
-                winding, ok = conformality_check(family)
-                width = petal_width(family)
-                degenerate = width < WIDTH_DEGENERATE_FRACTION
-                rows.append(SweepRow(float(alpha), float(beta), winding, ok, degenerate))
-            except Exception as exc:  # noqa: BLE001 - sweep must keep going
-                reason = "%s: %s" % (type(exc).__name__, exc)
-                rows.append(SweepRow(float(alpha), float(beta), None, None, None, reason))
+    for batch in _sweep_batches([(float(alpha), float(beta)) for alpha in alphas for beta in betas]):
+        try:
+            rows.extend(_sweep_rows(batch))
+        except Exception:  # noqa: BLE001 - each node is run alone to charge its own error
+            for node in batch:
+                try:
+                    rows.extend(_sweep_rows([node]))
+                except Exception as exc:  # noqa: BLE001 - sweep must keep going
+                    reason = "%s: %s" % (type(exc).__name__, exc)
+                    rows.append(SweepRow(*node, None, None, None, reason))
     return tuple(rows)
+
+
+def _sweep_batches(nodes):
+    """Consecutive (alpha, beta) nodes whose first rounds total at most ``ARC_BLOCK`` map points.
+
+    A node's first round is 9 points per first-arc angle and the width arc;
+    a node whose family cannot be built goes alone.
+    """
+    batch, points = [], 0
+    for node in nodes:
+        try:
+            size = 9 * len(_conformality_arc(MapFamily.two_petal(*node))[0]) + len(_width_arc())
+        except ValueError:
+            size = ARC_BLOCK
+        if batch and points + size > ARC_BLOCK:
+            yield batch
+            batch, points = [], 0
+        batch.append(node)
+        points += size
+    if batch:
+        yield batch
+
+
+def _sweep_rows(nodes) -> list:
+    """The `SweepRow`s of (alpha, beta) nodes in lockstep, one `_lockstep_derivatives` call per round.
+
+    The first round takes every node's first arc stencil and width arc, and
+    `_winding` then bisects all the nodes' arcs together.
+    """
+    families = [MapFamily.two_petal(*node) for node in nodes]
+    arcs = [_conformality_arc(family) for family in families]
+    first = _lockstep_derivatives([(family, points, _width_arc()) for family, (_, points) in zip(families, arcs)])
+    windings = _winding(
+        [(family, phis, fp) for family, (phis, _), (fp, _) in zip(families, arcs, first)], _in_lockstep
+    )
+    return [
+        SweepRow(*node, winding, ok, _width(family, values) < WIDTH_DEGENERATE_FRACTION)
+        for node, family, (winding, ok), (_, values) in zip(nodes, families, windings, first)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +720,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
     if family.kind == "two-petal":
         corners["corner_exponent_top"] = (1.0j, family.delta)
     corner_arcs = {name: _corner_arc(corner) for name, (corner, _) in corners.items()}
+    arc_phis, arc_points = _conformality_arc(family)
     derivatives = _evaluated_once(
         lambda points: _tangential_derivatives(family, points),
         {
@@ -646,7 +728,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
             "wronskian": _wronskian_probes(),
             "dynamical": _unit_ring(128)[:32],
             "darcy": _unit_ring(256)[:64],
-            "conformality": _conformality_arc(family)[1],
+            "conformality": arc_points,
         },
     )
     values = _evaluated_once(
@@ -665,7 +747,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         yield "darcy_mismatch", _darcy_defect(ratio.value, derivatives("darcy")), ""
 
     def conformality():
-        winding, _ok = _winding(family, derivatives("conformality")[1])
+        ((winding, _ok),) = _winding([(family, arc_phis, derivatives("conformality")[1])], _one_by_one)
         yield "conformality", abs(winding), "winding=%d" % winding
 
     def corner_fits():

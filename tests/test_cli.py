@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -303,15 +304,21 @@ def test_sweep_explicit_grid(tmp_path):
 
 def test_sweep_failed_node_reason_on_stderr(tmp_path, capsys, monkeypatch):
     # arg f' jumps by pi at arg w = 1 for beta = pi/8: no bisection resolves
-    # that node's winding, so it keeps a blank row and the sweep goes on
-    inner = verify.map_derivative
+    # that node's winding, so it keeps a blank row and the sweep goes on.
+    # The sweep's rounds, first arc and bisections alike, take f' from
+    # `_lockstep_derivatives`, one (f', values) pair per (family, centres,
+    # points) job
+    inner = verify._lockstep_derivatives
 
-    def unresolved_at_beta(family, w):
-        if family.beta == math.pi / 8:
-            return np.where(np.angle(w) > 1.0, 1.0 + 0.0j, -1.0 + 0.0j)
-        return inner(family, w)
+    def unresolved_at_beta(jobs):
+        out = []
+        for (family, w, _), (fp, values) in zip(jobs, inner(jobs)):
+            if family.beta == math.pi / 8:
+                fp = np.where(np.angle(w) > 1.0, 1.0 + 0.0j, -1.0 + 0.0j)
+            out.append((fp, values))
+        return out
 
-    monkeypatch.setattr(verify, "map_derivative", unresolved_at_beta)
+    monkeypatch.setattr(verify, "_lockstep_derivatives", unresolved_at_beta)
     out = tmp_path / "sweep.csv"
     code = run_cli(
         "sweep", "--alpha-grid", "pi/8:pi/8:1", "--beta-grid", "pi/16:pi/8:2", "--out", str(out),
@@ -345,6 +352,21 @@ def test_sweep_default_grid_csv_pinned(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--out", str(out)) == EXIT_OK
     assert out.read_bytes() == (DATA / "sweep_default.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", [2, 1])
+def test_sweep_grid_span_overflow_refused(tmp_path, capsys, count):
+    # hi - lo overflows the float range: a usage error before np.linspace,
+    # whose step would overflow with two numpy warnings
+    out = tmp_path / "sweep.csv"
+    grid = "-1e308:1e308:%d" % count
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("sweep", "--alpha-grid=" + grid, "--beta-grid", "0.3:0.3:1", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert caught == []
+    assert capsys.readouterr().err == "usage error: --alpha-grid=%r spans more than the float range\n" % grid
+    assert not out.exists()
 
 
 def test_sweep_empty_grid_rejected(tmp_path):

@@ -204,6 +204,19 @@ def test_two_petal_near_corner_against_mpmath(alpha, beta):
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_unit_circle_next_to_base_corner_against_mpmath(sign):
+    # within 1.5e-8 rad of w = +-1 on the unit circle, t = 4/p^2 rounds to 1
+    # while the factored 1 - t = d/p^2 is about -phi^2: the point is on the
+    # cut, approached from below, not at the branch point.  Measured: at most
+    # 1.7e-15 off for phi from 1e-11 to 3e-8
+    fam = MapFamily.two_petal(math.pi / 5, math.pi / 10)
+    for phi in np.geomspace(1e-9, 1e-11, 5):
+        for w in (sign * cmath.exp(1j * phi), sign * cmath.exp(-1j * phi)):
+            want = near_corner_reference(fam.alpha, fam.beta, w)
+            assert abs(evaluate_map(fam, w) - want) <= 4e-15 * abs(want), (phi, w)
+
+
 @pytest.mark.parametrize("alpha, beta", [(0.025, 1.2), (0.01, 0.3), (math.pi / 2 - 0.01, 0.6)])
 def test_two_petal_edge_alpha_against_mpmath(alpha, beta):
     # c - a - b = 1 - 2 alpha/pi lies within 0.02 of an integer, so F's

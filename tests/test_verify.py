@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from petalmap import (
     BoundaryTrace,
@@ -826,6 +828,105 @@ def test_sweep_small_grid():
     assert ok_node.error is None and ok_node.conformal and not ok_node.degenerate
     bad_node = by_node[(math.pi / 8, math.pi / 6)]
     assert bad_node.error is None and bad_node.conformal is False
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def record_lockstep(monkeypatch):
+    """Log every (jobs, results) pair of the sweep's lockstep rounds."""
+    calls = []
+    inner = verify._lockstep_derivatives
+
+    def recording(jobs):
+        out = inner(jobs)
+        calls.append((jobs, out))
+        return out
+
+    monkeypatch.setattr(verify, "_lockstep_derivatives", recording)
+    return calls
+
+
+def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch):
+    # every round of the default grid: f' at its centres has the bits of
+    # map_derivative there, the width arc's values those of evaluate_map,
+    # and their width that of petal_width; one series loop per round
+    calls = record_lockstep(monkeypatch)
+    loops = []
+    sums = special_functions._series_sums
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
+    grid = [k * math.pi / 36 for k in range(1, 18)]
+    rows = sweep(grid, grid)
+    monkeypatch.undo()
+    assert all(row.error is None for row in rows)
+    assert len(loops) == len(calls) < 2 * len(rows)
+    first = [job for jobs, out in calls for job in zip(jobs, out) if job[0][2].size]
+    bisections = [job for jobs, out in calls for job in zip(jobs, out) if not job[0][2].size]
+    assert [(family.alpha, family.beta) for (family, _, _), _ in first] == [(row.alpha, row.beta) for row in rows]
+    assert len(bisections) > len(rows)
+    for (family, centres, points), (fp, values) in first + bisections:
+        assert same_bits(fp, maps.map_derivative(family, centres)), family.label()
+        if points.size:
+            assert same_bits(values, evaluate_map(family, points)), family.label()
+            assert verify._width(family, values).hex() == petal_width(family).hex(), family.label()
+
+
+def sweep_row_alone(alpha, beta):
+    """A sweep row from `conformality_check` and `petal_width`, node by node."""
+    try:
+        family = MapFamily.two_petal(alpha, beta)
+        winding, ok = conformality_check(family)
+        degenerate = petal_width(family) < verify.WIDTH_DEGENERATE_FRACTION
+        return verify.SweepRow(alpha, beta, winding, ok, degenerate)
+    except Exception as exc:  # noqa: BLE001 - the row records it
+        return verify.SweepRow(alpha, beta, None, None, None, "%s: %s" % (type(exc).__name__, exc))
+
+
+ANGLES = st.floats(0.01, 0.5 * math.pi - 0.01)
+
+
+@given(st.lists(ANGLES, min_size=1, max_size=3), st.lists(ANGLES, min_size=1, max_size=3))
+@example([1.2, 0.9], [0.3, 1.1, 0.8])
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_sweep_lockstep_matches_node_by_node(alphas, betas):
+    # off the grid, alpha > pi/4 included; an example of 6 nodes packs them
+    # into three batches of two
+    want = tuple(sweep_row_alone(alpha, beta) for alpha in alphas for beta in betas)
+    assert sweep(alphas, betas) == want
+
+
+def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
+    step = math.pi / 36
+    alphas, betas = [4 * step, 6 * step], [3 * step, 6 * step, 9 * step]
+    want = sweep(alphas, betas)
+    target = MapFamily.two_petal(6 * step, 9 * step)
+    inner = verify._lockstep_derivatives
+    raised = []
+
+    def failing(merged_only):
+        def lockstep(jobs):
+            bisecting = not any(points.size for _, _, points in jobs)
+            if bisecting and any(family == target for family, _, _ in jobs) and (len(jobs) > 1 or not merged_only):
+                raised.append(len(jobs))
+                raise RuntimeError("forced")
+            return inner(jobs)
+
+        return lockstep
+
+    # raised only while merged: run alone, the node gets its own row back
+    monkeypatch.setattr(verify, "_lockstep_derivatives", failing(True))
+    assert sweep(alphas, betas) == want
+    assert raised == [2]
+    # raised alone too: that node records the error, its batch partner
+    # (6, 6), bisected in the same rounds, and the others keep their rows
+    del raised[:]
+    monkeypatch.setattr(verify, "_lockstep_derivatives", failing(False))
+    got = sweep(alphas, betas)
+    assert raised == [2, 1]
+    assert got[:5] == want[:5]
+    assert got[5] == verify.SweepRow(target.alpha, target.beta, None, None, None, "RuntimeError: forced")
 
 
 def test_run_standard_checks_lemniscate():
