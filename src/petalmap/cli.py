@@ -50,15 +50,18 @@ def parse_angle(text: str) -> float:
     """Angles as finite plain decimals or rational multiples of pi like '3pi/16'."""
     m = _ANGLE_RE.match(text)
     if m:
-        numerator = int(m.group(1)) if m.group(1) else 1
-        denominator = int(m.group(2)) if m.group(2) else 1
-        if denominator == 0:
-            raise UsageError("zero denominator in angle %r" % text)
-        return numerator * math.pi / denominator
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError("cannot parse angle %r" % text) from None
+        try:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            value = int(m.group(1) or 1) * math.pi / int(m.group(2) or 1)
+        except ZeroDivisionError:
+            raise UsageError("zero denominator in angle %r" % text) from None
+        except (OverflowError, ValueError):
+            raise UsageError("angle %r is outside the float range" % text) from None
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise UsageError("cannot parse angle %r" % text) from None
     if not math.isfinite(value):
         raise UsageError("angle %r is not finite" % text)
     return value

@@ -24,7 +24,7 @@ from .special_functions import MapDomainError, _gamma_quotient, _hyp2f1_batch, _
 SHEET_SLACK = 1e-12          # corner pre-images reject this radius; |w| >= 1 - slack is on-sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
-ARC_BLOCK = 2043             # map points per series loop: 227 stencil centres x 9 rows, or a sweep batch; bounds memory
+ARC_BLOCK = 2043             # map points per series loop: 227 stencil centres x 9 rows, or a lockstep group; bounds memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
 
@@ -244,8 +244,11 @@ def _two_petal_parameters(family: MapFamily) -> tuple[float, float]:
     return (family.alpha + family.beta) / math.pi - 0.5, (family.alpha - family.beta) / math.pi
 
 
-def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """The two-petal pattern Z(p) = p (d/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2), p = w + 1/w.
+def _two_petal_request(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray):
+    """The two-petal pattern Z(p) = p (d/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2), p = w + 1/w, around F.
+
+    Returns the (a, b, c, t, one_minus) request for `hyp2f1_values` or
+    `_hyp2f1_batch`, and the step that finishes Z from F's values.
 
     ``d`` is the branch factor p^2 - 4, factored by the caller so that d/p^2,
     the power's base and F's 1 - t, stays accurate next to the branch points.
@@ -256,16 +259,6 @@ def _two_petal_in_p(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.n
     8 Re p Im p / |p|^4 >= 0 and Im(4/p^2) <= 0, so both are set exactly.
     Real p in the band |p| < 2 is the limit from above: there t = 4/p^2
     takes F's 1/t route with a -0.0 imaginary part.
-    """
-    request, finish = _two_petal_request(family, p, d, lower)
-    return finish(hyp2f1_values(*request))
-
-
-def _two_petal_request(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray):
-    """`_two_petal_in_p` split around its 2F1 call.
-
-    Returns the (a, b, c, t, one_minus) request for `hyp2f1_values` or
-    `_hyp2f1_batch`, and the step that finishes Z from F's values.
     """
     left = p.real < 0.0
     mirror = lower != left
@@ -285,26 +278,15 @@ def _two_petal_request(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: n
 
 
 def _sheet_p(w: np.ndarray):
-    """`_two_petal_in_p`'s p, d and lower for sheet points w, with d from (w - 1)(w + 1)/w."""
+    """`_two_petal_request`'s p, d and lower for sheet points w, with d from (w - 1)(w + 1)/w."""
     d = (w - 1.0) * (w + 1.0) / w
     return w + 1.0 / w, d * d, w.imag < 0.0
 
 
 def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     """Evaluate on the sheet through p = w + 1/w, reflecting Im w < 0."""
-    return _two_petal_in_p(family, *_sheet_p(w))
-
-
-def _two_petal_batch(jobs) -> list:
-    """`_two_petal_values` at each (family, w) job, the series of all jobs summed in one loop.
-
-    One `_hyp2f1_batch` call takes every job's request, so each value has
-    the bits of its job evaluated alone.  `_two_petal_values` is the
-    one-job case, through `hyp2f1_values`.
-    """
-    steps = [_two_petal_request(family, *_sheet_p(w)) for family, w in jobs]
-    values = _hyp2f1_batch([request for request, _ in steps])
-    return [finish(hyp) for (_, finish), hyp in zip(steps, values)]
+    request, finish = _two_petal_request(family, *_sheet_p(w))
+    return finish(hyp2f1_values(*request))
 
 
 def _partner_derivatives(family: MapFamily, w: np.ndarray):
@@ -414,28 +396,40 @@ def _arc_reduce(pts: np.ndarray, h: np.ndarray, rows: np.ndarray):
 
 
 def _lockstep_derivatives(jobs) -> list:
-    """(f', values) for each (family, centres, points) job of two-petal families, from one series loop.
+    """(f', values) for each (family, centres, points) job of two-petal families, in few series loops.
 
-    Both point arrays are sheet-checked, and each job's `_arc_stencil` rows
-    and ``points`` are evaluated in one `_two_petal_batch`.  Every value
-    keeps the bits of its own evaluation, so f' at the centres (reduced by
-    `_arc_reduce`) has the bits of `map_derivative` there and the values
-    those of `evaluate_map` at ``points``.  Unlike `_arc_derivatives` it
-    does not split the work into blocks: `verify.sweep`, its caller, packs
-    its batches by ``ARC_BLOCK``.
+    Both point arrays are sheet-checked.  Consecutive jobs are packed into
+    groups of at most ``ARC_BLOCK`` map points (a job's 9 `_arc_stencil`
+    rows per centre and its ``points``; a larger job goes alone), and each
+    group's requests go to one `_hyp2f1_batch`: one series loop per group,
+    built and evaluated one group at a time.  Every value keeps the bits of
+    its own evaluation, so f' at the centres (reduced by `_arc_reduce`) has
+    the bits of `map_derivative` there and the values those of
+    `evaluate_map` at ``points``.
     """
-    stencils = []
+    groups, size = [], 0
     for family, centres, points in jobs:
         _check_sheet(family, centres)
         _check_sheet(family, points)
-        stencils.append(_arc_stencil(family, centres))
-    values = _two_petal_batch(
-        [(family, np.append(rows, points)) for (family, _, points), (_, rows) in zip(jobs, stencils)]
-    )
+        count = 9 * centres.size + points.size
+        if not groups or size + count > ARC_BLOCK:
+            groups.append([])
+            size = 0
+        groups[-1].append((family, centres, points))
+        size += count
     out = []
-    for (_, centres, _), (h, rows), merged in zip(jobs, stencils, values):
-        _, f_prime, _ = _arc_reduce(centres, h, merged[: rows.size].reshape(rows.shape))
-        out.append((f_prime, merged[rows.size :]))
+    for group in groups:
+        stencils = [_arc_stencil(family, centres) for family, centres, _ in group]
+        steps = [
+            _two_petal_request(family, *_sheet_p(np.append(rows, points)))
+            for (family, _, points), (_, rows) in zip(group, stencils)
+        ]
+        values = _hyp2f1_batch([request for request, _ in steps])
+        for (_, centres, _), (h, rows), (_, finish), hyp in zip(group, stencils, steps, values):
+            merged = finish(hyp)
+            _, f_prime, _ = _arc_reduce(centres, h, merged[: rows.size].reshape(rows.shape))
+            # a copy, so the merged array is freed with its group
+            out.append((f_prime, merged[rows.size :].copy()))
     return out
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import (
-    ARC_BLOCK,
     BoundaryTrace,
     MapFamily,
     TimeState,
@@ -312,7 +311,7 @@ def _one_by_one(jobs) -> list:
 
 
 def _in_lockstep(jobs) -> list:
-    """f' at each two-petal (family, points) job, all from one series loop (`_lockstep_derivatives`)."""
+    """f' at each two-petal (family, points) job, in the series loops of `_lockstep_derivatives`."""
     # w[:0]: no points to take values at
     return [f_prime for f_prime, _ in _lockstep_derivatives([(family, w, w[:0]) for family, w in jobs])]
 
@@ -612,59 +611,39 @@ def sweep(alphas, betas) -> tuple[SweepRow, ...]:
 
     One `SweepRow` per node, alpha-major.  A node counts its winding as
     `conformality_check` does and is degenerate when its `petal_width` is
-    below WIDTH_DEGENERATE_FRACTION, with the bits of those calls, but the
-    nodes run in lockstep.  Consecutive nodes are packed into batches whose
-    first rounds (each node's first arc stencil and its width arc) total at
-    most ``ARC_BLOCK`` map points: two nodes on the default grid.  A batch
-    makes one series loop per round (`_sweep_rows`), the first round and
-    then each round of bisection midpoints, so a default-grid node costs
-    1.62 loops against 3.67 for the calls one by one.
+    below WIDTH_DEGENERATE_FRACTION, with the bits of those calls, but all
+    the nodes run in one lockstep (`_sweep_rows`): a round's map points,
+    whatever node they belong to, share series loops of at most
+    ``maps.ARC_BLOCK`` points (`maps._lockstep_derivatives`).  A default-grid
+    node costs 0.53 loops against 3.67 for the calls one by one.
 
     A node that cannot be evaluated records its failure and the sweep moves
     on; it comes back with winding/conformal/degenerate set to None and the
-    error as "Type: message".  If a batch raises, each of its nodes is run
-    alone, so the error is the node's own and the other rows are unchanged.
+    error as "Type: message".  If the lockstep raises, each node is run
+    alone, so the error is the node's own and the other rows are unchanged;
+    that costs the sweep its shared loops.
     """
+    nodes = [(float(alpha), float(beta)) for alpha in alphas for beta in betas]
+    try:
+        return tuple(_sweep_rows(nodes))
+    except Exception:  # noqa: BLE001 - each node is run alone to charge its own error
+        pass
     rows = []
-    for batch in _sweep_batches([(float(alpha), float(beta)) for alpha in alphas for beta in betas]):
-        try:
-            rows.extend(_sweep_rows(batch))
-        except Exception:  # noqa: BLE001 - each node is run alone to charge its own error
-            for node in batch:
-                try:
-                    rows.extend(_sweep_rows([node]))
-                except Exception as exc:  # noqa: BLE001 - sweep must keep going
-                    reason = "%s: %s" % (type(exc).__name__, exc)
-                    rows.append(SweepRow(*node, None, None, None, reason))
-    return tuple(rows)
-
-
-def _sweep_batches(nodes):
-    """Consecutive (alpha, beta) nodes whose first rounds total at most ``ARC_BLOCK`` map points.
-
-    A node's first round is 9 points per first-arc angle and the width arc;
-    a node whose family cannot be built goes alone.
-    """
-    batch, points = [], 0
     for node in nodes:
         try:
-            size = 9 * len(_conformality_arc(MapFamily.two_petal(*node))[0]) + len(_width_arc())
-        except ValueError:
-            size = ARC_BLOCK
-        if batch and points + size > ARC_BLOCK:
-            yield batch
-            batch, points = [], 0
-        batch.append(node)
-        points += size
-    if batch:
-        yield batch
+            rows.extend(_sweep_rows([node]))
+        except Exception as exc:  # noqa: BLE001 - sweep must keep going
+            reason = "%s: %s" % (type(exc).__name__, exc)
+            rows.append(SweepRow(*node, None, None, None, reason))
+    return tuple(rows)
 
 
 def _sweep_rows(nodes) -> list:
     """The `SweepRow`s of (alpha, beta) nodes in lockstep, one `_lockstep_derivatives` call per round.
 
     The first round takes every node's first arc stencil and width arc, and
-    `_winding` then bisects all the nodes' arcs together.
+    `_winding` then bisects all the nodes' arcs together; each call packs
+    its jobs into series loops.
     """
     families = [MapFamily.two_petal(*node) for node in nodes]
     arcs = [_conformality_arc(family) for family in families]

@@ -66,6 +66,20 @@ def test_parse_grid():
         parse_grid("pi/8:pi/4:x", "--x")
 
 
+@pytest.mark.parametrize("angle", ["9" * 400 + "pi/2", "pi/" + "9" * 400], ids=["numerator", "denominator"])
+def test_angle_integer_past_float_range_refused(tmp_path, capsys, angle):
+    # a numerator or denominator no float holds: a usage error, where the
+    # int-to-float conversion would raise OverflowError out of main
+    message = "usage error: angle %r is outside the float range\n" % angle
+    assert run_cli("verify", "--family", "one-petal", "--alpha", angle) == EXIT_USAGE
+    assert capsys.readouterr().err == message
+    out = tmp_path / "sweep.csv"
+    grid = "%s:pi/4:2" % angle
+    assert run_cli("sweep", "--alpha-grid", grid, "--beta-grid", "0.3:0.3:1", "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # trace
 

@@ -9,6 +9,7 @@ branch next to the base corners.
 
 import cmath
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -43,6 +44,7 @@ INVERSION_TOL = 1e-10
 NORMALIZATION_TOL = 1e-6
 
 LEMNISCATE = MapFamily.one_petal(math.pi / 4.0)
+DATA = pathlib.Path(__file__).parent / "data"
 
 # f(1.2 e^{i pi/5}) for the (pi/4, pi/8) family, frozen from mpmath
 TWO_PETAL_OFF_SPOT = complex(0.9677613220258633, 0.9691054942768280)
@@ -136,7 +138,8 @@ def test_one_petal_matches_closed_form():
 def z_of_p(family, p):
     """The two-petal pattern in p = w + 1/w; real p in the band is the limit from above."""
     pts = np.atleast_1d(np.asarray(p, dtype=complex))
-    out = maps._two_petal_in_p(family, pts, (pts - 2.0) * (pts + 2.0), pts.imag < 0.0)
+    request, finish = maps._two_petal_request(family, pts, (pts - 2.0) * (pts + 2.0), pts.imag < 0.0)
+    out = finish(hyp2f1_values(*request))
     return out if np.ndim(p) else complex(out[0])
 
 
@@ -334,6 +337,41 @@ def test_z_of_p_lower_half_conjugate():
     upper = z_of_p(fam, 0.5 + 0.4j)
     lower = z_of_p(fam, 0.5 - 0.4j)
     assert abs(lower - np.conj(upper)) <= 1e-13
+
+
+def refusal_or_value(family, w):
+    try:
+        return evaluate_map(family, w)
+    except MapDomainError as exc:
+        return type(exc).__name__
+
+
+def test_mirrored_two_petal_families_are_one_map():
+    # beta -> pi/2 - beta swaps F's a = (alpha + beta)/pi - 1/2 and
+    # b = (alpha - beta)/pi, so the two families are one map reached through
+    # different arithmetic.  The pinned sweep's nodes (k, j) and (k, 18 - j)
+    # agree in every column; values at seeded sheet points agree to 1e-10
+    # (2.0e-13 here and 1.1e-11 at other draws next to beta = pi/4, where
+    # a - b = 0 and the 1/t route averages a window; 9.1e-15 away from it);
+    # and a point refused for one family is refused for its mirror, as on
+    # the diagonal where t = 4/p^2 = e^{-i pi/3} no route reaches
+    cases = [line.split(",")[2:] for line in (DATA / "sweep_default.csv").read_text().splitlines()[1:]]
+    for k in range(17):
+        assert [cases[17 * k + j] for j in range(17)] == [cases[17 * k + 16 - j] for j in range(17)], k + 1
+    rng = np.random.default_rng(20)
+    edge = 0.5 * (1.0 + math.sqrt(3.0))
+    refused = [1.0j, -1.0, edge * (1.0 + 1.0j), edge * (-1.0 + 1.0j)]
+    betas = list(rng.uniform(0.0, 0.5 * math.pi, 20)) + [math.pi / 4 + 5e-5, math.pi / 4 - 1e-6]
+    for beta in betas:
+        alpha = rng.uniform(0.0, 0.5 * math.pi)
+        family, mirror = MapFamily.two_petal(alpha, beta), MapFamily.two_petal(alpha, 0.5 * math.pi - beta)
+        ws = rng.uniform(1.01, 5.0, 12) * np.exp(1j * rng.uniform(-math.pi, math.pi, 12))
+        for w in [*ws, *refused]:
+            got, want = refusal_or_value(family, w), refusal_or_value(mirror, w)
+            if isinstance(got, str) or isinstance(want, str) or w in refused:
+                assert got == want and isinstance(got, str), (alpha, beta, w)
+            else:
+                assert abs(got - want) <= 1e-10 * abs(want), (alpha, beta, w)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def window_edge_parameters(draw):
 
 @given(window_edge_parameters())
 @example((0.2, 0.2001, 0))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_window_edges_finite_and_accurate(params):
     # on both sides of each window edge every value is finite; near 0, the
     # only integer the two-petal map reaches (a - b = delta - 1/2), it holds
