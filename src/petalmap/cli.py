@@ -231,8 +231,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     default_grid = [k * math.pi / 36.0 for k in range(1, 18)]
-    alphas = parse_grid(args.alpha_grid, "--alpha-grid") if args.alpha_grid else default_grid
-    betas = parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else list(default_grid)
+    # an empty grid given is refused by parse_grid, not read as the default
+    alphas = parse_grid(args.alpha_grid, "--alpha-grid") if args.alpha_grid is not None else default_grid
+    betas = parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid is not None else list(default_grid)
     # a grid angle outside (0, pi/2) is a domain error, not a failed node:
     # MapFamily's ValueError refuses the whole grid before any node runs
     for alpha in alphas:

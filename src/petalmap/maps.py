@@ -396,16 +396,17 @@ def _arc_reduce(pts: np.ndarray, h: np.ndarray, rows: np.ndarray):
 
 
 def _lockstep_derivatives(jobs) -> list:
-    """(f', values) for each (family, centres, points) job of two-petal families, in few series loops.
+    """(f', values) for each (family, centres, points) job, all of one kind, in few series loops.
 
-    Both point arrays are sheet-checked.  Consecutive jobs are packed into
-    groups of at most ``ARC_BLOCK`` map points (a job's 9 `_arc_stencil`
-    rows per centre and its ``points``; a larger job goes alone), and each
-    group's requests go to one `_hyp2f1_batch`: one series loop per group,
-    built and evaluated one group at a time.  Every value keeps the bits of
-    its own evaluation, so f' at the centres (reduced by `_arc_reduce`) has
-    the bits of `map_derivative` there and the values those of
-    `evaluate_map` at ``points``.
+    Both point arrays of every job are sheet-checked first.  One-petal jobs
+    then take the closed forms.  Two-petal jobs are packed, consecutive ones
+    together, into groups of at most ``ARC_BLOCK`` map points (a job's 9
+    `_arc_stencil` rows per centre and its ``points``; a larger job goes
+    alone), and each group's requests go to one `_hyp2f1_batch`: one series
+    loop per group, built and evaluated one group at a time.  Every value
+    keeps the bits of its own evaluation, so f' at the centres (reduced by
+    `_arc_reduce` for two petals) has the bits of `map_derivative` there and
+    the values those of `evaluate_map` at ``points``.
     """
     groups, size = [], 0
     for family, centres, points in jobs:
@@ -417,6 +418,8 @@ def _lockstep_derivatives(jobs) -> list:
             size = 0
         groups[-1].append((family, centres, points))
         size += count
+    if jobs and jobs[0][0].kind == "one-petal":
+        return [(_one_petal_derivatives(family, w)[1], _one_petal_values(family, v)) for family, w, v in jobs]
     out = []
     for group in groups:
         stencils = [_arc_stencil(family, centres) for family, centres, _ in group]

@@ -29,7 +29,6 @@ from .maps import (
     _unfold_quadrant,
     evaluate_map,
     laurent_coefficients,
-    map_derivative,
     potential_V,
 )
 from .numerics import (
@@ -301,19 +300,10 @@ def conformality_check(family: MapFamily):
     `VerificationError`.
     """
     phis, points = _conformality_arc(family)
-    ((winding, ok),) = _winding([(family, phis, map_derivative(family, points))], _one_by_one)
+    # points[:0]: no points to take values at
+    ((f_prime, _),) = _lockstep_derivatives([(family, points, points[:0])])
+    ((winding, ok),) = _winding([(family, phis, f_prime)])
     return winding, ok
-
-
-def _one_by_one(jobs) -> list:
-    """f' at each (family, points) job by its own `map_derivative` call."""
-    return [map_derivative(family, w) for family, w in jobs]
-
-
-def _in_lockstep(jobs) -> list:
-    """f' at each two-petal (family, points) job, in the series loops of `_lockstep_derivatives`."""
-    # w[:0]: no points to take values at
-    return [f_prime for f_prime, _ in _lockstep_derivatives([(family, w, w[:0]) for family, w in jobs])]
 
 
 def _conformality_arc(family: MapFamily):
@@ -338,13 +328,13 @@ def _conformality_arc(family: MapFamily):
     return phis, math.exp(CONFORMAL_RING_EPS) * np.exp(1j * phis)
 
 
-def _winding(nodes, derivatives) -> list:
+def _winding(nodes) -> list:
     """`conformality_check` for each (family, `_conformality_arc` angles, f' at their points), in lockstep.
 
-    Every step whose turn of arg f' exceeds pi/4 is bisected until none
-    does.  A round takes the midpoints of all nodes still refining in one
-    ``derivatives`` call, which maps a list of (family, points) to f' at
-    them.  Raises `VerificationError` when f' nearly vanishes on an arc, or
+    The families are all of one kind.  Every step whose turn of arg f'
+    exceeds pi/4 is bisected until none does.  A round takes f' at the
+    midpoints of all nodes still refining from one `_lockstep_derivatives`
+    call.  Raises `VerificationError` when f' nearly vanishes on an arc, or
     a step that still turns too far is too short to split in floating
     point: either way a zero of f' lies within rounding of the ring.
     """
@@ -372,8 +362,9 @@ def _winding(nodes, derivatives) -> list:
             asks.append((k, wide, mids))
         if not asks:
             return out
-        news = derivatives([(arcs[k][0], ring * np.exp(1j * mids)) for k, _, mids in asks])
-        for (k, wide, mids), new in zip(asks, news):
+        # mids[:0]: no points to take values at
+        news = _lockstep_derivatives([(arcs[k][0], ring * np.exp(1j * mids), mids[:0]) for k, _, mids in asks])
+        for (k, wide, mids), (new, _) in zip(asks, news):
             family, phis, fp, _ = arcs[k]
             arcs[k] = [family, np.insert(phis, wide + 1, mids), np.insert(fp, wide + 1, new), new]
 
@@ -609,52 +600,44 @@ def _width(family: MapFamily, pts: np.ndarray) -> float:
 def sweep(alphas, betas) -> tuple[SweepRow, ...]:
     """Conformality and degeneracy classification over a parameter grid.
 
-    One `SweepRow` per node, alpha-major.  A node counts its winding as
-    `conformality_check` does and is degenerate when its `petal_width` is
-    below WIDTH_DEGENERATE_FRACTION, with the bits of those calls, but all
-    the nodes run in one lockstep (`_sweep_rows`): a round's map points,
-    whatever node they belong to, share series loops of at most
-    ``maps.ARC_BLOCK`` points (`maps._lockstep_derivatives`).  A default-grid
-    node costs 0.53 loops against 3.67 for the calls one by one.
-
-    A node that cannot be evaluated records its failure and the sweep moves
-    on; it comes back with winding/conformal/degenerate set to None and the
-    error as "Type: message".  If the lockstep raises, each node is run
-    alone, so the error is the node's own and the other rows are unchanged;
-    that costs the sweep its shared loops.
+    One `SweepRow` per node, alpha-major, all the nodes in one lockstep
+    (`_sweep_rows`).  A node that cannot be evaluated comes back with
+    winding/conformal/degenerate set to None and its error as "Type: message".
     """
-    nodes = [(float(alpha), float(beta)) for alpha in alphas for beta in betas]
-    try:
-        return tuple(_sweep_rows(nodes))
-    except Exception:  # noqa: BLE001 - each node is run alone to charge its own error
-        pass
-    rows = []
-    for node in nodes:
-        try:
-            rows.extend(_sweep_rows([node]))
-        except Exception as exc:  # noqa: BLE001 - sweep must keep going
-            reason = "%s: %s" % (type(exc).__name__, exc)
-            rows.append(SweepRow(*node, None, None, None, reason))
-    return tuple(rows)
+    return tuple(_sweep_rows([(float(alpha), float(beta)) for alpha in alphas for beta in betas]))
 
 
 def _sweep_rows(nodes) -> list:
-    """The `SweepRow`s of (alpha, beta) nodes in lockstep, one `_lockstep_derivatives` call per round.
+    """The `SweepRow`s of (alpha, beta) nodes, all in one lockstep.
 
-    The first round takes every node's first arc stencil and width arc, and
-    `_winding` then bisects all the nodes' arcs together; each call packs
-    its jobs into series loops.
+    A node counts its winding as `conformality_check` does and is degenerate
+    when its `petal_width` is below WIDTH_DEGENERATE_FRACTION, with the bits
+    of those calls.  The first `_lockstep_derivatives` call takes every
+    node's first arc stencil and width arc, whose values are reduced to the
+    node's degenerate flag at once; `_winding` then bisects all the nodes'
+    arcs together, one call a round.  Each call packs its jobs into series
+    loops of at most ``maps.ARC_BLOCK`` map points, so a default-grid node
+    costs 0.53 loops against 3.67 for the calls one by one.
+
+    If a call of several nodes raises, each node runs alone, at the cost of
+    the shared loops, so the other nodes keep their rows; a single node that
+    raises, its `MapFamily` included, gets the error row.
     """
-    families = [MapFamily.two_petal(*node) for node in nodes]
-    arcs = [_conformality_arc(family) for family in families]
-    first = _lockstep_derivatives([(family, points, _width_arc()) for family, (_, points) in zip(families, arcs)])
-    windings = _winding(
-        [(family, phis, fp) for family, (phis, _), (fp, _) in zip(families, arcs, first)], _in_lockstep
-    )
-    return [
-        SweepRow(*node, winding, ok, _width(family, values) < WIDTH_DEGENERATE_FRACTION)
-        for node, family, (winding, ok), (_, values) in zip(nodes, families, windings, first)
-    ]
+    try:
+        families = [MapFamily.two_petal(*node) for node in nodes]
+        arcs = [_conformality_arc(family) for family in families]
+        first = _lockstep_derivatives([(family, points, _width_arc()) for family, (_, points) in zip(families, arcs)])
+        degenerate = [
+            _width(family, values) < WIDTH_DEGENERATE_FRACTION for family, (_, values) in zip(families, first)
+        ]
+        # rebinding frees the width values before the bisection rounds
+        first = [(family, phis, fp) for family, (phis, _), (fp, _) in zip(families, arcs, first)]
+        windings = _winding(first)
+    except Exception as exc:  # noqa: BLE001 - sweep must keep going
+        if len(nodes) > 1:
+            return [row for node in nodes for row in _sweep_rows([node])]
+        return [SweepRow(*nodes[0], None, None, None, "%s: %s" % (type(exc).__name__, exc))]
+    return [SweepRow(*node, *winding, flag) for node, winding, flag in zip(nodes, windings, degenerate)]
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +680,9 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
 
     corners = {"corner_exponent_base": (1.0 + 0.0j, 2.0 * family.alpha / math.pi)}
     if family.kind == "two-petal":
-        corners["corner_exponent_top"] = (1.0j, family.delta)
+        # two_petal(alpha, beta) is two_petal(alpha, pi/2 - beta), so the
+        # leading local exponent at w = i is the smaller of delta and 1 - delta
+        corners["corner_exponent_top"] = (1.0j, min(family.delta, 1.0 - family.delta))
     corner_arcs = {name: _corner_arc(corner) for name, (corner, _) in corners.items()}
     arc_phis, arc_points = _conformality_arc(family)
     derivatives = _evaluated_once(
@@ -726,7 +711,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         yield "darcy_mismatch", _darcy_defect(ratio.value, derivatives("darcy")), ""
 
     def conformality():
-        ((winding, _ok),) = _winding([(family, arc_phis, derivatives("conformality")[1])], _one_by_one)
+        ((winding, _ok),) = _winding([(family, arc_phis, derivatives("conformality")[1])])
         yield "conformality", abs(winding), "winding=%d" % winding
 
     def corner_fits():

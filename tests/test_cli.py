@@ -5,10 +5,13 @@ import math
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petalmap import cli, verify
 from petalmap.cli import (
@@ -386,6 +389,9 @@ def test_sweep_grid_span_overflow_refused(tmp_path, capsys, count):
 def test_sweep_empty_grid_rejected(tmp_path):
     code = run_cli("sweep", "--alpha-grid", "pi/8:pi/4:0", "--out", str(tmp_path / "x.csv"))
     assert code == EXIT_USAGE
+    # an empty grid string is no grid, not the default one
+    assert run_cli("sweep", "--alpha-grid=", "--beta-grid", "0.3:0.3:1", "--out", str(tmp_path / "x.csv")) == EXIT_USAGE
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +559,94 @@ def test_console_entry_point(tmp_path):
 
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli("frobnicate") == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# every argument list ends in a documented exit code
+
+# angle strings: mostly inside (0, pi/2), else outside it, not finite, past
+# the float range (1e309, Npi/M with N or M beyond it or beyond the
+# int-string limit), with a zero denominator, unparsable, or any float's repr
+ANGLE_TEXTS = st.one_of(
+    st.sampled_from(["pi/4", "3pi/16", "17pi/36", "pi/36", "0.3", "1.2"]),
+    st.floats(0.0, 1.6).map(repr),
+    st.sampled_from(
+        [
+            "pi", "0", "-0.5", "nan", "-inf", "1e309", "pi/0", "tau", "",
+            "9" * 400 + "pi/7", "pi/" + "7" * 400, "1" * 5000 + "pi/3",
+        ]
+    ),
+    st.floats().map(repr),
+)
+# lo:hi:count, at most 3 nodes a grid: a huge count would allocate its grid
+GRID_TEXTS = st.one_of(
+    st.builds("{}:{}:{}".format, ANGLE_TEXTS, ANGLE_TEXTS, st.sampled_from(["1", "2", "3", "3", "0", "-2", "x"])),
+    st.sampled_from(["pi/8:pi/4", "1:2:3:4", ""]),
+)
+NUMBER_TEXTS = st.one_of(st.sampled_from(["1", "2.5", "0.01"]), st.sampled_from(["0", "-1", "nan", "inf", "x"]), st.floats().map(repr))
+# "@name" is a file in the example's own directory, "@" the directory itself;
+# the test writes no file outside that directory
+OUT_FILES = st.sampled_from(["@out.csv", "@out.csv", "@out.csv", "@missing/x.csv", "@"])
+TRACE_FILES = st.sampled_from(["@circle.csv", "@circle.csv", "@garbage.csv", "@empty.csv", "@missing/x.csv", "@"])
+POINT_TEXTS = st.sampled_from(["0.5+0.5j", "0+0.8i", "0.1", "3+0j", "nan", "1e309j", "north"])
+OVERRIDES = st.sampled_from(
+    ["ode_residual=1e-3", "conformality=1", "corner_exponent_top=inf", "bogus=1", "ode_residual=nan", "ode_residual"]
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one of the four commands; an option is left out, or out of place, now and then."""
+    command = draw(st.sampled_from(["trace", "verify", "sweep", "moments"]))
+    argv = [command]
+
+    def option(flag, values, odds):
+        # odds > 0: left out 1 in 2**odds, odds < 0: given 1 in 2**-odds;
+        # hypothesis biases a drawn integer toward its bounds, a boolean hardly
+        flips = all([draw(st.booleans()) for _ in range(abs(odds))])
+        if flips != (odds > 0):
+            # flag=value, so that a value starting with "-" is not read as a flag
+            argv.append("%s=%s" % (flag, draw(values)))
+
+    if command == "sweep":
+        # both grids always: one left out is the 17-node default
+        option("--alpha-grid", GRID_TEXTS, 0)
+        option("--beta-grid", GRID_TEXTS, 0)
+        option("--out", OUT_FILES, 3)
+        return argv
+    raw = command == "moments" and draw(st.booleans())
+    if raw:
+        option("--trace", TRACE_FILES, 3)
+    family = draw(st.sampled_from(["one-petal", "two-petal", "two-petal", "one-petal", "two-petal", "three-petal"]))
+    option("--family", st.just(family), -3 if raw else 3)
+    option("--alpha", ANGLE_TEXTS, -3 if raw else 3)
+    option("--beta", ANGLE_TEXTS, -3 if raw or family == "one-petal" else 3)
+    if command != "verify":
+        option("--T", NUMBER_TEXTS, -3 if raw else -1)
+        option("--A", NUMBER_TEXTS, -3 if raw else -1)
+    if command == "trace":
+        option("--n", st.integers(-4, 256).map(str), 1)
+        option("--out", OUT_FILES, 3)
+        option("--svg", OUT_FILES, -1)
+    elif command == "verify":
+        option("--report", OUT_FILES, -1)
+        option("--tol-override", OVERRIDES, -1)
+    else:
+        option("--tk", st.one_of(st.integers(2, 8), st.integers(-1, 1)).map(str), 1)
+        option("--z", POINT_TEXTS, -3 if raw else 1)
+        option("--report", OUT_FILES, -1)
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_main_returns_a_documented_exit_code(argv):
+    # no exception leaves main, and conftest fails the test on any
+    # RuntimeWarning; --help, whose SystemExit(0) is argparse's, is not drawn
+    with tempfile.TemporaryDirectory() as folder:
+        folder = pathlib.Path(folder)
+        circle_csv(folder, n=64)
+        (folder / "garbage.csv").write_text("x,y\n1,a\n")
+        (folder / "empty.csv").write_text("")
+        argv = [arg.replace("=@", "=%s/" % folder, 1) for arg in argv]
+        assert main(argv) in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_RUNTIME, EXIT_USAGE)

@@ -935,6 +935,24 @@ def test_one_petal_derivatives_take_no_stencil(patch_stencil):
     assert not report.has_errors
 
 
+def test_one_petal_lockstep_keeps_the_bits_of_one_family_calls():
+    # one-petal jobs take the closed forms: f' has the bits of map_derivative
+    # at the centres and the values those of evaluate_map at the points
+    jobs = [
+        (MapFamily.one_petal(0.3), 1.001 * np.exp(1j * np.linspace(0.0, 1.5, 57)), np.exp(0.2j * np.arange(1, 8))),
+        (LEMNISCATE, np.array([1.6 + 0.4j, -1.3 + 1.2j, 2.5j]), np.array([], dtype=complex)),
+        (MapFamily.one_petal(1.5), np.array([1.2 - 0.7j]), np.array([3.0 + 0.0j, -1.1j])),
+    ]
+    out = maps._lockstep_derivatives(jobs)
+    assert len(out) == len(jobs)
+    for (family, centres, points), (fp, values) in zip(jobs, out):
+        assert map_derivative(family, centres).tobytes() == fp.tobytes()
+        assert evaluate_map(family, points).tobytes() == values.tobytes()
+    # a corner pre-image in any job refuses the call
+    with pytest.raises(CornerPreimageError):
+        maps._lockstep_derivatives(jobs + [(LEMNISCATE, np.array([1.5j]), np.array([-1.0 + 0.0j]))])
+
+
 def test_map_derivative_consistency():
     # central difference against the analytic derivative
     fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)

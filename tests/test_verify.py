@@ -383,16 +383,16 @@ def test_battery_conformality_agrees_with_sweep():
 
 
 def record_ring(monkeypatch):
-    """Log every (points, f') pair the conformality check asks for."""
+    """Log every (centres, f') pair the conformality count asks `_lockstep_derivatives` for."""
     calls = []
-    inner = verify.map_derivative
+    inner = verify._lockstep_derivatives
 
-    def recording(family, w):
-        fp = inner(family, w)
-        calls.append((np.asarray(w), fp))
-        return fp
+    def recording(jobs):
+        out = inner(jobs)
+        calls.extend((centres, fp) for (_, centres, _), (fp, _) in zip(jobs, out))
+        return out
 
-    monkeypatch.setattr(verify, "map_derivative", recording)
+    monkeypatch.setattr(verify, "_lockstep_derivatives", recording)
     return calls
 
 
@@ -507,28 +507,31 @@ def test_derivative_mirror_symmetry(family, tol):
 
 def test_conformality_unresolved_ring_raises(monkeypatch):
     family = MapFamily.two_petal(math.pi / 8, math.pi / 16)
-    inner = verify.map_derivative
+    inner = verify._lockstep_derivatives
     ring = math.exp(verify.CONFORMAL_RING_EPS)
     wider = math.exp(1.5 * verify.CONFORMAL_RING_EPS)
     radii = []
 
-    def vanishing_near_i(family, w):
+    def vanishing_near_i(jobs):
         # f' vanishes next to w = i on the ring only: a zero within rounding
         # of it, which a wider ring would not see
-        radii.append(np.abs(w))
-        return np.where((np.abs(w) < wider) & (np.abs(w - 1j) < 0.01), 0.0, inner(family, w))
+        out = []
+        for (_, w, _), (fp, values) in zip(jobs, inner(jobs)):
+            radii.append(np.abs(w))
+            out.append((np.where((np.abs(w) < wider) & (np.abs(w - 1j) < 0.01), 0.0, fp), values))
+        return out
 
-    monkeypatch.setattr(verify, "map_derivative", vanishing_near_i)
+    monkeypatch.setattr(verify, "_lockstep_derivatives", vanishing_near_i)
     with pytest.raises(VerificationError, match="could not be resolved"):
         conformality_check(family)
     # every derivative call stays on |w| = e^eps
     assert np.allclose(np.concatenate(radii), ring, rtol=1e-14, atol=0.0)
 
-    def sign_jump(family, w):
+    def sign_jump(jobs):
         # arg f' jumps by pi where arg w crosses 1: no bisection resolves it
-        return np.where(np.angle(w) > 1.0, 1.0 + 0.0j, -1.0 + 0.0j)
+        return [(np.where(np.angle(w) > 1.0, 1.0 + 0.0j, -1.0 + 0.0j), points) for _, w, points in jobs]
 
-    monkeypatch.setattr(verify, "map_derivative", sign_jump)
+    monkeypatch.setattr(verify, "_lockstep_derivatives", sign_jump)
     with pytest.raises(VerificationError, match="could not be resolved"):
         conformality_check(family)
 
@@ -1021,7 +1024,7 @@ def checks_alone(family):
 
     corners = [("corner_exponent_base", 1.0 + 0.0j, 2.0 * family.alpha / math.pi)]
     if family.kind == "two-petal":
-        corners.append(("corner_exponent_top", 1.0j, family.delta))
+        corners.append(("corner_exponent_top", 1.0j, min(family.delta, 1.0 - family.delta)))
 
     def corner_fits():
         for name, corner, target in corners:
@@ -1054,6 +1057,20 @@ def assert_same_checks(got, want):
     assert list(got.checks) == list(want.checks)
     for name in want.checks:
         assert bits(got.checks[name]) == bits(want.checks[name]), name
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.3), (math.pi / 5, math.pi / 9), (math.pi / 4, math.pi / 8)])
+def test_top_corner_target_of_the_mirrored_family(alpha, beta):
+    # two_petal(alpha, beta) and two_petal(alpha, pi/2 - beta) are one map:
+    # past beta = pi/4 the top corner's target is 1 - delta, and the report
+    # line is the mirror's
+    mirror = run_standard_checks(MapFamily.two_petal(alpha, beta)).checks["corner_exponent_top"]
+    family = MapFamily.two_petal(alpha, 0.5 * math.pi - beta)
+    assert family.beta > 0.25 * math.pi
+    check = run_standard_checks(family).checks["corner_exponent_top"]
+    assert check.passed and mirror.passed
+    assert check.detail == mirror.detail
+    assert check.detail.endswith("target=%.6f" % (1.0 - family.delta))
 
 
 @pytest.mark.parametrize("family", BATTERY_FAMILIES, ids=lambda f: f.label())
@@ -1116,18 +1133,20 @@ def test_shared_values_error_charged_to_its_corner(monkeypatch):
     [MapFamily.two_petal(math.pi / 5, math.pi / 9), MapFamily.two_petal(math.pi / 8, math.pi / 6)],
     ids=lambda f: f.label(),
 )
-def test_battery_merges_its_fixed_evaluations(patch_stencil, monkeypatch, family):
+def test_battery_merges_its_fixed_evaluations(monkeypatch, family):
     # one arc stencil for the fixed rings (ode 16, Wronskian 8, dynamical
     # 32, darcy 64, first conformality arc 81 points), one per bisection
     # round; one series loop for each of those, the partner's F and F', the
     # corner values and the Laurent ring
     sizes = []
+    stencil = maps._arc_stencil
 
     def counting(*args):
         sizes.append(args[1].size)
         return stencil(*args)
 
-    stencil = patch_stencil(counting)
+    # the fixed rings' `_arc_derivatives` and the rounds' `_lockstep_derivatives` both build it
+    monkeypatch.setattr(maps, "_arc_stencil", counting)
     rounds = record_ring(monkeypatch)
     loops = []
     sums = special_functions._series_sums
