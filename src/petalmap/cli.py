@@ -124,7 +124,8 @@ def _write_text(path: str, text: str):
 
 
 def _write_json(path: str | None, payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a nan or inf would be written as NaN or Infinity, which is not JSON
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path:
         _write_text(path, text)
     else:
@@ -366,7 +367,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
-    except (VerificationError, ValueError, OSError) as exc:
+    # MemoryError: an array size numpy refuses, from a grid count or --n
+    except (VerificationError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_RUNTIME
 

@@ -345,47 +345,28 @@ def _arc_derivatives(family: MapFamily, pts: np.ndarray):
     """(f, f', f'') at 1-d points by arc-direction finite differences with extrapolation.
 
     Stencil points w e^{is} keep |w| fixed, so a stencil centered on an
-    evaluable ring never leaves it.  The step h is a fixed fraction of the
-    distance to the nearest corner pre-image, capped.  Three Richardson
-    levels on the 4-point (resp. 5-point) central rule leave an O(h^8)
-    truncation error.
+    evaluable ring never leaves it.  The step h is ``FD_STEP_FRACTION`` of
+    the distance to the nearest corner pre-image, at most ``FD_MAX_STEP``.
+    Three Richardson levels on the 4-point (resp. 5-point) central rule
+    leave an O(h^8) truncation error.
 
-    `_arc_stencil` builds the 9 rows of points.  The rows of
-    ``ARC_BLOCK // 9`` centres at a time go to `_values_on_sheet` as one
+    The rows are the arc offsets -2, -1, -1/2, -1/4, 1/4, 1/2, 1, 2 (times
+    h) and the centre, so level k (step h / 2^k) reads rows k, k + 1,
+    6 - k and 7 - k, and each rule is one expression over the three levels.
+    The rows of ``ARC_BLOCK // 9`` centres go to `_values_on_sheet` as one
     array of at most ``ARC_BLOCK`` points, so a scalar derivative costs one
-    map call and an n-point ring ceil(9 n / ARC_BLOCK).  `_arc_reduce`
-    combines the rows.  `_lockstep_derivatives` is the same for several
-    families at once.
+    map call and an n-point ring ceil(9 n / ARC_BLOCK).  The centre row is
+    ``pts`` itself: pts e^{0i} could flip the sign of a zero component.
     """
-    h, rows = _arc_stencil(family, pts)
+    h = np.minimum(FD_MAX_STEP, FD_STEP_FRACTION * np.min(_corner_gaps(family, pts), axis=1))
+    scales = np.array([[-2.0], [-1.0], [-0.5], [-0.25], [0.25], [0.5], [1.0], [2.0]])
+    rows = np.append(pts * np.exp(1j * (scales * h)), pts[None], axis=0)
     values = np.empty(rows.shape, dtype=complex)
     width = ARC_BLOCK // len(rows)
     for lo in range(0, pts.size, width):
         block = rows[:, lo : lo + width]
         values[:, lo : lo + width] = _values_on_sheet(family, block.ravel()).reshape(block.shape)
-    return _arc_reduce(pts, h, values)
-
-
-def _arc_stencil(family: MapFamily, pts: np.ndarray):
-    """The steps h at 1-d points and their (9, n) stencil rows, for `_arc_reduce`.
-
-    h is ``FD_STEP_FRACTION`` of the distance to the nearest corner
-    pre-image, at most ``FD_MAX_STEP``.  The rows are the arc offsets -2,
-    -1, -1/2, -1/4, 1/4, 1/2, 1, 2 (times h) and the centre, which is
-    ``pts`` itself: pts e^{0i} could flip the sign of a zero component.
-    """
-    h = np.minimum(FD_MAX_STEP, FD_STEP_FRACTION * np.min(_corner_gaps(family, pts), axis=1))
-    scales = np.array([[-2.0], [-1.0], [-0.5], [-0.25], [0.25], [0.5], [1.0], [2.0]])
-    return h, np.append(pts * np.exp(1j * (scales * h)), pts[None], axis=0)
-
-
-def _arc_reduce(pts: np.ndarray, h: np.ndarray, rows: np.ndarray):
-    """(f, f', f'') at 1-d points from the values on their `_arc_stencil` rows.
-
-    Level k (step h / 2^k) reads rows k, k + 1, 6 - k and 7 - k, so each
-    central rule is one expression over the three levels.
-    """
-    lo2, lo1, hi1, hi2, g_0 = rows[0:3], rows[1:4], rows[6:3:-1], rows[7:4:-1], rows[8]
+    lo2, lo1, hi1, hi2, g_0 = values[0:3], values[1:4], values[6:3:-1], values[7:4:-1], values[8]
     step = np.array([[1.0], [0.5], [0.25]]) * h
     first = _richardson3(*((lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)))
     second = _richardson3(*((-lo2 + 16.0 * lo1 - 30.0 * g_0 + 16.0 * hi1 - hi2) / (12.0 * step * step)))
@@ -395,44 +376,31 @@ def _arc_reduce(pts: np.ndarray, h: np.ndarray, rows: np.ndarray):
     return g_0, f_prime, f_second
 
 
-def _lockstep_derivatives(jobs) -> list:
-    """(f', values) for each (family, centres, points) job, all of one kind, in few series loops.
+def _lockstep_values(jobs) -> list:
+    """`evaluate_map` at the points of each (family, points) job, all of one kind, in few series loops.
 
-    Both point arrays of every job are sheet-checked first.  One-petal jobs
-    then take the closed forms.  Two-petal jobs are packed, consecutive ones
-    together, into groups of at most ``ARC_BLOCK`` map points (a job's 9
-    `_arc_stencil` rows per centre and its ``points``; a larger job goes
-    alone), and each group's requests go to one `_hyp2f1_batch`: one series
-    loop per group, built and evaluated one group at a time.  Every value
-    keeps the bits of its own evaluation, so f' at the centres (reduced by
-    `_arc_reduce` for two petals) has the bits of `map_derivative` there and
-    the values those of `evaluate_map` at ``points``.
+    Every job's points are sheet-checked first.  One-petal jobs then take
+    the closed form.  Two-petal jobs are packed, consecutive ones together,
+    into groups of at most ``ARC_BLOCK`` points (a larger job goes alone),
+    and each group's requests go to one `_hyp2f1_batch`: one series loop per
+    group, built and evaluated one group at a time.  Every value keeps the
+    bits of `evaluate_map` at its point.
     """
     groups, size = [], 0
-    for family, centres, points in jobs:
-        _check_sheet(family, centres)
+    for family, points in jobs:
         _check_sheet(family, points)
-        count = 9 * centres.size + points.size
-        if not groups or size + count > ARC_BLOCK:
+        if not groups or size + points.size > ARC_BLOCK:
             groups.append([])
             size = 0
-        groups[-1].append((family, centres, points))
-        size += count
+        groups[-1].append((family, points))
+        size += points.size
     if jobs and jobs[0][0].kind == "one-petal":
-        return [(_one_petal_derivatives(family, w)[1], _one_petal_values(family, v)) for family, w, v in jobs]
+        return [_one_petal_values(family, points) for family, points in jobs]
     out = []
     for group in groups:
-        stencils = [_arc_stencil(family, centres) for family, centres, _ in group]
-        steps = [
-            _two_petal_request(family, *_sheet_p(np.append(rows, points)))
-            for (family, _, points), (_, rows) in zip(group, stencils)
-        ]
+        steps = [_two_petal_request(family, *_sheet_p(points)) for family, points in group]
         values = _hyp2f1_batch([request for request, _ in steps])
-        for (_, centres, _), (h, rows), (_, finish), hyp in zip(group, stencils, steps, values):
-            merged = finish(hyp)
-            _, f_prime, _ = _arc_reduce(centres, h, merged[: rows.size].reshape(rows.shape))
-            # a copy, so the merged array is freed with its group
-            out.append((f_prime, merged[rows.size :].copy()))
+        out.extend(finish(hyp) for (_, finish), hyp in zip(steps, values))
     return out
 
 

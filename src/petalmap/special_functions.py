@@ -24,8 +24,8 @@ arrays when it takes them all) and scatters their values.
 the series of all their routes, sums the whole queue in one term loop
 (`_series_sums`) and applies the finishers: one array per request, with the
 bits of that request alone.  `hyp2f1_values` is its one-request case.  The
-partner solution's F and F' share one batch, and `maps._lockstep_derivatives`,
-the source of f' for every winding count's bisection rounds, packs the map
+partner solution's F and F' share one batch, and `maps._lockstep_values`,
+the source of map values for every winding count's rounds, packs the map
 requests of several two-petal families into batches of at most
 `maps.ARC_BLOCK` points, so that a sweep's nodes share series loops.
 

@@ -21,7 +21,7 @@ from .maps import (
     MapFamily,
     TimeState,
     _circle_angles,
-    _lockstep_derivatives,
+    _lockstep_values,
     _one_petal_bracket,
     _partner_derivatives,
     _tangential_derivatives,
@@ -141,9 +141,10 @@ class VerificationReport:
             "all_passed": self.all_passed,
             "checks": {
                 name: {
-                    # a check that could not run has no residual; JSON has no inf
+                    # a check that could not run has no residual, and an
+                    # inf tolerance switches a check off; JSON has no inf
                     "residual": c.residual if math.isfinite(c.residual) else None,
-                    "tolerance": c.tolerance,
+                    "tolerance": c.tolerance if math.isfinite(c.tolerance) else None,
                     "pass": c.passed,
                     "detail": c.detail,
                 }
@@ -293,16 +294,17 @@ def conformality_check(family: MapFamily):
     each turning arg f' by the same amount, and f' is real at both ends of
     the quadrant, where it meets the axes.  The quadrant's turn is thus a
     whole multiple of pi and a quarter of the ring's, so the winding is
-    2 round(turn / pi).  The arc starts from angles graded toward the
-    corner pre-images (`_conformality_arc`) and is bisected until arg f'
-    turns by at most pi/4 between neighbours (`_winding`), so the summed
-    turns cannot alias.  An arc that cannot be resolved raises
-    `VerificationError`.
+    2 round(turn / pi).  Along w = R e^{i phi} the image's tangent is
+    df/dphi = i w f', so arg f' = arg(df/dphi) - phi - pi/2: the turn of
+    arg f' is that of the image polygon f(arc), less the pi/2 that phi
+    turns, and the count needs map values only.  The arc starts from
+    angles graded toward the corner pre-images (`_conformality_arc`) and is
+    bisected until the polygon turns by at most pi/4 at each vertex
+    (`_winding`), so the summed turns cannot alias.  An arc that cannot be
+    resolved raises `VerificationError`.
     """
     phis, points = _conformality_arc(family)
-    # points[:0]: no points to take values at
-    ((f_prime, _),) = _lockstep_derivatives([(family, points, points[:0])])
-    ((winding, ok),) = _winding([(family, phis, f_prime)])
+    ((winding, ok),) = _winding([(family, phis, *_lockstep_values([(family, points)]))])
     return winding, ok
 
 
@@ -329,44 +331,56 @@ def _conformality_arc(family: MapFamily):
 
 
 def _winding(nodes) -> list:
-    """`conformality_check` for each (family, `_conformality_arc` angles, f' at their points), in lockstep.
+    """`conformality_check` for each (family, `_conformality_arc` angles, map values at their points), in lockstep.
 
-    The families are all of one kind.  Every step whose turn of arg f'
-    exceeds pi/4 is bisected until none does.  A round takes f' at the
-    midpoints of all nodes still refining from one `_lockstep_derivatives`
-    call.  Raises `VerificationError` when f' nearly vanishes on an arc, or
-    a step that still turns too far is too short to split in floating
+    The families are all of one kind.  The chords C_k = f(w_{k+1}) - f(w_k)
+    of the image polygon are extended at each end by the chord the mirror
+    image of the quadrant meets: -conj C_0 across the real axis and
+    conj C_last across the imaginary one.  The polygon's exterior angles
+    then sum to the quadrant's turn of arg(df/dphi), with half of each end
+    vertex's angle, whose other half is the mirror's; less the pi/2 that
+    phi turns, that is the turn of arg f'.  Both steps next to a vertex
+    whose angle exceeds pi/4 (the one step next to an end vertex) are
+    bisected until none does.  A round takes the values at the midpoints of
+    all nodes still refining from one `_lockstep_values` call.  Raises
+    `VerificationError` when a chord nearly vanishes against the arc's
+    step, |C| / dphi below 1e-9 of the first round's median, or a step next
+    to a vertex that still turns too far is too short to split in floating
     point: either way a zero of f' lies within rounding of the ring.
     """
-    arcs = [[family, phis, fp, fp] for family, phis, fp in nodes]
-    scales = [float(np.median(np.abs(fp))) for _, _, fp in nodes]
+    arcs = [[family, phis, values] for family, phis, values in nodes]
+    scales = [float(np.median(np.abs(np.diff(values)) / np.diff(phis))) for _, phis, values in nodes]
     ring = math.exp(CONFORMAL_RING_EPS)
     out = [None] * len(nodes)
     while True:
         asks = []
-        for k, (family, phis, fp, new) in enumerate(arcs):
+        for k, (family, phis, values) in enumerate(arcs):
             if out[k] is not None:
                 continue
-            if not (scales[k] > 0.0 and float(np.min(np.abs(new))) >= 1e-9 * scales[k]):
+            chords = np.diff(values)
+            if not (scales[k] > 0.0 and float(np.min(np.abs(chords) / np.diff(phis))) >= 1e-9 * scales[k]):
                 raise VerificationError("derivative winding could not be resolved")
-            turns = np.angle(fp[1:] / fp[:-1])
-            wide = np.flatnonzero(np.abs(turns) > 0.25 * math.pi)
-            if wide.size == 0:
-                winding = 2 * int(round(float(np.sum(turns)) / math.pi))
+            ends = np.concatenate([-np.conj(chords[:1]), chords, np.conj(chords[-1:])])
+            turns = np.angle(ends[1:] / ends[:-1])
+            wide = np.abs(turns) > 0.25 * math.pi
+            if not wide.any():
+                turn = float(np.sum(turns)) - 0.5 * float(turns[0] + turns[-1])
+                winding = 2 * int(round(turn / math.pi - 0.5))
                 out[k] = (winding, winding == 0)
                 continue
-            lo, hi = phis[wide], phis[wide + 1]
+            # step j joins vertices j and j + 1
+            steps = np.flatnonzero(wide[:-1] | wide[1:])
+            lo, hi = phis[steps], phis[steps + 1]
             mids = 0.5 * (lo + hi)
             if np.any((mids <= lo) | (mids >= hi)):
                 raise VerificationError("derivative winding could not be resolved")
-            asks.append((k, wide, mids))
+            asks.append((k, steps, mids))
         if not asks:
             return out
-        # mids[:0]: no points to take values at
-        news = _lockstep_derivatives([(arcs[k][0], ring * np.exp(1j * mids), mids[:0]) for k, _, mids in asks])
-        for (k, wide, mids), (new, _) in zip(asks, news):
-            family, phis, fp, _ = arcs[k]
-            arcs[k] = [family, np.insert(phis, wide + 1, mids), np.insert(fp, wide + 1, new), new]
+        news = _lockstep_values([(arcs[k][0], ring * np.exp(1j * mids)) for k, _, mids in asks])
+        for (k, steps, mids), new in zip(asks, news):
+            family, phis, values = arcs[k]
+            arcs[k] = [family, np.insert(phis, steps + 1, mids), np.insert(values, steps + 1, new)]
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +540,10 @@ def harmonic_moment(trace, k: int) -> complex:
     mids = 0.5 * (points + nxt)
     steps = nxt - points
     # the screen keeps every midpoint off the origin, so z**-k is finite
-    integrand = np.abs(mids.imag) * mids ** (-k)
-    return complex(np.sum(integrand * steps) / (1j * math.pi * k))
+    # unless it overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = np.abs(mids.imag) * mids ** (-k)
+        return _finite_moment(complex(np.sum(integrand * steps) / (1j * math.pi * k)), k)
 
 
 def harmonic_moment_area(trace, k: int) -> complex:
@@ -559,8 +575,16 @@ def harmonic_moment_area(trace, k: int) -> complex:
     u, du = gauss_legendre_unit(512)
     th = math.pi * u
     rho_th = np.interp(th, theta, rho, left=rho[0], right=rho[-1])
-    radial = -np.log(rho_th) if k == 2 else rho_th ** (2 - k) / (k - 2)
-    return complex(-2.0 * np.sum(np.sin(k * th) * radial * du) / k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = -np.log(rho_th) if k == 2 else rho_th ** (2 - k) / (k - 2)
+        return _finite_moment(complex(-2.0 * np.sum(np.sin(k * th) * radial * du) / k), k)
+
+
+def _finite_moment(value: complex, k: int) -> complex:
+    """A moment's value, refused when it lies outside the float range (a trace close to the origin, k large)."""
+    if not cmath.isfinite(value):
+        raise ValueError("moment T%d lies outside the float range" % k)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +636,13 @@ def _sweep_rows(nodes) -> list:
 
     A node counts its winding as `conformality_check` does and is degenerate
     when its `petal_width` is below WIDTH_DEGENERATE_FRACTION, with the bits
-    of those calls.  The first `_lockstep_derivatives` call takes every
-    node's first arc stencil and width arc, whose values are reduced to the
-    node's degenerate flag at once; `_winding` then bisects all the nodes'
-    arcs together, one call a round.  Each call packs its jobs into series
-    loops of at most ``maps.ARC_BLOCK`` map points, so a default-grid node
-    costs 0.53 loops against 3.67 for the calls one by one.
+    of those calls.  The first `_lockstep_values` call takes, as one job per
+    node, its first arc followed by the width arc; the width values are
+    reduced to the node's degenerate flag at once, and `_winding` then
+    bisects all the nodes' arcs together, one call a round.  Each call packs
+    its jobs into series loops of at most ``maps.ARC_BLOCK`` map points,
+    nine first-round nodes a loop, so a default-grid node costs 0.13 loops
+    against 3.62 for the calls one by one.
 
     If a call of several nodes raises, each node runs alone, at the cost of
     the shared loops, so the other nodes keep their rows; a single node that
@@ -626,12 +651,14 @@ def _sweep_rows(nodes) -> list:
     try:
         families = [MapFamily.two_petal(*node) for node in nodes]
         arcs = [_conformality_arc(family) for family in families]
-        first = _lockstep_derivatives([(family, points, _width_arc()) for family, (_, points) in zip(families, arcs)])
+        width = _width_arc()
+        first = _lockstep_values([(family, np.append(points, width)) for family, (_, points) in zip(families, arcs)])
         degenerate = [
-            _width(family, values) < WIDTH_DEGENERATE_FRACTION for family, (_, values) in zip(families, first)
+            _width(family, values[phis.size :]) < WIDTH_DEGENERATE_FRACTION
+            for family, (phis, _), values in zip(families, arcs, first)
         ]
-        # rebinding frees the width values before the bisection rounds
-        first = [(family, phis, fp) for family, (phis, _), (fp, _) in zip(families, arcs, first)]
+        # copies, and rebinding, free the width values before the bisection rounds
+        first = [(family, phis, values[: phis.size].copy()) for family, (phis, _), values in zip(families, arcs, first)]
         windings = _winding(first)
     except Exception as exc:  # noqa: BLE001 - sweep must keep going
         if len(nodes) > 1:
@@ -666,8 +693,8 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
 
     Each result has the bits of the public check called alone, but the
     checks' fixed samples are evaluated together (`_evaluated_once`): one
-    derivative call for the rings and the first conformality arc, one value
-    call for the corner fits.  Each stage yields (name, residual, detail)
+    derivative call for the rings, one value call for the corner fits and
+    the first conformality arc.  Each stage yields (name, residual, detail)
     for the names it owes; a stage that raises is recorded against each of
     its names not yet reported, not raised.
     """
@@ -692,12 +719,11 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
             "wronskian": _wronskian_probes(),
             "dynamical": _unit_ring(128)[:32],
             "darcy": _unit_ring(256)[:64],
-            "conformality": arc_points,
         },
     )
     values = _evaluated_once(
         lambda points: (evaluate_map(family, points),),
-        {name: points for name, (_, points) in corner_arcs.items()},
+        {"conformality": arc_points, **{name: points for name, (_, points) in corner_arcs.items()}},
     )
 
     def ode():
@@ -711,7 +737,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         yield "darcy_mismatch", _darcy_defect(ratio.value, derivatives("darcy")), ""
 
     def conformality():
-        ((winding, _ok),) = _winding([(family, arc_phis, derivatives("conformality")[1])])
+        ((winding, _ok),) = _winding([(family, arc_phis, *values("conformality"))])
         yield "conformality", abs(winding), "winding=%d" % winding
 
     def corner_fits():

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from petalmap import cli, verify
@@ -31,6 +31,20 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def reject_constant(constant):
+    """`json.loads` hook for NaN, Infinity and -Infinity, which JSON does not have."""
+    raise ValueError("%s is not JSON" % constant)
+
+
+def thin_ellipse_csv(tmp_path):
+    """0.5 cos phi + 0.05i sin phi at 4096 half-offset angles: T_k grows like 20^k."""
+    path = tmp_path / "ellipse.csv"
+    phis = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
+    rows = ["%.17g,%.17g" % (0.5 * math.cos(phi), 0.05 * math.sin(phi)) for phi in phis]
+    path.write_text("\n".join(["x,y"] + rows) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +238,7 @@ def test_verify_collapsed_pattern_exit(tmp_path, capsys):
         "verify", "--family", "two-petal", "--alpha", "0.5", "--beta", "0.5", "--report", str(rep)
     )
     assert code == EXIT_RUNTIME
-
-    def reject(constant):
-        raise ValueError("%s is not JSON" % constant)
-
-    payload = json.loads(rep.read_text(), parse_constant=reject)
+    payload = json.loads(rep.read_text(), parse_constant=reject_constant)
     assert payload["all_passed"] is False
     ratio = payload["checks"]["ratio_spread"]
     assert ratio["residual"] is None and ratio["pass"] is False
@@ -283,6 +293,18 @@ def test_verify_tol_override_rejects_nan(capsys):
     ) == EXIT_OK
 
 
+def test_verify_report_with_an_inf_tolerance_is_json(tmp_path, capsys):
+    # an inf tolerance switches a check off; the report writes it as null
+    rep = tmp_path / "rep.json"
+    code = run_cli(
+        "verify", "--family", "one-petal", "--alpha", "0.7", "--tol-override", "ode_residual=inf",
+        "--report", str(rep),
+    )
+    assert code == EXIT_OK
+    check = json.loads(rep.read_text(), parse_constant=reject_constant)["checks"]["ode_residual"]
+    assert check["tolerance"] is None and check["pass"] is True
+
+
 def test_verify_takes_no_growth_state(capsys):
     # the battery checks the normalized map, so a growth state would be ignored
     for flag in ("--T", "--A"):
@@ -320,22 +342,24 @@ def test_sweep_explicit_grid(tmp_path):
 
 
 def test_sweep_failed_node_reason_on_stderr(tmp_path, capsys, monkeypatch):
-    # arg f' jumps by pi at arg w = 1 for beta = pi/8: no bisection resolves
-    # that node's winding, so it keeps a blank row and the sweep goes on.
-    # The sweep's rounds, first arc and bisections alike, take f' from
-    # `_lockstep_derivatives`, one (f', values) pair per (family, centres,
-    # points) job
-    inner = verify._lockstep_derivatives
+    # for beta = pi/8 the image runs along the unit circle from 1 to -i, as
+    # real and as imaginary at the ends as a map's, but turns back at
+    # arg w = 1: no bisection resolves that fold, so the node keeps a blank
+    # row and the sweep goes on.  The sweep's rounds, first arc and
+    # bisections alike, take their values from `_lockstep_values`, one
+    # array per (family, points) job
+    inner = verify._lockstep_values
+    rate = 0.5 * math.pi / (2.0 - 0.5 * math.pi)
 
     def unresolved_at_beta(jobs):
         out = []
-        for (family, w, _), (fp, values) in zip(jobs, inner(jobs)):
+        for (family, w), values in zip(jobs, inner(jobs)):
             if family.beta == math.pi / 8:
-                fp = np.where(np.angle(w) > 1.0, 1.0 + 0.0j, -1.0 + 0.0j)
-            out.append((fp, values))
+                values = np.exp(1j * rate * (np.abs(np.angle(w) - 1.0) - 1.0))
+            out.append(values)
         return out
 
-    monkeypatch.setattr(verify, "_lockstep_derivatives", unresolved_at_beta)
+    monkeypatch.setattr(verify, "_lockstep_values", unresolved_at_beta)
     out = tmp_path / "sweep.csv"
     code = run_cli(
         "sweep", "--alpha-grid", "pi/8:pi/8:1", "--beta-grid", "pi/16:pi/8:2", "--out", str(out),
@@ -423,6 +447,20 @@ def test_moments_raw_trace_json_to_stdout(tmp_path, capsys):
     assert run_cli("moments", "--trace", str(circle_csv(tmp_path)), "--tk", "3") == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert sorted(payload["moments"]) == ["T2", "T3"]
+
+
+def test_moments_outside_the_float_range_refused(tmp_path, capsys):
+    # the contour route's T_k overflows from k = 237 on: an error, with no
+    # numpy warning and no report, rather than NaN in the JSON
+    path = thin_ellipse_csv(tmp_path)
+    rep = tmp_path / "m.json"
+    assert run_cli("moments", "--trace", str(path), "--tk", "236", "--report", str(rep)) == EXIT_OK
+    moments = json.loads(rep.read_text(), parse_constant=reject_constant)["moments"]
+    assert len(moments) == 235
+    rep.unlink()
+    assert run_cli("moments", "--trace", str(path), "--tk", "240", "--report", str(rep)) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: moment T237 lies outside the float range\n"
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.003, 0.015])
@@ -639,6 +677,9 @@ def cli_argv(draw):
 
 
 @given(cli_argv())
+# counts whose arrays numpy refuses to allocate (80 PB): a MemoryError
+@example(["sweep", "--alpha-grid=0.1:0.2:10000000000000000", "--out=@x.csv"])
+@example(["trace", "--family=one-petal", "--alpha=0.5", "--n=10000000000000000", "--out=@t.csv"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_main_returns_a_documented_exit_code(argv):
     # no exception leaves main, and conftest fails the test on any

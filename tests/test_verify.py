@@ -383,21 +383,31 @@ def test_battery_conformality_agrees_with_sweep():
 
 
 def record_ring(monkeypatch):
-    """Log every (centres, f') pair the conformality count asks `_lockstep_derivatives` for."""
+    """Log every (points, values) pair the conformality count asks `_lockstep_values` for."""
     calls = []
-    inner = verify._lockstep_derivatives
+    inner = verify._lockstep_values
 
     def recording(jobs):
         out = inner(jobs)
-        calls.extend((centres, fp) for (_, centres, _), (fp, _) in zip(jobs, out))
+        calls.extend((points, values) for (_, points), values in zip(jobs, out))
         return out
 
-    monkeypatch.setattr(verify, "_lockstep_derivatives", recording)
+    monkeypatch.setattr(verify, "_lockstep_values", recording)
     return calls
 
 
-def test_conformality_ring_work(monkeypatch):
+def forbid_stencil(patch_stencil):
+    """Make every call of `maps._arc_derivatives` fail the test."""
+
+    def unused(*args):
+        raise AssertionError("arc stencil called by a winding count")
+
+    patch_stencil(unused)
+
+
+def test_conformality_ring_work(monkeypatch, patch_stencil):
     calls = record_ring(monkeypatch)
+    forbid_stencil(patch_stencil)
     step = math.pi / 36
     cases = {
         "collapsed (5,5)": (MapFamily.two_petal(5 * step, 5 * step), None),
@@ -410,19 +420,22 @@ def test_conformality_ring_work(monkeypatch):
         winding, _ = conformality_check(family)
         assert expected is None or winding == expected, name
         w = np.concatenate([c[0] for c in calls])
-        fp = np.concatenate([c[1] for c in calls])
+        values = np.concatenate([c[1] for c in calls])
         # measured: 81-93 points for two petals, 57 for one
         assert w.size <= 100, (name, w.size)
         # one arc, the first quadrant of one ring, no push-out
         assert np.allclose(np.abs(w), math.exp(verify.CONFORMAL_RING_EPS), rtol=1e-14, atol=0.0), name
         args = np.angle(w)
         assert np.all((args >= 0.0) & (args <= 0.5 * math.pi)), name
-        # no turn of arg f' above pi/4 along the open arc, and the quadrant
-        # turns by a quarter of the winding
-        order = np.argsort(args)
-        turns = np.angle(fp[order][1:] / fp[order][:-1])
+        # no vertex of the image polygon, closed at each end by the chord
+        # its mirror image meets, turns by more than pi/4, and its turn,
+        # less the pi/2 that arg w turns, is a quarter of the winding
+        chords = np.diff(values[np.argsort(args)])
+        ends = np.concatenate([-np.conj(chords[:1]), chords, np.conj(chords[-1:])])
+        turns = np.angle(ends[1:] / ends[:-1])
         assert np.max(np.abs(turns)) <= 0.25 * math.pi, name
-        assert 2 * round(float(np.sum(turns)) / math.pi) == winding, name
+        turn = float(np.sum(turns)) - 0.5 * float(turns[0] + turns[-1])
+        assert 2 * round(turn / math.pi - 0.5) == winding, name
 
 
 def closed_graded_ring(corners, floor):
@@ -472,6 +485,12 @@ def oracle_families():
     yield from (MapFamily.two_petal(alpha, beta) for alpha, beta in draws)
     yield MapFamily.two_petal(0.023560, 1.503677)
     yield MapFamily.two_petal(1.542014, 0.624270)
+    # collapsed default-grid nodes next to alpha = pi/2, of the most bisection rounds (6)
+    yield MapFamily.two_petal(17 * math.pi / 36, 17 * math.pi / 36)
+    yield MapFamily.two_petal(17 * math.pi / 36, math.pi / 36)
+    # alpha next to 0: these wind -2
+    yield MapFamily.two_petal(1e-5, 0.1)
+    yield MapFamily.two_petal(1e-6, 1.4)
     yield from (MapFamily.one_petal(alpha) for alpha in (0.1, 0.3, 0.7, 1.2, 1.5))
 
 
@@ -507,31 +526,35 @@ def test_derivative_mirror_symmetry(family, tol):
 
 def test_conformality_unresolved_ring_raises(monkeypatch):
     family = MapFamily.two_petal(math.pi / 8, math.pi / 16)
-    inner = verify._lockstep_derivatives
+    inner = verify._lockstep_values
     ring = math.exp(verify.CONFORMAL_RING_EPS)
     wider = math.exp(1.5 * verify.CONFORMAL_RING_EPS)
     radii = []
 
-    def vanishing_near_i(jobs):
-        # f' vanishes next to w = i on the ring only: a zero within rounding
-        # of it, which a wider ring would not see
+    def constant_near_i(jobs):
+        # f is constant next to w = i on the ring only, so f' vanishes there:
+        # a zero within rounding of it, which a wider ring would not see
         out = []
-        for (_, w, _), (fp, values) in zip(jobs, inner(jobs)):
+        for (_, w), values in zip(jobs, inner(jobs)):
             radii.append(np.abs(w))
-            out.append((np.where((np.abs(w) < wider) & (np.abs(w - 1j) < 0.01), 0.0, fp), values))
+            out.append(np.where((np.abs(w) < wider) & (np.abs(w - 1j) < 0.01), 0.5j, values))
         return out
 
-    monkeypatch.setattr(verify, "_lockstep_derivatives", vanishing_near_i)
+    monkeypatch.setattr(verify, "_lockstep_values", constant_near_i)
     with pytest.raises(VerificationError, match="could not be resolved"):
         conformality_check(family)
-    # every derivative call stays on |w| = e^eps
+    # every values call stays on |w| = e^eps
     assert np.allclose(np.concatenate(radii), ring, rtol=1e-14, atol=0.0)
 
-    def sign_jump(jobs):
-        # arg f' jumps by pi where arg w crosses 1: no bisection resolves it
-        return [(np.where(np.angle(w) > 1.0, 1.0 + 0.0j, -1.0 + 0.0j), points) for _, w, points in jobs]
+    rate = 0.5 * math.pi / (2.0 - 0.5 * math.pi)
 
-    monkeypatch.setattr(verify, "_lockstep_derivatives", sign_jump)
+    def fold(jobs):
+        # the image runs along the unit circle from 1 to -i, meeting both
+        # axes square, but turns back where arg w crosses 1: no bisection
+        # resolves that vertex
+        return [np.exp(1j * rate * (np.abs(np.angle(w) - 1.0) - 1.0)) for _, w in jobs]
+
+    monkeypatch.setattr(verify, "_lockstep_values", fold)
     with pytest.raises(VerificationError, match="could not be resolved"):
         conformality_check(family)
 
@@ -726,6 +749,19 @@ def test_screened_trace_is_screened_once(monkeypatch):
     assert screens == [len(trace)] * 2
 
 
+def test_moment_outside_the_float_range_raises():
+    # 0.5 cos phi + 0.05i sin phi: T_k grows like 20^k, past the float
+    # range from k = 237 on the contour route and k = 239 on the area route
+    phis = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
+    trace = 0.5 * np.cos(phis) + 0.05j * np.sin(phis)
+    assert cmath.isfinite(harmonic_moment(trace, 236))
+    assert cmath.isfinite(harmonic_moment_area(trace, 238))
+    with pytest.raises(ValueError, match="T237 lies outside the float range"):
+        harmonic_moment(trace, 237)
+    with pytest.raises(ValueError, match="T239 lies outside the float range"):
+        harmonic_moment_area(trace, 239)
+
+
 def test_moment_argument_validation():
     trace = unit_circle_trace(64)
     with pytest.raises(ValueError):
@@ -841,23 +877,24 @@ def same_bits(a, b) -> bool:
 def record_lockstep(monkeypatch):
     """Log every (jobs, results) pair of the sweep's lockstep rounds."""
     calls = []
-    inner = verify._lockstep_derivatives
+    inner = verify._lockstep_values
 
     def recording(jobs):
         out = inner(jobs)
         calls.append((jobs, out))
         return out
 
-    monkeypatch.setattr(verify, "_lockstep_derivatives", recording)
+    monkeypatch.setattr(verify, "_lockstep_values", recording)
     return calls
 
 
-def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch):
-    # every round of the default grid: f' at its centres has the bits of
-    # map_derivative there, the width arc's values those of evaluate_map,
-    # and their width that of petal_width; the whole grid, one lockstep,
-    # takes 152 series loops (469 in batches of two nodes, 1062 one by one)
+def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_stencil):
+    # every round of the default grid: the values have the bits of
+    # evaluate_map at their points, and the first round's width arc gives
+    # the width of petal_width; the whole grid, one lockstep, takes 39
+    # series loops (1046 for the nodes' calls one by one) and no arc stencil
     calls = record_lockstep(monkeypatch)
+    forbid_stencil(patch_stencil)
     loops = []
     sums = special_functions._series_sums
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
@@ -865,16 +902,17 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch):
     rows = sweep(grid, grid)
     monkeypatch.undo()
     assert all(row.error is None for row in rows)
-    assert len(loops) <= 160
-    first = [job for jobs, out in calls for job in zip(jobs, out) if job[0][2].size]
-    bisections = [job for jobs, out in calls for job in zip(jobs, out) if not job[0][2].size]
-    assert [(family.alpha, family.beta) for (family, _, _), _ in first] == [(row.alpha, row.beta) for row in rows]
+    assert len(loops) <= 45
+    first = list(zip(*calls[0]))
+    bisections = [job for jobs, out in calls[1:] for job in zip(jobs, out)]
+    assert [(family.alpha, family.beta) for (family, _), _ in first] == [(row.alpha, row.beta) for row in rows]
     assert len(bisections) > len(rows)
-    for (family, centres, points), (fp, values) in first + bisections:
-        assert same_bits(fp, maps.map_derivative(family, centres)), family.label()
-        if points.size:
-            assert same_bits(values, evaluate_map(family, points)), family.label()
-            assert verify._width(family, values).hex() == petal_width(family).hex(), family.label()
+    width = verify._width_arc()
+    for (family, points), values in first + bisections:
+        assert same_bits(values, evaluate_map(family, points)), family.label()
+    for (family, points), values in first:
+        assert same_bits(points[-width.size :], width), family.label()
+        assert verify._width(family, values[-width.size :]).hex() == petal_width(family).hex(), family.label()
 
 
 def sweep_row_alone(alpha, beta):
@@ -906,13 +944,17 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
     alphas, betas = [4 * step, 6 * step], [3 * step, 6 * step, 9 * step]
     want = sweep(alphas, betas)
     target = MapFamily.two_petal(6 * step, 9 * step)
-    inner = verify._lockstep_derivatives
+    inner = verify._lockstep_values
     raised = []
 
     def failing(merged_only):
+        calls = []
+
         def lockstep(jobs):
-            bisecting = not any(points.size for _, _, points in jobs)
-            if bisecting and any(family == target for family, _, _ in jobs) and (len(jobs) > 1 or not merged_only):
+            # the sweep's first call is its first round; every later one
+            # bisects, or is a node's first round when it runs alone
+            calls.append(jobs)
+            if len(calls) > 1 and any(family == target for family, _ in jobs) and (len(jobs) > 1 or not merged_only):
                 raised.append(len(jobs))
                 raise RuntimeError("forced")
             return inner(jobs)
@@ -921,13 +963,13 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
 
     # raised only while merged: the first bisection round holds the five
     # nodes still refining; run alone, the node gets its own row back
-    monkeypatch.setattr(verify, "_lockstep_derivatives", failing(True))
+    monkeypatch.setattr(verify, "_lockstep_values", failing(True))
     assert sweep(alphas, betas) == want
     assert raised == [5]
     # raised alone too: that node records the error, and the others, (6, 6)
     # bisected in the same rounds among them, keep their rows
     del raised[:]
-    monkeypatch.setattr(verify, "_lockstep_derivatives", failing(False))
+    monkeypatch.setattr(verify, "_lockstep_values", failing(False))
     got = sweep(alphas, betas)
     assert raised == [5, 1]
     assert got[:5] == want[:5]
@@ -1133,20 +1175,19 @@ def test_shared_values_error_charged_to_its_corner(monkeypatch):
     [MapFamily.two_petal(math.pi / 5, math.pi / 9), MapFamily.two_petal(math.pi / 8, math.pi / 6)],
     ids=lambda f: f.label(),
 )
-def test_battery_merges_its_fixed_evaluations(monkeypatch, family):
+def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family):
     # one arc stencil for the fixed rings (ode 16, Wronskian 8, dynamical
-    # 32, darcy 64, first conformality arc 81 points), one per bisection
-    # round; one series loop for each of those, the partner's F and F', the
-    # corner values and the Laurent ring
+    # 32, darcy 64 points), none for the winding count; one series loop for
+    # the stencil, the partner's F and F', the corner values with the first
+    # conformality arc, the Laurent ring and each bisection round
     sizes = []
-    stencil = maps._arc_stencil
+    stencil = maps._arc_derivatives
 
     def counting(*args):
         sizes.append(args[1].size)
         return stencil(*args)
 
-    # the fixed rings' `_arc_derivatives` and the rounds' `_lockstep_derivatives` both build it
-    monkeypatch.setattr(maps, "_arc_stencil", counting)
+    patch_stencil(counting)
     rounds = record_ring(monkeypatch)
     loops = []
     sums = special_functions._series_sums
@@ -1162,7 +1203,6 @@ def test_battery_merges_its_fixed_evaluations(monkeypatch, family):
 
     monkeypatch.setattr(verify, "_partner_derivatives", counted_partner)
     run_standard_checks(family)
-    assert sizes[0] == 16 + 8 + 32 + 64 + 81
-    assert len(sizes) == 1 + len(rounds)
+    assert sizes == [16 + 8 + 32 + 64]
     assert partner_loops == [1]
     assert len(loops) == 4 + len(rounds)
