@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -147,6 +148,8 @@ def _trace_svg(points: np.ndarray) -> str:
     span = max(x1 - x0, y1 - y0, 1e-9)
     margin = 0.05 * span
     view = (x0 - margin, y0 - margin, (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin)
+    if not all(map(math.isfinite, view)):
+        raise ValueError("the trace's SVG view box lies outside the float range")
     stroke = span / 300.0
     coords = " ".join("%.7g,%.7g" % (x, y) for x, y in zip(xs, ys))
     first = "%.7g,%.7g" % (xs[0], ys[0])
@@ -180,9 +183,11 @@ def cmd_trace(args) -> int:
     family = _build_family(args)
     state = _build_state(args)
     trace = boundary_trace(family, state=state, n=args.n)
-    _write_text(args.out, _trace_csv(trace))
-    if args.svg:
-        _write_text(args.svg, _trace_svg(trace.points))
+    # both texts are built before either is written, so a refused SVG writes nothing
+    csv, svg = _trace_csv(trace), args.svg and _trace_svg(trace.points)
+    _write_text(args.out, csv)
+    if svg:
+        _write_text(args.svg, svg)
     winding, ok = conformality_check(family)
     if not ok:
         meta = {"warning": "nonconformal", "derivative_winding": winding}
@@ -323,7 +328,9 @@ def _add_state_options(sub):
     sub.add_argument("--A", dest="A", type=float, default=None, help="conserved ratio T/r (default 1)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: `main` only reads it."""
     parser = _Parser(prog="petalmap", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -541,7 +541,17 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
     phis = _circle_angles(n)
     ring = np.exp(1j * phis)
     (values,) = _unfold_quadrant(_values_on_sheet(family, ring[: n // 4]))
-    return BoundaryTrace(phis, state.r * values)
+    return BoundaryTrace(phis, _scaled(state.r, values, "the scaled boundary"))
+
+
+def _scaled(r: float, values: np.ndarray, what: str) -> np.ndarray:
+    """``r * values``; `ValueError` if a product, or the extent of their real or imaginary parts, is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = r * values
+        spans = np.ptp(out.real), np.ptp(out.imag)
+    if not (np.isfinite(out).all() and np.isfinite(spans).all()):
+        raise ValueError("%s lies outside the float range" % what)
+    return out
 
 
 def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:

@@ -11,6 +11,7 @@ compares against a pinned tolerance.  One battery check is not:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from .maps import (
     _lockstep_values,
     _one_petal_bracket,
     _partner_derivatives,
+    _scaled,
     _tangential_derivatives,
     _two_petal_parameters,
     _unfold_quadrant,
@@ -444,8 +446,8 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
     """
     ring = np.exp(1j * _circle_angles(16384))
     f, fp, _ = _unfold_quadrant(*_tangential_derivatives(family, ring[:4096]))
-    points = state.r * f
-    dz_dphi = state.r * fp * 1j * ring
+    points = _scaled(state.r, f, "the scaled boundary")
+    dz_dphi = _scaled(state.r, fp, "dz/dphi") * 1j * ring
     width = float(np.max(points.real) - np.min(points.real))
     height = float(np.max(points.imag) - np.min(points.imag))
     diameter = max(width, height)
@@ -458,7 +460,10 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
             raise ValueError("sample point %r too close to the boundary" % (z,))
         if winding_number(points, z) != 1:
             raise ValueError("sample point %r is not inside the pattern" % (z,))
-        value = complex(np.sum(np.abs(points.imag) / rel * dz_dphi) * weight / (1j * math.pi))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(np.sum(np.abs(points.imag) / rel * dz_dphi) * weight / (1j * math.pi))
+        if not cmath.isfinite(value):
+            raise ValueError("the Cauchy sum at %r lies outside the float range" % (z,))
         side = "upper" if z.imag > 0.0 else "lower"
         out.append(MFunctionSample(z, value, side))
     return out
@@ -694,9 +699,10 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
     Each result has the bits of the public check called alone, but the
     checks' fixed samples are evaluated together (`_evaluated_once`): one
     derivative call for the rings, one value call for the corner fits and
-    the first conformality arc.  Each stage yields (name, residual, detail)
-    for the names it owes; a stage that raises is recorded against each of
-    its names not yet reported, not raised.
+    the first conformality arc.  Each check name maps to a callable that
+    returns (residual, detail); one that raises is recorded as that check's
+    error, not raised, and the other checks still run.  The three growth
+    checks share one Wronskian ratio, so its error is each one's.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -705,12 +711,11 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
             raise ValueError("unknown tolerance overrides: %s" % sorted(unknown))
         tol.update(tolerances)
 
-    corners = {"corner_exponent_base": (1.0 + 0.0j, 2.0 * family.alpha / math.pi)}
+    corners = {"corner_exponent_base": (_corner_arc(1.0 + 0.0j), 2.0 * family.alpha / math.pi)}
     if family.kind == "two-petal":
         # two_petal(alpha, beta) is two_petal(alpha, pi/2 - beta), so the
         # leading local exponent at w = i is the smaller of delta and 1 - delta
-        corners["corner_exponent_top"] = (1.0j, min(family.delta, 1.0 - family.delta))
-    corner_arcs = {name: _corner_arc(corner) for name, (corner, _) in corners.items()}
+        corners["corner_exponent_top"] = (_corner_arc(1.0j), min(family.delta, 1.0 - family.delta))
     arc_phis, arc_points = _conformality_arc(family)
     derivatives = _evaluated_once(
         lambda points: _tangential_derivatives(family, points),
@@ -723,52 +728,44 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
     )
     values = _evaluated_once(
         lambda points: (evaluate_map(family, points),),
-        {"conformality": arc_points, **{name: points for name, (_, points) in corner_arcs.items()}},
+        {"conformality": arc_points, **{name: points for name, ((_, points), _) in corners.items()}},
     )
 
-    def ode():
-        yield "ode_residual", _ode_defect(family, derivatives("ode")), ""
-
-    def growth():
+    @functools.cache
+    def ratio():
         _reject_collapsed(family)
-        ratio = _ratio_estimate(family, derivatives("wronskian"))
-        yield "ratio_spread", ratio.spread, "A=%.12g" % ratio.value
-        yield "dynamical_residual", _dynamical_defect(ratio.value, derivatives("dynamical")), ""
-        yield "darcy_mismatch", _darcy_defect(ratio.value, derivatives("darcy")), ""
+        return _ratio_estimate(family, derivatives("wronskian"))
 
     def conformality():
         ((winding, _ok),) = _winding([(family, arc_phis, *values("conformality"))])
-        yield "conformality", abs(winding), "winding=%d" % winding
+        return abs(winding), "winding=%d" % winding
 
-    def corner_fits():
-        for name, (_, target) in corners.items():
-            (vals,) = values(name)
-            fit = fit_power_law(corner_arcs[name][0], np.abs(vals))
-            yield name, abs(fit.exponent - target) / target, "fit=%.6f target=%.6f" % (fit.exponent, target)
-
-    def integral():
-        yield "integral_equation", integral_equation_residual(family), ""
+    def corner_fit(name, d, target):
+        (vals,) = values(name)
+        fit = fit_power_law(d, np.abs(vals))
+        return abs(fit.exponent - target) / target, "fit=%.6f target=%.6f" % (fit.exponent, target)
 
     def capacity():
         value = laurent_coefficients(family).capacity
-        yield "capacity_sign", max(0.0, -value), "capacity=%.12g" % value
+        return max(0.0, -value), "capacity=%.12g" % value
 
-    stages = [
-        (("ode_residual",), ode),
-        (("ratio_spread", "dynamical_residual", "darcy_mismatch"), growth),
-        (("conformality",), conformality),
-        (tuple(corners), corner_fits),
-    ]
+    checks = {
+        "ode_residual": lambda: (_ode_defect(family, derivatives("ode")), ""),
+        "ratio_spread": lambda: (ratio().spread, "A=%.12g" % ratio().value),
+        "dynamical_residual": lambda: (_dynamical_defect(ratio().value, derivatives("dynamical")), ""),
+        "darcy_mismatch": lambda: (_darcy_defect(ratio().value, derivatives("darcy")), ""),
+        "conformality": conformality,
+        **{name: functools.partial(corner_fit, name, d, target) for name, ((d, _), target) in corners.items()},
+    }
     if family.kind == "one-petal":
-        stages.append((("integral_equation",), integral))
-    stages.append((("capacity_sign",), capacity))
+        checks["integral_equation"] = lambda: (integral_equation_residual(family), "")
+    checks["capacity_sign"] = capacity
     report = VerificationReport(family.label())
-    for names, results in stages:
+    for name, check in checks.items():
         try:
-            for name, residual, detail in results():
-                report.add(name, residual, tol[name], detail=detail)
+            residual, detail = check()
         except Exception as exc:  # noqa: BLE001 - a crashing check is recorded, not raised
-            for name in names:
-                if name not in report.checks:
-                    report.add_error(name, tol[name], str(exc))
+            report.add_error(name, tol[name], str(exc))
+        else:
+            report.add(name, residual, tol[name], detail=detail)
     return report

@@ -43,8 +43,8 @@ def notch_trace():
 def no_runtime_warnings():
     """Fail a test that emits a RuntimeWarning, also one the code under test catches.
 
-    Under ``-W error`` a numpy warning inside a battery stage is raised, caught
-    by the stage loop and recorded as a check error, so a test comparing two
+    Under ``-W error`` a numpy warning inside a battery check is raised, caught
+    by the battery's loop and recorded as a check error, so a test comparing two
     equally broken paths would pass.  Here every RuntimeWarning is recorded
     instead and must not occur; other categories keep the run's filters and
     are issued again after the test.

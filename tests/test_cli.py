@@ -202,6 +202,32 @@ def test_trace_nonconformal_sidecar(tmp_path, capsys):
     assert "not conformal" in capsys.readouterr().err
 
 
+def test_trace_extent_past_the_float_range_writes_nothing(tmp_path, capsys):
+    # every point is finite, but the extent x1 - x0 is not: the trace is
+    # refused with one error line, and neither the CSV nor the SVG is written
+    out, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+    argv = ["trace", "--family", "two-petal", "--alpha", "0.7", "--beta", "0.3", "--T", "1.7e308"]
+    assert run_cli(*argv, "--out", str(out), "--svg", str(svg)) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: the scaled boundary lies outside the float range\n"
+    assert not out.exists() and not svg.exists()
+
+
+def test_trace_svg_refuses_a_view_box_past_the_float_range():
+    with pytest.raises(ValueError, match="view box"):
+        cli._trace_svg(np.array([-0.9e308, 0.9e308, 1j]))
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    # one top-level parser and four subcommand parsers at most, however
+    # many commands run
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for _ in range(2):
+        assert run_cli("verify", "--family", "one-petal", "--alpha", "pi/4") == EXIT_OK
+    assert len(built) <= 5
+
+
 def test_trace_requires_output(tmp_path, capsys):
     code = run_cli("trace", "--family", "one-petal", "--alpha", "pi/4")
     assert code == EXIT_USAGE
@@ -680,6 +706,10 @@ def cli_argv(draw):
 # counts whose arrays numpy refuses to allocate (80 PB): a MemoryError
 @example(["sweep", "--alpha-grid=0.1:0.2:10000000000000000", "--out=@x.csv"])
 @example(["trace", "--family=one-petal", "--alpha=0.5", "--n=10000000000000000", "--out=@t.csv"])
+# a scaled boundary, its dz/dphi or its Cauchy sum past the float range
+@example(["trace", "--family=one-petal", "--alpha=1.5", "--T=1.7e308", "--out=@t.csv", "--svg=@t.svg"])
+@example(["moments", "--family=one-petal", "--alpha=0.7", "--T=1.7e308", "--z=0+1e308i"])
+@example(["moments", "--family=one-petal", "--alpha=0.7", "--T=1e306", "--z=0+1e306i"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_main_returns_a_documented_exit_code(argv):
     # no exception leaves main, and conftest fails the test on any

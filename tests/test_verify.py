@@ -1044,50 +1044,44 @@ BATTERY_FAMILIES = (
 def checks_alone(family):
     """The battery's report, each check taken by calling its public function alone."""
     tol = verify.DEFAULT_TOLERANCES
-    report = VerificationReport(family.label())
 
-    def stage(names, body):
-        try:
-            body()
-        except Exception as exc:  # noqa: BLE001 - recorded as the battery records it
-            for name in names:
-                if name not in report.checks:
-                    report.add_error(name, tol[name], str(exc))
-
-    def growth():
+    def ratio_spread():
         ratio = estimate_A(family)
-        report.add("ratio_spread", ratio.spread, tol["ratio_spread"], detail="A=%.12g" % ratio.value)
-        report.add("dynamical_residual", dynamical_residual(family), tol["dynamical_residual"])
-        report.add("darcy_mismatch", darcy_check(family), tol["darcy_mismatch"])
+        return ratio.spread, "A=%.12g" % ratio.value
 
     def conformality():
         winding, _ = conformality_check(family)
-        report.add("conformality", abs(winding), tol["conformality"], detail="winding=%d" % winding)
+        return abs(winding), "winding=%d" % winding
 
-    corners = [("corner_exponent_base", 1.0 + 0.0j, 2.0 * family.alpha / math.pi)]
-    if family.kind == "two-petal":
-        corners.append(("corner_exponent_top", 1.0j, min(family.delta, 1.0 - family.delta)))
-
-    def corner_fits():
-        for name, corner, target in corners:
-            fit = corner_exponent(family, corner)
-            detail = "fit=%.6f target=%.6f" % (fit.exponent, target)
-            report.add(name, abs(fit.exponent - target) / target, tol[name], detail=detail)
-
-    def integral():
-        report.add("integral_equation", integral_equation_residual(family), tol["integral_equation"])
+    def corner_fit(corner, target):
+        fit = corner_exponent(family, corner)
+        return abs(fit.exponent - target) / target, "fit=%.6f target=%.6f" % (fit.exponent, target)
 
     def capacity():
         value = maps.laurent_coefficients(family).capacity
-        report.add("capacity_sign", max(0.0, -value), tol["capacity_sign"], detail="capacity=%.12g" % value)
+        return max(0.0, -value), "capacity=%.12g" % value
 
-    stage(("ode_residual",), lambda: report.add("ode_residual", ode_residual(family), tol["ode_residual"]))
-    stage(("ratio_spread", "dynamical_residual", "darcy_mismatch"), growth)
-    stage(("conformality",), conformality)
-    stage([name for name, _, _ in corners], corner_fits)
-    if family.kind == "one-petal":
-        stage(("integral_equation",), integral)
-    stage(("capacity_sign",), capacity)
+    checks = {
+        "ode_residual": lambda: (ode_residual(family), ""),
+        "ratio_spread": ratio_spread,
+        "dynamical_residual": lambda: (dynamical_residual(family), ""),
+        "darcy_mismatch": lambda: (darcy_check(family), ""),
+        "conformality": conformality,
+        "corner_exponent_base": lambda: corner_fit(1.0 + 0.0j, 2.0 * family.alpha / math.pi),
+    }
+    if family.kind == "two-petal":
+        checks["corner_exponent_top"] = lambda: corner_fit(1.0j, min(family.delta, 1.0 - family.delta))
+    else:
+        checks["integral_equation"] = lambda: (integral_equation_residual(family), "")
+    checks["capacity_sign"] = capacity
+    report = VerificationReport(family.label())
+    for name, check in checks.items():
+        try:
+            residual, detail = check()
+        except Exception as exc:  # noqa: BLE001 - recorded as the battery records it
+            report.add_error(name, tol[name], str(exc))
+        else:
+            report.add(name, residual, tol[name], detail=detail)
     return report
 
 
@@ -1126,16 +1120,16 @@ def test_battery_equals_checks_alone(family):
     [
         ("_ode_ring", ("ode_residual",)),
         ("_wronskian_probes", ("ratio_spread", "dynamical_residual", "darcy_mismatch")),
-        # the growth stage breaks after ratio_spread, which keeps its bits
+        # both boundary rings leave the sheet; ratio_spread keeps its bits
         ("_unit_ring", ("dynamical_residual", "darcy_mismatch")),
     ],
 )
 @pytest.mark.parametrize("family", BATTERY_FAMILIES[:2], ids=lambda f: f.label())
 def test_shared_evaluation_error_charged_to_its_check(monkeypatch, family, ring, names):
     # a ring that leaves the sheet makes the merged evaluation raise; only
-    # the checks that read that ring, or come after it in their stage, carry
-    # the error, with the message the first public check to read it raises
-    # alone, and every other check keeps its bits
+    # the checks that read that ring, themselves or through the shared
+    # Wronskian ratio, carry the error, with the message the first public
+    # check to read it raises alone, and every other check keeps its bits
     clean = run_standard_checks(family)
     inner = getattr(verify, ring)
     monkeypatch.setattr(verify, ring, lambda *args: 0.5 * inner(*args))
@@ -1168,6 +1162,37 @@ def test_shared_values_error_charged_to_its_corner(monkeypatch):
     assert_same_checks(report, checks_alone(family))
     assert [name for name, c in report.checks.items() if c.detail.startswith("error:")] == ["corner_exponent_top"]
     assert bits(report.checks["corner_exponent_base"]) == bits(clean.checks["corner_exponent_base"])
+
+
+def test_ring_error_spares_the_next_growth_check(monkeypatch):
+    # only the 128-point ring of the dynamical residual leaves the sheet:
+    # darcy_mismatch, read from the 256-point ring, keeps the bits it has
+    # when darcy_check is called alone
+    family = MapFamily.two_petal(math.pi / 5, math.pi / 9)
+    clean = run_standard_checks(family)
+    inner = verify._unit_ring
+    monkeypatch.setattr(verify, "_unit_ring", lambda n: (0.5 if n == 128 else 1.0) * inner(n))
+    report = run_standard_checks(family)
+    assert_same_checks(report, checks_alone(family))
+    assert [name for name, c in report.checks.items() if c.detail.startswith("error:")] == ["dynamical_residual"]
+    assert bits(report.checks["darcy_mismatch"]) == bits(clean.checks["darcy_mismatch"])
+
+
+def test_corner_error_spares_the_other_corner(monkeypatch):
+    # a base-corner sample that is not finite fails only the base fit; the
+    # top corner keeps the fit that corner_exponent makes alone
+    family = MapFamily.two_petal(math.pi / 5, math.pi / 9)
+    inner = verify._corner_arc
+
+    def broken(corner):
+        d, pts = inner(corner)
+        return d, (pts + complex("nan") if corner == 1.0 else pts)
+
+    monkeypatch.setattr(verify, "_corner_arc", broken)
+    report = run_standard_checks(family)
+    assert_same_checks(report, checks_alone(family))
+    assert report.checks["corner_exponent_base"].detail.startswith("error: non-finite point")
+    assert report.checks["corner_exponent_top"].detail == "fit=0.224791 target=0.222222"
 
 
 @pytest.mark.parametrize(
