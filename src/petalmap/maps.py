@@ -434,19 +434,21 @@ def scaled_map(family: MapFamily, state: TimeState, w):
 def invert_map(family: MapFamily, z, state: TimeState | None = None):
     """Newton inversion of the scaled map; returns the pre-image w.
 
-    Newton starts from z / r, moved out to radius 1.2 if it lies inside the
-    unit circle.  An iterate that steps inside the unit circle is mirrored
-    to 1/conj(w), so every iterate, and the root returned, lies on the sheet
-    |w| >= 1.
+    A root of r f(w) = z is a root of f(w) = z / r, so the scale enters
+    once: Newton solves f(w) = z / r on the normalized map, and converges
+    when |f(w) - z / r| <= ``NEWTON_TOL`` (1 + |z / r|), in map units at
+    every scale.  It starts from z / r, moved out to radius 1.2 if it lies
+    inside the unit circle.  An iterate that steps inside the unit circle is
+    mirrored to 1/conj(w), so every iterate, and the root returned, lies on
+    the sheet |w| >= 1.
     Each step makes one `_tangential_derivatives` call (one arc stencil for
     two petals): its value serves the convergence test and its f' the step.
     """
-    r = state.r if state is not None else 1.0
-    target = complex(z) / r
+    target = complex(z) / (state.r if state is not None else 1.0)
     w = target
     if abs(w) < 1.0:
         w = 1.5 + 0.5j if w == 0.0 else 1.2 * w / abs(w)
-    tol = NEWTON_TOL * (1.0 + abs(z))
+    tol = NEWTON_TOL * (1.0 + abs(target))
     for _ in range(NEWTON_MAX_ITER):
         try:
             try:
@@ -454,11 +456,11 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
             except MapDomainError:
                 # a stencil point can leave the evaluable region while the
                 # centre converges; the centre's own error comes first
-                if abs(evaluate_map(family, w) * r - complex(z)) <= tol:
+                if abs(evaluate_map(family, w) - target) <= tol:
                     return w
                 raise
             val, deriv = complex(values[0]), complex(derivs[0])
-            if abs(val * r - complex(z)) <= tol:
+            if abs(val - target) <= tol:
                 return w
         except MapDomainError as exc:
             raise InversionError("iteration left the evaluable region: %s" % exc, root=w) from exc
@@ -533,6 +535,9 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
     reflections while never landing on a corner pre-image.  The map is
     evaluated at the first n/4 points and unfolded onto the other three
     quadrants by symmetry (`_unfold_quadrant`); the trace keeps all n.
+    The points are scaled by r = T/A once, here; a `ValueError` refuses a
+    scaled point, or an extent of their real or imaginary parts, that is
+    not finite.
     """
     if n < 16 or n % 4 != 0:
         raise ValueError("n must be a multiple of 4, at least 16")
@@ -541,17 +546,12 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
     phis = _circle_angles(n)
     ring = np.exp(1j * phis)
     (values,) = _unfold_quadrant(_values_on_sheet(family, ring[: n // 4]))
-    return BoundaryTrace(phis, _scaled(state.r, values, "the scaled boundary"))
-
-
-def _scaled(r: float, values: np.ndarray, what: str) -> np.ndarray:
-    """``r * values``; `ValueError` if a product, or the extent of their real or imaginary parts, is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = r * values
-        spans = np.ptp(out.real), np.ptp(out.imag)
-    if not (np.isfinite(out).all() and np.isfinite(spans).all()):
-        raise ValueError("%s lies outside the float range" % what)
-    return out
+        points = state.r * values
+        spans = np.ptp(points.real), np.ptp(points.imag)
+    if not (np.isfinite(points).all() and np.isfinite(spans).all()):
+        raise ValueError("the scaled boundary lies outside the float range")
+    return BoundaryTrace(phis, points)
 
 
 def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:

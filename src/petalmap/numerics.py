@@ -2,9 +2,10 @@
 
 Nothing in here knows about the map families; everything operates on plain
 arrays of points.  Every Gauss-Legendre rule comes from one cached rule on
-[0, 1] (`gauss_legendre_unit`).  A winding count rejects a query that
-touches its polyline: one on a node, or one where an angle increment is
-within rounding of +-pi, i.e. on a segment.
+[0, 1] (`gauss_legendre_unit`).  A winding count rejects a node or query
+that is not finite, and a query that touches its polyline: one on a node,
+or one where an angle increment is within rounding of +-pi, i.e. on a
+segment.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ def winding_number(points, z0) -> int:
     distance) or when an increment lies within WINDING_DISTANCE_TOL of
     +-pi, which is where z0 sits on (or within rounding of) a segment: only
     there can rounding flip an increment's sign and so change the count.
+    A node or a query that is not finite is refused before any arithmetic.
     """
     pts = np.asarray(points, dtype=complex)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
+    if not (np.isfinite(pts).all() and np.isfinite(z0)):
+        raise ValueError("polyline nodes and query point must be finite")
     rel = pts - complex(z0)
     dist = np.abs(rel)
     scale = float(np.max(dist))

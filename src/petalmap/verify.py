@@ -25,7 +25,6 @@ from .maps import (
     _lockstep_values,
     _one_petal_bracket,
     _partner_derivatives,
-    _scaled,
     _tangential_derivatives,
     _two_petal_parameters,
     _unfold_quadrant,
@@ -305,12 +304,12 @@ def conformality_check(family: MapFamily):
     (`_winding`), so the summed turns cannot alias.  An arc that cannot be
     resolved raises `VerificationError`.
     """
-    phis, points = _conformality_arc(family)
+    phis, points = _conformality_arc(family.kind)
     ((winding, ok),) = _winding([(family, phis, *_lockstep_values([(family, points)]))])
     return winding, ok
 
 
-def _conformality_arc(family: MapFamily):
+def _conformality_arc(kind: str):
     """Angles in [0, pi/2], ends included, graded toward the corners, and their points on |w| = e^eps.
 
     The corner pre-images after arg w = 0 sit at pi/2 (two petals) or at pi
@@ -319,15 +318,16 @@ def _conformality_arc(family: MapFamily):
     geometric with ratio 5/4 out to d = 0.2, uniform beyond.  The arc from
     0 to the next corner is filled from both ends, the offsets shrunk to
     meet at its midpoint, so its points are symmetric about that midpoint;
-    with the next corner at pi the quadrant ends at that midpoint.
+    with the next corner at pi the quadrant ends at that midpoint.  The arc
+    depends on the family's ``kind`` alone.
     """
-    gap = 0.5 * math.pi if family.kind == "two-petal" else math.pi
+    gap = 0.5 * math.pi if kind == "two-petal" else math.pi
     offsets = [0.0]
     while offsets[-1] < 0.5 * gap:
         offsets.append(offsets[-1] + min(0.25 * max(offsets[-1], CONFORMAL_RING_EPS), 0.05))
     phis = np.array(offsets) * (0.5 * gap / offsets[-1])
     phis[-1] = 0.5 * gap
-    if family.kind == "two-petal":
+    if kind == "two-petal":
         phis = np.concatenate([phis, gap - phis[-2::-1]])
     return phis, math.exp(CONFORMAL_RING_EPS) * np.exp(1j * phis)
 
@@ -440,28 +440,33 @@ def integral_equation_residual(family: MapFamily) -> float:
 def m_plus_samples(family: MapFamily, state: TimeState, zs):
     """Cauchy transform of |Im| over the pattern boundary at interior points.
 
+    The pattern at scale r = T/A is r f, so M_T(z) = r M_1(z / r): each
+    point z is screened and summed at zeta = z / r against the normalized
+    boundary f, and the sum is scaled by r once.  A zeta that is not finite
+    is not inside the pattern; a value r M_1 past the float range raises.
     The boundary integral is a 16384-node trapezoid sum.  f and f' are
     evaluated at its 4096 first-quadrant nodes and unfolded onto the rest by
     symmetry (`_unfold_quadrant`); the sum runs over all 16384.
     """
     ring = np.exp(1j * _circle_angles(16384))
     f, fp, _ = _unfold_quadrant(*_tangential_derivatives(family, ring[:4096]))
-    points = _scaled(state.r, f, "the scaled boundary")
-    dz_dphi = _scaled(state.r, fp, "dz/dphi") * 1j * ring
-    width = float(np.max(points.real) - np.min(points.real))
-    height = float(np.max(points.imag) - np.min(points.imag))
+    dz_dphi = fp * 1j * ring
+    width = float(np.max(f.real) - np.min(f.real))
+    height = float(np.max(f.imag) - np.min(f.imag))
     diameter = max(width, height)
-    weight = 2.0 * math.pi / len(points)
+    weight = 2.0 * math.pi / len(f)
     out = []
     for z in np.atleast_1d(np.asarray(zs, dtype=complex)):
         z = complex(z)
-        rel = points - z
+        zeta = z / state.r
+        if not cmath.isfinite(zeta):
+            raise ValueError("sample point %r is not inside the pattern" % (z,))
+        rel = f - zeta
         if float(np.min(np.abs(rel))) < INTERIOR_MARGIN * diameter:
             raise ValueError("sample point %r too close to the boundary" % (z,))
-        if winding_number(points, z) != 1:
+        if winding_number(f, zeta) != 1:
             raise ValueError("sample point %r is not inside the pattern" % (z,))
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = complex(np.sum(np.abs(points.imag) / rel * dz_dphi) * weight / (1j * math.pi))
+        value = state.r * complex(np.sum(np.abs(f.imag) / rel * dz_dphi) * weight / (1j * math.pi))
         if not cmath.isfinite(value):
             raise ValueError("the Cauchy sum at %r lies outside the float range" % (z,))
         side = "upper" if z.imag > 0.0 else "lower"
@@ -641,13 +646,13 @@ def _sweep_rows(nodes) -> list:
 
     A node counts its winding as `conformality_check` does and is degenerate
     when its `petal_width` is below WIDTH_DEGENERATE_FRACTION, with the bits
-    of those calls.  The first `_lockstep_values` call takes, as one job per
-    node, its first arc followed by the width arc; the width values are
-    reduced to the node's degenerate flag at once, and `_winding` then
-    bisects all the nodes' arcs together, one call a round.  Each call packs
-    its jobs into series loops of at most ``maps.ARC_BLOCK`` map points,
-    nine first-round nodes a loop, so a default-grid node costs 0.13 loops
-    against 3.62 for the calls one by one.
+    of those calls.  The first arc followed by the width arc is built once,
+    and the first `_lockstep_values` call takes it as every node's job; the
+    width values are reduced to the node's degenerate flag at once, and
+    `_winding` then bisects all the nodes' arcs together, one call a round.
+    Each call packs its jobs into series loops of at most ``maps.ARC_BLOCK``
+    map points, nine first-round nodes a loop, so a default-grid node costs
+    0.13 loops against 3.62 for the calls one by one.
 
     If a call of several nodes raises, each node runs alone, at the cost of
     the shared loops, so the other nodes keep their rows; a single node that
@@ -655,15 +660,14 @@ def _sweep_rows(nodes) -> list:
     """
     try:
         families = [MapFamily.two_petal(*node) for node in nodes]
-        arcs = [_conformality_arc(family) for family in families]
-        width = _width_arc()
-        first = _lockstep_values([(family, np.append(points, width)) for family, (_, points) in zip(families, arcs)])
+        phis, points = _conformality_arc("two-petal")
+        job = np.append(points, _width_arc())
+        first = _lockstep_values([(family, job) for family in families])
         degenerate = [
-            _width(family, values[phis.size :]) < WIDTH_DEGENERATE_FRACTION
-            for family, (phis, _), values in zip(families, arcs, first)
+            _width(family, values[phis.size :]) < WIDTH_DEGENERATE_FRACTION for family, values in zip(families, first)
         ]
         # copies, and rebinding, free the width values before the bisection rounds
-        first = [(family, phis, values[: phis.size].copy()) for family, (phis, _), values in zip(families, arcs, first)]
+        first = [(family, phis, values[: phis.size].copy()) for family, values in zip(families, first)]
         windings = _winding(first)
     except Exception as exc:  # noqa: BLE001 - sweep must keep going
         if len(nodes) > 1:
@@ -716,7 +720,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         # two_petal(alpha, beta) is two_petal(alpha, pi/2 - beta), so the
         # leading local exponent at w = i is the smaller of delta and 1 - delta
         corners["corner_exponent_top"] = (_corner_arc(1.0j), min(family.delta, 1.0 - family.delta))
-    arc_phis, arc_points = _conformality_arc(family)
+    arc_phis, arc_points = _conformality_arc(family.kind)
     derivatives = _evaluated_once(
         lambda points: _tangential_derivatives(family, points),
         {

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from petalmap import cli, verify
+from petalmap import MapFamily, TimeState, cli, m_plus_samples, verify
 from petalmap.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -513,6 +513,20 @@ def test_moments_family_samples_only(tmp_path):
     assert abs(value - 1.8) <= 1e-3
 
 
+def test_moments_family_sample_near_the_float_range_end(tmp_path):
+    # M_T(z) = (T/A) M_1(zA/T): at T = 1e305 the sum runs on the normalized
+    # boundary and only the value, about 1.6e305, is scaled
+    rep = tmp_path / "m.json"
+    code = run_cli(
+        "moments", "--family", "one-petal", "--alpha", "0.7",
+        "--T", "1e305", "--z", "0+6e304i", "--report", str(rep),
+    )
+    assert code == EXIT_OK
+    value = complex(*json.loads(rep.read_text())["m_plus"][0]["value"])
+    (unit,) = m_plus_samples(MapFamily.one_petal(0.7), TimeState(1.0, 1.0), [0.6j])
+    assert abs(value / 1e305 - unit.value) <= 1e-14 * abs(unit.value)
+
+
 def test_moments_family_samples_build_no_trace(tmp_path, monkeypatch):
     # the Cauchy samples make their own boundary; a --z-only command has no
     # use for a moment trace
@@ -706,7 +720,8 @@ def cli_argv(draw):
 # counts whose arrays numpy refuses to allocate (80 PB): a MemoryError
 @example(["sweep", "--alpha-grid=0.1:0.2:10000000000000000", "--out=@x.csv"])
 @example(["trace", "--family=one-petal", "--alpha=0.5", "--n=10000000000000000", "--out=@t.csv"])
-# a scaled boundary, its dz/dphi or its Cauchy sum past the float range
+# a scaled boundary or a Cauchy value past the float range, and a Cauchy
+# value next to its end
 @example(["trace", "--family=one-petal", "--alpha=1.5", "--T=1.7e308", "--out=@t.csv", "--svg=@t.svg"])
 @example(["moments", "--family=one-petal", "--alpha=0.7", "--T=1.7e308", "--z=0+1e308i"])
 @example(["moments", "--family=one-petal", "--alpha=0.7", "--T=1e306", "--z=0+1e306i"])

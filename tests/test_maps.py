@@ -629,6 +629,19 @@ def test_invert_unreachable_hypergeometric_point():
         pressure(fam, TimeState(1.0, 1.0), z)
 
 
+@pytest.mark.parametrize(
+    "family, w0", [(MapFamily.two_petal(0.6, 0.25), 1.5 + 0.5j), (MapFamily.one_petal(0.7), 1.2 + 0.9j)]
+)
+def test_invert_across_scales(family, w0):
+    # r f(w) = z is solved as f(w) = z / r, converged in map units, so the
+    # root is as close at every scale; a test in physical units, 1e-10
+    # (1 + |z|), let the root drift 5e-2 off at r = 1e-9
+    z = evaluate_map(family, w0)
+    for r in (1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12):
+        w = invert_map(family, r * z, TimeState(r, 1.0))
+        assert abs(w - w0) <= 1e-8 * abs(w0), r
+
+
 def test_pressure_values():
     state = TimeState(1.0, 1.0)
     assert abs(pressure(LEMNISCATE, state, 2j) - 2.0 / math.sqrt(3.0)) <= 1e-10
@@ -677,17 +690,18 @@ def test_invert_recovers_sheet_points():
 
 def reference_invert(family, z, state=None):
     """The two-call Newton loop (`evaluate_map`, then `map_derivative`) that
-    `invert_map`'s one-stencil step replaced, kept verbatim."""
+    `invert_map`'s one-stencil step replaced, kept verbatim but for the
+    convergence test, which is in map units as `invert_map`'s is."""
     r = state.r if state is not None else 1.0
     target = complex(z) / r
     w = target
     if abs(w) < 1.0:
         w = 1.5 + 0.5j if w == 0.0 else 1.2 * w / abs(w)
-    tol = maps.NEWTON_TOL * (1.0 + abs(z))
+    tol = maps.NEWTON_TOL * (1.0 + abs(target))
     for _ in range(maps.NEWTON_MAX_ITER):
         try:
             val = evaluate_map(family, w)
-            err = abs(val * r - complex(z))
+            err = abs(val - target)
             if err <= tol:
                 return w
             deriv = map_derivative(family, w)
@@ -1144,7 +1158,7 @@ def test_values_do_not_depend_on_batch_size(family):
 def test_graded_angles(family):
     floor = verify.CONFORMAL_RING_EPS
     corners = np.angle(np.array(family.corner_preimages))
-    phis = verify._conformality_arc(family)[0]
+    phis = verify._conformality_arc(family.kind)[0]
     # the first quadrant, both ends exact: f' is real there on the axes
     assert phis[0] == 0.0 and phis[-1] == 0.5 * math.pi and np.all(np.diff(phis) > 0.0)
     corner_at = np.mod(corners, 2.0 * math.pi)

@@ -85,6 +85,17 @@ def test_winding_point_on_edge_rejected():
         assert winding_number(SQUARE[::-1], edge_point + 1e-9 * scale * inward) == -1
 
 
+def test_winding_non_finite_rejected():
+    # refused before any division, so with no numpy warning
+    ring = np.exp(2j * math.pi * np.arange(50) / 50)
+    for query in (math.nan, complex(math.inf, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            winding_number(ring, query)
+    ring[7] = math.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        winding_number(ring, 0j)
+
+
 def test_winding_needs_three_points():
     with pytest.raises(ValueError, match="at least 3 points"):
         winding_number(SQUARE[:2], 0j)

@@ -808,6 +808,22 @@ def test_m_plus_outside_pattern_rejected():
         m_plus_samples(LEMNISCATE, TimeState(1.0, 1.0), [1.40j])
 
 
+def test_m_plus_non_finite_point_rejected():
+    with pytest.raises(ValueError, match="is not inside the pattern"):
+        m_plus_samples(MapFamily.one_petal(0.7), TimeState(1.0, 1.0), [math.nan])
+
+
+def test_m_plus_scale_covariance():
+    # M_T(z) = r M_1(z / r), summed on the normalized boundary: the same
+    # M / T at every scale, up to 1e305 where the physical-scale sum overflowed
+    family = MapFamily.one_petal(0.7)
+    (unit,) = m_plus_samples(family, TimeState(1.0, 1.0), [0.6j])
+    for T in (1e-300, 1e-6, 1e6, 1e303, 1e305):
+        (s,) = m_plus_samples(family, TimeState(T, 1.0), [0.6j * T])
+        assert s.point == 0.6j * T
+        assert abs(s.value / T - unit.value) <= 1e-14 * abs(unit.value), T
+
+
 def test_m_plus_two_petal_ring():
     # the first-quadrant ring, unfolded, and its arc stencil in ARC_BLOCK
     # blocks against the trapezoid sum over a directly evaluated full ring
