@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import MapDomainError, _gamma_quotient, _hyp2f1_batch, _power, hyp2f1_values
+from .special_functions import MapDomainError, _gamma_quotient, _hyp2f1_batch, _power, _split, hyp2f1_values
 
 SHEET_SLACK = 1e-12          # corner pre-images reject this radius; |w| >= 1 - slack is on-sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
@@ -239,16 +239,18 @@ def _one_petal_derivatives(family: MapFamily, w: np.ndarray):
 # two-petal family
 
 
-def _two_petal_parameters(family: MapFamily) -> tuple[float, float]:
-    """The upper parameters a, b of the two-petal map's F(a, b; 1/2; 4/p^2)."""
-    return (family.alpha + family.beta) / math.pi - 0.5, (family.alpha - family.beta) / math.pi
+def _two_petal_parameters(alpha, beta):
+    """The upper parameters a, b of the two-petal map's F(a, b; 1/2; 4/p^2), for one family or per point."""
+    return (alpha + beta) / math.pi - 0.5, (alpha - beta) / math.pi
 
 
-def _two_petal_request(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: np.ndarray):
+def _two_petal_request(alpha, beta, p: np.ndarray, d: np.ndarray, lower: np.ndarray):
     """The two-petal pattern Z(p) = p (d/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2), p = w + 1/w, around F.
 
     Returns the (a, b, c, t, one_minus) request for `hyp2f1_values` or
     `_hyp2f1_batch`, and the step that finishes Z from F's values.
+    ``alpha`` and ``beta`` are one family's floats, or arrays of each
+    point's family's angles, so that one request carries several families.
 
     ``d`` is the branch factor p^2 - 4, factored by the caller so that d/p^2,
     the power's base and F's 1 - t, stays accurate next to the branch points.
@@ -266,10 +268,10 @@ def _two_petal_request(family: MapFamily, p: np.ndarray, d: np.ndarray, lower: n
     ratio = d / p2
     t = 4.0 / p2
     folded = ratio.real + 1j * np.abs(ratio.imag)
-    aa, bb = _two_petal_parameters(family)
+    aa, bb = _two_petal_parameters(alpha, beta)
 
     def finish(hyp):
-        power = _power(folded, family.alpha / math.pi)
+        power = _power(folded, alpha / math.pi)
         out = (np.abs(p.real) + 1j * np.abs(p.imag)) * power * hyp
         out = np.where(mirror, np.conj(out), out)
         return np.where(left, -out, out)
@@ -285,7 +287,7 @@ def _sheet_p(w: np.ndarray):
 
 def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     """Evaluate on the sheet through p = w + 1/w, reflecting Im w < 0."""
-    request, finish = _two_petal_request(family, *_sheet_p(w))
+    request, finish = _two_petal_request(family.alpha, family.beta, *_sheet_p(w))
     return finish(hyp2f1_values(*request))
 
 
@@ -305,7 +307,7 @@ def _partner_derivatives(family: MapFamily, w: np.ndarray):
     if family.kind == "one-petal":
         h, f_prime, _ = _one_petal_derivatives(family, 1.0 / w)
         return h, -f_prime / (w * w)
-    a, b = _two_petal_parameters(family)
+    a, b = _two_petal_parameters(family.alpha, family.beta)
     cab = 0.5 - a - b  # c - a - b with c = 1/2
     mu = family.alpha / math.pi
     scale = 2.0 * math.pi * abs(_gamma_quotient((0.5,), (a, b, cab + 1.0)))
@@ -381,26 +383,40 @@ def _lockstep_values(jobs) -> list:
 
     Every job's points are sheet-checked first.  One-petal jobs then take
     the closed form.  Two-petal jobs are packed, consecutive ones together,
-    into groups of at most ``ARC_BLOCK`` points (a larger job goes alone),
-    and each group's requests go to one `_hyp2f1_batch`: one series loop per
-    group, built and evaluated one group at a time.  Every value keeps the
-    bits of `evaluate_map` at its point.
+    into groups of at most ``ARC_BLOCK`` points (a larger job goes alone).
+    Each group is one `hyp2f1_values` request, its points joined and each
+    point carrying its family's angles: one p = w + 1/w, one route pick and
+    one series loop per group, built and evaluated one group at a time.
+    Every value keeps the bits of `evaluate_map` at its point.
     """
+    if jobs:
+        # one kind has one set of corners, so every job passes its check
+        # exactly when all the points together pass; a failure is raised by
+        # the first failing job's own check
+        try:
+            _check_sheet(jobs[0][0], np.concatenate([points for _, points in jobs]))
+        except MapDomainError:
+            for family, points in jobs:
+                _check_sheet(family, points)
+            raise
+    if jobs and jobs[0][0].kind == "one-petal":
+        return [_one_petal_values(family, points) for family, points in jobs]
     groups, size = [], 0
     for family, points in jobs:
-        _check_sheet(family, points)
         if not groups or size + points.size > ARC_BLOCK:
             groups.append([])
             size = 0
         groups[-1].append((family, points))
         size += points.size
-    if jobs and jobs[0][0].kind == "one-petal":
-        return [_one_petal_values(family, points) for family, points in jobs]
     out = []
     for group in groups:
-        steps = [_two_petal_request(family, *_sheet_p(points)) for family, points in group]
-        values = _hyp2f1_batch([request for request, _ in steps])
-        out.extend(finish(hyp) for (_, finish), hyp in zip(steps, values))
+        sizes = [points.size for _, points in group]
+        # one family's angles are floats, several families' are per point
+        alpha, beta = group[0][0].alpha, group[0][0].beta
+        if len(group) > 1:
+            alpha, beta = np.repeat([(family.alpha, family.beta) for family, _ in group], sizes, axis=0).T
+        request, finish = _two_petal_request(alpha, beta, *_sheet_p(np.concatenate([points for _, points in group])))
+        out.extend(_split(finish(hyp2f1_values(*request)), sizes))
     return out
 
 

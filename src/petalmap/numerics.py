@@ -79,14 +79,22 @@ def winding_number(points, z0) -> int:
     +-pi, which is where z0 sits on (or within rounding of) a segment: only
     there can rounding flip an increment's sign and so change the count.
     A node or a query that is not finite is refused before any arithmetic.
+    Finite nodes and query whose differences pass the float range are
+    counted on a quarter of each: the count does not change under scaling,
+    a quarter is exact above the subnormal range, and it keeps every
+    difference and distance finite.
     """
     pts = np.asarray(points, dtype=complex)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
     if not (np.isfinite(pts).all() and np.isfinite(z0)):
         raise ValueError("polyline nodes and query point must be finite")
-    rel = pts - complex(z0)
-    dist = np.abs(rel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = pts - complex(z0)
+        dist = np.abs(rel)
+    if not np.isfinite(dist).all():
+        rel = 0.25 * pts - 0.25 * complex(z0)
+        dist = np.abs(rel)
     scale = float(np.max(dist))
     if scale == 0.0 or np.any(dist < WINDING_DISTANCE_TOL * scale):
         raise ValueError("query point touches the polyline")

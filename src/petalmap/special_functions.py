@@ -1,8 +1,9 @@
 """Gauss hypergeometric function, and the branch power and domain error the maps share.
 
-`hyp2f1_values` evaluates F(a, b; c; t) for real parameters on an array of
-complex arguments; the map evaluators batch thousands of boundary points
-through it at once.  Each point takes one route of this table:
+`hyp2f1_values` evaluates F(a, b; c; t) for real parameters, one set for
+all points or one per point, on an array of complex arguments; the map
+evaluators batch thousands of boundary points through it at once.  Each
+point takes one route of this table:
 
 - `_inverse_connection`, the 1/t connection (A&S 15.3.7), where |t| > 1,
   averaged over a +- shift, b -+ shift within ``DEGENERATE_SHIFT`` of
@@ -14,20 +15,34 @@ through it at once.  Each point takes one route of this table:
   connection (A&S 15.3.6), by |1 - t|, but never at integer c - a - b and
   within 0.0061 of one only where neither series reaches.
 
-Every route takes (a, b, c, t, one_minus, queue): it queues each series it
-needs as (a, b, c, argument) and returns a finisher that assembles its
-values from the sums.  `_hyp2f1_batch` and `_disk_values` pick a route for
-each point, and `_dispatch` calls each route on its points (on the whole
-arrays when it takes them all) and scatters their values.
+Which route a point may take, and with which exponents and connection
+coefficients, depends on its family's parameters; which of those routes it
+takes depends on t alone.  So a call's points may belong to several
+families: ``rows`` lists their parameter sets (a, b, c), and ``runs`` the
+(row, count) runs of the points, in order, each family's points contiguous.
+Every route takes (rows, runs, t, one_minus, queue).  It evaluates what
+depends on the parameters once per run, in one family's scalar code
+(`_per_family`), and what depends on t once for all the points, and returns
+a finisher that assembles its values.  `_route` sends the points with
+|t| > 1 to the 1/t route and defers the rest (`_defer`); the 1/t route
+defers the |t| <= 1 evaluations of its two inner functions, two copies of
+its points (and the window its two offsets, two copies again).  One
+`_disk_values` call then picks the direct, Pfaff or 1 - t route of every
+deferred point, and those routes queue each series they need as one
+(a, b, c, argument) entry per run.  `_dispatch` calls each route on its
+points (on the whole arrays when it takes them all) and scatters their
+values.
 
-`_hyp2f1_batch` takes a list of (a, b, c, t, one_minus) requests, queues
-the series of all their routes, sums the whole queue in one term loop
-(`_series_sums`) and applies the finishers: one array per request, with the
-bits of that request alone.  `hyp2f1_values` is its one-request case.  The
-partner solution's F and F' share one batch, and `maps._lockstep_values`,
-the source of map values for every winding count's rounds, packs the map
-requests of several two-petal families into batches of at most
-`maps.ARC_BLOCK` points, so that a sweep's nodes share series loops.
+`_hyp2f1_batch` takes a list of (a, b, c, t, one_minus) requests, whose
+parameters are floats or arrays with one set per point (a run of equal
+sets is one family).  It checks each request, routes all their points with
+one `_route` pick, sums the whole queue in one term loop (`_series_sums`)
+and applies the finisher: one array per request, with the bits of that
+request alone.  `hyp2f1_values` is its one-request case.  The partner
+solution's F and F' share one batch, and `maps._lockstep_values`, the
+source of map values for every winding count's rounds, makes one request of
+each group of at most `maps.ARC_BLOCK` points of several two-petal
+families, so that a sweep's nodes share route picks and series loops.
 
 The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
 take their arguments from 1 - t, which a caller may pass factored
@@ -45,18 +60,22 @@ cut convention, and `Hyp2F1DomainError` is a `MapDomainError`.  The connection c
 real gamma quotients from the standard library's `math.lgamma`, memoized per
 parameter set by `_gamma_quotient`.
 
-A point's value does not depend on its batch.  numpy computes
-``named * temporary`` as ``temporary *= named`` once the temporary reaches
-256 KiB (16384 complex points), and the swapped complex product rounds
-differently.  So complex products here name both array operands or put the
-temporary on the left, and write to a new array: numpy's in-place complex
-product of strided rows or of a single point, and its
-``multiply.accumulate``, round differently from the contiguous ``*`` too.
+A point's value does not depend on its batch.  An exponent array in
+`_power`, and a coefficient array times a complex product, give each point
+the bits of its own float, so a family's values do not depend on the
+families beside it.  numpy computes ``named * temporary`` as
+``temporary *= named`` once the temporary reaches 256 KiB (16384 complex
+points), and the swapped complex product rounds differently.  So complex
+products here name both array operands or put the temporary on the left,
+and write to a new array: numpy's in-place complex product of strided rows
+or of a single point, and its ``multiply.accumulate``, round differently
+from the contiguous ``*`` too.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import Callable
@@ -83,18 +102,24 @@ class Hyp2F1ConvergenceError(RuntimeError):
     """Series failed to settle within the iteration cap."""
 
 
-def _power(z, mu: float):
+def _power(z, mu):
     """Principal power z**mu for real mu, real-negative bases taken from above.
 
     The package's one cut convention: every fractional power of the maps and
-    the connection formulas is taken here.  Exponent 1/2 takes `np.sqrt`.
+    the connection formulas is taken here.  ``mu`` is a float or one
+    exponent per point; exponent 1/2 takes `np.sqrt`.  An exponent array
+    gives each point the bits of its own float exponent.
     """
     # adding +0j turns a -0 imaginary part into +0, so the cut is approached
     # from above whatever the sign of zero
     z = np.asarray(z, dtype=complex) + 0.0j
-    if mu == 0.5:
-        return np.sqrt(z)
-    return np.exp(mu * np.log(z))
+    if not isinstance(mu, np.ndarray):
+        return np.sqrt(z) if mu == 0.5 else np.exp(mu * np.log(z))
+    out = np.exp(mu * np.log(z))
+    half = mu == 0.5
+    if half.any():
+        out[half] = np.sqrt(z[half])
+    return out
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -122,24 +147,59 @@ def _gamma_quotient(numerators, denominators) -> float:
     return sign * math.exp(total)
 
 
-def _queued(queue: list, a: float, b: float, c: float, t) -> Callable:
-    """Queue one Gauss series for `_series_sums`; the finisher picks out its sum."""
-    queue.append((a, b, c, t))
+def _per_family(rule: Callable, rows: list, runs: list):
+    """``rule(a, b, c)`` of each point's family row, called once per run.
+
+    Returns that one value when the points are one run, else the values per
+    point (a rule that returns k values gives k arrays).  A rule is the
+    scalar code of one family, so every point gets its family's decision,
+    exponent or coefficient bit for bit.
+    """
+    if len(runs) == 1:
+        return rule(*rows[runs[0][0]])
+    if not runs:
+        return np.zeros(0, dtype=bool)
+    return np.array([rule(*rows[row]) for row, _ in runs]).repeat([count for _, count in runs], axis=0).T
+
+
+def _split(values: np.ndarray, sizes) -> list:
+    """Consecutive slices of ``values`` with the given sizes, in order."""
+    bounds = [0, *itertools.accumulate(sizes)]
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _queued(queue: list, rows: list, runs: list, t: np.ndarray) -> Callable:
+    """Queue a Gauss series at every point, one `_series_sums` entry (a, b, c, t) per run.
+
+    The finisher picks out the series' sums, joined in point order.
+    """
+    parts = _split(t, [count for _, count in runs])
+    queue.append([(*rows[row], part) for (row, _), part in zip(runs, parts)])
     return operator.itemgetter(len(queue) - 1)
 
 
-def _dispatch(routes: tuple, pick: np.ndarray, a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+def _dispatch(routes: tuple, pick: np.ndarray, rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Call ``routes[k]`` on the points whose ``pick`` is k, or on the whole arrays if they all are.
 
-    Returns that one route's finisher, or one that scatters the routes' values.
+    ``pick`` is one route index per point, or one for all of them.  One
+    count of the points by (route, run) gives each route its runs.  Returns
+    that one route's finisher, or one that scatters the routes' values.  A
+    route is never called on no points.
     """
+    if not isinstance(pick, np.ndarray):
+        return routes[pick](rows, runs, t, one_minus, queue)
+    which = pick
+    if len(runs) > 1:
+        which = pick * len(runs) + np.arange(len(runs)).repeat([count for _, count in runs])
+    counts = np.bincount(which, minlength=len(routes) * len(runs)).reshape(len(routes), -1).tolist()
     parts = []
     for k, call in enumerate(routes):
-        mask = pick == k
-        if mask.all():
-            return call(a, b, c, t, one_minus, queue)
-        if mask.any():
-            parts.append((mask, call(a, b, c, t[mask], one_minus[mask], queue)))
+        kept = [(row, n) for (row, _), n in zip(runs, counts[k]) if n]
+        if kept == runs and t.size:
+            return call(rows, runs, t, one_minus, queue)
+        if kept:
+            mask = pick == k
+            parts.append((mask, call(rows, kept, t[mask], one_minus[mask], queue)))
 
     def finish(sums):
         out = np.empty(t.shape, dtype=complex)
@@ -231,43 +291,46 @@ def _series_sums(queue: list) -> list:
         raise Hyp2F1ConvergenceError(
             "series did not settle in %d terms (argument near %r)" % (MAX_TERMS, worst)
         )
-    sums = np.split(out, np.cumsum(sizes)[:-1])
-    return [total.reshape(t.shape) for total, t in zip(sums, args)]
+    return [part.reshape(t.shape) for part, t in zip(_split(out, sizes), args)]
 
 
-def _direct(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+def _direct(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Sum the series at t itself."""
-    return _queued(queue, a, b, c, t)
+    return _queued(queue, rows, runs, t)
 
 
-def _pfaff(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+def _pfaff(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Evaluate through the Pfaff transformation, (1 - t)^-a F(a, c - b; c; t/(t - 1))."""
-    prefactor = _power(one_minus, -a)
-    inner = _queued(queue, a, c - b, c, -t / one_minus)
+    prefactor = _power(one_minus, _per_family(lambda a, b, c: -a, rows, runs))
+    inner = _queued(queue, [(a, c - b, c) for a, b, c in rows], runs, -t / one_minus)
     return lambda sums: prefactor * inner(sums)
 
 
-def _euler_connection(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+def _euler_connection(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Evaluate through the argument ``one_minus`` = 1 - t; requires c - a - b off the integers.
 
     At a distance dist from an integer the two terms grow like 1/dist and
     cancel, and the rounding of c - a - b moves them apart: the value is
     good to about 6e-18/dist^2 (1.5e-13 at dist = 0.0064).
     """
-    cab = c - a - b
-    coeff_direct = _gamma_quotient((c, cab), (c - a, c - b))
-    coeff_power = _gamma_quotient((c, -cab), (a, b))
-    first = _queued(queue, a, b, a + b - c + 1.0, one_minus)
-    second = _queued(queue, c - a, c - b, cab + 1.0, one_minus)
+    coeff_direct, coeff_power, cab = _per_family(_euler_terms, rows, runs)
+    first = _queued(queue, [(a, b, a + b - c + 1.0) for a, b, c in rows], runs, one_minus)
+    second = _queued(queue, [(c - a, c - b, c - a - b + 1.0) for a, b, c in rows], runs, one_minus)
     power = _power(one_minus, cab)
     return lambda sums: coeff_direct * first(sums) + coeff_power * power * second(sums)
+
+
+def _euler_terms(a: float, b: float, c: float) -> tuple:
+    """One family's gamma quotients of the 1 - t connection, and its exponent c - a - b."""
+    cab = c - a - b
+    return _gamma_quotient((c, cab), (c - a, c - b)), _gamma_quotient((c, -cab), (a, b)), cab
 
 
 def _terminates(a: float, b: float) -> bool:
     return _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
 
 
-def _inverse_connection(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+def _inverse_connection(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
     """Evaluate |t| > 1 through the argument 1/t; a - b is moved off the integers.
 
     At integer a - b the two exponents at infinity collide and Gamma(a - b)
@@ -277,96 +340,207 @@ def _inverse_connection(a: float, b: float, c: float, t: np.ndarray, one_minus: 
     offset lands just inside the window on the other side of the pole,
     where the plain formula still holds.
     """
-    amb = a - b
-    if abs(amb - round(amb)) < DEGENERATE_SHIFT:
-        lo = _inverse_terms(a - DEGENERATE_SHIFT, b + DEGENERATE_SHIFT, c, t, one_minus, queue)
-        hi = _inverse_terms(a + DEGENERATE_SHIFT, b - DEGENERATE_SHIFT, c, t, one_minus, queue)
-        return lambda sums: 0.5 * (lo(sums) + hi(sums))
-    return _inverse_terms(a, b, c, t, one_minus, queue)
+    window = _per_family(lambda a, b, c: abs(a - b - round(a - b)) < DEGENERATE_SHIFT, rows, runs)
+    return _dispatch((_inverse_terms, _window_average), window, rows, runs, t, one_minus, deferred)
 
 
-def _inverse_terms(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+def _window_average(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
+    """The mean of the 1/t connection at a -+ shift, b +- shift, for a - b in the window, both offsets in one call."""
+    shift = DEGENERATE_SHIFT
+    lo = [(a - shift, b + shift, c) for a, b, c in rows]
+    both = _inverse_terms(*_two_copies(lo, [(a + shift, b - shift, c) for a, b, c in rows], runs, t, one_minus), deferred)
+
+    def finish(inner_values):
+        values = both(inner_values)
+        return 0.5 * (values[: t.size] + values[t.size :])
+
+    return finish
+
+
+def _two_copies(first: list, second: list, runs: list, *arrays) -> tuple:
+    """The rows ``first + second`` over two copies of the points, the second copy's runs after the first's."""
+    runs = runs + [(row + len(first), count) for row, count in runs]
+    return (first + second, runs, *(np.concatenate([x, x]) for x in arrays))
+
+
+def _inverse_terms(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
     """The 1/t connection (A&S 15.3.7) itself; a - b must not be an integer."""
-    amb = a - b
     inv = 1.0 / t
     minus_t = -t
     inner_minus = one_minus / minus_t  # 1 - 1/t, as accurate as the caller's 1 - t
-    # the inner functions go through the |t| <= 1 routes only: with |t| = 1
-    # up to rounding, 1/t may again have modulus above 1
-    power_a = _power(minus_t, -a)
-    inner_a = _disk_values(a, a - c + 1.0, amb + 1.0, inv, inner_minus, queue)
-    coeff_a = _gamma_quotient((c, -amb), (b, c - a))
-    power_b = _power(minus_t, -b)
-    inner_b = _disk_values(b, b - c + 1.0, 1.0 - amb, inv, inner_minus, queue)
-    coeff_b = _gamma_quotient((c, amb), (a, c - b))
-    return lambda sums: coeff_a * power_a * inner_a(sums) + coeff_b * power_b * inner_b(sums)
+    # the inner functions, of a and of b, are two copies of the points for
+    # the |t| <= 1 routes only: with |t| = 1 up to rounding, 1/t may again
+    # have modulus above 1
+    inner_a = [(a, a - c + 1.0, a - b + 1.0) for a, b, c in rows]
+    inner = _defer(*_two_copies(inner_a, [(b, b - c + 1.0, 1.0 - (a - b)) for a, b, c in rows], runs, inv, inner_minus), deferred)
+    exponent_a, coeff_a, exponent_b, coeff_b = _per_family(_inverse_coefficients, rows, runs)
+    power_a = _power(minus_t, exponent_a)
+    power_b = _power(minus_t, exponent_b)
+
+    def finish(inner_values):
+        values = inner(inner_values)
+        return coeff_a * power_a * values[: t.size] + coeff_b * power_b * values[t.size :]
+
+    return finish
 
 
-def _disk_values(a: float, b: float, c: float, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
-    """Pick the direct, Pfaff or 1 - t route for each point by the smallest modulus.
+def _inverse_coefficients(a: float, b: float, c: float) -> tuple:
+    """One family's exponents -a, -b of -t in the 1/t connection, each with its gamma quotient."""
+    amb = a - b
+    return -a, _gamma_quotient((c, -amb), (b, c - a)), -b, _gamma_quotient((c, amb), (a, c - b))
 
-    Near integer c - a - b the 1-t connection, good to about 6e-18/dist^2,
-    is a last resort where that is worse than the rounding bound of a series
-    at the radius, one ulp for each of its n terms (1.6e-13, dist < 0.0061).
+
+def _disk_rule(a: float, b: float, c: float) -> tuple:
+    """(direct, refused, last resort) of the |t| <= 1 routes for one family.
+
+    A terminating series (a or b a non-positive integer) is summed directly
+    at every t.  The 1 - t connection is refused at integer c - a - b, a
+    pole.  Near one it is good to about 6e-18/dist^2, and a last resort
+    where that is worse than the rounding bound of a series at the radius,
+    one ulp for each of its n terms (1.6e-13, dist < 0.0061).
     """
-    if _terminates(a, b):
-        return _direct(a, b, c, t, one_minus, queue)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        moduli = np.abs(np.stack([t, -t / one_minus, one_minus]))  # the routes' arguments, in order
     cab = c - a - b
-    n = math.log(TERM_TOL) / math.log(TRANSFORM_RADIUS)
     if any(x == round(x) for x in (cab, a + b - c + 1.0)):
-        moduli[2] = np.inf  # a pole; a + b - c + 1 can round onto one c - a - b misses
-    elif 6e-18 / (cab - round(cab)) ** 2 > n * np.finfo(float).eps:
-        moduli[2, np.min(moduli[:2], axis=0) <= TRANSFORM_RADIUS] = np.inf
-    if np.any(np.min(moduli, axis=0) > TRANSFORM_RADIUS):
+        return _terminates(a, b), True, False  # a + b - c + 1 can round onto a pole c - a - b misses
+    n = math.log(TERM_TOL) / math.log(TRANSFORM_RADIUS)
+    return _terminates(a, b), False, 6e-18 / (cab - round(cab)) ** 2 > n * math.ulp(1.0)
+
+
+def _disk_values(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+    """Pick the direct, Pfaff or 1 - t route for each point by the smallest modulus, under `_disk_rule`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moduli = np.abs(np.array([t, -t / one_minus, one_minus]))  # the routes' arguments, in order
+    # a flag that is False holds for no point
+    direct, refused, last = _per_family(_disk_rule, rows, runs)
+    if last is not False:
+        refused = refused | (last & (moduli[:2].min(axis=0) <= TRANSFORM_RADIUS))
+    if refused is not False:
+        moduli[2, refused] = np.inf
+    if direct is not False:
+        moduli[0, direct] = 0.0
+    if (moduli.min(axis=0) > TRANSFORM_RADIUS).any():
         raise Hyp2F1DomainError(
             "argument not reachable by any implemented transformation"
         )
-    return _dispatch((_direct, _pfaff, _euler_connection), np.argmin(moduli, axis=0), a, b, c, t, one_minus, queue)
+    return _dispatch((_direct, _pfaff, _euler_connection), moduli.argmin(axis=0), rows, runs, t, one_minus, queue)
 
 
-def hyp2f1_values(a: float, b: float, c: float, t, one_minus=None) -> np.ndarray:
+def hyp2f1_values(a, b, c, t, one_minus=None) -> np.ndarray:
     """Vectorized Gauss series, each point by a route of the module's table.
 
-    ``one_minus`` (shaped like ``t``) is 1 - t in the caller's factored
-    form; ``1.0 - t``, the default, cancels next to t = 1.
+    ``a``, ``b`` and ``c`` are floats, or arrays that broadcast against
+    ``t`` with one parameter set per point.  ``one_minus`` (shaped like
+    ``t``) is 1 - t in the caller's factored form; ``1.0 - t``, the
+    default, cancels next to t = 1.
     """
     return _hyp2f1_batch([(a, b, c, t, one_minus)])[0]
 
 
-def _hyp2f1_batch(requests) -> list:
-    """`hyp2f1_values` for each (a, b, c, t, one_minus) request, all series summed in one loop.
+def _request_points(a, b, c, t, one_minus):
+    """A request's family rows [(a, b, c), ...], the (row, count) runs of its points, and its flat t and 1 - t, checked.
 
-    Every request is checked as `hyp2f1_values` checks it, and raises the
-    same error, before any series is summed.  Returns one array per request,
-    shaped like its t.
+    A run of points with equal parameters is one family, so float
+    parameters make one row.  Raises the errors of `hyp2f1_values`.
     """
+    t = np.asarray(t, dtype=complex)
+    one_minus = 1.0 - t if one_minus is None else np.asarray(one_minus, dtype=complex)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(c, np.ndarray):
+        params = np.empty((3, t.size))
+        for row, x in zip(params, (a, b, c)):
+            row.reshape(t.shape)[...] = x
+        starts = np.flatnonzero((params[:, 1:] != params[:, :-1]).any(axis=0)) + 1
+        starts = [0, *starts.tolist()] if t.size else []
+        rows = list(zip(*params[:, starts].tolist()))
+        runs = [(row, hi - lo) for row, (lo, hi) in enumerate(zip(starts, starts[1:] + [t.size]))]
+    else:
+        rows, runs = [(float(a), float(b), float(c))], [(0, t.size)] if t.size else []
+    for _, _, lower in rows:
+        if _is_nonpositive_integer(lower):
+            raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % lower)
+    # nan fails every route's modulus test, so it would pass for reachable
+    if not (np.isfinite(t).all() and np.isfinite(one_minus).all()):
+        raise Hyp2F1DomainError("non-finite argument")
+    # the routes take 1-d arrays: numpy computes on 0-d arrays with its
+    # scalars, whose complex product rounds differently from the array loop's
+    t, one_minus = t.reshape(-1), np.reshape(one_minus, -1)
+    # the branch point is where 1 - t is 0: a caller's factored 1 - t can
+    # be nonzero where t rounds to 1; the rest of the cut has a side only
+    # with -0.0, and a terminating series has none
+    on_cut = (one_minus == 0.0) | ((t.imag == 0.0) & (t.real > 1.0) & ~np.signbit(t.imag))
+    if on_cut.any() and (on_cut & _per_family(_has_cut, rows, runs)).any():
+        raise Hyp2F1DomainError("argument on the cut [1, inf)")
+    return rows, runs, t, one_minus
+
+
+def _has_cut(a: float, b: float, c: float) -> bool:
+    """Whether F(a, b; c; t) is cut along [1, inf) and takes the 1/t route past |t| = 1, unlike a polynomial."""
+    return not _terminates(a, b)
+
+
+def _joined(points: list) -> tuple:
+    """One (rows, runs, t, 1 - t) point set of several, in order: the rows listed, the points joined."""
+    rows, runs, t, one_minus = points[0]
+    if len(points) > 1:
+        rows, runs = [], []
+        for more_rows, more_runs, _, _ in points:
+            runs += [(row + len(rows), count) for row, count in more_runs]
+            rows += more_rows
+        t, one_minus = (np.concatenate([point[k] for point in points]) for k in (2, 3))
+    return rows, runs, t, one_minus
+
+
+def _defer(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
+    """Defer points to the one `_disk_values` pick of their call; the finisher picks out their values."""
+    deferred.append((rows, runs, t, one_minus))
+    return operator.itemgetter(len(deferred) - 1)
+
+
+def _route(points: list) -> tuple:
+    """One route pick for the checked (rows, runs, t, 1 - t) points of several requests, and its queue.
+
+    The requests' points are joined, so that each family's points stay one
+    run under every mask.  Points with |t| > 1 whose series has a cut take
+    `_inverse_connection`, which defers the |t| <= 1 evaluations of its
+    inner functions; the rest are deferred as they are.  Then one
+    `_disk_values` pick takes all the deferred points.  Returns the
+    finisher of all the points and the queued series, one list of
+    `_series_sums` entries each.
+    """
+    rows, runs, t, one_minus = _joined(points)
+    far = (np.abs(t) > 1.0) & _per_family(_has_cut, rows, runs)
+    deferred: list = []
+    outside = _dispatch((_defer, _inverse_connection), far, rows, runs, t, one_minus, deferred)
     queue: list = []
-    finishers, shapes = [], []
-    for a, b, c, t, one_minus in requests:
-        if _is_nonpositive_integer(c):
-            raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % c)
-        t = np.asarray(t, dtype=complex)
-        one_minus = 1.0 - t if one_minus is None else np.asarray(one_minus, dtype=complex)
-        # nan fails every route's modulus test, so it would pass for reachable
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(one_minus))):
-            raise Hyp2F1DomainError("non-finite argument")
-        shapes.append(t.shape)
-        if _terminates(a, b):
-            finishers.append(_queued(queue, a, b, c, t))
-            continue
+    if not deferred:  # no points
+        return (lambda sums: t), queue
+    disk = _disk_values(*_joined(deferred), queue)
+    return (lambda sums: outside(_split(disk(sums), [point[2].size for point in deferred]))), queue
 
-        # the branch point is where 1 - t is 0: a caller's factored 1 - t can
-        # be nonzero where t rounds to 1; the rest of the cut has a side only with -0.0
-        on_cut = (one_minus == 0.0) | ((t.imag == 0.0) & (t.real > 1.0) & ~np.signbit(t.imag))
-        if on_cut.any():
-            raise Hyp2F1DomainError("argument on the cut [1, inf)")
 
-        # the routes take 1-d arrays: numpy computes on 0-d arrays with its
-        # scalars, whose complex product rounds differently from the array loop's
-        flat, one_minus = t.reshape(-1), np.reshape(one_minus, -1)
-        routes = (_disk_values, _inverse_connection)
-        finishers.append(_dispatch(routes, np.abs(flat) > 1.0, a, b, c, flat, one_minus, queue))
-    sums = _series_sums(queue)
-    return [finish(sums).reshape(shape) for finish, shape in zip(finishers, shapes)]
+def _hyp2f1_batch(requests) -> list:
+    """`hyp2f1_values` for each (a, b, c, t, one_minus) request, routed once and summed in one loop.
+
+    Every request is checked as `hyp2f1_values` checks it, and a bad one
+    raises that call's error before any series is summed, after the routing
+    errors of the requests before it.  All the points then take one
+    `_route` pick, each family's coefficients are computed once per call,
+    and the queued series, one `_series_sums` entry per (series, run), share
+    one term loop.  Returns one array per request, shaped like its t, with
+    the bits of that request alone.
+    """
+    points = []
+    for request in requests:
+        try:
+            points.append(_request_points(*request))
+        except Hyp2F1DomainError:
+            if points:
+                _route(points)
+            raise
+    if not points:
+        return []
+    finish, queue = _route(points)
+    sums = iter(_series_sums([entry for series in queue for entry in series]))
+    # a series of several runs joins their sums in point order
+    values = finish([np.concatenate([next(sums) for _ in series]) if len(series) > 1 else next(sums) for series in queue])
+    parts = _split(values, [point[2].size for point in points])
+    return [part.reshape(np.shape(request[3])) for part, request in zip(parts, requests)]

@@ -33,7 +33,7 @@ from petalmap import (
     run_standard_checks,
     scaled_map,
 )
-from petalmap import maps, verify
+from petalmap import maps, special_functions, verify
 from petalmap.special_functions import Hyp2F1DomainError, _gamma_quotient, hyp2f1_values
 
 EXACT_TOL = 1e-13
@@ -138,7 +138,7 @@ def test_one_petal_matches_closed_form():
 def z_of_p(family, p):
     """The two-petal pattern in p = w + 1/w; real p in the band is the limit from above."""
     pts = np.atleast_1d(np.asarray(p, dtype=complex))
-    request, finish = maps._two_petal_request(family, pts, (pts - 2.0) * (pts + 2.0), pts.imag < 0.0)
+    request, finish = maps._two_petal_request(family.alpha, family.beta, pts, (pts - 2.0) * (pts + 2.0), pts.imag < 0.0)
     out = finish(hyp2f1_values(*request))
     return out if np.ndim(p) else complex(out[0])
 
@@ -1015,6 +1015,33 @@ def test_one_petal_lockstep_keeps_the_bits_of_one_family_calls():
     # a corner pre-image in any job refuses the call
     with pytest.raises(CornerPreimageError):
         maps._lockstep_values(jobs + [(LEMNISCATE, np.array([1.5j, -1.0 + 0.0j]))])
+
+
+def test_two_petal_lockstep_group_of_loci_keeps_the_bits(monkeypatch):
+    # one group mixing the loci where F's routes turn on the family: a =
+    # -5.6e-17 (alpha + beta = pi/2), a - b = 0 (beta = pi/4, the averaged
+    # window), c - a - b 6.4e-4 from 1 (alpha = 1e-3, the 1 - t last
+    # resort), b = 0 (beta = alpha, terminating) and a plain family, on arcs
+    # of the conformality ring and off it; the group is one request, routed
+    # once and summed in one series loop, and every job keeps the bits of
+    # evaluate_map at its points
+    loci = [(3 * math.pi / 36, 15 * math.pi / 36), (0.6, math.pi / 4), (1e-3, 0.7), (0.5, 0.5), (0.7, 0.3)]
+    _, arc = verify._conformality_arc("two-petal")
+    extra = np.array([1.05, 1.05 * np.exp(0.3j), 1.5j, 2.0 + 0.3j, -1.1 - 0.8j, 3.0 + 1j, -2.5j])
+    jobs = [(MapFamily.two_petal(alpha, beta), np.append(arc[k::3], extra[k:])) for k, (alpha, beta) in enumerate(loci)]
+    jobs.insert(2, (MapFamily.two_petal(*loci[0]), np.array([], dtype=complex)))
+    assert sum(points.size for _, points in jobs) <= maps.ARC_BLOCK
+    picks, loops = [], []
+    route, sums = special_functions._route, special_functions._series_sums
+    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append(points) or route(points))
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
+    out = maps._lockstep_values(jobs)
+    monkeypatch.undo()
+    assert len(picks) == 1 and len(loops) == 1
+    assert len(out) == len(jobs)
+    for (family, points), values in zip(jobs, out):
+        assert values.shape == points.shape
+        assert evaluate_map(family, points).tobytes() == values.tobytes(), family.label()
 
 
 def test_map_derivative_consistency():

@@ -1,6 +1,7 @@
 """Quadrature, winding, and fitting utilities under the map layer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ def test_winding_non_finite_rejected():
     ring[7] = math.nan
     with pytest.raises(ValueError, match="must be finite"):
         winding_number(ring, 0j)
+
+
+def test_winding_past_the_float_range():
+    # finite nodes and query whose differences overflow are counted, with
+    # no numpy warning: -1.5e308 - 1e308 printed "overflow encountered in
+    # subtract", an exception under -W error
+    diamond = 1e308 * np.array([1, 1j, -1, -1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert winding_number(diamond, -1.5e308) == 0
+        assert winding_number(diamond, -0.5e308 + 0.25e308j) == 1
+        assert winding_number(diamond[::-1], 0.25e308j) == -1
+        # |rel| = hypot(1.5e308, 1.5e308) overflows though each part is finite
+        assert winding_number(1.5e308 * SQUARE, -1.7e308 + 0.5e308j) == 0
+        assert winding_number(1.5e308 * SQUARE, 0.1e308 - 0.2e308j) == 1
+        # a node is still refused as a touch, and the same count holds at any scale
+        with pytest.raises(ValueError, match="touches"):
+            winding_number(diamond, -1e308)
+        for scale in (1e-300, 1.0, 1e300, 1.7e308):
+            assert winding_number(scale * np.array([1, 1j, -1, -1j]), -0.5 * scale + 0.25j * scale) == 1
 
 
 def test_winding_needs_three_points():

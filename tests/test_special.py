@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from petalmap import Hyp2F1DomainError, special_functions
+from petalmap import Hyp2F1DomainError, maps, special_functions
 from petalmap.special_functions import Hyp2F1ConvergenceError, hyp2f1_values
 
 SPOT_TOL = 1e-14
@@ -588,3 +588,124 @@ def test_batch_raises_as_single_call(monkeypatch, bad):
     with pytest.raises(Hyp2F1DomainError) as batch:
         special_functions._hyp2f1_batch([BATCH_REQUESTS[0], bad, BATCH_REQUESTS[3]])
     assert str(batch.value) == str(alone.value)
+
+
+# two-petal map requests on the loci where a family's routes turn on its
+# parameters: a = -5.6e-17, zero up to rounding (alpha + beta = pi/2, the
+# grid node (3 pi/36, 15 pi/36)); a - b = 0 and the averaged window (beta =
+# pi/4); c - a - b = 1 - 2 alpha/pi, 6.4e-4 from 1, where the 1 - t
+# connection is a last resort (alpha = 1e-3); b = 0 and a terminating
+# series (beta = alpha); and a plain family
+LOCI = [(3 * math.pi / 36, 15 * math.pi / 36), (0.6, math.pi / 4), (1e-3, 0.7), (0.5, 0.5), (0.7, 0.3)]
+# t = 4/p^2 takes the 1/t route next to the unit circle, the 1 - t
+# connection at w = 1.05 and the direct and Pfaff series farther out
+LOCUS_POINTS = np.concatenate(
+    [1.02 * np.exp(1j * np.linspace(0.05, 3.1, 7)), [1.05, 1.05 * np.exp(0.3j), 1.5j, 2.0 + 0.3j, -1.1 - 0.8j, 3.0 + 1j, -2.5j]]
+)
+
+
+def locus_request(alpha, beta, w):
+    """F's request of the two-petal map at sheet points w; alpha and beta per family or per point."""
+    request, _ = maps._two_petal_request(alpha, beta, *maps._sheet_p(np.reshape(w, -1)))
+    return request[:3] + tuple(np.reshape(x, np.shape(w)) for x in request[3:])
+
+
+def spy_routes(monkeypatch):
+    """Log the route functions taken and every `_route` pick, by the number of requests it routes."""
+    taken, picks = set(), []
+    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_window_average"):
+        route = getattr(special_functions, name)
+        monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
+    route = special_functions._route
+    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append(len(points)) or route(points))
+    return taken, picks
+
+
+def test_batch_of_loci_routes_once(monkeypatch):
+    # every locus, shaped 1-d, 2-d and 0-d, and one request whose points
+    # carry three families (the first again after the second): each has
+    # the bits and shape of its own call, and the batch takes one route
+    # pick and one series loop
+    w = LOCUS_POINTS
+    requests = [locus_request(alpha, beta, w) for alpha, beta in LOCI]
+    requests[1] = locus_request(*LOCI[1], w.reshape(2, 7))
+    requests.append(locus_request(*LOCI[2], np.asarray(w[3])))
+    sizes = [w.size, 5, 9]
+    alpha, beta = (np.repeat([LOCI[k][i] for k in (0, 1, 0)], sizes) for i in (0, 1))
+    mixed = np.concatenate([w, w[:5], w[2:11]])
+    requests.append(locus_request(alpha, beta, mixed))
+    alone = [hyp2f1_values(*request) for request in requests]
+    bounds = np.cumsum([0] + sizes)
+    segments = [hyp2f1_values(*locus_request(*LOCI[k], mixed[lo:hi])) for k, lo, hi in zip((0, 1, 0), bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(segments).view(np.uint64), alone[-1].view(np.uint64))
+    taken, picks = spy_routes(monkeypatch)
+    loops = []
+    sums = special_functions._series_sums
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
+    batch = special_functions._hyp2f1_batch(requests)
+    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_window_average"}
+    assert picks == [len(requests)] and len(loops) == 1
+    assert len(batch) == len(alone)
+    for got, want in zip(batch, alone):
+        assert got.shape == want.shape
+        assert np.array_equal(np.ravel(got).view(np.uint64), np.ravel(want).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "bad, later",
+    [
+        ((0.3, -0.2, 0.5, np.array([0.3, complex("nan")]), None), (1.0, 1.0, -2.0, np.array([0.3]), None)),
+        ((1.0, 1.0, -2.0, np.array([0.3]), None), (0.3, -0.2, 0.5, np.array([1.5 + 0.0j]), None)),
+        # a routing error of an earlier request comes before a later request's check
+        ((0.125, -0.375, 0.5, np.array([0.3, cmath.exp(1j * math.pi / 3)]), None), (0.3, -0.2, 0.5, np.array([complex("nan")]), None)),
+    ],
+    ids=("nan", "lower-parameter", "unreachable"),
+)
+def test_loci_batch_raises_the_first_bad_request(monkeypatch, bad, later):
+    with pytest.raises(Hyp2F1DomainError) as alone:
+        hyp2f1_values(*bad)
+    requests = [locus_request(alpha, beta, LOCUS_POINTS) for alpha, beta in LOCI]
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: pytest.fail("series summed"))
+    with pytest.raises(Hyp2F1DomainError) as batch:
+        special_functions._hyp2f1_batch(requests[:2] + [bad] + requests[2:] + [later])
+    assert str(batch.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("n", [1, 5, 2043, 16383, 16384, 20000])
+def test_per_point_parameters_keep_the_scalar_bits(n):
+    # the numpy property a batch of several families rests on: an exponent
+    # array in _power, and a coefficient array times a complex product,
+    # give each point the bits of its own float, on both sides of numpy's
+    # 256 KiB (16384 complex point) temporary threshold
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    y = rng.normal(size=n) + 1j * rng.normal(size=n)
+    floats = [-0.2768647697851627, 0.5, 0.6180281365794511, 1.0 / 3.0, -5.551115123125783e-17]
+    pick = rng.integers(len(floats), size=n)
+    per_point = np.array(floats)[pick]
+    powers = special_functions._power(z, per_point)
+    products = per_point * x * y
+    for k, mu in enumerate(floats):
+        at = pick == k
+        assert np.array_equal(powers[at].view(np.uint64), special_functions._power(z, mu)[at].view(np.uint64))
+        assert np.array_equal(products[at].view(np.uint64), (mu * x * y)[at].view(np.uint64))
+
+
+def test_per_point_parameters_match_single_calls():
+    # a parameter set per point, every point its own family, has each
+    # point's bits alone; t inside |t| < 1/2 or outside |t| > 2 is reachable
+    # by every family
+    rng = np.random.default_rng(32)
+    n = 24
+    a, b = rng.uniform(-1.0, 1.0, (2, n))
+    c = rng.uniform(0.2, 2.0, n)
+    t = np.where(rng.random(n) < 0.5, 0.45, 2.5) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    got = hyp2f1_values(a.reshape(4, 6), b.reshape(4, 6), c.reshape(4, 6), t.reshape(4, 6))
+    assert got.shape == (4, 6)
+    alone = np.concatenate([hyp2f1_values(a[k], b[k], c[k], t[k : k + 1]) for k in range(n)])
+    assert np.array_equal(got.reshape(-1).view(np.uint64), alone.view(np.uint64))
+    # a parameter broadcast along one axis
+    rows = hyp2f1_values(a[:4, None], 0.3, 1.3, t.reshape(4, 6))
+    for k in range(4):
+        assert np.array_equal(rows[k].view(np.uint64), hyp2f1_values(a[k], 0.3, 1.3, t.reshape(4, 6)[k]).view(np.uint64))

@@ -914,11 +914,17 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     loops = []
     sums = special_functions._series_sums
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
+    # one route pick per series loop routes every family of a group together
+    # (the default grid made 757 routings, one per family request, before)
+    picks = []
+    route = special_functions._route
+    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append(len(points)) or route(points))
     grid = [k * math.pi / 36 for k in range(1, 18)]
     rows = sweep(grid, grid)
     monkeypatch.undo()
     assert all(row.error is None for row in rows)
     assert len(loops) <= 45
+    assert len(picks) <= len(loops)
     first = list(zip(*calls[0]))
     bisections = [job for jobs, out in calls[1:] for job in zip(jobs, out)]
     assert [(family.alpha, family.beta) for (family, _), _ in first] == [(row.alpha, row.beta) for row in rows]
