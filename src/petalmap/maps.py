@@ -14,6 +14,7 @@ across it that the conserved-ratio estimate needs is `_partner_derivatives`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -294,19 +295,29 @@ def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
 def _partner_derivatives(family: MapFamily, w: np.ndarray):
     """(h, h') of the map continued across the unit circle, a second oscillator solution.
 
-    For one petal h(w) = f(1/w), the closed form.  For two petals t = 4/p^2
-    crosses F's cut at t > 1, where (DLMF 15.2.3) the continuation is
-    e^{-2i alpha} (f + 2 pi i K J), K = Gamma(c) / (Gamma(a) Gamma(b)
-    Gamma(c-a-b+1)), J = p X^(alpha/pi) (-X)^(c-a-b) F(c-a, c-b; c-a-b+1; X)
-    and X = 1 - t.  A multiple of f or a constant phase leaves the
-    Wronskian's modulus unchanged, so h = 2 pi |K| J, analytic where t lies
-    in the lower half plane (the first quadrant off the axes).  h' takes
-    d/dX F = ((c-a)(c-b)/(c-a-b+1)) F(c-a+1, c-b+1; c-a-b+2; X) (DLMF 15.5.1)
-    and dX/dw = 8 p'/p^3, p' = 1 - 1/w^2.
+    For one petal h(w) = f(1/w), the closed form.  For two petals it is
+    the continuation of `_partner_requests`, its two series summed in one
+    loop.
     """
     if family.kind == "one-petal":
         h, f_prime, _ = _one_petal_derivatives(family, 1.0 / w)
         return h, -f_prime / (w * w)
+    requests, finish = _partner_requests(family, w)
+    return finish(*_hyp2f1_batch(requests))
+
+
+def _partner_requests(family: MapFamily, w: np.ndarray):
+    """The two-petal partner's two 2F1 requests at 1-d points w, and the finish that takes their values to (h, h').
+
+    t = 4/p^2 crosses F's cut at t > 1, where (DLMF 15.2.3) the
+    continuation is e^{-2i alpha} (f + 2 pi i K J), K = Gamma(c) / (Gamma(a)
+    Gamma(b) Gamma(c-a-b+1)), J = p X^(alpha/pi) (-X)^(c-a-b) F(c-a, c-b;
+    c-a-b+1; X) and X = 1 - t.  A multiple of f or a constant phase leaves
+    the Wronskian's modulus unchanged, so h = 2 pi |K| J, analytic where t
+    lies in the lower half plane (the first quadrant off the axes).  h'
+    takes d/dX F = ((c-a)(c-b)/(c-a-b+1)) F(c-a+1, c-b+1; c-a-b+2; X) (DLMF
+    15.5.1) and dX/dw = 8 p'/p^3, p' = 1 - 1/w^2.
+    """
     a, b = _two_petal_parameters(family.alpha, family.beta)
     cab = 0.5 - a - b  # c - a - b with c = 1/2
     mu = family.alpha / math.pi
@@ -317,12 +328,14 @@ def _partner_derivatives(family: MapFamily, w: np.ndarray):
     x = d * d / (p * p)  # 1 - t, kept factored like the map's
     t = 4.0 / (p * p)  # 1 - x
     dx = 8.0 * dp / (p * p * p)
-    # the two functions' series are summed in one loop
-    hyp, slope = _hyp2f1_batch([(0.5 - a, 0.5 - b, cab + 1.0, x, t), (1.5 - a, 1.5 - b, cab + 2.0, x, t)])
-    slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * slope
-    outer = scale * p * _power(x, mu) * _power(-x, cab)
-    h = outer * hyp
-    return h, h * (dp / p + (mu + cab) * dx / x) + outer * slope * dx
+
+    def finish(hyp, slope):
+        slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * slope
+        outer = scale * p * _power(x, mu) * _power(-x, cab)
+        h = outer * hyp
+        return h, h * (dp / p + (mu + cab) * dx / x) + outer * slope * dx
+
+    return [(0.5 - a, 0.5 - b, cab + 1.0, x, t), (1.5 - a, 1.5 - b, cab + 2.0, x, t)], finish
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +356,8 @@ def _values_on_sheet(family: MapFamily, pts: np.ndarray) -> np.ndarray:
     return _two_petal_values(family, pts)
 
 
-def _arc_derivatives(family: MapFamily, pts: np.ndarray):
-    """(f, f', f'') at 1-d points by arc-direction finite differences with extrapolation.
+def _arc_stencil(family: MapFamily, pts: np.ndarray):
+    """The arc stencil's (9, n) rows around 1-d points, and the finish that takes their map values to (f, f', f'').
 
     Stencil points w e^{is} keep |w| fixed, so a stencil centered on an
     evaluable ring never leaves it.  The step h is ``FD_STEP_FRACTION`` of
@@ -355,27 +368,41 @@ def _arc_derivatives(family: MapFamily, pts: np.ndarray):
     The rows are the arc offsets -2, -1, -1/2, -1/4, 1/4, 1/2, 1, 2 (times
     h) and the centre, so level k (step h / 2^k) reads rows k, k + 1,
     6 - k and 7 - k, and each rule is one expression over the three levels.
-    The rows of ``ARC_BLOCK // 9`` centres go to `_values_on_sheet` as one
-    array of at most ``ARC_BLOCK`` points, so a scalar derivative costs one
-    map call and an n-point ring ceil(9 n / ARC_BLOCK).  The centre row is
-    ``pts`` itself: pts e^{0i} could flip the sign of a zero component.
+    The centre row is ``pts`` itself: pts e^{0i} could flip the sign of a
+    zero component.  Every point's derivatives depend on its own column
+    alone.
     """
     h = np.minimum(FD_MAX_STEP, FD_STEP_FRACTION * np.min(_corner_gaps(family, pts), axis=1))
     scales = np.array([[-2.0], [-1.0], [-0.5], [-0.25], [0.25], [0.5], [1.0], [2.0]])
     rows = np.append(pts * np.exp(1j * (scales * h)), pts[None], axis=0)
+
+    def finish(values):
+        lo2, lo1, hi1, hi2, g_0 = values[0:3], values[1:4], values[6:3:-1], values[7:4:-1], values[8]
+        step = np.array([[1.0], [0.5], [0.25]]) * h
+        first = _richardson3(*((lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)))
+        second = _richardson3(*((-lo2 + 16.0 * lo1 - 30.0 * g_0 + 16.0 * hi1 - hi2) / (12.0 * step * step)))
+        iw = 1j * pts
+        f_prime = first / iw
+        f_second = (-second + 1j * first) / (pts * pts)
+        return g_0, f_prime, f_second
+
+    return rows, finish
+
+
+def _arc_derivatives(family: MapFamily, pts: np.ndarray):
+    """(f, f', f'') at 1-d points by `_arc_stencil`'s arc-direction finite differences.
+
+    The rows of ``ARC_BLOCK // 9`` centres go to `_values_on_sheet` as one
+    array of at most ``ARC_BLOCK`` points, so a scalar derivative costs one
+    map call and an n-point ring ceil(9 n / ARC_BLOCK).
+    """
+    rows, finish = _arc_stencil(family, pts)
     values = np.empty(rows.shape, dtype=complex)
     width = ARC_BLOCK // len(rows)
     for lo in range(0, pts.size, width):
         block = rows[:, lo : lo + width]
         values[:, lo : lo + width] = _values_on_sheet(family, block.ravel()).reshape(block.shape)
-    lo2, lo1, hi1, hi2, g_0 = values[0:3], values[1:4], values[6:3:-1], values[7:4:-1], values[8]
-    step = np.array([[1.0], [0.5], [0.25]]) * h
-    first = _richardson3(*((lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)))
-    second = _richardson3(*((-lo2 + 16.0 * lo1 - 30.0 * g_0 + 16.0 * hi1 - hi2) / (12.0 * step * step)))
-    iw = 1j * pts
-    f_prime = first / iw
-    f_second = (-second + 1j * first) / (pts * pts)
-    return g_0, f_prime, f_second
+    return finish(values)
 
 
 def _lockstep_values(jobs) -> list:
@@ -418,6 +445,34 @@ def _lockstep_values(jobs) -> list:
         request, finish = _two_petal_request(alpha, beta, *_sheet_p(np.concatenate([points for _, points in group])))
         out.extend(_split(finish(hyp2f1_values(*request)), sizes))
     return out
+
+
+def _fixed_samples(family: MapFamily, centres: np.ndarray, points: np.ndarray, probes: np.ndarray | None):
+    """(f, f', f'') at the centres, f at the points and (h, h') at the probes, from one evaluation.
+
+    ``centres`` and ``points`` are 1-d and sheet-checked, as
+    `_tangential_derivatives` and `evaluate_map` check them; the partner
+    (`_partner_derivatives`) is taken at ``probes``, or not at all when they
+    are None.  One petal takes the closed forms.  Two petals take one
+    `_hyp2f1_batch` call: one map request over the `_arc_stencil` rows of
+    the centres followed by the points, then the partner's two requests
+    (`_partner_requests`), all with one route pick and one series loop.  A
+    point's value does not depend on its batch, so every value has the bits
+    of its own call.  The caller keeps the map request, 9 points a centre
+    and the points, within ``ARC_BLOCK``.
+    """
+    _check_sheet(family, centres)
+    _check_sheet(family, points)
+    if family.kind == "one-petal":
+        partner = None if probes is None else _partner_derivatives(family, probes)
+        return _one_petal_derivatives(family, centres), _one_petal_values(family, points), partner
+    rows, finish_rows = _arc_stencil(family, centres)
+    requests, finish_partner = ([], None) if probes is None else _partner_requests(family, probes)
+    request, finish_map = _two_petal_request(family.alpha, family.beta, *_sheet_p(np.append(rows, points)))
+    hyp, *partner = _hyp2f1_batch([request, *requests])
+    values = finish_map(hyp)
+    derivatives = finish_rows(values[: rows.size].reshape(rows.shape))
+    return derivatives, values[rows.size :], finish_partner(*partner) if partner else None
 
 
 def _richardson3(coarse, mid, fine):
@@ -570,24 +625,41 @@ def boundary_trace(family: MapFamily, state: TimeState | None = None, n: int = 2
     return BoundaryTrace(phis, points)
 
 
+def _laurent_ring() -> np.ndarray:
+    """The first-quadrant 64 points of `laurent_coefficients`' 256-point ring at radius 2.5."""
+    return 2.5 * np.exp(1j * _circle_angles(256))[:64]
+
+
+@functools.cache
+def _laurent_basis():
+    """e^{-i phi} and the 17 x 256 e^{i k phi} of the Laurent ring's angles, built once per process."""
+    phis = _circle_angles(256)
+    basis = np.exp(-1j * phis), np.exp(1j * np.arange(17)[:, None] * phis)
+    for part in basis:
+        part.flags.writeable = False
+    return basis
+
+
+def _laurent_data(quadrant: np.ndarray) -> LaurentCoefficients:
+    """`laurent_coefficients` from the map's values at the points of `_laurent_ring`."""
+    radius = 2.5
+    (vals,) = _unfold_quadrant(quadrant)
+    lead_basis, basis = _laurent_basis()
+    lead = np.mean(vals * lead_basis) / radius
+    conformal_radius = float(lead.real)
+    coefficients = (np.mean(vals * basis, axis=1) * radius ** np.arange(17)).real
+    # composing with the inverse of z = r w + r c1 / w + ... gives the
+    # half-plane capacity r (r - c1) as the 1/z coefficient
+    capacity = conformal_radius * (conformal_radius - coefficients[1])
+    return LaurentCoefficients(conformal_radius, coefficients, capacity)
+
+
 def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:
     """Expansion data at infinity from 256-point circle averages at radius 2.5.
 
     The sampling circle stays well away from the corners, so truncation
     aliasing of the coefficients through 1/w^16 is below double rounding.
-    The map is evaluated on the first quadrant, 64 points, and unfolded
-    onto all 256 (`_unfold_quadrant`).
+    The map is evaluated on the first quadrant, 64 points (`_laurent_ring`),
+    and unfolded onto all 256 (`_unfold_quadrant`).
     """
-    radius = 2.5
-    phis = _circle_angles(256)
-    ring = np.exp(1j * phis)
-    (vals,) = _unfold_quadrant(_values_on_sheet(family, radius * ring[:64]))
-
-    lead = np.mean(vals * np.exp(-1j * phis)) / radius
-    conformal_radius = float(lead.real)
-    k = np.arange(17)
-    coefficients = (np.mean(vals * np.exp(1j * k[:, None] * phis), axis=1) * radius**k).real
-    # composing with the inverse of z = r w + r c1 / w + ... gives the
-    # half-plane capacity r (r - c1) as the 1/z coefficient
-    capacity = conformal_radius * (conformal_radius - coefficients[1])
-    return LaurentCoefficients(conformal_radius, coefficients, capacity)
+    return _laurent_data(_values_on_sheet(family, _laurent_ring()))

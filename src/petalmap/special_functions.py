@@ -38,11 +38,14 @@ parameters are floats or arrays with one set per point (a run of equal
 sets is one family).  It checks each request, routes all their points with
 one `_route` pick, sums the whole queue in one term loop (`_series_sums`)
 and applies the finisher: one array per request, with the bits of that
-request alone.  `hyp2f1_values` is its one-request case.  The partner
-solution's F and F' share one batch, and `maps._lockstep_values`, the
-source of map values for every winding count's rounds, makes one request of
-each group of at most `maps.ARC_BLOCK` points of several two-petal
-families, so that a sweep's nodes share route picks and series loops.
+request alone.  `hyp2f1_values` is its one-request case.  A two-petal
+battery's fixed samples are one batch (`maps._fixed_samples`): one map
+request over the arc stencil of its rings, its arcs and its Laurent ring,
+and the partner solution's F and F', so that they share one route pick and
+one series loop.  `maps._lockstep_values`, the source of map values for
+every winding count's rounds, makes one request of each group of at most
+`maps.ARC_BLOCK` points of several two-petal families, so that a sweep's
+nodes share route picks and series loops.
 
 The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
 take their arguments from 1 - t, which a caller may pass factored
@@ -95,7 +98,7 @@ class MapDomainError(ValueError):
 
 
 class Hyp2F1DomainError(MapDomainError):
-    """Argument not reachable: non-finite, on the cut [1, inf) or past every transformation."""
+    """Argument not reachable: non-finite, on the cut [1, inf) or past every transformation; or a non-finite parameter."""
 
 
 class Hyp2F1ConvergenceError(RuntimeError):
@@ -454,9 +457,12 @@ def _request_points(a, b, c, t, one_minus):
         runs = [(row, hi - lo) for row, (lo, hi) in enumerate(zip(starts, starts[1:] + [t.size]))]
     else:
         rows, runs = [(float(a), float(b), float(c))], [(0, t.size)] if t.size else []
-    for _, _, lower in rows:
-        if _is_nonpositive_integer(lower):
-            raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % lower)
+    for row in rows:
+        # the route rules round the parameters, which a nan or inf cannot take
+        if not all(map(math.isfinite, row)):
+            raise Hyp2F1DomainError("non-finite parameter in (a, b, c) = %r" % (row,))
+        if _is_nonpositive_integer(row[2]):
+            raise Hyp2F1DomainError("lower parameter c = %r is a non-positive integer" % row[2])
     # nan fails every route's modulus test, so it would pass for reachable
     if not (np.isfinite(t).all() and np.isfinite(one_minus).all()):
         raise Hyp2F1DomainError("non-finite argument")

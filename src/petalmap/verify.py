@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,14 +23,17 @@ from .maps import (
     MapFamily,
     TimeState,
     _circle_angles,
+    _fixed_samples,
+    _laurent_data,
+    _laurent_ring,
     _lockstep_values,
     _one_petal_bracket,
     _partner_derivatives,
     _tangential_derivatives,
     _two_petal_parameters,
     _unfold_quadrant,
+    _values_on_sheet,
     evaluate_map,
-    laurent_coefficients,
     potential_V,
 )
 from .numerics import (
@@ -205,11 +209,16 @@ def estimate_A(family: MapFamily) -> RatioEstimate:
     of the map and no ratio, and raises `VerificationError`.
     """
     _reject_collapsed(family)
-    return _ratio_estimate(family, _tangential_derivatives(family, _wronskian_probes()))
+    w = _wronskian_probes()
+    return _ratio_estimate(w, _tangential_derivatives(family, w), _partner_derivatives(family, w))
+
+
+def _collapsed(family: MapFamily) -> bool:
+    return family.kind == "two-petal" and min(map(abs, _two_petal_parameters(family.alpha, family.beta))) <= 4.0 * math.ulp(1.0)
 
 
 def _reject_collapsed(family: MapFamily):
-    if family.kind == "two-petal" and min(map(abs, _two_petal_parameters(family.alpha, family.beta))) <= 4.0 * math.ulp(1.0):
+    if _collapsed(family):
         raise VerificationError(
             "%s is a collapsed pattern (beta = alpha or alpha + beta = pi/2): "
             "the map's continuation across the unit circle is a multiple of the "
@@ -221,11 +230,10 @@ def _wronskian_probes() -> np.ndarray:
     return (WRONSKIAN_RHOS[None, :] * np.exp(1j * WRONSKIAN_THETAS)[:, None]).ravel()
 
 
-def _ratio_estimate(family: MapFamily, derivatives) -> RatioEstimate:
-    """`estimate_A` of a family that is not collapsed, from f and f' at `_wronskian_probes`."""
-    w = _wronskian_probes()
+def _ratio_estimate(w: np.ndarray, derivatives, partner) -> RatioEstimate:
+    """`estimate_A` of a family that is not collapsed, from f and f', and the partner's h and h', at the probes w."""
     f, fp, _ = derivatives
-    h, hp = _partner_derivatives(family, w)
+    h, hp = partner
     samples = np.abs(w * (fp * h - f * hp)) / np.abs(w - 1.0 / w)
     mean = float(np.mean(samples))
     spread = float((np.max(samples) - np.min(samples)) / mean)
@@ -655,9 +663,10 @@ def _sweep_rows(nodes) -> list:
     request with one route pick and one series loop, so a default-grid node
     costs 0.13 of each against 3.62 for the calls one by one.
 
-    If a call of several nodes raises, each node runs alone, at the cost of
-    the shared loops, so the other nodes keep their rows; a single node that
-    raises, its `MapFamily` included, gets the error row.
+    If a call of several nodes raises, its nodes are split in halves and
+    each half runs in lockstep again, so the other nodes keep their rows and
+    one bad node among n costs about 2 log2(n) more lockstep runs; a single
+    node that raises, its `MapFamily` included, gets the error row.
     """
     try:
         families = [MapFamily.two_petal(*node) for node in nodes]
@@ -672,7 +681,8 @@ def _sweep_rows(nodes) -> list:
         windings = _winding(first)
     except Exception as exc:  # noqa: BLE001 - sweep must keep going
         if len(nodes) > 1:
-            return [row for node in nodes for row in _sweep_rows([node])]
+            half = len(nodes) // 2
+            return _sweep_rows(nodes[:half]) + _sweep_rows(nodes[half:])
         return [SweepRow(*nodes[0], None, None, None, "%s: %s" % (type(exc).__name__, exc))]
     return [SweepRow(*node, *winding, flag) for node, winding, flag in zip(nodes, windings, degenerate)]
 
@@ -681,33 +691,54 @@ def _sweep_rows(nodes) -> list:
 # bundled report
 
 
-def _evaluated_once(evaluate, samples: dict):
-    """Lookup of ``evaluate(samples[key])`` by key, from one ``evaluate`` call on all samples.
+def _evaluated_once(family: MapFamily, rings: dict, arcs: dict, probes: np.ndarray | None):
+    """Lookup by key of the battery's fixed samples, from one `maps._fixed_samples` call on all of them.
 
-    ``evaluate`` maps a 1-d point array to a tuple of arrays, point by point
-    and with each point's bits independent of its batch, so a key's slices
-    are the bits of its own call.  If the merged call raises, each key is
-    evaluated alone when it is read, so the error is charged to the check
-    that reads it, as if the checks had run one by one.
+    A key of ``rings`` gives (f, f', f'') at its points, a key of ``arcs``
+    (f,) and "partner" the partner's (h, h') at ``probes`` (None: no
+    partner).  A point's value does not depend on its batch, so a key's
+    slices are the bits of its own call.  If the merged call raises, each
+    key is evaluated alone when it is read, by the call its public check
+    makes (the Laurent ring's unchecked, as `laurent_coefficients` takes
+    it), so the error is charged to the checks that read it, as if the
+    checks had run one by one.
     """
+
+    def alone(key):
+        if key in rings:
+            return _tangential_derivatives(family, rings[key])
+        if key == "partner":
+            return _partner_derivatives(family, probes)
+        if key == "laurent":
+            return (_values_on_sheet(family, arcs[key]),)
+        return (evaluate_map(family, arcs[key]),)
+
+    joined = [np.concatenate(list(samples.values())) for samples in (rings, arcs)]
     try:
-        merged = evaluate(np.concatenate(list(samples.values())))
+        derivatives, values, partner = _fixed_samples(family, *joined, probes)
     except Exception:  # noqa: BLE001 - each reader raises its own error
-        return lambda key: evaluate(samples[key])
-    ends = dict(zip(samples, np.cumsum([len(points) for points in samples.values()])))
-    return lambda key: tuple(part[ends[key] - len(samples[key]) : ends[key]] for part in merged)
+        return alone
+    return {"partner": partner, **_sliced(derivatives, rings), **_sliced((values,), arcs)}.__getitem__
+
+
+def _sliced(parts: tuple, samples: dict) -> dict:
+    """Each key's slices of ``parts``, which were evaluated at the samples' points joined in key order."""
+    ends = itertools.accumulate(len(points) for points in samples.values())
+    return {key: tuple(part[end - len(points) : end] for part in parts) for (key, points), end in zip(samples.items(), ends)}
 
 
 def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> VerificationReport:
     """Run the family-appropriate checks and collect them into a report.
 
     Each result has the bits of the public check called alone, but the
-    checks' fixed samples are evaluated together (`_evaluated_once`): one
-    derivative call for the rings, one value call for the corner fits and
-    the first conformality arc.  Each check name maps to a callable that
-    returns (residual, detail); one that raises is recorded as that check's
-    error, not raised, and the other checks still run.  The three growth
-    checks share one Wronskian ratio, so its error is each one's.
+    checks' fixed samples are evaluated together (`_evaluated_once`): the
+    derivative rings, the corner fits' points, the first conformality arc,
+    the Laurent ring and, unless the family is collapsed, the Wronskian
+    partner.  Two petals take them from one 2F1 batch, one petal from the
+    closed forms.  Each check name maps to a callable that returns
+    (residual, detail); one that raises is recorded as that check's error,
+    not raised, and the other checks still run.  The three growth checks
+    share one Wronskian ratio, so its error is each one's.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -722,43 +753,43 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         # leading local exponent at w = i is the smaller of delta and 1 - delta
         corners["corner_exponent_top"] = (_corner_arc(1.0j), min(family.delta, 1.0 - family.delta))
     arc_phis, arc_points = _conformality_arc(family.kind)
-    derivatives = _evaluated_once(
-        lambda points: _tangential_derivatives(family, points),
-        {
-            "ode": _ode_ring()[:16],
-            "wronskian": _wronskian_probes(),
-            "dynamical": _unit_ring(128)[:32],
-            "darcy": _unit_ring(256)[:64],
-        },
-    )
-    values = _evaluated_once(
-        lambda points: (evaluate_map(family, points),),
-        {"conformality": arc_points, **{name: points for name, ((_, points), _) in corners.items()}},
-    )
+    rings = {
+        "ode": _ode_ring()[:16],
+        "wronskian": _wronskian_probes(),
+        "dynamical": _unit_ring(128)[:32],
+        "darcy": _unit_ring(256)[:64],
+    }
+    arcs = {
+        "conformality": arc_points,
+        **{name: points for name, ((_, points), _) in corners.items()},
+        "laurent": _laurent_ring(),
+    }
+    # a collapsed family has no partner, and its ratio raises before reading one
+    sample = _evaluated_once(family, rings, arcs, None if _collapsed(family) else rings["wronskian"])
 
     @functools.cache
     def ratio():
         _reject_collapsed(family)
-        return _ratio_estimate(family, derivatives("wronskian"))
+        return _ratio_estimate(rings["wronskian"], sample("wronskian"), sample("partner"))
 
     def conformality():
-        ((winding, _ok),) = _winding([(family, arc_phis, *values("conformality"))])
+        ((winding, _ok),) = _winding([(family, arc_phis, *sample("conformality"))])
         return abs(winding), "winding=%d" % winding
 
     def corner_fit(name, d, target):
-        (vals,) = values(name)
+        (vals,) = sample(name)
         fit = fit_power_law(d, np.abs(vals))
         return abs(fit.exponent - target) / target, "fit=%.6f target=%.6f" % (fit.exponent, target)
 
     def capacity():
-        value = laurent_coefficients(family).capacity
+        value = _laurent_data(*sample("laurent")).capacity
         return max(0.0, -value), "capacity=%.12g" % value
 
     checks = {
-        "ode_residual": lambda: (_ode_defect(family, derivatives("ode")), ""),
+        "ode_residual": lambda: (_ode_defect(family, sample("ode")), ""),
         "ratio_spread": lambda: (ratio().spread, "A=%.12g" % ratio().value),
-        "dynamical_residual": lambda: (_dynamical_defect(ratio().value, derivatives("dynamical")), ""),
-        "darcy_mismatch": lambda: (_darcy_defect(ratio().value, derivatives("darcy")), ""),
+        "dynamical_residual": lambda: (_dynamical_defect(ratio().value, sample("dynamical")), ""),
+        "darcy_mismatch": lambda: (_darcy_defect(ratio().value, sample("darcy")), ""),
         "conformality": conformality,
         **{name: functools.partial(corner_fit, name, d, target) for name, ((d, _), target) in corners.items()},
     }

@@ -265,6 +265,28 @@ def test_lower_parameter_validation():
     assert np.isfinite(f21(1.0, 1.0, -0.5, 0.3))  # non-integer is fine
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=("nan", "inf", "-inf"))
+@pytest.mark.parametrize("index", [0, 1, 2], ids=("a", "b", "c"))
+@pytest.mark.parametrize("per_point", [False, True], ids=("float", "array"))
+def test_non_finite_parameter_rejected(monkeypatch, bad, index, per_point):
+    # the route rules round the parameters, which would raise ValueError or
+    # OverflowError; a per-point parameter is bad at one point of three
+    t = np.array([0.3, 0.5 + 0.2j, 2.0 - 1.0j])
+    params = [0.3, -0.2, 0.5]
+    if per_point:
+        column = np.full(t.shape, params[index])
+        column[1] = bad
+        params[index] = column
+    else:
+        params[index] = bad
+    with pytest.raises(Hyp2F1DomainError, match="non-finite parameter"):
+        hyp2f1_values(*params, t)
+    # second in a batch, after a good request, and before any series is summed
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: pytest.fail("series summed"))
+    with pytest.raises(Hyp2F1DomainError, match="non-finite parameter"):
+        special_functions._hyp2f1_batch([BATCH_REQUESTS[0], (*params, t, None), BATCH_REQUESTS[3]])
+
+
 def reference_series_sum(a, b, c, t):
     """The all-points loop of a single series that `_series_sums` replaced, kept verbatim."""
     t = np.asarray(t, dtype=complex)

@@ -984,18 +984,47 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
         return lockstep
 
     # raised only while merged: the first bisection round holds the five
-    # nodes still refining; run alone, the node gets its own row back
+    # nodes still refining; the halves of the six nodes run again, and the
+    # target's half is halved again, 3 and then 2 nodes, until the node runs
+    # alone and gets its own row back
     monkeypatch.setattr(verify, "_lockstep_values", failing(True))
     assert sweep(alphas, betas) == want
-    assert raised == [5]
+    assert raised == [5, 3, 2]
     # raised alone too: that node records the error, and the others, (6, 6)
     # bisected in the same rounds among them, keep their rows
     del raised[:]
     monkeypatch.setattr(verify, "_lockstep_values", failing(False))
     got = sweep(alphas, betas)
-    assert raised == [5, 1]
+    assert raised == [5, 3, 2, 1]
     assert got[:5] == want[:5]
     assert got[5] == verify.SweepRow(target.alpha, target.beta, None, None, None, "RuntimeError: forced")
+
+
+def test_sweep_halves_a_failing_lockstep(monkeypatch):
+    # one node that raises in every call, among 12: the lockstep is halved
+    # around it, 12, 6, 3, 2 and 1 nodes, so the sweep makes 9 lockstep
+    # runs (one, and two per halving) where running each node alone took 13
+    step = math.pi / 36
+    alphas, betas = [4 * step, 6 * step, 8 * step], [3 * step, 5 * step, 7 * step, 9 * step]
+    want = sweep(alphas, betas)
+    target = MapFamily.two_petal(alphas[1], betas[3])  # node 7
+    values = verify._lockstep_values
+    rows = verify._sweep_rows
+    raised, runs = [], []
+
+    def lockstep(jobs):
+        if any(family == target for family, _ in jobs):
+            raised.append(len(jobs))
+            raise RuntimeError("forced")
+        return values(jobs)
+
+    monkeypatch.setattr(verify, "_lockstep_values", lockstep)
+    monkeypatch.setattr(verify, "_sweep_rows", lambda nodes: runs.append(len(nodes)) or rows(nodes))
+    got = sweep(alphas, betas)
+    assert raised == [12, 6, 3, 2, 1]
+    assert runs == [12, 6, 6, 3, 1, 2, 1, 1, 3]
+    assert got[:7] + got[8:] == want[:7] + want[8:]
+    assert got[7] == verify.SweepRow(target.alpha, target.beta, None, None, None, "RuntimeError: forced")
 
 
 def test_run_standard_checks_lemniscate():
@@ -1219,37 +1248,87 @@ def test_corner_error_spares_the_other_corner(monkeypatch):
 
 @pytest.mark.parametrize(
     "family",
-    [MapFamily.two_petal(math.pi / 5, math.pi / 9), MapFamily.two_petal(math.pi / 8, math.pi / 6)],
+    [MapFamily.two_petal(math.pi / 5, math.pi / 9), MapFamily.two_petal(math.pi / 8, math.pi / 6), MapFamily.two_petal(0.5, 0.5)],
     ids=lambda f: f.label(),
 )
 def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family):
-    # one arc stencil for the fixed rings (ode 16, Wronskian 8, dynamical
-    # 32, darcy 64 points), none for the winding count; one series loop for
-    # the stencil, the partner's F and F', the corner values with the first
-    # conformality arc, the Laurent ring and each bisection round
-    sizes = []
-    stencil = maps._arc_derivatives
-
-    def counting(*args):
-        sizes.append(args[1].size)
-        return stencil(*args)
-
-    patch_stencil(counting)
-    rounds = record_ring(monkeypatch)
-    loops = []
-    sums = special_functions._series_sums
-    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
-    partner_loops = []
+    # one 2F1 batch for the fixed samples: one map request over the arc
+    # stencil rows of the rings' 120 centres (ode 16, Wronskian 8, dynamical
+    # 32, darcy 64), the first conformality arc (81 points), both corner
+    # arcs (12 each) and the Laurent ring (64), then the partner's two
+    # requests at the 8 Wronskian probes, none for a collapsed family: one
+    # route pick and one series loop, and one of each per bisection round
+    forbid_stencil(patch_stencil)
+    stencils = []
+    stencil = maps._arc_stencil
+    monkeypatch.setattr(maps, "_arc_stencil", lambda family, pts: stencils.append(pts.size) or stencil(family, pts))
+    partners = []
     partner = verify._partner_derivatives
-
-    def counted_partner(*args):
-        before = len(loops)
-        out = partner(*args)
-        partner_loops.append(len(loops) - before)
-        return out
-
-    monkeypatch.setattr(verify, "_partner_derivatives", counted_partner)
+    monkeypatch.setattr(verify, "_partner_derivatives", lambda *args: partners.append(args) or partner(*args))
+    rounds = record_ring(monkeypatch)
+    picks, loops = [], []
+    route = special_functions._route
+    sums = special_functions._series_sums
+    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append([p[2].size for p in points]) or route(points))
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
     run_standard_checks(family)
-    assert sizes == [16 + 8 + 32 + 64]
-    assert partner_loops == [1]
-    assert len(loops) == 4 + len(rounds)
+    assert stencils == [16 + 8 + 32 + 64]
+    assert picks[0] == [9 * 120 + 81 + 12 + 12 + 64] + ([] if verify._collapsed(family) else [8, 8])
+    assert len(picks) == len(loops) == 1 + len(rounds)
+    if family == MapFamily.two_petal(math.pi / 5, math.pi / 9):
+        assert rounds == []  # no bisection round: the whole battery is one batch
+    assert partners == []
+
+
+@given(st.floats(0.02, 0.5 * math.pi - 0.02), st.floats(0.02, 0.5 * math.pi - 0.02))
+@example(math.pi / 6, math.pi / 4)  # a - b inside the DEGENERATE_SHIFT window
+@example(0.5, 0.5)  # collapsed
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_battery_equals_checks_alone_off_the_grid(alpha, beta):
+    family = MapFamily.two_petal(alpha, beta)
+    assert_same_checks(run_standard_checks(family), checks_alone(family))
+
+
+def test_laurent_ring_error_charged_to_capacity(monkeypatch):
+    # a Laurent ring point at the corner pre-image w = 1 fails the merged
+    # evaluation; only capacity_sign reads the ring, and it records the
+    # error that laurent_coefficients raises alone (t = 4/p^2 is the branch
+    # point there)
+    family = MapFamily.two_petal(math.pi / 5, math.pi / 9)
+    clean = run_standard_checks(family)
+    ring = maps._laurent_ring
+    for module in (maps, verify):
+        monkeypatch.setattr(module, "_laurent_ring", lambda: np.append(1.0, ring()[1:]))
+    report = run_standard_checks(family)
+    assert_same_checks(report, checks_alone(family))
+    assert [name for name, c in report.checks.items() if c.detail.startswith("error:")] == ["capacity_sign"]
+    with pytest.raises(maps.MapDomainError) as info:
+        maps.laurent_coefficients(family)
+    assert report.checks["capacity_sign"].detail == "error: %s" % info.value
+    for name in set(clean.checks) - {"capacity_sign"}:
+        assert bits(report.checks[name]) == bits(clean.checks[name]), name
+
+
+def test_partner_error_charged_to_the_growth_checks(monkeypatch):
+    # a non-finite parameter in the partner's second request fails the
+    # merged batch; only the three growth checks read the partner, through
+    # the shared ratio, and each records the error estimate_A raises alone
+    family = MapFamily.two_petal(math.pi / 5, math.pi / 9)
+    clean = run_standard_checks(family)
+    requests = maps._partner_requests
+
+    def broken(*args):
+        (first, (_, *rest)), finish = requests(*args)
+        return [first, (math.nan, *rest)], finish
+
+    monkeypatch.setattr(maps, "_partner_requests", broken)
+    report = run_standard_checks(family)
+    assert_same_checks(report, checks_alone(family))
+    growth = {"ratio_spread", "dynamical_residual", "darcy_mismatch"}
+    assert {name for name, c in report.checks.items() if c.detail.startswith("error:")} == growth
+    with pytest.raises(special_functions.Hyp2F1DomainError, match="non-finite parameter") as info:
+        estimate_A(family)
+    for name in growth:
+        assert report.checks[name].detail == "error: %s" % info.value, name
+    for name in set(clean.checks) - growth:
+        assert bits(report.checks[name]) == bits(clean.checks[name]), name
