@@ -28,6 +28,7 @@ FD_MAX_STEP = 0.04
 ARC_BLOCK = 2043             # map points per series loop: 227 stencil centres x 9 rows, or a lockstep group; bounds memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
+HALLEY_RESIDUAL = 0.1        # Halley's step once |f(w) - z/r| <= this (1 + |z/r|); Newton's before
 
 
 class CornerPreimageError(MapDomainError):
@@ -503,7 +504,7 @@ def scaled_map(family: MapFamily, state: TimeState, w):
 
 
 def invert_map(family: MapFamily, z, state: TimeState | None = None):
-    """Newton inversion of the scaled map; returns the pre-image w.
+    """Newton inversion of the scaled map, finished by Halley steps; returns the pre-image w.
 
     A root of r f(w) = z is a root of f(w) = z / r, so the scale enters
     once: Newton solves f(w) = z / r on the normalized map, and converges
@@ -513,17 +514,23 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
     mirrored to 1/conj(w), so every iterate, and the root returned, lies on
     the sheet |w| >= 1.
     Each step makes one `_tangential_derivatives` call (one arc stencil for
-    two petals): its value serves the convergence test and its f' the step.
+    two petals, the closed form for one): its value serves the convergence
+    test, its f' the step and its f'' the correction.  With s = (f - z/r)/f'
+    the step is Newton's, w - s, until the residual is at most
+    ``HALLEY_RESIDUAL`` (1 + |z / r|); from there on it is Halley's,
+    w - s/(1 - q) with q = s f''/(2 f'), wherever |q| <= 1/2.  So until
+    an iterate is within the gate the iterates are Newton's, bit for bit.
     """
     target = complex(z) / (state.r if state is not None else 1.0)
     w = target
     if abs(w) < 1.0:
         w = 1.5 + 0.5j if w == 0.0 else 1.2 * w / abs(w)
     tol = NEWTON_TOL * (1.0 + abs(target))
+    gate = HALLEY_RESIDUAL * (1.0 + abs(target))
     for _ in range(NEWTON_MAX_ITER):
         try:
             try:
-                values, derivs, _ = _tangential_derivatives(family, np.array([w]))
+                values, derivs, seconds = _tangential_derivatives(family, np.array([w]))
             except MapDomainError:
                 # a stencil point can leave the evaluable region while the
                 # centre converges; the centre's own error comes first
@@ -537,7 +544,12 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
             raise InversionError("iteration left the evaluable region: %s" % exc, root=w) from exc
         if deriv == 0.0:
             raise InversionError("stationary point reached", root=w)
-        w = w - (val - target) / deriv
+        step = (val - target) / deriv
+        if abs(val - target) <= gate:
+            q = step * complex(seconds[0]) / (2.0 * deriv)
+            if abs(q) <= 0.5:
+                step = step / (1.0 - q)
+        w = w - step
         if abs(w) < 1.0:
             # mirror it back onto the sheet; a shortened step could stop
             # within SHEET_SLACK inside the circle, where the values are not

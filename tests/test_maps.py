@@ -487,13 +487,18 @@ ANGLE_RANGE = (0.01, 0.5 * math.pi - 0.01)
 
 
 @st.composite
-def sheet_points(draw):
-    """(family, w): a one- or two-petal family and a point 1 <= |w| <= 5, 1e-6 off every corner."""
+def petal_families(draw):
+    """A one- or two-petal family, every angle in ANGLE_RANGE."""
     alpha = draw(st.floats(*ANGLE_RANGE))
     if draw(st.booleans()):
-        family = MapFamily.two_petal(alpha, draw(st.floats(*ANGLE_RANGE)))
-    else:
-        family = MapFamily.one_petal(alpha)
+        return MapFamily.two_petal(alpha, draw(st.floats(*ANGLE_RANGE)))
+    return MapFamily.one_petal(alpha)
+
+
+@st.composite
+def sheet_points(draw):
+    """(family, w): a one- or two-petal family and a point 1 <= |w| <= 5, 1e-6 off every corner."""
+    family = draw(petal_families())
     w = cmath.rect(draw(st.floats(1.0, 5.0)), draw(st.floats(-math.pi, math.pi)))
     assume(min(abs(w - xi) for xi in family.corner_preimages) >= 1e-6)
     return family, w
@@ -689,9 +694,10 @@ def test_invert_recovers_sheet_points():
 
 
 def reference_invert(family, z, state=None):
-    """The two-call Newton loop (`evaluate_map`, then `map_derivative`) that
-    `invert_map`'s one-stencil step replaced, kept verbatim but for the
-    convergence test, which is in map units as `invert_map`'s is."""
+    """The two-call loop (`evaluate_map`, then `map_derivative`) that
+    `invert_map`'s one-stencil step replaced, with the same Halley gate and
+    q guard, its f'' from a third, separate stencil call.  Kept verbatim but
+    for the convergence test, which is in map units as `invert_map`'s is."""
     r = state.r if state is not None else 1.0
     target = complex(z) / r
     w = target
@@ -709,7 +715,13 @@ def reference_invert(family, z, state=None):
             raise InversionError("iteration left the evaluable region: %s" % exc, root=w) from exc
         if deriv == 0.0:
             raise InversionError("stationary point reached", root=w)
-        w = w - (val - target) / deriv
+        step = (val - target) / deriv
+        if err <= maps.HALLEY_RESIDUAL * (1.0 + abs(target)):
+            second = complex(maps._tangential_derivatives(family, np.array([w]))[2][0])
+            q = step * second / (2.0 * deriv)
+            if abs(q) <= 0.5:
+                step = step / (1.0 - q)
+        w = w - step
         if abs(w) < 1.0:
             # mirror it back onto the sheet; a shortened step could stop
             # within SHEET_SLACK inside the circle, where the values are not
@@ -738,8 +750,9 @@ INVERT_FAILING = [
 
 
 def test_one_stencil_newton_matches_two_call_loop(monkeypatch):
-    # the stencil's centre value and f' are the bits evaluate_map and
-    # map_derivative give, so roots and failures must not move
+    # the stencil's centre value, f' and f'' are the bits evaluate_map,
+    # map_derivative and a separate stencil call give, so roots and
+    # failures must not move
     items = [(family, scaled_map(family, state, w0), state) for family, w0, state in INVERT_RECOVERED + INVERT_FAILING]
     items.append((MapFamily.two_petal(math.pi / 4, math.pi / 8), 1.3158 + 1.5j, None))
     items.append((LEMNISCATE, 0.3 + 0.4j, None))
@@ -771,6 +784,81 @@ def test_one_stencil_newton_matches_two_call_loop(monkeypatch):
     monkeypatch.setattr(maps, "_tangential_derivatives", out_of_reach_at_root)
     assert outcome(invert_map, family, z, state) == outcome(reference_invert, family, z, state) == root
     assert raised == [root]
+
+
+def stencil_trajectory(monkeypatch, family, z, state):
+    """The root `invert_map` returns and the (iterate, f) of each of its stencil calls."""
+    inner = maps._tangential_derivatives
+    calls = []
+
+    def recording(family, pts):
+        out = inner(family, pts)
+        calls.append((complex(pts[0]), complex(out[0][0])))
+        return out
+
+    monkeypatch.setattr(maps, "_tangential_derivatives", recording)
+    root = invert_map(family, z, state=state)
+    monkeypatch.setattr(maps, "_tangential_derivatives", inner)
+    return root, calls
+
+
+def test_halley_steps_save_stencil_calls(monkeypatch):
+    # the six items take 43 stencil calls with Halley's final steps against
+    # 51 for the plain Newton loop (a gate no residual passes): 4, 6, 7, 5,
+    # 16 and 5 against 5, 7, 8, 7, 18 and 6.  Above the gate every step is
+    # Newton's, bit for bit: the two loops share their iterates up to the
+    # first one inside the gate, which each item reaches after at least one
+    # step
+    halley, newton = [], []
+    for family, w0, state in INVERT_RECOVERED:
+        z = scaled_map(family, state, w0)
+        target = z / state.r
+        root, calls = stencil_trajectory(monkeypatch, family, z, state)
+        with monkeypatch.context() as plain:
+            plain.setattr(maps, "HALLEY_RESIDUAL", -1.0)
+            newton_root, newton_calls = stencil_trajectory(monkeypatch, family, z, state)
+        for w in (root, newton_root):
+            assert abs(w - w0) <= 1e-8 * abs(w0), family.label()
+        gate = maps.HALLEY_RESIDUAL * (1.0 + abs(target))
+        first = next(k for k, (_, val) in enumerate(calls) if abs(val - target) <= gate)
+        assert first >= 1
+        assert [w for w, _ in calls[: first + 1]] == [w for w, _ in newton_calls[: first + 1]]
+        assert len(calls) <= len(newton_calls), family.label()
+        halley.append(len(calls))
+        newton.append(len(newton_calls))
+    assert (sum(halley), sum(newton)) == (43, 51)
+
+
+@st.composite
+def inversion_items(draw):
+    """(family, w, state): a one- or two-petal family, a sheet point 1 < |w| <= 4
+    at least 0.05 off every corner pre-image, and a growth state."""
+    family = draw(petal_families())
+    w = cmath.rect(draw(st.floats(1.0, 4.0, exclude_min=True)), draw(st.floats(-math.pi, math.pi)))
+    assume(min(abs(w - xi) for xi in family.corner_preimages) >= 0.05)
+    return family, w, TimeState(draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)))
+
+
+@given(inversion_items())
+# the near-corner item Newton walks along the circle with (INVERT_FAILING)
+@example(INVERT_FAILING[0])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_invert_raises_only_inversion_error(item):
+    # wherever the map evaluates, inversion returns a sheet point whose
+    # residual passes the convergence test, or raises InversionError: no
+    # ZeroDivisionError or OverflowError leaks from a Newton or Halley step
+    family, w, state = item
+    try:
+        z = scaled_map(family, state, w)
+    except MapDomainError:
+        return
+    try:
+        root = invert_map(family, z, state=state)
+    except InversionError:
+        return
+    target = z / state.r
+    assert abs(root) >= 1.0 - maps.SHEET_SLACK
+    assert abs(evaluate_map(family, root) - target) <= maps.NEWTON_TOL * (1.0 + abs(target))
 
 
 def test_newton_step_makes_one_stencil_call(monkeypatch):
