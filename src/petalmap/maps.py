@@ -520,6 +520,9 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
     ``HALLEY_RESIDUAL`` (1 + |z / r|); from there on it is Halley's,
     w - s/(1 - q) with q = s f''/(2 f'), wherever |q| <= 1/2.  So until
     an iterate is within the gate the iterates are Newton's, bit for bit.
+    A step depends on w alone, so an iterate that repeats starts a cycle
+    that never converges: the loop raises at once rather than running on to
+    ``NEWTON_MAX_ITER``, with that iterate as the last one.
     """
     target = complex(z) / (state.r if state is not None else 1.0)
     w = target
@@ -527,7 +530,11 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
         w = 1.5 + 0.5j if w == 0.0 else 1.2 * w / abs(w)
     tol = NEWTON_TOL * (1.0 + abs(target))
     gate = HALLEY_RESIDUAL * (1.0 + abs(target))
+    seen = set()
     for _ in range(NEWTON_MAX_ITER):
+        if w in seen:
+            raise InversionError("iterate repeats without converging", root=w)
+        seen.add(w)
         try:
             try:
                 values, derivs, seconds = _tangential_derivatives(family, np.array([w]))

@@ -696,15 +696,20 @@ def test_invert_recovers_sheet_points():
 def reference_invert(family, z, state=None):
     """The two-call loop (`evaluate_map`, then `map_derivative`) that
     `invert_map`'s one-stencil step replaced, with the same Halley gate and
-    q guard, its f'' from a third, separate stencil call.  Kept verbatim but
-    for the convergence test, which is in map units as `invert_map`'s is."""
+    q guard, its f'' from a third, separate stencil call, and the same stop
+    at a repeated iterate.  Kept verbatim but for the convergence test,
+    which is in map units as `invert_map`'s is."""
     r = state.r if state is not None else 1.0
     target = complex(z) / r
     w = target
     if abs(w) < 1.0:
         w = 1.5 + 0.5j if w == 0.0 else 1.2 * w / abs(w)
     tol = maps.NEWTON_TOL * (1.0 + abs(target))
+    seen = set()
     for _ in range(maps.NEWTON_MAX_ITER):
+        if w in seen:
+            raise InversionError("iterate repeats without converging", root=w)
+        seen.add(w)
         try:
             val = evaluate_map(family, w)
             err = abs(val - target)
@@ -784,6 +789,43 @@ def test_one_stencil_newton_matches_two_call_loop(monkeypatch):
     monkeypatch.setattr(maps, "_tangential_derivatives", out_of_reach_at_root)
     assert outcome(invert_map, family, z, state) == outcome(reference_invert, family, z, state) == root
     assert raised == [root]
+
+
+# an iterate that settles on a fixed point of step-and-mirror, which is not
+# a root: its 77th iterate repeats its 69th
+INVERT_REPEATING = (MapFamily.two_petal(0.862777, 0.677346), 0.7507641716509758 - 0.6605703282506898j, TimeState(1.0))
+
+
+def test_invert_raises_at_the_first_repeated_iterate(monkeypatch):
+    # a step depends on the iterate alone, so once one repeats the loop
+    # cycles: it raises there after 76 stencil calls, not at the cap after
+    # 100, with the frozen iterate as its last one.  The near-corner item
+    # never repeats and still runs to the cap
+    inner = maps._tangential_derivatives
+    calls = []
+
+    def recording(family, pts):
+        calls.append(complex(pts[0]))
+        return inner(family, pts)
+
+    monkeypatch.setattr(maps, "_tangential_derivatives", recording)
+    family, w0, state = INVERT_REPEATING
+    z = scaled_map(family, state, w0)
+    got = outcome(invert_map, family, z, state)
+    frozen = 0.5839165793865788 - 0.8178481595609589j
+    assert got == (InversionError, "iterate repeats without converging", frozen)
+    assert len(calls) == len(set(calls)) == 76
+    assert calls.index(frozen) == 68
+    del calls[:]
+    family, w0, state = INVERT_FAILING[0]
+    got = outcome(invert_map, family, scaled_map(family, state, w0), state)
+    assert got == (InversionError, "no convergence in 100 iterations", 0.6417102770327169 - 0.9540112567165302j)
+    assert len(calls) == len(set(calls)) == maps.NEWTON_MAX_ITER
+    monkeypatch.undo()
+    assert outcome(reference_invert, family, scaled_map(family, state, w0), state) == got
+    family, w0, state = INVERT_REPEATING
+    z = scaled_map(family, state, w0)
+    assert outcome(reference_invert, family, z, state) == outcome(invert_map, family, z, state)
 
 
 def stencil_trajectory(monkeypatch, family, z, state):

@@ -906,9 +906,11 @@ def record_lockstep(monkeypatch):
 
 def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_stencil):
     # every round of the default grid: the values have the bits of
-    # evaluate_map at their points, and the first round's width arc gives
-    # the width of petal_width; the whole grid, one lockstep, takes 39
-    # series loops (1046 for the nodes' calls one by one) and no arc stencil
+    # evaluate_map at their points.  The first round's 8-point width probe
+    # settles every node but the 33 collapsed ones (alpha = beta or
+    # alpha + beta = pi/2), which alone take the full width arc, with the
+    # width of petal_width; the whole grid, one lockstep, takes 23 series
+    # loops (1046 for the nodes' calls one by one) and no arc stencil
     calls = record_lockstep(monkeypatch)
     forbid_stencil(patch_stencil)
     loops = []
@@ -923,18 +925,31 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     rows = sweep(grid, grid)
     monkeypatch.undo()
     assert all(row.error is None for row in rows)
-    assert len(loops) <= 45
+    assert len(loops) <= 25
     assert len(picks) <= len(loops)
-    first = list(zip(*calls[0]))
-    bisections = [job for jobs, out in calls[1:] for job in zip(jobs, out)]
+    width = verify._width_arc()
+    first, full = (list(zip(*call)) for call in calls[:2])
+    bisections = [job for jobs, out in calls[2:] for job in zip(jobs, out)]
     assert [(family.alpha, family.beta) for (family, _), _ in first] == [(row.alpha, row.beta) for row in rows]
     assert len(bisections) > len(rows)
-    width = verify._width_arc()
-    for (family, points), values in first + bisections:
+    for (family, points), values in first + full + bisections:
         assert same_bits(values, evaluate_map(family, points)), family.label()
-    for (family, points), values in first:
-        assert same_bits(points[-width.size :], width), family.label()
-        assert verify._width(family, values[-width.size :]).hex() == petal_width(family).hex(), family.label()
+    left_open = []
+    for ((family, points), values), row in zip(first, rows):
+        assert same_bits(points[-8:], width[8::16]), family.label()
+        assert row.degenerate == (petal_width(family) < verify.WIDTH_DEGENERATE_FRACTION), family.label()
+        if verify._width(family, values[-8:]) < verify.WIDTH_DEGENERATE_FRACTION:
+            left_open.append(family)
+    collapsed = [
+        family
+        for (family, _), _ in first
+        if math.isclose(family.alpha, family.beta) or math.isclose(family.alpha + family.beta, 0.5 * math.pi)
+    ]
+    assert [family for (family, _), _ in full] == left_open == collapsed
+    assert len(collapsed) == 33
+    for (family, points), values in full:
+        assert same_bits(points, width), family.label()
+        assert verify._width(family, values).hex() == petal_width(family).hex(), family.label()
 
 
 def sweep_row_alone(alpha, beta):
@@ -949,16 +964,34 @@ def sweep_row_alone(alpha, beta):
 
 
 ANGLES = st.floats(0.01, 0.5 * math.pi - 0.01)
+NEAR_COLLAPSE = 0.5014  # beta for alpha = 0.5: the width probe alone would call the node degenerate
 
 
 @given(st.lists(ANGLES, min_size=1, max_size=3), st.lists(ANGLES, min_size=1, max_size=3))
 @example([1.2, 0.9], [0.3, 1.1, 0.8])
+# a width probe below the threshold whose full arc reaches it
+@example([0.5], [NEAR_COLLAPSE])
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_sweep_lockstep_matches_node_by_node(alphas, betas):
     # off the grid, alpha > pi/4 included; an example of 6 nodes packs them
     # into three batches of two
     want = tuple(sweep_row_alone(alpha, beta) for alpha in alphas for beta in betas)
     assert sweep(alphas, betas) == want
+
+
+def test_sweep_width_probe_below_the_threshold_takes_the_full_arc(monkeypatch):
+    # off the grid, next to the collapse at beta = alpha: the probe's 8
+    # points reach 9.73e-4, below WIDTH_DEGENERATE_FRACTION, but the full
+    # arc reaches 1.010e-3, so the node is not degenerate
+    family = MapFamily.two_petal(0.5, NEAR_COLLAPSE)
+    width = verify._width_arc()
+    assert verify._width(family, evaluate_map(family, width[8::16])) < verify.WIDTH_DEGENERATE_FRACTION
+    assert petal_width(family) >= verify.WIDTH_DEGENERATE_FRACTION
+    calls = record_lockstep(monkeypatch)
+    (row,) = sweep([family.alpha], [family.beta])
+    assert row.error is None and row.degenerate is False
+    (((node, points),), _) = calls[1]
+    assert node == family and same_bits(points, width)
 
 
 def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
@@ -973,8 +1006,9 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
         calls = []
 
         def lockstep(jobs):
-            # the sweep's first call is its first round; every later one
-            # bisects, or is a node's first round when it runs alone
+            # the sweep's first call is its first round and its second the
+            # full width arc of (6, 6), the one node its probe leaves open;
+            # every later call bisects, or starts a half's run again
             calls.append(jobs)
             if len(calls) > 1 and any(family == target for family, _ in jobs) and (len(jobs) > 1 or not merged_only):
                 raised.append(len(jobs))
