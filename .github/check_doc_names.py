@@ -1,9 +1,11 @@
 """Fail when a backticked name in the package's docs names nothing the package has.
 
-Usage: python3 .github/check_doc_names.py [PACKAGE_DIR [README]]   (default src/petalmap README.md)
+Usage: python3 .github/check_doc_names.py [PACKAGE_DIR [README [TESTS_DIR]]]
+       (default src/petalmap README.md tests)
 
-The text of every module of the package and of the README is searched for
-backticked spans (`name`, ``name``).  Inside a span two kinds of name are
+The text of every module of the package, of the README and of every test
+module (TESTS_DIR/*.py) is searched for backticked spans (`name`,
+``name``).  Inside a span two kinds of name are
 checked:
 
 - a private name, ``_name`` (dunders and bare underscores aside), which
@@ -79,6 +81,8 @@ def main(argv):
     modules = {path.stem: top_level_names(tree) for path, tree in trees.items() if not path.stem.startswith("__")}
     everywhere = set().union(*(bound_names(tree) for tree in trees.values()))
     texts[readme] = readme.read_text(encoding="utf-8")
+    tests = pathlib.Path(argv[3] if len(argv) > 3 else "tests")
+    texts.update((path, path.read_text(encoding="utf-8")) for path in sorted(tests.glob("*.py")))
     found = [
         "%s:%d: `%s` names nothing in the package" % (path, number, reference)
         for path, text in texts.items()

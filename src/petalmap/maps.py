@@ -9,7 +9,10 @@ are odd, real on the real axis, and normalized to derivative 1 at infinity
 before time scaling.
 
 Evaluation is restricted to the physical sheet |w| >= 1; the continuation
-across it that the conserved-ratio estimate needs is `_partner_derivatives`.
+across it that the conserved-ratio estimate needs is the partner of
+`_partner_requests`.  `_samples` is the one batch builder for the checks:
+it takes map values, derivatives and partners of several families at once,
+in few series loops, with the bits of each job's lone call.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .special_functions import MapDomainError, _gamma_quotient, _hyp2f1_batch, _
 SHEET_SLACK = 1e-12          # corner pre-images reject this radius; |w| >= 1 - slack is on-sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
-ARC_BLOCK = 2043             # map points per series loop: 227 stencil centres x 9 rows, or a lockstep group; bounds memory
+ARC_BLOCK = 2043             # map points per series loop: 227 stencil centres x 9 rows, or a `_samples` group; bounds memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
 HALLEY_RESIDUAL = 0.1        # Halley's step once |f(w) - z/r| <= this (1 + |z/r|); Newton's before
@@ -293,20 +296,6 @@ def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     return finish(hyp2f1_values(*request))
 
 
-def _partner_derivatives(family: MapFamily, w: np.ndarray):
-    """(h, h') of the map continued across the unit circle, a second oscillator solution.
-
-    For one petal h(w) = f(1/w), the closed form.  For two petals it is
-    the continuation of `_partner_requests`, its two series summed in one
-    loop.
-    """
-    if family.kind == "one-petal":
-        h, f_prime, _ = _one_petal_derivatives(family, 1.0 / w)
-        return h, -f_prime / (w * w)
-    requests, finish = _partner_requests(family, w)
-    return finish(*_hyp2f1_batch(requests))
-
-
 def _partner_requests(family: MapFamily, w: np.ndarray):
     """The two-petal partner's two 2F1 requests at 1-d points w, and the finish that takes their values to (h, h').
 
@@ -406,74 +395,76 @@ def _arc_derivatives(family: MapFamily, pts: np.ndarray):
     return finish(values)
 
 
-def _lockstep_values(jobs) -> list:
-    """`evaluate_map` at the points of each (family, points) job, all of one kind, in few series loops.
+def _samples(jobs) -> list:
+    """The samples of each (family, points, what) job, all jobs of one kind, in few series loops.
 
-    Every job's points are sheet-checked first.  One-petal jobs then take
-    the closed form.  Two-petal jobs are packed, consecutive ones together,
-    into groups of at most ``ARC_BLOCK`` points (a larger job goes alone).
-    Each group is one `hyp2f1_values` request, its points joined and each
-    point carrying its family's angles: one p = w + 1/w, one route pick and
-    one series loop per group, built and evaluated one group at a time.
-    Every value keeps the bits of `evaluate_map` at its point.
+    ``what`` is "values" (f, as `evaluate_map` gives it), "derivatives"
+    ((f, f', f'') as `_tangential_derivatives` gives them) or "partner"
+    ((h, h'), the map continued across the unit circle, a second oscillator
+    solution), for 1-d ``points``.  Every value keeps the bits of its job's
+    lone call: a point's value does not depend on its batch.
+
+    All the values and derivatives points are sheet-checked first, a
+    failure raised by the first failing job's own check; partner probes are
+    not, since the partner is the map continued across the circle.  One
+    petal takes the closed forms, the partner h(w) = f(1/w).  Two-petal jobs
+    are packed, consecutive ones together, into groups of at most
+    ``ARC_BLOCK`` map points, 9 per derivative point for its `_arc_stencil`
+    rows (a larger job goes alone).  Each group is one `_hyp2f1_batch`,
+    built and evaluated one group at a time: one map request over its jobs'
+    map points joined, each carrying its family's angles (floats when the
+    group is one family), then each partner job's two requests
+    (`_partner_requests`), so one route pick and one series loop per group.
     """
-    if jobs:
+    checked = [(family, points) for family, points, what in jobs if what != "partner"]
+    if checked:
         # one kind has one set of corners, so every job passes its check
-        # exactly when all the points together pass; a failure is raised by
-        # the first failing job's own check
+        # exactly when all the points together pass
         try:
-            _check_sheet(jobs[0][0], np.concatenate([points for _, points in jobs]))
+            _check_sheet(checked[0][0], np.concatenate([points for _, points in checked]))
         except MapDomainError:
-            for family, points in jobs:
+            for family, points in checked:
                 _check_sheet(family, points)
             raise
     if jobs and jobs[0][0].kind == "one-petal":
-        return [_one_petal_values(family, points) for family, points in jobs]
+        out = []
+        for family, points, what in jobs:
+            if what == "partner":
+                h, f_prime, _ = _one_petal_derivatives(family, 1.0 / points)
+                out.append((h, -f_prime / (points * points)))
+            else:
+                out.append((_one_petal_values if what == "values" else _one_petal_derivatives)(family, points))
+        return out
     groups, size = [], 0
-    for family, points in jobs:
-        if not groups or size + points.size > ARC_BLOCK:
+    for family, points, what in jobs:
+        weight = points.size * {"values": 1, "derivatives": 9, "partner": 0}[what]
+        if not groups or size + weight > ARC_BLOCK:
             groups.append([])
             size = 0
-        groups[-1].append((family, points))
-        size += points.size
+        groups[-1].append((family, points, what))
+        size += weight
     out = []
     for group in groups:
-        sizes = [points.size for _, points in group]
-        # one family's angles are floats, several families' are per point
+        stencils = [_arc_stencil(family, points) if what == "derivatives" else None for family, points, what in group]
+        partners = [_partner_requests(family, points) if what == "partner" else None for family, points, what in group]
+        # each job's map points: its stencil rows, its points, or none for a partner
+        joined = [
+            stencil[0].ravel() if stencil else points if what == "values" else points[:0]
+            for (_, points, what), stencil in zip(group, stencils)
+        ]
+        sizes = [points.size for points in joined]
         alpha, beta = group[0][0].alpha, group[0][0].beta
-        if len(group) > 1:
-            alpha, beta = np.repeat([(family.alpha, family.beta) for family, _ in group], sizes, axis=0).T
-        request, finish = _two_petal_request(alpha, beta, *_sheet_p(np.concatenate([points for _, points in group])))
-        out.extend(_split(finish(hyp2f1_values(*request)), sizes))
+        if len({family for family, _, _ in group}) > 1:
+            alpha, beta = np.repeat([(family.alpha, family.beta) for family, _, _ in group], sizes, axis=0).T
+        request, finish = _two_petal_request(alpha, beta, *_sheet_p(np.concatenate(joined)))
+        hyp, *series = _hyp2f1_batch([request, *(extra for partner in partners if partner for extra in partner[0])])
+        series = iter(series)
+        for values, stencil, partner in zip(_split(finish(hyp), sizes), stencils, partners):
+            if stencil:
+                out.append(stencil[1](values.reshape(stencil[0].shape)))
+            else:
+                out.append(partner[1](next(series), next(series)) if partner else values)
     return out
-
-
-def _fixed_samples(family: MapFamily, centres: np.ndarray, points: np.ndarray, probes: np.ndarray | None):
-    """(f, f', f'') at the centres, f at the points and (h, h') at the probes, from one evaluation.
-
-    ``centres`` and ``points`` are 1-d and sheet-checked, as
-    `_tangential_derivatives` and `evaluate_map` check them; the partner
-    (`_partner_derivatives`) is taken at ``probes``, or not at all when they
-    are None.  One petal takes the closed forms.  Two petals take one
-    `_hyp2f1_batch` call: one map request over the `_arc_stencil` rows of
-    the centres followed by the points, then the partner's two requests
-    (`_partner_requests`), all with one route pick and one series loop.  A
-    point's value does not depend on its batch, so every value has the bits
-    of its own call.  The caller keeps the map request, 9 points a centre
-    and the points, within ``ARC_BLOCK``.
-    """
-    _check_sheet(family, centres)
-    _check_sheet(family, points)
-    if family.kind == "one-petal":
-        partner = None if probes is None else _partner_derivatives(family, probes)
-        return _one_petal_derivatives(family, centres), _one_petal_values(family, points), partner
-    rows, finish_rows = _arc_stencil(family, centres)
-    requests, finish_partner = ([], None) if probes is None else _partner_requests(family, probes)
-    request, finish_map = _two_petal_request(family.alpha, family.beta, *_sheet_p(np.append(rows, points)))
-    hyp, *partner = _hyp2f1_batch([request, *requests])
-    values = finish_map(hyp)
-    derivatives = finish_rows(values[: rows.size].reshape(rows.shape))
-    return derivatives, values[rows.size :], finish_partner(*partner) if partner else None
 
 
 def _richardson3(coarse, mid, fine):
@@ -679,6 +670,6 @@ def laurent_coefficients(family: MapFamily) -> LaurentCoefficients:
     The sampling circle stays well away from the corners, so truncation
     aliasing of the coefficients through 1/w^16 is below double rounding.
     The map is evaluated on the first quadrant, 64 points (`_laurent_ring`),
-    and unfolded onto all 256 (`_unfold_quadrant`).
+    by `evaluate_map`, and unfolded onto all 256 (`_unfold_quadrant`).
     """
-    return _laurent_data(_values_on_sheet(family, _laurent_ring()))
+    return _laurent_data(evaluate_map(family, _laurent_ring()))

@@ -38,14 +38,14 @@ parameters are floats or arrays with one set per point (a run of equal
 sets is one family).  It checks each request, routes all their points with
 one `_route` pick, sums the whole queue in one term loop (`_series_sums`)
 and applies the finisher: one array per request, with the bits of that
-request alone.  `hyp2f1_values` is its one-request case.  A two-petal
-battery's fixed samples are one batch (`maps._fixed_samples`): one map
-request over the arc stencil of its rings, its arcs and its Laurent ring,
-and the partner solution's F and F', so that they share one route pick and
-one series loop.  `maps._lockstep_values`, the source of map values for
-every winding count's rounds, makes one request of each group of at most
-`maps.ARC_BLOCK` points of several two-petal families, so that a sweep's
-nodes share route picks and series loops.
+request alone.  `hyp2f1_values` is its one-request case.  The checks'
+batches are built by `maps._samples`: each group of at most
+`maps.ARC_BLOCK` map points, of one or several two-petal families, is one
+batch of one map request (map values, and the arc stencil rows of
+derivative points) followed by each partner solution's F and F', so that
+they share one route pick and one series loop.  A two-petal battery's
+fixed samples are one such batch, and so is each group of a sweep's or a
+winding count's round.
 
 The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
 take their arguments from 1 - t, which a caller may pass factored

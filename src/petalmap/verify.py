@@ -23,16 +23,13 @@ from .maps import (
     MapFamily,
     TimeState,
     _circle_angles,
-    _fixed_samples,
     _laurent_data,
     _laurent_ring,
-    _lockstep_values,
     _one_petal_bracket,
-    _partner_derivatives,
+    _samples,
     _tangential_derivatives,
     _two_petal_parameters,
     _unfold_quadrant,
-    _values_on_sheet,
     evaluate_map,
     potential_V,
 )
@@ -206,11 +203,13 @@ def estimate_A(family: MapFamily) -> RatioEstimate:
     agreement across probes is the self-consistency measure.  A collapsed
     pattern, F's a or b zero to within the rounding of their computation
     (a = -5.6e-17 at (3 pi/36, 15 pi/36)), has a partner that is a multiple
-    of the map and no ratio, and raises `VerificationError`.
+    of the map and no ratio, and raises `VerificationError`.  f, f' and the
+    partner's h, h' at the probes come from one `_samples` call, for two
+    petals one 2F1 batch.
     """
     _reject_collapsed(family)
     w = _wronskian_probes()
-    return _ratio_estimate(w, _tangential_derivatives(family, w), _partner_derivatives(family, w))
+    return _ratio_estimate(w, *_samples([(family, w, "derivatives"), (family, w, "partner")]))
 
 
 def _collapsed(family: MapFamily) -> bool:
@@ -313,7 +312,7 @@ def conformality_check(family: MapFamily):
     resolved raises `VerificationError`.
     """
     phis, points = _conformality_arc(family.kind)
-    ((winding, ok),) = _winding([(family, phis, *_lockstep_values([(family, points)]))])
+    ((winding, ok),) = _winding([(family, phis, *_samples([(family, points, "values")]))])
     return winding, ok
 
 
@@ -352,7 +351,7 @@ def _winding(nodes) -> list:
     phi turns, that is the turn of arg f'.  Both steps next to a vertex
     whose angle exceeds pi/4 (the one step next to an end vertex) are
     bisected until none does.  A round takes the values at the midpoints of
-    all nodes still refining from one `_lockstep_values` call.  Raises
+    all nodes still refining from one `_samples` call.  Raises
     `VerificationError` when a chord nearly vanishes against the arc's
     step, |C| / dphi below 1e-9 of the first round's median, or a step next
     to a vertex that still turns too far is too short to split in floating
@@ -387,7 +386,7 @@ def _winding(nodes) -> list:
             asks.append((k, steps, mids))
         if not asks:
             return out
-        news = _lockstep_values([(arcs[k][0], ring * np.exp(1j * mids)) for k, _, mids in asks])
+        news = _samples([(arcs[k][0], ring * np.exp(1j * mids), "values") for k, _, mids in asks])
         for (k, steps, mids), new in zip(asks, news):
             family, phis, values = arcs[k]
             arcs[k] = [family, np.insert(phis, steps + 1, mids), np.insert(values, steps + 1, new)]
@@ -659,7 +658,7 @@ def _sweep_rows(nodes) -> list:
 
     A node counts its winding as `conformality_check` does and is degenerate
     when its `petal_width` is below WIDTH_DEGENERATE_FRACTION, with the bits
-    of those calls.  The first `_lockstep_values` call takes every node's
+    of those calls.  The first `_samples` call takes every node's
     first arc followed by a probe of 8 of the width arc's 128 points, and
     a node whose probe reaches the threshold is not degenerate: the width
     is a maximum over the arc's points, at least the probe's, and every
@@ -672,7 +671,7 @@ def _sweep_rows(nodes) -> list:
     [0.005, pi/2 - 0.005]) no width-arc point raised.  `_winding` then
     bisects all the nodes' arcs together, one call a round.  Each call
     packs its jobs into groups of at most ``maps.ARC_BLOCK`` map points,
-    22 first-round nodes a group, and each group is one 2F1 request with
+    22 first-round nodes a group, and each group is one 2F1 batch with
     one route pick and one series loop, so a default-grid node costs 0.08
     of each against 3.62 for the calls one by one.
 
@@ -686,13 +685,13 @@ def _sweep_rows(nodes) -> list:
         phis, points = _conformality_arc("two-petal")
         width = _width_arc()
         job = np.append(points, width[8::16])
-        first = _lockstep_values([(family, job) for family in families])
+        first = _samples([(family, job, "values") for family in families])
         degenerate = [
             _width(family, values[phis.size :]) < WIDTH_DEGENERATE_FRACTION for family, values in zip(families, first)
         ]
         open_nodes = [k for k, flag in enumerate(degenerate) if flag]
         if open_nodes:
-            full = _lockstep_values([(families[k], width) for k in open_nodes])
+            full = _samples([(families[k], width, "values") for k in open_nodes])
             for k, values in zip(open_nodes, full):
                 degenerate[k] = _width(families[k], values) < WIDTH_DEGENERATE_FRACTION
         # copies, and rebinding, free the probe values before the bisection rounds
@@ -711,39 +710,38 @@ def _sweep_rows(nodes) -> list:
 
 
 def _evaluated_once(family: MapFamily, rings: dict, arcs: dict, probes: np.ndarray | None):
-    """Lookup by key of the battery's fixed samples, from one `maps._fixed_samples` call on all of them.
+    """Lookup by key of the battery's fixed samples, from one `maps._samples` call on all of them.
 
     A key of ``rings`` gives (f, f', f'') at its points, a key of ``arcs``
-    (f,) and "partner" the partner's (h, h') at ``probes`` (None: no
-    partner).  A point's value does not depend on its batch, so a key's
-    slices are the bits of its own call.  If the merged call raises, each
-    key is evaluated alone when it is read, by the call its public check
-    makes (the Laurent ring's unchecked, as `laurent_coefficients` takes
-    it), so the error is charged to the checks that read it, as if the
-    checks had run one by one.
+    f, and "partner" the partner's (h, h') at ``probes`` (None: no
+    partner).  The call takes one derivatives job over the rings joined,
+    one values job over the arcs joined and the partner job.  A point's
+    value does not depend on its batch, so a key's slices are the bits of
+    its own call.  If the merged call raises, each key is evaluated alone
+    when it is read, as its own `_samples` job, whose error is the one its
+    public check raises, so the error is charged to the checks that read
+    it, as if the checks had run one by one.
     """
-
-    def alone(key):
-        if key in rings:
-            return _tangential_derivatives(family, rings[key])
-        if key == "partner":
-            return _partner_derivatives(family, probes)
-        if key == "laurent":
-            return (_values_on_sheet(family, arcs[key]),)
-        return (evaluate_map(family, arcs[key]),)
-
-    joined = [np.concatenate(list(samples.values())) for samples in (rings, arcs)]
+    jobs = {key: (family, points, "derivatives") for key, points in rings.items()}
+    jobs.update((key, (family, points, "values")) for key, points in arcs.items())
+    merged = [
+        (family, np.concatenate(list(rings.values())), "derivatives"),
+        (family, np.concatenate(list(arcs.values())), "values"),
+    ]
+    if probes is not None:
+        jobs["partner"] = (family, probes, "partner")
+        merged.append(jobs["partner"])
     try:
-        derivatives, values, partner = _fixed_samples(family, *joined, probes)
+        derivatives, values, *partner = _samples(merged)
     except Exception:  # noqa: BLE001 - each reader raises its own error
-        return alone
-    return {"partner": partner, **_sliced(derivatives, rings), **_sliced((values,), arcs)}.__getitem__
+        return lambda key: _samples([jobs[key]])[0]
+    return {**dict(zip(["partner"], partner)), **_sliced(np.array(derivatives), rings), **_sliced(values, arcs)}.__getitem__
 
 
-def _sliced(parts: tuple, samples: dict) -> dict:
-    """Each key's slices of ``parts``, which were evaluated at the samples' points joined in key order."""
+def _sliced(part: np.ndarray, samples: dict) -> dict:
+    """Each key's slice of ``part`` along its last axis, which runs over the samples' points joined in key order."""
     ends = itertools.accumulate(len(points) for points in samples.values())
-    return {key: tuple(part[end - len(points) : end] for part in parts) for (key, points), end in zip(samples.items(), ends)}
+    return {key: part[..., end - len(points) : end] for (key, points), end in zip(samples.items(), ends)}
 
 
 def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> VerificationReport:
@@ -792,16 +790,15 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         return _ratio_estimate(rings["wronskian"], sample("wronskian"), sample("partner"))
 
     def conformality():
-        ((winding, _ok),) = _winding([(family, arc_phis, *sample("conformality"))])
+        ((winding, _ok),) = _winding([(family, arc_phis, sample("conformality"))])
         return abs(winding), "winding=%d" % winding
 
     def corner_fit(name, d, target):
-        (vals,) = sample(name)
-        fit = fit_power_law(d, np.abs(vals))
+        fit = fit_power_law(d, np.abs(sample(name)))
         return abs(fit.exponent - target) / target, "fit=%.6f target=%.6f" % (fit.exponent, target)
 
     def capacity():
-        value = _laurent_data(*sample("laurent")).capacity
+        value = _laurent_data(sample("laurent")).capacity
         return max(0.0, -value), "capacity=%.12g" % value
 
     checks = {

@@ -372,20 +372,20 @@ def test_sweep_failed_node_reason_on_stderr(tmp_path, capsys, monkeypatch):
     # real and as imaginary at the ends as a map's, but turns back at
     # arg w = 1: no bisection resolves that fold, so the node keeps a blank
     # row and the sweep goes on.  The sweep's rounds, first arc and
-    # bisections alike, take their values from `_lockstep_values`, one
-    # array per (family, points) job
-    inner = verify._lockstep_values
+    # bisections alike, take their values from `_samples`, one array per
+    # (family, points, "values") job
+    inner = verify._samples
     rate = 0.5 * math.pi / (2.0 - 0.5 * math.pi)
 
     def unresolved_at_beta(jobs):
         out = []
-        for (family, w), values in zip(jobs, inner(jobs)):
+        for (family, w, _), values in zip(jobs, inner(jobs)):
             if family.beta == math.pi / 8:
                 values = np.exp(1j * rate * (np.abs(np.angle(w) - 1.0) - 1.0))
             out.append(values)
         return out
 
-    monkeypatch.setattr(verify, "_lockstep_values", unresolved_at_beta)
+    monkeypatch.setattr(verify, "_samples", unresolved_at_beta)
     out = tmp_path / "sweep.csv"
     code = run_cli(
         "sweep", "--alpha-grid", "pi/8:pi/8:1", "--beta-grid", "pi/16:pi/8:2", "--out", str(out),

@@ -1129,22 +1129,22 @@ def test_one_petal_derivatives_take_no_stencil(patch_stencil):
 
 
 def test_one_petal_lockstep_keeps_the_bits_of_one_family_calls():
-    # one-petal jobs take the closed form: the values have the bits of
-    # evaluate_map at each job's points
+    # one-petal values jobs take the closed form: the values have the bits
+    # of evaluate_map at each job's points
     jobs = [
-        (MapFamily.one_petal(0.3), 1.001 * np.exp(1j * np.linspace(0.0, 1.5, 57))),
-        (MapFamily.one_petal(0.3), np.exp(0.2j * np.arange(1, 8))),
-        (LEMNISCATE, np.array([1.6 + 0.4j, -1.3 + 1.2j, 2.5j])),
-        (LEMNISCATE, np.array([], dtype=complex)),
-        (MapFamily.one_petal(1.5), np.array([1.2 - 0.7j, 3.0 + 0.0j, -1.1j])),
+        (MapFamily.one_petal(0.3), 1.001 * np.exp(1j * np.linspace(0.0, 1.5, 57)), "values"),
+        (MapFamily.one_petal(0.3), np.exp(0.2j * np.arange(1, 8)), "values"),
+        (LEMNISCATE, np.array([1.6 + 0.4j, -1.3 + 1.2j, 2.5j]), "values"),
+        (LEMNISCATE, np.array([], dtype=complex), "values"),
+        (MapFamily.one_petal(1.5), np.array([1.2 - 0.7j, 3.0 + 0.0j, -1.1j]), "values"),
     ]
-    out = maps._lockstep_values(jobs)
+    out = maps._samples(jobs)
     assert len(out) == len(jobs)
-    for (family, points), values in zip(jobs, out):
+    for (family, points, _), values in zip(jobs, out):
         assert evaluate_map(family, points).tobytes() == values.tobytes()
     # a corner pre-image in any job refuses the call
     with pytest.raises(CornerPreimageError):
-        maps._lockstep_values(jobs + [(LEMNISCATE, np.array([1.5j, -1.0 + 0.0j]))])
+        maps._samples(jobs + [(LEMNISCATE, np.array([1.5j, -1.0 + 0.0j]), "values")])
 
 
 def test_two_petal_lockstep_group_of_loci_keeps_the_bits(monkeypatch):
@@ -1158,20 +1158,111 @@ def test_two_petal_lockstep_group_of_loci_keeps_the_bits(monkeypatch):
     loci = [(3 * math.pi / 36, 15 * math.pi / 36), (0.6, math.pi / 4), (1e-3, 0.7), (0.5, 0.5), (0.7, 0.3)]
     _, arc = verify._conformality_arc("two-petal")
     extra = np.array([1.05, 1.05 * np.exp(0.3j), 1.5j, 2.0 + 0.3j, -1.1 - 0.8j, 3.0 + 1j, -2.5j])
-    jobs = [(MapFamily.two_petal(alpha, beta), np.append(arc[k::3], extra[k:])) for k, (alpha, beta) in enumerate(loci)]
-    jobs.insert(2, (MapFamily.two_petal(*loci[0]), np.array([], dtype=complex)))
-    assert sum(points.size for _, points in jobs) <= maps.ARC_BLOCK
+    jobs = [(MapFamily.two_petal(alpha, beta), np.append(arc[k::3], extra[k:]), "values") for k, (alpha, beta) in enumerate(loci)]
+    jobs.insert(2, (MapFamily.two_petal(*loci[0]), np.array([], dtype=complex), "values"))
+    assert sum(points.size for _, points, _ in jobs) <= maps.ARC_BLOCK
     picks, loops = [], []
     route, sums = special_functions._route, special_functions._series_sums
     monkeypatch.setattr(special_functions, "_route", lambda points: picks.append(points) or route(points))
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
-    out = maps._lockstep_values(jobs)
+    out = maps._samples(jobs)
     monkeypatch.undo()
     assert len(picks) == 1 and len(loops) == 1
     assert len(out) == len(jobs)
-    for (family, points), values in zip(jobs, out):
+    for (family, points, _), values in zip(jobs, out):
         assert values.shape == points.shape
         assert evaluate_map(family, points).tobytes() == values.tobytes(), family.label()
+
+
+SAMPLE_FAMILIES = {
+    "two-petal": (
+        MapFamily.two_petal(0.5, 0.5),  # collapsed: F's b = 0, a partner of scale 0
+        MapFamily.two_petal(0.6, math.pi / 4),  # a - b = 0, the averaged window
+        MapFamily.two_petal(math.pi / 5, math.pi / 9),
+        MapFamily.two_petal(1.2, 0.2),
+    ),
+    "one-petal": (LEMNISCATE, MapFamily.one_petal(0.3), MapFamily.one_petal(1.2)),
+}
+SAMPLE_JOBS = st.lists(
+    st.tuples(st.sampled_from(("values", "derivatives", "partner")), st.integers(0, 3), st.integers(0, 40)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def sample_job(kind, what, index, size, rng):
+    """A (family, points, what) job of points the battery evaluates: partner probes drawn from the Wronskian probes.
+
+    The other points lie on the battery's rings: the unit circle, the
+    conformality ring, the oscillator ring and the Laurent ring, at angles
+    of the 256-point half-offset grid, clear of the corners and of F's
+    unreachable spots.
+    """
+    family = SAMPLE_FAMILIES[kind][index % len(SAMPLE_FAMILIES[kind])]
+    if what == "partner":
+        return family, rng.choice(verify._wronskian_probes(), size), what
+    radii = rng.choice([1.0, math.exp(verify.CONFORMAL_RING_EPS), verify.RING_ODE, 2.5], size)
+    return family, radii * np.exp(1j * rng.choice(maps._circle_angles(256), size)), what
+
+
+def sample_alone(family, points, what):
+    """A job's samples from its lone call: `evaluate_map`, `_tangential_derivatives` or a partner job alone."""
+    if what == "values":
+        return (evaluate_map(family, points),)
+    if what == "derivatives":
+        return maps._tangential_derivatives(family, points)
+    return maps._samples([(family, points, what)])[0]
+
+
+def sample_groups(jobs):
+    """The number of `_samples` groups of two-petal jobs: consecutive jobs, at most ARC_BLOCK map points each."""
+    groups = size = 0
+    for _, points, what in jobs:
+        weight = points.size * {"values": 1, "derivatives": 9, "partner": 0}[what]
+        if not groups or size + weight > maps.ARC_BLOCK:
+            groups += 1
+            size = 0
+        size += weight
+    return groups
+
+
+@given(st.sampled_from(("two-petal", "one-petal")), SAMPLE_JOBS, st.integers(0, 2**16))
+# an empty job, and a derivatives job of 230 points (2070 map points) that goes alone
+@example("two-petal", [("values", 0, 0), ("derivatives", 2, 230), ("partner", 1, 8), ("values", 3, 40), ("partner", 0, 5)], 1)
+@example("one-petal", [("partner", 0, 8), ("values", 1, 0), ("derivatives", 2, 30)], 2)
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_samples_keep_the_bits_of_each_job_alone(kind, specs, seed):
+    # values, derivatives and partners of several families in one call: each
+    # job has the bits of its lone call, and two petals take one series loop
+    # per group of consecutive jobs
+    rng = np.random.default_rng(seed)
+    jobs = [sample_job(kind, *spec, rng) for spec in specs]
+    loops = []
+    sums = special_functions._series_sums
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
+        out = maps._samples(jobs)
+    assert len(loops) == (sample_groups(jobs) if kind == "two-petal" else 0)
+    assert len(out) == len(jobs)
+    for job, got in zip(jobs, out):
+        want = sample_alone(*job)
+        got = (got,) if job[2] == "values" else got
+        assert len(got) == len(want)
+        for part, alone in zip(got, want):
+            assert part.shape == job[1].shape and part.tobytes() == alone.tobytes(), (job[0].label(), job[2])
+    # a failing later job raises its own check's error: a point inside the
+    # circle, though the corner pre-image of the job after it is the error
+    # that all the points checked together would raise
+    family = jobs[0][0]
+    inside, corner = np.array([2.0, 0.5 + 0.0j]), np.array([family.corner_preimages[-1]])
+    with pytest.raises(CornerPreimageError):
+        maps._check_sheet(family, np.append(inside, corner))
+    with pytest.raises(MapDomainError) as alone:
+        evaluate_map(family, inside)
+    with pytest.raises(MapDomainError) as merged:
+        maps._samples(jobs + [(family, inside, "values"), (family, corner, "derivatives")])
+    assert type(merged.value) is type(alone.value) is MapDomainError
+    assert str(merged.value) == str(alone.value)
 
 
 def test_map_derivative_consistency():

@@ -219,7 +219,7 @@ def test_partner_derivative_against_mpmath(family):
     # h' is closed form: the one-petal f' at 1/w, or F's contiguous function
     # (DLMF 15.5.1); mp.diff differentiates the 40-digit reference h
     w = (verify.WRONSKIAN_RHOS[None, :] * np.exp(1j * verify.WRONSKIAN_THETAS)[:, None]).ravel()
-    h, hp = maps._partner_derivatives(family, w)
+    ((h, hp),) = maps._samples([(family, w, "partner")])
     with mp.workdps(40):
         _, ref_h = reference_solutions(family)
         want_h = np.array([complex(ref_h(mp.mpc(x))) for x in w])
@@ -249,17 +249,21 @@ def test_estimate_A_against_mpmath(family, tol):
     assert relative_gap(est.value, np.mean(want)) <= tol
 
 
-def test_two_petal_estimate_A_takes_one_stencil(patch_stencil):
-    # only the map's own f' comes from the arc stencil; the partner's h' is closed form
-    calls = []
+def test_two_petal_estimate_A_takes_one_stencil(monkeypatch, patch_stencil):
+    # only the map's own f' comes from the arc stencil, whose 9 rows at the
+    # 8 probes make one map request; the partner's h' is closed form, its F
+    # and F' two requests at the probes.  All three are one 2F1 batch, and
+    # `_arc_derivatives`, which evaluates its rows alone, is not called
+    def unused(*args):
+        raise AssertionError("estimate_A evaluated the arc stencil alone")
 
-    def counting(*args):
-        calls.append(args[1].size)
-        return stencil(*args)
-
-    stencil = patch_stencil(counting)
+    patch_stencil(unused)
+    batches = []
+    batch = maps._hyp2f1_batch
+    monkeypatch.setattr(maps, "_hyp2f1_batch", lambda requests: batches.append([np.size(r[3]) for r in requests]) or batch(requests))
     estimate_A(MapFamily.two_petal(math.pi / 5, math.pi / 9))
-    assert calls == [verify.WRONSKIAN_THETAS.size * verify.WRONSKIAN_RHOS.size]
+    probes = verify.WRONSKIAN_THETAS.size * verify.WRONSKIAN_RHOS.size
+    assert batches == [[9 * probes, probes, probes]]
 
 
 # the last two grid nodes of the alpha + beta = pi/2 line compute
@@ -383,16 +387,21 @@ def test_battery_conformality_agrees_with_sweep():
 
 
 def record_ring(monkeypatch):
-    """Log every (points, values) pair the conformality count asks `_lockstep_values` for."""
+    """Log every (points, values) pair the conformality count asks `_samples` for.
+
+    Only calls whose jobs all ask for values are logged: the check's first
+    arc and the winding's bisection rounds, not the battery's merged call.
+    """
     calls = []
-    inner = verify._lockstep_values
+    inner = verify._samples
 
     def recording(jobs):
         out = inner(jobs)
-        calls.extend((points, values) for (_, points), values in zip(jobs, out))
+        if all(what == "values" for _, _, what in jobs):
+            calls.extend((points, values) for (_, points, _), values in zip(jobs, out))
         return out
 
-    monkeypatch.setattr(verify, "_lockstep_values", recording)
+    monkeypatch.setattr(verify, "_samples", recording)
     return calls
 
 
@@ -526,7 +535,7 @@ def test_derivative_mirror_symmetry(family, tol):
 
 def test_conformality_unresolved_ring_raises(monkeypatch):
     family = MapFamily.two_petal(math.pi / 8, math.pi / 16)
-    inner = verify._lockstep_values
+    inner = verify._samples
     ring = math.exp(verify.CONFORMAL_RING_EPS)
     wider = math.exp(1.5 * verify.CONFORMAL_RING_EPS)
     radii = []
@@ -535,12 +544,12 @@ def test_conformality_unresolved_ring_raises(monkeypatch):
         # f is constant next to w = i on the ring only, so f' vanishes there:
         # a zero within rounding of it, which a wider ring would not see
         out = []
-        for (_, w), values in zip(jobs, inner(jobs)):
+        for (_, w, _), values in zip(jobs, inner(jobs)):
             radii.append(np.abs(w))
             out.append(np.where((np.abs(w) < wider) & (np.abs(w - 1j) < 0.01), 0.5j, values))
         return out
 
-    monkeypatch.setattr(verify, "_lockstep_values", constant_near_i)
+    monkeypatch.setattr(verify, "_samples", constant_near_i)
     with pytest.raises(VerificationError, match="could not be resolved"):
         conformality_check(family)
     # every values call stays on |w| = e^eps
@@ -552,9 +561,9 @@ def test_conformality_unresolved_ring_raises(monkeypatch):
         # the image runs along the unit circle from 1 to -i, meeting both
         # axes square, but turns back where arg w crosses 1: no bisection
         # resolves that vertex
-        return [np.exp(1j * rate * (np.abs(np.angle(w) - 1.0) - 1.0)) for _, w in jobs]
+        return [np.exp(1j * rate * (np.abs(np.angle(w) - 1.0) - 1.0)) for _, w, _ in jobs]
 
-    monkeypatch.setattr(verify, "_lockstep_values", fold)
+    monkeypatch.setattr(verify, "_samples", fold)
     with pytest.raises(VerificationError, match="could not be resolved"):
         conformality_check(family)
 
@@ -891,16 +900,16 @@ def same_bits(a, b) -> bool:
 
 
 def record_lockstep(monkeypatch):
-    """Log every (jobs, results) pair of the sweep's lockstep rounds."""
+    """Log every (jobs, results) pair of the sweep's lockstep rounds, its `_samples` calls."""
     calls = []
-    inner = verify._lockstep_values
+    inner = verify._samples
 
     def recording(jobs):
         out = inner(jobs)
         calls.append((jobs, out))
         return out
 
-    monkeypatch.setattr(verify, "_lockstep_values", recording)
+    monkeypatch.setattr(verify, "_samples", recording)
     return calls
 
 
@@ -930,24 +939,25 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     width = verify._width_arc()
     first, full = (list(zip(*call)) for call in calls[:2])
     bisections = [job for jobs, out in calls[2:] for job in zip(jobs, out)]
-    assert [(family.alpha, family.beta) for (family, _), _ in first] == [(row.alpha, row.beta) for row in rows]
+    assert [(family.alpha, family.beta) for (family, _, _), _ in first] == [(row.alpha, row.beta) for row in rows]
     assert len(bisections) > len(rows)
-    for (family, points), values in first + full + bisections:
+    for (family, points, what), values in first + full + bisections:
+        assert what == "values"
         assert same_bits(values, evaluate_map(family, points)), family.label()
     left_open = []
-    for ((family, points), values), row in zip(first, rows):
+    for ((family, points, _), values), row in zip(first, rows):
         assert same_bits(points[-8:], width[8::16]), family.label()
         assert row.degenerate == (petal_width(family) < verify.WIDTH_DEGENERATE_FRACTION), family.label()
         if verify._width(family, values[-8:]) < verify.WIDTH_DEGENERATE_FRACTION:
             left_open.append(family)
     collapsed = [
         family
-        for (family, _), _ in first
+        for (family, _, _), _ in first
         if math.isclose(family.alpha, family.beta) or math.isclose(family.alpha + family.beta, 0.5 * math.pi)
     ]
-    assert [family for (family, _), _ in full] == left_open == collapsed
+    assert [family for (family, _, _), _ in full] == left_open == collapsed
     assert len(collapsed) == 33
-    for (family, points), values in full:
+    for (family, points, _), values in full:
         assert same_bits(points, width), family.label()
         assert verify._width(family, values).hex() == petal_width(family).hex(), family.label()
 
@@ -990,7 +1000,7 @@ def test_sweep_width_probe_below_the_threshold_takes_the_full_arc(monkeypatch):
     calls = record_lockstep(monkeypatch)
     (row,) = sweep([family.alpha], [family.beta])
     assert row.error is None and row.degenerate is False
-    (((node, points),), _) = calls[1]
+    (((node, points, _),), _) = calls[1]
     assert node == family and same_bits(points, width)
 
 
@@ -999,7 +1009,7 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
     alphas, betas = [4 * step, 6 * step], [3 * step, 6 * step, 9 * step]
     want = sweep(alphas, betas)
     target = MapFamily.two_petal(6 * step, 9 * step)
-    inner = verify._lockstep_values
+    inner = verify._samples
     raised = []
 
     def failing(merged_only):
@@ -1010,7 +1020,7 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
             # full width arc of (6, 6), the one node its probe leaves open;
             # every later call bisects, or starts a half's run again
             calls.append(jobs)
-            if len(calls) > 1 and any(family == target for family, _ in jobs) and (len(jobs) > 1 or not merged_only):
+            if len(calls) > 1 and any(family == target for family, _, _ in jobs) and (len(jobs) > 1 or not merged_only):
                 raised.append(len(jobs))
                 raise RuntimeError("forced")
             return inner(jobs)
@@ -1021,13 +1031,13 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
     # nodes still refining; the halves of the six nodes run again, and the
     # target's half is halved again, 3 and then 2 nodes, until the node runs
     # alone and gets its own row back
-    monkeypatch.setattr(verify, "_lockstep_values", failing(True))
+    monkeypatch.setattr(verify, "_samples", failing(True))
     assert sweep(alphas, betas) == want
     assert raised == [5, 3, 2]
     # raised alone too: that node records the error, and the others, (6, 6)
     # bisected in the same rounds among them, keep their rows
     del raised[:]
-    monkeypatch.setattr(verify, "_lockstep_values", failing(False))
+    monkeypatch.setattr(verify, "_samples", failing(False))
     got = sweep(alphas, betas)
     assert raised == [5, 3, 2, 1]
     assert got[:5] == want[:5]
@@ -1042,17 +1052,17 @@ def test_sweep_halves_a_failing_lockstep(monkeypatch):
     alphas, betas = [4 * step, 6 * step, 8 * step], [3 * step, 5 * step, 7 * step, 9 * step]
     want = sweep(alphas, betas)
     target = MapFamily.two_petal(alphas[1], betas[3])  # node 7
-    values = verify._lockstep_values
+    values = verify._samples
     rows = verify._sweep_rows
     raised, runs = [], []
 
     def lockstep(jobs):
-        if any(family == target for family, _ in jobs):
+        if any(family == target for family, _, _ in jobs):
             raised.append(len(jobs))
             raise RuntimeError("forced")
         return values(jobs)
 
-    monkeypatch.setattr(verify, "_lockstep_values", lockstep)
+    monkeypatch.setattr(verify, "_samples", lockstep)
     monkeypatch.setattr(verify, "_sweep_rows", lambda nodes: runs.append(len(nodes)) or rows(nodes))
     got = sweep(alphas, betas)
     assert raised == [12, 6, 3, 2, 1]
@@ -1296,9 +1306,6 @@ def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family
     stencils = []
     stencil = maps._arc_stencil
     monkeypatch.setattr(maps, "_arc_stencil", lambda family, pts: stencils.append(pts.size) or stencil(family, pts))
-    partners = []
-    partner = verify._partner_derivatives
-    monkeypatch.setattr(verify, "_partner_derivatives", lambda *args: partners.append(args) or partner(*args))
     rounds = record_ring(monkeypatch)
     picks, loops = [], []
     route = special_functions._route
@@ -1311,7 +1318,6 @@ def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family
     assert len(picks) == len(loops) == 1 + len(rounds)
     if family == MapFamily.two_petal(math.pi / 5, math.pi / 9):
         assert rounds == []  # no bisection round: the whole battery is one batch
-    assert partners == []
 
 
 @given(st.floats(0.02, 0.5 * math.pi - 0.02), st.floats(0.02, 0.5 * math.pi - 0.02))
@@ -1326,8 +1332,8 @@ def test_battery_equals_checks_alone_off_the_grid(alpha, beta):
 def test_laurent_ring_error_charged_to_capacity(monkeypatch):
     # a Laurent ring point at the corner pre-image w = 1 fails the merged
     # evaluation; only capacity_sign reads the ring, and it records the
-    # error that laurent_coefficients raises alone (t = 4/p^2 is the branch
-    # point there)
+    # error that laurent_coefficients raises alone, whose evaluate_map
+    # refuses the corner pre-image
     family = MapFamily.two_petal(math.pi / 5, math.pi / 9)
     clean = run_standard_checks(family)
     ring = maps._laurent_ring
@@ -1336,7 +1342,7 @@ def test_laurent_ring_error_charged_to_capacity(monkeypatch):
     report = run_standard_checks(family)
     assert_same_checks(report, checks_alone(family))
     assert [name for name, c in report.checks.items() if c.detail.startswith("error:")] == ["capacity_sign"]
-    with pytest.raises(maps.MapDomainError) as info:
+    with pytest.raises(maps.CornerPreimageError) as info:
         maps.laurent_coefficients(family)
     assert report.checks["capacity_sign"].detail == "error: %s" % info.value
     for name in set(clean.checks) - {"capacity_sign"}:
