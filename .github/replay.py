@@ -1,0 +1,81 @@
+"""Replay the benchmark's `inverse` or `moments` items in process and list the failures.
+
+Usage: python3 .github/replay.py [--workload inverse|moments] [--seeds 901-920] [--blocks N]
+
+For each seed, draws the items `bench/workloads.py` draws for that workload,
+seed and block count (as `bench/run.py` does; the default is a 20-second
+run's, 14 blocks for inverse and 16 for moments), runs each one in a
+temporary directory, where a moments item writes its trace and its report,
+and checks it with the item's own check.  ``--workload`` defaults to
+inverse.  ``--seeds`` takes a seed, a range ``A-B`` (both ends included) or
+a comma-separated list of either.  Prints one JSON line: the seeds, the
+block count, the item count, for inverse the `_tangential_derivatives`
+calls per item (one per inversion step), and the sorted failures as
+``[seed, index, kind]``, where index is the item's place in its seed's
+list.  A change to the inversion step or to the Cauchy screens should leave
+``failed`` no longer, and compares item by item against the parent's line.
+"""
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+from petalmap import maps  # noqa: E402
+
+RUN_SECONDS = 20.0  # the default block count is that of a bench run this long
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=("inverse", "moments"), default="inverse")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("901-920"))
+    parser.add_argument("--blocks", type=int)
+    args = parser.parse_args(argv)
+    blocks = run.blocks_for(args.workload, RUN_SECONDS) if args.blocks is None else args.blocks
+
+    inner = maps._tangential_derivatives
+    calls = 0
+
+    def counting(family, pts):
+        nonlocal calls
+        calls += 1
+        return inner(family, pts)
+
+    items, failed = 0, []
+    maps._tangential_derivatives = counting
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            for seed in args.seeds:
+                _, ops = getattr(workloads, args.workload + "_ops")(np.random.default_rng(seed), workdir, blocks)
+                for index, op in enumerate(ops):
+                    op.prepare()
+                    failed += [[seed, index, kind] for kind in op.check(op.call())]
+                items += len(ops)
+    finally:
+        maps._tangential_derivatives = inner
+    report = {"seeds": args.seeds, "blocks": blocks, "items": items}
+    if args.workload == "inverse":
+        report["stencil_calls_per_item"] = round(calls / items, 4)
+    report["failed"] = sorted(failed)
+    print(json.dumps(report))
+
+
+if __name__ == "__main__":
+    main()

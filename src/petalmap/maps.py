@@ -410,11 +410,15 @@ def _samples(jobs) -> list:
     petal takes the closed forms, the partner h(w) = f(1/w).  Two-petal jobs
     are packed, consecutive ones together, into groups of at most
     ``ARC_BLOCK`` map points, 9 per derivative point for its `_arc_stencil`
-    rows (a larger job goes alone).  Each group is one `_hyp2f1_batch`,
-    built and evaluated one group at a time: one map request over its jobs'
-    map points joined, each carrying its family's angles (floats when the
-    group is one family), then each partner job's two requests
-    (`_partner_requests`), so one route pick and one series loop per group.
+    rows.  A job opens a new group only when the open group holds map
+    points and the job's own would take it past ``ARC_BLOCK``: a job with
+    no map points (an empty one, a partner) joins the open group, and a
+    larger job shares its group only with such jobs.  Each group is one
+    `_hyp2f1_batch`, built and evaluated one group at a time: one map
+    request over its jobs' map points joined, each carrying its family's
+    angles (floats when the group is one family), then each partner job's
+    two requests (`_partner_requests`), so one route pick and one series
+    loop per group.
     """
     checked = [(family, points) for family, points, what in jobs if what != "partner"]
     if checked:
@@ -438,7 +442,7 @@ def _samples(jobs) -> list:
     groups, size = [], 0
     for family, points, what in jobs:
         weight = points.size * {"values": 1, "derivatives": 9, "partner": 0}[what]
-        if not groups or size + weight > ARC_BLOCK:
+        if not groups or size and weight and size + weight > ARC_BLOCK:
             groups.append([])
             size = 0
         groups[-1].append((family, points, what))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -453,7 +452,11 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
     is not inside the pattern; a value r M_1 past the float range raises.
     The boundary integral is a 16384-node trapezoid sum.  f and f' are
     evaluated at its 4096 first-quadrant nodes and unfolded onto the rest by
-    symmetry (`_unfold_quadrant`); the sum runs over all 16384.
+    symmetry (`_unfold_quadrant`); the sum runs over all 16384.  The margin
+    and winding screens read the polygon of those nodes with the origin
+    inserted at each corner: every corner pre-image maps to the origin, and
+    next to w = +-i the nodes stay far from it, so without it the polygon
+    would close the fluid wedge between two petals with a chord.
     """
     ring = np.exp(1j * _circle_angles(16384))
     f, fp, _ = _unfold_quadrant(*_tangential_derivatives(family, ring[:4096]))
@@ -462,6 +465,10 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
     height = float(np.max(f.imag) - np.min(f.imag))
     diameter = max(width, height)
     weight = 2.0 * math.pi / len(f)
+    # the corner pre-images are k equally spaced points from w = 1, so the
+    # nodes j n/k - 1 and j n/k straddle the j-th (the n-th is node 0)
+    k = len(family.corner_preimages)
+    polygon = np.insert(f, np.arange(1, k + 1) * (len(f) // k), 0.0)
     out = []
     for z in np.atleast_1d(np.asarray(zs, dtype=complex)):
         z = complex(z)
@@ -469,9 +476,10 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
         if not cmath.isfinite(zeta):
             raise ValueError("sample point %r is not inside the pattern" % (z,))
         rel = f - zeta
-        if float(np.min(np.abs(rel))) < INTERIOR_MARGIN * diameter:
+        # the polygon's nodes are f's and the origin
+        if min(float(np.min(np.abs(rel))), abs(zeta)) < INTERIOR_MARGIN * diameter:
             raise ValueError("sample point %r too close to the boundary" % (z,))
-        if winding_number(f, zeta) != 1:
+        if winding_number(polygon, zeta) != 1:
             raise ValueError("sample point %r is not inside the pattern" % (z,))
         value = state.r * complex(np.sum(np.abs(f.imag) / rel * dz_dphi) * weight / (1j * math.pi))
         if not cmath.isfinite(value):
@@ -709,53 +717,38 @@ def _sweep_rows(nodes) -> list:
 # bundled report
 
 
-def _evaluated_once(family: MapFamily, rings: dict, arcs: dict, probes: np.ndarray | None):
+def _evaluated_once(family: MapFamily, samples: dict):
     """Lookup by key of the battery's fixed samples, from one `maps._samples` call on all of them.
 
-    A key of ``rings`` gives (f, f', f'') at its points, a key of ``arcs``
-    f, and "partner" the partner's (h, h') at ``probes`` (None: no
-    partner).  The call takes one derivatives job over the rings joined,
-    one values job over the arcs joined and the partner job.  A point's
-    value does not depend on its batch, so a key's slices are the bits of
-    its own call.  If the merged call raises, each key is evaluated alone
-    when it is read, as its own `_samples` job, whose error is the one its
-    public check raises, so the error is charged to the checks that read
-    it, as if the checks had run one by one.
+    ``samples`` maps each key to (points, what), one `_samples` job of
+    ``family``: "derivatives" gives (f, f', f''), "values" f and "partner"
+    (h, h').  The call takes one job per key, in key order, so a key reads
+    its own job's result, whose bits are those of its lone call.  If the
+    call raises, each key is evaluated alone when it is read, as its own
+    `_samples` job, whose error is the one its public check raises, so the
+    error is charged to the checks that read it, as if the checks had run
+    one by one.
     """
-    jobs = {key: (family, points, "derivatives") for key, points in rings.items()}
-    jobs.update((key, (family, points, "values")) for key, points in arcs.items())
-    merged = [
-        (family, np.concatenate(list(rings.values())), "derivatives"),
-        (family, np.concatenate(list(arcs.values())), "values"),
-    ]
-    if probes is not None:
-        jobs["partner"] = (family, probes, "partner")
-        merged.append(jobs["partner"])
+    jobs = {key: (family, points, what) for key, (points, what) in samples.items()}
     try:
-        derivatives, values, *partner = _samples(merged)
+        return dict(zip(jobs, _samples(list(jobs.values())))).__getitem__
     except Exception:  # noqa: BLE001 - each reader raises its own error
         return lambda key: _samples([jobs[key]])[0]
-    return {**dict(zip(["partner"], partner)), **_sliced(np.array(derivatives), rings), **_sliced(values, arcs)}.__getitem__
-
-
-def _sliced(part: np.ndarray, samples: dict) -> dict:
-    """Each key's slice of ``part`` along its last axis, which runs over the samples' points joined in key order."""
-    ends = itertools.accumulate(len(points) for points in samples.values())
-    return {key: part[..., end - len(points) : end] for (key, points), end in zip(samples.items(), ends)}
 
 
 def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> VerificationReport:
     """Run the family-appropriate checks and collect them into a report.
 
     Each result has the bits of the public check called alone, but the
-    checks' fixed samples are evaluated together (`_evaluated_once`): the
-    derivative rings, the corner fits' points, the first conformality arc,
-    the Laurent ring and, unless the family is collapsed, the Wronskian
-    partner.  Two petals take them from one 2F1 batch, one petal from the
-    closed forms.  Each check name maps to a callable that returns
-    (residual, detail); one that raises is recorded as that check's error,
-    not raised, and the other checks still run.  The three growth checks
-    share one Wronskian ratio, so its error is each one's.
+    checks' fixed samples are evaluated together (`_evaluated_once`), one
+    `maps._samples` job per key: the four derivative rings, the first
+    conformality arc, the corner fits' points, the Laurent ring and, unless
+    the family is collapsed, the Wronskian partner.  Two petals take them
+    from one 2F1 batch, one petal from the closed forms.  Each check name
+    maps to a callable that returns (residual, detail); one that raises is
+    recorded as that check's error, not raised, and the other checks still
+    run.  The three growth checks share one Wronskian ratio, so its error
+    is each one's.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -770,24 +763,25 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         # leading local exponent at w = i is the smaller of delta and 1 - delta
         corners["corner_exponent_top"] = (_corner_arc(1.0j), min(family.delta, 1.0 - family.delta))
     arc_phis, arc_points = _conformality_arc(family.kind)
-    rings = {
-        "ode": _ode_ring()[:16],
-        "wronskian": _wronskian_probes(),
-        "dynamical": _unit_ring(128)[:32],
-        "darcy": _unit_ring(256)[:64],
-    }
-    arcs = {
-        "conformality": arc_points,
-        **{name: points for name, ((_, points), _) in corners.items()},
-        "laurent": _laurent_ring(),
+    probes = _wronskian_probes()
+    samples = {
+        "ode": (_ode_ring()[:16], "derivatives"),
+        "wronskian": (probes, "derivatives"),
+        "dynamical": (_unit_ring(128)[:32], "derivatives"),
+        "darcy": (_unit_ring(256)[:64], "derivatives"),
+        "conformality": (arc_points, "values"),
+        **{name: (points, "values") for name, ((_, points), _) in corners.items()},
+        "laurent": (_laurent_ring(), "values"),
     }
     # a collapsed family has no partner, and its ratio raises before reading one
-    sample = _evaluated_once(family, rings, arcs, None if _collapsed(family) else rings["wronskian"])
+    if not _collapsed(family):
+        samples["partner"] = (probes, "partner")
+    sample = _evaluated_once(family, samples)
 
     @functools.cache
     def ratio():
         _reject_collapsed(family)
-        return _ratio_estimate(rings["wronskian"], sample("wronskian"), sample("partner"))
+        return _ratio_estimate(probes, sample("wronskian"), sample("partner"))
 
     def conformality():
         ((winding, _ok),) = _winding([(family, arc_phis, sample("conformality"))])

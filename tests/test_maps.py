@@ -1215,20 +1215,43 @@ def sample_alone(family, points, what):
 
 
 def sample_groups(jobs):
-    """The number of `_samples` groups of two-petal jobs: consecutive jobs, at most ARC_BLOCK map points each."""
+    """The number of `_samples` groups of two-petal jobs: consecutive jobs, at most ARC_BLOCK map points each.
+
+    A job with no map points never opens a group, and one that would take
+    a group holding map points past ARC_BLOCK opens the next.
+    """
     groups = size = 0
     for _, points, what in jobs:
         weight = points.size * {"values": 1, "derivatives": 9, "partner": 0}[what]
-        if not groups or size + weight > maps.ARC_BLOCK:
+        if not groups or size and weight and size + weight > maps.ARC_BLOCK:
             groups += 1
             size = 0
         size += weight
     return groups
 
 
+# an empty job, then a derivatives job of 230 points (2070 map points) that
+# shares its group only with jobs of no map points
+SAMPLE_EXAMPLE = [("values", 0, 0), ("derivatives", 2, 230), ("partner", 1, 8), ("values", 3, 40), ("partner", 0, 5)]
+
+
+def test_samples_jobs_without_map_points_open_no_group(monkeypatch):
+    # the empty job and the partner after the oversized job join its group;
+    # the values job opens the next: two route picks and two series loops
+    rng = np.random.default_rng(1)
+    jobs = [sample_job("two-petal", *spec, rng) for spec in SAMPLE_EXAMPLE]
+    picks, loops = [], []
+    route = special_functions._route
+    sums = special_functions._series_sums
+    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append([p[2].size for p in points]) or route(points))
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
+    maps._samples(jobs)
+    assert picks == [[2070, 8, 8], [40, 5, 5]]
+    assert len(loops) == sample_groups(jobs) == 2
+
+
 @given(st.sampled_from(("two-petal", "one-petal")), SAMPLE_JOBS, st.integers(0, 2**16))
-# an empty job, and a derivatives job of 230 points (2070 map points) that goes alone
-@example("two-petal", [("values", 0, 0), ("derivatives", 2, 230), ("partner", 1, 8), ("values", 3, 40), ("partner", 0, 5)], 1)
+@example("two-petal", SAMPLE_EXAMPLE, 1)
 @example("one-petal", [("partner", 0, 8), ("values", 1, 0), ("derivatives", 2, 30)], 2)
 @settings(max_examples=10, deadline=None, derandomize=True)
 def test_samples_keep_the_bits_of_each_job_alone(kind, specs, seed):

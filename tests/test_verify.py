@@ -32,6 +32,7 @@ from petalmap import (
 )
 from petalmap import maps, special_functions, verify
 from petalmap.maps import _tangential_derivatives
+from petalmap.numerics import winding_number
 from petalmap.verify import VerificationError, VerificationReport
 
 ODE_TOL = 1e-7
@@ -835,10 +836,14 @@ def test_m_plus_scale_covariance():
 
 def test_m_plus_two_petal_ring():
     # the first-quadrant ring, unfolded, and its arc stencil in ARC_BLOCK
-    # blocks against the trapezoid sum over a directly evaluated full ring
+    # blocks against the trapezoid sum over a directly evaluated full ring;
+    # z = 0 is the image of every corner pre-image, a node of the screens'
+    # polygon, so it is refused
     family = MapFamily.two_petal(math.pi / 5, math.pi / 10)
     state = TimeState(1.0, 1.0)
-    zs = [0.0, 0.5 + 0.5j, -0.6 - 0.6j]
+    with pytest.raises(ValueError, match="too close to the boundary"):
+        m_plus_samples(family, state, 0.0)
+    zs = [0.5 + 0.5j, -0.6 - 0.6j]
     ring = np.exp(1j * maps._circle_angles(16384))
     f, fp, _ = _tangential_derivatives(family, ring)
     dz_dphi = fp * 1j * ring
@@ -846,6 +851,32 @@ def test_m_plus_two_petal_ring():
         want = np.sum(np.abs(f.imag) / (f - z) * dz_dphi) * (2.0 * math.pi / len(ring)) / (1j * math.pi)
         assert s.point == z
         assert abs(s.value - want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family",
+    [MapFamily.two_petal(0.9, 0.2), MapFamily.two_petal(math.pi / 5, math.pi / 10), MapFamily.two_petal(1.2, 0.3)],
+    ids=lambda f: f.label(),
+)
+def test_m_plus_refuses_the_fluid_wedge_below_the_chord(family):
+    # images of exterior points next to w = i lie in the fluid wedge between
+    # the petals; those below the chord joining the two nodes next to w = i
+    # are inside the polygon of the nodes alone and clear of its margin, and
+    # the screens, whose polygon reaches the origin, must refuse them
+    n = 16384
+    f = evaluate_map(family, np.exp(1j * maps._circle_angles(n)))
+    margin = verify.INTERIOR_MARGIN * max(np.ptp(f.real), np.ptp(f.imag))
+    rng = np.random.default_rng(23)
+    s = 10.0 ** rng.uniform(-11.0, -3.0, 200)
+    fluid = evaluate_map(family, 1j * np.exp(s + 1j * s * rng.uniform(-3.0, 3.0, 200)))
+    wedge = [
+        z for z in fluid
+        if z.imag < f[n // 4].imag and abs(z) >= margin and np.min(np.abs(f - z)) >= margin and winding_number(f, z) == 1
+    ]
+    assert len(wedge) >= 4
+    for z in wedge[:4]:
+        with pytest.raises(ValueError, match="not inside the pattern"):
+            m_plus_samples(family, TimeState(1.0, 1.0), [z])
 
 
 # ---------------------------------------------------------------------------
@@ -1296,12 +1327,13 @@ def test_corner_error_spares_the_other_corner(monkeypatch):
     ids=lambda f: f.label(),
 )
 def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family):
-    # one 2F1 batch for the fixed samples: one map request over the arc
-    # stencil rows of the rings' 120 centres (ode 16, Wronskian 8, dynamical
-    # 32, darcy 64), the first conformality arc (81 points), both corner
-    # arcs (12 each) and the Laurent ring (64), then the partner's two
-    # requests at the 8 Wronskian probes, none for a collapsed family: one
-    # route pick and one series loop, and one of each per bisection round
+    # one 2F1 batch for the fixed samples, one `_samples` job per key: one
+    # map request over the arc stencil rows of each ring's centres (ode 16,
+    # Wronskian 8, dynamical 32, darcy 64; one stencil each), the first
+    # conformality arc (81 points), both corner arcs (12 each) and the
+    # Laurent ring (64), then the partner's two requests at the 8 Wronskian
+    # probes, none for a collapsed family: one route pick and one series
+    # loop, and one of each per bisection round
     forbid_stencil(patch_stencil)
     stencils = []
     stencil = maps._arc_stencil
@@ -1313,7 +1345,7 @@ def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family
     monkeypatch.setattr(special_functions, "_route", lambda points: picks.append([p[2].size for p in points]) or route(points))
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
     run_standard_checks(family)
-    assert stencils == [16 + 8 + 32 + 64]
+    assert stencils == [16, 8, 32, 64]
     assert picks[0] == [9 * 120 + 81 + 12 + 12 + 64] + ([] if verify._collapsed(family) else [8, 8])
     assert len(picks) == len(loops) == 1 + len(rounds)
     if family == MapFamily.two_petal(math.pi / 5, math.pi / 9):
