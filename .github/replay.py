@@ -1,6 +1,6 @@
-"""Replay the benchmark's `inverse` or `moments` items in process and list the failures.
+"""Replay the benchmark's `inverse`, `moments` or `sweep` items in process and list the failures.
 
-Usage: python3 .github/replay.py [--workload inverse|moments] [--seeds 901-920] [--blocks N]
+Usage: python3 .github/replay.py [--workload inverse|moments|sweep] [--seeds 901-920] [--blocks N]
 
 For each seed, draws the items `bench/workloads.py` draws for that workload,
 seed and block count (as `bench/run.py` does; the default is a 20-second
@@ -10,9 +10,13 @@ and checks it with the item's own check.  ``--workload`` defaults to
 inverse.  ``--seeds`` takes a seed, a range ``A-B`` (both ends included) or
 a comma-separated list of either.  Prints one JSON line: the seeds, the
 block count, the item count, for inverse the `_tangential_derivatives`
-calls per item (one per inversion step), and the sorted failures as
-``[seed, index, kind]``, where index is the item's place in its seed's
-list.  A change to the inversion step or to the Cauchy screens should leave
+calls per item (one per inversion step), for sweep the series loops and
+the points they summed (a spy on `special_functions._series_sums`), and
+the sorted failures as ``[seed, index, kind]``, where index is the item's
+place in its seed's list.  A sweep seed's items are the grid's 51 row
+segments in its order (one block, whatever ``--blocks`` asks for), so its
+counts are those of the benchmark's sweep commands.  A change to the
+inversion step, the Cauchy screens or the sweep's rounds should leave
 ``failed`` no longer, and compares item by item against the parent's line.
 """
 
@@ -29,7 +33,7 @@ import numpy as np  # noqa: E402
 
 import run  # noqa: E402
 import workloads  # noqa: E402
-from petalmap import maps  # noqa: E402
+from petalmap import maps, special_functions  # noqa: E402
 
 RUN_SECONDS = 20.0  # the default block count is that of a bench run this long
 
@@ -44,22 +48,30 @@ def parse_seeds(text):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("inverse", "moments"), default="inverse")
+    parser.add_argument("--workload", choices=("inverse", "moments", "sweep"), default="inverse")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("901-920"))
     parser.add_argument("--blocks", type=int)
     args = parser.parse_args(argv)
     blocks = run.blocks_for(args.workload, RUN_SECONDS) if args.blocks is None else args.blocks
 
     inner = maps._tangential_derivatives
-    calls = 0
+    sums = special_functions._series_sums
+    calls = loops = points = 0
 
     def counting(family, pts):
         nonlocal calls
         calls += 1
         return inner(family, pts)
 
+    def summing(queue):
+        nonlocal loops, points
+        loops += 1
+        points += sum(np.size(t) for _, _, _, t in queue)
+        return sums(queue)
+
     items, failed = 0, []
     maps._tangential_derivatives = counting
+    special_functions._series_sums = summing
     try:
         with tempfile.TemporaryDirectory() as workdir:
             for seed in args.seeds:
@@ -70,9 +82,12 @@ def main(argv=None):
                 items += len(ops)
     finally:
         maps._tangential_derivatives = inner
+        special_functions._series_sums = sums
     report = {"seeds": args.seeds, "blocks": blocks, "items": items}
     if args.workload == "inverse":
         report["stencil_calls_per_item"] = round(calls / items, 4)
+    if args.workload == "sweep":
+        report.update(series_loops=loops, series_points=points)
     report["failed"] = sorted(failed)
     print(json.dumps(report))
 

@@ -41,6 +41,7 @@ from .numerics import (
 
 RING_ODE = 1.5               # sampling ring for the oscillator residual
 CONFORMAL_RING_EPS = 1e-3
+WINDING_LOOKAHEAD = 3        # dyadic levels of a bisected step that one winding round evaluates
 CORNER_FIT_RANGE = (1e-6, 1e-3)
 CORNER_FIT_POINTS = 12
 WIDTH_DEGENERATE_FRACTION = 1e-3
@@ -307,11 +308,14 @@ def conformality_check(family: MapFamily):
     turns, and the count needs map values only.  The arc starts from
     angles graded toward the corner pre-images (`_conformality_arc`) and is
     bisected until the polygon turns by at most pi/4 at each vertex
-    (`_winding`), so the summed turns cannot alias.  An arc that cannot be
-    resolved raises `VerificationError`.
+    (`_winding`), so the summed turns cannot alias.  Each values call after
+    the first arc evaluates three dyadic levels of every step it bisects,
+    so the collapsed (5 pi/36, 5 pi/36) takes 3 calls (109 points) where
+    one midpoint call a round took 7 (95 points), for the same polygon.
+    An arc that cannot be resolved raises `VerificationError`.
     """
     phis, points = _conformality_arc(family.kind)
-    ((winding, ok),) = _winding([(family, phis, *_samples([(family, points, "values")]))])
+    (((winding, ok),), _) = _winding([(family, phis, *_samples([(family, points, "values")]))])
     return winding, ok
 
 
@@ -338,7 +342,7 @@ def _conformality_arc(kind: str):
     return phis, math.exp(CONFORMAL_RING_EPS) * np.exp(1j * phis)
 
 
-def _winding(nodes) -> list:
+def _winding(nodes, jobs=()):
     """`conformality_check` for each (family, `_conformality_arc` angles, map values at their points), in lockstep.
 
     The families are all of one kind.  The chords C_k = f(w_{k+1}) - f(w_k)
@@ -349,19 +353,32 @@ def _winding(nodes) -> list:
     vertex's angle, whose other half is the mirror's; less the pi/2 that
     phi turns, that is the turn of arg f'.  Both steps next to a vertex
     whose angle exceeds pi/4 (the one step next to an end vertex) are
-    bisected until none does.  A round takes the values at the midpoints of
-    all nodes still refining from one `_samples` call.  Raises
-    `VerificationError` when a chord nearly vanishes against the arc's
-    step, |C| / dphi below 1e-9 of the first round's median, or a step next
-    to a vertex that still turns too far is too short to split in floating
-    point: either way a zero of f' lies within rounding of the ring.
+    bisected until none does.  Raises `VerificationError` when a chord
+    nearly vanishes against the arc's step, |C| / dphi below 1e-9 of the
+    first round's median, or a step next to a vertex that still turns too
+    far is too short to split in floating point: either way a zero of f'
+    lies within rounding of the ring.
+
+    A round inserts those midpoints only, but one `_samples` call evaluates
+    every step of every node whose midpoint is not yet known
+    WINDING_LOOKAHEAD dyadic levels deep (`_round_samples`): midpoint,
+    quarter and eighth points, formed as later rounds form their midpoints.
+    Later rounds take their midpoints from a per-node dict keyed by angle
+    and a round that knows them all makes no call.  A point's value does
+    not depend on its batch, and a call whose look-ahead raises is made
+    again with the midpoints alone, so the polygon, the winding and every
+    error are those of plain bisection.  ``jobs``, values jobs of the
+    nodes' kind, ride at the head of the first call (alone if no node
+    refines).  Returns the (winding, ok) of each node and the values of
+    ``jobs``.
     """
     arcs = [[family, phis, values] for family, phis, values in nodes]
     scales = [float(np.median(np.abs(np.diff(values)) / np.diff(phis))) for _, phis, values in nodes]
-    ring = math.exp(CONFORMAL_RING_EPS)
+    known = [{} for _ in nodes]
     out = [None] * len(nodes)
+    jobs, riders = list(jobs), []
     while True:
-        asks = []
+        asks, spans = [], []
         for k, (family, phis, values) in enumerate(arcs):
             if out[k] is not None:
                 continue
@@ -383,12 +400,52 @@ def _winding(nodes) -> list:
             if np.any((mids <= lo) | (mids >= hi)):
                 raise VerificationError("derivative winding could not be resolved")
             asks.append((k, steps, mids))
+            unknown = [(a, b) for a, b, mid in zip(lo, hi, mids) if mid not in known[k]]
+            if unknown:
+                spans.append((k, unknown))
+        if spans or jobs:
+            got = _round_samples(jobs, [(arcs[k][0], unknown) for k, unknown in spans])
+            for (k, _), (angles, values) in zip(spans, got[len(jobs) :]):
+                known[k].update(zip(angles.tolist(), values))
+            riders, jobs = riders + got[: len(jobs)], []
         if not asks:
-            return out
-        news = _samples([(arcs[k][0], ring * np.exp(1j * mids), "values") for k, _, mids in asks])
-        for (k, steps, mids), new in zip(asks, news):
+            return out, riders
+        for k, steps, mids in asks:
             family, phis, values = arcs[k]
+            new = [known[k][mid] for mid in mids.tolist()]
             arcs[k] = [family, np.insert(phis, steps + 1, mids), np.insert(values, steps + 1, new)]
+
+
+def _round_samples(jobs: list, spans: list) -> list:
+    """One `_winding` call: the values of ``jobs``, then (angles, values) for each (family, (lo, hi) steps).
+
+    Each step is evaluated WINDING_LOOKAHEAD dyadic levels deep (`_dyadic`).
+    If that call raises, it is made again with the steps' midpoints alone,
+    so an error comes only from a point the polygon takes.
+    """
+
+    def call(depth):
+        angles = [np.array([phi for lo, hi in steps for phi in _dyadic(lo, hi, depth)]) for _, steps in spans]
+        ring = math.exp(CONFORMAL_RING_EPS)
+        got = _samples(jobs + [(family, ring * np.exp(1j * phis), "values") for (family, _), phis in zip(spans, angles)])
+        return got[: len(jobs)] + list(zip(angles, got[len(jobs) :]))
+
+    try:
+        return call(WINDING_LOOKAHEAD)
+    except Exception:  # noqa: BLE001 - a look-ahead point may raise where no midpoint does
+        return call(1)
+
+
+def _dyadic(lo: float, hi: float, depth: int) -> list:
+    """The angles of ``depth`` levels of bisection of the step (lo, hi), each formed as its round would, 0.5 (lo + hi).
+
+    An angle not strictly inside the step it splits is left out, with the
+    levels below it.
+    """
+    mid = 0.5 * (lo + hi)
+    if depth == 0 or not lo < mid < hi:
+        return []
+    return [mid, *_dyadic(lo, mid, depth - 1), *_dyadic(mid, hi, depth - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +712,8 @@ def sweep(alphas, betas) -> tuple[SweepRow, ...]:
     settles it, since the width is a maximum over the arc, and a node the
     probe leaves below takes the whole arc.  A node settled by its probe
     never evaluates the arc's other points, so an error there would not
-    show in its row.  A node that cannot be evaluated comes back with
+    show in its row.  The whole arcs ride in the first bisection call.  A
+    node that cannot be evaluated comes back with
     winding/conformal/degenerate set to None and its error as "Type: message".
     """
     return tuple(_sweep_rows([(float(alpha), float(beta)) for alpha in alphas for beta in betas]))
@@ -672,16 +730,17 @@ def _sweep_rows(nodes) -> list:
     is a maximum over the arc's points, at least the probe's, and every
     lockstep value has `evaluate_map`'s bits.  Only the nodes the probe
     leaves below it (on the default grid the 33 collapsed ones, alpha =
-    beta or alpha + beta = pi/2) take the full width arc, in one more call,
-    and their flag is `petal_width`'s.  A node settled by its probe never
-    evaluates its other 120 width points, so an error there would not show
-    in its row; in 3000 random families (alpha and beta uniform in
-    [0.005, pi/2 - 0.005]) no width-arc point raised.  `_winding` then
-    bisects all the nodes' arcs together, one call a round.  Each call
-    packs its jobs into groups of at most ``maps.ARC_BLOCK`` map points,
-    22 first-round nodes a group, and each group is one 2F1 batch with
-    one route pick and one series loop, so a default-grid node costs 0.08
-    of each against 3.62 for the calls one by one.
+    beta or alpha + beta = pi/2) take the full width arc, as jobs at the
+    head of `_winding`'s first call, and their flag is `petal_width`'s.  A
+    node settled by its probe never evaluates its other 120 width points,
+    so an error there would not show in its row; in 3000 random families
+    (alpha and beta uniform in [0.005, pi/2 - 0.005]) no width-arc point
+    raised.  `_winding` bisects all the nodes' arcs together, at most one
+    call a round, three dyadic levels of a step per call.  Each call packs
+    its jobs into groups of at most ``maps.ARC_BLOCK`` map points, 22
+    first-round nodes a group, and each group is one 2F1 batch with one
+    route pick and one series loop, so the default grid takes 3 calls and
+    19 loops, 0.07 a node, against 3.62 for the calls one by one.
 
     If a call of several nodes raises, its nodes are split in halves and
     each half runs in lockstep again, so the other nodes keep their rows and
@@ -698,13 +757,11 @@ def _sweep_rows(nodes) -> list:
             _width(family, values[phis.size :]) < WIDTH_DEGENERATE_FRACTION for family, values in zip(families, first)
         ]
         open_nodes = [k for k, flag in enumerate(degenerate) if flag]
-        if open_nodes:
-            full = _samples([(families[k], width, "values") for k in open_nodes])
-            for k, values in zip(open_nodes, full):
-                degenerate[k] = _width(families[k], values) < WIDTH_DEGENERATE_FRACTION
         # copies, and rebinding, free the probe values before the bisection rounds
         first = [(family, phis, values[: phis.size].copy()) for family, values in zip(families, first)]
-        windings = _winding(first)
+        windings, full = _winding(first, [(families[k], width, "values") for k in open_nodes])
+        for k, values in zip(open_nodes, full):
+            degenerate[k] = _width(families[k], values) < WIDTH_DEGENERATE_FRACTION
     except Exception as exc:  # noqa: BLE001 - sweep must keep going
         if len(nodes) > 1:
             half = len(nodes) // 2
@@ -784,7 +841,7 @@ def run_standard_checks(family: MapFamily, tolerances: dict | None = None) -> Ve
         return _ratio_estimate(probes, sample("wronskian"), sample("partner"))
 
     def conformality():
-        ((winding, _ok),) = _winding([(family, arc_phis, sample("conformality"))])
+        (((winding, _ok),), _) = _winding([(family, arc_phis, sample("conformality"))])
         return abs(winding), "winding=%d" % winding
 
     def corner_fit(name, d, target):

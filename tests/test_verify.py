@@ -391,7 +391,7 @@ def record_ring(monkeypatch):
     """Log every (points, values) pair the conformality count asks `_samples` for.
 
     Only calls whose jobs all ask for values are logged: the check's first
-    arc and the winding's bisection rounds, not the battery's merged call.
+    arc and the winding's bisection calls, not the battery's merged call.
     """
     calls = []
     inner = verify._samples
@@ -419,27 +419,33 @@ def test_conformality_ring_work(monkeypatch, patch_stencil):
     calls = record_ring(monkeypatch)
     forbid_stencil(patch_stencil)
     step = math.pi / 36
+    # (family, winding, points, values calls): one job a call, the first arc
+    # and then one call per round that lacks a midpoint.  Each bisected step
+    # is evaluated three dyadic levels deep (WINDING_LOOKAHEAD), 7 points, so
+    # (5,5) takes 109 points in 3 calls where plain bisection took 95 in 7,
+    # and (4,6) 95 in 2 where it took 83 in 2
     cases = {
-        "collapsed (5,5)": (MapFamily.two_petal(5 * step, 5 * step), None),
-        "top pair (4,6)": (MapFamily.two_petal(4 * step, 6 * step), -6),
-        "conformal (6,3)": (MapFamily.two_petal(6 * step, 3 * step), 0),
-        "one-petal": (MapFamily.one_petal(0.3), 0),
+        "collapsed (5,5)": (MapFamily.two_petal(5 * step, 5 * step), None, 109, 3),
+        "top pair (4,6)": (MapFamily.two_petal(4 * step, 6 * step), -6, 95, 2),
+        "conformal (6,3)": (MapFamily.two_petal(6 * step, 3 * step), 0, 81, 1),
+        "one-petal": (MapFamily.one_petal(0.3), 0, 57, 1),
     }
-    for name, (family, expected) in cases.items():
+    for name, (family, expected, points, rounds) in cases.items():
         calls.clear()
         winding, _ = conformality_check(family)
         assert expected is None or winding == expected, name
+        assert len(calls) == rounds, (name, len(calls))
         w = np.concatenate([c[0] for c in calls])
         values = np.concatenate([c[1] for c in calls])
-        # measured: 81-93 points for two petals, 57 for one
-        assert w.size <= 100, (name, w.size)
+        assert w.size <= points, (name, w.size)
         # one arc, the first quadrant of one ring, no push-out
         assert np.allclose(np.abs(w), math.exp(verify.CONFORMAL_RING_EPS), rtol=1e-14, atol=0.0), name
         args = np.angle(w)
         assert np.all((args >= 0.0) & (args <= 0.5 * math.pi)), name
-        # no vertex of the image polygon, closed at each end by the chord
-        # its mirror image meets, turns by more than pi/4, and its turn,
-        # less the pi/2 that arg w turns, is a quarter of the winding
+        # no vertex of the image polygon of every evaluated point (the
+        # count's own polygon and its look-ahead points), closed at each end
+        # by the chord its mirror image meets, turns by more than pi/4, and
+        # its turn, less the pi/2 that arg w turns, is a quarter of the winding
         chords = np.diff(values[np.argsort(args)])
         ends = np.concatenate([-np.conj(chords[:1]), chords, np.conj(chords[-1:])])
         turns = np.angle(ends[1:] / ends[:-1])
@@ -509,6 +515,96 @@ def test_quadrant_winding_matches_closed_ring(family):
     winding, ok = conformality_check(family)
     assert winding == closed_ring_winding(family)
     assert ok == (winding == 0)
+
+
+def plain_bisection(family):
+    """`conformality_check` by plain bisection, one midpoint call a round: the count before its look-ahead.
+
+    Returns the winding and every (points, values) pair it evaluated, the
+    first arc included.
+    """
+    phis, points = verify._conformality_arc(family.kind)
+    values = evaluate_map(family, points)
+    evaluated = [(points, values)]
+    scale = float(np.median(np.abs(np.diff(values)) / np.diff(phis)))
+    ring = math.exp(verify.CONFORMAL_RING_EPS)
+    while True:
+        chords = np.diff(values)
+        if not (scale > 0.0 and float(np.min(np.abs(chords) / np.diff(phis))) >= 1e-9 * scale):
+            raise VerificationError("derivative winding could not be resolved")
+        ends = np.concatenate([-np.conj(chords[:1]), chords, np.conj(chords[-1:])])
+        turns = np.angle(ends[1:] / ends[:-1])
+        wide = np.abs(turns) > 0.25 * math.pi
+        if not wide.any():
+            turn = float(np.sum(turns)) - 0.5 * float(turns[0] + turns[-1])
+            return 2 * int(round(turn / math.pi - 0.5)), evaluated
+        steps = np.flatnonzero(wide[:-1] | wide[1:])
+        lo, hi = phis[steps], phis[steps + 1]
+        mids = 0.5 * (lo + hi)
+        if np.any((mids <= lo) | (mids >= hi)):
+            raise VerificationError("derivative winding could not be resolved")
+        points = ring * np.exp(1j * mids)
+        new = evaluate_map(family, points)
+        evaluated.append((points, new))
+        phis = np.insert(phis, steps + 1, mids)
+        values = np.insert(values, steps + 1, new)
+
+
+def collapsed_grid_nodes():
+    """The default grid's 33 collapsed nodes, alpha = beta or alpha + beta = pi/2."""
+    nodes = [(k, k) for k in range(1, 18)] + [(k, 18 - k) for k in range(1, 18) if k != 9]
+    return [MapFamily.two_petal(i * math.pi / 36, j * math.pi / 36) for i, j in nodes]
+
+
+# the oracle families hold two of the collapsed nodes, (17, 17) and (17, 1)
+@pytest.mark.parametrize("family", list(dict.fromkeys([*oracle_families(), *collapsed_grid_nodes()])), ids=lambda f: f.label())
+def test_lookahead_keeps_the_plain_bisection_polygon(monkeypatch, family):
+    # the look-ahead evaluates every point plain bisection does, with its
+    # bits, and more; the polygon, so the winding, is plain bisection's
+    want, evaluated = plain_bisection(family)
+    calls = record_ring(monkeypatch)
+    winding, ok = conformality_check(family)
+    assert (winding, ok) == (want, want == 0)
+    seen = {}
+    for points, values in calls:
+        seen.update(zip(points.tolist(), values))
+    for points, values in evaluated:
+        assert all(p in seen for p in points.tolist()), family.label()
+        assert same_bits(np.array([seen[p] for p in points.tolist()]), values), family.label()
+
+
+def test_failing_lookahead_point_changes_nothing(monkeypatch):
+    # a look-ahead point that raises costs its round one more call, with
+    # the midpoints alone, and changes no result
+    step = math.pi / 36
+    alphas, betas = [4 * step, 6 * step], [3 * step, 6 * step, 9 * step]
+    checked = [MapFamily.two_petal(5 * step, 5 * step), MapFamily.two_petal(4 * step, 6 * step)]
+    grid = [MapFamily.two_petal(alpha, beta) for alpha in alphas for beta in betas]
+    want_checks = [conformality_check(family) for family in checked]
+    want_rows = sweep(alphas, betas)
+    # the sweep also evaluates the width arc, on |w| = 1, off the ring
+    width = set(verify._width_arc().tolist())
+    needed = {
+        family: set(np.concatenate([points for points, _ in plain_bisection(family)[1]]).tolist()) | width
+        for family in checked + grid
+    }
+    inner = verify._samples
+    raised = []
+
+    def strict(jobs):
+        # a call holding a point that plain bisection never evaluates raises
+        if any(not set(points.tolist()) <= needed[family] for family, points, _ in jobs):
+            raised.append(len(jobs))
+            raise maps.MapDomainError("a point no round needs")
+        return inner(jobs)
+
+    monkeypatch.setattr(verify, "_samples", strict)
+    assert [conformality_check(family) for family in checked] == want_checks
+    # each of (5,5)'s six bisection rounds and (4,6)'s one raises once
+    assert raised == [1] * 7
+    del raised[:]
+    assert sweep(alphas, betas) == want_rows
+    assert raised
 
 
 @pytest.mark.parametrize(
@@ -948,9 +1044,10 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     # every round of the default grid: the values have the bits of
     # evaluate_map at their points.  The first round's 8-point width probe
     # settles every node but the 33 collapsed ones (alpha = beta or
-    # alpha + beta = pi/2), which alone take the full width arc, with the
-    # width of petal_width; the whole grid, one lockstep, takes 23 series
-    # loops (1046 for the nodes' calls one by one) and no arc stencil
+    # alpha + beta = pi/2), which alone take the full width arc, at the head
+    # of the first bisection call, with the width of petal_width; the whole
+    # grid, one lockstep, takes 19 series loops (1046 for the nodes' calls
+    # one by one) and no arc stencil
     calls = record_lockstep(monkeypatch)
     forbid_stencil(patch_stencil)
     loops = []
@@ -965,13 +1062,20 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     rows = sweep(grid, grid)
     monkeypatch.undo()
     assert all(row.error is None for row in rows)
-    assert len(loops) <= 25
+    assert len(loops) <= 21
     assert len(picks) <= len(loops)
     width = verify._width_arc()
-    first, full = (list(zip(*call)) for call in calls[:2])
-    bisections = [job for jobs, out in calls[2:] for job in zip(jobs, out)]
+    first = list(zip(*calls[0]))
+    # the full width arcs lead the first bisection call, whose other jobs,
+    # and every later call's, bisect the conformality ring
+    riding = [same_bits(points, width) for _, points, _ in calls[1][0]]
+    n_full = riding.index(False)
+    assert not any(riding[n_full:])
+    full = list(zip(*calls[1]))[:n_full]
+    bisections = list(zip(*calls[1]))[n_full:] + [job for jobs, out in calls[2:] for job in zip(jobs, out)]
     assert [(family.alpha, family.beta) for (family, _, _), _ in first] == [(row.alpha, row.beta) for row in rows]
-    assert len(bisections) > len(rows)
+    for (family, points, _), _ in bisections:
+        assert np.allclose(np.abs(points), math.exp(verify.CONFORMAL_RING_EPS), rtol=1e-14, atol=0.0), family.label()
     for (family, points, what), values in first + full + bisections:
         assert what == "values"
         assert same_bits(values, evaluate_map(family, points)), family.label()
@@ -989,7 +1093,6 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     assert [family for (family, _, _), _ in full] == left_open == collapsed
     assert len(collapsed) == 33
     for (family, points, _), values in full:
-        assert same_bits(points, width), family.label()
         assert verify._width(family, values).hex() == petal_width(family).hex(), family.label()
 
 
@@ -1031,7 +1134,8 @@ def test_sweep_width_probe_below_the_threshold_takes_the_full_arc(monkeypatch):
     calls = record_lockstep(monkeypatch)
     (row,) = sweep([family.alpha], [family.beta])
     assert row.error is None and row.degenerate is False
-    (((node, points, _),), _) = calls[1]
+    # the full arc is the first job of the first bisection call
+    node, points, _ = calls[1][0][0]
     assert node == family and same_bits(points, width)
 
 
@@ -1048,8 +1152,9 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
 
         def lockstep(jobs):
             # the sweep's first call is its first round and its second the
-            # full width arc of (6, 6), the one node its probe leaves open;
-            # every later call bisects, or starts a half's run again
+            # first bisection round, led by the full width arc of (6, 6), the
+            # one node its probe leaves open; every later call bisects, or
+            # starts a half's run again
             calls.append(jobs)
             if len(calls) > 1 and any(family == target for family, _, _ in jobs) and (len(jobs) > 1 or not merged_only):
                 raised.append(len(jobs))
@@ -1058,19 +1163,20 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
 
         return lockstep
 
-    # raised only while merged: the first bisection round holds the five
-    # nodes still refining; the halves of the six nodes run again, and the
-    # target's half is halved again, 3 and then 2 nodes, until the node runs
-    # alone and gets its own row back
+    # raised only while merged: the first bisection call holds (6, 6)'s
+    # width arc and the five nodes still refining, and raises with its
+    # look-ahead points and again with its midpoints alone; the halves of
+    # the six nodes run again, and the target's half is halved again, 3 and
+    # then 2 nodes, until the node runs alone and gets its own row back
     monkeypatch.setattr(verify, "_samples", failing(True))
     assert sweep(alphas, betas) == want
-    assert raised == [5, 3, 2]
+    assert raised == [6, 6, 3, 2]
     # raised alone too: that node records the error, and the others, (6, 6)
     # bisected in the same rounds among them, keep their rows
     del raised[:]
     monkeypatch.setattr(verify, "_samples", failing(False))
     got = sweep(alphas, betas)
-    assert raised == [5, 3, 2, 1]
+    assert raised == [6, 6, 3, 2, 1]
     assert got[:5] == want[:5]
     assert got[5] == verify.SweepRow(target.alpha, target.beta, None, None, None, "RuntimeError: forced")
 
@@ -1333,7 +1439,7 @@ def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family
     # conformality arc (81 points), both corner arcs (12 each) and the
     # Laurent ring (64), then the partner's two requests at the 8 Wronskian
     # probes, none for a collapsed family: one route pick and one series
-    # loop, and one of each per bisection round
+    # loop, and one of each per bisection call
     forbid_stencil(patch_stencil)
     stencils = []
     stencil = maps._arc_stencil
