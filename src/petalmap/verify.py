@@ -41,7 +41,7 @@ from .numerics import (
 
 RING_ODE = 1.5               # sampling ring for the oscillator residual
 CONFORMAL_RING_EPS = 1e-3
-WINDING_LOOKAHEAD = 3        # dyadic levels of a bisected step that one winding round evaluates
+WINDING_SPLIT = 8            # equal steps a winding round splits a step next to a wide vertex into
 CORNER_FIT_RANGE = (1e-6, 1e-3)
 CORNER_FIT_POINTS = 12
 WIDTH_DEGENERATE_FRACTION = 1e-3
@@ -307,12 +307,11 @@ def conformality_check(family: MapFamily):
     arg f' is that of the image polygon f(arc), less the pi/2 that phi
     turns, and the count needs map values only.  The arc starts from
     angles graded toward the corner pre-images (`_conformality_arc`) and is
-    bisected until the polygon turns by at most pi/4 at each vertex
-    (`_winding`), so the summed turns cannot alias.  Each values call after
-    the first arc evaluates three dyadic levels of every step it bisects,
-    so the collapsed (5 pi/36, 5 pi/36) takes 3 calls (109 points) where
-    one midpoint call a round took 7 (95 points), for the same polygon.
-    An arc that cannot be resolved raises `VerificationError`.
+    refined until the polygon turns by at most pi/4 at each vertex
+    (`_winding`), so the summed turns cannot alias.  A refined step is
+    split into WINDING_SPLIT equal steps, so the collapsed
+    (5 pi/36, 5 pi/36) takes 3 values calls (109 points).  An arc that
+    cannot be resolved raises `VerificationError`.
     """
     phis, points = _conformality_arc(family.kind)
     (((winding, ok),), _) = _winding([(family, phis, *_samples([(family, points, "values")]))])
@@ -352,33 +351,26 @@ def _winding(nodes, jobs=()):
     then sum to the quadrant's turn of arg(df/dphi), with half of each end
     vertex's angle, whose other half is the mirror's; less the pi/2 that
     phi turns, that is the turn of arg f'.  Both steps next to a vertex
-    whose angle exceeds pi/4 (the one step next to an end vertex) are
-    bisected until none does.  Raises `VerificationError` when a chord
-    nearly vanishes against the arc's step, |C| / dphi below 1e-9 of the
-    first round's median, or a step next to a vertex that still turns too
-    far is too short to split in floating point: either way a zero of f'
-    lies within rounding of the ring.
+    whose angle exceeds pi/4 (the one step next to an end vertex) are split
+    into WINDING_SPLIT equal steps, all of whose new points join the
+    polygon, until no vertex turns that far.  Raises `VerificationError`
+    when a chord nearly vanishes against the arc's step, |C| / dphi below
+    1e-9 of the first round's median, or a step next to a vertex that still
+    turns too far is too short to split in floating point: either way a
+    zero of f' lies within rounding of the ring.
 
-    A round inserts those midpoints only, but one `_samples` call evaluates
-    every step of every node whose midpoint is not yet known
-    WINDING_LOOKAHEAD dyadic levels deep (`_round_samples`): midpoint,
-    quarter and eighth points, formed as later rounds form their midpoints.
-    Later rounds take their midpoints from a per-node dict keyed by angle
-    and a round that knows them all makes no call.  A point's value does
-    not depend on its batch, and a call whose look-ahead raises is made
-    again with the midpoints alone, so the polygon, the winding and every
-    error are those of plain bisection.  ``jobs``, values jobs of the
-    nodes' kind, ride at the head of the first call (alone if no node
-    refines).  Returns the (winding, ok) of each node and the values of
-    ``jobs``.
+    A round makes one `_samples` call, one values job per node still
+    refining.  ``jobs``, values jobs of the nodes' kind, ride at the head
+    of the first call (alone if no node refines).  Returns the (winding,
+    ok) of each node and the values of ``jobs``.
     """
     arcs = [[family, phis, values] for family, phis, values in nodes]
     scales = [float(np.median(np.abs(np.diff(values)) / np.diff(phis))) for _, phis, values in nodes]
-    known = [{} for _ in nodes]
     out = [None] * len(nodes)
+    fractions = np.arange(1, WINDING_SPLIT) / WINDING_SPLIT
     jobs, riders = list(jobs), []
     while True:
-        asks, spans = [], []
+        splits = []
         for k, (family, phis, values) in enumerate(arcs):
             if out[k] is not None:
                 continue
@@ -395,57 +387,21 @@ def _winding(nodes, jobs=()):
                 continue
             # step j joins vertices j and j + 1
             steps = np.flatnonzero(wide[:-1] | wide[1:])
-            lo, hi = phis[steps], phis[steps + 1]
-            mids = 0.5 * (lo + hi)
-            if np.any((mids <= lo) | (mids >= hi)):
+            lo, hi = phis[steps, None], phis[steps + 1, None]
+            angles = lo + (hi - lo) * fractions
+            if np.any(np.diff(np.hstack([lo, angles, hi])) <= 0.0):
                 raise VerificationError("derivative winding could not be resolved")
-            asks.append((k, steps, mids))
-            unknown = [(a, b) for a, b, mid in zip(lo, hi, mids) if mid not in known[k]]
-            if unknown:
-                spans.append((k, unknown))
-        if spans or jobs:
-            got = _round_samples(jobs, [(arcs[k][0], unknown) for k, unknown in spans])
-            for (k, _), (angles, values) in zip(spans, got[len(jobs) :]):
-                known[k].update(zip(angles.tolist(), values))
-            riders, jobs = riders + got[: len(jobs)], []
-        if not asks:
+            splits.append((k, np.repeat(steps + 1, WINDING_SPLIT - 1), angles.ravel()))
+        if splits or jobs:
+            ring = math.exp(CONFORMAL_RING_EPS)
+            got = _samples(jobs + [(arcs[k][0], ring * np.exp(1j * angles), "values") for k, _, angles in splits])
+            riders += got[: len(jobs)]
+            got, jobs = got[len(jobs) :], []
+        if not splits:
             return out, riders
-        for k, steps, mids in asks:
+        for (k, at, angles), new in zip(splits, got):
             family, phis, values = arcs[k]
-            new = [known[k][mid] for mid in mids.tolist()]
-            arcs[k] = [family, np.insert(phis, steps + 1, mids), np.insert(values, steps + 1, new)]
-
-
-def _round_samples(jobs: list, spans: list) -> list:
-    """One `_winding` call: the values of ``jobs``, then (angles, values) for each (family, (lo, hi) steps).
-
-    Each step is evaluated WINDING_LOOKAHEAD dyadic levels deep (`_dyadic`).
-    If that call raises, it is made again with the steps' midpoints alone,
-    so an error comes only from a point the polygon takes.
-    """
-
-    def call(depth):
-        angles = [np.array([phi for lo, hi in steps for phi in _dyadic(lo, hi, depth)]) for _, steps in spans]
-        ring = math.exp(CONFORMAL_RING_EPS)
-        got = _samples(jobs + [(family, ring * np.exp(1j * phis), "values") for (family, _), phis in zip(spans, angles)])
-        return got[: len(jobs)] + list(zip(angles, got[len(jobs) :]))
-
-    try:
-        return call(WINDING_LOOKAHEAD)
-    except Exception:  # noqa: BLE001 - a look-ahead point may raise where no midpoint does
-        return call(1)
-
-
-def _dyadic(lo: float, hi: float, depth: int) -> list:
-    """The angles of ``depth`` levels of bisection of the step (lo, hi), each formed as its round would, 0.5 (lo + hi).
-
-    An angle not strictly inside the step it splits is left out, with the
-    levels below it.
-    """
-    mid = 0.5 * (lo + hi)
-    if depth == 0 or not lo < mid < hi:
-        return []
-    return [mid, *_dyadic(lo, mid, depth - 1), *_dyadic(mid, hi, depth - 1)]
+            arcs[k] = [family, np.insert(phis, at, angles), np.insert(values, at, new)]
 
 
 # ---------------------------------------------------------------------------
@@ -695,12 +651,10 @@ def _width_arc() -> np.ndarray:
 
 def _width(family: MapFamily, pts: np.ndarray) -> float:
     """The width from the map's values at points of `_width_arc`: all of them give `petal_width`, fewer a lower bound."""
-    d_base = _ray_distance(pts, family.alpha)
+    distance = _ray_distance(pts, family.alpha)
     if family.kind == "two-petal":
-        d_top = _ray_distance(pts, 0.5 * math.pi - family.beta)
-    else:
-        d_top = np.full(pts.shape, np.inf)
-    return float(np.max(np.minimum(d_base, d_top)))
+        distance = np.minimum(distance, _ray_distance(pts, 0.5 * math.pi - family.beta))
+    return float(np.max(distance))
 
 
 def sweep(alphas, betas) -> tuple[SweepRow, ...]:
@@ -712,7 +666,7 @@ def sweep(alphas, betas) -> tuple[SweepRow, ...]:
     settles it, since the width is a maximum over the arc, and a node the
     probe leaves below takes the whole arc.  A node settled by its probe
     never evaluates the arc's other points, so an error there would not
-    show in its row.  The whole arcs ride in the first bisection call.  A
+    show in its row.  The whole arcs ride in the first refinement call.  A
     node that cannot be evaluated comes back with
     winding/conformal/degenerate set to None and its error as "Type: message".
     """
@@ -735,12 +689,12 @@ def _sweep_rows(nodes) -> list:
     node settled by its probe never evaluates its other 120 width points,
     so an error there would not show in its row; in 3000 random families
     (alpha and beta uniform in [0.005, pi/2 - 0.005]) no width-arc point
-    raised.  `_winding` bisects all the nodes' arcs together, at most one
-    call a round, three dyadic levels of a step per call.  Each call packs
-    its jobs into groups of at most ``maps.ARC_BLOCK`` map points, 22
-    first-round nodes a group, and each group is one 2F1 batch with one
-    route pick and one series loop, so the default grid takes 3 calls and
-    19 loops, 0.07 a node, against 3.62 for the calls one by one.
+    raised.  `_winding` refines all the nodes' arcs together, at most one
+    call a round.  Each call packs its jobs into groups of at most
+    ``maps.ARC_BLOCK`` map points, 22 first-round nodes a group, and each
+    group is one 2F1 batch with one route pick and one series loop, so the
+    default grid takes 3 calls and 19 loops, 0.07 a node, against 2.79 for
+    the calls one by one.
 
     If a call of several nodes raises, its nodes are split in halves and
     each half runs in lockstep again, so the other nodes keep their rows and
@@ -757,7 +711,7 @@ def _sweep_rows(nodes) -> list:
             _width(family, values[phis.size :]) < WIDTH_DEGENERATE_FRACTION for family, values in zip(families, first)
         ]
         open_nodes = [k for k, flag in enumerate(degenerate) if flag]
-        # copies, and rebinding, free the probe values before the bisection rounds
+        # copies, and rebinding, free the probe values before the refinement rounds
         first = [(family, phis, values[: phis.size].copy()) for family, values in zip(families, first)]
         windings, full = _winding(first, [(families[k], width, "values") for k in open_nodes])
         for k, values in zip(open_nodes, full):

@@ -391,7 +391,7 @@ def record_ring(monkeypatch):
     """Log every (points, values) pair the conformality count asks `_samples` for.
 
     Only calls whose jobs all ask for values are logged: the check's first
-    arc and the winding's bisection calls, not the battery's merged call.
+    arc and the winding's refinement calls, not the battery's merged call.
     """
     calls = []
     inner = verify._samples
@@ -420,10 +420,10 @@ def test_conformality_ring_work(monkeypatch, patch_stencil):
     forbid_stencil(patch_stencil)
     step = math.pi / 36
     # (family, winding, points, values calls): one job a call, the first arc
-    # and then one call per round that lacks a midpoint.  Each bisected step
-    # is evaluated three dyadic levels deep (WINDING_LOOKAHEAD), 7 points, so
-    # (5,5) takes 109 points in 3 calls where plain bisection took 95 in 7,
-    # and (4,6) 95 in 2 where it took 83 in 2
+    # and then one call per round.  Each refined step is split into
+    # WINDING_SPLIT equal steps, 7 new points, so (5,5) takes 109 points in
+    # 3 calls where plain bisection took 95 in 7, and (4,6) 95 in 2 where it
+    # took 83 in 2
     cases = {
         "collapsed (5,5)": (MapFamily.two_petal(5 * step, 5 * step), None, 109, 3),
         "top pair (4,6)": (MapFamily.two_petal(4 * step, 6 * step), -6, 95, 2),
@@ -442,9 +442,9 @@ def test_conformality_ring_work(monkeypatch, patch_stencil):
         assert np.allclose(np.abs(w), math.exp(verify.CONFORMAL_RING_EPS), rtol=1e-14, atol=0.0), name
         args = np.angle(w)
         assert np.all((args >= 0.0) & (args <= 0.5 * math.pi)), name
-        # no vertex of the image polygon of every evaluated point (the
-        # count's own polygon and its look-ahead points), closed at each end
-        # by the chord its mirror image meets, turns by more than pi/4, and
+        # no vertex of the image polygon of every evaluated point (each one
+        # is a vertex of the count's polygon), closed at each end by the
+        # chord its mirror image meets, turns by more than pi/4, and
         # its turn, less the pi/2 that arg w turns, is a quarter of the winding
         chords = np.diff(values[np.argsort(args)])
         ends = np.concatenate([-np.conj(chords[:1]), chords, np.conj(chords[-1:])])
@@ -501,7 +501,7 @@ def oracle_families():
     yield from (MapFamily.two_petal(alpha, beta) for alpha, beta in draws)
     yield MapFamily.two_petal(0.023560, 1.503677)
     yield MapFamily.two_petal(1.542014, 0.624270)
-    # collapsed default-grid nodes next to alpha = pi/2, of the most bisection rounds (6)
+    # collapsed default-grid nodes next to alpha = pi/2, of the most refinement rounds (2; 6 by plain bisection)
     yield MapFamily.two_petal(17 * math.pi / 36, 17 * math.pi / 36)
     yield MapFamily.two_petal(17 * math.pi / 36, math.pi / 36)
     # alpha next to 0: these wind -2
@@ -518,14 +518,12 @@ def test_quadrant_winding_matches_closed_ring(family):
 
 
 def plain_bisection(family):
-    """`conformality_check` by plain bisection, one midpoint call a round: the count before its look-ahead.
+    """The winding of `conformality_check` by plain bisection, one midpoint a refined step and one call a round.
 
-    Returns the winding and every (points, values) pair it evaluated, the
-    first arc included.
+    The reference count: refinement changes the polygon, never its winding.
     """
     phis, points = verify._conformality_arc(family.kind)
     values = evaluate_map(family, points)
-    evaluated = [(points, values)]
     scale = float(np.median(np.abs(np.diff(values)) / np.diff(phis)))
     ring = math.exp(verify.CONFORMAL_RING_EPS)
     while True:
@@ -537,17 +535,14 @@ def plain_bisection(family):
         wide = np.abs(turns) > 0.25 * math.pi
         if not wide.any():
             turn = float(np.sum(turns)) - 0.5 * float(turns[0] + turns[-1])
-            return 2 * int(round(turn / math.pi - 0.5)), evaluated
+            return 2 * int(round(turn / math.pi - 0.5))
         steps = np.flatnonzero(wide[:-1] | wide[1:])
         lo, hi = phis[steps], phis[steps + 1]
         mids = 0.5 * (lo + hi)
         if np.any((mids <= lo) | (mids >= hi)):
             raise VerificationError("derivative winding could not be resolved")
-        points = ring * np.exp(1j * mids)
-        new = evaluate_map(family, points)
-        evaluated.append((points, new))
         phis = np.insert(phis, steps + 1, mids)
-        values = np.insert(values, steps + 1, new)
+        values = np.insert(values, steps + 1, evaluate_map(family, ring * np.exp(1j * mids)))
 
 
 def collapsed_grid_nodes():
@@ -558,53 +553,20 @@ def collapsed_grid_nodes():
 
 # the oracle families hold two of the collapsed nodes, (17, 17) and (17, 1)
 @pytest.mark.parametrize("family", list(dict.fromkeys([*oracle_families(), *collapsed_grid_nodes()])), ids=lambda f: f.label())
-def test_lookahead_keeps_the_plain_bisection_polygon(monkeypatch, family):
-    # the look-ahead evaluates every point plain bisection does, with its
-    # bits, and more; the polygon, so the winding, is plain bisection's
-    want, evaluated = plain_bisection(family)
-    calls = record_ring(monkeypatch)
-    winding, ok = conformality_check(family)
-    assert (winding, ok) == (want, want == 0)
-    seen = {}
-    for points, values in calls:
-        seen.update(zip(points.tolist(), values))
-    for points, values in evaluated:
-        assert all(p in seen for p in points.tolist()), family.label()
-        assert same_bits(np.array([seen[p] for p in points.tolist()]), values), family.label()
+def test_lookahead_keeps_the_plain_bisection_polygon(family):
+    # splitting a refined step into WINDING_SPLIT steps gives the winding
+    # of plain bisection
+    want = plain_bisection(family)
+    assert conformality_check(family) == (want, want == 0)
 
 
-def test_failing_lookahead_point_changes_nothing(monkeypatch):
-    # a look-ahead point that raises costs its round one more call, with
-    # the midpoints alone, and changes no result
-    step = math.pi / 36
-    alphas, betas = [4 * step, 6 * step], [3 * step, 6 * step, 9 * step]
-    checked = [MapFamily.two_petal(5 * step, 5 * step), MapFamily.two_petal(4 * step, 6 * step)]
-    grid = [MapFamily.two_petal(alpha, beta) for alpha in alphas for beta in betas]
-    want_checks = [conformality_check(family) for family in checked]
-    want_rows = sweep(alphas, betas)
-    # the sweep also evaluates the width arc, on |w| = 1, off the ring
-    width = set(verify._width_arc().tolist())
-    needed = {
-        family: set(np.concatenate([points for points, _ in plain_bisection(family)[1]]).tolist()) | width
-        for family in checked + grid
-    }
-    inner = verify._samples
-    raised = []
-
-    def strict(jobs):
-        # a call holding a point that plain bisection never evaluates raises
-        if any(not set(points.tolist()) <= needed[family] for family, points, _ in jobs):
-            raised.append(len(jobs))
-            raise maps.MapDomainError("a point no round needs")
-        return inner(jobs)
-
-    monkeypatch.setattr(verify, "_samples", strict)
-    assert [conformality_check(family) for family in checked] == want_checks
-    # each of (5,5)'s six bisection rounds and (4,6)'s one raises once
-    assert raised == [1] * 7
-    del raised[:]
-    assert sweep(alphas, betas) == want_rows
-    assert raised
+def test_refinement_matches_plain_bisection():
+    # 400 random families off the oracle's: every winding is plain bisection's
+    draws = np.random.default_rng(11).uniform(0.02, 0.5 * math.pi - 0.02, size=(400, 2))
+    for alpha, beta in draws:
+        family = MapFamily.two_petal(alpha, beta)
+        want = plain_bisection(family)
+        assert conformality_check(family) == (want, want == 0), family.label()
 
 
 @pytest.mark.parametrize(
@@ -1045,8 +1007,8 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     # evaluate_map at their points.  The first round's 8-point width probe
     # settles every node but the 33 collapsed ones (alpha = beta or
     # alpha + beta = pi/2), which alone take the full width arc, at the head
-    # of the first bisection call, with the width of petal_width; the whole
-    # grid, one lockstep, takes 19 series loops (1046 for the nodes' calls
+    # of the first refinement call, with the width of petal_width; the whole
+    # grid, one lockstep, takes 19 series loops (806 for the nodes' calls
     # one by one) and no arc stencil
     calls = record_lockstep(monkeypatch)
     forbid_stencil(patch_stencil)
@@ -1066,17 +1028,17 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     assert len(picks) <= len(loops)
     width = verify._width_arc()
     first = list(zip(*calls[0]))
-    # the full width arcs lead the first bisection call, whose other jobs,
-    # and every later call's, bisect the conformality ring
+    # the full width arcs lead the first refinement call, whose other jobs,
+    # and every later call's, refine the conformality ring
     riding = [same_bits(points, width) for _, points, _ in calls[1][0]]
     n_full = riding.index(False)
     assert not any(riding[n_full:])
     full = list(zip(*calls[1]))[:n_full]
-    bisections = list(zip(*calls[1]))[n_full:] + [job for jobs, out in calls[2:] for job in zip(jobs, out)]
+    refinements = list(zip(*calls[1]))[n_full:] + [job for jobs, out in calls[2:] for job in zip(jobs, out)]
     assert [(family.alpha, family.beta) for (family, _, _), _ in first] == [(row.alpha, row.beta) for row in rows]
-    for (family, points, _), _ in bisections:
+    for (family, points, _), _ in refinements:
         assert np.allclose(np.abs(points), math.exp(verify.CONFORMAL_RING_EPS), rtol=1e-14, atol=0.0), family.label()
-    for (family, points, what), values in first + full + bisections:
+    for (family, points, what), values in first + full + refinements:
         assert what == "values"
         assert same_bits(values, evaluate_map(family, points)), family.label()
     left_open = []
@@ -1134,7 +1096,7 @@ def test_sweep_width_probe_below_the_threshold_takes_the_full_arc(monkeypatch):
     calls = record_lockstep(monkeypatch)
     (row,) = sweep([family.alpha], [family.beta])
     assert row.error is None and row.degenerate is False
-    # the full arc is the first job of the first bisection call
+    # the full arc is the first job of the first refinement call
     node, points, _ = calls[1][0][0]
     assert node == family and same_bits(points, width)
 
@@ -1152,8 +1114,8 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
 
         def lockstep(jobs):
             # the sweep's first call is its first round and its second the
-            # first bisection round, led by the full width arc of (6, 6), the
-            # one node its probe leaves open; every later call bisects, or
+            # first refinement round, led by the full width arc of (6, 6), the
+            # one node its probe leaves open; every later call refines, or
             # starts a half's run again
             calls.append(jobs)
             if len(calls) > 1 and any(family == target for family, _, _ in jobs) and (len(jobs) > 1 or not merged_only):
@@ -1163,20 +1125,19 @@ def test_sweep_node_raising_in_a_merged_round_leaves_other_rows(monkeypatch):
 
         return lockstep
 
-    # raised only while merged: the first bisection call holds (6, 6)'s
-    # width arc and the five nodes still refining, and raises with its
-    # look-ahead points and again with its midpoints alone; the halves of
-    # the six nodes run again, and the target's half is halved again, 3 and
-    # then 2 nodes, until the node runs alone and gets its own row back
+    # raised only while merged: the first refinement call holds (6, 6)'s
+    # width arc and the five nodes still refining, and raises; the halves
+    # of the six nodes run again, and the target's half is halved again, 3
+    # and then 2 nodes, until the node runs alone and gets its own row back
     monkeypatch.setattr(verify, "_samples", failing(True))
     assert sweep(alphas, betas) == want
-    assert raised == [6, 6, 3, 2]
+    assert raised == [6, 3, 2]
     # raised alone too: that node records the error, and the others, (6, 6)
     # bisected in the same rounds among them, keep their rows
     del raised[:]
     monkeypatch.setattr(verify, "_samples", failing(False))
     got = sweep(alphas, betas)
-    assert raised == [6, 6, 3, 2, 1]
+    assert raised == [6, 3, 2, 1]
     assert got[:5] == want[:5]
     assert got[5] == verify.SweepRow(target.alpha, target.beta, None, None, None, "RuntimeError: forced")
 
@@ -1439,7 +1400,7 @@ def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family
     # conformality arc (81 points), both corner arcs (12 each) and the
     # Laurent ring (64), then the partner's two requests at the 8 Wronskian
     # probes, none for a collapsed family: one route pick and one series
-    # loop, and one of each per bisection call
+    # loop, and one of each per refinement call
     forbid_stencil(patch_stencil)
     stencils = []
     stencil = maps._arc_stencil
@@ -1455,7 +1416,7 @@ def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family
     assert picks[0] == [9 * 120 + 81 + 12 + 12 + 64] + ([] if verify._collapsed(family) else [8, 8])
     assert len(picks) == len(loops) == 1 + len(rounds)
     if family == MapFamily.two_petal(math.pi / 5, math.pi / 9):
-        assert rounds == []  # no bisection round: the whole battery is one batch
+        assert rounds == []  # no refinement round: the whole battery is one batch
 
 
 @given(st.floats(0.02, 0.5 * math.pi - 0.02), st.floats(0.02, 0.5 * math.pi - 0.02))
