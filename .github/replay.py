@@ -11,18 +11,21 @@ check.  ``--workload`` defaults to inverse.  ``--seeds`` takes a seed, a
 range ``A-B`` (both ends included) or a comma-separated list of either.
 Prints one JSON line: the seeds, the block count, the item count, for
 inverse the `_tangential_derivatives` calls per item (one per inversion
-step), for sweep and verify the series loops and the points they summed (a
-spy on `special_functions._series_sums`) and the `verify._samples` calls,
-and the sorted failures as ``[seed, index, kind]``, where index is the
-item's place in its seed's list.  A sweep seed's items are the grid's 51
-row segments in its order (one block, whatever ``--blocks`` asks for), so
-its counts are those of the benchmark's sweep commands.  A change to the
-inversion step, the Cauchy screens, the battery or the sweep's rounds
-should leave ``failed`` no longer, and compares item by item against the
-parent's line.
+step), for inverse, sweep and verify the series loops, the points they
+summed and ``series_digest``, a SHA-256 over the bytes of every loop's sums
+in call order (a spy on `special_functions._series_sums`), for sweep and
+verify the `verify._samples` calls, and the sorted failures as ``[seed,
+index, kind]``, where index is the item's place in its seed's list.  A
+sweep seed's items are the grid's 51 row segments in its order (one block,
+whatever ``--blocks`` asks for), so its counts are those of the benchmark's
+sweep commands.  A change to the inversion step, the Cauchy screens, the
+battery or the sweep's rounds should leave ``failed`` no longer, and
+compares item by item against the parent's line; a change meant to keep
+every value's bits leaves ``series_digest`` as it was.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -60,6 +63,7 @@ def main(argv=None):
     sums = special_functions._series_sums
     samples = verify._samples
     calls = loops = points = samples_calls = 0
+    digest = hashlib.sha256()
 
     def counting(family, pts):
         nonlocal calls
@@ -75,7 +79,10 @@ def main(argv=None):
         nonlocal loops, points
         loops += 1
         points += sum(np.size(t) for _, _, _, t in queue)
-        return sums(queue)
+        out = sums(queue)
+        for part in out:
+            digest.update(np.ascontiguousarray(part).tobytes())
+        return out
 
     items, failed = 0, []
     maps._tangential_derivatives = counting
@@ -96,8 +103,10 @@ def main(argv=None):
     report = {"seeds": args.seeds, "blocks": blocks, "items": items}
     if args.workload == "inverse":
         report["stencil_calls_per_item"] = round(calls / items, 4)
+    if args.workload != "moments":
+        report.update(series_loops=loops, series_points=points, series_digest=digest.hexdigest())
     if args.workload in ("sweep", "verify"):
-        report.update(series_loops=loops, series_points=points, samples_calls=samples_calls)
+        report["samples_calls"] = samples_calls
     report["failed"] = sorted(failed)
     print(json.dumps(report))
 

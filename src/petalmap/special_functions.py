@@ -38,14 +38,15 @@ parameters are floats or arrays with one set per point (a run of equal
 sets is one family).  It checks each request, routes all their points with
 one `_route` pick, sums the whole queue in one term loop (`_series_sums`)
 and applies the finisher: one array per request, with the bits of that
-request alone.  `hyp2f1_values` is its one-request case.  The checks'
-batches are built by `maps._samples`: each group of at most
-`maps.ARC_BLOCK` map points, of one or several two-petal families, is one
-batch of one map request (map values, and the arc stencil rows of
-derivative points) followed by each partner solution's F and F', so that
-they share one route pick and one series loop.  A two-petal battery's
-fixed samples are one such batch, and so is each group of a sweep's or a
-winding count's round.
+request alone.  The loop keeps a settled point beside the live ones, adding
+exact zeros to its sum, until at most half its points are live.
+`hyp2f1_values` is its one-request case.  The checks' batches are built by
+`maps._samples`: each group of at most `maps.ARC_BLOCK` map points, of one
+or several two-petal families, is one batch of one map request (map
+values, and the arc stencil rows of derivative points) followed by each
+partner solution's F and F', so that they share one route pick and one
+series loop.  A two-petal battery's fixed samples are one such batch, and
+so is each group of a sweep's or a winding count's round.
 
 The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
 take their arguments from 1 - t, which a caller may pass factored
@@ -219,27 +220,39 @@ def _series_sums(queue: list) -> list:
     Callers guarantee every |t| is summable (< 1, or the series terminates
     because a or b is a non-positive integer).  The points of all entries
     share the loop; a group index picks each point's term ratio from a
-    (term, entry) table, made ``TAIL_BLOCK`` terms at a time.  Each point
-    stops on its own at the first term with |term| <= TERM_TOL |partial
-    sum|: the loop carries index, group, argument, term and partial-sum
-    arrays for the live points only and writes a point's sum back when it
-    converges.
+    complex (term, entry) table, made ``TAIL_BLOCK`` terms at a time, with
+    one more column of zeros.  Each point stops on its own at the first
+    term with |term| <= TERM_TOL |partial sum|: the loop carries index,
+    group, argument, term and partial-sum arrays, and writes a point's sum
+    back when it cuts the settled points out of them.
 
     While more than 4 ``TAIL_BLOCK`` points are live, an iteration adds one
-    term, so the array work is the sum of the series lengths.  With fewer,
-    an iteration adds the table's remaining terms, ``TAIL_BLOCK`` once
-    aligned, as a (terms, points) block: one binary product per row, the
-    previous term times the row's step as in the one-term step, then one
-    ``cumsum`` down the rows, which adds in order, and each point settles at
-    its first row that meets the cutoff.  ``multiply.accumulate`` would save
-    the Python products, but it rounds complex products differently from
-    ``*`` (12104 of 20000 three-factor chains on numpy 2.4).  So a block
-    gives every point the bits of the one-term step, and a call runs one
-    Python iteration per term until few points are live and one per block
-    after.  Blocks on large live sets cost more than they save: blocking
-    every iteration slowed the benchmark's ``sweep`` and ``verify`` by 13%
-    and 25% and grew their peak memory by 7-10 MB (one run each).  Returns
-    one array per entry, shaped like its argument.
+    term, and a point that settles is frozen instead of cut out: its group
+    index moves to the zero column, so its later terms are exact +-0.  A
+    sum starts at 1 + 0j and so never holds -0.0 (x + y is -0.0 only when
+    both are), so adding those zeros leaves every bit of it as it was.  The
+    arrays are cut down once at most half of their points are live, so the
+    array work is less than twice the sum of the series lengths; cutting
+    them at every settling would take about 40% of the loop on a two-petal
+    battery's batch, whose points settle anywhere from term 2 to about 175.
+    The table is complex because a product with a complex argument casts a
+    float ratio to complex anyway: one cast per table, not one per term.
+
+    Once at most 4 ``TAIL_BLOCK`` points are live, the arrays are cut down
+    to them, and an iteration adds the table's remaining terms,
+    ``TAIL_BLOCK`` once aligned, as a (terms, points) block: one binary
+    product per row, the previous term times the row's step as in the
+    one-term step, then one ``cumsum`` down the rows, which adds in order,
+    and each point settles at its first row that meets the cutoff.
+    ``multiply.accumulate`` would save the Python products, but it rounds
+    complex products differently from ``*`` (12104 of 20000 three-factor
+    chains on numpy 2.4).  So a block gives every point the bits of the
+    one-term step, and a call runs one Python iteration per term until few
+    points are live and one per block after.  Blocks on large live sets
+    cost more than they save: blocking every iteration slowed the
+    benchmark's ``sweep`` and ``verify`` by 13% and 25% and grew their peak
+    memory by 7-10 MB (one run each).  Returns one array per entry, shaped
+    like its argument.
     """
     if not queue:
         return []
@@ -252,14 +265,18 @@ def _series_sums(queue: list) -> list:
     term = np.ones(arg.size, dtype=complex)
     total = np.ones(arg.size, dtype=complex)
     a, b, c = np.array([entry[:3] for entry in queue], dtype=float).T
-    table, first = [], 1  # ratios of terms first, first + 1, ... by entry
+    table, first = [], 1  # ratios of terms first, first + 1, ... by entry, and a zero column
     n = 1  # the next term to add
-    while index.size and n <= MAX_TERMS:
+    count = arg.size  # points still summing; the rest of the arrays are frozen
+    while count and n <= MAX_TERMS:
         if n == first + len(table):
             # (a + n - 1)(b + n - 1) / ((c + n - 1) n) for the next terms,
-            # by the scalar expression's IEEE operations in its order
+            # by the scalar expression's IEEE operations in its order, cast
+            # to complex as a product with a complex argument casts it
             m = np.arange(n, min(n + TAIL_BLOCK, MAX_TERMS + 1), dtype=float)[:, None]
-            table, first = (a + m - 1.0) * (b + m - 1.0) / ((c + m - 1.0) * m), n
+            table = np.zeros((m.size, len(args) + 1), dtype=complex)
+            table[:, :-1] = (a + m - 1.0) * (b + m - 1.0) / ((c + m - 1.0) * m)
+            first = n
         if index.size > 4 * TAIL_BLOCK:
             step = table[n - first][group] * arg
             term = term * step
@@ -267,6 +284,14 @@ def _series_sums(queue: list) -> list:
             live = np.abs(term) > TERM_TOL * np.abs(total)
             settled = total
             n += 1
+            before, count = count, np.count_nonzero(live)
+            if count == before:
+                continue
+            if 2 * count > index.size and count > 4 * TAIL_BLOCK:
+                # freeze the settled points: from the zero column on their
+                # terms are +-0, which leave every bit of their sums
+                np.putmask(group, ~live, len(args))
+                continue
         else:
             # take lays the block out by rows ([:, group] would by columns),
             # so every product is of contiguous rows, as in the one-term step
@@ -280,7 +305,8 @@ def _series_sums(queue: list) -> list:
             settled = sums[done.argmax(axis=0), np.arange(index.size)]
             term, total = terms[-1], sums[-1]
             n = first + len(table)
-        if not live.all():
+            count = np.count_nonzero(live)
+        if count < index.size:
             out[index[~live]] = settled[~live]
             # one array at a time, so the old and new copies never all coexist
             index = index[live]
@@ -288,9 +314,10 @@ def _series_sums(queue: list) -> list:
             arg = arg[live]
             term = term[live]
             total = total[live]
-    if index.size:
-        # name the worst point still summing, not one that settled long ago
-        worst = arg[int(np.argmax(np.abs(arg)))]
+    if count:
+        # name the worst point still summing, not one that settled or froze
+        summing = arg[group < len(args)]
+        worst = summing[int(np.argmax(np.abs(summing)))]
         raise Hyp2F1ConvergenceError(
             "series did not settle in %d terms (argument near %r)" % (MAX_TERMS, worst)
         )

@@ -313,6 +313,13 @@ def reference_series_sums(queue):
     return [reference_series_sum(a, b, c, np.reshape(t, -1)).reshape(np.shape(t)) for a, b, c, t in queue]
 
 
+def assert_same_bits(got, want):
+    """Equal shapes and bytes: `np.array_equal` alone takes -0.0 for +0.0."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
 def series_sum(a, b, c, t):
     """One series through the merged loop."""
     return special_functions._series_sums([(a, b, c, t)])[0]
@@ -328,11 +335,11 @@ def test_series_sum_matches_all_points_loop():
     t = mixed_moduli(3000)
     for a, b, c in [(0.25, -0.25, 0.5), (0.31, 0.07, 0.5), (1.3, 0.6, 1.7)]:
         got = series_sum(a, b, c, t)
-        assert np.array_equal(got, reference_series_sum(a, b, c, t))
+        assert_same_bits(got, reference_series_sum(a, b, c, t))
     # a = -3 terminates: every term past the cubic is exactly zero
     t = np.concatenate([t, [4.0, -7.5, 2.0 + 3.0j]])
     got = series_sum(-3.0, 0.7, 1.3, t)
-    assert np.array_equal(got, reference_series_sum(-3.0, 0.7, 1.3, t))
+    assert_same_bits(got, reference_series_sum(-3.0, 0.7, 1.3, t))
 
 
 def test_merged_loop_matches_each_entry_alone():
@@ -352,13 +359,11 @@ def test_merged_loop_matches_each_entry_alone():
     want = reference_series_sums(queue)
     assert len(got) == len(queue)
     for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert np.array_equal(g, w)
+        assert_same_bits(g, w)
     # and alone, where a 0-d argument is the loop's only point
     for entry, w in zip(queue, want):
         (g,) = special_functions._series_sums([entry])
-        assert g.shape == w.shape
-        assert np.array_equal(g, w)
+        assert_same_bits(g, w)
     assert special_functions._series_sums([]) == []
 
 
@@ -379,7 +384,7 @@ def test_blocked_tail_matches_one_term_step():
         warnings.simplefilter("error")
         got = special_functions._series_sums(queue)
     for g, w in zip(got, reference_series_sums(queue)):
-        assert np.array_equal(g, w)
+        assert_same_bits(g, w)
     # a point summed alone is blocked from its first term; in 16384 points
     # it takes one term at a time until few are live
     a, b, c = 0.45, 0.15, 0.5
@@ -387,8 +392,61 @@ def test_blocked_tail_matches_one_term_step():
     batch = series_sum(a, b, c, np.concatenate([mixed_moduli(16384 - points.size, seed=8), points]))
     for t, in_batch in zip(points, batch[-points.size :]):
         alone = series_sum(a, b, c, np.array([t]))
-        assert np.array_equal(alone, reference_series_sum(a, b, c, np.array([t])))
-        assert alone[0] == in_batch
+        assert_same_bits(alone, reference_series_sum(a, b, c, np.array([t])))
+        assert alone.tobytes() == in_batch.tobytes()
+
+
+def frozen_queue():
+    """1056 points that settle from term 1 to term 577, many of them frozen beside live ones.
+
+    While more than 4 ``TAIL_BLOCK`` points are live, a settled point stays
+    in the loop's arrays until at most half of them are live: 1e-20 settles
+    at term 1, the terminating entry at |t| = 1e6 at term 4, and the 0.95
+    ring, over 500 terms, carries 91 frozen neighbours up to the switch into
+    the block tail at term 571.  Real arguments come with +0.0 and -0.0
+    imaginary parts.
+    """
+    switch = 4 * special_functions.TAIL_BLOCK
+    real = np.linspace(-0.9, 0.9, switch // 2) + 0.0j
+    return [
+        (0.25, -0.25, 0.5, 1e-20 * mixed_moduli(switch, seed=12)),
+        (0.31, 0.07, 0.5, mixed_moduli(4 * switch, seed=13)),
+        (-3.0, 0.7, 1.3, 1e6 * np.exp(1j * np.linspace(-3.0, 3.0, switch // 4))),
+        (1.3, 0.6, 1.7, np.concatenate([real, np.conj(real)])),
+        (0.45, 0.15, 0.5, 0.95 * np.exp(1j * np.linspace(-3.0, 3.0, 2 * switch))),
+    ]
+
+
+def test_frozen_points_keep_their_sums():
+    # a settled point's later terms are exact zeros, and adding them leaves
+    # its sum's bytes as they were when it settled
+    queue = frozen_queue()
+    assert np.signbit(queue[3][3].imag).sum() == queue[3][3].size // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = special_functions._series_sums(queue)
+    want = reference_series_sums(queue)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+    for entry, w in zip(queue, want):
+        (g,) = special_functions._series_sums([entry])
+        assert_same_bits(g, w)
+
+
+def test_convergence_error_names_no_frozen_point(monkeypatch):
+    # geometric series (a = b = c = 1): 40 points at t = 0.01 settle at term
+    # 8 and 150 at t = 0.9 at term 328, and all freeze beside the 200 at
+    # t = -0.899, which settle at 353; at a cap of 340 the error names
+    # -0.899, not the larger frozen modulus
+    switch = 4 * special_functions.TAIL_BLOCK
+    t = np.concatenate([np.full(150, 0.9), np.full(200, -0.899), np.full(40, 0.01)])
+    assert 200 > switch and 2 * 200 > t.size
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 340)
+    with pytest.raises(Hyp2F1ConvergenceError, match=r"-0\.899"):
+        series_sum(1.0, 1.0, 1.0, t)
+    # a cap of 353 sums them all
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 353)
+    assert_same_bits(series_sum(1.0, 1.0, 1.0, t), reference_series_sum(1.0, 1.0, 1.0, t))
 
 
 @pytest.mark.parametrize("a, b, c", [(0.25, -0.25, 0.5), (0.4, 0.15, 0.5), (0.25, 0.25, 0.5), (-3.0, 0.7, 1.3)])
