@@ -13,7 +13,9 @@ Prints one JSON line: the seeds, the block count, the item count, for
 inverse the `_tangential_derivatives` calls per item (one per inversion
 step), for inverse, sweep and verify the series loops, the points they
 summed and ``series_digest``, a SHA-256 over the bytes of every loop's sums
-in call order (a spy on `special_functions._series_sums`), for sweep and
+in call order (a spy on `special_functions._series_sums`), for moments
+``output_digest``, a SHA-256 over each item's result (its exit code or
+escaping error) and the bytes of its report, in item order, for sweep and
 verify the `verify._samples` calls, and the sorted failures as ``[seed,
 index, kind]``, where index is the item's place in its seed's list.  A
 sweep seed's items are the grid's 51 row segments in its order (one block,
@@ -21,7 +23,8 @@ whatever ``--blocks`` asks for), so its counts are those of the benchmark's
 sweep commands.  A change to the inversion step, the Cauchy screens, the
 battery or the sweep's rounds should leave ``failed`` no longer, and
 compares item by item against the parent's line; a change meant to keep
-every value's bits leaves ``series_digest`` as it was.
+every value's bits leaves ``series_digest`` (``output_digest`` for moments)
+as it was.
 """
 
 import argparse
@@ -63,7 +66,7 @@ def main(argv=None):
     sums = special_functions._series_sums
     samples = verify._samples
     calls = loops = points = samples_calls = 0
-    digest = hashlib.sha256()
+    digest, output = hashlib.sha256(), hashlib.sha256()
 
     def counting(family, pts):
         nonlocal calls
@@ -94,7 +97,13 @@ def main(argv=None):
                 _, ops = getattr(workloads, args.workload + "_ops")(np.random.default_rng(seed), workdir, blocks)
                 for index, op in enumerate(ops):
                     op.prepare()
-                    failed += [[seed, index, kind] for kind in op.check(op.call())]
+                    result = op.call()
+                    if args.workload == "moments":
+                        report_path = Path(op.output)
+                        output.update(b"%r\0" % (result,))
+                        output.update(report_path.read_bytes() if report_path.exists() else b"")
+                        output.update(b"\0")
+                    failed += [[seed, index, kind] for kind in op.check(result)]
                 items += len(ops)
     finally:
         maps._tangential_derivatives = inner
@@ -103,7 +112,9 @@ def main(argv=None):
     report = {"seeds": args.seeds, "blocks": blocks, "items": items}
     if args.workload == "inverse":
         report["stencil_calls_per_item"] = round(calls / items, 4)
-    if args.workload != "moments":
+    if args.workload == "moments":
+        report["output_digest"] = output.hexdigest()
+    else:
         report.update(series_loops=loops, series_points=points, series_digest=digest.hexdigest())
     if args.workload in ("sweep", "verify"):
         report["samples_calls"] = samples_calls

@@ -319,7 +319,7 @@ def _series_sums(queue: list) -> list:
         summing = arg[group < len(args)]
         worst = summing[int(np.argmax(np.abs(summing)))]
         raise Hyp2F1ConvergenceError(
-            "series did not settle in %d terms (argument near %r)" % (MAX_TERMS, worst)
+            "series did not settle in %d terms (argument near %r)" % (MAX_TERMS, complex(worst))
         )
     return [part.reshape(t.shape) for part, t in zip(_split(out, sizes), args)]
 

@@ -456,6 +456,14 @@ def integral_equation_residual(family: MapFamily) -> float:
 # Cauchy transform of the imaginary part
 
 
+@functools.cache
+def _cauchy_ring() -> np.ndarray:
+    """The 16384 nodes e^{i phi} of `m_plus_samples`' trapezoid sum, built once per process."""
+    ring = np.exp(1j * _circle_angles(16384))
+    ring.flags.writeable = False
+    return ring
+
+
 def m_plus_samples(family: MapFamily, state: TimeState, zs):
     """Cauchy transform of |Im| over the pattern boundary at interior points.
 
@@ -463,17 +471,20 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
     point z is screened and summed at zeta = z / r against the normalized
     boundary f, and the sum is scaled by r once.  A zeta that is not finite
     is not inside the pattern; a value r M_1 past the float range raises.
-    The boundary integral is a 16384-node trapezoid sum.  f and f' are
-    evaluated at its 4096 first-quadrant nodes and unfolded onto the rest by
-    symmetry (`_unfold_quadrant`); the sum runs over all 16384.  The margin
+    The boundary integral is a 16384-node trapezoid sum on a ring built once
+    per process (`_cauchy_ring`).  f and f' are evaluated at its 4096
+    first-quadrant nodes and unfolded onto the rest by symmetry
+    (`_unfold_quadrant`); the sum runs over all 16384, and everything but
+    f - zeta is computed once per call, not once per point.  The margin
     and winding screens read the polygon of those nodes with the origin
     inserted at each corner: every corner pre-image maps to the origin, and
     next to w = +-i the nodes stay far from it, so without it the polygon
     would close the fluid wedge between two petals with a chord.
     """
-    ring = np.exp(1j * _circle_angles(16384))
-    f, fp, _ = _unfold_quadrant(*_tangential_derivatives(family, ring[:4096]))
+    ring = _cauchy_ring()
+    f, fp = _unfold_quadrant(*_tangential_derivatives(family, ring[:4096])[:2])
     dz_dphi = fp * 1j * ring
+    abs_im = np.abs(f.imag)
     width = float(np.max(f.real) - np.min(f.real))
     height = float(np.max(f.imag) - np.min(f.imag))
     diameter = max(width, height)
@@ -494,7 +505,7 @@ def m_plus_samples(family: MapFamily, state: TimeState, zs):
             raise ValueError("sample point %r too close to the boundary" % (z,))
         if winding_number(polygon, zeta) != 1:
             raise ValueError("sample point %r is not inside the pattern" % (z,))
-        value = state.r * complex(np.sum(np.abs(f.imag) / rel * dz_dphi) * weight / (1j * math.pi))
+        value = state.r * complex(np.sum(abs_im / rel * dz_dphi) * weight / (1j * math.pi))
         if not cmath.isfinite(value):
             raise ValueError("the Cauchy sum at %r lies outside the float range" % (z,))
         side = "upper" if z.imag > 0.0 else "lower"
@@ -538,9 +549,38 @@ def _reject_degenerate(points: np.ndarray):
 
 @dataclass(frozen=True)
 class _ScreenedTrace:
-    """Trace points that `_screened_points` has already found admissible."""
+    """Trace points that `_screened_points` has already found admissible.
+
+    Each moment route's k-independent geometry is built on first use and
+    kept with the trace, so every moment of one screened trace shares it.
+    """
 
     points: np.ndarray
+
+    @functools.cached_property
+    def contour_route(self):
+        """(|Im|, midpoints, steps) of the trace's closing polygon."""
+        nxt = np.roll(self.points, -1)
+        mids = 0.5 * (self.points + nxt)
+        return np.abs(mids.imag), mids, nxt - self.points
+
+    @functools.cached_property
+    def area_route(self):
+        """(angles, rho at them, weights) of the 512-node Gauss rule on (0, pi), or the message refusing the trace."""
+        upper = self.points[self.points.imag > 0.0]
+        if len(upper) < 8:
+            return "trace has too few upper-half samples"
+        theta = np.angle(upper)
+        # angle steps in trace order, across the wrap: a fold adds sign changes
+        steps = np.diff(theta, append=theta[0])
+        turns = np.sign(steps[steps != 0.0])
+        theta, first = np.unique(theta, return_index=True)
+        rho = np.abs(upper)[first]
+        if len(theta) < 8 or np.count_nonzero(turns != np.roll(turns, 1)) > 2:
+            return "trace is not star-shaped about the origin"
+        u, du = gauss_legendre_unit(512)
+        th = math.pi * u
+        return th, np.interp(th, theta, rho, left=rho[0], right=rho[-1]), du
 
 
 def _screened_points(trace) -> _ScreenedTrace:
@@ -573,14 +613,11 @@ def harmonic_moment(trace, k: int) -> complex:
     """Exterior harmonic moment from the boundary line integral."""
     if k < MOMENT_MIN_INDEX:
         raise ValueError("moment index must be >= %d" % MOMENT_MIN_INDEX)
-    points = _screened_points(trace).points
-    nxt = np.roll(points, -1)
-    mids = 0.5 * (points + nxt)
-    steps = nxt - points
+    abs_im, mids, steps = _screened_points(trace).contour_route
     # the screen keeps every midpoint off the origin, so z**-k is finite
     # unless it overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        integrand = np.abs(mids.imag) * mids ** (-k)
+        integrand = abs_im * mids ** (-k)
         return _finite_moment(complex(np.sum(integrand * steps) / (1j * math.pi * k)), k)
 
 
@@ -593,26 +630,16 @@ def harmonic_moment_area(trace, k: int) -> complex:
     but for the one step that closes the loop.  The radial integral of
     r**(1 - k) over r > rho is rho**(2 - k)/(k - 2), or -log rho at k = 2,
     whose logarithmic horizon term integrates to zero over (0, pi); the
-    angular one takes 512 Gauss nodes.
+    angular one takes 512 Gauss nodes.  The angles, rho at them and the
+    weights are built once per screened trace and reused for every k, and
+    so is a refusal: a trace that fails the screens fails every call.
     """
     if k < MOMENT_MIN_INDEX:
         raise ValueError("moment index must be >= %d" % MOMENT_MIN_INDEX)
-    points = _screened_points(trace).points
-    upper = points[points.imag > 0.0]
-    if len(upper) < 8:
-        raise ValueError("trace has too few upper-half samples")
-    theta = np.angle(upper)
-    # angle steps in trace order, across the wrap: a fold adds sign changes
-    steps = np.diff(theta, append=theta[0])
-    turns = np.sign(steps[steps != 0.0])
-    theta, first = np.unique(theta, return_index=True)
-    rho = np.abs(upper)[first]
-    if len(theta) < 8 or np.count_nonzero(turns != np.roll(turns, 1)) > 2:
-        raise ValueError("trace is not star-shaped about the origin")
-
-    u, du = gauss_legendre_unit(512)
-    th = math.pi * u
-    rho_th = np.interp(th, theta, rho, left=rho[0], right=rho[-1])
+    route = _screened_points(trace).area_route
+    if isinstance(route, str):
+        raise ValueError(route)
+    th, rho_th, du = route
     with np.errstate(over="ignore", invalid="ignore"):
         radial = -np.log(rho_th) if k == 2 else rho_th ** (2 - k) / (k - 2)
         return _finite_moment(complex(-2.0 * np.sum(np.sin(k * th) * radial * du) / k), k)

@@ -709,6 +709,13 @@ def test_area_route_refuses_folded_trace():
     harmonic_moment(folded, 3)  # the contour route takes it
     with pytest.raises(ValueError, match="not star-shaped"):
         harmonic_moment_area(folded, 3)
+    # a screened trace keeps the refusal with its area geometry: every k
+    # raises it, and the contour route still takes every k
+    screened = verify._screened_points(folded)
+    for k in range(2, 7):
+        with pytest.raises(ValueError, match="not star-shaped"):
+            harmonic_moment_area(screened, k)
+        assert cmath.isfinite(harmonic_moment(screened, k))
     # a star-shaped trace passes in either direction from any starting sample
     circle = unit_circle_trace(256)
     for start in (0, 1, 64, 100, 128, 200, 255):
@@ -817,6 +824,29 @@ def test_screened_trace_is_screened_once(monkeypatch):
     assert screens == [len(trace)] * 2
 
 
+def test_screened_trace_builds_each_route_once(monkeypatch):
+    trace = unit_circle_trace()
+    want = [(harmonic_moment(trace, k), harmonic_moment_area(trace, k)) for k in range(2, 7)]
+    calls = []
+
+    def counting(name, inner):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "gauss_legendre_unit", counting("rule", verify.gauss_legendre_unit))
+    screened = verify._screened_points(trace)
+    monkeypatch.setattr(np, "roll", counting("roll", np.roll))
+    got = [(harmonic_moment(screened, k), harmonic_moment_area(screened, k)) for k in range(2, 7)]
+    monkeypatch.undo()
+    # the bits of bare-trace calls from one build of each route: one Gauss
+    # rule, one roll for the midpoints and one for the fold test
+    assert got == want
+    assert sorted(calls) == ["roll", "roll", "rule"]
+
+
 def test_moment_outside_the_float_range_raises():
     # 0.5 cos phi + 0.05i sin phi: T_k grows like 20^k, past the float
     # range from k = 237 on the contour route and k = 239 on the area route
@@ -909,6 +939,30 @@ def test_m_plus_two_petal_ring():
         want = np.sum(np.abs(f.imag) / (f - z) * dz_dphi) * (2.0 * math.pi / len(ring)) / (1j * math.pi)
         assert s.point == z
         assert abs(s.value - want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, zs",
+    [
+        (MapFamily.one_petal(0.7), [0.2j, 0.5j, 0.9j, -0.4j]),
+        (MapFamily.two_petal(math.pi / 5, math.pi / 10), [0.5 + 0.5j, -0.6 - 0.6j, 0.5 - 0.5j, -0.4 + 0.6j]),
+    ],
+    ids=["one-petal", "two-petal"],
+)
+def test_m_plus_points_share_one_ring_bit_for_bit(family, zs):
+    # the ring, f, f' and |Im f| are built once per call: each point of a
+    # batch gets the bits it gets alone
+    state = TimeState(1.3, 0.9)
+    together = m_plus_samples(family, state, zs)
+    alone = [s for z in zs for s in m_plus_samples(family, state, [z])]
+    assert together == alone
+
+
+def test_cauchy_ring_is_shared_read_only():
+    ring = verify._cauchy_ring()
+    assert verify._cauchy_ring() is ring and len(ring) == 16384
+    with pytest.raises(ValueError):
+        ring[0] = 0.0
 
 
 @pytest.mark.parametrize(
