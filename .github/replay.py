@@ -1,6 +1,7 @@
 """Replay the benchmark's `inverse`, `moments`, `sweep` or `verify` items in process and list the failures.
 
 Usage: python3 .github/replay.py [--workload inverse|moments|sweep|verify] [--seeds 901-920] [--blocks N]
+                                [--compare BENCH_<N>.json]
 
 For each seed, draws the items `bench/workloads.py` draws for that workload,
 seed and block count (as `bench/run.py` does; the default is a 20-second
@@ -25,6 +26,12 @@ battery or the sweep's rounds should leave ``failed`` no longer, and
 compares item by item against the parent's line; a change meant to keep
 every value's bits leaves ``series_digest`` (``output_digest`` for moments)
 as it was.
+
+``--compare`` takes a `.github/bench_record.py` record: the replay runs at
+the seeds and block count of the record's line for the workload, prints its
+own line, and exits 1 naming each field that differs from the record's.
+The digests depend on the numpy build, so compare against a record made on
+the same installation.
 """
 
 import argparse
@@ -59,7 +66,12 @@ def main(argv=None):
     parser.add_argument("--workload", choices=("inverse", "moments", "sweep", "verify"), default="inverse")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("901-920"))
     parser.add_argument("--blocks", type=int)
+    parser.add_argument("--compare", type=Path, help="a BENCH_<N>.json record whose replay line this one must equal")
     args = parser.parse_args(argv)
+    expected = None
+    if args.compare:
+        expected = json.loads(args.compare.read_text(encoding="utf-8"))["replays"][args.workload]
+        args.seeds, args.blocks = expected["seeds"], expected["blocks"]
     blocks = run.blocks_for(args.workload, RUN_SECONDS) if args.blocks is None else args.blocks
 
     inner = maps._tangential_derivatives
@@ -120,6 +132,10 @@ def main(argv=None):
         report["samples_calls"] = samples_calls
     report["failed"] = sorted(failed)
     print(json.dumps(report))
+    if expected is not None:
+        differ = [name for name in sorted(report.keys() | expected.keys()) if report.get(name) != expected.get(name)]
+        if differ:
+            sys.exit("%s: differs from %s in %s" % (args.workload, args.compare, ", ".join(differ)))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .special_functions import MapDomainError, _gamma_quotient, _hyp2f1_batch, _
 SHEET_SLACK = 1e-12          # corner pre-images reject this radius; |w| >= 1 - slack is on-sheet
 FD_STEP_FRACTION = 1.0 / 12.0  # arc step as a fraction of corner distance
 FD_MAX_STEP = 0.04
-ARC_BLOCK = 2043             # map points per series loop: 227 stencil centres x 9 rows, or a `_samples` group; bounds memory
+ARC_BLOCK = 2043             # map points per series loop: a lone evaluation's block or a `_samples` group (227 stencil centres x 9); bounds memory
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
 HALLEY_RESIDUAL = 0.1        # Halley's step once |f(w) - z/r| <= this (1 + |z/r|); Newton's before
@@ -341,9 +341,17 @@ def evaluate_map(family: MapFamily, w):
 
 
 def _values_on_sheet(family: MapFamily, pts: np.ndarray) -> np.ndarray:
+    """The map at 1-d sheet points; two petals in blocks of at most ``ARC_BLOCK`` points, one series loop each.
+
+    A point's value does not depend on its block, so the blocks only bound
+    the memory of a lone evaluation, however many points it takes.
+    """
     if family.kind == "one-petal":
         return _one_petal_values(family, pts)
-    return _two_petal_values(family, pts)
+    out = np.empty(pts.shape, dtype=complex)
+    for lo in range(0, pts.size, ARC_BLOCK):
+        out[lo : lo + ARC_BLOCK] = _two_petal_values(family, pts[lo : lo + ARC_BLOCK])
+    return out
 
 
 def _arc_stencil(family: MapFamily, pts: np.ndarray):
@@ -382,17 +390,12 @@ def _arc_stencil(family: MapFamily, pts: np.ndarray):
 def _arc_derivatives(family: MapFamily, pts: np.ndarray):
     """(f, f', f'') at 1-d points by `_arc_stencil`'s arc-direction finite differences.
 
-    The rows of ``ARC_BLOCK // 9`` centres go to `_values_on_sheet` as one
-    array of at most ``ARC_BLOCK`` points, so a scalar derivative costs one
-    map call and an n-point ring ceil(9 n / ARC_BLOCK).
+    All the stencil rows go to one `_values_on_sheet` call, which blocks
+    them, so a scalar derivative costs one series loop and an n-point ring
+    ceil(9 n / ``ARC_BLOCK``).
     """
     rows, finish = _arc_stencil(family, pts)
-    values = np.empty(rows.shape, dtype=complex)
-    width = ARC_BLOCK // len(rows)
-    for lo in range(0, pts.size, width):
-        block = rows[:, lo : lo + width]
-        values[:, lo : lo + width] = _values_on_sheet(family, block.ravel()).reshape(block.shape)
-    return finish(values)
+    return finish(_values_on_sheet(family, rows.ravel()).reshape(rows.shape))
 
 
 def _samples(jobs) -> list:

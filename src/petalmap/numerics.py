@@ -20,7 +20,7 @@ WINDING_DISTANCE_TOL = 1e-12   # node radius (relative to scale) and angle margi
 POWER_FIT_MIN_POINTS = 3
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def gauss_legendre_unit(n: int):
     """Gauss-Legendre nodes and weights on [0, 1], cached per node count.
 

@@ -35,10 +35,12 @@ values.
 
 `_hyp2f1_batch` takes a list of (a, b, c, t, one_minus) requests, whose
 parameters are floats or arrays with one set per point (a run of equal
-sets is one family).  It checks each request, routes all their points with
-one `_route` pick, sums the whole queue in one term loop (`_series_sums`)
-and applies the finisher: one array per request, with the bits of that
-request alone.  The loop keeps a settled point beside the live ones, adding
+sets is one family).  It checks every request before it routes any, so a
+bad request's error comes before any routing error, and it answers a
+batch with no point at all with empty arrays at once.  Otherwise it routes
+all their points with one `_route` pick, sums the whole queue in one term
+loop (`_series_sums`) and applies the finisher: one array per request,
+with the bits of that request alone.  The loop keeps a settled point beside the live ones, adding
 exact zeros to its sum, until at most half its points are live.
 `hyp2f1_values` is its one-request case.  The checks' batches are built by
 `maps._samples`: each group of at most `maps.ARC_BLOCK` map points, of one
@@ -61,8 +63,8 @@ rejected; a -0.0 imaginary part means the limit from below, which is
 mpmath's value on the cut and what numpy's signed-zero complex `log` gives.
 Every fractional power, here and in the maps, is `_power`'s, under its one
 cut convention, and `Hyp2F1DomainError` is a `MapDomainError`.  The connection coefficients are
-real gamma quotients from the standard library's `math.lgamma`, memoized per
-parameter set by `_gamma_quotient`.
+real gamma quotients from the standard library's `math.lgamma`
+(`_gamma_quotient`), computed once per family and call by `_per_family`.
 
 A point's value does not depend on its batch.  An exponent array in
 `_power`, and a coefficient array times a complex product, give each point
@@ -78,7 +80,6 @@ from the contiguous ``*`` too.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -130,7 +131,6 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-@functools.lru_cache(maxsize=256)
 def _gamma_quotient(numerators, denominators) -> float:
     """prod Gamma(numerators) / prod Gamma(denominators) for real arguments.
 
@@ -161,8 +161,6 @@ def _per_family(rule: Callable, rows: list, runs: list):
     """
     if len(runs) == 1:
         return rule(*rows[runs[0][0]])
-    if not runs:
-        return np.zeros(0, dtype=bool)
     return np.array([rule(*rows[row]) for row, _ in runs]).repeat([count for _, count in runs], axis=0).T
 
 
@@ -199,7 +197,7 @@ def _dispatch(routes: tuple, pick: np.ndarray, rows: list, runs: list, t: np.nda
     parts = []
     for k, call in enumerate(routes):
         kept = [(row, n) for (row, _), n in zip(runs, counts[k]) if n]
-        if kept == runs and t.size:
+        if kept == runs:
             return call(rows, runs, t, one_minus, queue)
         if kept:
             mask = pick == k
@@ -544,8 +542,6 @@ def _route(points: list) -> tuple:
     deferred: list = []
     outside = _dispatch((_defer, _inverse_connection), far, rows, runs, t, one_minus, deferred)
     queue: list = []
-    if not deferred:  # no points
-        return (lambda sums: t), queue
     disk = _disk_values(*_joined(deferred), queue)
     return (lambda sums: outside(_split(disk(sums), [point[2].size for point in deferred]))), queue
 
@@ -553,24 +549,26 @@ def _route(points: list) -> tuple:
 def _hyp2f1_batch(requests) -> list:
     """`hyp2f1_values` for each (a, b, c, t, one_minus) request, routed once and summed in one loop.
 
-    Every request is checked as `hyp2f1_values` checks it, and a bad one
-    raises that call's error before any series is summed, after the routing
-    errors of the requests before it.  All the points then take one
-    `_route` pick, each family's coefficients are computed once per call,
-    and the queued series, one `_series_sums` entry per (series, run), share
-    one term loop.  Returns one array per request, shaped like its t, with
-    the bits of that request alone.
+    Every request is checked as `hyp2f1_values` checks it before any point
+    is routed, so a bad request raises its check's error before any routing
+    error of the requests before it, and before any series is summed.  A
+    batch with no point at all returns its empty arrays at once.  Otherwise
+    all the points take one `_route` pick, each family's coefficients are
+    computed once per call, and the queued series, one `_series_sums` entry
+    per (series, run), share one term loop.  Returns one array per request,
+    shaped like its t, with the bits of that request alone.
+
+    No caller in the package sees that order: `hyp2f1_values` sends one
+    request, and the requests `maps._samples` builds cannot fail their
+    check.  The map request's t = 4/p^2 is finite off the corners, with its
+    imaginary part set to at most 0 (-0.0 on the axis); its 1 - t, d^2/p^2
+    with d = w - 1/w, is nonzero off the corners; and the partner's
+    requests take d^2/p^2 as their argument at probes off the axes, where
+    it is finite and off the cut.
     """
-    points = []
-    for request in requests:
-        try:
-            points.append(_request_points(*request))
-        except Hyp2F1DomainError:
-            if points:
-                _route(points)
-            raise
-    if not points:
-        return []
+    points = [_request_points(*request) for request in requests]
+    if not any(point[2].size for point in points):
+        return [np.empty(np.shape(request[3]), dtype=complex) for request in requests]
     finish, queue = _route(points)
     sums = iter(_series_sums([entry for series in queue for entry in series]))
     # a series of several runs joins their sums in point order

@@ -1215,19 +1215,21 @@ def sample_alone(family, points, what):
 
 
 def sample_groups(jobs):
-    """The number of `_samples` groups of two-petal jobs: consecutive jobs, at most ARC_BLOCK map points each.
+    """The number of `_samples` groups of two-petal jobs that sum a series: consecutive jobs, at most ARC_BLOCK map points each.
 
     A job with no map points never opens a group, and one that would take
-    a group holding map points past ARC_BLOCK opens the next.
+    a group holding map points past ARC_BLOCK opens the next.  A group with
+    no point at all sums no series.
     """
-    groups = size = 0
+    groups, size = [], 0  # the points of each group, and the open group's map points
     for _, points, what in jobs:
         weight = points.size * {"values": 1, "derivatives": 9, "partner": 0}[what]
         if not groups or size and weight and size + weight > maps.ARC_BLOCK:
-            groups += 1
+            groups.append(0)
             size = 0
+        groups[-1] += points.size
         size += weight
-    return groups
+    return sum(1 for count in groups if count)
 
 
 # an empty job, then a derivatives job of 230 points (2070 map points) that
@@ -1252,6 +1254,7 @@ def test_samples_jobs_without_map_points_open_no_group(monkeypatch):
 
 @given(st.sampled_from(("two-petal", "one-petal")), SAMPLE_JOBS, st.integers(0, 2**16))
 @example("two-petal", SAMPLE_EXAMPLE, 1)
+@example("two-petal", [("values", 0, 0), ("partner", 1, 0), ("derivatives", 2, 0)], 3)
 @example("one-petal", [("partner", 0, 8), ("values", 1, 0), ("derivatives", 2, 30)], 2)
 @settings(max_examples=10, deadline=None, derandomize=True)
 def test_samples_keep_the_bits_of_each_job_alone(kind, specs, seed):
@@ -1384,13 +1387,13 @@ def test_blocked_stencil_matches_nine_calls(family):
 def test_stencil_map_calls(monkeypatch):
     fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
     sizes = []
-    inner = maps._values_on_sheet
+    inner = maps._two_petal_values
 
     def counting(family, pts):
         sizes.append(pts.size)
         return inner(family, pts)
 
-    monkeypatch.setattr(maps, "_values_on_sheet", counting)
+    monkeypatch.setattr(maps, "_two_petal_values", counting)
     map_derivative(fam, 1.3 + 0.4j)
     assert sizes == [9]
     for n in STENCIL_RING_SIZES:
@@ -1399,6 +1402,29 @@ def test_stencil_map_calls(monkeypatch):
         map_derivative(fam, ring)
         assert len(sizes) == math.ceil(9 * n / maps.ARC_BLOCK), n
         assert sum(sizes) == 9 * n and max(sizes) <= maps.ARC_BLOCK
+
+
+def test_lone_evaluations_are_blocked():
+    # evaluate_map and boundary_trace sum a two-petal family's n points in
+    # ceil(n / ARC_BLOCK) series loops of at most ARC_BLOCK points, with the
+    # bits of one unblocked call
+    family = MapFamily.two_petal(math.pi / 4, math.pi / 8)
+    w = 1.3 * np.exp(1j * (np.arange(5000) + 0.5) * (2.0 * math.pi / 5000))
+    calls = [(w.size, lambda: evaluate_map(family, w)), (16384 // 4, lambda: boundary_trace(family, n=16384).points)]
+    inner, sums = maps._two_petal_values, special_functions._series_sums
+    for n, call in calls:
+        sizes, loops = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(maps, "_two_petal_values", lambda family, pts: sizes.append(pts.size) or inner(family, pts))
+            patch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
+            blocked = call()
+            assert len(loops) == len(sizes) == math.ceil(n / maps.ARC_BLOCK) > 1
+            assert sum(sizes) == n and max(sizes) <= maps.ARC_BLOCK
+            del sizes[:], loops[:]
+            patch.setattr(maps, "ARC_BLOCK", n)
+            whole = call()
+            assert len(loops) == len(sizes) == 1
+        assert blocked.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize(

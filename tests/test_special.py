@@ -551,10 +551,24 @@ def test_empty_argument_returns_at_once(monkeypatch):
         assert out.shape == (0,)
     assert series_sum(0.3, 0.7, 1.3, np.zeros((0, 4))).shape == (0, 4)
     assert time.perf_counter() - start < 1.0
+    # a batch with no point at all is answered at its edge: it neither
+    # routes nor sums, and gives complex empties shaped like each t
+    monkeypatch.setattr(special_functions, "_route", lambda points: pytest.fail("routed"))
+    monkeypatch.setattr(special_functions, "_series_sums", lambda queue: pytest.fail("series summed"))
+    shapes = [(0,), (3, 0), (0, 2)]
+    requests = [(0.3, 0.7, 1.3, np.zeros(shape, dtype=complex), None) for shape in shapes]
+    requests.append((np.zeros((2, 0)), 0.7, 1.3, np.zeros((2, 0)), np.zeros((2, 0))))
+    out = special_functions._hyp2f1_batch(requests)
+    assert [(part.shape, part.dtype) for part in out] == [(shape, complex) for shape in shapes + [(2, 0)]]
+    family = maps.MapFamily.two_petal(math.pi / 4, math.pi / 8)
+    empty = np.zeros(0, dtype=complex)
+    values, derivatives, partner = maps._samples([(family, empty, what) for what in ("values", "derivatives", "partner")])
+    for part in (values, *derivatives, *partner):
+        assert part.shape == (0,) and part.dtype == complex
 
 
 def gamma(x):
-    """Gamma at one real point, through the memoized quotient."""
+    """Gamma at one real point, through the quotient."""
     return special_functions._gamma_quotient((x,), ())
 
 
@@ -733,23 +747,28 @@ def test_batch_of_loci_routes_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "bad, later",
+    "bad, later, raised",
     [
-        ((0.3, -0.2, 0.5, np.array([0.3, complex("nan")]), None), (1.0, 1.0, -2.0, np.array([0.3]), None)),
-        ((1.0, 1.0, -2.0, np.array([0.3]), None), (0.3, -0.2, 0.5, np.array([1.5 + 0.0j]), None)),
-        # a routing error of an earlier request comes before a later request's check
-        ((0.125, -0.375, 0.5, np.array([0.3, cmath.exp(1j * math.pi / 3)]), None), (0.3, -0.2, 0.5, np.array([complex("nan")]), None)),
+        ((0.3, -0.2, 0.5, np.array([0.3, complex("nan")]), None), (1.0, 1.0, -2.0, np.array([0.3]), None), 0),
+        ((1.0, 1.0, -2.0, np.array([0.3]), None), (0.3, -0.2, 0.5, np.array([1.5 + 0.0j]), None), 0),
+        # every request is checked before any is routed: a later request's
+        # check error comes before an earlier request's routing error
+        ((0.125, -0.375, 0.5, np.array([0.3, cmath.exp(1j * math.pi / 3)]), None), (0.3, -0.2, 0.5, np.array([complex("nan")]), None), 1),
     ],
     ids=("nan", "lower-parameter", "unreachable"),
 )
-def test_loci_batch_raises_the_first_bad_request(monkeypatch, bad, later):
-    with pytest.raises(Hyp2F1DomainError) as alone:
-        hyp2f1_values(*bad)
+def test_loci_batch_raises_the_first_bad_request(monkeypatch, bad, later, raised):
+    errors = []
+    for request in (bad, later):
+        with pytest.raises(Hyp2F1DomainError) as alone:
+            hyp2f1_values(*request)
+        errors.append(str(alone.value))
     requests = [locus_request(alpha, beta, LOCUS_POINTS) for alpha, beta in LOCI]
+    monkeypatch.setattr(special_functions, "_route", lambda points: pytest.fail("routed"))
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: pytest.fail("series summed"))
     with pytest.raises(Hyp2F1DomainError) as batch:
         special_functions._hyp2f1_batch(requests[:2] + [bad] + requests[2:] + [later])
-    assert str(batch.value) == str(alone.value)
+    assert str(batch.value) == errors[raised]
 
 
 @pytest.mark.parametrize("n", [1, 5, 2043, 16383, 16384, 20000])
