@@ -249,30 +249,28 @@ def _two_petal_parameters(alpha, beta):
     return (alpha + beta) / math.pi - 0.5, (alpha - beta) / math.pi
 
 
-def _two_petal_request(alpha, beta, p: np.ndarray, d: np.ndarray, lower: np.ndarray):
-    """The two-petal pattern Z(p) = p (d/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2), p = w + 1/w, around F.
+def _two_petal_request(alpha, beta, p: np.ndarray, one_minus: np.ndarray, t: np.ndarray, lower: np.ndarray):
+    """The two-petal pattern Z(p) = p (1 - t)^(alpha/pi) F(a, b; 1/2; t), t = 4/p^2, p = w + 1/w, around F.
 
     Returns the (a, b, c, t, one_minus) request for `hyp2f1_values` or
     `_hyp2f1_batch`, and the step that finishes Z from F's values.
     ``alpha`` and ``beta`` are one family's floats, or arrays of each
     point's family's angles, so that one request carries several families.
 
-    ``d`` is the branch factor p^2 - 4, factored by the caller so that d/p^2,
-    the power's base and F's 1 - t, stays accurate next to the branch points.
-    The formula is taken on the closed first quadrant: points flagged
-    ``lower`` are reflected, Z(conj p) = conj Z(p), and points with Re p < 0
-    folded by oddness, Z(-conj p) = -conj Z(p).  The folds change only the
-    sign of Im p^2, and on the first quadrant Im(d/p^2) =
-    8 Re p Im p / |p|^4 >= 0 and Im(4/p^2) <= 0, so both are set exactly.
+    ``one_minus`` and ``t`` are the caller's 1 - t and t (`_sheet_p`'s on
+    the sheet): 1 - t, the power's base and F's 1 - t, is (p^2 - 4)/p^2
+    with p^2 - 4 factored, so that it stays accurate next to the branch
+    points.  The formula is taken on the closed first quadrant: points
+    flagged ``lower`` are reflected, Z(conj p) = conj Z(p), and points with
+    Re p < 0 folded by oddness, Z(-conj p) = -conj Z(p).  The folds change
+    only the sign of Im p^2, and on the first quadrant Im(1 - t) =
+    8 Re p Im p / |p|^4 >= 0 and Im t <= 0, so both are set exactly.
     Real p in the band |p| < 2 is the limit from above: there t = 4/p^2
     takes F's 1/t route with a -0.0 imaginary part.
     """
     left = p.real < 0.0
     mirror = lower != left
-    p2 = p * p
-    ratio = d / p2
-    t = 4.0 / p2
-    folded = ratio.real + 1j * np.abs(ratio.imag)
+    folded = one_minus.real + 1j * np.abs(one_minus.imag)
     aa, bb = _two_petal_parameters(alpha, beta)
 
     def finish(hyp):
@@ -285,14 +283,23 @@ def _two_petal_request(alpha, beta, p: np.ndarray, d: np.ndarray, lower: np.ndar
 
 
 def _sheet_p(w: np.ndarray):
-    """`_two_petal_request`'s p, d and lower for sheet points w, with d from (w - 1)(w + 1)/w."""
+    """The two-petal variables (p, d, 1 - t, t, lower) at 1-d sheet points w, for the map and its partner alike.
+
+    p = w + 1/w, d = (w - 1)(w + 1)/w = w - 1/w, 1 - t = d^2/p^2 and
+    t = 4/p^2: d^2 is p^2 - 4 factored, so 1 - t stays accurate next to the
+    base corners w = +-1.  ``lower`` flags Im w < 0, which
+    `_two_petal_request` reflects.
+    """
+    p = w + 1.0 / w
     d = (w - 1.0) * (w + 1.0) / w
-    return w + 1.0 / w, d * d, w.imag < 0.0
+    p2 = p * p
+    return p, d, d * d / p2, 4.0 / p2, w.imag < 0.0
 
 
 def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     """Evaluate on the sheet through p = w + 1/w, reflecting Im w < 0."""
-    request, finish = _two_petal_request(family.alpha, family.beta, *_sheet_p(w))
+    p, _, one_minus, t, lower = _sheet_p(w)
+    request, finish = _two_petal_request(family.alpha, family.beta, p, one_minus, t, lower)
     return finish(hyp2f1_values(*request))
 
 
@@ -312,11 +319,8 @@ def _partner_requests(family: MapFamily, w: np.ndarray):
     cab = 0.5 - a - b  # c - a - b with c = 1/2
     mu = family.alpha / math.pi
     scale = 2.0 * math.pi * abs(_gamma_quotient((0.5,), (a, b, cab + 1.0)))
-    p = w + 1.0 / w
-    d = (w - 1.0) * (w + 1.0) / w
+    p, d, x, t, _ = _sheet_p(w)  # x = 1 - t, factored as the map's
     dp = d / w  # p' = 1 - 1/w^2
-    x = d * d / (p * p)  # 1 - t, kept factored like the map's
-    t = 4.0 / (p * p)  # 1 - x
     dx = 8.0 * dp / (p * p * p)
 
     def finish(hyp, slope):
@@ -463,7 +467,8 @@ def _samples(jobs) -> list:
         alpha, beta = group[0][0].alpha, group[0][0].beta
         if len({family for family, _, _ in group}) > 1:
             alpha, beta = np.repeat([(family.alpha, family.beta) for family, _, _ in group], sizes, axis=0).T
-        request, finish = _two_petal_request(alpha, beta, *_sheet_p(np.concatenate(joined)))
+        p, _, one_minus, t, lower = _sheet_p(np.concatenate(joined))
+        request, finish = _two_petal_request(alpha, beta, p, one_minus, t, lower)
         hyp, *series = _hyp2f1_batch([request, *(extra for partner in partners if partner for extra in partner[0])])
         series = iter(series)
         for values, stencil, partner in zip(_split(finish(hyp), sizes), stencils, partners):

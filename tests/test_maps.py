@@ -138,7 +138,8 @@ def test_one_petal_matches_closed_form():
 def z_of_p(family, p):
     """The two-petal pattern in p = w + 1/w; real p in the band is the limit from above."""
     pts = np.atleast_1d(np.asarray(p, dtype=complex))
-    request, finish = maps._two_petal_request(family.alpha, family.beta, pts, (pts - 2.0) * (pts + 2.0), pts.imag < 0.0)
+    p2 = pts * pts
+    request, finish = maps._two_petal_request(family.alpha, family.beta, pts, (pts - 2.0) * (pts + 2.0) / p2, 4.0 / p2, pts.imag < 0.0)
     out = finish(hyp2f1_values(*request))
     return out if np.ndim(p) else complex(out[0])
 

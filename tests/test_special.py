@@ -701,7 +701,8 @@ LOCUS_POINTS = np.concatenate(
 
 def locus_request(alpha, beta, w):
     """F's request of the two-petal map at sheet points w; alpha and beta per family or per point."""
-    request, _ = maps._two_petal_request(alpha, beta, *maps._sheet_p(np.reshape(w, -1)))
+    p, _, one_minus, t, lower = maps._sheet_p(np.reshape(w, -1))
+    request, _ = maps._two_petal_request(alpha, beta, p, one_minus, t, lower)
     return request[:3] + tuple(np.reshape(x, np.shape(w)) for x in request[3:])
 
 
