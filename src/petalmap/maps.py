@@ -287,13 +287,29 @@ def _sheet_p(w: np.ndarray):
 
     p = w + 1/w, d = (w - 1)(w + 1)/w = w - 1/w, 1 - t = d^2/p^2 and
     t = 4/p^2: d^2 is p^2 - 4 factored, so 1 - t stays accurate next to the
-    base corners w = +-1.  ``lower`` flags Im w < 0, which
-    `_two_petal_request` reflects.
+    base corners w = +-1.  Where |p| < 1, next to the top corners w = +-i,
+    p is factored too, as (w - i)(w + i)/w: w + 1/w would cancel there,
+    while w -/+ i is exact.  Where p^2 or d^2 overflows (|w| past about
+    1e154), d is w - 1/w and 1 - t and t are (d/p)^2 and (2/p)^2, so every
+    variable stays finite up to the largest floats; elsewhere they are the
+    plain products.  ``lower`` flags Im w < 0, which `_two_petal_request`
+    reflects.
     """
     p = w + 1.0 / w
-    d = (w - 1.0) * (w + 1.0) / w
-    p2 = p * p
-    return p, d, d * d / p2, 4.0 / p2, w.imag < 0.0
+    top = np.abs(p) < 1.0
+    if top.any():
+        near = w[top]
+        p[top] = (near - 1j) * (near + 1j) / near
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (w - 1.0) * (w + 1.0) / w
+        d2, p2 = d * d, p * p
+        one_minus, t = d2 / p2, 4.0 / p2
+    far = ~(np.isfinite(d2) & np.isfinite(p2))
+    if far.any():
+        d[far] = w[far] - 1.0 / w[far]
+        ratio, half = d[far] / p[far], 2.0 / p[far]
+        one_minus[far], t[far] = ratio * ratio, half * half
+    return p, d, one_minus, t, w.imag < 0.0
 
 
 def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
@@ -385,7 +401,13 @@ def _arc_stencil(family: MapFamily, pts: np.ndarray):
         second = _richardson3(*((-lo2 + 16.0 * lo1 - 30.0 * g_0 + 16.0 * hi1 - hi2) / (12.0 * step * step)))
         iw = 1j * pts
         f_prime = first / iw
-        f_second = (-second + 1j * first) / (pts * pts)
+        curl = -second + 1j * first
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_second = curl / (pts * pts)
+        # w^2 overflows past |w| ~ 1e154; there the quotient divides by w twice
+        far = ~np.isfinite(f_second)
+        if far.any():
+            f_second[far] = curl[far] / pts[far] / pts[far]
         return g_0, f_prime, f_second
 
     return rows, finish
@@ -575,15 +597,23 @@ def pressure(family: MapFamily, state: TimeState, z) -> float:
 
 
 def potential_V(family: MapFamily, w):
-    """Rational potential of the self-similar oscillator equation, also inside the unit circle."""
+    """Rational potential of the self-similar oscillator equation, also inside the unit circle.
+
+    V(1/w) = V(w), so where (w^2 -/+ 1)^2 overflows, past |w| ~ 1e77, V is
+    taken at 1/w, and stays finite up to the largest floats.
+    """
     pts, shape, scalar = _as_points(w)
     _check_regular(family, pts)
     frac_a = family.alpha / math.pi
-    w2 = pts * pts
-    vals = 16.0 * frac_a * (1.0 - frac_a) * w2 / (w2 - 1.0) ** 2
-    if family.kind == "two-petal":
-        frac_b = family.beta / math.pi
-        vals = vals - 8.0 * frac_b * (1.0 - 2.0 * frac_b) * w2 / (w2 + 1.0) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = pts * pts
+        vals = 16.0 * frac_a * (1.0 - frac_a) * w2 / (w2 - 1.0) ** 2
+        if family.kind == "two-petal":
+            frac_b = family.beta / math.pi
+            vals = vals - 8.0 * frac_b * (1.0 - 2.0 * frac_b) * w2 / (w2 + 1.0) ** 2
+    far = ~np.isfinite(vals)
+    if far.any():
+        vals[far] = potential_V(family, 1.0 / pts[far])
     return complex(vals[0]) if scalar else vals.reshape(shape)
 
 

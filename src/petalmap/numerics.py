@@ -120,6 +120,9 @@ def fit_power_law(x, y) -> PowerLawFit:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if len(x) < POWER_FIT_MIN_POINTS:
         raise ValueError("need at least %d samples" % POWER_FIT_MIN_POINTS)
+    # nan passes the positivity test below and inf its log
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("power-law fit needs finite data")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("power-law fit needs positive data")
     lx = np.log(x)

@@ -183,6 +183,50 @@ def near_corner_reference(alpha, beta, w):
         return complex(w * (1 - u) ** mu * (1 + u) ** (1 - mu) * mp.hyp2f1(a, b, mp.mpf(1) / 2, 4 / p**2))
 
 
+def quarter_column_reference(beta, w):
+    """(f, f') of two_petal(pi/4, beta) in closed form, for w in the open first quadrant, |w| > 1.
+
+    At alpha = pi/4, b = -a with a = beta/pi - 1/4, and F(a, -a; 1/2; t) =
+    cos(2a arcsin sqrt t) (DLMF 15.4(iii)).  With s = (w - 1)(w + 1)/w,
+    p = (w - i)(w + i)/w (both w -/+ 1/w, factored) and u = (s + 2i)/p =
+    e^{i arcsin(2/p)}, Z = p (s/p)^(1/2) (u^(2a) + u^(-2a))/2, and by
+    d log u/dw = -2i/(w p), f' = Z (s/p + p/s)/(2w) - 2ia (s/p)^(1/2)
+    (u^(2a) - u^(-2a))/w.  u^(-2a) is exp(-2a log u), never (s - 2i)/p, so
+    no difference cancels, and double precision is enough: an oracle
+    independent of the package's 2F1 routes.
+    """
+    a = beta / math.pi - 0.25
+    s = (w - 1.0) * (w + 1.0) / w
+    p = (w - 1j) * (w + 1j) / w
+    root = np.sqrt(s / p)
+    log_u = np.log((s + 2j) / p)
+    up, down = np.exp(2.0 * a * log_u), np.exp(-2.0 * a * log_u)
+    z = p * root * 0.5 * (up + down)
+    return z, z * (s / p + p / s) / (2.0 * w) - 2j * a * root * (up - down) / w
+
+
+def p_plane_reference(alpha, beta, w):
+    """f at a double w by 40-digit mpmath in p = w + 1/w, following the package's side rule.
+
+    w is folded into the closed first quadrant and p into |Re p| + i |Im p|,
+    where Z = p (1 - 4/p^2)^(alpha/pi) F(a, b; 1/2; 4/p^2) takes principal
+    branches (real p in the band is the limit from above, mpmath's value on
+    F's cut); the value is unfolded by f(conj w) = conj f(w) and
+    f(-w) = -f(w).  So a double w on |w| = 1 that rounds inside the circle
+    takes the side the package takes.
+    """
+    with mp.workdps(40):
+        q = mp.mpc(abs(w.real), abs(w.imag))
+        p = q + 1 / q
+        p = mp.mpc(abs(p.real), abs(p.imag))
+        a = (mp.mpf(alpha) + mp.mpf(beta)) / mp.pi - mp.mpf(1) / 2
+        b = (mp.mpf(alpha) - mp.mpf(beta)) / mp.pi
+        z = complex(p * (1 - 4 / p**2) ** (mp.mpf(alpha) / mp.pi) * mp.hyp2f1(a, b, mp.mpf(1) / 2, 4 / p**2))
+    if w.imag < 0.0:
+        z = z.conjugate()
+    return -z.conjugate() if w.real < 0.0 else z
+
+
 @pytest.mark.parametrize(
     "alpha, beta",
     [
@@ -296,6 +340,108 @@ def test_first_quadrant_sheet_against_mpmath(item):
     assert abs(f - want) <= 1e-12 * abs(want)
     want = near_corner_derivative_reference(family.alpha, family.beta, w)
     assert abs(fp - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.pi / 5, math.pi / 10), (math.pi / 5, math.pi / 20), (1.2, 0.4)])
+def test_top_corner_factored_p_against_mpmath(alpha, beta):
+    # within 1e-4 of w = +-i, p = w + 1/w -> 0 cancels, by about
+    # delta ulp/|p| relative; (w - i)(w + i)/w does not.  Points just off the
+    # circle, and on it, where the double w may round inside: the reference
+    # then takes the package's side.  Measured: at most 3.2e-15 off, where
+    # w + 1/w was 8.0e-10 off
+    fam = MapFamily.two_petal(alpha, beta)
+    worst = 0.0
+    for corner in (1j, -1j):
+        for side in (1.0, -1.0):
+            for psi in np.geomspace(1e-11, 1e-4, 6):
+                for gap in (0.0, 1e-12, 1e-9, 1e-6):
+                    w = corner * (1.0 + gap) * cmath.exp(1j * side * psi)
+                    want = p_plane_reference(alpha, beta, w)
+                    worst = max(worst, abs(evaluate_map(fam, w) - want) / abs(want))
+    assert worst <= 1e-14
+
+
+QUARTER_BETAS = (0.1, 0.3, 0.6, 1.0, 1.3, 1.5)
+CORNER_GAPS = (1e-12, 1e-9, 1e-6)
+
+
+def quarter_column_points(rng):
+    """The first-quadrant test points of one beta on the alpha = pi/4 column, by region."""
+    psi = np.geomspace(1e-11, 1e-2, 10)
+    offsets = np.repeat(1.0 + np.array(CORNER_GAPS), psi.size) * np.exp(1j * np.tile(psi, len(CORNER_GAPS)))
+    return {
+        "bulk": np.exp(rng.uniform(math.log(1.01), math.log(6.0), 45)) * np.exp(1j * rng.uniform(0.01, 1.56, 45)),
+        "far field": np.exp(rng.uniform(math.log(10.0), math.log(1e8), 20)) * np.exp(1j * rng.uniform(0.0, 0.5 * math.pi, 20)),
+        "base corner": offsets,
+        "top corner": 1j * np.conj(offsets),
+        "blind spot": rng.uniform(1.8, 2.05, 25) * np.exp(1j * np.radians(rng.uniform(40.0, 50.0, 25))),
+    }
+
+
+@pytest.fixture(scope="module")
+def quarter_column():
+    """Per region, (w, closed-form f and f', and the package's (f, f') or its refusal) on the column, six betas."""
+    rng = np.random.default_rng(30)
+    rows = {}
+    for beta in QUARTER_BETAS:
+        fam = MapFamily.two_petal(math.pi / 4, beta)
+        for region, ws in quarter_column_points(rng).items():
+            for w, f, fp in zip(ws, *quarter_column_reference(beta, ws)):
+                try:
+                    got = evaluate_map(fam, w), map_derivative(fam, w)
+                except Hyp2F1DomainError as exc:
+                    got = exc
+                rows.setdefault(region, []).append((w, f, fp, got))
+    return rows
+
+
+def quarter_column_errors(rows):
+    """The worst f and f' errors of the evaluated rows (f' against max(|f'|, |f|/|w|)) and the refusals."""
+    worst_f = worst_fp = 0.0
+    refused = 0
+    for w, f, fp, got in rows:
+        if isinstance(got, Exception):
+            refused += 1
+            continue
+        worst_f = max(worst_f, abs(got[0] - f) / abs(f))
+        worst_fp = max(worst_fp, abs(got[1] - fp) / max(abs(fp), abs(f) / abs(w)))
+    return worst_f, worst_fp, refused
+
+
+def test_quarter_column_against_closed_form(quarter_column):
+    # 900 points, measured: f at most 1.7e-15 in the bulk, 6.6e-16 in the
+    # far field, 1.9e-15 at the base and 3.3e-15 at the top corner (1.9e-9
+    # with p = w + 1/w unfactored next to +-i); f' at most 1.3e-11 in the
+    # bulk, 5.1e-14 in the far field and 1.5e-13 in the blind-spot box.  A
+    # refusal may only be the 2F1 blind spot (ROADMAP item 7), as the
+    # whole-sheet property allows: 1 of 270 bulk points and 64 of 150 in
+    # the box
+    for region, rows in quarter_column.items():
+        worst_f, worst_fp, refused = quarter_column_errors(rows)
+        assert worst_f <= 1e-12, region
+        if "corner" not in region:
+            assert worst_fp <= 1e-10, region
+        assert refused == 0 or region in ("bulk", "blind spot"), region
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the arc stencil's f' is 1.0e-8 off next to the corners")
+def test_quarter_column_corner_derivatives(quarter_column):
+    for region in ("base corner", "top corner"):
+        assert quarter_column_errors(quarter_column[region])[1] <= 1e-10, region
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: no 2F1 route reaches t = 4/p^2 at 64 of 150 blind-spot points")
+def test_quarter_column_blind_spot_evaluates(quarter_column):
+    assert quarter_column_errors(quarter_column["blind spot"])[2] == 0
+
+
+def test_quarter_column_ratio_in_closed_form():
+    # A = 8 pi^2/|Gamma(a) Gamma(-a) Gamma(1/2 - a) Gamma(1/2 + a)| =
+    # 4 |a sin 2 pi a| on the column; estimate_A measured within 1.4e-14
+    for beta in QUARTER_BETAS:
+        a = beta / math.pi - 0.25
+        want = 4.0 * abs(a * math.sin(2.0 * math.pi * a))
+        assert abs(verify.estimate_A(MapFamily.two_petal(math.pi / 4, beta)).value - want) <= 1e-13 * want, beta
 
 
 def reference_elementary_continued(family, p):
@@ -554,6 +700,25 @@ def test_non_finite_point_is_a_map_domain_error():
     with pytest.raises(InversionError) as info:
         invert_map(fam, complex("nan"))
     assert isinstance(info.value.__cause__, MapDomainError)
+
+
+@pytest.mark.parametrize("radius", [1e155, 1e200, 1e300])
+def test_far_field_is_finite(radius):
+    # past |w| ~ 1e154, p^2 = (w + 1/w)^2 and w^2 overflow, and past 1e77
+    # V's (w^2 -/+ 1)^2 does; there f(w) = w, f' = 1 and V = c/w^2 to double
+    # precision, c = 16 mu (1 - mu) - 8 nu (1 - 2 nu), with mu = alpha/pi and
+    # nu = beta/pi.  No numpy warning (the autouse fixture fails on one)
+    fam = MapFamily.two_petal(math.pi / 5, math.pi / 10)
+    mu, nu = fam.alpha / math.pi, fam.beta / math.pi
+    c = 16.0 * mu * (1.0 - mu) - 8.0 * nu * (1.0 - 2.0 * nu)
+    w = radius * np.exp(1j * np.array([0.0, 0.3, 1.2, 0.5 * math.pi, 2.5, math.pi, -0.7, -0.5 * math.pi]))
+    assert np.max(np.abs(evaluate_map(fam, w) / w - 1.0)) <= 1e-15
+    values, derivs, seconds = maps._tangential_derivatives(fam, w)
+    assert np.max(np.abs(derivs - 1.0)) <= 1e-10 and np.all(np.isfinite(seconds))
+    assert np.array_equal(map_derivative(fam, w), derivs)
+    # V is subnormal at 1e155 and rounds to zero farther out
+    v, want = potential_V(fam, w), c / w / w
+    assert np.all(np.abs(v - want) <= 1e-15 * np.abs(want) + 16 * 5e-324)
 
 
 def test_z_of_p_on_circle_off_branch_points():

@@ -130,6 +130,12 @@ def test_power_law_input_validation():
         fit_power_law(x[:2], x[:2])
     with pytest.raises(ValueError, match="positive data"):
         fit_power_law(x, np.concatenate([[0.0], x[1:]]))
+    # an inf or nan in y would give PowerLawFit(nan, nan, nan), and a nan in
+    # x would pass the positivity test and fail inside LAPACK's SVD
+    for bad in (math.inf, math.nan):
+        for xs, ys in ((x, np.concatenate([x[:-1], [bad]])), (np.concatenate([[bad], x[1:]]), x)):
+            with pytest.raises(ValueError, match="finite data"):
+                fit_power_law(xs, ys)
 
 
 def test_power_law_recovery():
