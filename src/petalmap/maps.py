@@ -12,7 +12,8 @@ Evaluation is restricted to the physical sheet |w| >= 1; the continuation
 across it that the conserved-ratio estimate needs is the partner of
 `_partner_requests`.  `_samples` is the one batch builder for the checks:
 it takes map values, derivatives and partners of several families at once,
-in few series loops, with the bits of each job's lone call.
+each as a plan of `_plans`, in few series loops, with the bits of each
+job's lone call.
 """
 
 from __future__ import annotations
@@ -249,25 +250,26 @@ def _two_petal_parameters(alpha, beta):
     return (alpha + beta) / math.pi - 0.5, (alpha - beta) / math.pi
 
 
-def _two_petal_request(alpha, beta, p: np.ndarray, one_minus: np.ndarray, t: np.ndarray, lower: np.ndarray):
+def _two_petal_request(alpha, beta, w: np.ndarray):
     """The two-petal pattern Z(p) = p (1 - t)^(alpha/pi) F(a, b; 1/2; t), t = 4/p^2, p = w + 1/w, around F.
 
     Returns the (a, b, c, t, one_minus) request for `hyp2f1_values` or
-    `_hyp2f1_batch`, and the step that finishes Z from F's values.
-    ``alpha`` and ``beta`` are one family's floats, or arrays of each
-    point's family's angles, so that one request carries several families.
+    `_hyp2f1_batch` at 1-d sheet points w, and the step that finishes Z
+    from F's values.  ``alpha`` and ``beta`` are one family's floats, or
+    arrays of each point's family's angles, so that one request carries
+    several families.
 
-    ``one_minus`` and ``t`` are the caller's 1 - t and t (`_sheet_p`'s on
-    the sheet): 1 - t, the power's base and F's 1 - t, is (p^2 - 4)/p^2
-    with p^2 - 4 factored, so that it stays accurate next to the branch
-    points.  The formula is taken on the closed first quadrant: points
-    flagged ``lower`` are reflected, Z(conj p) = conj Z(p), and points with
-    Re p < 0 folded by oddness, Z(-conj p) = -conj Z(p).  The folds change
-    only the sign of Im p^2, and on the first quadrant Im(1 - t) =
-    8 Re p Im p / |p|^4 >= 0 and Im t <= 0, so both are set exactly.
-    Real p in the band |p| < 2 is the limit from above: there t = 4/p^2
-    takes F's 1/t route with a -0.0 imaginary part.
+    p, 1 - t and t are `_sheet_p`'s: 1 - t, the power's base and F's 1 - t,
+    is (p^2 - 4)/p^2 with p^2 - 4 factored, so that it stays accurate next
+    to the branch points.  The formula is taken on the closed first
+    quadrant: points with Im w < 0 are reflected, Z(conj p) = conj Z(p),
+    and points with Re p < 0 folded by oddness, Z(-conj p) = -conj Z(p).
+    The folds change only the sign of Im p^2, and on the first quadrant
+    Im(1 - t) = 8 Re p Im p / |p|^4 >= 0 and Im t <= 0, so both are set
+    exactly.  Real p in the band |p| < 2 is the limit from above: there
+    t = 4/p^2 takes F's 1/t route with a -0.0 imaginary part.
     """
+    p, _, one_minus, t, lower = _sheet_p(w)
     left = p.real < 0.0
     mirror = lower != left
     folded = one_minus.real + 1j * np.abs(one_minus.imag)
@@ -314,13 +316,12 @@ def _sheet_p(w: np.ndarray):
 
 def _two_petal_values(family: MapFamily, w: np.ndarray) -> np.ndarray:
     """Evaluate on the sheet through p = w + 1/w, reflecting Im w < 0."""
-    p, _, one_minus, t, lower = _sheet_p(w)
-    request, finish = _two_petal_request(family.alpha, family.beta, p, one_minus, t, lower)
+    request, finish = _two_petal_request(family.alpha, family.beta, w)
     return finish(hyp2f1_values(*request))
 
 
 def _partner_requests(family: MapFamily, w: np.ndarray):
-    """The two-petal partner's two 2F1 requests at 1-d points w, and the finish that takes their values to (h, h').
+    """The two-petal partner's plan at 1-d points w: no map points, two 2F1 requests, and the finish that takes their values to (h, h').
 
     t = 4/p^2 crosses F's cut at t > 1, where (DLMF 15.2.3) the
     continuation is e^{-2i alpha} (f + 2 pi i K J), K = Gamma(c) / (Gamma(a)
@@ -339,13 +340,14 @@ def _partner_requests(family: MapFamily, w: np.ndarray):
     dp = d / w  # p' = 1 - 1/w^2
     dx = 8.0 * dp / (p * p * p)
 
-    def finish(hyp, slope):
+    def finish(_, extra):
+        hyp, slope = extra
         slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * slope
         outer = scale * p * _power(x, mu) * _power(-x, cab)
         h = outer * hyp
         return h, h * (dp / p + (mu + cab) * dx / x) + outer * slope * dx
 
-    return [(0.5 - a, 0.5 - b, cab + 1.0, x, t), (1.5 - a, 1.5 - b, cab + 2.0, x, t)], finish
+    return w[:0], [(0.5 - a, 0.5 - b, cab + 1.0, x, t), (1.5 - a, 1.5 - b, cab + 2.0, x, t)], finish
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,7 @@ def _values_on_sheet(family: MapFamily, pts: np.ndarray) -> np.ndarray:
 
 
 def _arc_stencil(family: MapFamily, pts: np.ndarray):
-    """The arc stencil's (9, n) rows around 1-d points, and the finish that takes their map values to (f, f', f'').
+    """The arc stencil's plan around 1-d points: its (9, n) rows as 9 n map points, no 2F1 request, and the finish that takes their map values to (f, f', f'').
 
     Stencil points w e^{is} keep |w| fixed, so a stencil centered on an
     evaluable ring never leaves it.  The step h is ``FD_STEP_FRACTION`` of
@@ -394,11 +396,14 @@ def _arc_stencil(family: MapFamily, pts: np.ndarray):
     scales = np.array([[-2.0], [-1.0], [-0.5], [-0.25], [0.25], [0.5], [1.0], [2.0]])
     rows = np.append(pts * np.exp(1j * (scales * h)), pts[None], axis=0)
 
-    def finish(values):
+    def finish(values, _):
+        values = values.reshape(rows.shape)
         lo2, lo1, hi1, hi2, g_0 = values[0:3], values[1:4], values[6:3:-1], values[7:4:-1], values[8]
         step = np.array([[1.0], [0.5], [0.25]]) * h
-        first = _richardson3(*((lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step)))
-        second = _richardson3(*((-lo2 + 16.0 * lo1 - 30.0 * g_0 + 16.0 * hi1 - hi2) / (12.0 * step * step)))
+        rules = np.array([(lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * step), (-lo2 + 16.0 * lo1 - 30.0 * g_0 + 16.0 * hi1 - hi2) / (12.0 * step * step)])
+        # successive O(h^4) -> O(h^6) -> O(h^8) eliminations for step halving
+        levels = (16.0 * rules[:, 1:] - rules[:, :-1]) / 15.0
+        first, second = (64.0 * levels[:, 1] - levels[:, 0]) / 63.0
         iw = 1j * pts
         f_prime = first / iw
         curl = -second + 1j * first
@@ -410,44 +415,37 @@ def _arc_stencil(family: MapFamily, pts: np.ndarray):
             f_second[far] = curl[far] / pts[far] / pts[far]
         return g_0, f_prime, f_second
 
-    return rows, finish
+    return rows.ravel(), [], finish
 
 
 def _arc_derivatives(family: MapFamily, pts: np.ndarray):
-    """(f, f', f'') at 1-d points by `_arc_stencil`'s arc-direction finite differences.
+    """(f, f', f'') at 1-d points by `_arc_stencil`'s arc-direction finite differences, its plan applied alone.
 
     All the stencil rows go to one `_values_on_sheet` call, which blocks
     them, so a scalar derivative costs one series loop and an n-point ring
     ceil(9 n / ``ARC_BLOCK``).
     """
-    rows, finish = _arc_stencil(family, pts)
-    return finish(_values_on_sheet(family, rows.ravel()).reshape(rows.shape))
+    rows, _, finish = _arc_stencil(family, pts)
+    return finish(_values_on_sheet(family, rows), [])
 
 
-def _samples(jobs) -> list:
-    """The samples of each (family, points, what) job, all jobs of one kind, in few series loops.
+def _plans(jobs) -> list:
+    """Each (family, points, what) job's plan, after one sheet check of all its values and derivatives points.
 
-    ``what`` is "values" (f, as `evaluate_map` gives it), "derivatives"
-    ((f, f', f'') as `_tangential_derivatives` gives them) or "partner"
-    ((h, h'), the map continued across the unit circle, a second oscillator
-    solution), for 1-d ``points``.  Every value keeps the bits of its job's
-    lone call: a point's value does not depend on its batch.
+    A plan is (map points, extra 2F1 requests, finish(map values, extra
+    values)): the finish takes the map's values at the 1-d map points and
+    the extra requests' values, in order, to the job's samples.  ``what``
+    is "values" (f, as `evaluate_map` gives it), "derivatives" ((f, f',
+    f'') as `_tangential_derivatives` gives them) or "partner" ((h, h'),
+    the map continued across the unit circle, a second oscillator
+    solution).  For two petals a values job is (points, [], its values), a
+    derivatives job `_arc_stencil`'s plan and a partner job
+    `_partner_requests`'; one petal takes the closed forms, the partner
+    h(w) = f(1/w), as a plan with neither map points nor requests.
 
-    All the values and derivatives points are sheet-checked first, a
-    failure raised by the first failing job's own check; partner probes are
-    not, since the partner is the map continued across the circle.  One
-    petal takes the closed forms, the partner h(w) = f(1/w).  Two-petal jobs
-    are packed, consecutive ones together, into groups of at most
-    ``ARC_BLOCK`` map points, 9 per derivative point for its `_arc_stencil`
-    rows.  A job opens a new group only when the open group holds map
-    points and the job's own would take it past ``ARC_BLOCK``: a job with
-    no map points (an empty one, a partner) joins the open group, and a
-    larger job shares its group only with such jobs.  Each group is one
-    `_hyp2f1_batch`, built and evaluated one group at a time: one map
-    request over its jobs' map points joined, each carrying its family's
-    angles (floats when the group is one family), then each partner job's
-    two requests (`_partner_requests`), so one route pick and one series
-    loop per group.
+    The values and derivatives points are checked together, a failure
+    raised by the first failing job's own check; partner probes are not,
+    since the partner is the map continued across the circle.
     """
     checked = [(family, points) for family, points, what in jobs if what != "partner"]
     if checked:
@@ -459,53 +457,62 @@ def _samples(jobs) -> list:
             for family, points in checked:
                 _check_sheet(family, points)
             raise
-    if jobs and jobs[0][0].kind == "one-petal":
-        out = []
-        for family, points, what in jobs:
+    plans = []
+    for family, points, what in jobs:
+        if family.kind == "one-petal":
             if what == "partner":
                 h, f_prime, _ = _one_petal_derivatives(family, 1.0 / points)
-                out.append((h, -f_prime / (points * points)))
+                samples = h, -f_prime / (points * points)
             else:
-                out.append((_one_petal_values if what == "values" else _one_petal_derivatives)(family, points))
-        return out
+                samples = (_one_petal_values if what == "values" else _one_petal_derivatives)(family, points)
+            plans.append((points[:0], [], lambda *_, samples=samples: samples))
+        elif what == "derivatives":
+            plans.append(_arc_stencil(family, points))
+        elif what == "partner":
+            plans.append(_partner_requests(family, points))
+        else:
+            plans.append((points, [], lambda values, _: values))
+    return plans
+
+
+def _samples(jobs) -> list:
+    """The samples of each (family, points, what) job of `_plans`, all jobs of one kind, in few series loops.
+
+    Every value keeps the bits of its job's lone call: a point's value does
+    not depend on its batch.  The jobs' plans are packed, consecutive ones
+    together, into groups of at most ``ARC_BLOCK`` map points.  A plan opens
+    a new group only when the open group holds map points and the plan's
+    own would take it past ``ARC_BLOCK``: a plan with no map points (an
+    empty job, a partner) joins the open group, and a larger plan shares
+    its group only with such plans.  Each group with a map point or a
+    request is one `_hyp2f1_batch`, built and evaluated one group at a
+    time: one `_two_petal_request` over its plans' map points joined, each
+    carrying its family's angles (floats when the group is one family),
+    then each plan's extra requests, so one route pick and one series loop
+    per group.  Each plan is finished from its slices of the map values and
+    of the extra values.
+    """
     groups, size = [], 0
-    for family, points, what in jobs:
-        weight = points.size * {"values": 1, "derivatives": 9, "partner": 0}[what]
+    for (family, _, _), plan in zip(jobs, _plans(jobs)):
+        weight = plan[0].size
         if not groups or size and weight and size + weight > ARC_BLOCK:
             groups.append([])
             size = 0
-        groups[-1].append((family, points, what))
+        groups[-1].append((family, *plan))
         size += weight
     out = []
     for group in groups:
-        stencils = [_arc_stencil(family, points) if what == "derivatives" else None for family, points, what in group]
-        partners = [_partner_requests(family, points) if what == "partner" else None for family, points, what in group]
-        # each job's map points: its stencil rows, its points, or none for a partner
-        joined = [
-            stencil[0].ravel() if stencil else points if what == "values" else points[:0]
-            for (_, points, what), stencil in zip(group, stencils)
-        ]
-        sizes = [points.size for points in joined]
-        alpha, beta = group[0][0].alpha, group[0][0].beta
-        if len({family for family, _, _ in group}) > 1:
-            alpha, beta = np.repeat([(family.alpha, family.beta) for family, _, _ in group], sizes, axis=0).T
-        p, _, one_minus, t, lower = _sheet_p(np.concatenate(joined))
-        request, finish = _two_petal_request(alpha, beta, p, one_minus, t, lower)
-        hyp, *series = _hyp2f1_batch([request, *(extra for partner in partners if partner for extra in partner[0])])
-        series = iter(series)
-        for values, stencil, partner in zip(_split(finish(hyp), sizes), stencils, partners):
-            if stencil:
-                out.append(stencil[1](values.reshape(stencil[0].shape)))
-            else:
-                out.append(partner[1](next(series), next(series)) if partner else values)
+        sizes, counts = [points.size for _, points, _, _ in group], [len(requests) for _, _, requests, _ in group]
+        values, extra = np.empty(0, dtype=complex), []
+        if sum(sizes) + sum(counts):
+            alpha, beta = group[0][0].alpha, group[0][0].beta
+            if len({family for family, _, _, _ in group}) > 1:
+                alpha, beta = np.repeat([(family.alpha, family.beta) for family, _, _, _ in group], sizes, axis=0).T
+            request, finish = _two_petal_request(alpha, beta, np.concatenate([points for _, points, _, _ in group]))
+            hyp, *extra = _hyp2f1_batch([request, *(more for _, _, requests, _ in group for more in requests)])
+            values = finish(hyp)
+        out += [done(vals, more) for vals, more, (_, _, _, done) in zip(_split(values, sizes), _split(extra, counts), group)]
     return out
-
-
-def _richardson3(coarse, mid, fine):
-    # successive O(h^4) -> O(h^6) -> O(h^8) eliminations for step halving
-    level1 = (16.0 * mid - coarse) / 15.0
-    level2 = (16.0 * fine - mid) / 15.0
-    return (64.0 * level2 - level1) / 63.0
 
 
 def _tangential_derivatives(family: MapFamily, pts: np.ndarray):

@@ -136,10 +136,15 @@ def test_one_petal_matches_closed_form():
 
 
 def z_of_p(family, p):
-    """The two-petal pattern in p = w + 1/w; real p in the band is the limit from above."""
+    """The two-petal pattern in p = w + 1/w; real p in the band is the limit from above.
+
+    It is taken at the sheet point w = p/2 + (p/2 - 1)^(1/2) (p/2 + 1)^(1/2),
+    |w| >= 1, whose principal roots put real p in the band on the upper
+    half of the unit circle.
+    """
     pts = np.atleast_1d(np.asarray(p, dtype=complex))
-    p2 = pts * pts
-    request, finish = maps._two_petal_request(family.alpha, family.beta, pts, (pts - 2.0) * (pts + 2.0) / p2, 4.0 / p2, pts.imag < 0.0)
+    half = 0.5 * pts
+    request, finish = maps._two_petal_request(family.alpha, family.beta, half + np.sqrt(half - 1.0) * np.sqrt(half + 1.0))
     out = finish(hyp2f1_values(*request))
     return out if np.ndim(p) else complex(out[0])
 
@@ -1469,6 +1474,11 @@ def test_map_derivative_consistency():
 def reference_arc_derivatives(values_fn, pts, h):
     """The 9-call stencil that `maps._arc_derivatives` replaced, kept verbatim."""
 
+    def richardson3(coarse, mid, fine):
+        level1 = (16.0 * mid - coarse) / 15.0
+        level2 = (16.0 * fine - mid) / 15.0
+        return (64.0 * level2 - level1) / 63.0
+
     def arc(scale):
         return values_fn(pts * np.exp(1j * (scale * h)))
 
@@ -1483,12 +1493,12 @@ def reference_arc_derivatives(values_fn, pts, h):
     def d2(step, lo2, lo1, mid, hi1, hi2):
         return (-lo2 + 16.0 * lo1 - 30.0 * mid + 16.0 * hi1 - hi2) / (12.0 * step * step)
 
-    first = maps._richardson3(
+    first = richardson3(
         d1(h, g_m2, g_m1, g_p1, g_p2),
         d1(0.5 * h, g_m1, g_mh, g_ph, g_p1),
         d1(0.25 * h, g_mh, g_mq, g_pq, g_ph),
     )
-    second = maps._richardson3(
+    second = richardson3(
         d2(h, g_m2, g_m1, g_0, g_p1, g_p2),
         d2(0.5 * h, g_m1, g_mh, g_0, g_ph, g_p1),
         d2(0.25 * h, g_mh, g_mq, g_0, g_pq, g_ph),

@@ -701,8 +701,7 @@ LOCUS_POINTS = np.concatenate(
 
 def locus_request(alpha, beta, w):
     """F's request of the two-petal map at sheet points w; alpha and beta per family or per point."""
-    p, _, one_minus, t, lower = maps._sheet_p(np.reshape(w, -1))
-    request, _ = maps._two_petal_request(alpha, beta, p, one_minus, t, lower)
+    request, _ = maps._two_petal_request(alpha, beta, np.reshape(w, -1))
     return request[:3] + tuple(np.reshape(x, np.shape(w)) for x in request[3:])
 
 

@@ -1511,8 +1511,8 @@ def test_partner_error_charged_to_the_growth_checks(monkeypatch):
     requests = maps._partner_requests
 
     def broken(*args):
-        (first, (_, *rest)), finish = requests(*args)
-        return [first, (math.nan, *rest)], finish
+        points, (first, (_, *rest)), finish = requests(*args)
+        return points, [first, (math.nan, *rest)], finish
 
     monkeypatch.setattr(maps, "_partner_requests", broken)
     report = run_standard_checks(family)
