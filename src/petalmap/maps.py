@@ -300,8 +300,7 @@ def _sheet_p(w: np.ndarray):
     p = w + 1.0 / w
     top = np.abs(p) < 1.0
     if top.any():
-        near = w[top]
-        p[top] = (near - 1j) * (near + 1j) / near
+        p[top] = (w[top] - 1j) * (w[top] + 1j) / w[top]
     with np.errstate(over="ignore", invalid="ignore"):
         d = (w - 1.0) * (w + 1.0) / w
         d2, p2 = d * d, p * p
@@ -330,7 +329,9 @@ def _partner_requests(family: MapFamily, w: np.ndarray):
     the Wronskian's modulus unchanged, so h = 2 pi |K| J, analytic where t
     lies in the lower half plane (the first quadrant off the axes).  h'
     takes d/dX F = ((c-a)(c-b)/(c-a-b+1)) F(c-a+1, c-b+1; c-a-b+2; X) (DLMF
-    15.5.1) and dX/dw = 8 p'/p^3, p' = 1 - 1/w^2.
+    15.5.1) and dX/dw = 8 p'/p^3, p' = 1 - 1/w^2; where p^3 overflows
+    (|w| past about 1e102) dX/dw is 2 t p'/p, with `_sheet_p`'s t, which
+    stays finite, so every finite value keeps its bits.
     """
     a, b = _two_petal_parameters(family.alpha, family.beta)
     cab = 0.5 - a - b  # c - a - b with c = 1/2
@@ -338,7 +339,9 @@ def _partner_requests(family: MapFamily, w: np.ndarray):
     scale = 2.0 * math.pi * abs(_gamma_quotient((0.5,), (a, b, cab + 1.0)))
     p, d, x, t, _ = _sheet_p(w)  # x = 1 - t, factored as the map's
     dp = d / w  # p' = 1 - 1/w^2
-    dx = 8.0 * dp / (p * p * p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cube = p * p * p
+        dx = np.where(np.isfinite(cube), 8.0 * dp / cube, 2.0 * t * dp / p)
 
     def finish(_, extra):
         hyp, slope = extra
@@ -466,12 +469,10 @@ def _plans(jobs) -> list:
             else:
                 samples = (_one_petal_values if what == "values" else _one_petal_derivatives)(family, points)
             plans.append((points[:0], [], lambda *_, samples=samples: samples))
-        elif what == "derivatives":
-            plans.append(_arc_stencil(family, points))
-        elif what == "partner":
-            plans.append(_partner_requests(family, points))
-        else:
+        elif what == "values":
             plans.append((points, [], lambda values, _: values))
+        else:
+            plans.append((_arc_stencil if what == "derivatives" else _partner_requests)(family, points))
     return plans
 
 
@@ -607,18 +608,22 @@ def potential_V(family: MapFamily, w):
     """Rational potential of the self-similar oscillator equation, also inside the unit circle.
 
     V(1/w) = V(w), so where (w^2 -/+ 1)^2 overflows, past |w| ~ 1e77, V is
-    taken at 1/w, and stays finite up to the largest floats.
+    taken at 1/w, and stays finite and nonzero up to the largest floats; a
+    point whose denominators are finite keeps the bits of the plain
+    quotients.
     """
     pts, shape, scalar = _as_points(w)
     _check_regular(family, pts)
     frac_a = family.alpha / math.pi
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = pts * pts
-        vals = 16.0 * frac_a * (1.0 - frac_a) * w2 / (w2 - 1.0) ** 2
+        dens = [(w2 - 1.0) ** 2]
+        vals = 16.0 * frac_a * (1.0 - frac_a) * w2 / dens[0]
         if family.kind == "two-petal":
             frac_b = family.beta / math.pi
-            vals = vals - 8.0 * frac_b * (1.0 - 2.0 * frac_b) * w2 / (w2 + 1.0) ** 2
-    far = ~np.isfinite(vals)
+            dens.append((w2 + 1.0) ** 2)
+            vals = vals - 8.0 * frac_b * (1.0 - 2.0 * frac_b) * w2 / dens[1]
+    far = ~np.all(np.isfinite([vals, *dens]), axis=0)
     if far.any():
         vals[far] = potential_V(family, 1.0 / pts[far])
     return complex(vals[0]) if scalar else vals.reshape(shape)

@@ -42,7 +42,7 @@ from .numerics import (
 RING_ODE = 1.5               # sampling ring for the oscillator residual
 CONFORMAL_RING_EPS = 1e-3
 WINDING_SPLIT = 8            # equal steps a winding round splits a step next to a wide vertex into
-CORNER_FIT_RANGE = (1e-6, 1e-3)
+CORNER_FIT_RANGE = (1e-11, 1e-10)
 CORNER_FIT_POINTS = 12
 WIDTH_DEGENERATE_FRACTION = 1e-3
 MOMENT_MIN_INDEX = 2

@@ -210,6 +210,24 @@ def quarter_column_reference(beta, w):
     return z, z * (s / p + p / s) / (2.0 * w) - 2j * a * root * (up - down) / w
 
 
+def quarter_column_second_solution(beta, w):
+    """(g, g') of the second solution g = p (s/p)^(1/2) sin(2a arcsin(2/p)) on the alpha = pi/4 column.
+
+    F(1/2 + a, 1/2 - a; 3/2; t) t^(1/2) is sin(2a arcsin sqrt t)/(2a)
+    (DLMF 15.4(iii)), so g solves the map's equation; with the names of
+    `quarter_column_reference`, g = p (s/p)^(1/2) (u^(2a) - u^(-2a))/(2i)
+    and g' = g (s/p + p/s)/(2w) - 2a (s/p)^(1/2) (u^(2a) + u^(-2a))/w.
+    """
+    a = beta / math.pi - 0.25
+    s = (w - 1.0) * (w + 1.0) / w
+    p = (w - 1j) * (w + 1j) / w
+    root = np.sqrt(s / p)
+    log_u = np.log((s + 2j) / p)
+    up, down = np.exp(2.0 * a * log_u), np.exp(-2.0 * a * log_u)
+    g = p * root * (up - down) / 2j
+    return g, g * (s / p + p / s) / (2.0 * w) - 2.0 * a * root * (up + down) / w
+
+
 def p_plane_reference(alpha, beta, w):
     """f at a double w by 40-digit mpmath in p = w + 1/w, following the package's side rule.
 
@@ -447,6 +465,20 @@ def test_quarter_column_ratio_in_closed_form():
         a = beta / math.pi - 0.25
         want = 4.0 * abs(a * math.sin(2.0 * math.pi * a))
         assert abs(verify.estimate_A(MapFamily.two_petal(math.pi / 4, beta)).value - want) <= 1e-13 * want, beta
+
+
+def test_quarter_column_partner_is_one_combination():
+    # the partner at the Wronskian probes is c f + d g for one pair (c, d):
+    # fitted from (h, h') at the first probe, it holds h and h' at the
+    # other seven within 5e-14 relative (measured at most 1.0e-14)
+    w = verify._wronskian_probes()
+    for beta in QUARTER_BETAS:
+        ((h, hp),) = maps._samples([(MapFamily.two_petal(math.pi / 4, beta), w, "partner")])
+        f, fp = quarter_column_reference(beta, w)
+        g, gp = quarter_column_second_solution(beta, w)
+        c, d = np.linalg.solve([[f[0], g[0]], [fp[0], gp[0]]], [h[0], hp[0]])
+        assert np.max(np.abs(c * f + d * g - h) / np.abs(h)) <= 5e-14, beta
+        assert np.max(np.abs(c * fp + d * gp - hp) / np.abs(hp)) <= 5e-14, beta
 
 
 def reference_elementary_continued(family, p):
@@ -724,6 +756,25 @@ def test_far_field_is_finite(radius):
     # V is subnormal at 1e155 and rounds to zero farther out
     v, want = potential_V(fam, w), c / w / w
     assert np.all(np.abs(v - want) <= 1e-15 * np.abs(want) + 16 * 5e-324)
+
+
+def test_far_partner_is_finite():
+    # past |w| ~ 1e102 the partner's p^3 overflows and dX/dw is 2 t p'/p:
+    # h ~ p, so w h'/h = 1 to double precision (no numpy warning)
+    fam = MapFamily.two_petal(math.pi / 5, math.pi / 10)
+    for radius in (1e50, 1e120):
+        w = np.array([radius * cmath.exp(0.4j)])
+        ((h, hp),) = maps._samples([(fam, w, "partner")])
+        assert np.all(np.isfinite(h)) and abs(w[0] * hp[0] / h[0] - 1.0) <= 1e-15, radius
+
+
+def test_potential_far_on_the_axes():
+    # on the axes from |w| ~ 1.2e77, (w^2 -/+ 1)^2 overflows while the
+    # quotient w^2/inf is a finite 0; V is taken at 1/w there, V(1/w) = V(w)
+    fam = MapFamily.two_petal(math.pi / 5, math.pi / 10)
+    for w in (1e100, 1e100j, -1e100, 1e150j):
+        v = potential_V(fam, w)
+        assert v != 0.0 and v == potential_V(fam, 1.0 / w), w
 
 
 def test_z_of_p_on_circle_off_branch_points():
