@@ -46,9 +46,10 @@ exact zeros to its sum, until at most half its points are live.
 `maps._samples`: each group of at most `maps.ARC_BLOCK` map points, of one
 or several two-petal families, is one batch of one map request (map
 values, and the arc stencil rows of derivative points) followed by its
-plans' extra requests, each partner solution's F and F', so that they share one route pick and one
-series loop.  A two-petal battery's fixed samples are one such batch, and
-so is each group of a sweep's or a winding count's round.
+plans' extra requests (each partner solution's F and F'), so that they
+share one route pick and one series loop.  A two-petal battery's fixed
+samples are one such batch, and so is each group of a sweep's or a
+winding count's round.
 
 The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
 take their arguments from 1 - t, which a caller may pass factored
