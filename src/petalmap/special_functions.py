@@ -81,6 +81,7 @@ from the contiguous ``*`` too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -158,7 +159,12 @@ def _per_family(rule: Callable, rows: list, runs: list):
     Returns that one value when the points are one run, else the values per
     point (a rule that returns k values gives k arrays).  A rule is the
     scalar code of one family, so every point gets its family's decision,
-    exponent or coefficient bit for bit.
+    exponent or coefficient bit for bit.  Every rule is cached for the
+    process (`functools.cache`): a family's rules are computed once, not
+    once per call, which the inverse's 9-point calls would feel.  A cached
+    value serves +0.0 and -0.0 alike; no rule's value differs between them
+    where its route is taken (a zero a or b terminates the series, which is
+    summed directly).
     """
     if len(runs) == 1:
         return rule(*rows[runs[0][0]])
@@ -330,9 +336,15 @@ def _direct(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue:
 
 def _pfaff(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Evaluate through the Pfaff transformation, (1 - t)^-a F(a, c - b; c; t/(t - 1))."""
-    prefactor = _power(one_minus, _per_family(lambda a, b, c: -a, rows, runs))
+    prefactor = _power(one_minus, _per_family(_pfaff_exponent, rows, runs))
     inner = _queued(queue, [(a, c - b, c) for a, b, c in rows], runs, -t / one_minus)
     return lambda sums: prefactor * inner(sums)
+
+
+@functools.cache
+def _pfaff_exponent(a: float, b: float, c: float) -> float:
+    """One family's exponent -a of 1 - t in the Pfaff transformation."""
+    return -a
 
 
 def _euler_connection(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
@@ -349,6 +361,7 @@ def _euler_connection(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarr
     return lambda sums: coeff_direct * first(sums) + coeff_power * power * second(sums)
 
 
+@functools.cache
 def _euler_terms(a: float, b: float, c: float) -> tuple:
     """One family's gamma quotients of the 1 - t connection, and its exponent c - a - b."""
     cab = c - a - b
@@ -369,8 +382,14 @@ def _inverse_connection(rows: list, runs: list, t: np.ndarray, one_minus: np.nda
     offset lands just inside the window on the other side of the pole,
     where the plain formula still holds.
     """
-    window = _per_family(lambda a, b, c: abs(a - b - round(a - b)) < DEGENERATE_SHIFT, rows, runs)
+    window = _per_family(_in_window, rows, runs)
     return _dispatch((_inverse_terms, _window_average), window, rows, runs, t, one_minus, deferred)
+
+
+@functools.cache
+def _in_window(a: float, b: float, c: float) -> bool:
+    """Whether one family's a - b is within ``DEGENERATE_SHIFT`` of an integer, where the 1/t route averages."""
+    return abs(a - b - round(a - b)) < DEGENERATE_SHIFT
 
 
 def _window_average(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
@@ -413,12 +432,14 @@ def _inverse_terms(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray,
     return finish
 
 
+@functools.cache
 def _inverse_coefficients(a: float, b: float, c: float) -> tuple:
     """One family's exponents -a, -b of -t in the 1/t connection, each with its gamma quotient."""
     amb = a - b
     return -a, _gamma_quotient((c, -amb), (b, c - a)), -b, _gamma_quotient((c, amb), (a, c - b))
 
 
+@functools.cache
 def _disk_rule(a: float, b: float, c: float) -> tuple:
     """(direct, refused, last resort) of the |t| <= 1 routes for one family.
 
@@ -504,6 +525,7 @@ def _request_points(a, b, c, t, one_minus):
     return rows, runs, t, one_minus
 
 
+@functools.cache
 def _has_cut(a: float, b: float, c: float) -> bool:
     """Whether F(a, b; c; t) is cut along [1, inf) and takes the 1/t route past |t| = 1, unlike a polynomial."""
     return not _terminates(a, b)
