@@ -327,11 +327,16 @@ def _partner_requests(family: MapFamily, w: np.ndarray):
     Gamma(b) Gamma(c-a-b+1)), J = p X^(alpha/pi) (-X)^(c-a-b) F(c-a, c-b;
     c-a-b+1; X) and X = 1 - t.  A multiple of f or a constant phase leaves
     the Wronskian's modulus unchanged, so h = 2 pi |K| J, analytic where t
-    lies in the lower half plane (the first quadrant off the axes).  h'
-    takes d/dX F = ((c-a)(c-b)/(c-a-b+1)) F(c-a+1, c-b+1; c-a-b+2; X) (DLMF
-    15.5.1) and dX/dw = 8 p'/p^3, p' = 1 - 1/w^2; where p^3 overflows
-    (|w| past about 1e102) dX/dw is 2 t p'/p, with `_sheet_p`'s t, which
-    stays finite, so every finite value keeps its bits.
+    lies in the lower half plane (the first quadrant off the axes).  With
+    c = 1/2, F(a', b'; a'+b'+1/2; X) for a' = 1/2 - a, b' = 1/2 - b is
+    F(2a', 2b'; c'; z) with c' = 3/2 - a - b and X = 4z(1 - z) (DLMF
+    15.8.18), z = (1 - 2/p)/2, taken as X p/(2 (p + 2)) from the factored
+    X; Re p > 0 on the first quadrant keeps Re z < 1/2.  h' takes
+    dF/dX = (a'b'/c') F(2a'+1, 2b'+1; c'+1; z) p/2 (DLMF 15.5.1, and
+    dz/dX = 1/(4 sqrt t) = p/8) and dX/dw = 8 p'/p^3, p' = 1 - 1/w^2; where
+    p^3 overflows (|w| past about 1e102) dX/dw is 2 t p'/p, with
+    `_sheet_p`'s t, which stays finite, and p/2 meets dX/dw before the
+    outer factor, whose product with p/2 would overflow past |w| ~ 1e154.
     """
     a, b = _two_petal_parameters(family.alpha, family.beta)
     cab = 0.5 - a - b  # c - a - b with c = 1/2
@@ -342,15 +347,17 @@ def _partner_requests(family: MapFamily, w: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         cube = p * p * p
         dx = np.where(np.isfinite(cube), 8.0 * dp / cube, 2.0 * t * dp / p)
+    z = x * p / (2.0 * (p + 2.0))
+    one_minus = (p + 2.0) / (2.0 * p)  # 1 - z = (1 + 2/p)/2
 
     def finish(_, extra):
         hyp, slope = extra
         slope = (0.5 - a) * (0.5 - b) / (cab + 1.0) * slope
         outer = scale * p * _power(x, mu) * _power(-x, cab)
         h = outer * hyp
-        return h, h * (dp / p + (mu + cab) * dx / x) + outer * slope * dx
+        return h, h * (dp / p + (mu + cab) * dx / x) + outer * (slope * (0.5 * p * dx))
 
-    return w[:0], [(0.5 - a, 0.5 - b, cab + 1.0, x, t), (1.5 - a, 1.5 - b, cab + 2.0, x, t)], finish
+    return w[:0], [(1.0 - 2.0 * a, 1.0 - 2.0 * b, cab + 1.0, z, one_minus), (2.0 - 2.0 * a, 2.0 - 2.0 * b, cab + 2.0, z, one_minus)], finish
 
 
 # ---------------------------------------------------------------------------

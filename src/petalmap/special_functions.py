@@ -5,6 +5,15 @@ all points or one per point, on an array of complex arguments; the map
 evaluators batch thousands of boundary points through it at once.  Each
 point takes one route of this table:
 
+- `_quadratic`, for c = 1/2 (the two-petal map's F): the 1 - t connection
+  (A&S 15.3.6) with each inner function of 1 - t = 4z(1 - z) taken as a
+  function of z = (1 - sqrt t)/2 (DLMF 15.8.18), where Re sqrt t > 0 and
+  |z| is below the modulus of every route below (`_quadratic_reach`).
+  Refused where a or b terminates, where the 1 - t connection is refused
+  or a last resort, and within ``DEGENERATE_SHIFT`` of integer a - b
+  (`_quadratic_rule`).  Its two inner functions of z take the routes of
+  the last entry; it reaches the points near t = e^{+-i pi/3}, where every
+  Möbius route's modulus is about 1.
 - `_inverse_connection`, the 1/t connection (A&S 15.3.7), where |t| > 1,
   averaged over a +- shift, b -+ shift within ``DEGENERATE_SHIFT`` of
   integer a - b.  Its two inner functions of 1/t take the routes below.
@@ -23,10 +32,11 @@ families: ``rows`` lists their parameter sets (a, b, c), and ``runs`` the
 Every route takes (rows, runs, t, one_minus, queue).  It evaluates what
 depends on the parameters once per run, in one family's scalar code
 (`_per_family`), and what depends on t once for all the points, and returns
-a finisher that assembles its values.  `_route` sends the points with
-|t| > 1 to the 1/t route and defers the rest (`_defer`); the 1/t route
-defers the |t| <= 1 evaluations of its two inner functions, two copies of
-its points (and the window its two offsets, two copies again).  One
+a finisher that assembles its values.  `_route` sends the points the
+quadratic route reaches to it, the other points with |t| > 1 to the 1/t
+route, and defers the rest (`_defer`); the quadratic and 1/t routes defer
+the evaluations of their two inner functions, two copies of their points
+(and the window its two offsets, two copies again).  One
 `_disk_values` call then picks the direct, Pfaff or 1 - t route of every
 deferred point, and those routes queue each series they need as one
 (a, b, c, argument) entry per run.  `_dispatch` calls each route on its
@@ -51,10 +61,10 @@ share one route pick and one series loop.  A two-petal battery's fixed
 samples are one such batch, and so is each group of a sweep's or a
 winding count's round.
 
-The Pfaff and 1 - t routes, and the 1/t route's inner 1 - 1/t = -(1 - t)/t,
-take their arguments from 1 - t, which a caller may pass factored
-(``one_minus``): the two-petal map's d/p^2 keeps it within 2e-15 of mpmath
-next to the base corners.
+The Pfaff and 1 - t routes, the 1/t route's inner 1 - 1/t = -(1 - t)/t and
+the quadratic route's z = (1 - t)/(2 (1 + sqrt t)) take their arguments
+from 1 - t, which a caller may pass factored (``one_minus``): the two-petal
+map's d/p^2 keeps it within 2e-15 of mpmath next to the base corners.
 
 The cut is [1, inf), and the branch point t = 1 is where 1 - t is 0, so a
 caller's factored 1 - t decides it: on the unit circle within 1.5e-8 rad of
@@ -76,7 +86,9 @@ points), and the swapped complex product rounds differently.  So complex
 products here name both array operands or put the temporary on the left,
 and write to a new array: numpy's in-place complex product of strided rows
 or of a single point, and its ``multiply.accumulate``, round differently
-from the contiguous ``*`` too.
+from the contiguous ``*`` too.  The quadratic route's complex sqrt and
+division are elementwise too (`_quadratic_argument` gives a point the bits
+it has alone).
 """
 
 from __future__ import annotations
@@ -439,6 +451,72 @@ def _inverse_coefficients(a: float, b: float, c: float) -> tuple:
     return -a, _gamma_quotient((c, -amb), (b, c - a)), -b, _gamma_quotient((c, amb), (a, c - b))
 
 
+def _quadratic(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
+    """Evaluate a c = 1/2 family through z = (1 - sqrt t)/2; requires `_quadratic_rule`.
+
+    The 1 - t connection (A&S 15.3.6) at c = 1/2 has inner functions
+    F(a, b; a + b + 1/2; X) and F(1/2 - a, 1/2 - b; 3/2 - a - b; X) of
+    X = 1 - t = 4z(1 - z), and F(a, b; a + b + 1/2; 4z(1 - z)) =
+    F(2a, 2b; a + b + 1/2; z) where Re z < 1/2 (DLMF 15.8.18), so
+
+        F(a, b; 1/2; t) = A F(2a, 2b; a + b + 1/2; z)
+                          + B (1 - t)^(1/2 - a - b) F(1 - 2a, 1 - 2b; 3/2 - a - b; z)
+
+    with the connection's A, B and exponent (`_euler_terms`).  Its two
+    inner functions of z are deferred, two copies of the points, as the 1/t
+    route defers its own.
+    """
+    root, z = _quadratic_argument(t, one_minus)
+    coeff_direct, coeff_power, cab = _per_family(_euler_terms, rows, runs)
+    first = [(2.0 * a, 2.0 * b, a + b - c + 1.0) for a, b, c in rows]
+    second = [(2.0 * (c - a), 2.0 * (c - b), c - a - b + 1.0) for a, b, c in rows]
+    # 1 - z = (1 + sqrt t)/2, with no cancellation where Re sqrt t > 0
+    inner = _defer(*_two_copies(first, second, runs, z, 0.5 * (1.0 + root)), deferred)
+    power = _power(one_minus, cab)
+
+    def finish(inner_values):
+        values = inner(inner_values)
+        return coeff_direct * values[: t.size] + coeff_power * power * values[t.size :]
+
+    return finish
+
+
+def _quadratic_argument(t: np.ndarray, one_minus: np.ndarray) -> tuple:
+    """sqrt t and the quadratic route's z = (1 - sqrt t)/2, taken as (1 - t)/(2 (1 + sqrt t)) from the caller's 1 - t."""
+    root = _power(t, 0.5)
+    return root, one_minus / (2.0 * (1.0 + root))
+
+
+def _quadratic_reach(t: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
+    """Where the quadratic route's |z| is below the modulus every Möbius route would sum at.
+
+    That is, within the unit circle, the direct and Pfaff series' |t| and
+    |t/(t - 1)|, and outside it, the 1/t route's inner 1/|t| and 1/|1 - t|;
+    where Re sqrt t > 0, |1 + sqrt t| > 1, so |z| < |1 - t|/2 and the 1 - t
+    connection never wins.  Re sqrt t > 0 also keeps z off the identity's
+    boundary Re z = 1/2, which is t on (-inf, 0].
+    """
+    root, z = _quadratic_argument(t, one_minus)
+    size, gap = np.abs(t), np.abs(one_minus)
+    best = np.where(size <= 1.0, size / np.maximum(1.0, gap), 1.0 / np.maximum(size, gap))
+    return (root.real > 0.0) & (np.abs(z) < best)
+
+
+@functools.cache
+def _quadratic_rule(a: float, b: float, c: float) -> bool:
+    """Whether one family may take the quadratic route.
+
+    It needs c = 1/2 and a series with a cut.  It takes the 1 - t
+    connection's coefficients, so it is refused where `_disk_rule` refuses
+    that connection or keeps it as a last resort; and where a - b is in the
+    1/t route's window, so those families keep their values.
+    """
+    if c != 0.5 or _terminates(a, b) or _in_window(a, b, c):
+        return False
+    _, refused, last = _disk_rule(a, b, c)
+    return not (refused or last)
+
+
 @functools.cache
 def _disk_rule(a: float, b: float, c: float) -> tuple:
     """(direct, refused, last resort) of the |t| <= 1 routes for one family.
@@ -553,17 +631,23 @@ def _route(points: list) -> tuple:
     """One route pick for the checked (rows, runs, t, 1 - t) points of several requests, and its queue.
 
     The requests' points are joined, so that each family's points stay one
-    run under every mask.  Points with |t| > 1 whose series has a cut take
-    `_inverse_connection`, which defers the |t| <= 1 evaluations of its
-    inner functions; the rest are deferred as they are.  Then one
+    run under every mask.  Points of a `_quadratic_rule` family that
+    `_quadratic_reach` takes go to `_quadratic`; the other points with
+    |t| > 1 whose series has a cut take `_inverse_connection`; both defer
+    the evaluations of their inner functions, and the rest of the points
+    are deferred as they are.  Then one
     `_disk_values` pick takes all the deferred points.  Returns the
     finisher of all the points and the queued series, one list of
     `_series_sums` entries each.
     """
     rows, runs, t, one_minus = _joined(points)
-    far = (np.abs(t) > 1.0) & _per_family(_has_cut, rows, runs)
+    pick = (np.abs(t) > 1.0) & _per_family(_has_cut, rows, runs)
+    quadratic = _per_family(_quadratic_rule, rows, runs)
+    if quadratic is not False:
+        # a flag that is False holds for no point
+        pick = np.where(quadratic & _quadratic_reach(t, one_minus), 2, pick)
     deferred: list = []
-    outside = _dispatch((_defer, _inverse_connection), far, rows, runs, t, one_minus, deferred)
+    outside = _dispatch((_defer, _inverse_connection, _quadratic), pick, rows, runs, t, one_minus, deferred)
     queue: list = []
     disk = _disk_values(*_joined(deferred), queue)
     return (lambda sums: outside(_split(disk(sums), [point[2].size for point in deferred]))), queue
@@ -586,8 +670,8 @@ def _hyp2f1_batch(requests) -> list:
     check.  The map request's t = 4/p^2 is finite off the corners, with its
     imaginary part set to at most 0 (-0.0 on the axis); its 1 - t, d^2/p^2
     with d = w - 1/w, is nonzero off the corners; and the partner's
-    requests take d^2/p^2 as their argument at probes off the axes, where
-    it is finite and off the cut.
+    requests take z = (1 - 2/p)/2 as their argument, finite at every probe
+    and, with Re z < 1/2 on the first quadrant, off the cut.
     """
     points = [_request_points(*request) for request in requests]
     if not any(point[2].size for point in points):

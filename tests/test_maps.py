@@ -347,18 +347,15 @@ def first_quadrant_sheet_points(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_first_quadrant_sheet_against_mpmath(item):
     # the whole sheet, measured at 582 seeded draws: f at most 1.7e-14 and
-    # f' at most 3.9e-11 (the arc stencil) relative, no refusal.  A refused
-    # point may only be the 2F1 blind spot, where no route reaches t.
-    # Within 0.01 of a - b = 0 (beta within 0.0157 of pi/4) the 1/t
-    # connection cancels: f is 7.5e-13 off at |a - b| = 5e-4, and 7.8e-13
-    # for two_petal(0.1, 0.775) at w = 1.19 e^{1.57i}, so that window is
-    # left out here
+    # f' at most 3.9e-11 (the arc stencil) relative, no refusal.  No point
+    # is refused: F's quadratic route reaches the blind spot near
+    # t = e^{-i pi/3} for every family drawn here.  Within 0.01 of
+    # a - b = 0 (beta within 0.0157 of pi/4) the 1/t connection cancels: f
+    # is 7.5e-13 off at |a - b| = 5e-4, and 7.8e-13 for two_petal(0.1,
+    # 0.775) at w = 1.19 e^{1.57i}, so that window is left out here
     family, w = item
     assume(abs(family.delta - 0.5) >= 0.01)
-    try:
-        f, fp = evaluate_map(family, w), map_derivative(family, w)
-    except Hyp2F1DomainError:
-        return
+    f, fp = evaluate_map(family, w), map_derivative(family, w)
     want = near_corner_reference(family.alpha, family.beta, w)
     assert abs(f - want) <= 1e-12 * abs(want)
     want = near_corner_derivative_reference(family.alpha, family.beta, w)
@@ -435,16 +432,15 @@ def test_quarter_column_against_closed_form(quarter_column):
     # 900 points, measured: f at most 1.7e-15 in the bulk, 6.6e-16 in the
     # far field, 1.9e-15 at the base and 3.3e-15 at the top corner (1.9e-9
     # with p = w + 1/w unfactored next to +-i); f' at most 1.3e-11 in the
-    # bulk, 5.1e-14 in the far field and 1.5e-13 in the blind-spot box.  A
-    # refusal may only be the 2F1 blind spot (ROADMAP item 7), as the
-    # whole-sheet property allows: 1 of 270 bulk points and 64 of 150 in
-    # the box
+    # bulk, 5.1e-14 in the far field and 1.5e-13 in the blind-spot box.  No
+    # point is refused: F's quadratic route reaches the box, where before
+    # it 1 of 270 bulk points and 64 of 150 in the box were refused
     for region, rows in quarter_column.items():
         worst_f, worst_fp, refused = quarter_column_errors(rows)
         assert worst_f <= 1e-12, region
         if "corner" not in region:
             assert worst_fp <= 1e-10, region
-        assert refused == 0 or region in ("bulk", "blind spot"), region
+        assert refused == 0, region
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the arc stencil's f' is 1.0e-8 off next to the corners")
@@ -453,8 +449,9 @@ def test_quarter_column_corner_derivatives(quarter_column):
         assert quarter_column_errors(quarter_column[region])[1] <= 1e-10, region
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: no 2F1 route reaches t = 4/p^2 at 64 of 150 blind-spot points")
 def test_quarter_column_blind_spot_evaluates(quarter_column):
+    # every point of the box around t = e^{-i pi/3}, where each Mobius
+    # route's modulus is about 1, takes F's quadratic route
     assert quarter_column_errors(quarter_column["blind spot"])[2] == 0
 
 
@@ -479,6 +476,44 @@ def test_quarter_column_partner_is_one_combination():
         c, d = np.linalg.solve([[f[0], g[0]], [fp[0], gp[0]]], [h[0], hp[0]])
         assert np.max(np.abs(c * f + d * g - h) / np.abs(h)) <= 5e-14, beta
         assert np.max(np.abs(c * fp + d * gp - hp) / np.abs(hp)) <= 5e-14, beta
+
+
+# families of the quadratic route's accuracy test, each with its bound on
+# f's relative error, about twice its measured worst: a plain family, small
+# angles, c - a - b = 0.0132 (the 1 - t connection's coefficients, which the
+# quadratic route takes, cancel by about 1/0.0132) and a - b = -0.0066 (the
+# 1/t route, which alone reaches next to the top corners, cancels by about
+# 1/0.0066)
+QUADRATIC_FAMILIES = {(math.pi / 5, math.pi / 10): 4e-15, (0.05, 0.02): 4e-15, (1.55, 0.7): 2e-14, (0.1, 0.775): 2e-14}
+
+
+def quadratic_route_points(rng):
+    """Seeded first-quadrant points by region: the band next to the circle, the base corner and the blind-spot box."""
+    psi = np.geomspace(1e-7, 1e-2, 6)
+    gaps = np.repeat(1.0 + np.array(CORNER_GAPS), psi.size)
+    return {
+        "band": (1.0 + 10.0 ** rng.uniform(-6.0, -0.5, 20)) * np.exp(1j * rng.uniform(0.01, 0.5 * math.pi - 0.01, 20)),
+        "base corner": gaps * np.exp(1j * np.tile(psi, len(CORNER_GAPS))),
+        "blind spot": rng.uniform(1.875, 1.99, 20) * np.exp(1j * np.radians(rng.uniform(43.0, 47.0, 20))),
+    }
+
+
+@pytest.mark.parametrize("alpha, beta", list(QUADRATIC_FAMILIES), ids=lambda x: "%.4f" % x)
+def test_quadratic_route_against_mpmath(alpha, beta):
+    # F's quadratic route takes most points next to the unit circle and all
+    # of the blind-spot box, where no Mobius route reaches.  Measured worst
+    # by family (band, base corner, box): 7.6e-16, 1.7e-15, 5.5e-16;
+    # 1.3e-15, 3.5e-16, 7.2e-16; 7.7e-15, 2.4e-15, 1.1e-14; 9.8e-15 (on the
+    # 1/t route next to the top corners), 4.5e-16, 2.6e-15.  Before the
+    # route they were 1.0e-15, 1.1e-15, 1.1e-15; 1.4e-15, 8.1e-16, 1.4e-15;
+    # 5.8e-14, 2.0e-14, 6.2e-14; 2.9e-14, 3.5e-14, 7.8e-14, with 10 of 20
+    # box points refused in each family
+    fam = MapFamily.two_petal(alpha, beta)
+    rng = np.random.default_rng(49)
+    for region, ws in quadratic_route_points(rng).items():
+        got = evaluate_map(fam, ws)
+        want = np.array([near_corner_reference(alpha, beta, w) for w in ws])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= QUADRATIC_FAMILIES[(alpha, beta)], region
 
 
 def reference_elementary_continued(family, p):
@@ -586,23 +621,26 @@ def test_mirrored_two_petal_families_are_one_map():
     # agree in every column; values at seeded sheet points agree to 1e-10
     # (2.0e-13 here and 1.1e-11 at other draws next to beta = pi/4, where
     # a - b = 0 and the 1/t route averages a window; 9.1e-15 away from it);
-    # and a point refused for one family is refused for its mirror, as on
-    # the diagonal where t = 4/p^2 = e^{-i pi/3} no route reaches
+    # and a point refused for one family is refused for its mirror: the
+    # corners, and on the diagonal, where t = 4/p^2 = e^{-i pi/3}, the two
+    # window families, which F's quadratic route leaves to the Mobius
+    # routes; every other family evaluates there
     cases = [line.split(",")[2:] for line in (DATA / "sweep_default.csv").read_text().splitlines()[1:]]
     for k in range(17):
         assert [cases[17 * k + j] for j in range(17)] == [cases[17 * k + 16 - j] for j in range(17)], k + 1
     rng = np.random.default_rng(20)
     edge = 0.5 * (1.0 + math.sqrt(3.0))
-    refused = [1.0j, -1.0, edge * (1.0 + 1.0j), edge * (-1.0 + 1.0j)]
-    betas = list(rng.uniform(0.0, 0.5 * math.pi, 20)) + [math.pi / 4 + 5e-5, math.pi / 4 - 1e-6]
-    for beta in betas:
+    corners, diagonal = [1.0j, -1.0], [edge * (1.0 + 1.0j), edge * (-1.0 + 1.0j)]
+    windows = [math.pi / 4 + 5e-5, math.pi / 4 - 1e-6]
+    for beta in list(rng.uniform(0.0, 0.5 * math.pi, 20)) + windows:
         alpha = rng.uniform(0.0, 0.5 * math.pi)
         family, mirror = MapFamily.two_petal(alpha, beta), MapFamily.two_petal(alpha, 0.5 * math.pi - beta)
+        refused = corners + diagonal if beta in windows else corners
         ws = rng.uniform(1.01, 5.0, 12) * np.exp(1j * rng.uniform(-math.pi, math.pi, 12))
-        for w in [*ws, *refused]:
+        for w in [*ws, *corners, *diagonal]:
             got, want = refusal_or_value(family, w), refusal_or_value(mirror, w)
             if isinstance(got, str) or isinstance(want, str) or w in refused:
-                assert got == want and isinstance(got, str), (alpha, beta, w)
+                assert got == want and isinstance(got, str) and w in refused, (alpha, beta, w)
             else:
                 assert abs(got - want) <= 1e-10 * abs(want), (alpha, beta, w)
 
@@ -759,10 +797,11 @@ def test_far_field_is_finite(radius):
 
 
 def test_far_partner_is_finite():
-    # past |w| ~ 1e102 the partner's p^3 overflows and dX/dw is 2 t p'/p:
+    # past |w| ~ 1e102 the partner's p^3 overflows and dX/dw is 2 t p'/p,
+    # and past 1e154 the outer factor times dF/dX's p/2 would overflow:
     # h ~ p, so w h'/h = 1 to double precision (no numpy warning)
     fam = MapFamily.two_petal(math.pi / 5, math.pi / 10)
-    for radius in (1e50, 1e120):
+    for radius in (1e50, 1e120, 1e200, 1e300):
         w = np.array([radius * cmath.exp(0.4j)])
         ((h, hp),) = maps._samples([(fam, w, "partner")])
         assert np.all(np.isfinite(h)) and abs(w[0] * hp[0] / h[0] - 1.0) <= 1e-15, radius
@@ -846,14 +885,16 @@ def test_invert_stationary_point_raises(monkeypatch):
 
 
 def test_invert_unreachable_hypergeometric_point():
-    # Newton walks into the region no 2F1 transformation reaches; the
-    # internal domain error must surface as the documented InversionError
+    # Newton's iterates cross the 2F1 blind spot near t = e^{-i pi/3}, which
+    # no Mobius route reaches and which raised an InversionError before F's
+    # quadratic route; now the inversion converges there, and the pressure
+    # is Im(r p) at its root
     fam = MapFamily.two_petal(math.pi / 4, math.pi / 8)
     z = 1.3158 + 1.5j
-    with pytest.raises(InversionError):
-        invert_map(fam, z)
-    with pytest.raises(InversionError):
-        pressure(fam, TimeState(1.0, 1.0), z)
+    w = invert_map(fam, z)
+    assert abs(w) > 1.0 and abs(evaluate_map(fam, w) - z) <= maps.NEWTON_TOL * (1.0 + abs(z))
+    assert abs(w - (1.3158647862739472 + 1.4176197783761586j)) <= 1e-12
+    assert pressure(fam, TimeState(1.0, 1.0), z) == (w + 1.0 / w).imag
 
 
 @pytest.mark.parametrize(
@@ -988,11 +1029,14 @@ def test_one_stencil_newton_matches_two_call_loop(monkeypatch):
         got, want = outcome(invert_map, family, z, state), outcome(reference_invert, family, z, state)
         assert got == want, (family.label(), z)
         outcomes.append(got)
-    assert [isinstance(o, tuple) for o in outcomes] == [False] * len(INVERT_RECOVERED) + [True] * 3
+    # the (pi/4, pi/8) item crosses the blind spot that F's quadratic
+    # route now reaches, and converges
+    assert [isinstance(o, tuple) for o in outcomes] == [False] * len(INVERT_RECOVERED) + [True, False, True]
     assert "no convergence" in outcomes[len(INVERT_RECOVERED)][1]
-    # next to the region no 2F1 route reaches a stencil point can be out of
+    # next to the region no 2F1 route reaches (left only to the families
+    # in the 1/t window, beta = pi/4 here) a stencil point can be out of
     # reach while its centre is evaluable ...
-    family, w0 = MapFamily.two_petal(math.pi / 4, math.pi / 8), 1.3525136496613666 + 1.423431662496373j
+    family, w0 = MapFamily.two_petal(math.pi / 8, math.pi / 4), 1.3525136496613666 + 1.423431662496373j
     evaluate_map(family, w0)
     with pytest.raises(Hyp2F1DomainError):
         map_derivative(family, w0)
@@ -1014,13 +1058,13 @@ def test_one_stencil_newton_matches_two_call_loop(monkeypatch):
 
 
 # an iterate that settles on a fixed point of step-and-mirror, which is not
-# a root: its 77th iterate repeats its 69th
+# a root: its 86th iterate repeats its 14th
 INVERT_REPEATING = (MapFamily.two_petal(0.862777, 0.677346), 0.7507641716509758 - 0.6605703282506898j, TimeState(1.0))
 
 
 def test_invert_raises_at_the_first_repeated_iterate(monkeypatch):
     # a step depends on the iterate alone, so once one repeats the loop
-    # cycles: it raises there after 76 stencil calls, not at the cap after
+    # cycles: it raises there after 85 stencil calls, not at the cap after
     # 100, with the frozen iterate as its last one.  The near-corner item
     # never repeats and still runs to the cap
     inner = maps._tangential_derivatives
@@ -1034,14 +1078,14 @@ def test_invert_raises_at_the_first_repeated_iterate(monkeypatch):
     family, w0, state = INVERT_REPEATING
     z = scaled_map(family, state, w0)
     got = outcome(invert_map, family, z, state)
-    frozen = 0.5839165793865788 - 0.8178481595609589j
+    frozen = 0.5839165793865755 - 0.8178481595609605j
     assert got == (InversionError, "iterate repeats without converging", frozen)
-    assert len(calls) == len(set(calls)) == 76
-    assert calls.index(frozen) == 68
+    assert len(calls) == len(set(calls)) == 85
+    assert calls.index(frozen) == 13
     del calls[:]
     family, w0, state = INVERT_FAILING[0]
     got = outcome(invert_map, family, scaled_map(family, state, w0), state)
-    assert got == (InversionError, "no convergence in 100 iterations", 0.6417102770327169 - 0.9540112567165302j)
+    assert got == (InversionError, "no convergence in 100 iterations", 0.6417102770327049 - 0.9540112567165343j)
     assert len(calls) == len(set(calls)) == maps.NEWTON_MAX_ITER
     monkeypatch.undo()
     assert outcome(reference_invert, family, scaled_map(family, state, w0), state) == got

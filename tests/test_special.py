@@ -223,9 +223,13 @@ def test_window_edges_finite_and_accurate(params):
 
 def test_degenerate_window_is_mean_of_offsets():
     # both offset connections share the window's series loop; each summed in
-    # a call of its own gives the same bits, and the window is their mean
+    # a call of its own gives the same bits, and the window is their mean.
+    # The offsets are off the window, so alone they could take the quadratic
+    # route; at these t, |arg t| >= 2.4 on |t| = 1.6, it does not reach
     shift = special_functions.DEGENERATE_SHIFT
-    t = 1.6 * np.exp(1j * np.linspace(-3.0, 3.0, 40))
+    angles = np.linspace(2.4, 3.0, 20)
+    t = 1.6 * np.exp(1j * np.concatenate([-angles, angles]))
+    assert not special_functions._quadratic_reach(t, 1.0 - t).any()
     for a, b in [(0.25, 0.25), (1.0 / 12.0, 1.0 / 12.0), (0.4, -0.6)]:
         lo = hyp2f1_values(a - shift, b + shift, 0.5, t)
         hi = hyp2f1_values(a + shift, b - shift, 0.5, t)
@@ -233,11 +237,15 @@ def test_degenerate_window_is_mean_of_offsets():
 
 
 def test_unreachable_argument_rejected():
-    # |t| = 1 near e^{+-i pi/3}: no route, nor 1/t, brings these inside the
-    # summation radius
+    # |t| = 1 near e^{+-i pi/3}: no Mobius route, nor 1/t, brings these
+    # inside the summation radius, and with c != 1/2 there is no quadratic
+    # route; with c = 1/2 the quadratic route's |z| is about 0.26 there
     for t in (cmath.exp(1j * math.pi / 3), 1.02 * cmath.exp(-1j * math.pi / 3)):
         with pytest.raises(Hyp2F1DomainError):
-            f21(0.125, -0.375, 0.5, t)
+            f21(0.125, -0.375, 0.7, t)
+        mp.mp.dps = 30
+        want = complex(mp.hyp2f1(0.125, -0.375, 0.5, t))
+        assert abs(f21(0.125, -0.375, 0.5, t) - want) <= 1e-14 * abs(want)
 
 
 def test_cut_rejection():
@@ -487,7 +495,9 @@ def test_values_do_not_depend_on_batch_size(radius, lo, hi):
 
 
 # two points for each route: direct, Pfaff, 1 - t (where |t| and |t/(t - 1)|
-# are both above the radius, so also the last resort) and 1/t
+# are both above the radius, so also the last resort) and 1/t.  With c = 1/2
+# the quadratic route takes the 1 - t points, whose z = (1 - sqrt t)/2 is
+# within 0.03 of 0, and one point each of the direct and 1/t routes
 MIXED_ROUTES = np.array([0.3 + 0.2j, 0.2 - 0.1j, -0.8 + 0.3j, -0.6 - 0.6j, 0.99 + 0.05j, 0.97 - 0.1j, 1.5 + 1.0j, -3.0 + 0.5j])
 
 
@@ -501,11 +511,12 @@ def test_mixed_routes_match_points_alone(monkeypatch, a, b, c):
     # one call scatters four routes' values; each point alone takes its
     # route on the whole array
     taken = set()
-    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection"):
+    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
     mixed = hyp2f1_values(a, b, c, MIXED_ROUTES)
-    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection"}
+    third = "_quadratic" if c == 0.5 else "_euler_connection"
+    assert taken == {"_direct", "_pfaff", third, "_inverse_connection"}
     alone = np.concatenate([hyp2f1_values(a, b, c, MIXED_ROUTES[k : k + 1]) for k in range(MIXED_ROUTES.size)])
     assert np.array_equal(mixed, alone)
 
@@ -630,7 +641,7 @@ BATCH_REQUESTS = [
     (0.3, -0.2, 0.5, np.array([0.3 + 0.2j, 0.2 - 0.1j]), None),  # direct
     (0.3, -0.2, 0.5, np.array([-0.8 + 0.3j, -0.6 - 0.6j]), None),  # Pfaff
     (0.2, 0.3, 1.503, np.array([0.99 + 0.05j, 0.97 - 0.1j]), np.array([0.01 - 0.05j, 0.03 + 0.1j])),  # 1 - t
-    (0.3, -0.2, 0.5, np.array([[1.5 + 1.0j], [-3.0 + 0.5j]]), None),  # 1/t
+    (0.3, -0.2, 0.5, np.array([[1.5 + 1.0j], [-3.0 + 0.5j]]), None),  # quadratic, 1/t
     (0.25, 0.25, 0.5, 1.6 * np.exp(1j * np.linspace(-3.0, 3.0, 8)), None),  # integer a - b: the averaged window (delta = 1/2)
     (-2.0, 0.7, 1.3, np.array([[0.5, 3.0 + 1.0j], [-7.0, 1.5 + 0.0j]]), None),  # terminating
     (0.3, -0.2, 0.5, np.array([complex(1.5, -0.0), complex(3.0, -0.0), complex(1.0000001, -0.0)]), None),  # on the cut from below
@@ -644,7 +655,7 @@ def test_batch_matches_single_calls(monkeypatch):
     # every request of one batch has the bits and shape of its own call,
     # and the whole batch is summed in one series loop
     taken = set()
-    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection"):
+    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
     alone = [hyp2f1_values(a, b, c, t, one_minus=one_minus) for a, b, c, t, one_minus in BATCH_REQUESTS]
@@ -652,7 +663,7 @@ def test_batch_matches_single_calls(monkeypatch):
     sums = special_functions._series_sums
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
     batch = special_functions._hyp2f1_batch(BATCH_REQUESTS)
-    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection"}
+    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_quadratic"}
     assert len(loops) == 1
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
@@ -708,7 +719,7 @@ def locus_request(alpha, beta, w):
 def spy_routes(monkeypatch):
     """Log the route functions taken and every `_route` pick, by the number of requests it routes."""
     taken, picks = set(), []
-    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_window_average"):
+    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_window_average", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
     route = special_functions._route
@@ -738,7 +749,7 @@ def test_batch_of_loci_routes_once(monkeypatch):
     sums = special_functions._series_sums
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
     batch = special_functions._hyp2f1_batch(requests)
-    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_window_average"}
+    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_window_average", "_quadratic"}
     assert picks == [len(requests)] and len(loops) == 1
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
@@ -753,7 +764,7 @@ def test_batch_of_loci_routes_once(monkeypatch):
         ((1.0, 1.0, -2.0, np.array([0.3]), None), (0.3, -0.2, 0.5, np.array([1.5 + 0.0j]), None), 0),
         # every request is checked before any is routed: a later request's
         # check error comes before an earlier request's routing error
-        ((0.125, -0.375, 0.5, np.array([0.3, cmath.exp(1j * math.pi / 3)]), None), (0.3, -0.2, 0.5, np.array([complex("nan")]), None), 1),
+        ((0.125, -0.375, 0.7, np.array([0.3, cmath.exp(1j * math.pi / 3)]), None), (0.3, -0.2, 0.5, np.array([complex("nan")]), None), 1),
     ],
     ids=("nan", "lower-parameter", "unreachable"),
 )
@@ -776,7 +787,9 @@ def test_per_point_parameters_keep_the_scalar_bits(n):
     # the numpy property a batch of several families rests on: an exponent
     # array in _power, and a coefficient array times a complex product,
     # give each point the bits of its own float, on both sides of numpy's
-    # 256 KiB (16384 complex point) temporary threshold
+    # 256 KiB (16384 complex point) temporary threshold; and the quadratic
+    # route's complex sqrt and division give each point the bits it has in
+    # a call of its own points alone
     rng = np.random.default_rng(n)
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -790,6 +803,9 @@ def test_per_point_parameters_keep_the_scalar_bits(n):
         at = pick == k
         assert np.array_equal(powers[at].view(np.uint64), special_functions._power(z, mu)[at].view(np.uint64))
         assert np.array_equal(products[at].view(np.uint64), (mu * x * y)[at].view(np.uint64))
+        alone = special_functions._quadratic_argument(z[at], x[at])
+        for part, whole in zip(alone, special_functions._quadratic_argument(z, x)):
+            assert np.array_equal(whole[at].view(np.uint64), part.view(np.uint64))
 
 
 def test_per_point_parameters_match_single_calls():
