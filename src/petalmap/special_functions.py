@@ -172,11 +172,11 @@ def _per_family(rule: Callable, rows: list, runs: list):
     point (a rule that returns k values gives k arrays).  A rule is the
     scalar code of one family, so every point gets its family's decision,
     exponent or coefficient bit for bit.  Every rule is cached for the
-    process (`functools.cache`): a family's rules are computed once, not
-    once per call, which the inverse's 9-point calls would feel.  A cached
-    value serves +0.0 and -0.0 alike; no rule's value differs between them
-    where its route is taken (a zero a or b terminates the series, which is
-    summed directly).
+    process (`functools.cache`), so a family's gamma quotients and route
+    decisions are computed once, not once per call: an inversion makes a
+    call of 9 points per step.  A cached value serves +0.0 and -0.0 alike;
+    no rule's value differs between them where its route is taken (a zero
+    a or b terminates the series, which is summed directly).
     """
     if len(runs) == 1:
         return rule(*rows[runs[0][0]])
