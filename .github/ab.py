@@ -16,8 +16,8 @@ the tree's medians with their interquartile ranges, the ratio of the
 medians (tree / base), the pairs the tree won (better by the metric's
 direction; ties count for neither side) and a two-sided sign-test p over
 the pairs that were not tied.  Then the two replay lines, and whether they
-are equal.  A run takes about 2 K (``run_seconds`` + set-up) seconds, so CI
-does not run it.
+are equal.  It makes 2 K benchmark runs and two replays, so CI does not
+run it.
 """
 
 import argparse
