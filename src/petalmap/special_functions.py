@@ -8,21 +8,21 @@ point takes one route of this table:
 - `_quadratic`, for c = 1/2 (the two-petal map's F): the 1 - t connection
   (A&S 15.3.6) with each inner function of 1 - t = 4z(1 - z) taken as a
   function of z = (1 - sqrt t)/2 (DLMF 15.8.18), where Re sqrt t > 0 and
-  |z| is below the modulus of every route below (`_quadratic_reach`).
-  Refused where a or b terminates, where the 1 - t connection is refused
-  or a last resort, and within ``DEGENERATE_SHIFT`` of integer a - b
-  (`_quadratic_rule`).  Its two inner functions of z take the routes of
-  the last entry; it reaches the points near t = e^{+-i pi/3}, where every
-  Möbius route's modulus is about 1.
+  |z| is below the modulus of every Möbius route (`_quadratic_reach`).
+  Refused where a or b terminates and at a pole, integer c - a - b or
+  a + b - c + 1; within 0.0061 of integer c - a - b, and within
+  ``DEGENERATE_SHIFT`` of integer a - b, a last resort, taken only where
+  no Möbius route reaches (`_quadratic_rule`).  Its two inner functions
+  of z take the routes of the last entry; it reaches the points near
+  t = e^{+-i pi/3}, where every Möbius route's modulus is about 1.
 - `_inverse_connection`, the 1/t connection (A&S 15.3.7), where |t| > 1,
   averaged over a +- shift, b -+ shift within ``DEGENERATE_SHIFT`` of
   integer a - b.  Its two inner functions of 1/t take the routes below.
-- Elsewhere the route with the smallest modulus, at most ``TRANSFORM_RADIUS``:
+- Elsewhere the route with the smaller modulus, at most ``TRANSFORM_RADIUS``:
   `_direct`, the series, by |t| (at every t where a or b is a non-positive
   integer and the series terminates); `_pfaff`, (1 - t)^-a F(a, c - b; c;
-  t/(t - 1)) (A&S 15.3.4), by |t/(t - 1)|; `_euler_connection`, the 1 - t
-  connection (A&S 15.3.6), by |1 - t|, but never at integer c - a - b and
-  within 0.0061 of one only where neither series reaches.
+  t/(t - 1)) (A&S 15.3.4), by |t/(t - 1)|.  A point no route reaches
+  raises `Hyp2F1DomainError`.
 
 Which route a point may take, and with which exponents and connection
 coefficients, depends on its family's parameters; which of those routes it
@@ -37,7 +37,7 @@ quadratic route reaches to it, the other points with |t| > 1 to the 1/t
 route, and defers the rest (`_defer`); the quadratic and 1/t routes defer
 the evaluations of their two inner functions, two copies of their points
 (and the window its two offsets, two copies again).  One
-`_disk_values` call then picks the direct, Pfaff or 1 - t route of every
+`_disk_values` call then picks the direct or Pfaff route of every
 deferred point, and those routes queue each series they need as one
 (a, b, c, argument) entry per run.  `_dispatch` calls each route on its
 points (on the whole arrays when it takes them all) and scatters their
@@ -61,8 +61,8 @@ share one route pick and one series loop.  A two-petal battery's fixed
 samples are one such batch, and so is each group of a sweep's or a
 winding count's round.
 
-The Pfaff and 1 - t routes, the 1/t route's inner 1 - 1/t = -(1 - t)/t and
-the quadratic route's z = (1 - t)/(2 (1 + sqrt t)) take their arguments
+The Pfaff route, the 1/t route's inner 1 - 1/t = -(1 - t)/t and the
+quadratic route's z = (1 - t)/(2 (1 + sqrt t)) take their arguments
 from 1 - t, which a caller may pass factored (``one_minus``): the two-petal
 map's d/p^2 keeps it within 2e-15 of mpmath next to the base corners.
 
@@ -359,20 +359,6 @@ def _pfaff_exponent(a: float, b: float, c: float) -> float:
     return -a
 
 
-def _euler_connection(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
-    """Evaluate through the argument ``one_minus`` = 1 - t; requires c - a - b off the integers.
-
-    At a distance dist from an integer the two terms grow like 1/dist and
-    cancel, and the rounding of c - a - b moves them apart: the value is
-    good to about 6e-18/dist^2 (1.5e-13 at dist = 0.0064).
-    """
-    coeff_direct, coeff_power, cab = _per_family(_euler_terms, rows, runs)
-    first = _queued(queue, [(a, b, a + b - c + 1.0) for a, b, c in rows], runs, one_minus)
-    second = _queued(queue, [(c - a, c - b, c - a - b + 1.0) for a, b, c in rows], runs, one_minus)
-    power = _power(one_minus, cab)
-    return lambda sums: coeff_direct * first(sums) + coeff_power * power * second(sums)
-
-
 @functools.cache
 def _euler_terms(a: float, b: float, c: float) -> tuple:
     """One family's gamma quotients of the 1 - t connection, and its exponent c - a - b."""
@@ -487,70 +473,58 @@ def _quadratic_argument(t: np.ndarray, one_minus: np.ndarray) -> tuple:
     return root, one_minus / (2.0 * (1.0 + root))
 
 
-def _quadratic_reach(t: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
-    """Where the quadratic route's |z| is below the modulus every Möbius route would sum at.
+def _quadratic_reach(t: np.ndarray, one_minus: np.ndarray, floor) -> np.ndarray:
+    """Where the quadratic route's |z| is below the modulus every Möbius route would sum at, and that modulus above ``floor``.
 
-    That is, within the unit circle, the direct and Pfaff series' |t| and
-    |t/(t - 1)|, and outside it, the 1/t route's inner 1/|t| and 1/|1 - t|;
-    where Re sqrt t > 0, |1 + sqrt t| > 1, so |z| < |1 - t|/2 and the 1 - t
-    connection never wins.  Re sqrt t > 0 also keeps z off the identity's
+    That modulus is, within the unit circle, the smaller of the direct and
+    Pfaff series' |t| and |t/(t - 1)|, and outside it, of the 1/t route's
+    inner 1/|t| and 1/|1 - t|; ``floor`` is one family's `_quadratic_rule`,
+    or one per point.  Where Re sqrt t > 0, |1 + sqrt t| > 1, so |z| <
+    |1 - t|/2; where that modulus is above ``TRANSFORM_RADIUS``, |1 - t| <
+    1/0.95 and |z| < 0.53, so the direct series of z reaches every point
+    the route takes.  Re sqrt t > 0 also keeps z off the identity's
     boundary Re z = 1/2, which is t on (-inf, 0].
     """
     root, z = _quadratic_argument(t, one_minus)
     size, gap = np.abs(t), np.abs(one_minus)
     best = np.where(size <= 1.0, size / np.maximum(1.0, gap), 1.0 / np.maximum(size, gap))
-    return (root.real > 0.0) & (np.abs(z) < best)
+    return (root.real > 0.0) & (np.abs(z) < best) & (best > floor)
 
 
 @functools.cache
-def _quadratic_rule(a: float, b: float, c: float) -> bool:
-    """Whether one family may take the quadratic route.
+def _quadratic_rule(a: float, b: float, c: float) -> float:
+    """The Möbius modulus above which one family's points may take the quadratic route: 0, ``TRANSFORM_RADIUS`` or inf.
 
-    It needs c = 1/2 and a series with a cut.  It takes the 1 - t
-    connection's coefficients, so it is refused where `_disk_rule` refuses
-    that connection or keeps it as a last resort; and where a - b is in the
-    1/t route's window, so those families keep their values.
-    """
-    if c != 0.5 or _terminates(a, b) or _in_window(a, b, c):
-        return False
-    _, refused, last = _disk_rule(a, b, c)
-    return not (refused or last)
-
-
-@functools.cache
-def _disk_rule(a: float, b: float, c: float) -> tuple:
-    """(direct, refused, last resort) of the |t| <= 1 routes for one family.
-
-    A terminating series (a or b a non-positive integer) is summed directly
-    at every t.  The 1 - t connection is refused at integer c - a - b, a
-    pole.  Near one it is good to about 6e-18/dist^2, and a last resort
-    where that is worse than the rounding bound of a series at the radius,
-    one ulp for each of its n terms (1.6e-13, dist < 0.0061).
+    The route needs c = 1/2 and a series with a cut, and is refused (inf)
+    at integer c - a - b or a + b - c + 1, a pole of its coefficients or of
+    an inner function's lower parameter.  Near integer c - a - b the
+    connection's two terms cancel, good to about 6e-18/dist^2, worse than
+    the rounding bound of a series at the radius, one ulp for each of its n
+    terms, for dist < 0.0061: such a family, and one whose a - b is in the
+    1/t route's window, takes the route only as a last resort, where no
+    Möbius series reaches (``TRANSFORM_RADIUS``).  Any other takes it by
+    modulus (0).
     """
     cab = c - a - b
-    if any(x == round(x) for x in (cab, a + b - c + 1.0)):
-        return _terminates(a, b), True, False  # a + b - c + 1 can round onto a pole c - a - b misses
+    # a + b - c + 1 can round onto a pole c - a - b misses
+    if c != 0.5 or _terminates(a, b) or any(x == round(x) for x in (cab, a + b - c + 1.0)):
+        return math.inf
     n = math.log(TERM_TOL) / math.log(TRANSFORM_RADIUS)
-    return _terminates(a, b), False, 6e-18 / (cab - round(cab)) ** 2 > n * math.ulp(1.0)
+    if _in_window(a, b, c) or 6e-18 / (cab - round(cab)) ** 2 > n * math.ulp(1.0):
+        return TRANSFORM_RADIUS
+    return 0.0
 
 
 def _disk_values(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
-    """Pick the direct, Pfaff or 1 - t route for each point by the smallest modulus, under `_disk_rule`."""
+    """Pick the direct or Pfaff route for each point by the smaller modulus; a terminating series is summed directly."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        moduli = np.abs(np.array([t, -t / one_minus, one_minus]))  # the routes' arguments, in order
-    # a flag that is False holds for no point
-    direct, refused, last = _per_family(_disk_rule, rows, runs)
-    if last is not False:
-        refused = refused | (last & (moduli[:2].min(axis=0) <= TRANSFORM_RADIUS))
-    if refused is not False:
-        moduli[2, refused] = np.inf
-    if direct is not False:
-        moduli[0, direct] = 0.0
+        moduli = np.abs(np.array([t, -t / one_minus]))  # the routes' arguments, in order
+    moduli[0] = np.where(_per_family(_has_cut, rows, runs), moduli[0], 0.0)
     if (moduli.min(axis=0) > TRANSFORM_RADIUS).any():
         raise Hyp2F1DomainError(
             "argument not reachable by any implemented transformation"
         )
-    return _dispatch((_direct, _pfaff, _euler_connection), moduli.argmin(axis=0), rows, runs, t, one_minus, queue)
+    return _dispatch((_direct, _pfaff), moduli.argmin(axis=0), rows, runs, t, one_minus, queue)
 
 
 def hyp2f1_values(a, b, c, t, one_minus=None) -> np.ndarray:
@@ -559,7 +533,11 @@ def hyp2f1_values(a, b, c, t, one_minus=None) -> np.ndarray:
     ``a``, ``b`` and ``c`` are floats, or arrays that broadcast against
     ``t`` with one parameter set per point.  ``one_minus`` (shaped like
     ``t``) is 1 - t in the caller's factored form; ``1.0 - t``, the
-    default, cancels next to t = 1.
+    default, cancels next to t = 1.  A point no route reaches raises
+    `Hyp2F1DomainError`: with c != 1/2, or at a pole of the quadratic
+    route, one where no direct or Pfaff series, of t or of 1/t, sums at
+    modulus ``TRANSFORM_RADIUS`` or below (next to t = 1, and near
+    t = e^{+-i pi/3}).
     """
     return _hyp2f1_batch([(a, b, c, t, one_minus)])[0]
 
@@ -642,10 +620,9 @@ def _route(points: list) -> tuple:
     """
     rows, runs, t, one_minus = _joined(points)
     pick = (np.abs(t) > 1.0) & _per_family(_has_cut, rows, runs)
-    quadratic = _per_family(_quadratic_rule, rows, runs)
-    if quadratic is not False:
-        # a flag that is False holds for no point
-        pick = np.where(quadratic & _quadratic_reach(t, one_minus), 2, pick)
+    floor = _per_family(_quadratic_rule, rows, runs)
+    if np.any(floor < math.inf):
+        pick = np.where(_quadratic_reach(t, one_minus, floor), 2, pick)
     deferred: list = []
     outside = _dispatch((_defer, _inverse_connection, _quadratic), pick, rows, runs, t, one_minus, deferred)
     queue: list = []

@@ -96,8 +96,8 @@ def test_parameter_symmetry():
 
 
 def test_routes_against_mpmath():
-    # arguments chosen to exercise the direct series, the 1/t and 1-t
-    # connections, and points just inside the summation guard
+    # arguments chosen to exercise the direct series, the 1/t connection,
+    # the quadratic route, and points just inside the summation guard
     cases = [
         (0.25, -0.25, 0.5, 0.3),
         (0.25, -0.25, 0.5, -8.0),
@@ -108,41 +108,50 @@ def test_routes_against_mpmath():
         (0.125, -0.375, 0.5, 0.9999j),
         (0.4, 0.15, 0.5, -3.0),
     ]
-    # c - a - b = 1 -/+ 0.015 and 0.015: next to t = 1 only the 1 - t
-    # connection reaches, and its two terms nearly cancel
-    for a, b, c in ((0.3425, 0.1425, 1.5), (0.3575, 0.1575, 1.5), (0.3425, 0.1425, 0.5)):
-        cases += [(a, b, c, 0.97), (a, b, c, 0.99 + 0.05j), (a, b, c, 1.04 - 0.02j)]
+    # next to t = 1 only the quadratic route reaches, through the 1 - t
+    # connection, whose two terms nearly cancel (c - a - b = 0.015); with
+    # c != 1/2 (c - a - b = 1 -/+ 0.015) no route reaches there
+    near_one = (0.97, 0.99 + 0.05j, 1.04 - 0.02j)
+    cases += [(0.3425, 0.1425, 0.5, t) for t in near_one]
     mp.mp.dps = 30
     for a, b, c, t in cases:
         got = f21(a, b, c, t)
         want = complex(mp.hyp2f1(a, b, c, t))
         assert abs(got - want) <= MPMATH_TOL * max(1.0, abs(want)), (a, b, c, t)
+    for a, b in ((0.3425, 0.1425), (0.3575, 0.1575)):
+        for t in near_one:
+            with pytest.raises(Hyp2F1DomainError):
+                f21(a, b, 1.5, t)
 
 
 def test_one_minus_t_route_refused_at_a_pole():
-    # c - a - b rounds to 1 - 1.1e-16 here, but the connection's lower
-    # parameter a + b - c + 1 rounds to exactly 0; next to t = 1 no other
-    # route reaches
-    with pytest.raises(Hyp2F1DomainError):
-        f21(0.35, 0.15, 1.5, 0.97)
+    # next to t = 1 only the quadratic route reaches, through the 1 - t
+    # connection, which is never taken with c != 1/2 and is refused where
+    # its coefficients have a pole: at c - a - b = 0, and where c - a - b
+    # rounds to 2.8e-17 but the lower parameter a + b - c + 1 to exactly 1
+    for a, b, c in ((0.375, 0.125, 0.5), (0.35, 0.15, 0.5), (0.35, 0.15, 1.5)):
+        with pytest.raises(Hyp2F1DomainError):
+            f21(a, b, c, 0.97)
 
 
 @pytest.mark.parametrize("dist", [1e-4, 1e-8, 1e-10])
 def test_one_minus_t_route_last_resort_near_integer(dist):
     # c - a - b = 1 - dist: the 1 - t connection, good to ~6e-18/dist^2,
-    # serves only points no series route reaches; at these t it has the
-    # smallest argument, but the direct or Pfaff series reaches them (for
-    # 1.6 - 0.3i, the inner functions of 1/t)
-    a, b, c = 0.35, 0.15, 1.5 - dist
+    # serves only points no series route reaches.  With c = 1/2 the
+    # quadratic route's |z| is the smallest modulus at 0.6, 0.8 and
+    # 0.7 + 0.3i, but the direct or Pfaff series reaches every one of these
+    # t (for 1.6 - 0.3i, the inner functions of 1/t)
     mp.mp.dps = 30
-    for t in (0.6, 0.7 + 0.3j, 0.55 - 0.6j, 0.8, 1.6 - 0.3j):
-        want = complex(mp.hyp2f1(a, b, mp.mpf(c), t))
-        assert abs(f21(a, b, c, t) - want) <= 1e-14 * abs(want), t
+    for a, b, c in ((0.35, 0.15, 1.5 - dist), (dist - 0.35, -0.15, 0.5)):
+        for t in (0.6, 0.7 + 0.3j, 0.55 - 0.6j, 0.8, 1.6 - 0.3j):
+            want = complex(mp.hyp2f1(mp.mpf(a), b, mp.mpf(c), t))
+            assert abs(f21(a, b, c, t) - want) <= 1e-14 * abs(want), (a, t)
 
 
 def test_inverse_route_against_mpmath():
-    # |t| > 1 goes through 1/t; the inner functions of 1/t take the direct,
-    # Pfaff and 1 - t routes (0.957 e^{-0.29i} below is one of the latter)
+    # |t| > 1 goes through 1/t, whose inner functions take the direct and
+    # Pfaff routes, or with c = 1/2 through the quadratic route where its
+    # |z| is smaller (1.5 - 0.7i, 1.0 + 0.3i, 0.2 - 1.9i and 1.0001i)
     cases = [
         (0.125, -0.375, 0.5, 3.0 + 0.1j),
         (0.125, -0.375, 0.5, -25.0),
@@ -229,7 +238,7 @@ def test_degenerate_window_is_mean_of_offsets():
     shift = special_functions.DEGENERATE_SHIFT
     angles = np.linspace(2.4, 3.0, 20)
     t = 1.6 * np.exp(1j * np.concatenate([-angles, angles]))
-    assert not special_functions._quadratic_reach(t, 1.0 - t).any()
+    assert not special_functions._quadratic_reach(t, 1.0 - t, 0.0).any()
     for a, b in [(0.25, 0.25), (1.0 / 12.0, 1.0 / 12.0), (0.4, -0.6)]:
         lo = hyp2f1_values(a - shift, b + shift, 0.5, t)
         hi = hyp2f1_values(a + shift, b - shift, 0.5, t)
@@ -494,30 +503,33 @@ def test_values_do_not_depend_on_batch_size(radius, lo, hi):
         assert np.array_equal(full, blocks)
 
 
-# two points for each route: direct, Pfaff, 1 - t (where |t| and |t/(t - 1)|
-# are both above the radius, so also the last resort) and 1/t.  With c = 1/2
-# the quadratic route takes the 1 - t points, whose z = (1 - sqrt t)/2 is
-# within 0.03 of 0, and one point each of the direct and 1/t routes
+# two points for each Mobius route, direct, Pfaff and 1/t, and two next to
+# t = 1, where |t| and |t/(t - 1)| are both above the radius: only the
+# quadratic route reaches those, for c = 1/2 (so also as a last resort), and
+# its z = (1 - sqrt t)/2 is within 0.03 of 0.  Where it is not a last resort
+# it also takes one point each of the direct and 1/t routes
 MIXED_ROUTES = np.array([0.3 + 0.2j, 0.2 - 0.1j, -0.8 + 0.3j, -0.6 - 0.6j, 0.99 + 0.05j, 0.97 - 0.1j, 1.5 + 1.0j, -3.0 + 0.5j])
 
 
 @pytest.mark.parametrize(
     "a, b, c",
-    # (0.25, 0.25) takes the averaged 1/t route; c - a - b = 1.003 makes the
-    # 1 - t connection a last resort
-    [(0.3, -0.2, 0.5), (0.45, 0.15, 0.5), (0.25, 0.25, 0.7), (-0.4, 1.3, 1.7), (0.2, 0.3, 1.503)],
+    # (0.1, 0.1) takes the averaged 1/t route, and c - a - b = 1.003 is
+    # near a pole of the 1 - t connection: for both the quadratic route is
+    # a last resort.  With c = 1.7 no route reaches the two points next to
+    # t = 1
+    [(0.3, -0.2, 0.5), (0.45, 0.15, 0.5), (0.1, 0.1, 0.5), (-0.2, -0.303, 0.5), (-0.4, 1.3, 1.7)],
 )
 def test_mixed_routes_match_points_alone(monkeypatch, a, b, c):
     # one call scatters four routes' values; each point alone takes its
     # route on the whole array
     taken = set()
-    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_quadratic"):
+    for name in ("_direct", "_pfaff", "_inverse_connection", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
-    mixed = hyp2f1_values(a, b, c, MIXED_ROUTES)
-    third = "_quadratic" if c == 0.5 else "_euler_connection"
-    assert taken == {"_direct", "_pfaff", third, "_inverse_connection"}
-    alone = np.concatenate([hyp2f1_values(a, b, c, MIXED_ROUTES[k : k + 1]) for k in range(MIXED_ROUTES.size)])
+    t = MIXED_ROUTES if c == 0.5 else np.delete(MIXED_ROUTES, [4, 5])
+    mixed = hyp2f1_values(a, b, c, t)
+    assert taken == {"_direct", "_pfaff", "_inverse_connection"} | ({"_quadratic"} if c == 0.5 else set())
+    alone = np.concatenate([hyp2f1_values(a, b, c, t[k : k + 1]) for k in range(t.size)])
     assert np.array_equal(mixed, alone)
 
 
@@ -640,14 +652,14 @@ def test_gamma_quotient_against_mpmath():
 BATCH_REQUESTS = [
     (0.3, -0.2, 0.5, np.array([0.3 + 0.2j, 0.2 - 0.1j]), None),  # direct
     (0.3, -0.2, 0.5, np.array([-0.8 + 0.3j, -0.6 - 0.6j]), None),  # Pfaff
-    (0.2, 0.3, 1.503, np.array([0.99 + 0.05j, 0.97 - 0.1j]), np.array([0.01 - 0.05j, 0.03 + 0.1j])),  # 1 - t
+    (-0.2, -0.303, 0.5, np.array([0.99 + 0.05j, 0.97 - 0.1j]), np.array([0.01 - 0.05j, 0.03 + 0.1j])),  # quadratic, last resort
     (0.3, -0.2, 0.5, np.array([[1.5 + 1.0j], [-3.0 + 0.5j]]), None),  # quadratic, 1/t
     (0.25, 0.25, 0.5, 1.6 * np.exp(1j * np.linspace(-3.0, 3.0, 8)), None),  # integer a - b: the averaged window (delta = 1/2)
     (-2.0, 0.7, 1.3, np.array([[0.5, 3.0 + 1.0j], [-7.0, 1.5 + 0.0j]]), None),  # terminating
     (0.3, -0.2, 0.5, np.array([complex(1.5, -0.0), complex(3.0, -0.0), complex(1.0000001, -0.0)]), None),  # on the cut from below
     (0.45, 0.15, 0.5, np.asarray(0.4 - 0.3j), None),  # 0-d
     (0.45, 0.15, 0.5, np.array([], dtype=complex), None),
-    (0.2, 0.3, 1.503, MIXED_ROUTES, None),
+    (0.1, 0.1, 0.5, MIXED_ROUTES, None),  # the window: quadratic as a last resort
 ]
 
 
@@ -655,7 +667,7 @@ def test_batch_matches_single_calls(monkeypatch):
     # every request of one batch has the bits and shape of its own call,
     # and the whole batch is summed in one series loop
     taken = set()
-    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_quadratic"):
+    for name in ("_direct", "_pfaff", "_inverse_connection", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
     alone = [hyp2f1_values(a, b, c, t, one_minus=one_minus) for a, b, c, t, one_minus in BATCH_REQUESTS]
@@ -663,7 +675,7 @@ def test_batch_matches_single_calls(monkeypatch):
     sums = special_functions._series_sums
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
     batch = special_functions._hyp2f1_batch(BATCH_REQUESTS)
-    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_quadratic"}
+    assert taken == {"_direct", "_pfaff", "_inverse_connection", "_quadratic"}
     assert len(loops) == 1
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
@@ -699,12 +711,12 @@ def test_batch_raises_as_single_call(monkeypatch, bad):
 # two-petal map requests on the loci where a family's routes turn on its
 # parameters: a = -5.6e-17, zero up to rounding (alpha + beta = pi/2, the
 # grid node (3 pi/36, 15 pi/36)); a - b = 0 and the averaged window (beta =
-# pi/4); c - a - b = 1 - 2 alpha/pi, 6.4e-4 from 1, where the 1 - t
-# connection is a last resort (alpha = 1e-3); b = 0 and a terminating
-# series (beta = alpha); and a plain family
+# pi/4); c - a - b = 1 - 2 alpha/pi, 6.4e-4 from 1, where the quadratic
+# route is a last resort (alpha = 1e-3); b = 0 and a terminating series
+# (beta = alpha); and a plain family
 LOCI = [(3 * math.pi / 36, 15 * math.pi / 36), (0.6, math.pi / 4), (1e-3, 0.7), (0.5, 0.5), (0.7, 0.3)]
-# t = 4/p^2 takes the 1/t route next to the unit circle, the 1 - t
-# connection at w = 1.05 and the direct and Pfaff series farther out
+# t = 4/p^2 takes the 1/t route next to the unit circle, the quadratic
+# route at w = 1.05 and the direct and Pfaff series farther out
 LOCUS_POINTS = np.concatenate(
     [1.02 * np.exp(1j * np.linspace(0.05, 3.1, 7)), [1.05, 1.05 * np.exp(0.3j), 1.5j, 2.0 + 0.3j, -1.1 - 0.8j, 3.0 + 1j, -2.5j]]
 )
@@ -719,7 +731,7 @@ def locus_request(alpha, beta, w):
 def spy_routes(monkeypatch):
     """Log the route functions taken and every `_route` pick, by the number of requests it routes."""
     taken, picks = set(), []
-    for name in ("_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_window_average", "_quadratic"):
+    for name in ("_direct", "_pfaff", "_inverse_connection", "_window_average", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
     route = special_functions._route
@@ -749,7 +761,7 @@ def test_batch_of_loci_routes_once(monkeypatch):
     sums = special_functions._series_sums
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
     batch = special_functions._hyp2f1_batch(requests)
-    assert taken == {"_direct", "_pfaff", "_euler_connection", "_inverse_connection", "_window_average", "_quadratic"}
+    assert taken == {"_direct", "_pfaff", "_inverse_connection", "_window_average", "_quadratic"}
     assert picks == [len(requests)] and len(loops) == 1
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
