@@ -13,8 +13,11 @@ range ``A-B`` (both ends included) or a comma-separated list of either.
 Prints one JSON line: the seeds, the block count, the item count, for
 inverse the `_tangential_derivatives` calls per item (one per inversion
 step), for inverse, sweep and verify the series loops, the points they
-summed and ``series_digest``, a SHA-256 over the bytes of every loop's sums
-in call order (a spy on `special_functions._series_sums`), for moments
+summed, ``series_digest``, a SHA-256 over the bytes of every loop's sums
+in call order (a spy on `special_functions._series_sums`), and
+``value_digest``, a SHA-256 over the bytes of every `_hyp2f1_batch` output
+in call order (a spy on `special_functions._hyp2f1_batch` and on the name
+`maps` imports), for moments
 ``output_digest``, a SHA-256 over each item's result (its exit code or
 escaping error) and the bytes of its report, in item order, for sweep and
 verify the `verify._samples` calls, and the sorted failures as ``[seed,
@@ -24,8 +27,8 @@ whatever ``--blocks`` asks for), so its counts are those of the benchmark's
 sweep commands.  A change to the inversion step, the Cauchy screens, the
 battery or the sweep's rounds should leave ``failed`` no longer, and
 compares item by item against the parent's line; a change meant to keep
-every value's bits leaves ``series_digest`` (``output_digest`` for moments)
-as it was.
+every value's bits leaves ``value_digest`` (``output_digest`` for moments)
+as it was, and ``series_digest`` too unless it reorders the series queue.
 
 ``--compare`` takes a `.github/bench_record.py` record: the replay runs at
 the seeds and block count of the record's line for the workload, prints its
@@ -77,8 +80,9 @@ def main(argv=None):
     inner = maps._tangential_derivatives
     sums = special_functions._series_sums
     samples = verify._samples
+    batch = special_functions._hyp2f1_batch
     calls = loops = points = samples_calls = 0
-    digest, output = hashlib.sha256(), hashlib.sha256()
+    digest, output, value_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
 
     def counting(family, pts):
         nonlocal calls
@@ -99,9 +103,16 @@ def main(argv=None):
             digest.update(np.ascontiguousarray(part).tobytes())
         return out
 
+    def batching(requests):
+        out = batch(requests)
+        for part in out:
+            value_digest.update(np.ascontiguousarray(part).tobytes())
+        return out
+
     items, failed = 0, []
     maps._tangential_derivatives = counting
     special_functions._series_sums = summing
+    special_functions._hyp2f1_batch = maps._hyp2f1_batch = batching
     verify._samples = sampling
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -120,6 +131,7 @@ def main(argv=None):
     finally:
         maps._tangential_derivatives = inner
         special_functions._series_sums = sums
+        special_functions._hyp2f1_batch = maps._hyp2f1_batch = batch
         verify._samples = samples
     report = {"seeds": args.seeds, "blocks": blocks, "items": items}
     if args.workload == "inverse":
@@ -127,7 +139,7 @@ def main(argv=None):
     if args.workload == "moments":
         report["output_digest"] = output.hexdigest()
     else:
-        report.update(series_loops=loops, series_points=points, series_digest=digest.hexdigest())
+        report.update(series_loops=loops, series_points=points, series_digest=digest.hexdigest(), value_digest=value_digest.hexdigest())
     if args.workload in ("sweep", "verify"):
         report["samples_calls"] = samples_calls
     report["failed"] = sorted(failed)

@@ -576,14 +576,7 @@ def invert_map(family: MapFamily, z, state: TimeState | None = None):
             raise InversionError("iterate repeats without converging", root=w)
         seen.add(w)
         try:
-            try:
-                values, derivs, seconds = _tangential_derivatives(family, np.array([w]))
-            except MapDomainError:
-                # a stencil point can leave the evaluable region while the
-                # centre converges; the centre's own error comes first
-                if abs(evaluate_map(family, w) - target) <= tol:
-                    return w
-                raise
+            values, derivs, seconds = _tangential_derivatives(family, np.array([w]))
             val, deriv = complex(values[0]), complex(derivs[0])
             if abs(val - target) <= tol:
                 return w

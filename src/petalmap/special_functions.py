@@ -15,9 +15,10 @@ point takes one route of this table:
   no Möbius route reaches (`_quadratic_rule`).  Its two inner functions
   of z take the routes of the last entry; it reaches the points near
   t = e^{+-i pi/3}, where every Möbius route's modulus is about 1.
-- `_inverse_connection`, the 1/t connection (A&S 15.3.7), where |t| > 1,
-  averaged over a +- shift, b -+ shift within ``DEGENERATE_SHIFT`` of
-  integer a - b.  Its two inner functions of 1/t take the routes below.
+- `_inverse_terms`, the 1/t connection (A&S 15.3.7), where |t| > 1;
+  `_window_average` instead, the mean of it over a +- shift, b -+ shift,
+  within ``DEGENERATE_SHIFT`` of integer a - b.  Its two inner functions
+  of 1/t take the routes below.
 - Elsewhere the route with the smaller modulus, at most ``TRANSFORM_RADIUS``:
   `_direct`, the series, by |t| (at every t where a or b is a non-positive
   integer and the series terminates); `_pfaff`, (1 - t)^-a F(a, c - b; c;
@@ -29,35 +30,35 @@ coefficients, depends on its family's parameters; which of those routes it
 takes depends on t alone.  So a call's points may belong to several
 families: ``rows`` lists their parameter sets (a, b, c), and ``runs`` the
 (row, count) runs of the points, in order, each family's points contiguous.
-Every route takes (rows, runs, t, one_minus, queue).  It evaluates what
-depends on the parameters once per run, in one family's scalar code
-(`_per_family`), and what depends on t once for all the points, and returns
-a finisher that assembles its values.  `_route` sends the points the
-quadratic route reaches to it, the other points with |t| > 1 to the 1/t
-route, and defers the rest (`_defer`); the quadratic and 1/t routes defer
-the evaluations of their two inner functions, two copies of their points
-(and the window its two offsets, two copies again).  One
-`_disk_values` call then picks the direct or Pfaff route of every
-deferred point, and those routes queue each series they need as one
-(a, b, c, argument) entry per run.  `_dispatch` calls each route on its
-points (on the whole arrays when it takes them all) and scatters their
-values.
+Every route takes (rows, runs, t, one_minus, queue) and returns a
+finisher, which assembles its values from the sums of the queued series.
+It evaluates what depends on the parameters once per run, in one family's
+scalar code (`_per_family`), and what depends on t once for all the
+points.  `_route`, the outer route, sends the points the quadratic route
+reaches to it, the other points with |t| > 1 to the 1/t route (or to the
+window's average of it), and the rest to `_disk_values`, which picks the
+direct or Pfaff route of each.  The quadratic and 1/t routes call
+`_disk_values` themselves on their two inner functions, two copies of
+their points (and the window its two offsets, two copies again).  The
+direct and Pfaff routes queue each series they need as one (a, b, c,
+argument) entry per run.  `_dispatch` calls each route on its points (on
+the whole arrays when it takes them all) and scatters their values.
 
 `_hyp2f1_batch` takes a list of (a, b, c, t, one_minus) requests, whose
 parameters are floats or arrays with one set per point (a run of equal
 sets is one family).  It checks every request before it routes any, so a
 bad request's error comes before any routing error, and it answers a
-batch with no point at all with empty arrays at once.  Otherwise it routes
-all their points with one `_route` pick, sums the whole queue in one term
-loop (`_series_sums`) and applies the finisher: one array per request,
-with the bits of that request alone.  The loop keeps a settled point beside the live ones, adding
+batch with no point at all with empty arrays at once.  Otherwise it calls
+`_route` once on all their points, joined, sums the whole queue in one
+term loop (`_series_sums`) and applies the finisher: one array per
+request, with the bits of that request alone.  The loop keeps a settled point beside the live ones, adding
 exact zeros to its sum, until at most half its points are live.
 `hyp2f1_values` is its one-request case.  The checks' batches are built by
 `maps._samples`: each group of at most `maps.ARC_BLOCK` map points, of one
 or several two-petal families, is one batch of one map request (map
 values, and the arc stencil rows of derivative points) followed by its
 plans' extra requests (each partner solution's F and F'), so that they
-share one route pick and one series loop.  A two-petal battery's fixed
+share one `_route` call and one series loop.  A two-petal battery's fixed
 samples are one such batch, and so is each group of a sweep's or a
 winding count's round.
 
@@ -366,38 +367,29 @@ def _euler_terms(a: float, b: float, c: float) -> tuple:
     return _gamma_quotient((c, cab), (c - a, c - b)), _gamma_quotient((c, -cab), (a, b)), cab
 
 
-def _terminates(a: float, b: float) -> bool:
-    return _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
-
-
-def _inverse_connection(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
-    """Evaluate |t| > 1 through the argument 1/t; a - b is moved off the integers.
-
-    At integer a - b the two exponents at infinity collide and Gamma(a - b)
-    or Gamma(b - a) has a pole, so a window around them averages the
-    symmetric offsets a +- shift, b -+ shift (even-order error in the
-    shift).  Each offset is evaluated directly: from the window's edge one
-    offset lands just inside the window on the other side of the pole,
-    where the plain formula still holds.
-    """
-    window = _per_family(_in_window, rows, runs)
-    return _dispatch((_inverse_terms, _window_average), window, rows, runs, t, one_minus, deferred)
-
-
 @functools.cache
 def _in_window(a: float, b: float, c: float) -> bool:
     """Whether one family's a - b is within ``DEGENERATE_SHIFT`` of an integer, where the 1/t route averages."""
     return abs(a - b - round(a - b)) < DEGENERATE_SHIFT
 
 
-def _window_average(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
-    """The mean of the 1/t connection at a -+ shift, b +- shift, for a - b in the window, both offsets in one call."""
+def _window_average(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+    """The mean of the 1/t connection at a -+ shift, b +- shift, where |t| > 1 and a - b is in the window.
+
+    At integer a - b the two exponents at infinity collide and Gamma(a - b)
+    or Gamma(b - a) has a pole, so a window around them averages the
+    symmetric offsets (even-order error in the shift), both in one
+    `_inverse_terms` call on two copies of the points.  Each offset is
+    evaluated directly: from the window's edge one offset lands just inside
+    the window on the other side of the pole, where the plain formula still
+    holds.
+    """
     shift = DEGENERATE_SHIFT
     lo = [(a - shift, b + shift, c) for a, b, c in rows]
-    both = _inverse_terms(*_two_copies(lo, [(a + shift, b - shift, c) for a, b, c in rows], runs, t, one_minus), deferred)
+    both = _inverse_terms(*_two_copies(lo, [(a + shift, b - shift, c) for a, b, c in rows], runs, t, one_minus), queue)
 
-    def finish(inner_values):
-        values = both(inner_values)
+    def finish(sums):
+        values = both(sums)
         return 0.5 * (values[: t.size] + values[t.size :])
 
     return finish
@@ -409,8 +401,8 @@ def _two_copies(first: list, second: list, runs: list, *arrays) -> tuple:
     return (first + second, runs, *(np.concatenate([x, x]) for x in arrays))
 
 
-def _inverse_terms(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
-    """The 1/t connection (A&S 15.3.7) itself; a - b must not be an integer."""
+def _inverse_terms(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+    """Evaluate |t| > 1 through the 1/t connection (A&S 15.3.7); a - b must not be an integer."""
     inv = 1.0 / t
     minus_t = -t
     inner_minus = one_minus / minus_t  # 1 - 1/t, as accurate as the caller's 1 - t
@@ -418,13 +410,13 @@ def _inverse_terms(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray,
     # the |t| <= 1 routes only: with |t| = 1 up to rounding, 1/t may again
     # have modulus above 1
     inner_a = [(a, a - c + 1.0, a - b + 1.0) for a, b, c in rows]
-    inner = _defer(*_two_copies(inner_a, [(b, b - c + 1.0, 1.0 - (a - b)) for a, b, c in rows], runs, inv, inner_minus), deferred)
+    inner = _disk_values(*_two_copies(inner_a, [(b, b - c + 1.0, 1.0 - (a - b)) for a, b, c in rows], runs, inv, inner_minus), queue)
     exponent_a, coeff_a, exponent_b, coeff_b = _per_family(_inverse_coefficients, rows, runs)
     power_a = _power(minus_t, exponent_a)
     power_b = _power(minus_t, exponent_b)
 
-    def finish(inner_values):
-        values = inner(inner_values)
+    def finish(sums):
+        values = inner(sums)
         return coeff_a * power_a * values[: t.size] + coeff_b * power_b * values[t.size :]
 
     return finish
@@ -437,7 +429,7 @@ def _inverse_coefficients(a: float, b: float, c: float) -> tuple:
     return -a, _gamma_quotient((c, -amb), (b, c - a)), -b, _gamma_quotient((c, amb), (a, c - b))
 
 
-def _quadratic(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
+def _quadratic(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
     """Evaluate a c = 1/2 family through z = (1 - sqrt t)/2; requires `_quadratic_rule`.
 
     The 1 - t connection (A&S 15.3.6) at c = 1/2 has inner functions
@@ -449,19 +441,19 @@ def _quadratic(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, def
                           + B (1 - t)^(1/2 - a - b) F(1 - 2a, 1 - 2b; 3/2 - a - b; z)
 
     with the connection's A, B and exponent (`_euler_terms`).  Its two
-    inner functions of z are deferred, two copies of the points, as the 1/t
-    route defers its own.
+    inner functions of z take `_disk_values` on two copies of the points,
+    as the 1/t route's do.
     """
     root, z = _quadratic_argument(t, one_minus)
     coeff_direct, coeff_power, cab = _per_family(_euler_terms, rows, runs)
     first = [(2.0 * a, 2.0 * b, a + b - c + 1.0) for a, b, c in rows]
     second = [(2.0 * (c - a), 2.0 * (c - b), c - a - b + 1.0) for a, b, c in rows]
     # 1 - z = (1 + sqrt t)/2, with no cancellation where Re sqrt t > 0
-    inner = _defer(*_two_copies(first, second, runs, z, 0.5 * (1.0 + root)), deferred)
+    inner = _disk_values(*_two_copies(first, second, runs, z, 0.5 * (1.0 + root)), queue)
     power = _power(one_minus, cab)
 
-    def finish(inner_values):
-        values = inner(inner_values)
+    def finish(sums):
+        values = inner(sums)
         return coeff_direct * values[: t.size] + coeff_power * power * values[t.size :]
 
     return finish
@@ -507,7 +499,7 @@ def _quadratic_rule(a: float, b: float, c: float) -> float:
     """
     cab = c - a - b
     # a + b - c + 1 can round onto a pole c - a - b misses
-    if c != 0.5 or _terminates(a, b) or any(x == round(x) for x in (cab, a + b - c + 1.0)):
+    if c != 0.5 or not _has_cut(a, b, c) or any(x == round(x) for x in (cab, a + b - c + 1.0)):
         return math.inf
     n = math.log(TERM_TOL) / math.log(TRANSFORM_RADIUS)
     if _in_window(a, b, c) or 6e-18 / (cab - round(cab)) ** 2 > n * math.ulp(1.0):
@@ -584,7 +576,7 @@ def _request_points(a, b, c, t, one_minus):
 @functools.cache
 def _has_cut(a: float, b: float, c: float) -> bool:
     """Whether F(a, b; c; t) is cut along [1, inf) and takes the 1/t route past |t| = 1, unlike a polynomial."""
-    return not _terminates(a, b)
+    return not (_is_nonpositive_integer(a) or _is_nonpositive_integer(b))
 
 
 def _joined(points: list) -> tuple:
@@ -599,35 +591,20 @@ def _joined(points: list) -> tuple:
     return rows, runs, t, one_minus
 
 
-def _defer(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, deferred: list) -> Callable:
-    """Defer points to the one `_disk_values` pick of their call; the finisher picks out their values."""
-    deferred.append((rows, runs, t, one_minus))
-    return operator.itemgetter(len(deferred) - 1)
+def _route(rows: list, runs: list, t: np.ndarray, one_minus: np.ndarray, queue: list) -> Callable:
+    """The outer route: pick each point's route of the module's table by its family and t.
 
-
-def _route(points: list) -> tuple:
-    """One route pick for the checked (rows, runs, t, 1 - t) points of several requests, and its queue.
-
-    The requests' points are joined, so that each family's points stay one
-    run under every mask.  Points of a `_quadratic_rule` family that
-    `_quadratic_reach` takes go to `_quadratic`; the other points with
-    |t| > 1 whose series has a cut take `_inverse_connection`; both defer
-    the evaluations of their inner functions, and the rest of the points
-    are deferred as they are.  Then one
-    `_disk_values` pick takes all the deferred points.  Returns the
-    finisher of all the points and the queued series, one list of
-    `_series_sums` entries each.
+    Points of a `_quadratic_rule` family that `_quadratic_reach` takes go
+    to `_quadratic`; the other points with |t| > 1 whose series has a cut
+    go to `_window_average` if their family is `_in_window`, else to
+    `_inverse_terms`; the rest go to `_disk_values`.
     """
-    rows, runs, t, one_minus = _joined(points)
     pick = (np.abs(t) > 1.0) & _per_family(_has_cut, rows, runs)
+    pick = np.where(pick & _per_family(_in_window, rows, runs), 3, pick)
     floor = _per_family(_quadratic_rule, rows, runs)
     if np.any(floor < math.inf):
         pick = np.where(_quadratic_reach(t, one_minus, floor), 2, pick)
-    deferred: list = []
-    outside = _dispatch((_defer, _inverse_connection, _quadratic), pick, rows, runs, t, one_minus, deferred)
-    queue: list = []
-    disk = _disk_values(*_joined(deferred), queue)
-    return (lambda sums: outside(_split(disk(sums), [point[2].size for point in deferred]))), queue
+    return _dispatch((_disk_values, _inverse_terms, _quadratic, _window_average), pick, rows, runs, t, one_minus, queue)
 
 
 def _hyp2f1_batch(requests) -> list:
@@ -637,10 +614,12 @@ def _hyp2f1_batch(requests) -> list:
     is routed, so a bad request raises its check's error before any routing
     error of the requests before it, and before any series is summed.  A
     batch with no point at all returns its empty arrays at once.  Otherwise
-    all the points take one `_route` pick, each family's coefficients are
-    computed once per call, and the queued series, one `_series_sums` entry
-    per (series, run), share one term loop.  Returns one array per request,
-    shaped like its t, with the bits of that request alone.
+    the points are joined (`_joined`), so that each family's points stay one
+    run under every mask, and take one `_route` call; each family's
+    coefficients are computed once per call, and the queued series, one
+    `_series_sums` entry per (series, run), share one term loop.  Returns
+    one array per request, shaped like its t, with the bits of that request
+    alone.
 
     No caller in the package sees that order: `hyp2f1_values` sends one
     request, and the requests `maps._samples` builds cannot fail their
@@ -653,7 +632,8 @@ def _hyp2f1_batch(requests) -> list:
     points = [_request_points(*request) for request in requests]
     if not any(point[2].size for point in points):
         return [np.empty(np.shape(request[3]), dtype=complex) for request in requests]
-    finish, queue = _route(points)
+    queue: list = []
+    finish = _route(*_joined(points), queue)
     sums = iter(_series_sums([entry for series in queue for entry in series]))
     # a series of several runs joins their sums in point order
     values = finish([np.concatenate([next(sums) for _ in series]) if len(series) > 1 else next(sums) for series in queue])

@@ -362,6 +362,19 @@ def test_first_quadrant_sheet_against_mpmath(item):
     assert abs(fp - want) <= 1e-10 * abs(want)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: 1.4e-6 off the base corner the arc stencil's f' is 4.05e-9 off mpmath, over the 1e-10 bound")
+def test_first_quadrant_sheet_next_to_the_base_corner():
+    # the point test_first_quadrant_sheet_against_mpmath draws when
+    # tests/test_maps.py is run alone, under its bounds, pinned so that the
+    # stencil's defect shows whichever test files are collected; f is
+    # 3.9e-16 off
+    family, w = MapFamily.two_petal(0.29485136277208784, 1.5), 1.000001 + 1.000001e-6j
+    want = near_corner_reference(family.alpha, family.beta, w)
+    assert abs(evaluate_map(family, w) - want) <= 1e-12 * abs(want)
+    want = near_corner_derivative_reference(family.alpha, family.beta, w)
+    assert abs(map_derivative(family, w) - want) <= 1e-10 * abs(want)
+
+
 @pytest.mark.parametrize("alpha, beta", [(math.pi / 5, math.pi / 10), (math.pi / 5, math.pi / 20), (1.2, 0.4)])
 def test_top_corner_factored_p_against_mpmath(alpha, beta):
     # within 1e-4 of w = +-i, p = w + 1/w -> 0 cancels, by about
@@ -585,7 +598,7 @@ def test_last_resort_against_mpmath(alpha, beta):
         assert error <= bounds[region], region
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: integer a - b takes the window average, not the logarithmic connection")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 35: integer a - b takes the window average, not the logarithmic connection")
 @pytest.mark.parametrize("alpha", [math.pi / 3, 0.6], ids=lambda x: "%.4f" % x)
 def test_window_average_against_mpmath(alpha):
     # where a Mobius route reaches, a window family's F averages the 1/t
@@ -1095,7 +1108,7 @@ INVERT_FAILING = [
 ]
 
 
-def test_one_stencil_newton_matches_two_call_loop(monkeypatch):
+def test_one_stencil_newton_matches_two_call_loop():
     # the stencil's centre value, f' and f'' are the bits evaluate_map,
     # map_derivative and a separate stencil call give, so roots and
     # failures must not move
@@ -1113,26 +1126,10 @@ def test_one_stencil_newton_matches_two_call_loop(monkeypatch):
     assert "no convergence" in outcomes[len(INVERT_RECOVERED)][1]
     # next to the blind spot of the Mobius routes, a window family's
     # (beta = pi/4) stencil points take F's quadratic route as a last
-    # resort, so the stencil evaluates where its centre does ...
+    # resort, so the stencil evaluates where its centre does
     family, w0 = MapFamily.two_petal(math.pi / 8, math.pi / 4), 1.3525136496613666 + 1.423431662496373j
     evaluate_map(family, w0)
     assert np.isfinite(map_derivative(family, w0))
-    # ... and where a stencil point is out of reach at a converged iterate,
-    # the root still returns
-    family, z, state = items[0]
-    root = outcomes[0]
-    inner = maps._tangential_derivatives
-    raised = []
-
-    def out_of_reach_at_root(family, pts):
-        if pts[0] == root:
-            raised.append(root)
-            raise Hyp2F1DomainError("stencil point out of reach")
-        return inner(family, pts)
-
-    monkeypatch.setattr(maps, "_tangential_derivatives", out_of_reach_at_root)
-    assert outcome(invert_map, family, z, state) == outcome(reference_invert, family, z, state) == root
-    assert raised == [root]
 
 
 # an iterate that settles on a fixed point of step-and-mirror, which is not
@@ -1506,8 +1503,8 @@ def test_two_petal_lockstep_group_of_loci_keeps_the_bits(monkeypatch):
     jobs.insert(2, (MapFamily.two_petal(*loci[0]), np.array([], dtype=complex), "values"))
     assert sum(points.size for _, points, _ in jobs) <= maps.ARC_BLOCK
     picks, loops = [], []
-    route, sums = special_functions._route, special_functions._series_sums
-    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append(points) or route(points))
+    joined, sums = special_functions._joined, special_functions._series_sums
+    monkeypatch.setattr(special_functions, "_joined", lambda points: picks.append(points) or joined(points))
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
     out = maps._samples(jobs)
     monkeypatch.undo()
@@ -1587,9 +1584,9 @@ def test_samples_jobs_without_map_points_open_no_group(monkeypatch):
     rng = np.random.default_rng(1)
     jobs = [sample_job("two-petal", *spec, rng) for spec in SAMPLE_EXAMPLE]
     picks, loops = [], []
-    route = special_functions._route
+    joined = special_functions._joined
     sums = special_functions._series_sums
-    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append([p[2].size for p in points]) or route(points))
+    monkeypatch.setattr(special_functions, "_joined", lambda points: picks.append([p[2].size for p in points]) or joined(points))
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
     maps._samples(jobs)
     assert picks == [[2070, 8, 8], [40, 5, 5]]

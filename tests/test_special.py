@@ -523,12 +523,12 @@ def test_mixed_routes_match_points_alone(monkeypatch, a, b, c):
     # one call scatters four routes' values; each point alone takes its
     # route on the whole array
     taken = set()
-    for name in ("_direct", "_pfaff", "_inverse_connection", "_quadratic"):
+    for name in ("_direct", "_pfaff", "_inverse_terms", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
     t = MIXED_ROUTES if c == 0.5 else np.delete(MIXED_ROUTES, [4, 5])
     mixed = hyp2f1_values(a, b, c, t)
-    assert taken == {"_direct", "_pfaff", "_inverse_connection"} | ({"_quadratic"} if c == 0.5 else set())
+    assert taken == {"_direct", "_pfaff", "_inverse_terms"} | ({"_quadratic"} if c == 0.5 else set())
     alone = np.concatenate([hyp2f1_values(a, b, c, t[k : k + 1]) for k in range(t.size)])
     assert np.array_equal(mixed, alone)
 
@@ -576,7 +576,7 @@ def test_empty_argument_returns_at_once(monkeypatch):
     assert time.perf_counter() - start < 1.0
     # a batch with no point at all is answered at its edge: it neither
     # routes nor sums, and gives complex empties shaped like each t
-    monkeypatch.setattr(special_functions, "_route", lambda points: pytest.fail("routed"))
+    monkeypatch.setattr(special_functions, "_route", lambda *args: pytest.fail("routed"))
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: pytest.fail("series summed"))
     shapes = [(0,), (3, 0), (0, 2)]
     requests = [(0.3, 0.7, 1.3, np.zeros(shape, dtype=complex), None) for shape in shapes]
@@ -667,7 +667,7 @@ def test_batch_matches_single_calls(monkeypatch):
     # every request of one batch has the bits and shape of its own call,
     # and the whole batch is summed in one series loop
     taken = set()
-    for name in ("_direct", "_pfaff", "_inverse_connection", "_quadratic"):
+    for name in ("_direct", "_pfaff", "_inverse_terms", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
     alone = [hyp2f1_values(a, b, c, t, one_minus=one_minus) for a, b, c, t, one_minus in BATCH_REQUESTS]
@@ -675,7 +675,7 @@ def test_batch_matches_single_calls(monkeypatch):
     sums = special_functions._series_sums
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
     batch = special_functions._hyp2f1_batch(BATCH_REQUESTS)
-    assert taken == {"_direct", "_pfaff", "_inverse_connection", "_quadratic"}
+    assert taken == {"_direct", "_pfaff", "_inverse_terms", "_quadratic"}
     assert len(loops) == 1
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
@@ -729,13 +729,13 @@ def locus_request(alpha, beta, w):
 
 
 def spy_routes(monkeypatch):
-    """Log the route functions taken and every `_route` pick, by the number of requests it routes."""
+    """Log the route functions taken and every `_joined` call, by the number of requests it joins for one `_route` call."""
     taken, picks = set(), []
-    for name in ("_direct", "_pfaff", "_inverse_connection", "_window_average", "_quadratic"):
+    for name in ("_direct", "_pfaff", "_inverse_terms", "_window_average", "_quadratic"):
         route = getattr(special_functions, name)
         monkeypatch.setattr(special_functions, name, lambda *args, name=name, route=route: taken.add(name) or route(*args))
-    route = special_functions._route
-    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append(len(points)) or route(points))
+    joined = special_functions._joined
+    monkeypatch.setattr(special_functions, "_joined", lambda points: picks.append(len(points)) or joined(points))
     return taken, picks
 
 
@@ -761,7 +761,7 @@ def test_batch_of_loci_routes_once(monkeypatch):
     sums = special_functions._series_sums
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(queue) or sums(queue))
     batch = special_functions._hyp2f1_batch(requests)
-    assert taken == {"_direct", "_pfaff", "_inverse_connection", "_window_average", "_quadratic"}
+    assert taken == {"_direct", "_pfaff", "_inverse_terms", "_window_average", "_quadratic"}
     assert picks == [len(requests)] and len(loops) == 1
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
@@ -787,7 +787,7 @@ def test_loci_batch_raises_the_first_bad_request(monkeypatch, bad, later, raised
             hyp2f1_values(*request)
         errors.append(str(alone.value))
     requests = [locus_request(alpha, beta, LOCUS_POINTS) for alpha, beta in LOCI]
-    monkeypatch.setattr(special_functions, "_route", lambda points: pytest.fail("routed"))
+    monkeypatch.setattr(special_functions, "_route", lambda *args: pytest.fail("routed"))
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: pytest.fail("series summed"))
     with pytest.raises(Hyp2F1DomainError) as batch:
         special_functions._hyp2f1_batch(requests[:2] + [bad] + requests[2:] + [later])

@@ -317,7 +317,7 @@ def test_estimate_A_matches_closed_form_on_grid():
             want = 8.0 * math.pi**2 / abs(math.gamma(a) * math.gamma(b) * math.gamma(0.5 - a) * math.gamma(0.5 - b))
             # off beta = pi/4 measured 3.1e-13 over 240 nodes; on that row a - b
             # is 0 and the 1/t route averages over a +- DEGENERATE_SHIFT (ROADMAP
-            # item 7), measured 6.5e-8: the row stays in so the defect stays visible
+            # item 35), measured 6.5e-8: the row stays in so the defect stays visible
             tol = 1e-7 if j == 9 else 1e-12
             assert abs(estimate_A(family).value - want) <= tol * want, family.label()
     # one petal: A = 2 sin 2 alpha (1 - 2 alpha/pi), measured 1.4e-13
@@ -1112,8 +1112,8 @@ def test_sweep_lockstep_keeps_the_bits_of_one_node_calls(monkeypatch, patch_sten
     # one route pick per series loop routes every family of a group together
     # (the default grid made 757 routings, one per family request, before)
     picks = []
-    route = special_functions._route
-    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append(len(points)) or route(points))
+    joined = special_functions._joined
+    monkeypatch.setattr(special_functions, "_joined", lambda points: picks.append(len(points)) or joined(points))
     grid = [k * math.pi / 36 for k in range(1, 18)]
     rows = sweep(grid, grid)
     monkeypatch.undo()
@@ -1501,9 +1501,9 @@ def test_battery_merges_its_fixed_evaluations(monkeypatch, patch_stencil, family
     monkeypatch.setattr(maps, "_arc_stencil", lambda family, pts: stencils.append(pts.size) or stencil(family, pts))
     rounds = record_ring(monkeypatch)
     picks, loops = [], []
-    route = special_functions._route
+    joined = special_functions._joined
     sums = special_functions._series_sums
-    monkeypatch.setattr(special_functions, "_route", lambda points: picks.append([p[2].size for p in points]) or route(points))
+    monkeypatch.setattr(special_functions, "_joined", lambda points: picks.append([p[2].size for p in points]) or joined(points))
     monkeypatch.setattr(special_functions, "_series_sums", lambda queue: loops.append(len(queue)) or sums(queue))
     run_standard_checks(family)
     assert stencils == [16, 8, 32, 64]
