@@ -10,8 +10,8 @@ BENCH_<N>.json at the repository root with:
 - for each workload, the median, min and max of each end-to-end metric over
   all its runs, and the number of runs;
 - the line `replay.py` prints for each workload on seed 1 at its default
-  block count: the series loop and point counts and ``series_digest``
-  (``output_digest`` for moments), and the failures;
+  block count: the series loop and point counts, ``series_digest`` and
+  ``value_digest`` (``output_digest`` for moments), and the failures;
 - the total row of `code_lines.py`;
 - the host's ``os.cpu_count()``.
 
